@@ -625,29 +625,94 @@ fn in_serving_scope(rel: &str) -> bool {
         || rel.starts_with("src/")
 }
 
-/// The decode/serve entry points: `decompress*` / `read_stream*` free fns,
-/// every `StreamSource` / `ForwardSource` / `StreamReader` method,
-/// `inspect::render`, and `JobHandle::join`.
-pub fn l6_roots(ws: &Workspace) -> Vec<usize> {
+/// One name-based entry point of a transitive lint. Roots are matched by
+/// name, so a rename silently drops coverage — the workspace meta-test
+/// therefore asserts that every pattern still matches a function of the
+/// real tree.
+#[derive(Debug)]
+pub struct RootPattern {
+    /// Base type of the enclosing `impl`; `None` matches any owner
+    /// (including none).
+    pub owner: Option<&'static str>,
+    /// The function name; a trailing `*` makes it a prefix (`"*"` matches
+    /// every name).
+    pub name: &'static str,
+    /// Suffix the file's workspace-relative path must end with (`""`
+    /// matches every file).
+    pub file: &'static str,
+}
+
+const fn root(owner: Option<&'static str>, name: &'static str) -> RootPattern {
+    RootPattern {
+        owner,
+        name,
+        file: "",
+    }
+}
+
+impl RootPattern {
+    /// Whether the non-test function `f` of `ws` is one of this pattern's
+    /// roots.
+    pub fn matches(&self, ws: &Workspace, f: &FnItem) -> bool {
+        !f.is_test
+            && self.owner.is_none_or(|o| f.owner.as_deref() == Some(o))
+            && self
+                .name
+                .strip_suffix('*')
+                .map_or(f.name == self.name, |prefix| f.name.starts_with(prefix))
+            && ws.files[f.file].rel.ends_with(self.file)
+    }
+}
+
+/// The decode/serve entry points (L6): the `decompress*` functions, the v1
+/// parser `read_stream`, the chunk-table front `read_chunk_table` and the
+/// `locate_table*` path behind it, every method of the two stream readers
+/// and of the reader core they share (`StreamIndex`), the one checksum
+/// step (`ChunkEntry::verify`, and `ChunkTable::verified_chunk_slice` over
+/// it), `inspect::render`, and `JobHandle::join`.
+pub const L6_ROOTS: &[RootPattern] = &[
+    root(None, "decompress*"),
+    root(None, "read_stream"),
+    root(None, "read_chunk_table"),
+    root(None, "locate_table*"),
+    root(Some("StreamSource"), "*"),
+    root(Some("ForwardSource"), "*"),
+    root(Some("StreamIndex"), "*"),
+    root(Some("ChunkEntry"), "verify"),
+    root(Some("ChunkTable"), "verified_chunk_slice"),
+    RootPattern {
+        owner: None,
+        name: "render",
+        file: "inspect.rs",
+    },
+    root(Some("JobHandle"), "join"),
+];
+
+/// The warm-path roots (L7): the per-chunk encode chain
+/// (`ChunkEncoder::encode` and `encode_into`), the predictor's
+/// `compress_into`, and `StreamSink::push_chunk`.
+pub const L7_ROOTS: &[RootPattern] = &[
+    root(Some("ChunkEncoder"), "encode"),
+    root(Some("ChunkEncoder"), "encode_into"),
+    root(None, "compress_into"),
+    root(Some("StreamSink"), "push_chunk"),
+];
+
+fn roots_of(ws: &Workspace, patterns: &[RootPattern], serving_only: bool) -> Vec<usize> {
     ws.fns
         .iter()
         .enumerate()
         .filter(|(_, f)| {
-            if f.is_test || !in_serving_scope(&ws.files[f.file].rel) {
-                return false;
-            }
-            let rel = &ws.files[f.file].rel;
-            f.name.starts_with("decompress")
-                || f.name.starts_with("read_stream")
-                || matches!(
-                    f.owner.as_deref(),
-                    Some("StreamSource") | Some("ForwardSource") | Some("StreamReader")
-                )
-                || (rel.ends_with("inspect.rs") && f.name == "render" && f.owner.is_none())
-                || (f.owner.as_deref() == Some("JobHandle") && f.name == "join")
+            (!serving_only || in_serving_scope(&ws.files[f.file].rel))
+                && patterns.iter().any(|p| p.matches(ws, f))
         })
         .map(|(i, _)| i)
         .collect()
+}
+
+/// The functions of `ws` matching [`L6_ROOTS`] inside the serving crates.
+pub fn l6_roots(ws: &Workspace) -> Vec<usize> {
+    roots_of(ws, L6_ROOTS, true)
 }
 
 /// L6: no path from a decode/serve entry point may reach a panic site.
@@ -686,20 +751,9 @@ pub fn lint_panic_reachability(ws: &Workspace, graph: &CallGraph) -> Vec<Violati
 // L7: steady-state allocation freedom
 // ---------------------------------------------------------------------------
 
-/// The warm-path roots: `ChunkEncoder::encode*`, `compress_into`, and
-/// `StreamSink::push_chunk`.
+/// The functions of `ws` matching [`L7_ROOTS`].
 pub fn l7_roots(ws: &Workspace) -> Vec<usize> {
-    ws.fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| {
-            !f.is_test
-                && ((f.owner.as_deref() == Some("ChunkEncoder") && f.name.starts_with("encode"))
-                    || f.name == "compress_into"
-                    || (f.owner.as_deref() == Some("StreamSink") && f.name == "push_chunk"))
-        })
-        .map(|(i, _)| i)
-        .collect()
+    roots_of(ws, L7_ROOTS, false)
 }
 
 /// L7: every allocation site reachable from a warm-path root must be

@@ -307,8 +307,8 @@ const DECODE_FN_KEYWORDS: &[&str] = &[
     "get_",
     "from_bytes",
     "stream_version",
-    "reject",
-    "expect_chunked",
+    "locate",
+    "layout_of",
     "checked_count",
 ];
 

@@ -59,6 +59,46 @@ fn transitive_lints_found_their_roots() {
     );
 }
 
+/// The L6/L7 roots are matched by function and owner name, so renaming a
+/// reader type or an encode entry point would silently drop its
+/// panic-reachability or steady-alloc coverage. Every root pattern must
+/// therefore still match at least one function of the real workspace.
+#[test]
+fn every_root_pattern_matches_a_function_of_the_workspace() {
+    use szhi_analyzer::graph::{L6_ROOTS, L7_ROOTS};
+    use szhi_analyzer::table::Workspace;
+
+    let root = workspace_root();
+    let mut rs_files = Vec::new();
+    collect_rs(&root, &mut rs_files);
+    // First-party sources keyed by workspace-relative path, as the
+    // analyzer's own walk hands them to the call-graph lints.
+    let sources: Vec<(String, String)> = rs_files
+        .iter()
+        .filter_map(|path| {
+            let rel = path
+                .strip_prefix(&root)
+                .ok()?
+                .to_string_lossy()
+                .into_owned();
+            Some((rel, std::fs::read_to_string(path).ok()?))
+        })
+        .filter(|(rel, _)| !rel.starts_with("vendor/"))
+        .collect();
+    let ws = Workspace::from_sources(&sources);
+    let dangling: Vec<String> = L6_ROOTS
+        .iter()
+        .chain(L7_ROOTS)
+        .filter(|p| !ws.fns.iter().any(|f| p.matches(&ws, f)))
+        .map(|p| format!("{p:?}"))
+        .collect();
+    assert!(
+        dangling.is_empty(),
+        "root pattern(s) that match no function — update them to the renamed API:\n{}",
+        dangling.join("\n")
+    );
+}
+
 /// Every `szhi-analyzer: allow(...)` comment in the tree must carry a
 /// ` -- <reason>` tail. The analyzer already treats a reasonless allow as
 /// inert (the finding still fires), but an inert allow left in the tree is

@@ -2,7 +2,7 @@
 //!
 //! Measures the wall-clock speedup of the chunk-parallel engine over the
 //! monolithic pipeline on a large 3D field: the monolithic (v1) path, the
-//! chunked (v3) path pinned to one worker thread, and the chunked path at
+//! chunked (v4) path pinned to one worker thread, and the chunked path at
 //! the configured thread count. The headline number is the last row's
 //! speedup over chunked-at-1-thread — with ≥ 4 hardware threads on a
 //! ≥ 256³ field it should exceed 1.5×.
@@ -17,10 +17,9 @@
 //! within 1.05× of the exhaustive one at measurably lower tuning time.
 //!
 //! A third section measures the **bounded-memory v4 sink**: the same field
-//! streamed chunk-by-chunk through the in-memory `StreamWriter` (v3,
-//! buffers every compressed chunk until finish) and through `StreamSink`
-//! into a byte-counting `io::Write` (v4, bodies leave immediately),
-//! reporting throughput and each engine's buffering high-water.
+//! streamed chunk-by-chunk through `StreamSink` into a byte-counting
+//! `io::Write` (bodies leave immediately), reporting throughput and the
+//! sink's buffering high-water next to the compressed stream size.
 //!
 //! Run with `cargo run -p szhi-bench --release --bin chunked_throughput`.
 //! `--scale <f>` (or `SZHI_SCALE`) scales the 256³ default field;
@@ -31,8 +30,8 @@
 use std::collections::BTreeMap;
 use szhi_bench::{fmt_ms, print_table, SEED};
 use szhi_core::{
-    compress, compress_with_stats, decompress, ErrorBound, ModeTuning, PipelineMode, StreamReader,
-    StreamSink, StreamWriter, SzhiConfig,
+    compress, compress_with_stats, decompress, ErrorBound, ModeTuning, PipelineMode, StreamSink,
+    StreamSource, SzhiConfig,
 };
 use szhi_datagen::DatasetKind;
 use szhi_metrics::Stopwatch;
@@ -172,14 +171,14 @@ fn main() {
     let (one_c, one_d, one_gibps, one_ratio) = measure(&data, &chunked, 1);
     throughput_entry(
         &mut report,
-        "chunked_v3_1_thread",
+        "chunked_v4_1_thread",
         1,
         one_c,
         one_d,
         one_ratio,
     );
     rows.push(vec![
-        "chunked (v3)".into(),
+        "chunked (v4)".into(),
         "1".into(),
         fmt_ms(std::time::Duration::from_secs_f64(one_c)),
         fmt_ms(std::time::Duration::from_secs_f64(one_d)),
@@ -190,7 +189,7 @@ fn main() {
     let (multi_c, multi_d, multi_gibps, multi_ratio) = measure(&data, &chunked, threads);
     throughput_entry(
         &mut report,
-        "chunked_v3",
+        "chunked_v4",
         threads,
         multi_c,
         multi_d,
@@ -198,7 +197,7 @@ fn main() {
     );
     let speedup = one_c / multi_c;
     rows.push(vec![
-        "chunked (v3)".into(),
+        "chunked (v4)".into(),
         threads.to_string(),
         fmt_ms(std::time::Duration::from_secs_f64(multi_c)),
         fmt_ms(std::time::Duration::from_secs_f64(multi_d)),
@@ -259,30 +258,16 @@ impl std::io::Write for CountingSink {
     }
 }
 
-/// Streams the field chunk-by-chunk through the in-memory v3 writer and
-/// the byte-counting v4 sink, reporting throughput and each engine's
-/// buffering high-water (the v3 writer retains every compressed body; the
-/// sink's largest resident buffer is one encoded chunk or the table tail).
+/// Streams the field chunk-by-chunk through the byte-counting v4 sink,
+/// reporting throughput and the sink's buffering high-water: its largest
+/// resident buffer is one encoded chunk or the table tail, never the
+/// compressed stream.
 fn streaming_sink_section(data: &Grid<f32>, report: &mut JsonReport) {
     let dims = data.dims();
     let abs_eb = 1e-3 * data.value_range() as f64;
     let cfg = SzhiConfig::new(ErrorBound::Absolute(abs_eb))
         .with_auto_tune(false)
         .with_chunk_span(SzhiConfig::DEFAULT_CHUNK_SPAN);
-
-    let sw = Stopwatch::start();
-    let mut writer = StreamWriter::new(dims, &cfg).expect("streaming config");
-    let mut buffered_high_water = 0u64;
-    let mut buffered = 0u64;
-    while let Some(region) = writer.next_chunk_region() {
-        let chunk_dims = writer.plan().chunk_dims(writer.next_index());
-        let chunk = Grid::from_vec(chunk_dims, data.extract(&region));
-        let receipt = writer.push_chunk(&chunk).expect("push");
-        buffered += receipt.compressed_bytes as u64;
-        buffered_high_water = buffered_high_water.max(buffered);
-    }
-    let v3_bytes = writer.finish().expect("finish").len() as u64;
-    let v3_time = sw.finish(dims.nbytes_f32());
 
     let sw = Stopwatch::start();
     let mut sink = StreamSink::new(CountingSink::default(), dims, &cfg).expect("streaming config");
@@ -296,31 +281,22 @@ fn streaming_sink_section(data: &Grid<f32>, report: &mut JsonReport) {
     let (counter, stats) = sink.finish_with_stats().expect("finish");
     let v4_time = sw.finish(dims.nbytes_f32());
     assert_eq!(counter.total, stats.compressed_bytes as u64);
+    let high_water = counter.max_write.max(max_chunk);
 
     let mb = dims.nbytes_f32() as f64 / 1e6;
     report.push(
         "streaming",
         format!(
-            "{{\"engine\": \"stream_writer_v3\", \"comp_mb_s\": {}, \"ratio\": {}, \
-             \"stream_bytes\": {v3_bytes}, \"high_water_bytes\": {buffered_high_water}}}",
-            jnum(mb / v3_time.elapsed.as_secs_f64()),
-            jnum(dims.nbytes_f32() as f64 / v3_bytes as f64)
-        ),
-    );
-    report.push(
-        "streaming",
-        format!(
             "{{\"engine\": \"stream_sink_v4\", \"comp_mb_s\": {}, \"ratio\": {}, \
-             \"stream_bytes\": {}, \"high_water_bytes\": {}}}",
+             \"stream_bytes\": {}, \"high_water_bytes\": {high_water}}}",
             jnum(mb / v4_time.elapsed.as_secs_f64()),
             jnum(dims.nbytes_f32() as f64 / counter.total as f64),
             counter.total,
-            counter.max_write.max(max_chunk)
         ),
     );
 
     print_table(
-        &format!("Bounded-memory streaming on {dims} (chunk span 64³, one thread of work each)"),
+        &format!("Bounded-memory streaming on {dims} (chunk span 64³, one thread of work)"),
         &[
             "engine",
             "container",
@@ -329,32 +305,19 @@ fn streaming_sink_section(data: &Grid<f32>, report: &mut JsonReport) {
             "stream bytes",
             "buffering high-water",
         ],
-        &[
-            vec![
-                "StreamWriter (in-memory)".into(),
-                "v3".into(),
-                fmt_ms(v3_time.elapsed),
-                format!("{:.3}", v3_time.gibps),
-                v3_bytes.to_string(),
-                format!("{buffered_high_water} B (all compressed chunks)"),
-            ],
-            vec![
-                "StreamSink (io::Write)".into(),
-                "v4".into(),
-                fmt_ms(v4_time.elapsed),
-                format!("{:.3}", v4_time.gibps),
-                counter.total.to_string(),
-                format!(
-                    "{} B (largest single write: max chunk {max_chunk} B / table tail)",
-                    max_chunk.max(counter.max_write)
-                ),
-            ],
-        ],
+        &[vec![
+            "StreamSink (io::Write)".into(),
+            "v4".into(),
+            fmt_ms(v4_time.elapsed),
+            format!("{:.3}", v4_time.gibps),
+            counter.total.to_string(),
+            format!("{high_water} B (largest single write: max chunk {max_chunk} B / table tail)"),
+        ]],
     );
     println!(
-        "\nv4 sink buffering high-water is {:.1}% of the v3 writer's \
-         (one chunk + table vs the whole compressed stream)",
-        100.0 * counter.max_write.max(max_chunk) as f64 / buffered_high_water.max(1) as f64
+        "\nv4 sink buffering high-water is {:.1}% of the compressed stream \
+         (one chunk + table vs every compressed chunk)",
+        100.0 * high_water as f64 / counter.total.max(1) as f64
     );
 }
 
@@ -554,7 +517,7 @@ fn orchestration_section(n: usize, report: &mut JsonReport) {
         let sw = Stopwatch::start();
         let bytes = compress(&data, &cfg).expect("compression failed");
         let comp = sw.finish(dims.nbytes_f32());
-        let reader = StreamReader::new(&bytes).expect("chunked stream");
+        let reader = StreamSource::from_bytes(&bytes).expect("chunked stream");
         let mut modes: BTreeMap<String, usize> = BTreeMap::new();
         let mut configs: BTreeMap<String, usize> = BTreeMap::new();
         for i in 0..reader.chunk_count() {

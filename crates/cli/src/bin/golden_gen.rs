@@ -1,10 +1,12 @@
 //! Regenerates the golden-stream compatibility corpus under
 //! `tests/golden/` at the workspace root (or a directory passed as the
-//! only argument).
+//! only argument): the field, and the stream plus `inspect` rendering of
+//! every version the library still writes (`golden::BUILT`). The v2 and v3
+//! assets are frozen — the library can no longer write those containers —
+//! so they are left untouched, and a missing one is an error.
 //!
-//! Run after an **intentional** change to the current container's
-//! encoder output, and commit the regenerated assets together with the
-//! change:
+//! Run after an **intentional** change to an encoder's output, and commit
+//! the regenerated assets together with the change:
 //!
 //! ```text
 //! cargo run -p szhi-cli --bin golden-gen
@@ -17,15 +19,25 @@ fn main() {
     let dir = std::env::args()
         .nth(1)
         .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden"))
-        });
+        .unwrap_or_else(golden::corpus_dir);
     std::fs::create_dir_all(&dir).expect("cannot create the golden directory");
+    for v in golden::versions()
+        .into_iter()
+        .filter(|v| !golden::BUILT.contains(v))
+    {
+        for name in [format!("v{v}.szhi"), format!("v{v}.inspect.txt")] {
+            assert!(
+                dir.join(&name).is_file(),
+                "the frozen asset {name} is missing from {} and cannot be regenerated",
+                dir.display()
+            );
+        }
+    }
 
     let field = golden::golden_field();
     std::fs::write(dir.join("field.f32"), raw::to_bytes(field.as_slice()))
         .expect("cannot write field.f32");
-    for v in golden::versions() {
+    for v in golden::BUILT {
         let bytes = golden::build(v, &field).expect("golden builder failed");
         std::fs::write(dir.join(format!("v{v}.szhi")), &bytes).expect("cannot write stream");
         let report = inspect::render(&bytes).expect("inspect failed on a golden stream");
@@ -36,38 +48,5 @@ fn main() {
             bytes.len()
         );
     }
-    std::fs::write(dir.join("README.md"), README).expect("cannot write README.md");
     println!("golden corpus regenerated in {}", dir.display());
 }
-
-const README: &str = "# Golden-stream compatibility corpus
-
-Pinned compressed streams for every container version the workspace has
-ever shipped, all encoding the same deterministic field
-(`szhi_datagen::mixed_smooth_noisy`, 24x20x32, chunk span 16x16x16,
-absolute error bound 2e-3 — see `szhi_cli::golden`).
-
-| file | contents |
-|---|---|
-| `field.f32` | the shared input field, raw little-endian f32 |
-| `v1.szhi`..`v5.szhi` | one pinned stream per container version |
-| `v1.inspect.txt`.. | the pinned `szhi-cli inspect` rendering of each |
-
-`tests/golden_streams.rs` (workspace root) asserts that
-
-1. the **current** version (v5) re-encodes `field.f32` byte-exactly —
-   any unintentional change to the encoder's output fails the suite;
-2. every **historical** version still decodes to the pinned field within
-   the recorded bound, through `decompress`, `StreamSource` (seekable)
-   and `ForwardSource` (forward-only) alike;
-3. `szhi-cli inspect` renders every stream exactly as pinned, so the
-   metadata surface (header, chunk table, trailer, histograms) cannot
-   drift silently.
-
-Regenerate **only** for an intentional format or encoder change, in the
-same commit, with:
-
-```
-cargo run -p szhi-cli --bin golden-gen
-```
-";

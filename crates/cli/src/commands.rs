@@ -23,6 +23,21 @@ fn runtime(msg: String) -> CliError {
     CliError::Runtime(msg)
 }
 
+/// Writes report text to stdout — the one place the subcommands print
+/// from. A reader that closed the pipe early (`szhi-cli bench | head -1`)
+/// has what it asked for: the write fails with `BrokenPipe`, which ends the
+/// run quietly as [`CliError::StdoutClosed`] instead of panicking inside
+/// `println!`.
+fn emit(text: std::fmt::Arguments<'_>) -> Result<(), CliError> {
+    let mut out = std::io::stdout().lock();
+    out.write_fmt(text)
+        .and_then(|()| out.flush())
+        .map_err(|e| match e.kind() {
+            std::io::ErrorKind::BrokenPipe => CliError::StdoutClosed,
+            _ => runtime(format!("cannot write to stdout: {e}")),
+        })
+}
+
 /// Runs one parsed command to completion.
 pub fn dispatch(cmd: &Command) -> Result<(), CliError> {
     match cmd {
@@ -87,7 +102,7 @@ fn encode(a: &EncodeArgs) -> Result<(), CliError> {
     if to_stdout {
         eprintln!("{summary}");
     } else {
-        println!("{summary}");
+        emit(format_args!("{summary}\n"))?;
     }
     Ok(())
 }
@@ -220,8 +235,7 @@ fn inspect_cmd(a: &InspectArgs) -> Result<(), CliError> {
     let bytes =
         std::fs::read(&a.input).map_err(|e| runtime(format!("cannot read {}: {e}", a.input)))?;
     let report = inspect::render(&bytes)?;
-    print!("{report}");
-    Ok(())
+    emit(format_args!("{report}"))
 }
 
 /// Compresses a field through a [`StreamSink`] into memory — the serial
@@ -230,8 +244,8 @@ fn inspect_cmd(a: &InspectArgs) -> Result<(), CliError> {
 fn sink_bytes(field: &Grid<f32>, cfg: &SzhiConfig) -> Result<Vec<u8>, CliError> {
     let mut sink = StreamSink::new(Vec::new(), field.dims(), cfg)?;
     while let Some(region) = sink.next_chunk_region() {
-        let chunk = Grid::from_vec(region.dims(), field.extract(&region));
-        sink.push_chunk(&chunk)?;
+        let dims = sink.plan().chunk_dims(sink.next_index());
+        sink.push_chunk(&Grid::from_vec(dims, field.extract(&region)))?;
     }
     Ok(sink.finish()?)
 }
@@ -284,21 +298,21 @@ fn bench(a: &BenchArgs) -> Result<(), CliError> {
         )));
     }
     let mib = field.dims().nbytes_f32() as f64 / (1024.0 * 1024.0);
-    println!(
-        "bench {} {} seed {}: {} -> {} bytes (ratio {:.2})",
+    emit(format_args!(
+        "bench {} {} seed {}: {} -> {} bytes (ratio {:.2})\n",
         a.dataset.name(),
         a.dims,
         a.seed,
         field.dims().nbytes_f32(),
         bytes.len(),
         field.dims().nbytes_f32() as f64 / bytes.len() as f64
-    );
-    println!(
+    ))?;
+    emit(format_args!(
         "  encode {enc_secs:.3} s ({:.1} MiB/s), decode {dec_secs:.3} s ({:.1} MiB/s), \
-         max |err| {max_err:.3e} within bound {abs_eb:.3e}",
+         max |err| {max_err:.3e} within bound {abs_eb:.3e}\n",
         mib / enc_secs.max(1e-9),
         mib / dec_secs.max(1e-9)
-    );
+    ))?;
     if a.jobs > 1 {
         bench_jobs(a, &cfg)?;
     }
@@ -335,17 +349,16 @@ fn bench_jobs(a: &BenchArgs, cfg: &SzhiConfig) -> Result<(), CliError> {
                 serial.len()
             )));
         }
-        println!(
-            "  job seed {seed}: {}/{} chunks, {} bytes (ratio {:.2}), byte-identical to serial",
+        emit(format_args!(
+            "  job seed {seed}: {}/{} chunks, {} bytes (ratio {:.2}), byte-identical to serial\n",
             progress.done,
             progress.total,
             bytes.len(),
             stats.compression_ratio
-        );
+        ))?;
     }
-    println!(
-        "jobs: {} concurrent jobs, every archive byte-identical to its serial run",
+    emit(format_args!(
+        "jobs: {} concurrent jobs, every archive byte-identical to its serial run\n",
         a.jobs
-    );
-    Ok(())
+    ))
 }

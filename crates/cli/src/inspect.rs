@@ -242,17 +242,23 @@ mod tests {
         assert!(report.contains("payload:"));
         assert!(report.contains("abs eb:   2e-3"));
 
-        let v3 = compress(
+        let v4 = compress(
             &field,
             &cfg()
                 .with_chunk_span([16, 16, 16])
                 .with_mode_tuning(ModeTuning::PerChunk),
         )
         .unwrap();
-        let report = render(&v3).unwrap();
-        assert!(report.contains("v3 (streamed)"));
+        let report = render(&v4).unwrap();
+        assert!(report.contains("v4 (trailered)"));
         assert!(report.contains("pipeline/config usage:"));
         assert!(report.contains("chunk table:"));
+        assert!(report.contains("magic:        SZT4"));
+        assert!(!report.contains("config dictionary:"), "v4 has none");
+
+        // A leading-table (v3) stream, from the frozen corpus.
+        let report = render(&crate::golden::pinned(3).unwrap()).unwrap();
+        assert!(report.contains("v3 (streamed)"));
         assert!(!report.contains("trailer:"), "v3 has no trailer");
 
         let v5 = compress(

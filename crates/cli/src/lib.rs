@@ -44,6 +44,10 @@ pub enum CliError {
     /// The command was well-formed but failed while running (I/O error,
     /// corrupt stream, bound violation). Exit code 1.
     Runtime(String),
+    /// The reader of stdout closed the pipe before the report was fully
+    /// written (`szhi-cli bench | head -1`). Not a failure: the run ends
+    /// quietly with exit code 0.
+    StdoutClosed,
 }
 
 impl CliError {
@@ -52,6 +56,7 @@ impl CliError {
         match self {
             CliError::Usage(_) => 2,
             CliError::Runtime(_) => 1,
+            CliError::StdoutClosed => 0,
         }
     }
 
@@ -59,6 +64,7 @@ impl CliError {
     pub fn message(&self) -> &str {
         match self {
             CliError::Usage(msg) | CliError::Runtime(msg) => msg,
+            CliError::StdoutClosed => "stdout was closed by its reader",
         }
     }
 }
@@ -141,6 +147,9 @@ fn emit_telemetry(
 }
 
 fn report(e: &CliError) -> i32 {
+    if matches!(e, CliError::StdoutClosed) {
+        return e.exit_code();
+    }
     eprintln!("szhi-cli: error: {}", e.message());
     if matches!(e, CliError::Usage(_)) {
         eprintln!();

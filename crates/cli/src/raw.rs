@@ -116,8 +116,9 @@ fn fold(v: f32, lo: &mut f32, hi: &mut f32) {
     }
 }
 
-/// Reads one region of a `dims`-shaped raw f32 file into a grid, one
-/// x-row per read.
+/// Reads one region of a `dims`-shaped raw f32 file into a grid of the
+/// field's own rank (a region of a 2-D field is a 2-D grid, the shape a
+/// chunk plan over that field expects), one x-row per read.
 pub fn read_region(file: &mut File, dims: Dims, region: &Region) -> Result<Grid<f32>, CliError> {
     let mut values = Vec::with_capacity(decode_capacity(region.len()));
     let mut row = vec![0u8; region.nx() * 4];
@@ -131,7 +132,12 @@ pub fn read_region(file: &mut File, dims: Dims, region: &Region) -> Result<Grid<
             values.extend(row.chunks_exact(4).map(le_f32));
         }
     }
-    Ok(Grid::from_vec(region.dims(), values))
+    let sub_dims = match dims.rank() {
+        1 => Dims::d1(region.nx()),
+        2 => Dims::d2(region.ny(), region.nx()),
+        _ => region.dims(),
+    };
+    Ok(Grid::from_vec(sub_dims, values))
 }
 
 /// Writes one region's values (chunk-local row-major order) into a

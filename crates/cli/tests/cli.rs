@@ -292,6 +292,107 @@ fn encode_to_stdout_pipes_into_decode() {
     std::fs::remove_file(&input).unwrap();
 }
 
+/// A 2-D field round-trips like a 3-D one: file → file, `--chunk`, and the
+/// `encode … - | decode - -` pipeline all reproduce what the library's
+/// batch engine and `decompress` produce, within the bound. (`encode` used
+/// to hand the sink 1×ny×nx chunks where the 2-D plan expects ny×nx.)
+#[test]
+fn two_d_fields_roundtrip_through_files_chunks_and_pipes() {
+    use szhi_core::{compress_chunked, decompress_chunk, ErrorBound, SzhiConfig};
+
+    let input = temp("2d-in.f32");
+    let archive = temp("2d.szhi");
+    let output = temp("2d-out.f32");
+    let f = szhi_datagen::DatasetKind::CesmAtm.generate(Dims::d2(64, 96), 3);
+    std::fs::write(&input, to_bytes(f.as_slice())).unwrap();
+    let encode = |to: &str| {
+        run(&[
+            "encode",
+            input.to_str().unwrap(),
+            to,
+            "--dims",
+            "64,96",
+            "--eb",
+            "1e-3",
+            "--rel",
+            "--chunk-span",
+            "1,32,32",
+        ])
+    };
+    assert_ok(&encode(archive.to_str().unwrap()), "encode 2-D");
+
+    // The archive is exactly what the batch engine emits for the same
+    // resolved configuration.
+    let abs_eb = ErrorBound::Relative(1e-3).absolute(f.value_range() as f64);
+    let cfg = SzhiConfig::new(ErrorBound::Absolute(abs_eb)).with_auto_tune(false);
+    let bytes = std::fs::read(&archive).unwrap();
+    assert_eq!(bytes, compress_chunked(&f, &cfg, [1, 32, 32]).unwrap());
+    let restored = decompress(&bytes).unwrap();
+    for (a, b) in f.as_slice().iter().zip(restored.as_slice()) {
+        assert!(((*a as f64) - (*b as f64)).abs() <= abs_eb + 1e-12);
+    }
+
+    let decode = |args: &[&str]| {
+        assert_ok(&run(args), "decode 2-D");
+        to_f32(&std::fs::read(&output).unwrap())
+    };
+    let (archive_s, output_s) = (archive.to_str().unwrap(), output.to_str().unwrap());
+    assert_eq!(
+        decode(&["decode", archive_s, output_s]),
+        restored.as_slice()
+    );
+    assert_eq!(
+        decode(&["decode", archive_s, output_s, "--chunk", "4"]),
+        decompress_chunk(&bytes, 4).unwrap().1.as_slice()
+    );
+
+    // The shell pipeline: archive on stdout, decoded off a stdin pipe.
+    let piped = encode("-");
+    assert_ok(&piped, "encode 2-D to stdout");
+    assert_eq!(piped.stdout, bytes);
+    let mut child = bin()
+        .args(["decode", "-", "-"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    use std::io::Write as _;
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(&piped.stdout)
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert_ok(&out, "decode 2-D from stdin to stdout");
+    assert_eq!(to_f32(&out.stdout), restored.as_slice());
+
+    for p in [&input, &archive, &output] {
+        std::fs::remove_file(p).unwrap();
+    }
+}
+
+/// A reader that closes stdout early (`szhi-cli bench | head -1`) ends the
+/// run quietly with exit code 0 — it used to panic inside `println!`
+/// (exit 101, a backtrace on stderr).
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let mut child = bin()
+        .args(["bench", "--dims", "32,32,32", "--chunk-span", "16,16,16"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // Close the read end before the child has anything to report: its
+    // first write to stdout fails with EPIPE.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+}
+
 /// `bench --jobs N` drives concurrent jobs through the job service and
 /// reports the byte-identity check.
 #[test]

@@ -1,32 +1,34 @@
 //! The end-to-end cuSZ-Hi compression and decompression pipelines.
 //!
-//! Two engines share the predictor and pipeline layers:
+//! Both batch engines run the one per-chunk encode chain of
+//! [`crate::stream`] (predict → reorder → lossless stages → frame):
 //!
-//! * the **monolithic** engine compresses the whole grid into one v1
-//!   stream (one predictor pass, one pipeline payload);
+//! * the **monolithic** engine treats the whole grid as a one-chunk plan —
+//!   global pipeline mode, no per-chunk tuning — and frames the body with
+//!   the v1 header;
 //! * the **chunked** engine ([`compress_chunked`]) splits the grid into
-//!   independent anchor-aligned chunks ([`szhi_ndgrid::ChunkPlan`]) and
-//!   compresses each into its own body of a streamed (v3) container. It is
-//!   a thin parallel loop over the incremental [`StreamWriter`]: chunks
-//!   are encoded in parallel ([`StreamWriter::encode_chunk`] is a pure
-//!   function) and pushed in plan order, so the batch output is
-//!   byte-identical to pushing the same chunks one at a time. Chunks
-//!   decompress independently too — [`decompress`] drains a
-//!   [`StreamReader`] eagerly, and [`decompress_chunk`] random-accesses a
-//!   single chunk without touching the rest of the stream.
+//!   independent anchor-aligned chunks ([`szhi_ndgrid::ChunkPlan`]),
+//!   encodes them in parallel and drives a [`StreamSink`] over a `Vec` with
+//!   them in plan order, so the batch output (a v4 container; v5 with
+//!   per-chunk interpolation tuning) is byte-identical to pushing the same
+//!   chunks one at a time. Chunks decompress independently too —
+//!   [`decompress`] decodes them in parallel straight from the byte slice,
+//!   and [`decompress_chunk`] random-accesses a single chunk without
+//!   touching the rest of the stream.
 //!
 //! Chunked streams are byte-identical regardless of the worker-thread count:
 //! every chunk is a pure function of (its sub-field, the config), and the
 //! container assembles them in chunk order.
 
-use crate::config::{PipelineMode, SzhiConfig};
+use crate::config::{ErrorBound, ModeTuning, PipelineMode, SzhiConfig};
 use crate::error::SzhiError;
 use crate::format::{
-    read_chunk_sections, read_chunk_table, read_stream, stream_version, write_stream, Header,
-    VERSION,
+    locate_table, read_chunk_sections, read_chunk_table, read_stream, stream_version, write_header,
+    Header, V5_ENTRY_SIZE, VERSION,
 };
-use crate::stream::{EncodedChunk, StreamReader, StreamWriter};
+use crate::stream::{assemble, checked_plan, ChunkEncoder, EncodeScratch, StreamSink};
 use rayon::prelude::*;
+use std::io::Cursor;
 use szhi_codec::PipelineSpec;
 use szhi_ndgrid::{ChunkPlan, Dims, Grid, Region};
 use szhi_predictor::autotune;
@@ -52,8 +54,8 @@ pub struct CompressionStats {
 }
 
 /// Compresses `data` under `cfg`, returning the self-describing byte
-/// stream. With `cfg.chunk_span` set this produces a streamed (v3)
-/// container, otherwise a monolithic (v1) stream.
+/// stream. With `cfg.chunk_span` set this produces a trailered (v4) or
+/// tuned (v5) container, otherwise a monolithic (v1) stream.
 pub fn compress(data: &Grid<f32>, cfg: &SzhiConfig) -> Result<Vec<u8>, SzhiError> {
     compress_with_stats(data, cfg).map(|(bytes, _)| bytes)
 }
@@ -66,48 +68,37 @@ pub fn compress_with_stats(
     if let Some(span) = cfg.chunk_span {
         return compress_chunked_with_stats(data, cfg, span);
     }
-    let (abs_eb, interp_cfg) = prepare(data, cfg)?;
+    // The monolithic engine is the chunk chain over a one-chunk plan: one
+    // global pipeline, the (auto-tuned) header configuration.
     let dims = data.dims();
-
-    // 2. Lossy decomposition: anchors + one-byte quantization codes +
-    //    outliers (§5.1).
-    let predictor = predictor_for(&interp_cfg)?;
-    let output = predictor.compress(data, abs_eb);
-
-    // 3. Level-ordered reordering of the codes (§5.1.4).
-    let codes = if cfg.reorder {
-        let order = LevelOrder::new(dims, interp_cfg.anchor_stride);
-        order.reorder(&output.codes)
-    } else {
-        output.codes.clone()
+    let cfg = SzhiConfig {
+        mode_tuning: ModeTuning::Global,
+        chunk_interp_tuning: false,
+        ..resolve(data, cfg)?
     };
-
-    // 4. Multi-stage lossless encoding (§5.2).
-    let pipeline = cfg.mode.pipeline_spec();
-    let payload = pipeline.build().encode(&codes);
-
-    let header = Header {
-        dims,
-        abs_eb,
-        pipeline,
-        reorder: cfg.reorder,
-        interp: interp_cfg,
-    };
-    let bytes = write_stream(&header, &output.anchors, &output.outliers, &payload);
+    let whole = ChunkPlan::new(dims, [dims.nz(), dims.ny(), dims.nx()]);
+    let enc = ChunkEncoder::new(whole, &cfg)?;
+    // A local scratch, not the encode threads' retained one: its buffers
+    // are field-sized here and must not outlive the call.
+    let mut body = Vec::new();
+    let meta = enc.encode_into(0, data, &mut EncodeScratch::default(), &mut body)?;
+    let mut bytes = Vec::with_capacity(64 + body.len());
+    write_header(&mut bytes, enc.header(), VERSION);
+    bytes.extend_from_slice(&body);
     let stats = CompressionStats {
         original_bytes: dims.nbytes_f32(),
         compressed_bytes: bytes.len(),
         compression_ratio: dims.nbytes_f32() as f64 / bytes.len() as f64,
-        abs_eb,
-        anchors: output.anchors.len(),
-        outliers: output.outliers.len(),
-        encoded_codes_bytes: payload.len(),
+        abs_eb: enc.header().abs_eb,
+        anchors: meta.anchors,
+        outliers: meta.outliers,
+        encoded_codes_bytes: meta.payload_bytes,
     };
     Ok((bytes, stats))
 }
 
-/// Compresses `data` into a streamed (v3) container with the given chunk
-/// span, regardless of `cfg.chunk_span`.
+/// Compresses `data` into a trailered (v4, or tuned v5) container with the
+/// given chunk span, regardless of `cfg.chunk_span`.
 pub fn compress_chunked(
     data: &Grid<f32>,
     cfg: &SzhiConfig,
@@ -116,83 +107,47 @@ pub fn compress_chunked(
     compress_chunked_with_stats(data, cfg, span).map(|(bytes, _)| bytes)
 }
 
-/// Compresses `data` into a streamed (v3) container, returning the stream
-/// and its aggregated statistics.
+/// Compresses `data` into a trailered (v4, or tuned v5) container,
+/// returning the stream and its aggregated statistics.
 ///
 /// The error bound is resolved and the interpolation configuration is
 /// auto-tuned **once, globally**, then every chunk is compressed as an
 /// independent sub-field (its own anchors, codes and outliers) in parallel
-/// and fed to a [`StreamWriter`] in plan order — this function is a thin
-/// loop over the incremental writer, so its output is byte-identical to
-/// pushing the same chunks one at a time. With
-/// [`ModeTuning::PerChunk`](crate::ModeTuning::PerChunk) each chunk's
-/// lossless pipeline is selected independently and recorded in the chunk
-/// table. The span must obey the chunk-alignment rule: a positive multiple
-/// of the anchor stride along every non-degenerate axis (spans larger than
-/// the grid are clamped to one whole-field chunk).
+/// and fed to a [`StreamSink`] over a `Vec` in plan order — so the output
+/// is byte-identical to pushing the same chunks through a sink one at a
+/// time. With [`ModeTuning::PerChunk`] each chunk's lossless pipeline is
+/// selected independently and recorded in the chunk table. The span must
+/// obey the chunk-alignment rule: a positive multiple of the anchor stride
+/// along every non-degenerate axis (spans larger than the grid are clamped
+/// to one whole-field chunk).
 pub fn compress_chunked_with_stats(
     data: &Grid<f32>,
     cfg: &SzhiConfig,
     span: [usize; 3],
 ) -> Result<(Vec<u8>, CompressionStats), SzhiError> {
-    // Validate the span up front — it only needs the (validated) anchor
-    // stride, and auto-tuning samples the whole field, so an invalid span
-    // must fail before that work. Tuning never changes the stride.
-    cfg.interp
-        .validate()
-        .map_err(|e| SzhiError::InvalidInput(e.to_string()))?;
-    if span.contains(&0) {
-        return Err(SzhiError::InvalidInput(format!(
-            "chunk span {span:?} has a zero axis"
-        )));
-    }
-    let plan = ChunkPlan::new(data.dims(), span);
-    if !plan.is_aligned(cfg.interp.anchor_stride) {
-        return Err(SzhiError::InvalidInput(format!(
-            "chunk span {span:?} is not a multiple of the anchor stride {}",
-            cfg.interp.anchor_stride
-        )));
-    }
-    if plan.span().iter().any(|&s| s > u32::MAX as usize) {
-        // The container stores the span as 3×u32; a silent `as u32`
-        // truncation would produce a stream the reader must reject.
-        return Err(SzhiError::InvalidInput(format!(
-            "chunk span {:?} does not fit the container's u32 span fields",
-            plan.span()
-        )));
-    }
-    let (abs_eb, interp_cfg) = prepare(data, cfg)?;
-    let mut writer = StreamWriter::with_params(
-        data.dims(),
-        span,
-        abs_eb,
-        interp_cfg,
-        cfg.reorder,
-        cfg.mode,
-        cfg.mode_tuning.clone(),
-        cfg.chunk_interp_tuning,
-    )?;
-
-    // Each chunk is a pure function of (sub-field, config): the par_iter
-    // result order is fixed, so the assembled stream is byte-identical at
-    // every thread count — and identical to sequential push_chunk calls.
-    let plan = *writer.plan();
-    let encoded: Vec<Result<EncodedChunk, SzhiError>> = (0..plan.len())
-        .into_par_iter()
-        .map(|i| {
-            let sub = Grid::from_vec(plan.chunk_dims(i), data.extract(&plan.chunk_at(i)));
-            writer.encode_chunk(i, &sub)
-        })
-        .collect();
+    // An invalid span must fail before auto-tuning samples the whole field.
+    let plan = checked_plan(data.dims(), span, &cfg.interp)?;
+    let cfg = resolve(data, cfg)?;
+    let enc = ChunkEncoder::new(plan, &cfg)?;
+    let encoded = enc.encode_range(data, 0..plan.len())?;
+    // Size the output from the encoded bodies plus an upper bound on the
+    // framing (prefix, trailer, and per chunk one table entry and at most
+    // one dictionary entry), so it never reallocates while the bodies are
+    // still held.
+    let bodies: usize = encoded.iter().map(|c| c.compressed_bytes()).sum();
+    let framing = 128 + plan.len() * (V5_ENTRY_SIZE + 1 + 2 * cfg.interp.levels.len());
+    let mut sink = StreamSink::from_encoder(Vec::with_capacity(bodies + framing), enc)?;
     for chunk in encoded {
-        writer.push_encoded(chunk?)?;
+        sink.push_encoded(chunk)?;
     }
-    writer.finish_with_stats()
+    sink.finish_with_stats()
 }
 
-/// Shared input validation: resolves the error bound and selects the
-/// (optionally auto-tuned) interpolation configuration.
-fn prepare(data: &Grid<f32>, cfg: &SzhiConfig) -> Result<(f64, InterpConfig), SzhiError> {
+/// Resolves a configuration against the field it will compress: the error
+/// bound becomes absolute and the interpolation configuration the
+/// (optionally auto-tuned) one, with auto-tuning switched off — the form
+/// the chunk encoder takes.
+fn resolve(data: &Grid<f32>, cfg: &SzhiConfig) -> Result<SzhiConfig, SzhiError> {
     if data.is_empty() {
         return Err(SzhiError::InvalidInput(
             "cannot compress an empty field".into(),
@@ -207,33 +162,38 @@ fn prepare(data: &Grid<f32>, cfg: &SzhiConfig) -> Result<(f64, InterpConfig), Sz
             "invalid error bound {abs_eb}"
         )));
     }
-    // Select the interpolation configuration, optionally auto-tuned on a
-    // 0.2 % sample (§5.1.3). For chunked streams the tuning runs once on
-    // the whole field, so every chunk shares one configuration.
-    let interp_cfg = if cfg.auto_tune {
-        let (tuned, _) = autotune::tune(data, &cfg.interp);
-        tuned
+    // Optionally auto-tune the interpolation configuration on a 0.2 %
+    // sample (§5.1.3). For chunked streams the tuning runs once on the
+    // whole field, so every chunk shares one configuration.
+    let interp = if cfg.auto_tune {
+        autotune::tune(data, &cfg.interp).0
     } else {
         cfg.interp.clone()
     };
-    Ok((abs_eb, interp_cfg))
-}
-
-fn predictor_for(interp: &InterpConfig) -> Result<InterpPredictor, SzhiError> {
-    InterpPredictor::new(interp.clone()).map_err(|e| SzhiError::InvalidInput(e.to_string()))
+    Ok(SzhiConfig {
+        error_bound: ErrorBound::Absolute(abs_eb),
+        auto_tune: false,
+        interp,
+        ..cfg.clone()
+    })
 }
 
 /// Decompresses a stream produced by [`compress`], [`compress_chunked`] or
-/// a [`StreamSink`](crate::stream::StreamSink) (every container version —
-/// v1 monolithic, v2 chunked, v3 streamed, v4 trailered, v5 tuned — is
-/// self-describing; chunk-bearing containers decompress their chunks in
-/// parallel, with v3+ chunks verified against their checksums first and
-/// v5 chunks decoded with their own per-chunk predictor configuration).
+/// a [`StreamSink`] (every container version — v1 monolithic, v2 chunked,
+/// v3 streamed, v4 trailered, v5 tuned — is self-describing; chunk-bearing
+/// containers decompress their chunks in parallel, with v3+ chunks verified
+/// against their checksums first and v5 chunks decoded with their own
+/// per-chunk predictor configuration).
 pub fn decompress(bytes: &[u8]) -> Result<Grid<f32>, SzhiError> {
     if stream_version(bytes)? == VERSION {
         return decompress_monolithic(bytes);
     }
-    StreamReader::new(bytes)?.read_all()
+    let index = locate_table(&mut Cursor::new(bytes))?;
+    let chunks: Vec<Result<(Region, Grid<f32>), SzhiError>> = (0..index.table.entries.len())
+        .into_par_iter()
+        .map(|i| index.decode_slice(bytes, i))
+        .collect();
+    assemble(index.header.dims, chunks)
 }
 
 /// Randomly accesses one chunk of a chunked (v2), streamed (v3),
@@ -257,7 +217,7 @@ pub fn decompress(bytes: &[u8]) -> Result<Grid<f32>, SzhiError> {
 /// assert_eq!(region.z0(), 32); // the second chunk along z
 /// ```
 pub fn decompress_chunk(bytes: &[u8], index: usize) -> Result<(Region, Grid<f32>), SzhiError> {
-    StreamReader::new(bytes)?.read_chunk(index)
+    locate_table(&mut Cursor::new(bytes))?.decode_slice(bytes, index)
 }
 
 /// Number of chunks of any chunk-bearing container (v2 chunked, v3
@@ -364,6 +324,8 @@ pub fn mode_label(mode: PipelineMode) -> String {
 mod tests {
     use super::*;
     use crate::config::{ErrorBound, PipelineMode, SzhiConfig};
+    use crate::format::legacy::recontain;
+    use crate::format::{VERSION_CHUNKED, VERSION_STREAMED, VERSION_TRAILERED};
     use szhi_datagen::DatasetKind;
     use szhi_metrics::QualityReport;
     use szhi_ndgrid::Dims;
@@ -549,7 +511,7 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // Chunked (v3) engine
+    // Chunked engine
     // -----------------------------------------------------------------
 
     #[test]
@@ -563,10 +525,7 @@ mod tests {
             let g = kind.generate(dims, 5);
             let cfg = SzhiConfig::new(ErrorBound::Relative(1e-3)).with_chunk_span([32, 32, 32]);
             let (bytes, stats) = compress_with_stats(&g, &cfg).unwrap();
-            assert_eq!(
-                crate::format::stream_version(&bytes).unwrap(),
-                crate::format::VERSION_STREAMED
-            );
+            assert_eq!(stream_version(&bytes).unwrap(), VERSION_TRAILERED);
             let recon = decompress(&bytes).unwrap();
             assert_eq!(recon.dims(), dims);
             check_bound(&g, &recon, stats.abs_eb);
@@ -641,21 +600,14 @@ mod tests {
 
     #[test]
     fn legacy_v2_streams_remain_readable() {
-        // A v2 stream (no mode bytes, no checksums) reassembled from a v3
-        // stream's bodies must decompress to the same field, support random
-        // access, and report the same chunk count.
+        // A v2 stream (no mode bytes, no checksums) carrying a v3 stream's
+        // bodies must decompress to the same field, support random access,
+        // and report the same chunk count.
         let g = DatasetKind::Miranda.generate(Dims::d3(40, 36, 33), 7);
         let cfg = SzhiConfig::new(ErrorBound::Relative(1e-3)).with_chunk_span([16, 16, 16]);
-        let v3 = compress(&g, &cfg).unwrap();
-        let (header, table) = crate::format::read_stream_chunked(&v3).unwrap();
-        let bodies: Vec<Vec<u8>> = (0..table.entries.len())
-            .map(|i| table.chunk_slice(&v3, i).to_vec())
-            .collect();
-        let v2 = crate::format::write_stream_v2(&header, table.span, &bodies);
-        assert_eq!(
-            crate::format::stream_version(&v2).unwrap(),
-            crate::format::VERSION_CHUNKED
-        );
+        let v3 = recontain(&compress(&g, &cfg).unwrap(), VERSION_STREAMED);
+        let v2 = recontain(&v3, VERSION_CHUNKED);
+        assert_eq!(stream_version(&v2).unwrap(), VERSION_CHUNKED);
         assert_eq!(chunk_count(&v2).unwrap(), chunk_count(&v3).unwrap());
         assert_eq!(
             decompress(&v2).unwrap().as_slice(),
@@ -675,8 +627,8 @@ mod tests {
         // included, lives in `chunked_stream_byte_flips_never_panic`.)
         let g = DatasetKind::Qmcpack.generate(Dims::d3(20, 20, 20), 3);
         let cfg = SzhiConfig::new(ErrorBound::Relative(1e-2)).with_chunk_span([16, 16, 16]);
-        let bytes = compress(&g, &cfg).unwrap();
-        let (_, table) = crate::format::read_stream_chunked(&bytes).unwrap();
+        let bytes = recontain(&compress(&g, &cfg).unwrap(), VERSION_STREAMED);
+        let (_, table) = read_chunk_table(&bytes).unwrap();
         let data_start = table.data_start;
         for pos in (data_start..bytes.len()).step_by(7) {
             for flip in [0x01u8, 0x80] {
@@ -697,21 +649,9 @@ mod tests {
         // chunk count, and support the same random access.
         let g = DatasetKind::Miranda.generate(Dims::d3(40, 36, 33), 7);
         let cfg = SzhiConfig::new(ErrorBound::Relative(1e-3)).with_chunk_span([16, 16, 16]);
-        let v3 = compress(&g, &cfg).unwrap();
-        let (header, table) = crate::format::read_stream_chunked(&v3).unwrap();
-        let chunks: Vec<_> = (0..table.entries.len())
-            .map(|i| {
-                (
-                    table.entries[i].pipeline,
-                    table.chunk_slice(&v3, i).to_vec(),
-                )
-            })
-            .collect();
-        let v4 = crate::format::write_stream_v4(&header, table.span, &chunks);
-        assert_eq!(
-            crate::format::stream_version(&v4).unwrap(),
-            crate::format::VERSION_TRAILERED
-        );
+        let v4 = compress(&g, &cfg).unwrap();
+        let v3 = recontain(&v4, VERSION_STREAMED);
+        assert_eq!(stream_version(&v4).unwrap(), VERSION_TRAILERED);
         assert_eq!(chunk_count(&v4).unwrap(), chunk_count(&v3).unwrap());
         assert_eq!(
             decompress(&v4).unwrap().as_slice(),
@@ -731,20 +671,10 @@ mod tests {
         // its own typed error, before any decoder sees corrupt bytes.
         let g = DatasetKind::Qmcpack.generate(Dims::d3(20, 20, 20), 3);
         let cfg = SzhiConfig::new(ErrorBound::Relative(1e-2)).with_chunk_span([16, 16, 16]);
-        let v3 = compress(&g, &cfg).unwrap();
-        let (header, table) = crate::format::read_stream_chunked(&v3).unwrap();
-        let chunks: Vec<_> = (0..table.entries.len())
-            .map(|i| {
-                (
-                    table.entries[i].pipeline,
-                    table.chunk_slice(&v3, i).to_vec(),
-                )
-            })
-            .collect();
-        let bytes = crate::format::write_stream_v4(&header, table.span, &chunks);
-        let (_, t4) = crate::format::read_stream_trailered(&bytes).unwrap();
+        let bytes = compress(&g, &cfg).unwrap();
+        let (_, t4) = read_chunk_table(&bytes).unwrap();
         let data_start = t4.data_start;
-        let data_len: usize = chunks.iter().map(|(_, b)| b.len()).sum();
+        let data_len: usize = t4.entries.iter().map(|e| e.len).sum();
         let table_start = data_start + data_len;
         let trailer_start = bytes.len() - crate::format::TRAILER_SIZE;
         for pos in (data_start..table_start).step_by(7) {

@@ -159,7 +159,7 @@ pub struct SzhiConfig {
     /// Chunked compression: `Some((z, y, x))` splits the field into
     /// independent chunks of that span (each a multiple of the anchor
     /// stride on non-degenerate axes — the chunk-alignment rule) and emits
-    /// the streamed (v3) container, compressing chunks in parallel. `None`
+    /// the trailered (v4) container, compressing chunks in parallel. `None`
     /// (the default) emits the monolithic (v1) container.
     pub chunk_span: Option<[usize; 3]>,
     /// Pipeline-mode tuning policy for chunked/streamed containers:
@@ -175,7 +175,7 @@ pub struct SzhiConfig {
     /// configurations are carried by the tuned (v5) container's config
     /// dictionary, with one config id per chunk-table entry. Disabled by
     /// default (all chunks share [`SzhiConfig::interp`], possibly
-    /// globally auto-tuned, and the container stays v3/v4). Ignored by
+    /// globally auto-tuned, and the container stays v4). Ignored by
     /// the monolithic engine.
     pub chunk_interp_tuning: bool,
 }

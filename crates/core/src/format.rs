@@ -93,15 +93,18 @@
 //! anchor stride along every non-degenerate axis (or the whole axis).
 //! Offsets are relative to the start of the chunk data area, must be
 //! non-decreasing and non-overlapping, and every `(offset, length)` extent
-//! must lie inside the data area — all of which [`read_stream_chunked`] and
-//! [`read_stream_trailered`] enforce with typed errors before any chunk is
-//! touched. For v3/v4 streams a chunk body whose CRC32 disagrees with its
-//! table entry is rejected with [`SzhiError::ChunkChecksum`] by
-//! [`ChunkTable::verified_chunk_slice`]; a v4 chunk table whose bytes
-//! disagree with the trailer's CRC32 is rejected with
-//! [`SzhiError::TableChecksum`] before any entry is parsed.
+//! must lie inside the data area — all of which the one locate-and-validate
+//! path behind [`read_chunk_table`] enforces with typed errors before any
+//! chunk is touched. The four chunked layouts differ only in the fields of
+//! their row of the layout table in this module, which every writer and
+//! reader walks. For v3+ streams a chunk body whose CRC32 disagrees with
+//! its table entry is rejected with [`SzhiError::ChunkChecksum`] before any
+//! decoder sees it; a v4/v5 table region whose bytes disagree with the
+//! trailer's CRC32 is rejected with [`SzhiError::TableChecksum`] before any
+//! entry is parsed.
 
 use crate::error::SzhiError;
+use std::io::{Read, Seek, SeekFrom};
 use szhi_codec::bitio::{
     decode_capacity, put_f32, put_f64, put_u16, put_u32, put_u64, put_u8, ByteCursor,
 };
@@ -141,6 +144,96 @@ pub const TRAILER_MAGIC_V5: [u8; 4] = *b"SZT5";
 /// Size in bytes of the fixed v4/v5 trailer
 /// (`table_offset u64, n_chunks u64, table_crc32 u32, magic 4×u8`).
 pub const TRAILER_SIZE: usize = 24;
+
+/// Size in bytes of one v2 chunk-table entry (`offset u64, length u64`).
+pub(crate) const V2_ENTRY_SIZE: usize = 16;
+/// Size in bytes of one v3/v4 chunk-table entry
+/// (`offset u64, length u64, pipeline_id u8, crc32 u32`).
+pub(crate) const V3_ENTRY_SIZE: usize = 21;
+/// Size in bytes of one v5 chunk-table entry
+/// (`offset u64, length u64, pipeline_id u8, config_id u16, crc32 u32`).
+pub(crate) const V5_ENTRY_SIZE: usize = 23;
+
+/// How one chunk-bearing container version lays out its chunk table. The
+/// four rows of [`LAYOUTS`] are the whole difference between v2–v5: every
+/// writer and reader walks the row's fields instead of branching on the
+/// version byte.
+#[derive(Debug)]
+pub(crate) struct Layout {
+    /// The version byte this row describes.
+    pub(crate) version: u8,
+    /// `Some(magic)`: the table trails the data area and a fixed trailer
+    /// closing with `magic` locates it. `None`: a `u64` chunk count and the
+    /// table lead the data area.
+    pub(crate) trailer_magic: Option<[u8; 4]>,
+    /// Size in bytes of one entry: `(offset u64, length u64)` plus the
+    /// optional fields below, in this order.
+    pub(crate) entry_size: usize,
+    /// Entries carry their chunk's pipeline id (the *mode byte*).
+    pub(crate) mode_byte: bool,
+    /// Entries carry a `u16` id into the config dictionary.
+    pub(crate) config_id: bool,
+    /// Entries carry the CRC32 of their chunk body.
+    pub(crate) crc: bool,
+    /// A predictor-config dictionary opens the table region.
+    pub(crate) dictionary: bool,
+}
+
+/// The chunk-table layouts of v2–v5, oldest first.
+pub(crate) const LAYOUTS: [Layout; 4] = [
+    Layout {
+        version: VERSION_CHUNKED,
+        trailer_magic: None,
+        entry_size: V2_ENTRY_SIZE,
+        mode_byte: false,
+        config_id: false,
+        crc: false,
+        dictionary: false,
+    },
+    Layout {
+        version: VERSION_STREAMED,
+        trailer_magic: None,
+        entry_size: V3_ENTRY_SIZE,
+        mode_byte: true,
+        config_id: false,
+        crc: true,
+        dictionary: false,
+    },
+    Layout {
+        version: VERSION_TRAILERED,
+        trailer_magic: Some(TRAILER_MAGIC),
+        entry_size: V3_ENTRY_SIZE,
+        mode_byte: true,
+        config_id: false,
+        crc: true,
+        dictionary: false,
+    },
+    Layout {
+        version: VERSION_TUNED,
+        trailer_magic: Some(TRAILER_MAGIC_V5),
+        entry_size: V5_ENTRY_SIZE,
+        mode_byte: true,
+        config_id: true,
+        crc: true,
+        dictionary: true,
+    },
+];
+
+/// The layout row of a chunk-bearing version. Monolithic (v1) streams carry
+/// no chunk table and are rejected with a clear pointer at
+/// [`crate::decompress`], unknown future versions as unsupported — the same
+/// typed errors on every reader path.
+pub(crate) fn layout_of(version: u8) -> Result<&'static Layout, SzhiError> {
+    if version == VERSION {
+        return Err(SzhiError::InvalidStream(format!(
+            "a monolithic (v{VERSION}) stream has no chunk table; decode it with decompress"
+        )));
+    }
+    LAYOUTS
+        .iter()
+        .find(|l| l.version == version)
+        .ok_or_else(|| SzhiError::InvalidStream(format!("unsupported container version {version}")))
+}
 
 /// The decoded header of a compressed stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,14 +297,28 @@ pub(crate) fn write_header(out: &mut Vec<u8>, header: &Header, version: u8) {
         put_u16(out, s as u16);
     }
     put_u8(out, header.interp.levels.len() as u8);
-    for lc in &header.interp.levels {
+    put_levels(out, &header.interp.levels);
+}
+
+/// Serialises a per-level (scheme, spline) list, two bytes per level.
+fn put_levels(out: &mut Vec<u8>, levels: &[LevelConfig]) {
+    for lc in levels {
         put_u8(out, scheme_id(lc.scheme));
         put_u8(out, spline_id(lc.spline));
     }
 }
 
+/// Serialises the header and the chunk span — everything that precedes the
+/// chunk table (leading layouts) or the data area (trailing layouts).
+pub(crate) fn write_prefix(out: &mut Vec<u8>, header: &Header, version: u8, span: [usize; 3]) {
+    write_header(out, header, version);
+    for s in span {
+        put_u32(out, s as u32);
+    }
+}
+
 /// Serialises one anchor/outlier/payload section body (the v1 stream body;
-/// also the per-chunk body of the v2 container).
+/// also the per-chunk body of every chunked container).
 pub fn write_sections(out: &mut Vec<u8>, anchors: &[f32], outliers: &[Outlier], payload: &[u8]) {
     out.reserve(24 + anchors.len() * 4 + outliers.len() * 12 + payload.len());
     put_u64(out, anchors.len() as u64);
@@ -241,191 +348,61 @@ pub fn write_stream(
     out
 }
 
-/// Serialises a chunked (v2) stream: the header, the chunk span, the chunk
-/// table and the concatenated per-chunk bodies. `chunk_bodies` must be in
-/// [`ChunkPlan`] row-major chunk order, each produced by [`write_sections`].
-pub fn write_stream_v2(header: &Header, span: [usize; 3], chunk_bodies: &[Vec<u8>]) -> Vec<u8> {
-    let total: usize = chunk_bodies.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(80 + chunk_bodies.len() * 16 + total);
-    write_header(&mut out, header, VERSION_CHUNKED);
-    for s in span {
-        put_u32(&mut out, s as u32);
+/// One chunk's row in a writer's table:
+/// `(offset, length, pipeline, config_id, crc32)`. The config id is 0 and
+/// unwritten unless the layout carries one.
+pub(crate) type TableRow = (u64, u64, PipelineSpec, u16, u32);
+
+/// Serialises one chunk-table entry with the fields `layout` carries.
+fn put_entry(out: &mut Vec<u8>, layout: &Layout, &(offset, len, pipeline, config, crc): &TableRow) {
+    put_u64(out, offset);
+    put_u64(out, len);
+    if layout.mode_byte {
+        put_u8(out, pipeline.id());
     }
-    put_u64(&mut out, chunk_bodies.len() as u64);
-    let mut offset = 0u64;
-    for body in chunk_bodies {
-        put_u64(&mut out, offset);
-        put_u64(&mut out, body.len() as u64);
-        offset += body.len() as u64;
+    if layout.config_id {
+        put_u16(out, config);
     }
-    for body in chunk_bodies {
-        out.extend_from_slice(body);
+    if layout.crc {
+        put_u32(out, crc);
     }
-    out
 }
 
-/// Serialises a streamed (v3) stream: the header, the chunk span, the
-/// extended chunk table (offset, length, per-chunk pipeline id, CRC32 of
-/// the body) and the concatenated per-chunk bodies. `chunks` must be in
-/// [`ChunkPlan`] row-major chunk order, each body produced by
-/// [`write_sections`] and paired with the pipeline that encoded its
-/// payload.
-pub fn write_stream_v3(
-    header: &Header,
-    span: [usize; 3],
-    chunks: &[(PipelineSpec, Vec<u8>)],
-) -> Vec<u8> {
-    let total: usize = chunks.iter().map(|(_, body)| body.len()).sum();
-    let mut out = Vec::with_capacity(80 + chunks.len() * V3_ENTRY_SIZE + total);
-    write_header(&mut out, header, VERSION_STREAMED);
-    for s in span {
-        put_u32(&mut out, s as u32);
-    }
-    put_u64(&mut out, chunks.len() as u64);
-    let mut offset = 0u64;
-    for (pipeline, body) in chunks {
-        put_u64(&mut out, offset);
-        put_u64(&mut out, body.len() as u64);
-        put_u8(&mut out, pipeline.id());
-        put_u32(&mut out, crc32(body));
-        offset += body.len() as u64;
-    }
-    for (_, body) in chunks {
-        out.extend_from_slice(body);
-    }
-    out
-}
-
-/// Serialises a trailered (v4) stream: the header, the chunk span, the
-/// concatenated per-chunk bodies, then the v3-style chunk table and the
-/// fixed trailer that locates it. This is the in-memory equivalent of
-/// streaming the same chunks through a
-/// [`StreamSink`](crate::stream::StreamSink) — byte for byte.
-pub fn write_stream_v4(
-    header: &Header,
-    span: [usize; 3],
-    chunks: &[(PipelineSpec, Vec<u8>)],
-) -> Vec<u8> {
-    let total: usize = chunks.iter().map(|(_, body)| body.len()).sum();
-    let mut out = Vec::with_capacity(80 + total + chunks.len() * V3_ENTRY_SIZE + TRAILER_SIZE);
-    write_header(&mut out, header, VERSION_TRAILERED);
-    for s in span {
-        put_u32(&mut out, s as u32);
-    }
-    let mut entries = Vec::with_capacity(chunks.len());
-    let mut offset = 0u64;
-    for (pipeline, body) in chunks {
-        entries.push((offset, body.len() as u64, *pipeline, crc32(body)));
-        offset += body.len() as u64;
-        out.extend_from_slice(body);
-    }
-    let table_offset = out.len() as u64;
-    out.extend_from_slice(&encode_table_tail(table_offset, &entries));
-    out
-}
-
-/// Serialises the tail of a trailered (v4) stream: the chunk table (one
-/// v3-style 21-byte entry per chunk) followed by the fixed trailer, whose
-/// CRC32 covers exactly the table bytes. `table_offset` is the absolute
-/// stream offset the table will land at. Shared by [`write_stream_v4`] and
-/// the incremental [`StreamSink`](crate::stream::StreamSink).
-pub(crate) fn encode_table_tail(
-    table_offset: u64,
-    entries: &[(u64, u64, PipelineSpec, u32)],
-) -> Vec<u8> {
-    let mut tail = Vec::with_capacity(entries.len() * V3_ENTRY_SIZE + TRAILER_SIZE);
-    for &(offset, len, pipeline, crc) in entries {
-        put_u64(&mut tail, offset);
-        put_u64(&mut tail, len);
-        put_u8(&mut tail, pipeline.id());
-        put_u32(&mut tail, crc);
-    }
-    let table_crc = crc32(&tail);
-    put_u64(&mut tail, table_offset);
-    put_u64(&mut tail, entries.len() as u64);
-    put_u32(&mut tail, table_crc);
-    tail.extend_from_slice(&TRAILER_MAGIC);
-    tail
-}
-
-/// Serialises a tuned (v5) stream: the header, the chunk span, the
-/// concatenated per-chunk bodies, then the config dictionary, the extended
-/// chunk table (each entry naming its chunk's pipeline **and**
-/// predictor-config id) and the fixed trailer. `configs` is the dictionary
-/// of per-level (scheme, spline) lists; each chunk's `config_id` indexes
-/// into it. This is the in-memory equivalent of streaming the same chunks
-/// through a [`StreamSink`](crate::stream::StreamSink) with per-chunk
-/// interpolation tuning enabled — byte for byte.
-pub fn write_stream_v5(
-    header: &Header,
-    span: [usize; 3],
-    configs: &[Vec<LevelConfig>],
-    chunks: &[(PipelineSpec, u16, Vec<u8>)],
-) -> Vec<u8> {
-    let total: usize = chunks.iter().map(|(_, _, body)| body.len()).sum();
-    let mut out = Vec::with_capacity(100 + total + chunks.len() * V5_ENTRY_SIZE + TRAILER_SIZE);
-    write_header(&mut out, header, VERSION_TUNED);
-    for s in span {
-        put_u32(&mut out, s as u32);
-    }
-    let mut entries = Vec::with_capacity(chunks.len());
-    let mut offset = 0u64;
-    for (pipeline, config, body) in chunks {
-        entries.push((offset, body.len() as u64, *pipeline, *config, crc32(body)));
-        offset += body.len() as u64;
-        out.extend_from_slice(body);
-    }
-    let table_offset = out.len() as u64;
-    out.extend_from_slice(&encode_table_tail_v5(table_offset, configs, &entries));
-    out
-}
-
-/// Serialises the tail of a tuned (v5) stream: the config dictionary, the
-/// chunk table (one 23-byte entry per chunk) and the fixed trailer, whose
-/// CRC32 covers the dictionary *and* table bytes. Shared by
-/// [`write_stream_v5`] and the incremental
-/// [`StreamSink`](crate::stream::StreamSink).
-pub(crate) fn encode_table_tail_v5(
+/// Serialises a chunk-table region as `layout` describes it: the config
+/// dictionary (where the layout has one), one entry per chunk, and — where
+/// the table trails the data area — the fixed trailer, whose CRC32 covers
+/// exactly the dictionary and entry bytes. `table_offset` is the absolute
+/// stream offset the region will land at.
+pub(crate) fn encode_table(
+    layout: &Layout,
     table_offset: u64,
     configs: &[Vec<LevelConfig>],
-    entries: &[(u64, u64, PipelineSpec, u16, u32)],
+    entries: &[TableRow],
 ) -> Vec<u8> {
-    let mut tail = Vec::with_capacity(
+    let mut out = Vec::with_capacity(
         2 + configs.iter().map(|c| 1 + 2 * c.len()).sum::<usize>()
-            + entries.len() * V5_ENTRY_SIZE
+            + entries.len() * layout.entry_size
             + TRAILER_SIZE,
     );
-    put_u16(&mut tail, configs.len() as u16);
-    for config in configs {
-        put_u8(&mut tail, config.len() as u8);
-        for lc in config {
-            put_u8(&mut tail, scheme_id(lc.scheme));
-            put_u8(&mut tail, spline_id(lc.spline));
+    if layout.dictionary {
+        put_u16(&mut out, configs.len() as u16);
+        for config in configs {
+            put_u8(&mut out, config.len() as u8);
+            put_levels(&mut out, config);
         }
     }
-    for &(offset, len, pipeline, config, crc) in entries {
-        put_u64(&mut tail, offset);
-        put_u64(&mut tail, len);
-        put_u8(&mut tail, pipeline.id());
-        put_u16(&mut tail, config);
-        put_u32(&mut tail, crc);
+    for entry in entries {
+        put_entry(&mut out, layout, entry);
     }
-    let table_crc = crc32(&tail);
-    put_u64(&mut tail, table_offset);
-    put_u64(&mut tail, entries.len() as u64);
-    put_u32(&mut tail, table_crc);
-    tail.extend_from_slice(&TRAILER_MAGIC_V5);
-    tail
+    if let Some(magic) = layout.trailer_magic {
+        let table_crc = crc32(&out);
+        put_u64(&mut out, table_offset);
+        put_u64(&mut out, entries.len() as u64);
+        put_u32(&mut out, table_crc);
+        out.extend_from_slice(&magic);
+    }
+    out
 }
-
-/// Size in bytes of one v2 chunk-table entry (`offset u64, length u64`).
-pub(crate) const V2_ENTRY_SIZE: usize = 16;
-/// Size in bytes of one v3/v4 chunk-table entry
-/// (`offset u64, length u64, pipeline_id u8, crc32 u32`).
-pub(crate) const V3_ENTRY_SIZE: usize = 21;
-/// Size in bytes of one v5 chunk-table entry
-/// (`offset u64, length u64, pipeline_id u8, config_id u16, crc32 u32`).
-pub(crate) const V5_ENTRY_SIZE: usize = 23;
 
 /// Reads a u64 element count and checks that `count * elem_size` bytes can
 /// still be present in the stream, so corrupted counts fail cleanly instead
@@ -493,6 +470,17 @@ pub fn read_stream(bytes: &[u8]) -> Result<StreamSections, SzhiError> {
     Ok((header, anchors, outliers, payload))
 }
 
+/// Parses a per-level (scheme, spline) list of `n_levels` entries.
+fn read_levels(cur: &mut ByteCursor<'_>, n_levels: usize) -> Result<Vec<LevelConfig>, SzhiError> {
+    let mut levels = Vec::with_capacity(decode_capacity(n_levels));
+    for _ in 0..n_levels {
+        let scheme = scheme_from(cur.get_u8().map_err(SzhiError::from)?)?;
+        let spline = spline_from(cur.get_u8().map_err(SzhiError::from)?)?;
+        levels.push(LevelConfig { scheme, spline });
+    }
+    Ok(levels)
+}
+
 /// Parses the shared header fields following the version byte.
 pub(crate) fn read_header_fields(cur: &mut ByteCursor<'_>) -> Result<Header, SzhiError> {
     let rank = cur.get_u8().map_err(SzhiError::from)? as usize;
@@ -545,12 +533,7 @@ pub(crate) fn read_header_fields(cur: &mut ByteCursor<'_>) -> Result<Header, Szh
         *s = cur.get_u16().map_err(SzhiError::from)? as usize;
     }
     let n_levels = cur.get_u8().map_err(SzhiError::from)? as usize;
-    let mut levels = Vec::with_capacity(decode_capacity(n_levels));
-    for _ in 0..n_levels {
-        let scheme = scheme_from(cur.get_u8().map_err(SzhiError::from)?)?;
-        let spline = spline_from(cur.get_u8().map_err(SzhiError::from)?)?;
-        levels.push(LevelConfig { scheme, spline });
-    }
+    let levels = read_levels(cur, n_levels)?;
     // Mirror every invariant `InterpConfig::validate` asserts, so a corrupt
     // header surfaces as a typed error here instead of a panic downstream.
     if !anchor_stride.is_power_of_two()
@@ -583,7 +566,7 @@ pub(crate) fn read_header_fields(cur: &mut ByteCursor<'_>) -> Result<Header, Szh
 }
 
 /// Parses one anchor/outlier/payload section body (the v1 stream body; also
-/// the per-chunk body of the v2 container). Every untrusted count is
+/// the per-chunk body of every chunked container). Every untrusted count is
 /// validated against the bytes actually present before allocating: a
 /// corrupted count must produce a typed error, not an allocation abort or
 /// OOM.
@@ -605,9 +588,9 @@ fn read_sections(cur: &mut ByteCursor<'_>) -> Result<SectionBody, SzhiError> {
     Ok((anchors, outliers, payload))
 }
 
-/// Parses one chunk body of a v2 stream. The slice must contain exactly one
-/// section body (the chunk table's length field delimits it), so trailing
-/// bytes are rejected.
+/// Parses one chunk body. The slice must contain exactly one section body
+/// (the chunk table's length field delimits it), so trailing bytes are
+/// rejected.
 pub fn read_chunk_sections(chunk: &[u8]) -> Result<SectionBody, SzhiError> {
     let mut cur = ByteCursor::new(chunk);
     let sections = read_sections(&mut cur)?;
@@ -643,6 +626,29 @@ pub struct ChunkEntry {
     pub checksum: Option<u32>,
 }
 
+impl ChunkEntry {
+    /// Verifies `body` — the bytes of chunk `index` — against the CRC32 this
+    /// entry records; a no-op for v2 entries, which record none. This is the
+    /// one checksum comparison of the crate: every reader passes a fetched
+    /// body through here *before* any lossless decoder sees it, and a
+    /// mismatch is the typed [`SzhiError::ChunkChecksum`].
+    pub(crate) fn verify(&self, index: usize, body: &[u8]) -> Result<(), SzhiError> {
+        let Some(stored) = self.checksum else {
+            return Ok(());
+        };
+        let _span = crate::telemetry::DECODE_CRC.enter();
+        let computed = crc32(body);
+        if computed != stored {
+            return Err(SzhiError::ChunkChecksum {
+                index,
+                stored,
+                computed,
+            });
+        }
+        Ok(())
+    }
+}
+
 /// The parsed chunk table of any chunk-bearing container: the chunk span
 /// plus one [`ChunkEntry`] per chunk, with extents relative to the chunk
 /// data area, whose absolute stream offset is `data_start`. For tuned (v5)
@@ -675,8 +681,18 @@ impl ChunkTable {
     /// time, so indexing the dictionary cannot fail on a parsed table.
     pub fn chunk_interp(&self, header: &Header, i: usize) -> InterpConfig {
         // szhi-analyzer: allow(panic-reachability) -- documented `# Panics` contract; chunk indices come from the reader's own table and config ids are validated at parse time
-        resolve_chunk_interp(header, self.entries[i].config, &self.configs)
+        let config = self.entries[i].config;
+        match config {
+            Some(id) => InterpConfig {
+                anchor_stride: header.interp.anchor_stride,
+                block_span: header.interp.block_span,
+                // szhi-analyzer: allow(no-panic-decode, panic-reachability) -- config ids are validated against the dictionary at parse time
+                levels: self.configs[id as usize].clone(),
+            },
+            None => header.interp.clone(),
+        }
     }
+
     /// The byte slice of chunk `i` within `bytes` (the full stream),
     /// **without** checksum verification. Prefer
     /// [`ChunkTable::verified_chunk_slice`] for untrusted streams.
@@ -686,15 +702,29 @@ impl ChunkTable {
     }
 
     /// The byte slice of chunk `i`, verified against the chunk's CRC32
-    /// first when the stream carries one (v3). A mismatch — i.e. any
+    /// first when the stream carries one (v3+). A mismatch — i.e. any
     /// corruption of the chunk body after compression — surfaces as
     /// [`SzhiError::ChunkChecksum`] *before* any lossless decoder sees the
-    /// bytes. For v2 streams (no checksums) this is [`Self::chunk_slice`].
+    /// bytes. For v2 streams (no checksums) this is [`Self::chunk_slice`]
+    /// with typed errors instead of panics.
     pub fn verified_chunk_slice<'a>(
         &self,
         bytes: &'a [u8],
         i: usize,
     ) -> Result<&'a [u8], SzhiError> {
+        let (entry, slice) = self.entry_slice(bytes, i)?;
+        entry.verify(i, slice)?;
+        Ok(slice)
+    }
+
+    /// Entry `i` and its body as a slice of `bytes` (the full stream), with
+    /// typed errors instead of panics and still unverified: the fetch step
+    /// of the in-memory read paths.
+    pub(crate) fn entry_slice<'a>(
+        &self,
+        bytes: &'a [u8],
+        i: usize,
+    ) -> Result<(&ChunkEntry, &'a [u8]), SzhiError> {
         let e = self
             .entries
             .get(i)
@@ -703,119 +733,13 @@ impl ChunkTable {
         let slice = bytes.get(start..start + e.len).ok_or_else(|| {
             SzhiError::InvalidStream(format!("chunk {i} extends past the stream"))
         })?;
-        if let Some(stored) = e.checksum {
-            let computed = crc32(slice);
-            if computed != stored {
-                return Err(SzhiError::ChunkChecksum {
-                    index: i,
-                    stored,
-                    computed,
-                });
-            }
-        }
-        Ok(slice)
+        Ok((e, slice))
     }
-}
-
-/// Resolves the interpolation configuration a chunk was compressed with:
-/// the dictionary entry its table entry names (v5), or the header's
-/// configuration (every other version). The anchor stride and block span
-/// always come from the header — only the per-level selections vary per
-/// chunk. Shared by [`ChunkTable::chunk_interp`] and the io-backed
-/// [`StreamSource`](crate::stream::StreamSource), so the resolution rule
-/// exists exactly once.
-pub(crate) fn resolve_chunk_interp(
-    header: &Header,
-    config: Option<u16>,
-    configs: &[Vec<LevelConfig>],
-) -> InterpConfig {
-    match config {
-        Some(id) => InterpConfig {
-            anchor_stride: header.interp.anchor_stride,
-            block_span: header.interp.block_span,
-            // szhi-analyzer: allow(no-panic-decode, panic-reachability) -- config ids are validated against the dictionary at parse time
-            levels: configs[id as usize].clone(),
-        },
-        None => header.interp.clone(),
-    }
-}
-
-/// Parses the header and chunk table of a chunked (v2) stream. A thin
-/// wrapper over [`read_stream_chunked`] that additionally rejects every
-/// other container version.
-pub fn read_stream_v2(bytes: &[u8]) -> Result<(Header, ChunkTable), SzhiError> {
-    expect_chunked_version(bytes, VERSION_CHUNKED)?;
-    read_stream_chunked(bytes)
-}
-
-/// Parses the header and chunk table of a streamed (v3) stream. A thin
-/// wrapper over [`read_stream_chunked`] that additionally rejects every
-/// other container version.
-pub fn read_stream_v3(bytes: &[u8]) -> Result<(Header, ChunkTable), SzhiError> {
-    expect_chunked_version(bytes, VERSION_STREAMED)?;
-    read_stream_chunked(bytes)
-}
-
-fn expect_chunked_version(bytes: &[u8], expected: u8) -> Result<(), SzhiError> {
-    let version = read_magic_version(&mut ByteCursor::new(bytes))?;
-    if version != expected {
-        return Err(SzhiError::InvalidStream(format!(
-            "expected a v{expected} stream, found version {version}"
-        )));
-    }
-    Ok(())
-}
-
-/// Parses the header and chunk table of a chunked (v2) or streamed (v3)
-/// stream, validating the chunk span (alignment rule, plan consistency)
-/// and every table extent (in-bounds, non-overlapping, non-decreasing)
-/// before any chunk data is touched. For v3 tables the per-chunk pipeline
-/// id must name a known pipeline; checksums are *recorded* here and
-/// verified lazily by [`ChunkTable::verified_chunk_slice`], so parsing the
-/// table stays O(table), not O(stream).
-pub fn read_stream_chunked(bytes: &[u8]) -> Result<(Header, ChunkTable), SzhiError> {
-    let mut cur = ByteCursor::new(bytes);
-    let version = read_magic_version(&mut cur)?;
-    if version != VERSION_CHUNKED && version != VERSION_STREAMED {
-        return Err(SzhiError::InvalidStream(format!(
-            "expected a chunked (v{VERSION_CHUNKED}) or streamed (v{VERSION_STREAMED}) \
-             stream, found version {version}"
-        )));
-    }
-    let header = read_header_fields(&mut cur)?;
-    let span = read_span(&mut cur)?;
-    let plan = validated_plan(&header, span)?;
-    let entry_size = if version == VERSION_STREAMED {
-        V3_ENTRY_SIZE
-    } else {
-        V2_ENTRY_SIZE
-    };
-    let n_chunks = checked_count(&mut cur, entry_size, "chunk table")?;
-    if n_chunks != plan.len() {
-        return Err(SzhiError::InvalidStream(format!(
-            "chunk table lists {n_chunks} chunks, the {} field at span {span:?} has {}",
-            header.dims,
-            plan.len()
-        )));
-    }
-    let raw = read_raw_entries(&mut cur, version, n_chunks, header.pipeline, 0)?;
-    let data_start = cur.position();
-    let data_len = cur.remaining() as u64;
-    let entries = validate_extents(raw, data_len)?;
-    Ok((
-        header,
-        ChunkTable {
-            span,
-            entries,
-            data_start,
-            configs: Vec::new(),
-        },
-    ))
 }
 
 /// Parses the chunk span (3×u32) following the shared header, rejecting a
 /// zero axis.
-pub(crate) fn read_span(cur: &mut ByteCursor<'_>) -> Result<[usize; 3], SzhiError> {
+fn read_span(cur: &mut ByteCursor<'_>) -> Result<[usize; 3], SzhiError> {
     let mut span = [0usize; 3];
     for s in span.iter_mut() {
         *s = cur.get_u32().map_err(SzhiError::from)? as usize;
@@ -830,7 +754,7 @@ pub(crate) fn read_span(cur: &mut ByteCursor<'_>) -> Result<[usize; 3], SzhiErro
 
 /// Validates a stored chunk span against the header (normalisation and the
 /// chunk-alignment rule) and returns the resulting plan.
-pub(crate) fn validated_plan(header: &Header, span: [usize; 3]) -> Result<ChunkPlan, SzhiError> {
+fn validated_plan(header: &Header, span: [usize; 3]) -> Result<ChunkPlan, SzhiError> {
     let plan = ChunkPlan::new(header.dims, span);
     if plan.span() != span {
         return Err(SzhiError::InvalidStream(format!(
@@ -849,7 +773,7 @@ pub(crate) fn validated_plan(header: &Header, span: [usize; 3]) -> Result<ChunkP
 }
 
 /// One chunk-table entry as stored, before extent validation.
-pub(crate) struct RawChunkEntry {
+struct RawChunkEntry {
     offset: u64,
     len: u64,
     pipeline: PipelineSpec,
@@ -857,16 +781,15 @@ pub(crate) struct RawChunkEntry {
     checksum: Option<u32>,
 }
 
-/// Parses `n_chunks` chunk-table entries: 16-byte `(offset, length)` pairs
-/// for v2 (the pipeline is inherited from the header, no checksum), 21-byte
-/// `(offset, length, pipeline_id, crc32)` entries for v3/v4, and 23-byte
-/// `(offset, length, pipeline_id, config_id, crc32)` entries for v5.
-/// Unknown pipeline ids are the typed [`SzhiError::UnknownPipelineId`];
-/// for v5, a config id at or beyond `n_configs` is the typed
-/// [`SzhiError::UnknownConfigId`].
-pub(crate) fn read_raw_entries(
+/// Parses `n_chunks` chunk-table entries, reading the fields `layout`
+/// carries: `(offset, length)` always; then the pipeline id (inherited from
+/// the header where the layout has no mode byte), the config id and the
+/// CRC32. Unknown pipeline ids are the typed
+/// [`SzhiError::UnknownPipelineId`]; a config id at or beyond `n_configs`
+/// is the typed [`SzhiError::UnknownConfigId`].
+fn read_raw_entries(
     cur: &mut ByteCursor<'_>,
-    version: u8,
+    layout: &Layout,
     n_chunks: usize,
     header_pipeline: PipelineSpec,
     n_configs: usize,
@@ -875,38 +798,33 @@ pub(crate) fn read_raw_entries(
     for i in 0..n_chunks {
         let offset = cur.get_u64().map_err(SzhiError::from)?;
         let len = cur.get_u64().map_err(SzhiError::from)?;
-        let (pipeline, config, checksum) = if version == VERSION_CHUNKED {
-            (header_pipeline, None, None)
-        } else {
-            let id = cur.get_u8().map_err(SzhiError::from)?;
-            let pipeline = PipelineSpec::from_id(id)
-                .ok_or(SzhiError::UnknownPipelineId { chunk: Some(i), id })?;
-            let config = if version == VERSION_TUNED {
-                let config_id = cur.get_u16().map_err(SzhiError::from)?;
-                if config_id as usize >= n_configs {
-                    return Err(SzhiError::UnknownConfigId {
-                        chunk: i,
-                        id: config_id,
-                        n_configs,
-                    });
-                }
-                Some(config_id)
-            } else {
-                None
-            };
-            (
-                pipeline,
-                config,
-                Some(cur.get_u32().map_err(SzhiError::from)?),
-            )
-        };
-        raw.push(RawChunkEntry {
+        let mut entry = RawChunkEntry {
             offset,
             len,
-            pipeline,
-            config,
-            checksum,
-        });
+            pipeline: header_pipeline,
+            config: None,
+            checksum: None,
+        };
+        if layout.mode_byte {
+            let id = cur.get_u8().map_err(SzhiError::from)?;
+            entry.pipeline = PipelineSpec::from_id(id)
+                .ok_or(SzhiError::UnknownPipelineId { chunk: Some(i), id })?;
+        }
+        if layout.config_id {
+            let id = cur.get_u16().map_err(SzhiError::from)?;
+            if id as usize >= n_configs {
+                return Err(SzhiError::UnknownConfigId {
+                    chunk: i,
+                    id,
+                    n_configs,
+                });
+            }
+            entry.config = Some(id);
+        }
+        if layout.crc {
+            entry.checksum = Some(cur.get_u32().map_err(SzhiError::from)?);
+        }
+        raw.push(entry);
     }
     Ok(raw)
 }
@@ -914,10 +832,7 @@ pub(crate) fn read_raw_entries(
 /// Validates raw chunk-table extents against a data area of `data_len`
 /// bytes — in-bounds, non-overlapping, non-decreasing, no u64 wraparound —
 /// and produces the typed entries.
-pub(crate) fn validate_extents(
-    raw: Vec<RawChunkEntry>,
-    data_len: u64,
-) -> Result<Vec<ChunkEntry>, SzhiError> {
+fn validate_extents(raw: Vec<RawChunkEntry>, data_len: u64) -> Result<Vec<ChunkEntry>, SzhiError> {
     let mut entries = Vec::with_capacity(decode_capacity(raw.len()));
     let mut prev_end = 0u64;
     for (i, entry) in raw.into_iter().enumerate() {
@@ -953,50 +868,43 @@ pub(crate) fn validate_extents(
     Ok(entries)
 }
 
-/// The parsed fields of a v4/v5 trailer: the absolute chunk-table offset,
-/// the chunk count and the CRC32 of the table region (for v5, the config
-/// dictionary plus the entries).
-pub(crate) struct Trailer {
-    /// Absolute stream offset of the chunk table.
-    pub table_offset: u64,
-    /// Number of chunk-table entries.
-    pub n_chunks: u64,
-    /// CRC32 of the chunk-table bytes.
-    pub table_crc: u32,
+/// The parsed fields of a v4/v5 trailer: the absolute offset of the table
+/// region, the chunk count and the CRC32 of the region (the config
+/// dictionary, where the layout has one, plus the entries).
+struct Trailer {
+    table_offset: u64,
+    n_chunks: u64,
+    table_crc: u32,
 }
 
-/// Parses the fixed-size v4/v5 trailer from its [`TRAILER_SIZE`] bytes,
-/// validating the version's closing magic (`"SZT4"` for trailered v4
-/// streams, `"SZT5"` for tuned v5 streams).
-pub(crate) fn parse_trailer(tail: &[u8], version: u8) -> Result<Trailer, SzhiError> {
-    debug_assert_eq!(tail.len(), TRAILER_SIZE);
-    let expected: &[u8] = if version == VERSION_TUNED {
-        &TRAILER_MAGIC_V5
-    } else {
-        &TRAILER_MAGIC
-    };
-    if tail.get(20..24) != Some(expected) {
+/// Parses the fixed-size trailer from its [`TRAILER_SIZE`] bytes,
+/// validating the layout's closing magic.
+fn parse_trailer(tail: &[u8], layout: &Layout, magic: [u8; 4]) -> Result<Trailer, SzhiError> {
+    if tail.get(20..24) != Some(magic.as_slice()) {
         return Err(SzhiError::TrailerCorrupt(format!(
-            "bad trailer magic (a v{version} stream must end in {:?})",
-            std::str::from_utf8(expected).unwrap_or("?")
+            "bad trailer magic (a v{} stream must end in {:?})",
+            layout.version,
+            std::str::from_utf8(&magic).unwrap_or("?")
         )));
     }
     let mut cur = ByteCursor::new(tail);
-    let table_offset = cur.get_u64().map_err(SzhiError::from)?;
-    let n_chunks = cur.get_u64().map_err(SzhiError::from)?;
-    let table_crc = cur.get_u32().map_err(SzhiError::from)?;
     Ok(Trailer {
-        table_offset,
-        n_chunks,
-        table_crc,
+        table_offset: cur.get_u64().map_err(SzhiError::from)?,
+        n_chunks: cur.get_u64().map_err(SzhiError::from)?,
+        table_crc: cur.get_u32().map_err(SzhiError::from)?,
     })
 }
 
-/// Validates a v4 trailer against the stream geometry: the chunk count
-/// must match the plan, and the table must sit exactly between the data
-/// area and the trailer. Returns the table length in bytes.
-pub(crate) fn validate_trailer_geometry(
+/// Validates a trailer against the stream geometry and returns the length
+/// of the table region. The chunk count must match the plan, and the
+/// region must sit between the data area and the trailer: *exactly*
+/// `n_chunks` entries where the layout has no dictionary; at least the
+/// dictionary count plus the entries where it has one — the dictionary's
+/// size is part of the CRC-protected region, so the exact-size check
+/// happens in [`parse_table_region`] once the dictionary is parsed.
+fn validate_trailer_geometry(
     trailer: &Trailer,
+    layout: &Layout,
     plan_len: usize,
     data_start: u64,
     trailer_start: u64,
@@ -1007,167 +915,41 @@ pub(crate) fn validate_trailer_geometry(
             trailer.n_chunks
         )));
     }
-    let table_len = trailer
-        .n_chunks
-        .checked_mul(V3_ENTRY_SIZE as u64)
-        .ok_or_else(|| SzhiError::TrailerCorrupt("chunk count overflows the table size".into()))?;
-    let table_end = trailer.table_offset.checked_add(table_len);
-    if trailer.table_offset < data_start || table_end != Some(trailer_start) {
-        return Err(SzhiError::TrailerCorrupt(format!(
-            "table offset {} does not place a {}-entry table directly before the trailer \
-             (data starts at {data_start}, trailer at {trailer_start})",
-            trailer.table_offset, trailer.n_chunks
-        )));
-    }
-    Ok(table_len)
-}
-
-/// Parses the header and chunk table of a trailered (v4) or tuned (v5)
-/// stream held in memory: the header and span are read from the front, the
-/// trailer from the fixed-size tail, and the chunk table (preceded, for
-/// v5, by the config dictionary) from where the trailer points — verified
-/// against the trailer's CRC32 *before* any entry is parsed. The data area
-/// is everything between the span and the table region.
-pub fn read_stream_trailered(bytes: &[u8]) -> Result<(Header, ChunkTable), SzhiError> {
-    let mut cur = ByteCursor::new(bytes);
-    let version = read_magic_version(&mut cur)?;
-    if version != VERSION_TRAILERED && version != VERSION_TUNED {
-        return Err(SzhiError::InvalidStream(format!(
-            "expected a trailered (v{VERSION_TRAILERED}) or tuned (v{VERSION_TUNED}) stream, \
-             found version {version}"
-        )));
-    }
-    let header = read_header_fields(&mut cur)?;
-    let span = read_span(&mut cur)?;
-    let plan = validated_plan(&header, span)?;
-    let data_start = cur.position();
-    if bytes.len() < data_start + TRAILER_SIZE {
-        return Err(SzhiError::TrailerCorrupt(format!(
-            "stream of {} bytes is too short for a {TRAILER_SIZE}-byte trailer",
-            bytes.len()
-        )));
-    }
-    let trailer_start = bytes.len() - TRAILER_SIZE;
-    let tail = bytes
-        .get(trailer_start..)
-        .ok_or_else(|| SzhiError::TrailerCorrupt("stream too short for a trailer".into()))?;
-    let trailer = parse_trailer(tail, version)?;
-    let (entries, configs) = if version == VERSION_TRAILERED {
-        validate_trailer_geometry(
-            &trailer,
-            plan.len(),
-            data_start as u64,
-            trailer_start as u64,
-        )?;
-        let table_bytes = bytes
-            .get(trailer.table_offset as usize..trailer_start)
-            .ok_or_else(|| SzhiError::TrailerCorrupt("table region out of bounds".into()))?;
-        let entries =
-            parse_trailered_entries(table_bytes, &trailer, data_start as u64, header.pipeline)?;
-        (entries, Vec::new())
-    } else {
-        validate_tuned_geometry(
-            &trailer,
-            plan.len(),
-            data_start as u64,
-            trailer_start as u64,
-        )?;
-        let region = bytes
-            .get(trailer.table_offset as usize..trailer_start)
-            .ok_or_else(|| SzhiError::TrailerCorrupt("table region out of bounds".into()))?;
-        parse_tuned_region(region, &trailer, data_start as u64, &header)?
-    };
-    Ok((
-        header,
-        ChunkTable {
-            span,
-            entries,
-            data_start,
-            configs,
-        },
-    ))
-}
-
-/// Verifies geometry-validated v4 chunk-table bytes against the trailer's
-/// CRC32, then parses and extent-validates the entries — shared by the
-/// slice-based [`read_stream_trailered`] and the io-backed
-/// [`StreamSource`](crate::stream::StreamSource), so the two readers accept
-/// exactly the same streams.
-pub(crate) fn parse_trailered_entries(
-    table_bytes: &[u8],
-    trailer: &Trailer,
-    data_start: u64,
-    header_pipeline: PipelineSpec,
-) -> Result<Vec<ChunkEntry>, SzhiError> {
-    let computed = crc32(table_bytes);
-    if computed != trailer.table_crc {
-        return Err(SzhiError::TableChecksum {
-            stored: trailer.table_crc,
-            computed,
-        });
-    }
-    let mut cur = ByteCursor::new(table_bytes);
-    let raw = read_raw_entries(
-        &mut cur,
-        VERSION_TRAILERED,
-        trailer.n_chunks as usize,
-        header_pipeline,
-        0,
-    )?;
-    validate_extents(raw, trailer.table_offset - data_start)
-}
-
-/// Validates a v5 trailer against the stream geometry. Unlike the v4 check
-/// the exact table length cannot be known yet — the config dictionary's
-/// size is part of the CRC-protected region — so this validates the chunk
-/// count and that the region between `table_offset` and the trailer can at
-/// least hold the dictionary count plus the entries; the exact-size check
-/// happens in [`parse_tuned_region`] after the dictionary is parsed.
-pub(crate) fn validate_tuned_geometry(
-    trailer: &Trailer,
-    plan_len: usize,
-    data_start: u64,
-    trailer_start: u64,
-) -> Result<(), SzhiError> {
-    if trailer.n_chunks != plan_len as u64 {
-        return Err(SzhiError::TrailerCorrupt(format!(
-            "trailer lists {} chunks, the plan has {plan_len}",
-            trailer.n_chunks
-        )));
-    }
     let min_len = trailer
         .n_chunks
-        .checked_mul(V5_ENTRY_SIZE as u64)
-        .and_then(|t| t.checked_add(2))
+        .checked_mul(layout.entry_size as u64)
+        .and_then(|t| t.checked_add(if layout.dictionary { 2 } else { 0 }))
         .ok_or_else(|| SzhiError::TrailerCorrupt("chunk count overflows the table size".into()))?;
-    if trailer.table_offset < data_start
-        || trailer.table_offset > trailer_start
-        || trailer_start - trailer.table_offset < min_len
-    {
-        return Err(SzhiError::TrailerCorrupt(format!(
-            "table offset {} cannot place a config dictionary and {}-entry table before the \
+    match trailer_start.checked_sub(trailer.table_offset) {
+        Some(len)
+            if trailer.table_offset >= data_start
+                && (len == min_len || (layout.dictionary && len > min_len)) =>
+        {
+            Ok(len)
+        }
+        _ => Err(SzhiError::TrailerCorrupt(format!(
+            "table offset {} does not place a {}-entry table between the data area and the \
              trailer (data starts at {data_start}, trailer at {trailer_start})",
             trailer.table_offset, trailer.n_chunks
-        )));
+        ))),
     }
-    Ok(())
 }
 
-/// Verifies a geometry-validated v5 table region (config dictionary +
-/// chunk table) against the trailer's CRC32, then parses the dictionary
-/// and the entries — shared by the slice-based [`read_stream_trailered`]
-/// and the io-backed [`StreamSource`](crate::stream::StreamSource).
+/// Verifies a geometry-validated table region against the trailer's CRC32,
+/// then parses the config dictionary (where the layout has one) and the
+/// entries.
 ///
 /// Validation order inside the region: CRC32 first
 /// ([`SzhiError::TableChecksum`]), then the dictionary (level count must
 /// match the header, scheme/spline bytes must name known values), then the
-/// exact-size check (dictionary + entries must fill the region exactly),
-/// then the entries (unknown pipeline/config ids are their dedicated typed
-/// errors, extents the usual invalid-stream errors).
-pub(crate) fn parse_tuned_region(
+/// exact-size check (the entries must fill the rest of the region
+/// exactly), then the entries (unknown pipeline/config ids are their
+/// dedicated typed errors, extents the usual invalid-stream errors).
+fn parse_table_region(
     region: &[u8],
+    layout: &Layout,
     trailer: &Trailer,
-    data_start: u64,
+    data_len: u64,
     header: &Header,
 ) -> Result<(Vec<ChunkEntry>, Vec<Vec<LevelConfig>>), SzhiError> {
     let computed = crc32(region);
@@ -1178,79 +960,371 @@ pub(crate) fn parse_tuned_region(
         });
     }
     let mut cur = ByteCursor::new(region);
-    let n_configs = cur.get_u16().map_err(SzhiError::from)? as usize;
-    // Every config needs at least its count byte; reject absurd counts
-    // before allocating.
-    if n_configs > cur.remaining() {
-        return Err(SzhiError::InvalidStream(format!(
-            "config dictionary count {n_configs} exceeds the {} bytes left in the table region",
-            cur.remaining()
-        )));
-    }
-    let expected_levels = header.interp.levels.len();
-    let mut configs = Vec::with_capacity(decode_capacity(n_configs));
-    for c in 0..n_configs {
-        let n_levels = cur.get_u8().map_err(SzhiError::from)? as usize;
-        if n_levels != expected_levels {
+    let mut configs = Vec::new();
+    if layout.dictionary {
+        let n_configs = cur.get_u16().map_err(SzhiError::from)? as usize;
+        // Every config needs at least its count byte; reject absurd counts
+        // before allocating.
+        if n_configs > cur.remaining() {
             return Err(SzhiError::InvalidStream(format!(
-                "config {c} has {n_levels} levels, the header's anchor stride implies \
-                 {expected_levels}"
+                "config dictionary count {n_configs} exceeds the {} bytes left in the table \
+                 region",
+                cur.remaining()
             )));
         }
-        let mut levels = Vec::with_capacity(decode_capacity(n_levels));
-        for _ in 0..n_levels {
-            let scheme = scheme_from(cur.get_u8().map_err(SzhiError::from)?)?;
-            let spline = spline_from(cur.get_u8().map_err(SzhiError::from)?)?;
-            levels.push(LevelConfig { scheme, spline });
+        let expected_levels = header.interp.levels.len();
+        configs.reserve(decode_capacity(n_configs));
+        for c in 0..n_configs {
+            let n_levels = cur.get_u8().map_err(SzhiError::from)? as usize;
+            if n_levels != expected_levels {
+                return Err(SzhiError::InvalidStream(format!(
+                    "config {c} has {n_levels} levels, the header's anchor stride implies \
+                     {expected_levels}"
+                )));
+            }
+            configs.push(read_levels(&mut cur, n_levels)?);
         }
-        configs.push(levels);
     }
-    if cur.remaining() as u64 != trailer.n_chunks * V5_ENTRY_SIZE as u64 {
+    let table_len = trailer.n_chunks * layout.entry_size as u64;
+    if cur.remaining() as u64 != table_len {
         return Err(SzhiError::InvalidStream(format!(
-            "{} bytes follow the config dictionary, a {}-entry table needs {}",
+            "{} bytes follow the config dictionary, a {}-entry table needs {table_len}",
             cur.remaining(),
-            trailer.n_chunks,
-            trailer.n_chunks * V5_ENTRY_SIZE as u64
+            trailer.n_chunks
         )));
     }
     let raw = read_raw_entries(
         &mut cur,
-        VERSION_TUNED,
+        layout,
         trailer.n_chunks as usize,
         header.pipeline,
-        n_configs,
+        configs.len(),
     )?;
-    let entries = validate_extents(raw, trailer.table_offset - data_start)?;
-    Ok((entries, configs))
+    Ok((validate_extents(raw, data_len)?, configs))
 }
 
-/// Rejects the container versions that carry no chunk table — monolithic
-/// (v1) streams, with a clear pointer at [`crate::decompress`], and unknown
-/// future versions — with the same typed errors on every reader path.
-pub(crate) fn reject_unchunked_version(version: u8) -> Result<(), SzhiError> {
-    match version {
-        VERSION => Err(SzhiError::InvalidStream(format!(
-            "a monolithic (v{VERSION}) stream has no chunk table; decode it with decompress"
-        ))),
-        VERSION_CHUNKED | VERSION_STREAMED | VERSION_TRAILERED | VERSION_TUNED => Ok(()),
-        version => Err(SzhiError::InvalidStream(format!(
-            "unsupported container version {version}"
-        ))),
+/// Reads exactly `n` bytes — a length already validated against the stream
+/// — mapping failures (including a premature end) to [`SzhiError::Io`].
+pub(crate) fn read_exact_vec<R: Read>(
+    reader: &mut R,
+    n: usize,
+    what: &str,
+) -> Result<Vec<u8>, SzhiError> {
+    let mut buf = vec![0u8; n];
+    reader
+        .read_exact(&mut buf)
+        .map_err(|e| SzhiError::Io(format!("reading {what}: {e}")))?;
+    Ok(buf)
+}
+
+/// Reads exactly `n` bytes from a forward-only reader **without trusting
+/// `n` for the allocation**: the buffer grows only with bytes actually
+/// present, so a corrupt length field fails as a typed error once the
+/// stream runs dry — never as an allocation blowup.
+pub(crate) fn read_exact_untrusted<R: Read>(
+    reader: &mut R,
+    n: u64,
+    what: &str,
+) -> Result<Vec<u8>, SzhiError> {
+    let mut buf = Vec::new();
+    reader
+        .take(n)
+        .read_to_end(&mut buf)
+        .map_err(|e| SzhiError::Io(format!("reading {what}: {e}")))?;
+    if (buf.len() as u64) != n {
+        return Err(SzhiError::Io(format!(
+            "reading {what}: the stream ended after {} of {n} bytes",
+            buf.len()
+        )));
+    }
+    Ok(buf)
+}
+
+fn seek_to<R: Seek>(reader: &mut R, pos: SeekFrom, what: &str) -> Result<u64, SzhiError> {
+    reader
+        .seek(pos)
+        .map_err(|e| SzhiError::Io(format!("seeking to {what}: {e}")))
+}
+
+/// Everything a reader knows about a chunked stream before touching a
+/// chunk body: the version, the header, the chunk plan and the validated
+/// chunk table. Produced only by [`locate_table`] and
+/// [`locate_table_forward`], so holding one means every check of
+/// `docs/FORMAT.md` short of the per-chunk CRC32 has passed.
+#[derive(Debug)]
+pub(crate) struct StreamIndex {
+    pub(crate) version: u8,
+    pub(crate) header: Header,
+    pub(crate) plan: ChunkPlan,
+    pub(crate) table: ChunkTable,
+}
+
+/// The validated front of a chunked stream: what precedes the chunk table
+/// (leading layouts) or the data area (trailing layouts).
+struct Prefix {
+    layout: &'static Layout,
+    header: Header,
+    plan: ChunkPlan,
+    /// The prefix as read, so a forward reader that must buffer the rest of
+    /// the stream can put it back in front.
+    bytes: Vec<u8>,
+}
+
+/// Reads and validates the header, chunk span and plan from the front of a
+/// chunked stream, leaving the reader directly behind the span.
+fn read_prefix<R: Read>(reader: &mut R) -> Result<Prefix, SzhiError> {
+    // The fixed header prefix: magic, version, and everything through the
+    // level count at offset 48 (see docs/FORMAT.md).
+    let mut bytes = read_exact_vec(reader, 49, "the stream header")?;
+    let version = read_magic_version(&mut ByteCursor::new(&bytes))?;
+    let layout = layout_of(version)?;
+    let n_levels = bytes.last().copied().unwrap_or(0) as usize;
+    bytes.extend(read_exact_vec(
+        reader,
+        2 * n_levels + 12,
+        "the predictor levels and chunk span",
+    )?);
+    let mut cur = ByteCursor::new(&bytes);
+    read_magic_version(&mut cur)?;
+    let header = read_header_fields(&mut cur)?;
+    let span = read_span(&mut cur)?;
+    let plan = validated_plan(&header, span)?;
+    Ok(Prefix {
+        layout,
+        header,
+        plan,
+        bytes,
+    })
+}
+
+/// Reads and validates the chunk table of a leading-table (v2/v3) stream
+/// from a reader positioned directly behind the prefix, leaving it at the
+/// start of the data area. With `stream_len` known (a seekable stream) the
+/// count is checked against the bytes present before the plan, and extents
+/// against the true data area. Without it (a forward-only stream, whose
+/// data area ends at EOF) the count is checked against the plan before the
+/// table is buffered, and extents against the maximal area — a chunk that
+/// claims bytes past the true end surfaces as a typed I/O error when its
+/// body is read.
+fn read_leading_table<R: Read>(
+    reader: &mut R,
+    prefix: &Prefix,
+    stream_len: Option<u64>,
+) -> Result<ChunkTable, SzhiError> {
+    let Prefix {
+        layout,
+        header,
+        plan,
+        ..
+    } = prefix;
+    let table_at = prefix.bytes.len() as u64;
+    let count = read_exact_vec(reader, 8, "the chunk count")?;
+    let n_chunks = ByteCursor::new(&count).get_u64().map_err(SzhiError::from)?;
+    if let Some(len) = stream_len {
+        let remaining = len.saturating_sub(table_at + 8);
+        match n_chunks.checked_mul(layout.entry_size as u64) {
+            Some(bytes) if bytes <= remaining => {}
+            _ => {
+                return Err(SzhiError::InvalidStream(format!(
+                    "chunk table count {n_chunks} exceeds the {remaining} bytes left in the \
+                     stream"
+                )))
+            }
+        }
+    }
+    if n_chunks != plan.len() as u64 {
+        return Err(SzhiError::InvalidStream(format!(
+            "chunk table lists {n_chunks} chunks, the {} field at span {:?} has {}",
+            header.dims,
+            plan.span(),
+            plan.len()
+        )));
+    }
+    let table_len = n_chunks * layout.entry_size as u64;
+    let table_bytes = read_exact_untrusted(reader, table_len, "the chunk table")?;
+    let raw = read_raw_entries(
+        &mut ByteCursor::new(&table_bytes),
+        layout,
+        n_chunks as usize,
+        header.pipeline,
+        0,
+    )?;
+    let data_start = table_at + 8 + table_len;
+    let data_len = stream_len.map_or(u64::MAX, |len| len - data_start);
+    Ok(ChunkTable {
+        span: plan.span(),
+        entries: validate_extents(raw, data_len)?,
+        data_start: data_start as usize,
+        configs: Vec::new(),
+    })
+}
+
+/// Locates and validates the chunk table of a trailing-table (v4/v5)
+/// stream via its trailer, in the order `docs/FORMAT.md` fixes: trailer
+/// magic and geometry, then the table-region CRC32, then the config
+/// dictionary, then the entries.
+fn read_trailing_table<R: Read + Seek>(
+    reader: &mut R,
+    prefix: &Prefix,
+    magic: [u8; 4],
+    stream_len: u64,
+) -> Result<ChunkTable, SzhiError> {
+    let data_start = prefix.bytes.len() as u64;
+    if stream_len < data_start + TRAILER_SIZE as u64 {
+        return Err(SzhiError::TrailerCorrupt(format!(
+            "stream of {stream_len} bytes is too short for a {TRAILER_SIZE}-byte trailer"
+        )));
+    }
+    let trailer_start = stream_len - TRAILER_SIZE as u64;
+    seek_to(reader, SeekFrom::Start(trailer_start), "the trailer")?;
+    let tail = read_exact_vec(reader, TRAILER_SIZE, "the trailer")?;
+    let trailer = parse_trailer(&tail, prefix.layout, magic)?;
+    let region_len = validate_trailer_geometry(
+        &trailer,
+        prefix.layout,
+        prefix.plan.len(),
+        data_start,
+        trailer_start,
+    )?;
+    seek_to(
+        reader,
+        SeekFrom::Start(trailer.table_offset),
+        "the chunk table",
+    )?;
+    let region = read_exact_vec(reader, region_len as usize, "the chunk table")?;
+    let (entries, configs) = parse_table_region(
+        &region,
+        prefix.layout,
+        &trailer,
+        trailer.table_offset - data_start,
+        &prefix.header,
+    )?;
+    Ok(ChunkTable {
+        span: prefix.plan.span(),
+        entries,
+        data_start: data_start as usize,
+        configs,
+    })
+}
+
+impl Prefix {
+    fn into_index(self, table: ChunkTable) -> StreamIndex {
+        StreamIndex {
+            version: self.layout.version,
+            header: self.header,
+            plan: self.plan,
+            table,
+        }
     }
 }
 
+/// The one way a chunk table is found: reads the header, span and plan from
+/// the front of a seekable chunked stream (v2–v5), then locates and
+/// validates the table wherever the version's [`Layout`] puts it. In-memory
+/// bytes go through here behind a [`std::io::Cursor`].
+pub(crate) fn locate_table<R: Read + Seek>(reader: &mut R) -> Result<StreamIndex, SzhiError> {
+    let stream_len = seek_to(reader, SeekFrom::End(0), "the stream end")?;
+    seek_to(reader, SeekFrom::Start(0), "the stream start")?;
+    let prefix = read_prefix(reader)?;
+    let table = match prefix.layout.trailer_magic {
+        None => read_leading_table(reader, &prefix, Some(stream_len))?,
+        Some(magic) => read_trailing_table(reader, &prefix, magic, stream_len)?,
+    };
+    Ok(prefix.into_index(table))
+}
+
+/// [`locate_table`] for a forward-only reader. A leading table is validated
+/// in stream order and the reader is left at the start of the data area
+/// (`None` is returned). A trailing table cannot be reached without the
+/// end of the stream, so the rest of the stream is buffered behind the
+/// prefix, the seekable path runs over the buffer — validation is deferred,
+/// never weakened — and the buffered stream is returned.
+pub(crate) fn locate_table_forward<R: Read>(
+    reader: &mut R,
+) -> Result<(StreamIndex, Option<Vec<u8>>), SzhiError> {
+    let mut prefix = read_prefix(reader)?;
+    if prefix.layout.trailer_magic.is_none() {
+        let table = read_leading_table(reader, &prefix, None)?;
+        return Ok((prefix.into_index(table), None));
+    }
+    let mut bytes = std::mem::take(&mut prefix.bytes);
+    reader
+        .read_to_end(&mut bytes)
+        .map_err(|e| SzhiError::Io(format!("reading a trailered stream to its end: {e}")))?;
+    let index = locate_table(&mut std::io::Cursor::new(bytes.as_slice()))?;
+    Ok((index, Some(bytes)))
+}
+
 /// Parses the header and chunk table of any chunk-bearing container
-/// (v2 chunked, v3 streamed, v4 trailered, v5 tuned), dispatching on the
-/// version byte. Monolithic (v1) streams have no chunk table and are
-/// rejected with a clear typed error pointing at [`crate::decompress`];
-/// unknown future versions are rejected as unsupported.
+/// (v2 chunked, v3 streamed, v4 trailered, v5 tuned) held in memory.
+/// Monolithic (v1) streams have no chunk table and are rejected with a
+/// clear typed error pointing at [`crate::decompress`]; unknown future
+/// versions are rejected as unsupported.
 pub fn read_chunk_table(bytes: &[u8]) -> Result<(Header, ChunkTable), SzhiError> {
-    let version = read_magic_version(&mut ByteCursor::new(bytes))?;
-    reject_unchunked_version(version)?;
-    if version == VERSION_TRAILERED || version == VERSION_TUNED {
-        read_stream_trailered(bytes)
-    } else {
-        read_stream_chunked(bytes)
+    let index = locate_table(&mut std::io::Cursor::new(bytes))?;
+    Ok((index.header, index.table))
+}
+
+/// Builders of containers the library reads but no longer writes, for the
+/// in-crate tests that need v2/v3 bytes (or a synthetic v4/v5 stream with
+/// hand-picked table fields).
+#[cfg(test)]
+pub(crate) mod legacy {
+    use super::*;
+
+    /// One chunk of a synthetic container: pipeline, config id, body.
+    pub(crate) type Chunk = (PipelineSpec, u16, Vec<u8>);
+
+    /// Serialises `chunks` into a container of `version` (2–5) exactly as
+    /// its [`Layout`] row describes it.
+    pub(crate) fn write_container(
+        version: u8,
+        header: &Header,
+        span: [usize; 3],
+        configs: &[Vec<LevelConfig>],
+        chunks: &[Chunk],
+    ) -> Vec<u8> {
+        let layout = layout_of(version).unwrap();
+        let mut out = Vec::new();
+        write_prefix(&mut out, header, version, span);
+        let mut offset = 0u64;
+        let rows: Vec<TableRow> = chunks
+            .iter()
+            .map(|(pipeline, config, body)| {
+                let row = (offset, body.len() as u64, *pipeline, *config, crc32(body));
+                offset += body.len() as u64;
+                row
+            })
+            .collect();
+        let table = |at: usize| encode_table(layout, at as u64, configs, &rows);
+        if layout.trailer_magic.is_none() {
+            put_u64(&mut out, rows.len() as u64);
+            out.extend(table(0));
+        }
+        for (_, _, body) in chunks {
+            out.extend_from_slice(body);
+        }
+        if layout.trailer_magic.is_some() {
+            out.extend(table(out.len()));
+        }
+        out
+    }
+
+    /// Re-wraps the chunk bodies, pipelines and configs of a chunked stream
+    /// in a container of another version.
+    pub(crate) fn recontain(bytes: &[u8], version: u8) -> Vec<u8> {
+        let (header, table) = read_chunk_table(bytes).unwrap();
+        let chunks: Vec<Chunk> = (0..table.entries.len())
+            .map(|i| {
+                let e = &table.entries[i];
+                (
+                    e.pipeline,
+                    e.config.unwrap_or(0),
+                    table.chunk_slice(bytes, i).to_vec(),
+                )
+            })
+            .collect();
+        write_container(version, &header, table.span, &table.configs, &chunks)
     }
 }
 
@@ -1260,6 +1334,7 @@ mod tests {
     //! formats. The layouts, field offsets and validation rules asserted
     //! here are specified in `docs/FORMAT.md` — keep the two in sync.
 
+    use super::legacy::{write_container, Chunk};
     use super::*;
 
     fn sample_header() -> Header {
@@ -1507,8 +1582,11 @@ mod tests {
         )
     }
 
-    /// Small synthetic chunk bodies of distinct sizes.
-    fn sample_bodies(n: usize) -> Vec<Vec<u8>> {
+    /// Small synthetic chunks with bodies of distinct sizes, alternating
+    /// between the two production pipelines and cycling through the config
+    /// ids of [`sample_configs`] (a container writes only the fields its
+    /// layout carries).
+    fn sample_chunks(n: usize) -> Vec<Chunk> {
         (0..n)
             .map(|i| {
                 let anchors = vec![i as f32 + 0.5; (i % 3) + 1];
@@ -1519,9 +1597,22 @@ mod tests {
                 let payload = vec![i as u8; 5 + i];
                 let mut body = Vec::new();
                 write_sections(&mut body, &anchors, &outliers, &payload);
-                body
+                let spec = if i % 2 == 0 {
+                    PipelineSpec::CR
+                } else {
+                    PipelineSpec::TP
+                };
+                (spec, (i % 3) as u16, body)
             })
             .collect()
+    }
+
+    /// The sample chunks in a container of `version` under
+    /// [`sample_v2_header`] (the dictionary is written only where the
+    /// layout has one).
+    fn sample_stream(version: u8) -> Vec<u8> {
+        let (header, span) = sample_v2_header();
+        write_container(version, &header, span, &sample_configs(), &sample_chunks(8))
     }
 
     /// Stream offset of the chunk span field: fixed header (49 bytes) plus
@@ -1533,14 +1624,14 @@ mod tests {
     #[test]
     fn v2_stream_roundtrips_chunk_table_and_bodies() {
         let (header, span) = sample_v2_header();
-        let bodies = sample_bodies(8);
-        let bytes = write_stream_v2(&header, span, &bodies);
+        let chunks = sample_chunks(8);
+        let bytes = write_container(VERSION_CHUNKED, &header, span, &[], &chunks);
         assert_eq!(stream_version(&bytes).unwrap(), VERSION_CHUNKED);
-        let (h, table) = read_stream_v2(&bytes).unwrap();
+        let (h, table) = read_chunk_table(&bytes).unwrap();
         assert_eq!(h, header);
         assert_eq!(table.span, span);
         assert_eq!(table.entries.len(), 8);
-        for (i, body) in bodies.iter().enumerate() {
+        for (i, (_, _, body)) in chunks.iter().enumerate() {
             assert_eq!(table.chunk_slice(&bytes, i), &body[..]);
             let (anchors, outliers, payload) = read_chunk_sections(body).unwrap();
             assert_eq!(anchors.len(), (i % 3) + 1);
@@ -1551,12 +1642,12 @@ mod tests {
 
     #[test]
     fn v1_and_v2_readers_reject_each_others_streams() {
-        let (header, span) = sample_v2_header();
-        let v2 = write_stream_v2(&header, span, &sample_bodies(8));
+        let (header, _) = sample_v2_header();
+        let v2 = sample_stream(VERSION_CHUNKED);
         assert!(matches!(read_stream(&v2), Err(SzhiError::InvalidStream(_))));
         let v1 = write_stream(&header, &[], &[], &[]);
         assert!(matches!(
-            read_stream_v2(&v1),
+            read_chunk_table(&v1),
             Err(SzhiError::InvalidStream(_))
         ));
         assert_eq!(stream_version(&v1).unwrap(), VERSION);
@@ -1567,13 +1658,13 @@ mod tests {
         // A corrupted chunk count must fail before `Vec::with_capacity`
         // can abort the process, and a plausible-but-wrong count must fail
         // against the plan.
-        let (header, span) = sample_v2_header();
-        let bytes = write_stream_v2(&header, span, &sample_bodies(8));
+        let (header, _) = sample_v2_header();
+        let bytes = sample_stream(VERSION_CHUNKED);
         let count_at = span_offset(&header) + 12;
         for bad in [u64::MAX, u64::MAX / 16, 7, 9, 0] {
             let mut corrupt = bytes.clone();
             corrupt[count_at..count_at + 8].copy_from_slice(&bad.to_le_bytes());
-            match read_stream_v2(&corrupt) {
+            match read_chunk_table(&corrupt) {
                 Err(SzhiError::InvalidStream(msg)) => assert!(
                     msg.contains("chunk table") || msg.contains("chunks"),
                     "count {bad}: unexpected message {msg}"
@@ -1586,21 +1677,20 @@ mod tests {
     #[test]
     fn v2_misaligned_or_denormalised_span_is_rejected() {
         let (header, _) = sample_v2_header();
-        let bodies = sample_bodies(8);
         let at = span_offset(&header);
         // Alignment violation: span 12 is not a multiple of stride 16.
-        let bytes = write_stream_v2(&header, [16, 16, 16], &bodies);
+        let bytes = sample_stream(VERSION_CHUNKED);
         let mut corrupt = bytes.clone();
         corrupt[at + 8..at + 12].copy_from_slice(&12u32.to_le_bytes());
         assert!(matches!(
-            read_stream_v2(&corrupt),
+            read_chunk_table(&corrupt),
             Err(SzhiError::InvalidStream(_))
         ));
         // Zero span.
         let mut corrupt = bytes.clone();
         corrupt[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
-            read_stream_v2(&corrupt),
+            read_chunk_table(&corrupt),
             Err(SzhiError::InvalidStream(_))
         ));
         // Denormalised span (32 > the 20-point z-axis would clamp to 20,
@@ -1608,16 +1698,15 @@ mod tests {
         let mut corrupt = bytes;
         corrupt[at..at + 4].copy_from_slice(&32u32.to_le_bytes());
         assert!(matches!(
-            read_stream_v2(&corrupt),
+            read_chunk_table(&corrupt),
             Err(SzhiError::InvalidStream(_))
         ));
     }
 
     #[test]
     fn v2_overlapping_and_truncated_extents_are_rejected() {
-        let (header, span) = sample_v2_header();
-        let bodies = sample_bodies(8);
-        let bytes = write_stream_v2(&header, span, &bodies);
+        let (header, _) = sample_v2_header();
+        let bytes = sample_stream(VERSION_CHUNKED);
         let table_at = span_offset(&header) + 12 + 8;
         let entry = |i: usize| table_at + 16 * i;
 
@@ -1625,7 +1714,7 @@ mod tests {
         let mut corrupt = bytes.clone();
         corrupt[entry(1)..entry(1) + 8].copy_from_slice(&0u64.to_le_bytes());
         assert!(matches!(
-            read_stream_v2(&corrupt),
+            read_chunk_table(&corrupt),
             Err(SzhiError::InvalidStream(msg)) if msg.contains("overlap")
         ));
 
@@ -1633,7 +1722,7 @@ mod tests {
         let mut corrupt = bytes.clone();
         corrupt[entry(7) + 8..entry(7) + 16].copy_from_slice(&(1u64 << 40).to_le_bytes());
         assert!(matches!(
-            read_stream_v2(&corrupt),
+            read_chunk_table(&corrupt),
             Err(SzhiError::InvalidStream(msg)) if msg.contains("exceeds")
         ));
 
@@ -1642,11 +1731,11 @@ mod tests {
         let mut corrupt = bytes.clone();
         corrupt[entry(7)..entry(7) + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         corrupt[entry(7) + 8..entry(7) + 16].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(read_stream_v2(&corrupt).is_err());
+        assert!(read_chunk_table(&corrupt).is_err());
 
         // A truncated stream cutting through the table itself.
         for cut in [table_at + 3, table_at + 16 * 4 + 1] {
-            assert!(read_stream_v2(&bytes[..cut]).is_err());
+            assert!(read_chunk_table(&bytes[..cut]).is_err());
         }
     }
 
@@ -1655,14 +1744,13 @@ mod tests {
         // Byte-flip fuzz of the whole v2 stream — header, span, chunk table
         // and bodies: parsing plus every chunk-section read must produce
         // typed errors only, never a panic or allocation abort.
-        let (header, span) = sample_v2_header();
-        let bytes = write_stream_v2(&header, span, &sample_bodies(8));
+        let bytes = sample_stream(VERSION_CHUNKED);
         for pos in 0..bytes.len() {
             for flip in [0x01u8, 0x80, 0xFF] {
                 let mut corrupt = bytes.clone();
                 corrupt[pos] ^= flip;
                 let result = std::panic::catch_unwind(|| {
-                    if let Ok((_, table)) = read_stream_v2(&corrupt) {
+                    if let Ok((_, table)) = read_chunk_table(&corrupt) {
                         for i in 0..table.entries.len() {
                             let _ = read_chunk_sections(table.chunk_slice(&corrupt, i));
                         }
@@ -1680,59 +1768,32 @@ mod tests {
     // v3 (streamed) container
     // -----------------------------------------------------------------
 
-    /// Per-chunk pipelines alternating between the two production modes.
-    fn sample_v3_chunks(n: usize) -> Vec<(PipelineSpec, Vec<u8>)> {
-        sample_bodies(n)
-            .into_iter()
-            .enumerate()
-            .map(|(i, body)| {
-                let spec = if i % 2 == 0 {
-                    PipelineSpec::CR
-                } else {
-                    PipelineSpec::TP
-                };
-                (spec, body)
-            })
-            .collect()
-    }
-
     #[test]
     fn v3_stream_roundtrips_modes_and_checksums() {
         let (header, span) = sample_v2_header();
-        let chunks = sample_v3_chunks(8);
-        let bytes = write_stream_v3(&header, span, &chunks);
+        let chunks = sample_chunks(8);
+        let bytes = write_container(VERSION_STREAMED, &header, span, &[], &chunks);
         assert_eq!(stream_version(&bytes).unwrap(), VERSION_STREAMED);
-        let (h, table) = read_stream_chunked(&bytes).unwrap();
+        let (h, table) = read_chunk_table(&bytes).unwrap();
         assert_eq!(h, header);
         assert_eq!(table.span, span);
         assert_eq!(table.entries.len(), 8);
-        for (i, (spec, body)) in chunks.iter().enumerate() {
+        for (i, (spec, _, body)) in chunks.iter().enumerate() {
             let e = &table.entries[i];
             assert_eq!(e.pipeline, *spec);
             assert_eq!(e.checksum, Some(crc32(body)));
             assert_eq!(table.verified_chunk_slice(&bytes, i).unwrap(), &body[..]);
         }
-        // The strict readers agree on which versions they accept.
-        assert!(read_stream_v3(&bytes).is_ok());
-        assert!(matches!(
-            read_stream_v2(&bytes),
-            Err(SzhiError::InvalidStream(_))
-        ));
     }
 
     #[test]
     fn v2_tables_inherit_the_header_pipeline_and_carry_no_checksums() {
-        let (header, span) = sample_v2_header();
-        let bytes = write_stream_v2(&header, span, &sample_bodies(8));
-        let (h, table) = read_stream_chunked(&bytes).unwrap();
+        let bytes = sample_stream(VERSION_CHUNKED);
+        let (h, table) = read_chunk_table(&bytes).unwrap();
         for e in &table.entries {
             assert_eq!(e.pipeline, h.pipeline);
             assert_eq!(e.checksum, None);
         }
-        assert!(matches!(
-            read_stream_v3(&bytes),
-            Err(SzhiError::InvalidStream(_))
-        ));
     }
 
     #[test]
@@ -1741,16 +1802,16 @@ mod tests {
         // chunk's CRC32 — with the typed ChunkChecksum error, before any
         // decoder sees the bytes.
         let (header, span) = sample_v2_header();
-        let chunks = sample_v3_chunks(8);
-        let bytes = write_stream_v3(&header, span, &chunks);
-        let (_, table) = read_stream_chunked(&bytes).unwrap();
+        let chunks = sample_chunks(8);
+        let bytes = write_container(VERSION_STREAMED, &header, span, &[], &chunks);
+        let (_, table) = read_chunk_table(&bytes).unwrap();
         let data_start = table.data_start;
         for pos in data_start..bytes.len() {
             for flip in [0x01u8, 0x80] {
                 let mut corrupt = bytes.clone();
                 corrupt[pos] ^= flip;
                 // The table itself is untouched, so parsing still succeeds…
-                let (_, t) = read_stream_chunked(&corrupt).unwrap();
+                let (_, t) = read_chunk_table(&corrupt).unwrap();
                 // …and exactly the chunk owning the flipped byte fails.
                 let failing: Vec<usize> = (0..t.entries.len())
                     .filter(|&i| {
@@ -1775,14 +1836,14 @@ mod tests {
         // The dedicated typed error names the chunk and the id, so callers
         // can tell "needs a newer decoder" from garbage. Byte-flip the mode
         // byte of one entry to an id outside the catalogue.
-        let (header, span) = sample_v2_header();
-        let bytes = write_stream_v3(&header, span, &sample_v3_chunks(8));
+        let (header, _) = sample_v2_header();
+        let bytes = sample_stream(VERSION_STREAMED);
         let table_at = span_offset(&header) + 12 + 8;
         // The mode byte of entry 3 lives 16 bytes into its 21-byte entry.
         let mut corrupt = bytes.clone();
         corrupt[table_at + 21 * 3 + 16] = 0xEE;
         assert!(matches!(
-            read_stream_chunked(&corrupt),
+            read_chunk_table(&corrupt),
             Err(SzhiError::UnknownPipelineId {
                 chunk: Some(3),
                 id: 0xEE
@@ -1797,7 +1858,7 @@ mod tests {
                 let mut corrupt = bytes.clone();
                 corrupt[at] ^= flip;
                 let flipped = corrupt[at];
-                match read_stream_chunked(&corrupt) {
+                match read_chunk_table(&corrupt) {
                     Ok(_) => assert!(
                         PipelineSpec::from_id(flipped).is_some(),
                         "entry {entry}: unknown id {flipped} accepted"
@@ -1815,7 +1876,7 @@ mod tests {
         let mut corrupt = bytes;
         corrupt[38] = 0xEE;
         assert!(matches!(
-            read_stream_chunked(&corrupt),
+            read_chunk_table(&corrupt),
             Err(SzhiError::UnknownPipelineId {
                 chunk: None,
                 id: 0xEE
@@ -1828,14 +1889,13 @@ mod tests {
         // Byte-flip fuzz of the whole v3 stream: parsing, checksum
         // verification and every chunk-section read must produce typed
         // errors only — never a panic or allocation abort.
-        let (header, span) = sample_v2_header();
-        let bytes = write_stream_v3(&header, span, &sample_v3_chunks(8));
+        let bytes = sample_stream(VERSION_STREAMED);
         for pos in 0..bytes.len() {
             for flip in [0x01u8, 0x80, 0xFF] {
                 let mut corrupt = bytes.clone();
                 corrupt[pos] ^= flip;
                 let result = std::panic::catch_unwind(|| {
-                    if let Ok((_, table)) = read_stream_chunked(&corrupt) {
+                    if let Ok((_, table)) = read_chunk_table(&corrupt) {
                         for i in 0..table.entries.len() {
                             if let Ok(slice) = table.verified_chunk_slice(&corrupt, i) {
                                 let _ = read_chunk_sections(slice);
@@ -1858,44 +1918,37 @@ mod tests {
     #[test]
     fn v4_stream_roundtrips_modes_checksums_and_trailer() {
         let (header, span) = sample_v2_header();
-        let chunks = sample_v3_chunks(8);
-        let bytes = write_stream_v4(&header, span, &chunks);
+        let chunks = sample_chunks(8);
+        let bytes = write_container(VERSION_TRAILERED, &header, span, &[], &chunks);
         assert_eq!(stream_version(&bytes).unwrap(), VERSION_TRAILERED);
         assert_eq!(&bytes[bytes.len() - 4..], &TRAILER_MAGIC);
-        let (h, table) = read_stream_trailered(&bytes).unwrap();
+        let (h, table) = read_chunk_table(&bytes).unwrap();
         assert_eq!(h, header);
         assert_eq!(table.span, span);
         assert_eq!(table.entries.len(), 8);
         // The data area starts right after the span — chunk bodies precede
         // the table in a v4 stream.
         assert_eq!(table.data_start, span_offset(&header) + 12);
-        for (i, (spec, body)) in chunks.iter().enumerate() {
+        for (i, (spec, _, body)) in chunks.iter().enumerate() {
             let e = &table.entries[i];
             assert_eq!(e.pipeline, *spec);
             assert_eq!(e.checksum, Some(crc32(body)));
             assert_eq!(table.verified_chunk_slice(&bytes, i).unwrap(), &body[..]);
         }
-        // The dispatching reader agrees with the strict one; the v2/v3
-        // readers reject the stream.
-        let (h2, table2) = read_chunk_table(&bytes).unwrap();
-        assert_eq!(h2, h);
-        assert_eq!(table2, table);
-        assert!(matches!(
-            read_stream_chunked(&bytes),
-            Err(SzhiError::InvalidStream(_))
-        ));
     }
 
     #[test]
     fn v4_reader_rejects_other_versions_and_v1_gets_a_clear_error() {
-        let (header, span) = sample_v2_header();
-        let v3 = write_stream_v3(&header, span, &sample_v3_chunks(8));
+        let (header, _) = sample_v2_header();
+        // A v3 stream restamped as v4 has no trailer where v4 needs one.
+        let mut v3 = sample_stream(VERSION_STREAMED);
+        v3[4] = VERSION_TRAILERED;
         assert!(matches!(
-            read_stream_trailered(&v3),
-            Err(SzhiError::InvalidStream(_))
+            read_chunk_table(&v3),
+            Err(SzhiError::TrailerCorrupt(_))
         ));
-        // Through the dispatching reader: v1 is named monolithic, with a
-        // pointer at `decompress`, not a confusing table-parse failure.
+        // v1 is named monolithic, with a pointer at `decompress`, not a
+        // confusing table-parse failure.
         let v1 = write_stream(&header, &[], &[], &[]);
         match read_chunk_table(&v1) {
             Err(SzhiError::InvalidStream(msg)) => {
@@ -1905,7 +1958,7 @@ mod tests {
             other => panic!("v1 not rejected clearly: {other:?}"),
         }
         // Unknown future versions are named as unsupported.
-        let mut v6 = write_stream_v4(&header, span, &sample_v3_chunks(8));
+        let mut v6 = sample_stream(VERSION_TRAILERED);
         v6[4] = 6;
         match read_chunk_table(&v6) {
             Err(SzhiError::InvalidStream(msg)) => {
@@ -1916,7 +1969,7 @@ mod tests {
         }
         // A version byte stamped 5 over a v4 stream is *recognised* but
         // fails the v5 trailer magic with the typed trailer error.
-        let mut fake_v5 = write_stream_v4(&header, span, &sample_v3_chunks(8));
+        let mut fake_v5 = sample_stream(VERSION_TRAILERED);
         fake_v5[4] = 5;
         assert!(matches!(
             read_chunk_table(&fake_v5),
@@ -1926,15 +1979,15 @@ mod tests {
 
     #[test]
     fn v4_trailer_corruption_yields_the_typed_trailer_error() {
-        let (header, span) = sample_v2_header();
-        let bytes = write_stream_v4(&header, span, &sample_v3_chunks(8));
+        let (header, _) = sample_v2_header();
+        let bytes = sample_stream(VERSION_TRAILERED);
         let trailer_at = bytes.len() - TRAILER_SIZE;
 
         // Broken closing magic.
         let mut corrupt = bytes.clone();
         corrupt[bytes.len() - 1] ^= 0xFF;
         assert!(matches!(
-            read_stream_trailered(&corrupt),
+            read_chunk_table(&corrupt),
             Err(SzhiError::TrailerCorrupt(msg)) if msg.contains("magic")
         ));
 
@@ -1944,7 +1997,7 @@ mod tests {
             corrupt[trailer_at..trailer_at + 8].copy_from_slice(&bad_offset.to_le_bytes());
             assert!(
                 matches!(
-                    read_stream_trailered(&corrupt),
+                    read_chunk_table(&corrupt),
                     Err(SzhiError::TrailerCorrupt(_))
                 ),
                 "table offset {bad_offset} not rejected"
@@ -1957,7 +2010,7 @@ mod tests {
             corrupt[trailer_at + 8..trailer_at + 16].copy_from_slice(&bad_count.to_le_bytes());
             assert!(
                 matches!(
-                    read_stream_trailered(&corrupt),
+                    read_chunk_table(&corrupt),
                     Err(SzhiError::TrailerCorrupt(_))
                 ),
                 "chunk count {bad_count} not rejected"
@@ -1966,7 +2019,7 @@ mod tests {
 
         // A stream too short to even hold a trailer.
         assert!(matches!(
-            read_stream_trailered(&bytes[..span_offset(&header) + 12 + 3]),
+            read_chunk_table(&bytes[..span_offset(&header) + 12 + 3]),
             Err(SzhiError::TrailerCorrupt(_)) | Err(SzhiError::InvalidStream(_))
         ));
     }
@@ -1975,8 +2028,7 @@ mod tests {
     fn v4_table_corruption_is_caught_by_the_table_checksum() {
         // Every byte flip anywhere in the chunk table must be rejected by
         // the trailer's table CRC32 — before any entry is parsed.
-        let (header, span) = sample_v2_header();
-        let bytes = write_stream_v4(&header, span, &sample_v3_chunks(8));
+        let bytes = sample_stream(VERSION_TRAILERED);
         let trailer_at = bytes.len() - TRAILER_SIZE;
         let table_at = trailer_at - 8 * V3_ENTRY_SIZE;
         for pos in table_at..trailer_at {
@@ -1985,7 +2037,7 @@ mod tests {
                 corrupt[pos] ^= flip;
                 assert!(
                     matches!(
-                        read_stream_trailered(&corrupt),
+                        read_chunk_table(&corrupt),
                         Err(SzhiError::TableChecksum { .. })
                     ),
                     "table flip at {} xor {flip:#x} not caught",
@@ -1997,7 +2049,7 @@ mod tests {
         let mut corrupt = bytes.clone();
         corrupt[trailer_at + 16] ^= 0x01;
         assert!(matches!(
-            read_stream_trailered(&corrupt),
+            read_chunk_table(&corrupt),
             Err(SzhiError::TableChecksum { .. })
         ));
     }
@@ -2005,17 +2057,17 @@ mod tests {
     #[test]
     fn v4_data_area_corruption_is_caught_by_the_owning_chunks_checksum() {
         let (header, span) = sample_v2_header();
-        let chunks = sample_v3_chunks(8);
-        let bytes = write_stream_v4(&header, span, &chunks);
-        let (_, table) = read_stream_trailered(&bytes).unwrap();
+        let chunks = sample_chunks(8);
+        let bytes = write_container(VERSION_TRAILERED, &header, span, &[], &chunks);
+        let (_, table) = read_chunk_table(&bytes).unwrap();
         let data_start = table.data_start;
-        let data_end = data_start + chunks.iter().map(|(_, b)| b.len()).sum::<usize>();
+        let data_end = data_start + chunks.iter().map(|(_, _, b)| b.len()).sum::<usize>();
         for pos in data_start..data_end {
             for flip in [0x01u8, 0x80] {
                 let mut corrupt = bytes.clone();
                 corrupt[pos] ^= flip;
                 // The table and trailer are untouched, so parsing succeeds…
-                let (_, t) = read_stream_trailered(&corrupt).unwrap();
+                let (_, t) = read_chunk_table(&corrupt).unwrap();
                 // …and exactly the chunk owning the flipped byte fails.
                 let failing: Vec<usize> = (0..t.entries.len())
                     .filter(|&i| {
@@ -2037,12 +2089,11 @@ mod tests {
 
     #[test]
     fn v4_every_truncation_yields_a_typed_error_not_a_panic() {
-        let (header, span) = sample_v2_header();
-        let bytes = write_stream_v4(&header, span, &sample_v3_chunks(8));
+        let bytes = sample_stream(VERSION_TRAILERED);
         for cut in 0..bytes.len() {
-            let result = std::panic::catch_unwind(|| read_stream_trailered(&bytes[..cut]));
+            let result = std::panic::catch_unwind(|| read_chunk_table(&bytes[..cut]));
             let parsed =
-                result.unwrap_or_else(|_| panic!("read_stream_trailered panicked at cut {cut}"));
+                result.unwrap_or_else(|_| panic!("read_chunk_table panicked at cut {cut}"));
             assert!(
                 parsed.is_err(),
                 "truncation at {cut}/{} went undetected",
@@ -2057,14 +2108,13 @@ mod tests {
         // chunk table and trailer: parsing, checksum verification and every
         // chunk-section read must produce typed errors only, never a panic
         // or allocation abort.
-        let (header, span) = sample_v2_header();
-        let bytes = write_stream_v4(&header, span, &sample_v3_chunks(8));
+        let bytes = sample_stream(VERSION_TRAILERED);
         for pos in 0..bytes.len() {
             for flip in [0x01u8, 0x80, 0xFF] {
                 let mut corrupt = bytes.clone();
                 corrupt[pos] ^= flip;
                 let result = std::panic::catch_unwind(|| {
-                    if let Ok((_, table)) = read_stream_trailered(&corrupt) {
+                    if let Ok((_, table)) = read_chunk_table(&corrupt) {
                         for i in 0..table.entries.len() {
                             if let Ok(slice) = table.verified_chunk_slice(&corrupt, i) {
                                 let _ = read_chunk_sections(slice);
@@ -2100,32 +2150,15 @@ mod tests {
         ]
     }
 
-    /// Chunks cycling through the dictionary's config ids and both
-    /// production pipelines.
-    fn sample_v5_chunks(n: usize) -> Vec<(PipelineSpec, u16, Vec<u8>)> {
-        sample_bodies(n)
-            .into_iter()
-            .enumerate()
-            .map(|(i, body)| {
-                let spec = if i % 2 == 0 {
-                    PipelineSpec::CR
-                } else {
-                    PipelineSpec::TP
-                };
-                (spec, (i % 3) as u16, body)
-            })
-            .collect()
-    }
-
     #[test]
     fn v5_stream_roundtrips_modes_configs_and_checksums() {
         let (header, span) = sample_v2_header();
         let configs = sample_configs();
-        let chunks = sample_v5_chunks(8);
-        let bytes = write_stream_v5(&header, span, &configs, &chunks);
+        let chunks = sample_chunks(8);
+        let bytes = write_container(VERSION_TUNED, &header, span, &configs, &chunks);
         assert_eq!(stream_version(&bytes).unwrap(), VERSION_TUNED);
         assert_eq!(&bytes[bytes.len() - 4..], &TRAILER_MAGIC_V5);
-        let (h, table) = read_stream_trailered(&bytes).unwrap();
+        let (h, table) = read_chunk_table(&bytes).unwrap();
         assert_eq!(h, header);
         assert_eq!(table.span, span);
         assert_eq!(table.entries.len(), 8);
@@ -2146,14 +2179,6 @@ mod tests {
             assert_eq!(interp.block_span, h.interp.block_span);
             interp.validate().unwrap();
         }
-        // The dispatching reader agrees; the v2/v3 readers reject it.
-        let (h2, table2) = read_chunk_table(&bytes).unwrap();
-        assert_eq!(h2, h);
-        assert_eq!(table2, table);
-        assert!(matches!(
-            read_stream_chunked(&bytes),
-            Err(SzhiError::InvalidStream(_))
-        ));
     }
 
     #[test]
@@ -2163,11 +2188,11 @@ mod tests {
         // only come from the config-id validation itself.
         let (header, span) = sample_v2_header();
         let configs = sample_configs();
-        let mut chunks = sample_v5_chunks(8);
+        let mut chunks = sample_chunks(8);
         chunks[5].1 = 7;
-        let bytes = write_stream_v5(&header, span, &configs, &chunks);
+        let bytes = write_container(VERSION_TUNED, &header, span, &configs, &chunks);
         assert!(matches!(
-            read_stream_trailered(&bytes),
+            read_chunk_table(&bytes),
             Err(SzhiError::UnknownConfigId {
                 chunk: 5,
                 id: 7,
@@ -2175,9 +2200,9 @@ mod tests {
             })
         ));
         // An unknown pipeline id in a v5 entry gets its own typed error.
-        let mut chunks = sample_v5_chunks(8);
+        let mut chunks = sample_chunks(8);
         chunks[2].0 = PipelineSpec::CR; // placeholder; stamp the byte below
-        let bytes = write_stream_v5(&header, span, &configs, &chunks);
+        let bytes = write_container(VERSION_TUNED, &header, span, &configs, &chunks);
         let trailer_at = bytes.len() - TRAILER_SIZE;
         let table_offset =
             u64::from_le_bytes(bytes[trailer_at..trailer_at + 8].try_into().unwrap()) as usize;
@@ -2190,7 +2215,7 @@ mod tests {
         let region_crc = crc32(&corrupt[table_offset..trailer_at]);
         corrupt[trailer_at + 16..trailer_at + 20].copy_from_slice(&region_crc.to_le_bytes());
         assert!(matches!(
-            read_stream_trailered(&corrupt),
+            read_chunk_table(&corrupt),
             Err(SzhiError::UnknownPipelineId {
                 chunk: Some(2),
                 id: 0xEE
@@ -2203,8 +2228,7 @@ mod tests {
         // Every byte flip anywhere in the config dictionary *or* the chunk
         // table must be rejected by the trailer's region CRC32 — before
         // any dictionary entry or table entry is parsed.
-        let (header, span) = sample_v2_header();
-        let bytes = write_stream_v5(&header, span, &sample_configs(), &sample_v5_chunks(8));
+        let bytes = sample_stream(VERSION_TUNED);
         let trailer_at = bytes.len() - TRAILER_SIZE;
         let table_offset =
             u64::from_le_bytes(bytes[trailer_at..trailer_at + 8].try_into().unwrap()) as usize;
@@ -2214,7 +2238,7 @@ mod tests {
                 corrupt[pos] ^= flip;
                 assert!(
                     matches!(
-                        read_stream_trailered(&corrupt),
+                        read_chunk_table(&corrupt),
                         Err(SzhiError::TableChecksum { .. })
                     ),
                     "region flip at {} xor {flip:#x} not caught",
@@ -2226,8 +2250,7 @@ mod tests {
 
     #[test]
     fn v5_trailer_corruption_yields_the_typed_trailer_error() {
-        let (header, span) = sample_v2_header();
-        let bytes = write_stream_v5(&header, span, &sample_configs(), &sample_v5_chunks(8));
+        let bytes = sample_stream(VERSION_TUNED);
         let trailer_at = bytes.len() - TRAILER_SIZE;
 
         // Broken closing magic — including the one that would spell the
@@ -2235,7 +2258,7 @@ mod tests {
         let mut corrupt = bytes.clone();
         corrupt[bytes.len() - 1] = b'4';
         assert!(matches!(
-            read_stream_trailered(&corrupt),
+            read_chunk_table(&corrupt),
             Err(SzhiError::TrailerCorrupt(msg)) if msg.contains("magic")
         ));
 
@@ -2245,7 +2268,7 @@ mod tests {
             corrupt[trailer_at..trailer_at + 8].copy_from_slice(&bad_offset.to_le_bytes());
             assert!(
                 matches!(
-                    read_stream_trailered(&corrupt),
+                    read_chunk_table(&corrupt),
                     Err(SzhiError::TrailerCorrupt(_))
                 ),
                 "table offset {bad_offset} not rejected"
@@ -2258,7 +2281,7 @@ mod tests {
             corrupt[trailer_at + 8..trailer_at + 16].copy_from_slice(&bad_count.to_le_bytes());
             assert!(
                 matches!(
-                    read_stream_trailered(&corrupt),
+                    read_chunk_table(&corrupt),
                     Err(SzhiError::TrailerCorrupt(_))
                 ),
                 "chunk count {bad_count} not rejected"
@@ -2269,16 +2292,16 @@ mod tests {
     #[test]
     fn v5_data_area_corruption_is_caught_by_the_owning_chunks_checksum() {
         let (header, span) = sample_v2_header();
-        let chunks = sample_v5_chunks(8);
-        let bytes = write_stream_v5(&header, span, &sample_configs(), &chunks);
-        let (_, table) = read_stream_trailered(&bytes).unwrap();
+        let chunks = sample_chunks(8);
+        let bytes = write_container(VERSION_TUNED, &header, span, &sample_configs(), &chunks);
+        let (_, table) = read_chunk_table(&bytes).unwrap();
         let data_start = table.data_start;
         let data_end = data_start + chunks.iter().map(|(_, _, b)| b.len()).sum::<usize>();
         for pos in data_start..data_end {
             for flip in [0x01u8, 0x80] {
                 let mut corrupt = bytes.clone();
                 corrupt[pos] ^= flip;
-                let (_, t) = read_stream_trailered(&corrupt).unwrap();
+                let (_, t) = read_chunk_table(&corrupt).unwrap();
                 let failing: Vec<usize> = (0..t.entries.len())
                     .filter(|&i| {
                         matches!(
@@ -2299,12 +2322,11 @@ mod tests {
 
     #[test]
     fn v5_every_truncation_yields_a_typed_error_not_a_panic() {
-        let (header, span) = sample_v2_header();
-        let bytes = write_stream_v5(&header, span, &sample_configs(), &sample_v5_chunks(8));
+        let bytes = sample_stream(VERSION_TUNED);
         for cut in 0..bytes.len() {
-            let result = std::panic::catch_unwind(|| read_stream_trailered(&bytes[..cut]));
+            let result = std::panic::catch_unwind(|| read_chunk_table(&bytes[..cut]));
             let parsed =
-                result.unwrap_or_else(|_| panic!("read_stream_trailered panicked at cut {cut}"));
+                result.unwrap_or_else(|_| panic!("read_chunk_table panicked at cut {cut}"));
             assert!(
                 parsed.is_err(),
                 "truncation at {cut}/{} went undetected",
@@ -2318,14 +2340,13 @@ mod tests {
         // The full 3-mask byte-flip fuzz over header, span, data area,
         // dictionary, table and trailer: parsing, checksum verification
         // and every chunk-section read must produce typed errors only.
-        let (header, span) = sample_v2_header();
-        let bytes = write_stream_v5(&header, span, &sample_configs(), &sample_v5_chunks(8));
+        let bytes = sample_stream(VERSION_TUNED);
         for pos in 0..bytes.len() {
             for flip in [0x01u8, 0x80, 0xFF] {
                 let mut corrupt = bytes.clone();
                 corrupt[pos] ^= flip;
                 let result = std::panic::catch_unwind(|| {
-                    if let Ok((_, table)) = read_stream_trailered(&corrupt) {
+                    if let Ok((_, table)) = read_chunk_table(&corrupt) {
                         for i in 0..table.entries.len() {
                             if let Ok(slice) = table.verified_chunk_slice(&corrupt, i) {
                                 let _ = read_chunk_sections(slice);
@@ -2339,6 +2360,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn layout_rows_are_self_consistent() {
+        // The rows are data the writers and readers trust: an entry is the
+        // 16-byte extent plus exactly the fields the row switches on, and
+        // a config id needs a dictionary to index.
+        for l in &LAYOUTS {
+            let fields = 16 + l.mode_byte as usize + 2 * l.config_id as usize + 4 * l.crc as usize;
+            assert_eq!(l.entry_size, fields, "v{}", l.version);
+            assert_eq!(l.config_id, l.dictionary, "v{}", l.version);
+            assert_eq!(layout_of(l.version).unwrap().version, l.version);
+        }
+        assert!(layout_of(VERSION).is_err());
+        assert!(layout_of(VERSION_TUNED + 1).is_err());
     }
 
     #[test]

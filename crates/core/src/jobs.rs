@@ -41,7 +41,6 @@ use crate::compressor::CompressionStats;
 use crate::config::SzhiConfig;
 use crate::error::SzhiError;
 use crate::stream::{StreamSink, StreamSource};
-use rayon::prelude::*;
 use std::io::{Read, Seek, Write};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -344,26 +343,15 @@ fn run_compress<W: Write>(
                 return Err(SzhiError::Cancelled);
             }
             let end = (start + batch).min(n);
-            let encoded: Vec<Result<crate::stream::EncodedChunk, SzhiError>> = {
-                // Borrow only the encoder and plan — not the whole sink —
-                // so the backing writer never has to be `Sync`.
-                let enc = sink.encoder();
-                let plan = sink.plan();
-                (start..end)
-                    .into_par_iter()
-                    .map(|i| {
-                        let region = plan.chunk_at(i);
-                        let dims = plan.chunk_dims(i);
-                        enc.encode(i, &Grid::from_vec(dims, field.extract(&region)))
-                    })
-                    .collect()
-            };
+            // Borrows only the encoder — not the whole sink — so the
+            // backing writer never has to be `Sync`.
+            let encoded = sink.encoder().encode_range(&field, start..end)?;
             for chunk in encoded {
                 if state.cancelled.load(Ordering::Relaxed) {
                     sink.poison();
                     return Err(SzhiError::Cancelled);
                 }
-                sink.push_encoded(chunk?)?;
+                sink.push_encoded(chunk)?;
                 state.done.fetch_add(1, Ordering::Relaxed);
             }
             start = end;

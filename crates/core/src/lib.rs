@@ -30,7 +30,7 @@
 //! }
 //! ```
 //!
-//! ## Chunked streams (the v3 container)
+//! ## Chunked streams
 //!
 //! [`SzhiConfig::with_chunk_span`] switches the engine from "one grid, one
 //! stream" to "one grid, N independent chunks": the field is partitioned
@@ -42,19 +42,23 @@
 //! ([`decompress_chunk`]). Every chunk-table entry records the chunk's
 //! extent, the lossless pipeline that encoded it (the *mode byte*) and a
 //! CRC32 integrity checksum, verified before any decoder touches the
-//! chunk's bytes:
+//! chunk's bytes. The chunk bodies follow the header directly; the table
+//! and a fixed-size trailer that locates it close the stream (the
+//! **trailered v4 container**):
 //!
 //! ```text
-//! <header, version = 3>
-//! | chunk_span 3×u32 | n_chunks u64
-//! | n_chunks × (offset u64, length u64, pipeline_id u8, crc32 u32)
+//! <header, version = 4>
+//! | chunk_span 3×u32
 //! | n_chunks × chunk body (anchors | outliers | pipeline payload)
+//! | n_chunks × (offset u64, length u64, pipeline_id u8, crc32 u32)
+//! | table_offset u64 | n_chunks u64 | table_crc32 u32 | "SZT4"
 //! ```
 //!
-//! Older containers stay readable: v1 (monolithic) and v2 (chunked, no
-//! mode byte or checksum) streams are decoded by the same [`decompress`]
-//! entry point, and the trailered v4 container (below) decodes there too.
-//! The byte-level specification of all four versions lives in
+//! Older containers stay readable: v1 (monolithic, still what [`compress`]
+//! emits without a chunk span), v2 (chunked, no mode byte or checksum) and
+//! v3 (the same table *leading* the data area) all decode through the same
+//! [`decompress`] entry point, though the library no longer writes v2 or
+//! v3. The byte-level specification of all five versions lives in
 //! `docs/FORMAT.md` at the repository root.
 //!
 //! The **chunk-alignment rule**: the span must be a positive multiple of
@@ -87,38 +91,32 @@
 //! assert_eq!(sub.len(), region.len());
 //! ```
 //!
-//! ## Streaming (the incremental engine)
+//! ## Streaming (one writer, two readers)
 //!
-//! The batch engines need the whole field in memory. [`StreamWriter`]
-//! inverts that: it accepts anchor-aligned chunks as they arrive and
-//! finalizes the v3 container without ever holding the uncompressed
-//! field, and [`StreamReader`] decodes chunks lazily, verifying each v3
-//! chunk's CRC32 before its bytes reach a decoder. With
-//! [`ModeTuning::PerChunk`] the writer picks every chunk's lossless
-//! pipeline independently (recorded in the chunk table), so smooth and
-//! noisy regions of one field each get the pipeline that compresses them
-//! best. Because the writer never sees the whole field, its configuration
-//! must be streaming-safe: an [`ErrorBound::Absolute`] bound and
-//! whole-field auto-tuning disabled.
+//! The batch engine needs the whole field in memory. [`StreamSink`] — the
+//! only chunked writer, which the batch engine itself drives — inverts
+//! that: backed by any [`std::io::Write`], it emits the header immediately,
+//! accepts anchor-aligned chunks as they arrive, appends each chunk body
+//! the moment it is encoded, and closes the stream with the chunk table and
+//! trailer. Memory high-water is one encoded chunk plus the table — a field
+//! larger than RAM compresses straight onto a `File` or socket. With
+//! [`ModeTuning::PerChunk`] the sink picks every chunk's lossless pipeline
+//! independently (recorded in the chunk table), so smooth and noisy
+//! regions of one field each get the pipeline that compresses them best.
+//! Because the sink never sees the whole field, its configuration must be
+//! streaming-safe: an [`ErrorBound::Absolute`] bound and whole-field
+//! auto-tuning disabled.
 //!
-//! ## True bounded-memory streaming (the v4 trailered container)
-//!
-//! [`StreamWriter`] never holds the uncompressed field, but it still
-//! buffers every *compressed* chunk body until `finish()` — the v3 chunk
-//! table precedes the data area, so the container cannot be emitted until
-//! every chunk size is known. [`StreamSink`] removes that last O(stream)
-//! buffer: backed by any [`std::io::Write`], it emits the header
-//! immediately, appends each chunk body the moment it is encoded, and
-//! closes the stream with the chunk table and a fixed-size trailer that
-//! locates it (the **v4 trailered container**). Memory high-water is one
-//! encoded chunk plus the table — a field larger than RAM compresses
-//! straight onto a `File` or socket. [`StreamSource`] is the matching
-//! bounded-memory reader over any [`std::io::Read`]` + `[`std::io::Seek`]:
+//! [`StreamSource`] is the matching bounded-memory reader over any
+//! [`std::io::Read`]` + `[`std::io::Seek`] (and, via
+//! [`StreamSource::from_bytes`], the lazy reader of an in-memory stream):
 //! it finds the table via the trailer (verifying the table against the
 //! trailer's CRC32 before parsing a single entry) and fetches chunks with
-//! one seek and one bounded, checksum-verified read each. v4 streams also
-//! decode through the in-memory [`decompress`] / [`StreamReader`] /
-//! [`decompress_chunk`] entry points like every other version.
+//! one seek and one bounded, checksum-verified read each.
+//! [`ForwardSource`] reads the same containers off a plain
+//! [`std::io::Read`]. Both, and [`decompress`], stand on one reader core:
+//! one path locates and validates the chunk table, one step verifies a
+//! fetched body's CRC32 and decodes it.
 //!
 //! ## Cost-model orchestration (the v5 tuned container)
 //!
@@ -142,7 +140,7 @@
 //! worker-thread count.
 //!
 //! ```
-//! use szhi_core::{ErrorBound, ModeTuning, StreamReader, StreamWriter, SzhiConfig};
+//! use szhi_core::{ErrorBound, ModeTuning, StreamSink, StreamSource, SzhiConfig};
 //! use szhi_ndgrid::{Dims, Grid};
 //!
 //! let dims = Dims::d3(64, 32, 32);
@@ -150,21 +148,21 @@
 //!     .with_auto_tune(false)
 //!     .with_chunk_span([32, 32, 32])
 //!     .with_mode_tuning(ModeTuning::PerChunk);
-//! let mut writer = StreamWriter::new(dims, &cfg).unwrap();
+//! let mut sink = StreamSink::new(Vec::new(), dims, &cfg).unwrap();
 //! // Chunks are produced on demand — the full field never exists.
-//! while let Some(region) = writer.next_chunk_region() {
+//! while let Some(region) = sink.next_chunk_region() {
 //!     let chunk = Grid::from_fn(region.dims(), |z, y, x| {
 //!         ((region.x0() + x) as f32 * 0.1).sin()
 //!             + ((region.y0() + y) + (region.z0() + z)) as f32 * 0.01
 //!     });
-//!     let receipt = writer.push_chunk(&chunk).unwrap();
+//!     let receipt = sink.push_chunk(&chunk).unwrap();
 //!     assert!(receipt.compressed_bytes > 0);
 //! }
-//! let bytes = writer.finish().unwrap();
+//! let bytes = sink.finish().unwrap();
 //!
 //! // Read back lazily: one reconstructed sub-field in memory at a time.
-//! let reader = StreamReader::new(&bytes).unwrap();
-//! for chunk in reader.chunks() {
+//! let mut source = StreamSource::from_bytes(&bytes).unwrap();
+//! for chunk in source.chunks() {
 //!     let (region, sub) = chunk.unwrap();
 //!     assert_eq!(sub.len(), region.len());
 //! }
@@ -207,6 +205,6 @@ pub use format::{
 };
 pub use jobs::{JobHandle, JobProgress, JobService};
 pub use stream::{
-    ChunkReceipt, EncodedChunk, ForwardChunks, ForwardSource, SourceChunks, StreamReader,
-    StreamSink, StreamSource, StreamWriter,
+    ChunkReceipt, EncodedChunk, ForwardChunks, ForwardSource, SourceChunks, StreamSink,
+    StreamSource,
 };

@@ -1,44 +1,40 @@
-//! The v3 streaming engine: incremental chunk-at-a-time compression and
-//! lazy, checksum-verified decompression.
+//! The streaming engine: the one chunked writer and the lazy,
+//! checksum-verifying readers.
 //!
-//! The batch engines in [`crate::compressor`] need the whole field in
-//! memory before a single byte is emitted. This module inverts that control
-//! flow:
-//!
-//! * [`StreamWriter`] accepts anchor-aligned chunks **as they arrive**
-//!   ([`StreamWriter::push_chunk`]), compresses each one immediately —
-//!   running the per-chunk orchestrator to pick the chunk's lossless
-//!   pipeline ([`ModeTuning::PerChunk`] trial-encodes the production
-//!   modes, [`ModeTuning::Exhaustive`] any candidate list,
-//!   [`ModeTuning::Estimated`] the same list through the `szhi-tuner`
-//!   sampled cost model) and, with
+//! * [`StreamSink`] is the only writer of chunked containers. It accepts
+//!   anchor-aligned chunks **as they arrive** ([`StreamSink::push_chunk`]),
+//!   compresses each one immediately — running the per-chunk orchestrator
+//!   to pick the chunk's lossless pipeline ([`ModeTuning::PerChunk`]
+//!   trial-encodes the production modes, [`ModeTuning::Exhaustive`] any
+//!   candidate list, [`ModeTuning::Estimated`] the same list through the
+//!   `szhi-tuner` sampled cost model) and, with
 //!   [`SzhiConfig::with_chunk_interp_tuning`], the chunk's own
-//!   interpolation configuration — and finalizes a streamed (v3) or tuned
-//!   (v5) container without ever holding the uncompressed field. Only the
-//!   compressed chunk bodies are retained until [`StreamWriter::finish`].
-//! * [`StreamReader`] parses any chunk-bearing container (v2–v5) once,
-//!   then decodes chunks **lazily** ([`StreamReader::chunks`],
-//!   [`StreamReader::read_chunk`]) or drains them eagerly in parallel
-//!   ([`StreamReader::read_all`]), each v5 chunk with its own dictionary
-//!   configuration. Every v3+ chunk is verified against its CRC32
-//!   *before* any lossless decoder touches the bytes; corruption surfaces
-//!   as the typed [`SzhiError::ChunkChecksum`].
-//!
-//! The writer is deterministic: pushing the chunks of a field one at a time
-//! produces a stream byte-identical to [`crate::compress_chunked`] under
-//! the same configuration, at every worker-thread count (the batch engine
-//! is itself a thin parallel loop over [`StreamWriter::encode_chunk`]).
+//!   interpolation configuration — writes the body to its backing
+//!   [`io::Write`](std::io::Write) at once and closes the trailered (v4) or
+//!   tuned (v5) container with the chunk table and trailer. The batch
+//!   engine [`crate::compress_chunked`] and the job service drive the same
+//!   sink with chunks encoded in parallel ([`StreamSink::encode_chunk`] is
+//!   a pure function), so a field pushed one chunk at a time yields the
+//!   bytes of the batch engine, at every worker-thread count.
+//! * [`StreamSource`] (seekable) and [`ForwardSource`] (forward-only) read
+//!   every chunked container (v2–v5). Both stand on one reader core: the
+//!   table is located and validated by the one path in [`crate::format`],
+//!   and every fetched body — by seek, off a pipe, or as a slice of an
+//!   in-memory stream ([`crate::decompress`]) — passes one verify-and-decode
+//!   step, which checks the chunk's CRC32 *before* any lossless decoder
+//!   touches the bytes; corruption surfaces as the typed
+//!   [`SzhiError::ChunkChecksum`].
 
 use crate::compressor::{decompress_chunk_body, CompressionStats};
-use crate::config::{ModeTuning, PipelineMode, SzhiConfig};
+use crate::config::{ErrorBound, ModeTuning, PipelineMode, SzhiConfig};
 use crate::error::SzhiError;
 use crate::format::{
-    self, read_chunk_table, write_sections, write_stream_v3, write_stream_v5, ChunkEntry,
-    ChunkTable, Header, TRAILER_SIZE, VERSION_STREAMED, VERSION_TRAILERED, VERSION_TUNED,
+    self, locate_table, locate_table_forward, read_exact_untrusted, read_exact_vec, write_sections,
+    ChunkEntry, Header, Layout, StreamIndex, TableRow, VERSION_TRAILERED, VERSION_TUNED,
 };
 use rayon::prelude::*;
 use std::io::{Read, Seek, SeekFrom, Write};
-use szhi_codec::bitio::{put_u32, ByteCursor};
+use std::ops::Range;
 use szhi_codec::checksum::crc32;
 use szhi_codec::PipelineSpec;
 use szhi_ndgrid::{ChunkPlan, Dims, Grid, Region};
@@ -47,23 +43,15 @@ use szhi_predictor::{
 };
 use szhi_tuner::SelectParams;
 
-/// One compressed chunk, produced by [`StreamWriter::encode_chunk`] and
-/// consumed by [`StreamWriter::push_encoded`]. Encoding is a pure function
-/// of (chunk data, writer configuration), so chunks can be encoded out of
+/// One compressed chunk, produced by [`StreamSink::encode_chunk`] and
+/// consumed by [`StreamSink::push_encoded`]. Encoding is a pure function
+/// of (chunk data, sink configuration), so chunks can be encoded out of
 /// order or in parallel and pushed sequentially.
 #[derive(Debug, Clone)]
 pub struct EncodedChunk {
     index: usize,
-    pipeline: PipelineSpec,
-    /// The per-level interpolation configuration this chunk was compressed
-    /// with, when per-chunk tuning selected one (recorded in the v5 config
-    /// dictionary at push time); `None` when every chunk shares the
-    /// header's configuration.
-    levels: Option<Vec<LevelConfig>>,
+    meta: ChunkMeta,
     body: Vec<u8>,
-    anchors: usize,
-    outliers: usize,
-    payload_bytes: usize,
 }
 
 impl EncodedChunk {
@@ -74,7 +62,7 @@ impl EncodedChunk {
 
     /// The lossless pipeline chosen for this chunk.
     pub fn pipeline(&self) -> PipelineSpec {
-        self.pipeline
+        self.meta.pipeline
     }
 
     /// Size of the encoded chunk body in bytes.
@@ -83,7 +71,7 @@ impl EncodedChunk {
     }
 }
 
-/// Metadata returned by [`StreamWriter::push_chunk`]: which chunk was just
+/// Metadata returned by [`StreamSink::push_chunk`]: which chunk was just
 /// written, which pipeline its tuner chose, and how large it compressed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkReceipt {
@@ -93,42 +81,6 @@ pub struct ChunkReceipt {
     pub pipeline: PipelineSpec,
     /// Size of the encoded chunk body in bytes.
     pub compressed_bytes: usize,
-}
-
-/// Incremental writer of streamed (v3) containers: push anchor-aligned
-/// chunks as they arrive, finalize without ever holding the whole field.
-///
-/// ```
-/// use szhi_core::{decompress, ErrorBound, StreamWriter, SzhiConfig};
-/// use szhi_ndgrid::{Dims, Grid};
-///
-/// let dims = Dims::d3(40, 32, 32);
-/// let cfg = SzhiConfig::new(ErrorBound::Absolute(1e-3))
-///     .with_auto_tune(false)
-///     .with_chunk_span([32, 32, 32]);
-/// let mut writer = StreamWriter::new(dims, &cfg).unwrap();
-/// // Produce each chunk only when the writer asks for it: the full field
-/// // is never materialised.
-/// while let Some(region) = writer.next_chunk_region() {
-///     let chunk = Grid::from_fn(region.dims(), |z, y, x| {
-///         ((region.x0() + x) as f32 * 0.1).sin()
-///             + (region.z0() + z + region.y0() + y) as f32 * 0.01
-///     });
-///     writer.push_chunk(&chunk).unwrap();
-/// }
-/// let bytes = writer.finish().unwrap();
-/// assert_eq!(decompress(&bytes).unwrap().dims(), dims);
-/// ```
-#[derive(Debug)]
-pub struct StreamWriter {
-    enc: ChunkEncoder,
-    chunks: Vec<(PipelineSpec, u16, Vec<u8>)>,
-    /// The config dictionary of a per-chunk-interp-tuned (v5) stream,
-    /// deduplicated in first-use order as chunks are pushed.
-    configs: Vec<Vec<LevelConfig>>,
-    anchors: usize,
-    outliers: usize,
-    payload_bytes: usize,
 }
 
 /// Resolves a pushed chunk's per-level configuration to its id in the
@@ -238,7 +190,7 @@ impl PipelineSelection {
 /// code array. Encoding the next chunk of the same shape into a warm
 /// scratch touches no new heap beyond the payload the caller keeps.
 #[derive(Debug, Default)]
-struct EncodeScratch {
+pub(crate) struct EncodeScratch {
     compress: CompressScratch,
     output: InterpOutput,
     reordered: Vec<u8>,
@@ -246,19 +198,59 @@ struct EncodeScratch {
 
 /// Everything [`ChunkEncoder::encode_into`] produces besides the body it
 /// leaves in the caller's buffer.
-struct ChunkMeta {
-    pipeline: PipelineSpec,
+#[derive(Debug, Clone)]
+pub(crate) struct ChunkMeta {
+    pub(crate) pipeline: PipelineSpec,
+    /// The per-level interpolation configuration the chunk was compressed
+    /// with, when per-chunk tuning selected one (interned into the v5
+    /// config dictionary at push time); `None` when every chunk shares the
+    /// header's configuration.
     levels: Option<Vec<LevelConfig>>,
-    anchors: usize,
-    outliers: usize,
-    payload_bytes: usize,
+    pub(crate) anchors: usize,
+    pub(crate) outliers: usize,
+    pub(crate) payload_bytes: usize,
 }
 
-/// The configuration-resolved chunk compressor shared by [`StreamWriter`]
-/// (in-memory v3/v5 output) and [`StreamSink`] (io::Write-backed v4/v5
-/// output): the validated header, the chunk plan, the predictor instance
-/// and the pipeline-selection strategy. Encoding a chunk is a pure `&self`
-/// function, so either front end can fan encoding out across threads.
+/// Validates a chunk span for a `dims`-shaped field under `interp` and
+/// returns its plan. This needs only the anchor stride, which whole-field
+/// auto-tuning never changes, so the batch engine runs it *before* tuning
+/// samples the field and every writer runs the same check.
+pub(crate) fn checked_plan(
+    dims: Dims,
+    span: [usize; 3],
+    interp: &InterpConfig,
+) -> Result<ChunkPlan, SzhiError> {
+    interp
+        .validate()
+        .map_err(|e| SzhiError::InvalidInput(e.to_string()))?;
+    if span.contains(&0) {
+        return Err(SzhiError::InvalidInput(format!(
+            "chunk span {span:?} has a zero axis"
+        )));
+    }
+    let plan = ChunkPlan::new(dims, span);
+    if !plan.is_aligned(interp.anchor_stride) {
+        return Err(SzhiError::InvalidInput(format!(
+            "chunk span {span:?} is not a multiple of the anchor stride {}",
+            interp.anchor_stride
+        )));
+    }
+    if plan.span().iter().any(|&s| s > u32::MAX as usize) {
+        // The container stores the span as 3×u32; a silent `as u32`
+        // truncation would produce a stream the reader must reject.
+        return Err(SzhiError::InvalidInput(format!(
+            "chunk span {:?} does not fit the container's u32 span fields",
+            plan.span()
+        )));
+    }
+    Ok(plan)
+}
+
+/// The configuration-resolved chunk compressor behind every encode path —
+/// [`StreamSink`], the batch engines and the job service: the validated
+/// header, the chunk plan, the predictor instance and the
+/// pipeline-selection strategy. Encoding a chunk is a pure `&self`
+/// function, so any front end can fan encoding out across threads.
 #[derive(Debug)]
 pub(crate) struct ChunkEncoder {
     header: Header,
@@ -277,12 +269,16 @@ pub(crate) struct ChunkEncoder {
 }
 
 impl ChunkEncoder {
-    /// Validates a user-facing streaming configuration (absolute bound, no
-    /// whole-field auto-tune) and resolves it into an encoder.
-    fn from_config(dims: Dims, cfg: &SzhiConfig) -> Result<ChunkEncoder, SzhiError> {
+    /// Builds the encoder of `plan` from a *resolved* configuration: an
+    /// absolute bound and no whole-field auto-tune, because an encoder never
+    /// sees the whole field. The batch engines resolve both against the
+    /// field first; a streaming caller must configure them so, and gets a
+    /// typed error otherwise. `cfg.chunk_span` is not read — `plan` carries
+    /// the span, validated by [`checked_plan`].
+    pub(crate) fn new(plan: ChunkPlan, cfg: &SzhiConfig) -> Result<ChunkEncoder, SzhiError> {
         let abs_eb = match cfg.error_bound {
-            crate::config::ErrorBound::Absolute(eb) => eb,
-            crate::config::ErrorBound::Relative(eb) => {
+            ErrorBound::Absolute(eb) => eb,
+            ErrorBound::Relative(eb) => {
                 return Err(SzhiError::InvalidInput(format!(
                     "a streaming writer cannot resolve the value-range-relative bound \
                      {eb:e}: the full field is never held, so the global value range is \
@@ -298,71 +294,16 @@ impl ChunkEncoder {
                     .into(),
             ));
         }
-        let span = cfg.chunk_span.unwrap_or(SzhiConfig::DEFAULT_CHUNK_SPAN);
-        ChunkEncoder::with_params(
-            dims,
-            span,
-            abs_eb,
-            cfg.interp.clone(),
-            cfg.reorder,
-            cfg.mode,
-            cfg.mode_tuning.clone(),
-            cfg.chunk_interp_tuning,
-        )
-    }
-
-    /// Builds an encoder from fully resolved parameters (the batch engine
-    /// calls this after resolving the error bound and auto-tuning on the
-    /// whole field).
-    #[allow(clippy::too_many_arguments)]
-    fn with_params(
-        dims: Dims,
-        span: [usize; 3],
-        abs_eb: f64,
-        interp: InterpConfig,
-        reorder: bool,
-        mode: PipelineMode,
-        mode_tuning: ModeTuning,
-        chunk_interp: bool,
-    ) -> Result<ChunkEncoder, SzhiError> {
-        interp
-            .validate()
-            .map_err(|e| SzhiError::InvalidInput(e.to_string()))?;
         if !(abs_eb.is_finite() && abs_eb > 0.0) {
             return Err(SzhiError::InvalidInput(format!(
                 "invalid error bound {abs_eb}"
             )));
         }
-        if span.contains(&0) {
-            return Err(SzhiError::InvalidInput(format!(
-                "chunk span {span:?} has a zero axis"
-            )));
-        }
-        let plan = ChunkPlan::new(dims, span);
-        if !plan.is_aligned(interp.anchor_stride) {
-            return Err(SzhiError::InvalidInput(format!(
-                "chunk span {span:?} is not a multiple of the anchor stride {}",
-                interp.anchor_stride
-            )));
-        }
-        if plan.span().iter().any(|&s| s > u32::MAX as usize) {
-            // The container stores the span as 3×u32; a silent `as u32`
-            // truncation would produce a stream the reader must reject.
-            return Err(SzhiError::InvalidInput(format!(
-                "chunk span {:?} does not fit the container's u32 span fields",
-                plan.span()
-            )));
-        }
+        let interp = cfg.interp.clone();
         let predictor = InterpPredictor::new(interp.clone())
             .map_err(|e| SzhiError::InvalidInput(e.to_string()))?;
-        // The configured mode is always the selection's first candidate:
-        // it wins ties, keeping output deterministic — this is the guard
-        // that lets outlier-saturated chunks, whose codes every candidate
-        // compresses equally well, fall back cleanly to the configured
-        // default.
-        let selection = PipelineSelection::from_tuning(mode, mode_tuning);
         let mut orders: Vec<(Dims, LevelOrder)> = Vec::new();
-        if reorder {
+        if cfg.reorder {
             for i in 0..plan.len() {
                 let d = plan.chunk_dims(i);
                 if !orders.iter().any(|(od, _)| *od == d) {
@@ -372,22 +313,32 @@ impl ChunkEncoder {
         }
         Ok(ChunkEncoder {
             header: Header {
-                dims,
+                dims: plan.dims(),
                 abs_eb,
-                pipeline: mode.pipeline_spec(),
-                reorder,
+                pipeline: cfg.mode.pipeline_spec(),
+                reorder: cfg.reorder,
                 interp,
             },
             plan,
             predictor,
-            selection,
-            chunk_interp,
+            // The configured mode is always the selection's first
+            // candidate: it wins ties, keeping output deterministic — the
+            // guard that lets outlier-saturated chunks, whose codes every
+            // candidate compresses equally well, fall back cleanly to the
+            // configured default.
+            selection: PipelineSelection::from_tuning(cfg.mode, cfg.mode_tuning.clone()),
+            chunk_interp: cfg.chunk_interp_tuning,
             orders,
         })
     }
 
+    /// The header every stream this encoder feeds starts with.
+    pub(crate) fn header(&self) -> &Header {
+        &self.header
+    }
+
     /// Compresses chunk `index` (pure in `&self`; see
-    /// [`StreamWriter::encode_chunk`]). Each encode thread reuses its own
+    /// [`StreamSink::encode_chunk`]). Each encode thread reuses its own
     /// [`EncodeScratch`], so steady-state encoding allocates only the body
     /// the caller keeps.
     pub(crate) fn encode(
@@ -404,16 +355,30 @@ impl ChunkEncoder {
             // szhi-analyzer: allow(steady-alloc) -- this body vector is moved into the returned `EncodedChunk` and owned by the caller, so it cannot be scratch-routed; the steady-state serving path (`StreamSink::push_chunk`) goes through `encode_into` with a reused buffer instead
             let mut body = Vec::new();
             let meta = self.encode_into(index, chunk, &mut scratch, &mut body)?;
-            Ok(EncodedChunk {
-                index,
-                pipeline: meta.pipeline,
-                levels: meta.levels,
-                anchors: meta.anchors,
-                outliers: meta.outliers,
-                payload_bytes: meta.payload_bytes,
-                body,
-            })
+            Ok(EncodedChunk { index, meta, body })
         })
+    }
+
+    /// The one parallel range encoder: extracts the chunks `range` of an
+    /// in-memory `field` and encodes them across the worker pool, returning
+    /// them in plan order. The batch engine passes the whole plan, the job
+    /// service one batch at a time.
+    pub(crate) fn encode_range(
+        &self,
+        field: &Grid<f32>,
+        range: Range<usize>,
+    ) -> Result<Vec<EncodedChunk>, SzhiError> {
+        // Each chunk is a pure function of (sub-field, config) and the
+        // par_iter result order is fixed, so the encoded range is identical
+        // at every thread count — and to sequential `push_chunk` calls.
+        let encoded: Vec<Result<EncodedChunk, SzhiError>> = range
+            .into_par_iter()
+            .map(|i| {
+                let sub = field.extract(&self.plan.chunk_at(i));
+                self.encode(i, &Grid::from_vec(self.plan.chunk_dims(i), sub))
+            })
+            .collect();
+        encoded.into_iter().collect()
     }
 
     /// The scratch-reusing core of [`ChunkEncoder::encode`]: compresses
@@ -421,7 +386,7 @@ impl ChunkEncoder {
     /// chunk body in `body` (cleared first). [`StreamSink`] feeds its own
     /// scratch and body buffer through here so pushing a chunk performs no
     /// steady-state heap growth beyond the lossless payload itself.
-    fn encode_into(
+    pub(crate) fn encode_into(
         &self,
         index: usize,
         chunk: &Grid<f32>,
@@ -507,207 +472,24 @@ impl ChunkEncoder {
     }
 }
 
-impl StreamWriter {
-    /// Creates a streaming writer for a field of shape `dims` under `cfg`,
-    /// using `cfg.chunk_span` (or [`SzhiConfig::DEFAULT_CHUNK_SPAN`]) as
-    /// the chunk span.
-    ///
-    /// Because the writer never sees the whole field, the configuration
-    /// must be resolvable without it: the error bound must be
-    /// [`ErrorBound::Absolute`](crate::ErrorBound::Absolute) (a relative
-    /// bound needs the global value range) and whole-field auto-tuning must
-    /// be disabled (`cfg.with_auto_tune(false)`; pre-tune on a
-    /// representative sample with `szhi_predictor::autotune::tune` and pass
-    /// the result via [`SzhiConfig::with_interp`] instead). Violations are
-    /// reported as typed [`SzhiError::InvalidInput`] errors.
-    pub fn new(dims: Dims, cfg: &SzhiConfig) -> Result<StreamWriter, SzhiError> {
-        Ok(StreamWriter::from_encoder(ChunkEncoder::from_config(
-            dims, cfg,
-        )?))
-    }
-
-    /// Creates a writer from fully resolved parameters. This is the
-    /// constructor the batch engine uses after resolving the error bound
-    /// and auto-tuning on the whole field.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn with_params(
-        dims: Dims,
-        span: [usize; 3],
-        abs_eb: f64,
-        interp: InterpConfig,
-        reorder: bool,
-        mode: PipelineMode,
-        mode_tuning: ModeTuning,
-        chunk_interp: bool,
-    ) -> Result<StreamWriter, SzhiError> {
-        Ok(StreamWriter::from_encoder(ChunkEncoder::with_params(
-            dims,
-            span,
-            abs_eb,
-            interp,
-            reorder,
-            mode,
-            mode_tuning,
-            chunk_interp,
-        )?))
-    }
-
-    fn from_encoder(enc: ChunkEncoder) -> StreamWriter {
-        let n_chunks = enc.plan.len();
-        StreamWriter {
-            enc,
-            chunks: Vec::with_capacity(n_chunks),
-            configs: Vec::new(),
-            anchors: 0,
-            outliers: 0,
-            payload_bytes: 0,
-        }
-    }
-
-    /// The chunk partition the writer expects chunks in (row-major plan
-    /// order).
-    pub fn plan(&self) -> &ChunkPlan {
-        &self.enc.plan
-    }
-
-    /// Shape of the full field being written.
-    pub fn dims(&self) -> Dims {
-        self.enc.header.dims
-    }
-
-    /// The absolute error bound every chunk is compressed under.
-    pub fn abs_eb(&self) -> f64 {
-        self.enc.header.abs_eb
-    }
-
-    /// Index of the next chunk [`StreamWriter::push_chunk`] expects.
-    pub fn next_index(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// The region of the original field the next pushed chunk must cover,
-    /// or `None` once every chunk has been pushed.
-    pub fn next_chunk_region(&self) -> Option<Region> {
-        (self.chunks.len() < self.enc.plan.len()).then(|| self.enc.plan.chunk_at(self.chunks.len()))
-    }
-
-    /// Whether every chunk of the plan has been pushed.
-    pub fn is_complete(&self) -> bool {
-        self.chunks.len() == self.enc.plan.len()
-    }
-
-    /// Compresses chunk `index` without appending it to the stream. A pure
-    /// function of `(chunk, configuration)` — callers that already hold
-    /// several chunks can encode them in parallel and feed the results to
-    /// [`StreamWriter::push_encoded`] in order; this is exactly what the
-    /// batch engine [`crate::compress_chunked`] does.
-    ///
-    /// `chunk` must have the standalone shape of chunk `index`
-    /// ([`ChunkPlan::chunk_dims`]); any other shape is a typed error.
-    pub fn encode_chunk(&self, index: usize, chunk: &Grid<f32>) -> Result<EncodedChunk, SzhiError> {
-        self.enc.encode(index, chunk)
-    }
-
-    /// Compresses the next chunk and appends it to the stream. Chunks must
-    /// arrive in plan order ([`StreamWriter::next_chunk_region`] names the
-    /// region the next one must cover) and carry the standalone shape of
-    /// their plan slot.
-    pub fn push_chunk(&mut self, chunk: &Grid<f32>) -> Result<ChunkReceipt, SzhiError> {
-        if self.is_complete() {
-            return Err(SzhiError::InvalidInput(format!(
-                "all {} chunks have already been pushed",
-                self.enc.plan.len()
-            )));
-        }
-        let encoded = self.encode_chunk(self.chunks.len(), chunk)?;
-        let receipt = ChunkReceipt {
-            index: encoded.index,
-            pipeline: encoded.pipeline,
-            compressed_bytes: encoded.body.len(),
-        };
-        self.push_encoded(encoded)?;
-        Ok(receipt)
-    }
-
-    /// Appends a chunk previously produced by
-    /// [`StreamWriter::encode_chunk`]. Chunks must be pushed strictly in
-    /// plan order; a gap or repeat is a typed error. With per-chunk
-    /// interpolation tuning enabled, the chunk's configuration is interned
-    /// into the config dictionary here, in push order.
-    pub fn push_encoded(&mut self, chunk: EncodedChunk) -> Result<(), SzhiError> {
-        if chunk.index != self.chunks.len() {
-            return Err(SzhiError::InvalidInput(format!(
-                "chunk {} pushed out of order: the writer expects chunk {}",
-                chunk.index,
-                self.chunks.len()
-            )));
-        }
-        let config = config_id_for(&mut self.configs, chunk.levels)?;
-        self.anchors += chunk.anchors;
-        self.outliers += chunk.outliers;
-        self.payload_bytes += chunk.payload_bytes;
-        self.chunks.push((chunk.pipeline, config, chunk.body));
-        Ok(())
-    }
-
-    /// Finalizes the container — streamed (v3), or tuned (v5) when
-    /// per-chunk interpolation tuning is enabled. Errors if any chunk of
-    /// the plan has not been pushed.
-    pub fn finish(self) -> Result<Vec<u8>, SzhiError> {
-        self.finish_with_stats().map(|(bytes, _)| bytes)
-    }
-
-    /// Finalizes the container and reports aggregated statistics.
-    pub fn finish_with_stats(self) -> Result<(Vec<u8>, CompressionStats), SzhiError> {
-        if !self.is_complete() {
-            return Err(SzhiError::InvalidInput(format!(
-                "cannot finalize: only {} of {} chunks were pushed",
-                self.chunks.len(),
-                self.enc.plan.len()
-            )));
-        }
-        let bytes = if self.enc.chunk_interp {
-            write_stream_v5(
-                &self.enc.header,
-                self.enc.plan.span(),
-                &self.configs,
-                &self.chunks,
-            )
-        } else {
-            let chunks: Vec<(PipelineSpec, Vec<u8>)> = self
-                .chunks
-                .into_iter()
-                .map(|(pipeline, _, body)| (pipeline, body))
-                .collect();
-            write_stream_v3(&self.enc.header, self.enc.plan.span(), &chunks)
-        };
-        let original_bytes = self.enc.header.dims.nbytes_f32();
-        let stats = CompressionStats {
-            original_bytes,
-            compressed_bytes: bytes.len(),
-            compression_ratio: original_bytes as f64 / bytes.len() as f64,
-            abs_eb: self.enc.header.abs_eb,
-            anchors: self.anchors,
-            outliers: self.outliers,
-            encoded_codes_bytes: self.payload_bytes,
-        };
-        Ok((bytes, stats))
-    }
-}
-
-/// Incremental, bounded-memory writer of trailered (v4) containers: the
-/// header goes to the backing [`io::Write`](std::io::Write) immediately,
-/// every pushed chunk's body follows the moment it is encoded, and
-/// [`StreamSink::finish`] appends the chunk table plus the fixed-size
-/// trailer that locates it. Memory high-water is **O(one encoded chunk +
-/// the chunk table)** — never O(field), and unlike [`StreamWriter`] never
-/// O(compressed stream) either, so a field larger than RAM can be
-/// compressed straight onto a file or socket.
+/// The incremental, bounded-memory writer of chunked containers — the only
+/// one the library has: the header goes to the backing
+/// [`io::Write`](std::io::Write) immediately, every pushed chunk's body
+/// follows the moment it is encoded, and [`StreamSink::finish`] appends the
+/// chunk table plus the fixed-size trailer that locates it (the trailered
+/// **v4** container; **v5** when per-chunk interpolation tuning is on).
+/// Memory high-water is **O(one encoded chunk + the chunk table)** — never
+/// O(field) and never O(compressed stream) — so a field larger than RAM
+/// can be compressed straight onto a file or socket.
 ///
-/// The sink accepts the same streaming-safe configurations as
-/// [`StreamWriter`] (absolute bound, no whole-field auto-tune) and shares
-/// its chunk encoder, so the chunk bodies it emits are byte-identical to
-/// the v3 writer's — only the container layout differs.
+/// Because the sink never sees the whole field, the configuration must be
+/// resolvable without it: the error bound must be
+/// [`ErrorBound::Absolute`] (a relative bound needs the global value
+/// range) and whole-field auto-tuning must be disabled
+/// (`cfg.with_auto_tune(false)`; pre-tune on a representative sample with
+/// `szhi_predictor::autotune::tune` and pass the result via
+/// [`SzhiConfig::with_interp`] instead). Violations are typed
+/// [`SzhiError::InvalidInput`] errors.
 ///
 /// ```
 /// use szhi_core::{decompress, ErrorBound, StreamSink, StreamSource, SzhiConfig};
@@ -719,6 +501,8 @@ impl StreamWriter {
 ///     .with_chunk_span([32, 32, 32]);
 /// // Any io::Write works: a Vec here, a File or TcpStream in production.
 /// let mut sink = StreamSink::new(Vec::new(), dims, &cfg).unwrap();
+/// // Produce each chunk only when the sink asks for it: the full field
+/// // is never materialised.
 /// while let Some(region) = sink.next_chunk_region() {
 ///     let chunk = Grid::from_fn(region.dims(), |z, y, x| {
 ///         ((region.x0() + x) as f32 * 0.1).sin()
@@ -737,12 +521,14 @@ impl StreamWriter {
 pub struct StreamSink<W: Write> {
     out: W,
     enc: ChunkEncoder,
-    /// One `(offset, len, pipeline, config_id, crc32)` record per pushed
-    /// chunk — the only per-chunk state the sink retains (the config id is
-    /// 0 and unused unless per-chunk interpolation tuning is on).
-    entries: Vec<(u64, u64, PipelineSpec, u16, u32)>,
-    /// The config dictionary of a per-chunk-interp-tuned (v5) stream,
-    /// interned in push order; empty for v4 output.
+    /// The container this sink writes: the v4 row, or the v5 row with
+    /// per-chunk interpolation tuning.
+    layout: &'static Layout,
+    /// One row per pushed chunk — the only per-chunk state the sink
+    /// retains.
+    entries: Vec<TableRow>,
+    /// The config dictionary of a v5 stream, interned in push order; empty
+    /// for v4 output.
     configs: Vec<Vec<LevelConfig>>,
     prefix_len: u64,
     data_written: u64,
@@ -759,31 +545,33 @@ pub struct StreamSink<W: Write> {
 }
 
 impl<W: Write> StreamSink<W> {
-    /// Creates a sink writing a trailered (v4) container for a field of
-    /// shape `dims` under `cfg` into `out`, emitting the header and chunk
-    /// span immediately. The configuration rules are those of
-    /// [`StreamWriter::new`] (absolute bound, auto-tune disabled); write
+    /// Creates a sink writing a field of shape `dims` under `cfg` into
+    /// `out`, with `cfg.chunk_span` (or [`SzhiConfig::DEFAULT_CHUNK_SPAN`])
+    /// as the chunk span, and emits the header and span immediately. The
+    /// configuration must be streaming-safe (see the type docs); write
     /// failures surface as [`SzhiError::Io`].
     pub fn new(out: W, dims: Dims, cfg: &SzhiConfig) -> Result<StreamSink<W>, SzhiError> {
-        StreamSink::from_encoder(out, ChunkEncoder::from_config(dims, cfg)?)
+        let span = cfg.chunk_span.unwrap_or(SzhiConfig::DEFAULT_CHUNK_SPAN);
+        let plan = checked_plan(dims, span, &cfg.interp)?;
+        StreamSink::from_encoder(out, ChunkEncoder::new(plan, cfg)?)
     }
 
-    fn from_encoder(mut out: W, enc: ChunkEncoder) -> Result<StreamSink<W>, SzhiError> {
-        let version = if enc.chunk_interp {
+    /// Wraps a ready encoder (the batch engine builds it first, to encode
+    /// and size the output before any byte is written).
+    pub(crate) fn from_encoder(mut out: W, enc: ChunkEncoder) -> Result<StreamSink<W>, SzhiError> {
+        let layout = format::layout_of(if enc.chunk_interp {
             VERSION_TUNED
         } else {
             VERSION_TRAILERED
-        };
+        })?;
         let mut prefix = Vec::new();
-        format::write_header(&mut prefix, &enc.header, version);
-        for s in enc.plan.span() {
-            put_u32(&mut prefix, s as u32);
-        }
+        format::write_prefix(&mut prefix, &enc.header, layout.version, enc.plan.span());
         out.write_all(&prefix)?;
         let n_chunks = enc.plan.len();
         Ok(StreamSink {
             out,
             enc,
+            layout,
             entries: Vec::with_capacity(n_chunks),
             configs: Vec::new(),
             prefix_len: prefix.len() as u64,
@@ -848,10 +636,14 @@ impl<W: Write> StreamSink<W> {
         &self.enc
     }
 
-    /// Compresses chunk `index` without appending it to the stream — the
-    /// same pure function as [`StreamWriter::encode_chunk`], so callers can
-    /// encode several chunks in parallel and feed
-    /// [`StreamSink::push_encoded`] in plan order.
+    /// Compresses chunk `index` without appending it to the stream. A pure
+    /// function of `(chunk, configuration)` — callers that already hold
+    /// several chunks can encode them in parallel and feed the results to
+    /// [`StreamSink::push_encoded`] in plan order; this is exactly what the
+    /// batch engine [`crate::compress_chunked`] does.
+    ///
+    /// `chunk` must have the standalone shape of chunk `index`
+    /// ([`ChunkPlan::chunk_dims`]); any other shape is a typed error.
     pub fn encode_chunk(&self, index: usize, chunk: &Grid<f32>) -> Result<EncodedChunk, SzhiError> {
         self.enc.encode(index, chunk)
     }
@@ -872,36 +664,20 @@ impl<W: Write> StreamSink<W> {
             )));
         }
         let index = self.entries.len();
-        let meta = self
+        let mut body = std::mem::take(&mut self.body_buf);
+        let pushed = self
             .enc
-            .encode_into(index, chunk, &mut self.scratch, &mut self.body_buf)?;
-        let config = config_id_for(&mut self.configs, meta.levels)?;
-        let crc = {
-            let _span = crate::telemetry::ENCODE_CRC.enter();
-            crc32(&self.body_buf)
-        };
-        if let Err(e) = self.out.write_all(&self.body_buf) {
-            self.poisoned = true;
-            return Err(e.into());
-        }
-        crate::telemetry::SINK_BYTES.bump(self.body_buf.len() as u64);
-        crate::telemetry::SINK_CHUNKS.bump(1);
-        self.entries.push((
-            self.data_written,
-            self.body_buf.len() as u64,
-            meta.pipeline,
-            config,
-            crc,
-        ));
-        self.data_written += self.body_buf.len() as u64;
-        self.anchors += meta.anchors;
-        self.outliers += meta.outliers;
-        self.payload_bytes += meta.payload_bytes;
-        Ok(ChunkReceipt {
-            index,
-            pipeline: meta.pipeline,
-            compressed_bytes: self.body_buf.len(),
-        })
+            .encode_into(index, chunk, &mut self.scratch, &mut body)
+            .and_then(|meta| {
+                let receipt = ChunkReceipt {
+                    index,
+                    pipeline: meta.pipeline,
+                    compressed_bytes: body.len(),
+                };
+                self.record(meta, &body).map(|()| receipt)
+            });
+        self.body_buf = body;
+        pushed
     }
 
     /// Writes a chunk previously produced by [`StreamSink::encode_chunk`]
@@ -918,34 +694,37 @@ impl<W: Write> StreamSink<W> {
                 self.entries.len()
             )));
         }
-        let config = config_id_for(&mut self.configs, chunk.levels)?;
+        self.record(chunk.meta, &chunk.body)
+    }
+
+    /// The record step both pushes share: interns the chunk's configuration
+    /// into the dictionary (in push order), checksums the body, writes it,
+    /// and appends the chunk's table row.
+    fn record(&mut self, meta: ChunkMeta, body: &[u8]) -> Result<(), SzhiError> {
+        let config = config_id_for(&mut self.configs, meta.levels)?;
         let crc = {
             let _span = crate::telemetry::ENCODE_CRC.enter();
-            crc32(&chunk.body)
+            crc32(body)
         };
-        if let Err(e) = self.out.write_all(&chunk.body) {
+        if let Err(e) = self.out.write_all(body) {
             self.poisoned = true;
             return Err(e.into());
         }
-        crate::telemetry::SINK_BYTES.bump(chunk.body.len() as u64);
+        let len = body.len() as u64;
+        crate::telemetry::SINK_BYTES.bump(len);
         crate::telemetry::SINK_CHUNKS.bump(1);
-        self.entries.push((
-            self.data_written,
-            chunk.body.len() as u64,
-            chunk.pipeline,
-            config,
-            crc,
-        ));
-        self.data_written += chunk.body.len() as u64;
-        self.anchors += chunk.anchors;
-        self.outliers += chunk.outliers;
-        self.payload_bytes += chunk.payload_bytes;
+        self.entries
+            .push((self.data_written, len, meta.pipeline, config, crc));
+        self.data_written += len;
+        self.anchors += meta.anchors;
+        self.outliers += meta.outliers;
+        self.payload_bytes += meta.payload_bytes;
         Ok(())
     }
 
-    /// Finalizes the trailered (v4) container: appends the chunk table and
-    /// the trailer, flushes, and returns the backing writer. Errors if any
-    /// chunk of the plan has not been pushed.
+    /// Finalizes the container: appends the chunk table and the trailer,
+    /// flushes, and returns the backing writer. Errors if any chunk of the
+    /// plan has not been pushed.
     pub fn finish(self) -> Result<W, SzhiError> {
         self.finish_with_stats().map(|(out, _)| out)
     }
@@ -962,16 +741,7 @@ impl<W: Write> StreamSink<W> {
             )));
         }
         let table_offset = self.prefix_len + self.data_written;
-        let tail = if self.enc.chunk_interp {
-            format::encode_table_tail_v5(table_offset, &self.configs, &self.entries)
-        } else {
-            let entries: Vec<(u64, u64, PipelineSpec, u32)> = self
-                .entries
-                .iter()
-                .map(|&(offset, len, pipeline, _, crc)| (offset, len, pipeline, crc))
-                .collect();
-            format::encode_table_tail(table_offset, &entries)
-        };
+        let tail = format::encode_table(self.layout, table_offset, &self.configs, &self.entries);
         self.out.write_all(&tail)?;
         self.out.flush()?;
         let compressed_bytes = (table_offset + tail.len() as u64) as usize;
@@ -1014,132 +784,33 @@ impl<W: Write> StreamSink<W> {
     }
 }
 
-/// Lazy, checksum-verifying reader of chunked (v2), streamed (v3) and
-/// trailered (v4) containers held in memory.
-///
-/// Construction parses and validates the header and chunk table only
-/// (located behind the data area via the trailer for v4); chunk bodies are
-/// decoded on demand. Every access to a v3/v4 chunk verifies its CRC32
-/// first, so corrupted bytes are rejected ([`SzhiError::ChunkChecksum`])
-/// before any lossless decoder runs. To read a v4 container without
-/// holding the whole stream in memory, use [`StreamSource`].
-///
-/// ```
-/// use szhi_core::{compress_chunked, ErrorBound, StreamReader, SzhiConfig};
-/// use szhi_ndgrid::{Dims, Grid};
-///
-/// let field = Grid::from_fn(Dims::d3(40, 32, 32), |z, y, x| {
-///     ((x + y) as f32 * 0.1).sin() + z as f32 * 0.02
-/// });
-/// let cfg = SzhiConfig::new(ErrorBound::Relative(1e-3));
-/// let bytes = compress_chunked(&field, &cfg, [32, 32, 32]).unwrap();
-///
-/// let reader = StreamReader::new(&bytes).unwrap();
-/// assert_eq!(reader.chunk_count(), 2);
-/// // Iterate decoded chunks lazily, one sub-field at a time…
-/// for chunk in reader.chunks() {
-///     let (region, sub) = chunk.unwrap();
-///     assert_eq!(sub.len(), region.len());
-/// }
-/// // …or drain eagerly, fanning out across worker threads.
-/// assert_eq!(reader.read_all().unwrap().dims(), field.dims());
-/// ```
-#[derive(Debug)]
-pub struct StreamReader<'a> {
-    bytes: &'a [u8],
-    header: Header,
-    table: ChunkTable,
-    plan: ChunkPlan,
-}
-
-impl<'a> StreamReader<'a> {
-    /// Parses and validates the header and chunk table of a chunked (v2),
-    /// streamed (v3), trailered (v4) or tuned (v5) container. Monolithic
-    /// (v1) streams have no chunk table and are rejected with a clear typed
-    /// error — decode those with [`crate::decompress`]; unknown future
-    /// versions are rejected as unsupported.
-    pub fn new(bytes: &'a [u8]) -> Result<StreamReader<'a>, SzhiError> {
-        let (header, table) = read_chunk_table(bytes)?;
-        let plan = ChunkPlan::new(header.dims, table.span);
-        Ok(StreamReader {
-            bytes,
-            header,
-            table,
-            plan,
+/// The reader core every read path shares — [`StreamSource`],
+/// [`ForwardSource`] and the in-memory [`crate::decompress`] differ only in
+/// how they fetch a chunk's bytes.
+impl StreamIndex {
+    /// The table entry of chunk `index`, or a typed error when out of
+    /// range.
+    pub(crate) fn entry(&self, index: usize) -> Result<&ChunkEntry, SzhiError> {
+        self.table.entries.get(index).ok_or_else(|| {
+            SzhiError::InvalidInput(format!(
+                "chunk index {index} out of range for a stream of {} chunks",
+                self.table.entries.len()
+            ))
         })
     }
 
-    /// The parsed stream header.
-    pub fn header(&self) -> &Header {
-        &self.header
-    }
-
-    /// Shape of the full field the stream encodes.
-    pub fn dims(&self) -> Dims {
-        self.header.dims
-    }
-
-    /// The chunk partition of the stream.
-    pub fn plan(&self) -> &ChunkPlan {
-        &self.plan
-    }
-
-    /// Number of chunks in the stream.
-    pub fn chunk_count(&self) -> usize {
-        self.table.entries.len()
-    }
-
-    /// The region of the original field chunk `index` covers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range (see [`StreamReader::chunk_count`]).
-    pub fn chunk_region(&self, index: usize) -> Region {
-        self.plan.chunk_at(index)
-    }
-
-    /// The lossless pipeline that encoded chunk `index` (from the v3+ mode
-    /// byte; for v2 streams, the header's global pipeline).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range (see [`StreamReader::chunk_count`]).
-    pub fn chunk_pipeline(&self, index: usize) -> PipelineSpec {
-        // szhi-analyzer: allow(panic-reachability) -- documented `# Panics` contract for out-of-range indices; the reader's own decode paths only pass indices below `chunk_count()`
-        self.table.entries[index].pipeline
-    }
-
-    /// The interpolation configuration chunk `index` was compressed with:
-    /// its config-dictionary entry for tuned (v5) streams, the header's
-    /// configuration for every other version.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range (see [`StreamReader::chunk_count`]).
-    pub fn chunk_interp(&self, index: usize) -> InterpConfig {
-        self.table.chunk_interp(&self.header, index)
-    }
-
-    /// Verifies chunk `index` against its recorded CRC32 without decoding
-    /// it (a no-op returning `Ok` for v2 streams, which carry no
-    /// checksums).
-    pub fn verify_chunk(&self, index: usize) -> Result<(), SzhiError> {
-        self.check_index(index)?;
-        self.table
-            .verified_chunk_slice(self.bytes, index)
-            .map(|_| ())
-    }
-
-    /// Decodes chunk `index`: verifies its checksum, then reconstructs the
-    /// sub-field it covers. Returns the chunk's region of the original
-    /// field and the reconstructed values.
-    pub fn read_chunk(&self, index: usize) -> Result<(Region, Grid<f32>), SzhiError> {
-        self.check_index(index)?;
-        let body = self.table.verified_chunk_slice(self.bytes, index)?;
-        let entry =
-            self.table.entries.get(index).ok_or_else(|| {
-                SzhiError::InvalidInput(format!("chunk index {index} out of range"))
-            })?;
+    /// The one verify-and-decode step: checks `body` — the fetched bytes of
+    /// chunk `index` — against the chunk's CRC32, then reconstructs the
+    /// sub-field with the chunk's own pipeline and interpolation
+    /// configuration. Returns the chunk's region of the original field and
+    /// the reconstructed values.
+    pub(crate) fn verify_and_decode(
+        &self,
+        index: usize,
+        body: &[u8],
+    ) -> Result<(Region, Grid<f32>), SzhiError> {
+        let entry = self.entry(index)?;
+        entry.verify(index, body)?;
         let grid = decompress_chunk_body(
             &self.header,
             entry.pipeline,
@@ -1150,55 +821,47 @@ impl<'a> StreamReader<'a> {
         Ok((self.plan.chunk_at(index), grid))
     }
 
-    /// Iterates over the decoded chunks **lazily**, in plan order: each
-    /// chunk is verified and decoded only when the iterator is advanced,
-    /// so a consumer holds one reconstructed sub-field at a time.
-    pub fn chunks(&self) -> impl Iterator<Item = Result<(Region, Grid<f32>), SzhiError>> + '_ {
-        (0..self.chunk_count()).map(move |i| self.read_chunk(i))
+    /// Fetches chunk `index` as a slice of the in-memory stream `bytes` and
+    /// decodes it.
+    pub(crate) fn decode_slice(
+        &self,
+        bytes: &[u8],
+        index: usize,
+    ) -> Result<(Region, Grid<f32>), SzhiError> {
+        self.entry(index)?;
+        self.verify_and_decode(index, self.table.entry_slice(bytes, index)?.1)
     }
+}
 
-    /// Decodes every chunk **eagerly**, fanning the work out across the
-    /// worker threads, and assembles the full field.
-    pub fn read_all(&self) -> Result<Grid<f32>, SzhiError> {
-        let chunks: Vec<Result<(Region, Grid<f32>), SzhiError>> = (0..self.chunk_count())
-            .into_par_iter()
-            .map(|i| self.read_chunk(i))
-            .collect();
-        let mut out = Grid::zeros(self.header.dims);
-        for chunk in chunks {
-            let (region, sub) = chunk?;
-            out.insert(&region, sub.as_slice());
-        }
-        Ok(out)
+/// Assembles decoded chunks into the full field of shape `dims`.
+pub(crate) fn assemble(
+    dims: Dims,
+    chunks: impl IntoIterator<Item = Result<(Region, Grid<f32>), SzhiError>>,
+) -> Result<Grid<f32>, SzhiError> {
+    let mut out = Grid::zeros(dims);
+    for chunk in chunks {
+        let (region, sub) = chunk?;
+        out.insert(&region, sub.as_slice());
     }
-
-    fn check_index(&self, index: usize) -> Result<(), SzhiError> {
-        if index >= self.chunk_count() {
-            return Err(SzhiError::InvalidInput(format!(
-                "chunk index {index} out of range for a stream of {} chunks",
-                self.chunk_count()
-            )));
-        }
-        Ok(())
-    }
+    Ok(out)
 }
 
 /// Bounded-memory reader of chunked containers behind any
 /// [`io::Read`](std::io::Read)` + `[`io::Seek`](std::io::Seek) — a
-/// [`File`](std::fs::File), a [`Cursor`](std::io::Cursor) over bytes, or
-/// anything else seekable.
+/// [`File`](std::fs::File), a [`Cursor`](std::io::Cursor) over bytes
+/// ([`StreamSource::from_bytes`], the lazy in-memory reader), or anything
+/// else seekable.
 ///
 /// Construction reads and validates only the header and the chunk table:
-/// for trailered (v4) containers the fixed-size trailer at the end of the
-/// stream locates the table (whose bytes are verified against the
-/// trailer's CRC32 before any entry is parsed); for chunked (v2) and
-/// streamed (v3) containers the table sits directly after the header.
-/// Chunk bodies are then fetched with one seek + bounded read each and
-/// verified against their CRC32 (v3/v4) *before* any lossless decoder
-/// sees them — the same discipline as [`StreamReader`], without ever
-/// holding more than one compressed chunk in memory. Monolithic (v1)
-/// streams and unknown future versions are rejected with clear typed
-/// errors.
+/// for trailered (v4) and tuned (v5) containers the fixed-size trailer at
+/// the end of the stream locates the table (whose bytes are verified
+/// against the trailer's CRC32 before any entry is parsed); for chunked
+/// (v2) and streamed (v3) containers the table sits directly after the
+/// header. Chunk bodies are then fetched with one seek + bounded read each
+/// and verified against their CRC32 (v3+) *before* any lossless decoder
+/// sees them, without ever holding more than one compressed chunk in
+/// memory. Monolithic (v1) streams and unknown future versions are
+/// rejected with clear typed errors.
 ///
 /// ```
 /// use std::io::Cursor;
@@ -1222,28 +885,7 @@ impl<'a> StreamReader<'a> {
 #[derive(Debug)]
 pub struct StreamSource<R> {
     reader: R,
-    version: u8,
-    header: Header,
-    span: [usize; 3],
-    entries: Vec<ChunkEntry>,
-    /// The config dictionary of a tuned (v5) stream; empty otherwise.
-    configs: Vec<Vec<LevelConfig>>,
-    data_start: u64,
-    plan: ChunkPlan,
-}
-
-/// The parsed chunk-table region of an io-backed source: the entries, the
-/// (possibly empty) config dictionary and the data-area start offset.
-type ParsedTable = (Vec<ChunkEntry>, Vec<Vec<LevelConfig>>, u64);
-
-/// Reads exactly `n` bytes from `reader`, mapping failures (including a
-/// premature end of the stream) to [`SzhiError::Io`].
-fn read_exact_vec<R: Read>(reader: &mut R, n: usize, what: &str) -> Result<Vec<u8>, SzhiError> {
-    let mut buf = vec![0u8; n];
-    reader
-        .read_exact(&mut buf)
-        .map_err(|e| SzhiError::Io(format!("reading {what}: {e}")))?;
-    Ok(buf)
+    index: StreamIndex,
 }
 
 impl<'a> StreamSource<std::io::Cursor<&'a [u8]>> {
@@ -1257,186 +899,38 @@ impl<R: Read + Seek> StreamSource<R> {
     /// Opens a chunked (v2), streamed (v3), trailered (v4) or tuned (v5)
     /// container, reading and validating the header and chunk table only.
     pub fn new(mut reader: R) -> Result<StreamSource<R>, SzhiError> {
-        reader
-            .seek(SeekFrom::Start(0))
-            .map_err(|e| SzhiError::Io(format!("seeking to the stream start: {e}")))?;
-        // The fixed header prefix: magic, version, and everything through
-        // the level count at offset 48 (see docs/FORMAT.md).
-        let mut head = read_exact_vec(&mut reader, 49, "the stream header")?;
-        let version = format::read_magic_version(&mut ByteCursor::new(&head))?;
-        format::reject_unchunked_version(version)?;
-        // szhi-analyzer: allow(panic-reachability) -- `head` was filled by `read_exact_vec(.., 49, ..)` just above, so index 48 is in bounds; short reads already surfaced as typed errors
-        let n_levels = head[48] as usize;
-        head.extend(read_exact_vec(
-            &mut reader,
-            2 * n_levels + 12,
-            "the predictor levels and chunk span",
-        )?);
-        let mut cur = ByteCursor::new(&head);
-        format::read_magic_version(&mut cur)?;
-        let header = format::read_header_fields(&mut cur)?;
-        let span = format::read_span(&mut cur)?;
-        let plan = format::validated_plan(&header, span)?;
-        let data_start = head.len() as u64;
-        let file_len = reader
-            .seek(SeekFrom::End(0))
-            .map_err(|e| SzhiError::Io(format!("seeking to the stream end: {e}")))?;
-        let (entries, configs, data_start) = if version == VERSION_TRAILERED
-            || version == VERSION_TUNED
-        {
-            Self::parse_trailered_table(&mut reader, &header, &plan, version, data_start, file_len)?
-        } else {
-            let (entries, data_start) = Self::parse_leading_table(
-                &mut reader,
-                &header,
-                &plan,
-                version,
-                data_start,
-                file_len,
-            )?;
-            (entries, Vec::new(), data_start)
-        };
-        Ok(StreamSource {
-            reader,
-            version,
-            header,
-            span,
-            entries,
-            configs,
-            data_start,
-            plan,
-        })
-    }
-
-    /// Locates and validates the chunk table of a v4/v5 stream via its
-    /// trailer: trailer magic and geometry first, then the table-region
-    /// CRC32, then (for v5) the config dictionary, then the entries.
-    fn parse_trailered_table(
-        reader: &mut R,
-        header: &Header,
-        plan: &ChunkPlan,
-        version: u8,
-        data_start: u64,
-        file_len: u64,
-    ) -> Result<ParsedTable, SzhiError> {
-        if file_len < data_start + TRAILER_SIZE as u64 {
-            return Err(SzhiError::TrailerCorrupt(format!(
-                "stream of {file_len} bytes is too short for a {TRAILER_SIZE}-byte trailer"
-            )));
-        }
-        let trailer_start = file_len - TRAILER_SIZE as u64;
-        reader
-            .seek(SeekFrom::Start(trailer_start))
-            .map_err(|e| SzhiError::Io(format!("seeking to the trailer: {e}")))?;
-        let tail = read_exact_vec(reader, TRAILER_SIZE, "the trailer")?;
-        let trailer = format::parse_trailer(&tail, version)?;
-        if version == VERSION_TRAILERED {
-            let table_len =
-                format::validate_trailer_geometry(&trailer, plan.len(), data_start, trailer_start)?;
-            reader
-                .seek(SeekFrom::Start(trailer.table_offset))
-                .map_err(|e| SzhiError::Io(format!("seeking to the chunk table: {e}")))?;
-            let table_bytes = read_exact_vec(reader, table_len as usize, "the chunk table")?;
-            let entries = format::parse_trailered_entries(
-                &table_bytes,
-                &trailer,
-                data_start,
-                header.pipeline,
-            )?;
-            Ok((entries, Vec::new(), data_start))
-        } else {
-            format::validate_tuned_geometry(&trailer, plan.len(), data_start, trailer_start)?;
-            reader
-                .seek(SeekFrom::Start(trailer.table_offset))
-                .map_err(|e| SzhiError::Io(format!("seeking to the table region: {e}")))?;
-            let region_len = (trailer_start - trailer.table_offset) as usize;
-            let region = read_exact_vec(reader, region_len, "the table region")?;
-            let (entries, configs) =
-                format::parse_tuned_region(&region, &trailer, data_start, header)?;
-            Ok((entries, configs, data_start))
-        }
-    }
-
-    /// Reads and validates the leading chunk table of a v2/v3 stream (the
-    /// table sits directly after the chunk span; the data area follows).
-    fn parse_leading_table(
-        reader: &mut R,
-        header: &Header,
-        plan: &ChunkPlan,
-        version: u8,
-        table_at: u64,
-        file_len: u64,
-    ) -> Result<(Vec<ChunkEntry>, u64), SzhiError> {
-        reader
-            .seek(SeekFrom::Start(table_at))
-            .map_err(|e| SzhiError::Io(format!("seeking to the chunk table: {e}")))?;
-        let count_bytes = read_exact_vec(reader, 8, "the chunk count")?;
-        let n_chunks = u64::from_le_bytes(
-            *count_bytes
-                .first_chunk::<8>()
-                .ok_or_else(|| SzhiError::Io("short read of the chunk count".into()))?,
-        );
-        let entry_size = if version == VERSION_STREAMED {
-            format::V3_ENTRY_SIZE
-        } else {
-            format::V2_ENTRY_SIZE
-        };
-        let remaining = file_len - (table_at + 8);
-        match n_chunks.checked_mul(entry_size as u64) {
-            Some(bytes) if bytes <= remaining => {}
-            _ => {
-                return Err(SzhiError::InvalidStream(format!(
-                    "chunk table count {n_chunks} exceeds the {remaining} bytes left in the \
-                     stream"
-                )))
-            }
-        }
-        if n_chunks != plan.len() as u64 {
-            return Err(SzhiError::InvalidStream(format!(
-                "chunk table lists {n_chunks} chunks, the {} field at span {:?} has {}",
-                header.dims,
-                plan.span(),
-                plan.len()
-            )));
-        }
-        let table_len = n_chunks * entry_size as u64;
-        let table_bytes = read_exact_vec(reader, table_len as usize, "the chunk table")?;
-        let mut cur = ByteCursor::new(&table_bytes);
-        let raw =
-            format::read_raw_entries(&mut cur, version, n_chunks as usize, header.pipeline, 0)?;
-        let data_start = table_at + 8 + table_len;
-        let data_len = file_len - data_start;
-        Ok((format::validate_extents(raw, data_len)?, data_start))
+        let index = locate_table(&mut reader)?;
+        Ok(StreamSource { reader, index })
     }
 
     /// The container version of the stream (2, 3, 4 or 5).
     pub fn version(&self) -> u8 {
-        self.version
+        self.index.version
     }
 
     /// The parsed stream header.
     pub fn header(&self) -> &Header {
-        &self.header
+        &self.index.header
     }
 
     /// Shape of the full field the stream encodes.
     pub fn dims(&self) -> Dims {
-        self.header.dims
+        self.index.header.dims
     }
 
     /// Chunk span per axis `(z, y, x)`.
     pub fn span(&self) -> [usize; 3] {
-        self.span
+        self.index.table.span
     }
 
     /// The chunk partition of the stream.
     pub fn plan(&self) -> &ChunkPlan {
-        &self.plan
+        &self.index.plan
     }
 
     /// Number of chunks in the stream.
     pub fn chunk_count(&self) -> usize {
-        self.entries.len()
+        self.index.table.entries.len()
     }
 
     /// The region of the original field chunk `index` covers.
@@ -1446,7 +940,7 @@ impl<R: Read + Seek> StreamSource<R> {
     /// Panics if `index` is out of range (see
     /// [`StreamSource::chunk_count`]).
     pub fn chunk_region(&self, index: usize) -> Region {
-        self.plan.chunk_at(index)
+        self.index.plan.chunk_at(index)
     }
 
     /// The lossless pipeline that encoded chunk `index` (from the v3+
@@ -1457,8 +951,8 @@ impl<R: Read + Seek> StreamSource<R> {
     /// Panics if `index` is out of range (see
     /// [`StreamSource::chunk_count`]).
     pub fn chunk_pipeline(&self, index: usize) -> PipelineSpec {
-        // szhi-analyzer: allow(panic-reachability) -- documented `# Panics` contract for out-of-range indices; `fetch_chunk` guards every internal use with `check_index`
-        self.entries[index].pipeline
+        // szhi-analyzer: allow(panic-reachability) -- documented `# Panics` contract for out-of-range indices; `fetch_chunk` guards every internal use with a typed range check
+        self.index.table.entries[index].pipeline
     }
 
     /// The interpolation configuration chunk `index` was compressed with:
@@ -1470,45 +964,19 @@ impl<R: Read + Seek> StreamSource<R> {
     /// Panics if `index` is out of range (see
     /// [`StreamSource::chunk_count`]).
     pub fn chunk_interp(&self, index: usize) -> InterpConfig {
-        // szhi-analyzer: allow(panic-reachability) -- documented `# Panics` contract for out-of-range indices; `fetch_chunk` guards every internal use with `check_index`
-        format::resolve_chunk_interp(&self.header, self.entries[index].config, &self.configs)
+        self.index.table.chunk_interp(&self.index.header, index)
     }
 
-    fn check_index(&self, index: usize) -> Result<(), SzhiError> {
-        if index >= self.entries.len() {
-            return Err(SzhiError::InvalidInput(format!(
-                "chunk index {index} out of range for a stream of {} chunks",
-                self.entries.len()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Fetches the body of chunk `index` (one seek + one bounded read) and
-    /// verifies it against its recorded CRC32 when the stream carries one.
+    /// Fetches the body of chunk `index`: one seek + one bounded read.
     fn fetch_chunk(&mut self, index: usize) -> Result<Vec<u8>, SzhiError> {
-        self.check_index(index)?;
-        let entry = *self
-            .entries
-            .get(index)
-            .ok_or_else(|| SzhiError::InvalidInput(format!("chunk index {index} out of range")))?;
+        let entry = *self.index.entry(index)?;
+        let at = (self.index.table.data_start + entry.offset) as u64;
         self.reader
-            .seek(SeekFrom::Start(self.data_start + entry.offset as u64))
+            .seek(SeekFrom::Start(at))
             .map_err(|e| SzhiError::Io(format!("seeking to chunk {index}: {e}")))?;
         let body = read_exact_vec(&mut self.reader, entry.len, "a chunk body")?;
         crate::telemetry::SOURCE_BYTES.bump(body.len() as u64);
         crate::telemetry::SOURCE_CHUNKS.bump(1);
-        if let Some(stored) = entry.checksum {
-            let _span = crate::telemetry::DECODE_CRC.enter();
-            let computed = crc32(&body);
-            if computed != stored {
-                return Err(SzhiError::ChunkChecksum {
-                    index,
-                    stored,
-                    computed,
-                });
-            }
-        }
         Ok(body)
     }
 
@@ -1516,11 +984,11 @@ impl<R: Read + Seek> StreamSource<R> {
     /// it. v2 streams carry no checksums, so for them this is a true no-op
     /// returning `Ok` — no seek, no read.
     pub fn verify_chunk(&mut self, index: usize) -> Result<(), SzhiError> {
-        self.check_index(index)?;
-        match self.entries.get(index) {
-            Some(e) if e.checksum.is_some() => self.fetch_chunk(index).map(|_| ()),
-            _ => Ok(()),
+        let entry = *self.index.entry(index)?;
+        if entry.checksum.is_none() {
+            return Ok(());
         }
+        entry.verify(index, &self.fetch_chunk(index)?)
     }
 
     /// Decodes chunk `index`: reads its body from the backing reader,
@@ -1529,19 +997,7 @@ impl<R: Read + Seek> StreamSource<R> {
     /// reconstructed values.
     pub fn read_chunk(&mut self, index: usize) -> Result<(Region, Grid<f32>), SzhiError> {
         let body = self.fetch_chunk(index)?;
-        let pipeline = self
-            .entries
-            .get(index)
-            .ok_or_else(|| SzhiError::InvalidInput(format!("chunk index {index} out of range")))?
-            .pipeline;
-        let grid = decompress_chunk_body(
-            &self.header,
-            pipeline,
-            &self.chunk_interp(index),
-            self.plan.chunk_dims(index),
-            &body,
-        )?;
-        Ok((self.plan.chunk_at(index), grid))
+        self.index.verify_and_decode(index, &body)
     }
 
     /// Iterates over the decoded chunks **lazily**, in plan order: each
@@ -1557,15 +1013,10 @@ impl<R: Read + Seek> StreamSource<R> {
 
     /// Decodes every chunk sequentially and assembles the full field.
     /// (Reads from one seekable source are inherently serial; decode the
-    /// stream via [`StreamReader::read_all`] instead if it is already in
-    /// memory and parallel decode matters.)
+    /// stream via [`crate::decompress`] instead if it is already in memory
+    /// and parallel decode matters.)
     pub fn read_all(&mut self) -> Result<Grid<f32>, SzhiError> {
-        let mut out = Grid::zeros(self.header.dims);
-        for i in 0..self.entries.len() {
-            let (region, sub) = self.read_chunk(i)?;
-            out.insert(&region, sub.as_slice());
-        }
-        Ok(out)
+        assemble(self.dims(), self.chunks())
     }
 
     /// Consumes the source, returning the backing reader.
@@ -1595,25 +1046,6 @@ impl<R: Read + Seek> Iterator for SourceChunks<'_, R> {
     }
 }
 
-/// Reads exactly `n` bytes from a forward-only reader **without trusting
-/// `n` for the allocation**: the buffer grows only with bytes actually
-/// present, so a corrupt length field fails as a typed error once the
-/// stream runs dry — never as an allocation blowup.
-fn read_exact_untrusted<R: Read>(reader: &mut R, n: u64, what: &str) -> Result<Vec<u8>, SzhiError> {
-    let mut buf = Vec::new();
-    reader
-        .take(n)
-        .read_to_end(&mut buf)
-        .map_err(|e| SzhiError::Io(format!("reading {what}: {e}")))?;
-    if (buf.len() as u64) != n {
-        return Err(SzhiError::Io(format!(
-            "reading {what}: the stream ended after {} of {n} bytes",
-            buf.len()
-        )));
-    }
-    Ok(buf)
-}
-
 /// Discards exactly `n` bytes from a forward-only reader (the gap between
 /// two chunk bodies, which a seekable source would simply seek over).
 fn skip_exact<R: Read>(reader: &mut R, n: u64, what: &str) -> Result<(), SzhiError> {
@@ -1627,26 +1059,19 @@ fn skip_exact<R: Read>(reader: &mut R, n: u64, what: &str) -> Result<(), SzhiErr
     Ok(())
 }
 
-/// How a [`ForwardSource`] holds the part of the stream behind the header.
+/// How a [`ForwardSource`] holds the part of the stream behind the table.
 #[derive(Debug)]
 enum ForwardState<R> {
     /// v2/v3: the chunk table leads the data area, so the source is truly
-    /// incremental — it holds the parsed table, the live reader and the
-    /// current position within the data area, and decodes each body as it
-    /// streams past.
-    Streaming {
-        reader: R,
-        entries: Vec<ChunkEntry>,
-        /// Bytes of the data area consumed so far (the forward cursor).
-        pos: u64,
-    },
+    /// incremental — it holds the live reader and the bytes of the data
+    /// area consumed so far, and decodes each body as it streams past.
+    Streaming { reader: R, pos: u64 },
     /// v4/v5: the chunk table and trailer sit **behind** the data area, so
     /// no chunk's pipeline, config or checksum is known until the stream
-    /// ends. The source buffers the remainder to EOF, then validates
-    /// table + trailer in the standard order — the unavoidable price of a
-    /// trailered container on a pipe (memory high-water is O(compressed
-    /// stream); see [`StreamSource`] for the seekable bounded-memory path).
-    Buffered { bytes: Vec<u8>, table: ChunkTable },
+    /// ends. The source holds the whole compressed stream — the unavoidable
+    /// price of a trailered container on a pipe (see [`StreamSource`] for
+    /// the seekable bounded-memory path).
+    Buffered { bytes: Vec<u8> },
 }
 
 /// Forward-only reader of chunked containers (v2–v5) over any
@@ -1660,7 +1085,7 @@ enum ForwardState<R> {
 /// For trailered v4/v5 containers the table and trailer live at the end of
 /// the stream, so the source buffers the remainder to EOF first and
 /// validates table + trailer at end-of-stream in the same order as the
-/// in-memory readers (header → trailer geometry → table-region CRC32 →
+/// seekable reader (header → trailer geometry → table-region CRC32 →
 /// config dictionary → entries), then every chunk body is still verified
 /// against its CRC32 before any lossless decoder touches it.
 ///
@@ -1683,10 +1108,7 @@ enum ForwardState<R> {
 #[derive(Debug)]
 pub struct ForwardSource<R> {
     state: ForwardState<R>,
-    version: u8,
-    header: Header,
-    span: [usize; 3],
-    plan: ChunkPlan,
+    index: StreamIndex,
     next: usize,
 }
 
@@ -1699,126 +1121,46 @@ impl<R: Read> ForwardSource<R> {
     /// table only; for v4/v5 it consumes the reader to EOF (see the type
     /// docs for why) and validates the trailing table before returning.
     pub fn new(mut reader: R) -> Result<ForwardSource<R>, SzhiError> {
-        // The fixed header prefix: magic, version, and everything through
-        // the level count at offset 48 (see docs/FORMAT.md).
-        let mut head = read_exact_vec(&mut reader, 49, "the stream header")?;
-        let version = format::read_magic_version(&mut ByteCursor::new(&head))?;
-        format::reject_unchunked_version(version)?;
-        // szhi-analyzer: allow(panic-reachability) -- `head` was filled by `read_exact_vec(.., 49, ..)` just above, so index 48 is in bounds; short reads already surfaced as typed errors
-        let n_levels = head[48] as usize;
-        head.extend(read_exact_vec(
-            &mut reader,
-            2 * n_levels + 12,
-            "the predictor levels and chunk span",
-        )?);
-        let mut cur = ByteCursor::new(&head);
-        format::read_magic_version(&mut cur)?;
-        let header = format::read_header_fields(&mut cur)?;
-        let span = format::read_span(&mut cur)?;
-        let plan = format::validated_plan(&header, span)?;
-        let state = if version == VERSION_TRAILERED || version == VERSION_TUNED {
-            Self::buffer_trailered(reader, head)?
-        } else {
-            Self::parse_forward_leading_table(reader, &header, &plan, version)?
+        let (index, buffered) = locate_table_forward(&mut reader)?;
+        let state = match buffered {
+            Some(bytes) => ForwardState::Buffered { bytes },
+            None => ForwardState::Streaming { reader, pos: 0 },
         };
         Ok(ForwardSource {
             state,
-            version,
-            header,
-            span,
-            plan,
+            index,
             next: 0,
-        })
-    }
-
-    /// The v4/v5 path: drain the reader to EOF behind the already-consumed
-    /// header prefix, then validate the whole stream exactly like the
-    /// in-memory readers — the table and trailer are validated at
-    /// end-of-stream, in the standard order.
-    fn buffer_trailered(mut reader: R, head: Vec<u8>) -> Result<ForwardState<R>, SzhiError> {
-        let mut bytes = head;
-        reader
-            .read_to_end(&mut bytes)
-            .map_err(|e| SzhiError::Io(format!("reading a trailered stream to its end: {e}")))?;
-        let (_, table) = format::read_stream_trailered(&bytes)?;
-        Ok(ForwardState::Buffered { bytes, table })
-    }
-
-    /// The v2/v3 path: read and validate the leading chunk table, leaving
-    /// the reader positioned at the start of the data area. The data
-    /// area's length is unknown on a forward stream (it ends at EOF), so
-    /// extents are validated against the maximal area; a chunk that claims
-    /// bytes past the true end surfaces as a typed I/O error when its body
-    /// is read.
-    fn parse_forward_leading_table(
-        mut reader: R,
-        header: &Header,
-        plan: &ChunkPlan,
-        version: u8,
-    ) -> Result<ForwardState<R>, SzhiError> {
-        let count_bytes = read_exact_vec(&mut reader, 8, "the chunk count")?;
-        let n_chunks = u64::from_le_bytes(
-            *count_bytes
-                .first_chunk::<8>()
-                .ok_or_else(|| SzhiError::Io("short read of the chunk count".into()))?,
-        );
-        if n_chunks != plan.len() as u64 {
-            return Err(SzhiError::InvalidStream(format!(
-                "chunk table lists {n_chunks} chunks, the {} field at span {:?} has {}",
-                header.dims,
-                plan.span(),
-                plan.len()
-            )));
-        }
-        let entry_size = if version == VERSION_STREAMED {
-            format::V3_ENTRY_SIZE
-        } else {
-            format::V2_ENTRY_SIZE
-        };
-        let table_len = n_chunks.saturating_mul(entry_size as u64);
-        let table_bytes = read_exact_untrusted(&mut reader, table_len, "the chunk table")?;
-        let mut cur = ByteCursor::new(&table_bytes);
-        let raw =
-            format::read_raw_entries(&mut cur, version, n_chunks as usize, header.pipeline, 0)?;
-        let entries = format::validate_extents(raw, u64::MAX)?;
-        Ok(ForwardState::Streaming {
-            reader,
-            entries,
-            pos: 0,
         })
     }
 
     /// The container version of the stream (2, 3, 4 or 5).
     pub fn version(&self) -> u8 {
-        self.version
+        self.index.version
     }
 
     /// The parsed stream header.
     pub fn header(&self) -> &Header {
-        &self.header
+        &self.index.header
     }
 
     /// Shape of the full field the stream encodes.
     pub fn dims(&self) -> Dims {
-        self.header.dims
+        self.index.header.dims
     }
 
     /// Chunk span per axis `(z, y, x)`.
     pub fn span(&self) -> [usize; 3] {
-        self.span
+        self.index.table.span
     }
 
     /// The chunk partition of the stream.
     pub fn plan(&self) -> &ChunkPlan {
-        &self.plan
+        &self.index.plan
     }
 
     /// Number of chunks in the stream.
     pub fn chunk_count(&self) -> usize {
-        match &self.state {
-            ForwardState::Streaming { entries, .. } => entries.len(),
-            ForwardState::Buffered { table, .. } => table.entries.len(),
-        }
+        self.index.table.entries.len()
     }
 
     /// Index of the next chunk [`ForwardSource::next_chunk`] will decode.
@@ -1833,29 +1175,14 @@ impl<R: Read> ForwardSource<R> {
     /// Panics if `index` is out of range (see
     /// [`ForwardSource::chunk_count`]).
     pub fn chunk_region(&self, index: usize) -> Region {
-        self.plan.chunk_at(index)
-    }
-
-    /// The table entry of chunk `index`, or a typed error when out of
-    /// range.
-    fn entry(&self, index: usize) -> Result<ChunkEntry, SzhiError> {
-        let entry = match &self.state {
-            ForwardState::Streaming { entries, .. } => entries.get(index),
-            ForwardState::Buffered { table, .. } => table.entries.get(index),
-        };
-        entry.copied().ok_or_else(|| {
-            SzhiError::InvalidInput(format!(
-                "chunk index {index} out of range for a stream of {} chunks",
-                self.chunk_count()
-            ))
-        })
+        self.index.plan.chunk_at(index)
     }
 
     /// The lossless pipeline that encoded chunk `index` (from the v3+ mode
     /// byte; for v2 streams, the header's global pipeline), or a typed
     /// error when out of range.
     pub fn chunk_pipeline(&self, index: usize) -> Result<PipelineSpec, SzhiError> {
-        self.entry(index).map(|e| e.pipeline)
+        self.index.entry(index).map(|e| e.pipeline)
     }
 
     /// The interpolation configuration chunk `index` was compressed with:
@@ -1863,16 +1190,8 @@ impl<R: Read> ForwardSource<R> {
     /// configuration for every other version; a typed error when out of
     /// range.
     pub fn chunk_interp(&self, index: usize) -> Result<InterpConfig, SzhiError> {
-        let entry = self.entry(index)?;
-        let configs: &[Vec<LevelConfig>] = match &self.state {
-            ForwardState::Streaming { .. } => &[],
-            ForwardState::Buffered { table, .. } => &table.configs,
-        };
-        Ok(format::resolve_chunk_interp(
-            &self.header,
-            entry.config,
-            configs,
-        ))
+        self.index.entry(index)?;
+        Ok(self.index.table.chunk_interp(&self.index.header, index))
     }
 
     /// Decodes the next chunk in offset order: its region of the original
@@ -1897,17 +1216,10 @@ impl<R: Read> ForwardSource<R> {
 
     /// Fetches and decodes chunk `index` (the current forward position).
     fn decode_chunk(&mut self, index: usize) -> Result<(Region, Grid<f32>), SzhiError> {
-        let entry = self.entry(index)?;
-        let interp = self.chunk_interp(index)?;
-        let ForwardSource {
-            state,
-            header,
-            plan,
-            ..
-        } = self;
-        let dims = plan.chunk_dims(index);
-        let grid = match state {
-            ForwardState::Streaming { reader, pos, .. } => {
+        let entry = *self.index.entry(index)?;
+        let streamed;
+        let body: &[u8] = match &mut self.state {
+            ForwardState::Streaming { reader, pos } => {
                 let offset = entry.offset as u64;
                 if offset > *pos {
                     // A gap between bodies: a seekable source would seek
@@ -1915,31 +1227,15 @@ impl<R: Read> ForwardSource<R> {
                     skip_exact(reader, offset - *pos, "a gap between chunk bodies")?;
                     *pos = offset;
                 }
-                let body = read_exact_untrusted(reader, entry.len as u64, "a chunk body")?;
+                streamed = read_exact_untrusted(reader, entry.len as u64, "a chunk body")?;
                 *pos += entry.len as u64;
-                crate::telemetry::FORWARD_BYTES.bump(body.len() as u64);
-                crate::telemetry::FORWARD_CHUNKS.bump(1);
-                if let Some(stored) = entry.checksum {
-                    let _span = crate::telemetry::DECODE_CRC.enter();
-                    let computed = crc32(&body);
-                    if computed != stored {
-                        return Err(SzhiError::ChunkChecksum {
-                            index,
-                            stored,
-                            computed,
-                        });
-                    }
-                }
-                decompress_chunk_body(header, entry.pipeline, &interp, dims, &body)?
+                &streamed
             }
-            ForwardState::Buffered { bytes, table } => {
-                let body = table.verified_chunk_slice(bytes, index)?;
-                crate::telemetry::FORWARD_BYTES.bump(body.len() as u64);
-                crate::telemetry::FORWARD_CHUNKS.bump(1);
-                decompress_chunk_body(header, entry.pipeline, &interp, dims, body)?
-            }
+            ForwardState::Buffered { bytes } => self.index.table.entry_slice(bytes, index)?.1,
         };
-        Ok((plan.chunk_at(index), grid))
+        crate::telemetry::FORWARD_BYTES.bump(body.len() as u64);
+        crate::telemetry::FORWARD_CHUNKS.bump(1);
+        self.index.verify_and_decode(index, body)
     }
 
     /// Iterates over the remaining decoded chunks in offset order, lazily:
@@ -1955,12 +1251,7 @@ impl<R: Read> ForwardSource<R> {
     /// fresh source this reconstructs the whole field, identically to
     /// [`crate::decompress`].
     pub fn read_all(&mut self) -> Result<Grid<f32>, SzhiError> {
-        let mut out = Grid::zeros(self.header.dims);
-        while let Some(chunk) = self.next_chunk() {
-            let (region, sub) = chunk?;
-            out.insert(&region, sub.as_slice());
-        }
-        Ok(out)
+        assemble(self.dims(), self.chunks())
     }
 }
 
@@ -1984,7 +1275,8 @@ mod tests {
     use super::*;
     use crate::compressor::{compress_chunked, decompress};
     use crate::config::ErrorBound;
-    use crate::format::{stream_version, VERSION_STREAMED};
+    use crate::format::legacy::recontain;
+    use crate::format::{read_chunk_table, stream_version, VERSION_STREAMED};
     use szhi_datagen::DatasetKind;
 
     /// A streaming-safe configuration: absolute bound, no whole-field
@@ -1995,12 +1287,12 @@ mod tests {
             .with_chunk_span(span)
     }
 
-    fn push_all(writer: &mut StreamWriter, data: &Grid<f32>) -> Vec<ChunkReceipt> {
+    fn push_all<W: Write>(sink: &mut StreamSink<W>, data: &Grid<f32>) -> Vec<ChunkReceipt> {
         let mut receipts = Vec::new();
-        while let Some(region) = writer.next_chunk_region() {
-            let dims = writer.plan().chunk_dims(writer.next_index());
+        while let Some(region) = sink.next_chunk_region() {
+            let dims = sink.plan().chunk_dims(sink.next_index());
             let sub = Grid::from_vec(dims, data.extract(&region));
-            receipts.push(writer.push_chunk(&sub).unwrap());
+            receipts.push(sink.push_chunk(&sub).unwrap());
         }
         receipts
     }
@@ -2011,18 +1303,18 @@ mod tests {
         let cfg = stream_cfg([16, 16, 16]);
         let batch = compress_chunked(&data, &cfg, [16, 16, 16]).unwrap();
 
-        let mut writer = StreamWriter::new(data.dims(), &cfg).unwrap();
-        assert_eq!(writer.next_index(), 0);
-        let receipts = push_all(&mut writer, &data);
-        assert!(writer.is_complete());
-        assert_eq!(receipts.len(), writer.plan().len());
-        let (streamed, stats) = writer.finish_with_stats().unwrap();
+        let mut sink = StreamSink::new(Vec::new(), data.dims(), &cfg).unwrap();
+        assert_eq!(sink.next_index(), 0);
+        let receipts = push_all(&mut sink, &data);
+        assert!(sink.is_complete());
+        assert_eq!(receipts.len(), sink.plan().len());
+        let (streamed, stats) = sink.finish_with_stats().unwrap();
 
         assert_eq!(
             streamed, batch,
             "streamed and batch outputs must be identical"
         );
-        assert_eq!(stream_version(&streamed).unwrap(), VERSION_STREAMED);
+        assert_eq!(stream_version(&streamed).unwrap(), VERSION_TRAILERED);
         assert_eq!(stats.compressed_bytes, streamed.len());
         assert_eq!(
             receipts.iter().map(|r| r.index).collect::<Vec<_>>(),
@@ -2036,69 +1328,36 @@ mod tests {
         // Relative bound: needs the global value range.
         let cfg = SzhiConfig::new(ErrorBound::Relative(1e-3)).with_auto_tune(false);
         assert!(matches!(
-            StreamWriter::new(dims, &cfg),
+            StreamSink::new(Vec::new(), dims, &cfg),
             Err(SzhiError::InvalidInput(msg)) if msg.contains("relative")
         ));
         // Whole-field auto-tune.
         let cfg = SzhiConfig::new(ErrorBound::Absolute(1e-3));
         assert!(matches!(
-            StreamWriter::new(dims, &cfg),
+            StreamSink::new(Vec::new(), dims, &cfg),
             Err(SzhiError::InvalidInput(msg)) if msg.contains("auto-tune")
         ));
         // Misaligned span.
         let cfg = stream_cfg([12, 16, 16]);
-        assert!(StreamWriter::new(dims, &cfg).is_err());
-    }
-
-    #[test]
-    fn writer_enforces_chunk_order_shape_and_completeness() {
-        let data = DatasetKind::Nyx.generate(Dims::d3(32, 32, 32), 5);
-        let cfg = stream_cfg([16, 16, 16]);
-        let mut writer = StreamWriter::new(data.dims(), &cfg).unwrap();
-        assert_eq!(writer.plan().len(), 8);
-
-        // Wrong shape: chunk 0 expects 16³.
-        let wrong = Grid::zeros(Dims::d3(8, 16, 16));
-        assert!(matches!(
-            writer.push_chunk(&wrong),
-            Err(SzhiError::InvalidInput(msg)) if msg.contains("shape")
-        ));
-
-        // Out-of-order push of a pre-encoded chunk.
-        let region = writer.plan().chunk_at(3);
-        let sub = Grid::from_vec(region.dims(), data.extract(&region));
-        let encoded = writer.encode_chunk(3, &sub).unwrap();
-        assert_eq!(encoded.index(), 3);
-        assert!(encoded.compressed_bytes() > 0);
-        assert!(matches!(
-            writer.push_encoded(encoded),
-            Err(SzhiError::InvalidInput(msg)) if msg.contains("out of order")
-        ));
-
-        // Finishing early must fail with a typed error.
-        let region = writer.plan().chunk_at(0);
-        let sub = Grid::from_vec(region.dims(), data.extract(&region));
-        writer.push_chunk(&sub).unwrap();
-        assert!(matches!(
-            writer.finish(),
-            Err(SzhiError::InvalidInput(msg)) if msg.contains("1 of 8")
-        ));
+        assert!(StreamSink::new(Vec::new(), dims, &cfg).is_err());
     }
 
     #[test]
     fn reader_iterates_lazily_and_drains_eagerly() {
         let data = DatasetKind::Rtm.generate(Dims::d3(40, 40, 24), 13);
         let cfg = stream_cfg([16, 16, 16]);
-        let mut writer = StreamWriter::new(data.dims(), &cfg).unwrap();
-        push_all(&mut writer, &data);
-        let bytes = writer.finish().unwrap();
+        let mut sink = StreamSink::new(Vec::new(), data.dims(), &cfg).unwrap();
+        push_all(&mut sink, &data);
+        let bytes = sink.finish().unwrap();
 
-        let reader = StreamReader::new(&bytes).unwrap();
+        // The lazy in-memory reader is the seekable source over the bytes;
+        // the eager parallel drain is `decompress`.
+        let mut reader = StreamSource::from_bytes(&bytes).unwrap();
         assert_eq!(reader.dims(), data.dims());
         assert_eq!(reader.chunk_count(), 3 * 3 * 2);
         let mut covered = 0usize;
-        for (i, chunk) in reader.chunks().enumerate() {
-            let (region, sub) = chunk.unwrap();
+        for i in 0..reader.chunk_count() {
+            let (region, sub) = reader.read_chunk(i).unwrap();
             assert_eq!(region, reader.chunk_region(i));
             assert_eq!(sub.len(), region.len());
             reader.verify_chunk(i).unwrap();
@@ -2109,9 +1368,9 @@ mod tests {
         }
         assert_eq!(covered, data.dims().len());
 
-        let eager = reader.read_all().unwrap();
+        let eager = decompress(&bytes).unwrap();
         assert_eq!(eager.dims(), data.dims());
-        assert_eq!(eager.as_slice(), decompress(&bytes).unwrap().as_slice());
+        assert_eq!(eager.as_slice(), reader.read_all().unwrap().as_slice());
         assert!(reader.read_chunk(reader.chunk_count()).is_err());
     }
 
@@ -2137,17 +1396,11 @@ mod tests {
     fn sink_emits_v4_with_the_same_chunks_as_the_v3_writer() {
         let data = DatasetKind::Miranda.generate(Dims::d3(48, 40, 36), 21);
         let cfg = stream_cfg([16, 16, 16]);
-        let v3 = compress_chunked(&data, &cfg, [16, 16, 16]).unwrap();
-
         let mut sink = StreamSink::new(Vec::new(), data.dims(), &cfg).unwrap();
         assert_eq!(sink.next_index(), 0);
         assert_eq!(sink.dims(), data.dims());
         assert!(sink.abs_eb() > 0.0);
-        while let Some(region) = sink.next_chunk_region() {
-            let dims = sink.plan().chunk_dims(sink.next_index());
-            let sub = Grid::from_vec(dims, data.extract(&region));
-            sink.push_chunk(&sub).unwrap();
-        }
+        push_all(&mut sink, &data);
         assert!(sink.is_complete());
         let (v4, stats) = sink.finish_with_stats().unwrap();
         assert_eq!(
@@ -2156,28 +1409,18 @@ mod tests {
         );
         assert_eq!(stats.compressed_bytes, v4.len());
 
-        // The sink shares the v3 writer's chunk encoder: rebuilding a v4
-        // container from the v3 stream's bodies and pipelines reproduces
+        // The legacy v3 writer framed the same chunk bodies with a leading
+        // table: re-wrapping the sink's chunks as v3 and back reproduces
         // the sink's bytes exactly.
-        let (header, table) = crate::format::read_stream_chunked(&v3).unwrap();
-        let chunks: Vec<(PipelineSpec, Vec<u8>)> = (0..table.entries.len())
-            .map(|i| {
-                (
-                    table.entries[i].pipeline,
-                    table.chunk_slice(&v3, i).to_vec(),
-                )
-            })
-            .collect();
-        let rebuilt = crate::format::write_stream_v4(&header, table.span, &chunks);
-        assert_eq!(v4, rebuilt, "sink bytes must match write_stream_v4");
+        let v3 = recontain(&v4, VERSION_STREAMED);
+        assert_eq!(stream_version(&v3).unwrap(), VERSION_STREAMED);
+        assert_eq!(v4, recontain(&v3, crate::format::VERSION_TRAILERED));
 
         // And the trailered stream decompresses bit-identically to the v3
         // stream through every reader.
         let from_v3 = decompress(&v3).unwrap();
         let from_v4 = decompress(&v4).unwrap();
         assert_eq!(from_v3.as_slice(), from_v4.as_slice());
-        let reader = StreamReader::new(&v4).unwrap();
-        assert_eq!(reader.read_all().unwrap().as_slice(), from_v4.as_slice());
         let mut source = StreamSource::from_bytes(&v4).unwrap();
         assert_eq!(source.version(), crate::format::VERSION_TRAILERED);
         assert_eq!(source.read_all().unwrap().as_slice(), from_v4.as_slice());
@@ -2201,6 +1444,8 @@ mod tests {
         let region = sink.plan().chunk_at(3);
         let sub = Grid::from_vec(region.dims(), data.extract(&region));
         let encoded = sink.encode_chunk(3, &sub).unwrap();
+        assert_eq!(encoded.index(), 3);
+        assert!(encoded.compressed_bytes() > 0);
         assert!(matches!(
             sink.push_encoded(encoded),
             Err(SzhiError::InvalidInput(msg)) if msg.contains("out of order")
@@ -2215,7 +1460,7 @@ mod tests {
             Err(SzhiError::InvalidInput(msg)) if msg.contains("1 of 8")
         ));
 
-        // Streaming-hostile configs are rejected like the v3 writer's.
+        // Streaming-hostile configs are rejected.
         let relative = SzhiConfig::new(ErrorBound::Relative(1e-3)).with_auto_tune(false);
         assert!(matches!(
             StreamSink::new(Vec::new(), data.dims(), &relative),
@@ -2242,21 +1487,13 @@ mod tests {
     fn source_reads_every_chunked_version_like_the_slice_reader() {
         let data = DatasetKind::Rtm.generate(Dims::d3(40, 40, 24), 13);
         let cfg = stream_cfg([16, 16, 16]);
-        let v3 = compress_chunked(&data, &cfg, [16, 16, 16]).unwrap();
-        // Reassemble v2 and v4 containers carrying the same chunk bodies.
-        let (header, table) = crate::format::read_stream_chunked(&v3).unwrap();
-        let bodies: Vec<Vec<u8>> = (0..table.entries.len())
-            .map(|i| table.chunk_slice(&v3, i).to_vec())
-            .collect();
-        let chunks: Vec<(PipelineSpec, Vec<u8>)> = bodies
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (table.entries[i].pipeline, b.clone()))
-            .collect();
-        let v2 = crate::format::write_stream_v2(&header, table.span, &bodies);
-        let v4 = crate::format::write_stream_v4(&header, table.span, &chunks);
+        let v4 = compress_chunked(&data, &cfg, [16, 16, 16]).unwrap();
+        // Legacy v2 and v3 containers carrying the same chunk bodies.
+        let (header, table) = read_chunk_table(&v4).unwrap();
+        let v2 = recontain(&v4, crate::format::VERSION_CHUNKED);
+        let v3 = recontain(&v4, VERSION_STREAMED);
 
-        let expect = decompress(&v3).unwrap();
+        let expect = decompress(&v4).unwrap();
         for (version, bytes) in [(2u8, &v2), (3, &v3), (4, &v4)] {
             let mut source = StreamSource::from_bytes(bytes).unwrap();
             assert_eq!(source.version(), version, "v{version}");
@@ -2298,7 +1535,7 @@ mod tests {
         // v1: named monolithic, pointed at `decompress` — not a confusing
         // chunk-table parse failure.
         for result in [
-            StreamReader::new(&v1).err(),
+            read_chunk_table(&v1).err(),
             StreamSource::from_bytes(&v1).err(),
         ] {
             match result {
@@ -2311,7 +1548,7 @@ mod tests {
         }
         // v6: named unsupported, with the version number.
         for result in [
-            StreamReader::new(&v6).err(),
+            read_chunk_table(&v6).err(),
             StreamSource::from_bytes(&v6).err(),
         ] {
             match result {
@@ -2332,11 +1569,7 @@ mod tests {
         let data = DatasetKind::Qmcpack.generate(Dims::d3(20, 20, 20), 3);
         let cfg = stream_cfg([16, 16, 16]);
         let mut sink = StreamSink::new(Vec::new(), data.dims(), &cfg).unwrap();
-        while let Some(region) = sink.next_chunk_region() {
-            let dims = sink.plan().chunk_dims(sink.next_index());
-            sink.push_chunk(&Grid::from_vec(dims, data.extract(&region)))
-                .unwrap();
-        }
+        push_all(&mut sink, &data);
         let bytes = sink.finish().unwrap();
         for pos in 0..bytes.len() {
             for flip in [0x01u8, 0x80, 0xFF] {
@@ -2371,7 +1604,7 @@ mod tests {
         // because every chunk independently keeps the smaller of the two
         // payloads (ties falling back to the configured default), the tuned
         // stream must never be *larger* than the best global mode. The
-        // container overhead is identical (v3 entries are fixed-size), so
+        // container overhead is identical (v4 entries are fixed-size), so
         // the guarantee is exact, not approximate.
         let data = szhi_datagen::mixed_smooth_noisy(Dims::d3(32, 32, 64));
         let span = [32, 32, 32];
@@ -2400,7 +1633,7 @@ mod tests {
             // the default (CR) mode, the tuned stream must be byte-identical
             // to the global default stream — no stray mode bytes, no size
             // drift.
-            let reader = StreamReader::new(&tuned).unwrap();
+            let reader = StreamSource::from_bytes(&tuned).unwrap();
             let all_default =
                 (0..reader.chunk_count()).all(|i| reader.chunk_pipeline(i) == PipelineSpec::CR);
             if all_default {
@@ -2421,10 +1654,10 @@ mod tests {
     fn per_chunk_interp_tuning_emits_a_v5_stream_that_roundtrips_everywhere() {
         // The acceptance contract of the tuned (v5) container: with
         // per-chunk interpolation tuning (and estimator-guided pipeline
-        // selection) enabled, the batch engine, the incremental writer and
-        // the io-backed sink all emit the same v5 bytes, and the stream
-        // decodes bit-identically through `decompress`, `StreamReader`
-        // and `StreamSource`, honouring the error bound.
+        // selection) enabled, the batch engine and a sink pushed one chunk
+        // at a time emit the same v5 bytes, and the stream decodes
+        // bit-identically through `decompress`, `StreamSource` and
+        // `ForwardSource`, honouring the error bound.
         let data = szhi_datagen::mixed_smooth_noisy(Dims::d3(32, 32, 64));
         let abs_eb = 2e-3;
         let cfg = SzhiConfig::new(ErrorBound::Absolute(abs_eb))
@@ -2436,27 +1669,17 @@ mod tests {
         let batch = compress_chunked(&data, &cfg, [32, 32, 32]).unwrap();
         assert_eq!(stream_version(&batch).unwrap(), VERSION_TUNED);
 
-        // Incremental writer: same bytes.
-        let mut writer = StreamWriter::new(data.dims(), &cfg).unwrap();
-        push_all(&mut writer, &data);
-        let streamed = writer.finish().unwrap();
-        assert_eq!(streamed, batch, "writer must match the batch engine");
-
-        // io-backed sink: same bytes again (the v5 tail is identical).
+        // A sink pushed one chunk at a time: same bytes.
         let mut sink = StreamSink::new(Vec::new(), data.dims(), &cfg).unwrap();
-        while let Some(region) = sink.next_chunk_region() {
-            let dims = sink.plan().chunk_dims(sink.next_index());
-            sink.push_chunk(&Grid::from_vec(dims, data.extract(&region)))
-                .unwrap();
-        }
+        push_all(&mut sink, &data);
         let sunk = sink.finish().unwrap();
         assert_eq!(sunk, batch, "sink must match the batch engine");
 
         // Every reader agrees bit-for-bit and the bound holds.
         let from_decompress = decompress(&batch).unwrap();
-        let reader = StreamReader::new(&batch).unwrap();
+        let mut forward = ForwardSource::new(&batch[..]).unwrap();
         assert_eq!(
-            reader.read_all().unwrap().as_slice(),
+            forward.read_all().unwrap().as_slice(),
             from_decompress.as_slice()
         );
         let mut source = StreamSource::from_bytes(&batch).unwrap();
@@ -2471,11 +1694,11 @@ mod tests {
 
         // The chunk table exposes each chunk's resolved configuration, and
         // the dictionary holds every referenced config.
-        for i in 0..reader.chunk_count() {
-            let interp = reader.chunk_interp(i);
+        for i in 0..source.chunk_count() {
+            let interp = source.chunk_interp(i);
             interp.validate().unwrap();
-            assert_eq!(interp.anchor_stride, reader.header().interp.anchor_stride);
-            assert_eq!(source.chunk_interp(i), interp);
+            assert_eq!(interp.anchor_stride, source.header().interp.anchor_stride);
+            assert_eq!(forward.chunk_interp(i).unwrap(), interp);
         }
 
         // Random access decodes each chunk with its own config.
@@ -2545,18 +1768,10 @@ mod tests {
     fn forward_source_matches_the_seekable_source_on_every_version() {
         let data = DatasetKind::Rtm.generate(Dims::d3(40, 40, 24), 13);
         let cfg = stream_cfg([16, 16, 16]);
-        let v3 = compress_chunked(&data, &cfg, [16, 16, 16]).unwrap();
-        let (header, table) = crate::format::read_stream_chunked(&v3).unwrap();
-        let bodies: Vec<Vec<u8>> = (0..table.entries.len())
-            .map(|i| table.chunk_slice(&v3, i).to_vec())
-            .collect();
-        let chunks: Vec<(PipelineSpec, Vec<u8>)> = bodies
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (table.entries[i].pipeline, b.clone()))
-            .collect();
-        let v2 = crate::format::write_stream_v2(&header, table.span, &bodies);
-        let v4 = crate::format::write_stream_v4(&header, table.span, &chunks);
+        let v4 = compress_chunked(&data, &cfg, [16, 16, 16]).unwrap();
+        let (_, table) = read_chunk_table(&v4).unwrap();
+        let v2 = recontain(&v4, crate::format::VERSION_CHUNKED);
+        let v3 = recontain(&v4, VERSION_STREAMED);
         let v5 = compress_chunked(
             &data,
             &cfg.clone()
@@ -2640,8 +1855,9 @@ mod tests {
         // must only be non-overlapping and non-decreasing). A seekable
         // source seeks over them; the forward source must discard them.
         let data = DatasetKind::Nyx.generate(Dims::d3(32, 32, 32), 5);
-        let v3 = compress_chunked(&data, &stream_cfg([16, 16, 16]), [16, 16, 16]).unwrap();
-        let (_, table) = crate::format::read_stream_chunked(&v3).unwrap();
+        let v4 = compress_chunked(&data, &stream_cfg([16, 16, 16]), [16, 16, 16]).unwrap();
+        let v3 = recontain(&v4, VERSION_STREAMED);
+        let (_, table) = read_chunk_table(&v3).unwrap();
         let n = table.entries.len();
         let gap = 5usize;
         let mut gapped = v3[..table.data_start].to_vec();
@@ -2665,14 +1881,15 @@ mod tests {
     #[test]
     fn forward_source_byte_flips_and_truncations_never_panic() {
         // The forward-only read path upholds the same discipline as every
-        // other reader: single-byte corruption and truncation of a leading
-        // -table (v3) or trailered (v5) stream surface as typed errors —
-        // never a panic, never an unbounded allocation.
+        // other reader: single-byte corruption and truncation of a
+        // leading-table (v3) or trailered (v5) stream surface as typed
+        // errors — never a panic, never an unbounded allocation.
         let data = szhi_datagen::mixed_smooth_noisy(Dims::d3(16, 16, 32));
         let cfg = SzhiConfig::new(ErrorBound::Absolute(2e-3))
             .with_auto_tune(false)
             .with_chunk_span([16, 16, 16]);
-        let v3 = compress_chunked(&data, &cfg, [16, 16, 16]).unwrap();
+        let v4 = compress_chunked(&data, &cfg, [16, 16, 16]).unwrap();
+        let v3 = recontain(&v4, VERSION_STREAMED);
         let v5 = compress_chunked(
             &data,
             &cfg.clone()
@@ -2747,10 +1964,10 @@ mod tests {
             estimated.len(),
             exhaustive.len()
         );
-        // Both remain plain v3 streams (no per-chunk interp): the wider
+        // Both remain plain v4 streams (no per-chunk interp): the wider
         // candidate set needs no container change.
-        assert_eq!(stream_version(&estimated).unwrap(), VERSION_STREAMED);
-        assert_eq!(stream_version(&exhaustive).unwrap(), VERSION_STREAMED);
+        assert_eq!(stream_version(&estimated).unwrap(), VERSION_TRAILERED);
+        assert_eq!(stream_version(&exhaustive).unwrap(), VERSION_TRAILERED);
         // And the estimated stream still honours the bound.
         let recon = decompress(&estimated).unwrap();
         for (a, b) in data.as_slice().iter().zip(recon.as_slice()) {
@@ -2789,7 +2006,7 @@ mod tests {
             span,
         )
         .unwrap();
-        let reader = StreamReader::new(&tuned_bytes).unwrap();
+        let mut reader = StreamSource::from_bytes(&tuned_bytes).unwrap();
         let modes: std::collections::HashSet<u8> = (0..reader.chunk_count())
             .map(|i| reader.chunk_pipeline(i).id())
             .collect();

@@ -41,7 +41,7 @@ pub mod prelude {
     pub use szhi_baselines::Compressor;
     pub use szhi_core::{
         compress, decompress, ErrorBound, ForwardSource, JobHandle, JobProgress, JobService,
-        ModeTuning, PipelineMode, StreamReader, StreamSink, StreamSource, StreamWriter, SzhiConfig,
+        ModeTuning, PipelineMode, StreamSink, StreamSource, SzhiConfig,
     };
     pub use szhi_datagen::DatasetKind;
     pub use szhi_metrics::QualityReport;

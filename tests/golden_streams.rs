@@ -3,30 +3,27 @@
 //! The pinned assets under `tests/golden/` (see its README) lock down
 //! three surfaces at once:
 //!
-//! 1. **current-version byte-exactness** — re-encoding the pinned field
-//!    with today's encoder must reproduce `v5.szhi` bit for bit, so no
-//!    change to the predictor, the tuner or any lossless stage can alter
-//!    the shipped container unnoticed;
+//! 1. **written-version byte-exactness** — re-encoding the pinned field
+//!    with today's encoders must reproduce `v1.szhi`, `v4.szhi` and
+//!    `v5.szhi` (every version the library still writes) bit for bit, so
+//!    no change to the predictor, the tuner, any lossless stage or the
+//!    container framing can alter a shipped container unnoticed;
 //! 2. **historical decode compatibility** — every container version ever
-//!    shipped (v1–v5) must keep decoding to the pinned field within the
-//!    recorded bound, through every read path (in-memory `decompress`,
-//!    seekable `StreamSource`, forward-only `ForwardSource`);
+//!    shipped (v1–v5, the frozen v2 and v3 included) must keep decoding to
+//!    the pinned field within the recorded bound, through every read path
+//!    (in-memory `decompress`, seekable `StreamSource`, forward-only
+//!    `ForwardSource`);
 //! 3. **inspect stability** — the `szhi-cli inspect` rendering of each
 //!    stream is pinned text, so the metadata surface cannot drift.
 //!
 //! Regenerate the corpus (`cargo run -p szhi-cli --bin golden-gen`) only
 //! for an intentional format or encoder change, in the same commit.
 
-use std::path::PathBuf;
 use szhi::prelude::*;
 use szhi_cli::golden::{self, GOLDEN_ABS_EB};
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden"))
-}
-
 fn pinned(name: &str) -> Vec<u8> {
-    let path = golden_dir().join(name);
+    let path = golden::corpus_dir().join(name);
     std::fs::read(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
 }
 
@@ -62,14 +59,16 @@ fn the_pinned_field_is_the_generator_field() {
 #[test]
 fn current_version_reencodes_byte_exactly() {
     let field = pinned_field();
-    let rebuilt = golden::build(5, &field).expect("current-version golden build");
-    assert_eq!(
-        rebuilt,
-        pinned("v5.szhi"),
-        "the current (v5) encoder no longer reproduces the pinned stream — if this \
-         change is intentional, regenerate the corpus with `cargo run -p szhi-cli \
-         --bin golden-gen` in the same commit"
-    );
+    for v in golden::BUILT {
+        let rebuilt = golden::build(v, &field).expect("golden build");
+        assert_eq!(
+            rebuilt,
+            pinned(&format!("v{v}.szhi")),
+            "the v{v} encoder no longer reproduces the pinned stream — if this change \
+             is intentional, regenerate the corpus with `cargo run -p szhi-cli --bin \
+             golden-gen` in the same commit"
+        );
+    }
 }
 
 #[test]
