@@ -1,7 +1,7 @@
 //! Machine-readable reports: the `--format json` writer, a dependency-free
 //! JSON reader for `--baseline` files, and the baseline diff.
 //!
-//! The JSON shape is versioned and mirrors `chunked_throughput --json`:
+//! The JSON shape is versioned:
 //!
 //! ```json
 //! {

@@ -4,8 +4,8 @@
 //! anisotropic 33×9×9 tiles, dimension-sequence cubic interpolation) with
 //! plain Huffman encoding of the quantization codes. cuSZ-IB appends the
 //! NVIDIA-Bitcomp lossless pass — represented here by the Bitcomp simulator,
-//! see `DESIGN.md` — which is what made cuSZ-I(B) the strongest
-//! high-ratio GPU baseline before cuSZ-Hi.
+//! see [`szhi_codec::bitcomp_sim`] — which is what made cuSZ-I(B) the
+//! strongest high-ratio GPU baseline before cuSZ-Hi.
 
 use crate::stream::{read_header, write_header};
 use crate::Compressor;

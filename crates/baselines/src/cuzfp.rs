@@ -11,8 +11,8 @@
 //! This re-implementation keeps the structure (block floating point →
 //! integer decorrelating transform → most-significant-first bit-plane coding
 //! with a fixed per-block budget) but uses an exactly invertible Haar-style
-//! integer lifting instead of ZFP's proprietary lifting constants; the
-//! substitution is documented in `DESIGN.md`.
+//! integer lifting instead of ZFP's proprietary lifting constants. The
+//! crate doc tabulates this and the other baselines' substitutions.
 
 use crate::stream::{read_header, write_header};
 use crate::Compressor;

@@ -61,5 +61,5 @@ fn main() {
         );
     }
     println!("\nThe production pipelines are HF-RRE4-TCMS8-RZE1 (CR mode) and TCMS1-BIT1-RRE1 (TP mode);");
-    println!("proprietary nvCOMP codecs are represented by the open-source stand-ins documented in DESIGN.md.");
+    println!("proprietary nvCOMP codecs are represented by the open-source stand-ins documented on szhi_codec::PipelineSpec.");
 }

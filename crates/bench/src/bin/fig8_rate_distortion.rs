@@ -35,7 +35,7 @@ fn main() {
                         r.psnr,
                         r.ratio
                     ),
-                    Err(e) => eprintln!("{} on {kind} at {eb:.0e} failed: {e}", c.name()),
+                    Err(e) => println!("{},{},{eb:.0e},err({e})", kind.name(), c.name()),
                 }
             }
         }
@@ -45,7 +45,7 @@ fn main() {
             let bytes = match c.compress(&data, ErrorBound::Relative(1e-3)) {
                 Ok(b) => b,
                 Err(e) => {
-                    eprintln!("cuZFP rate {rate} failed: {e}");
+                    println!("{},cuZFP,{rate},err({e})", kind.name());
                     continue;
                 }
             };

@@ -1,18 +1,19 @@
-//! Shared harness utilities for the experiment binaries.
+//! Shared runner for the paper-artefact binaries.
 //!
-//! Every table and figure of the paper's evaluation has a dedicated binary in
-//! `src/bin/` (see `DESIGN.md` for the per-experiment index). This library
-//! holds what they share: dataset preparation at a configurable scale, the
-//! compressor registry, timing helpers and table printing.
+//! `src/bin/` holds one binary per table or figure of the paper's
+//! evaluation that `benchmark/run.sh` does not reproduce (Table 1, Fig. 5,
+//! 6, 8, 9, Table 4, Table 5; each binary's module doc says what it
+//! prints). Speed is measured by `benchmark/` alone. This library holds
+//! what the binaries share: dataset preparation at a configurable scale,
+//! the compressor registry, the verified compress/decompress cell and
+//! table printing.
 #![forbid(unsafe_code)]
 
-use std::time::Duration;
-
-use szhi_baselines::{Compressor, CuZfp, CuszI, CuszIb, CuszL, Cuszp2, FzGpu, SzhiCr, SzhiTp};
+use szhi_baselines::{Compressor, CuszI, CuszIb, CuszL, Cuszp2, FzGpu, SzhiCr, SzhiTp};
 use szhi_codec::PipelineSpec;
 use szhi_core::{ErrorBound, SzhiError};
 use szhi_datagen::DatasetKind;
-use szhi_metrics::{QualityReport, Stopwatch};
+use szhi_metrics::{verify_error_bound, QualityReport};
 use szhi_ndgrid::{Dims, Grid};
 use szhi_predictor::{autotune, InterpConfig, InterpPredictor, LevelOrder};
 
@@ -23,25 +24,34 @@ pub const SEED: u64 = 42;
 /// The error bounds used by the paper's fixed-error-bound experiments.
 pub const PAPER_EBS: [f64; 3] = [1e-2, 1e-3, 1e-4];
 
-/// Reads the experiment scale factor: `--scale <f>` on the command line or
-/// the `SZHI_SCALE` environment variable (default 1.0). A scale of 1.0 uses
-/// the laptop-sized default dimensions; larger scales approach the paper's
-/// dataset sizes.
-pub fn scale_from_args() -> f64 {
-    let mut args = std::env::args().skip(1);
-    let mut scale: Option<f64> = None;
-    while let Some(a) = args.next() {
-        if a == "--scale" {
-            scale = args.next().and_then(|v| v.parse().ok());
-        }
+/// Parses the experiment binaries' command line (without the program
+/// name): nothing, or `--scale <f>` with a finite, positive `f`. A scale of
+/// 1.0 (the default) uses the laptop-sized default dimensions; larger
+/// scales approach the paper's dataset sizes.
+pub fn parse_scale(args: &[String]) -> Result<f64, String> {
+    match args {
+        [] => Ok(1.0),
+        [flag, value] if flag == "--scale" => match value.parse::<f64>() {
+            Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
+            _ => Err(format!(
+                "--scale expects a finite positive number, got '{value}'"
+            )),
+        },
+        [flag] if flag == "--scale" => Err("--scale requires a value".into()),
+        [flag, _, extra, ..] if flag == "--scale" => Err(format!("unexpected argument '{extra}'")),
+        [other, ..] => Err(format!("unexpected argument '{other}'")),
     }
-    scale
-        .or_else(|| {
-            std::env::var("SZHI_SCALE")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(1.0)
+}
+
+/// The scale this process was started with. A malformed command line is a
+/// usage error: a message on stderr and exit code 2, never a silent run of
+/// a different experiment.
+pub fn scale_from_args() -> f64 {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_scale(&args).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}\nusage: [--scale <f>]");
+        std::process::exit(2)
+    })
 }
 
 /// Scales a dataset's default dimensions by `scale` along every axis (keeping
@@ -81,14 +91,6 @@ pub fn error_bounded_compressors() -> Vec<Box<dyn Compressor>> {
     ]
 }
 
-/// The full compressor set of the rate-distortion and throughput figures
-/// (Table 4 set plus fixed-rate cuZFP at the given rate).
-pub fn all_compressors(zfp_rate: f64) -> Vec<Box<dyn Compressor>> {
-    let mut set = error_bounded_compressors();
-    set.push(Box::new(CuZfp::with_rate(zfp_rate)));
-    set
-}
-
 /// One measured compression run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -106,31 +108,81 @@ pub struct RunResult {
     pub psnr: f64,
     /// Maximum point-wise absolute error.
     pub max_err: f64,
-    /// Compression wall time.
-    pub compress_time: Duration,
-    /// Decompression wall time.
-    pub decompress_time: Duration,
-    /// Compression throughput in GiB/s of uncompressed data.
-    pub compress_gibps: f64,
-    /// Decompression throughput in GiB/s of uncompressed data.
-    pub decompress_gibps: f64,
+}
+
+/// Why a cell has no [`RunResult`].
+#[derive(Debug)]
+pub enum CellError {
+    /// The compressor itself failed.
+    Compressor(SzhiError),
+    /// The round trip completed but broke the requested error bound, so
+    /// its ratio is not comparable with the cells that kept it.
+    BoundViolated {
+        /// Flat index of the worst point.
+        index: usize,
+        /// Absolute error at that point.
+        error: f64,
+        /// The absolute bound the run was asked to keep.
+        bound: f64,
+    },
+}
+
+impl std::fmt::Display for CellError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CellError::Compressor(e) => e.fmt(f),
+            CellError::BoundViolated {
+                index,
+                error,
+                bound,
+            } => write!(
+                f,
+                "error bound violated: |err| {error:e} at point {index} exceeds {bound:e}"
+            ),
+        }
+    }
+}
+
+impl From<SzhiError> for CellError {
+    fn from(e: SzhiError) -> Self {
+        CellError::Compressor(e)
+    }
 }
 
 /// Runs one (compressor, dataset, error-bound) cell: compress, decompress,
-/// verify and measure.
+/// verify and measure. A run with `rel_eb > 0` must keep every point within
+/// the absolute bound `rel_eb` resolves to on this field — the paper
+/// compares ratios *under the same error bound*.
+///
+/// The check carries the measurement allowance `tests/end_to_end.rs`
+/// derives for the dual-quantization baselines, which reconstruct `q·2ε`
+/// through one `f64 → f32` cast: at most `|v|·f32::EPSILON` per point,
+/// taken here at the field's largest magnitude, plus `1e-12` of `f64`
+/// arithmetic noise.
 pub fn run_cell(
     c: &dyn Compressor,
     data: &Grid<f32>,
     name: &str,
     rel_eb: f64,
-) -> Result<RunResult, SzhiError> {
+) -> Result<RunResult, CellError> {
     let bytes_in = data.dims().nbytes_f32();
-    let sw = Stopwatch::start();
     let compressed = c.compress(data, ErrorBound::Relative(rel_eb))?;
-    let comp = sw.finish(bytes_in);
-    let sw = Stopwatch::start();
     let restored = c.decompress(&compressed)?;
-    let decomp = sw.finish(bytes_in);
+    if rel_eb > 0.0 {
+        let bound = ErrorBound::Relative(rel_eb).absolute(data.value_range() as f64);
+        let (lo, hi) = data.min_max();
+        let cast_slack = lo.abs().max(hi.abs()) as f64 * f32::EPSILON as f64;
+        verify_error_bound(
+            data.as_slice(),
+            restored.as_slice(),
+            bound + cast_slack + 1e-12,
+        )
+        .map_err(|(index, error)| CellError::BoundViolated {
+            index,
+            error,
+            bound,
+        })?;
+    }
     let q = QualityReport::compare(data, &restored);
     Ok(RunResult {
         compressor: c.name().to_string(),
@@ -140,10 +192,6 @@ pub fn run_cell(
         bitrate: compressed.len() as f64 * 8.0 / data.len() as f64,
         psnr: q.psnr,
         max_err: q.max_abs_error,
-        compress_time: comp.elapsed,
-        decompress_time: decomp.elapsed,
-        compress_gibps: comp.gibps,
-        decompress_gibps: decomp.gibps,
     })
 }
 
@@ -204,11 +252,6 @@ pub fn ablation_compressed_size(
     out.anchors.len() * 4 + out.outliers.len() * 12 + payload.len() + 64
 }
 
-/// Formats a duration as milliseconds with two decimals.
-pub fn fmt_ms(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64() * 1e3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,6 +275,70 @@ mod tests {
         assert!((r.bitrate - 32.0 / r.ratio).abs() < 1e-9);
         assert!(r.psnr > 30.0);
         assert!(r.max_err <= 1e-3 * g.value_range() as f64 + 1e-9);
+    }
+
+    /// A compressor that stores the field verbatim but hands every value
+    /// back shifted by `shift`.
+    struct Overshoot {
+        dims: Dims,
+        shift: f32,
+    }
+
+    impl Compressor for Overshoot {
+        fn name(&self) -> &'static str {
+            "overshoot"
+        }
+        fn compress(&self, data: &Grid<f32>, _eb: ErrorBound) -> Result<Vec<u8>, SzhiError> {
+            Ok(data
+                .as_slice()
+                .iter()
+                .flat_map(|v| (v + self.shift).to_le_bytes())
+                .collect())
+        }
+        fn decompress(&self, bytes: &[u8]) -> Result<Grid<f32>, SzhiError> {
+            let values = bytes
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
+                .collect();
+            Ok(Grid::from_vec(self.dims, values))
+        }
+    }
+
+    #[test]
+    fn run_cell_rejects_a_run_that_overshoots_its_bound() {
+        let g = dataset(DatasetKind::Miranda, 0.2);
+        let stub = |rel: f32| Overshoot {
+            dims: g.dims(),
+            shift: rel * g.value_range(),
+        };
+        let within = run_cell(&stub(5e-4), &g, "miranda", 1e-3).unwrap();
+        assert!(within.max_err > 0.0);
+        let err = run_cell(&stub(2e-3), &g, "miranda", 1e-3).unwrap_err();
+        let CellError::BoundViolated { error, bound, .. } = &err else {
+            panic!("expected a bound violation, got {err:?}")
+        };
+        assert!(error > bound);
+        assert!(err.to_string().starts_with("error bound violated"));
+    }
+
+    #[test]
+    fn scale_parser_rejects_everything_but_a_positive_finite_number() {
+        let args = |s: &str| -> Vec<String> { s.split_whitespace().map(String::from).collect() };
+        assert_eq!(parse_scale(&args("")), Ok(1.0));
+        assert_eq!(parse_scale(&args("--scale 0.25")), Ok(0.25));
+        for bad in [
+            "--scale",
+            "--scale abc",
+            "--scale 0",
+            "--scale -1",
+            "--scale NaN",
+            "--scale inf",
+            "--scale 1 extra",
+            "--scal 1",
+            "0.5",
+        ] {
+            assert!(parse_scale(&args(bad)).is_err(), "'{bad}' must be rejected");
+        }
     }
 
     #[test]

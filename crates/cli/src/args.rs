@@ -1,4 +1,4 @@
-//! Hand-rolled argument parsing for the four subcommands.
+//! Hand-rolled argument parsing for the three subcommands.
 //!
 //! Flags accept both `--flag value` and `--flag=value`. Every parse
 //! failure is a [`CliError::Usage`] (exit code 2) carrying a message that
@@ -8,7 +8,6 @@
 
 use crate::CliError;
 use szhi_core::{ModeTuning, SzhiConfig};
-use szhi_datagen::DatasetKind;
 use szhi_ndgrid::Dims;
 
 /// The usage text printed after every usage error and by `--help`.
@@ -33,12 +32,6 @@ subcommands:
   inspect <input>
       Print header, chunk table, trailer and mode/config histograms
       without decoding any chunk payload.
-
-  bench [--dims Z,Y,X] [--eb F] [--dataset NAME] [--seed N]
-        [--chunk-span Z,Y,X] [--mode M] [--jobs N] [--threads N]
-      Compress/decompress a synthetic field and report ratio and
-      throughput; --jobs N runs N concurrent jobs through the job
-      service and checks each against a serial run byte-for-byte.
 
 global options (accepted by every subcommand):
   --stats             print a telemetry summary table to stderr on exit
@@ -125,27 +118,6 @@ pub struct InspectArgs {
     pub input: String,
 }
 
-/// Parsed `bench` arguments.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchArgs {
-    /// Synthetic field shape.
-    pub dims: Dims,
-    /// Value-range-relative error bound.
-    pub eb: f64,
-    /// Dataset generator family.
-    pub dataset: DatasetKind,
-    /// Generator seed.
-    pub seed: u64,
-    /// Chunk span.
-    pub chunk_span: [usize; 3],
-    /// Pipeline-mode tuning policy.
-    pub mode: ModeArg,
-    /// Concurrent jobs to run through the job service.
-    pub jobs: usize,
-    /// Worker-thread override.
-    pub threads: Option<usize>,
-}
-
 /// The global telemetry outputs requested on the command line. These
 /// flags are accepted anywhere on the line, for every subcommand, and
 /// stripped before subcommand parsing (see [`split_telemetry`]).
@@ -212,8 +184,6 @@ pub enum Command {
     Decode(DecodeArgs),
     /// `szhi-cli inspect …`
     Inspect(InspectArgs),
-    /// `szhi-cli bench …`
-    Bench(BenchArgs),
 }
 
 fn usage(msg: String) -> CliError {
@@ -295,7 +265,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
         "encode" => parse_encode(&mut toks),
         "decode" => parse_decode(&mut toks),
         "inspect" => parse_inspect(&mut toks),
-        "bench" => parse_bench(&mut toks),
         "--help" | "-h" | "help" => Err(usage("help requested".into())),
         _ => Err(usage(format!("unknown subcommand '{sub}'"))),
     }
@@ -384,47 +353,6 @@ fn parse_inspect(toks: &mut Tokens<'_>) -> Result<Command, CliError> {
     }
 }
 
-fn parse_bench(toks: &mut Tokens<'_>) -> Result<Command, CliError> {
-    let mut a = BenchArgs {
-        dims: Dims::d3(64, 64, 64),
-        eb: 1e-3,
-        dataset: DatasetKind::Rtm,
-        seed: 1,
-        chunk_span: [32, 32, 32],
-        mode: ModeArg::Global,
-        jobs: 1,
-        threads: None,
-    };
-    while let Some(tok) = toks.next() {
-        let (name, inline) = split_inline(tok);
-        match name {
-            "--dims" => a.dims = parse_dims(name, toks.value(name, inline)?)?,
-            "--eb" => a.eb = parse_num::<f64>(name, toks.value(name, inline)?)?,
-            "--dataset" => {
-                let v = toks.value(name, inline)?;
-                a.dataset = DatasetKind::from_name(v).ok_or_else(|| {
-                    usage(format!(
-                        "unknown --dataset '{v}' (expected one of cesm-atm, jhtdb, miranda, \
-                         nyx, qmcpack, rtm)"
-                    ))
-                })?;
-            }
-            "--seed" => a.seed = parse_num::<u64>(name, toks.value(name, inline)?)?,
-            "--chunk-span" => a.chunk_span = parse_span(name, toks.value(name, inline)?)?,
-            "--mode" => a.mode = ModeArg::parse(toks.value(name, inline)?)?,
-            "--jobs" => {
-                a.jobs = parse_num::<usize>(name, toks.value(name, inline)?)?;
-                if a.jobs == 0 {
-                    return Err(usage("--jobs must be at least 1".into()));
-                }
-            }
-            "--threads" => a.threads = Some(parse_num::<usize>(name, toks.value(name, inline)?)?),
-            _ => return Err(usage(format!("unknown argument '{tok}' for bench"))),
-        }
-    }
-    Ok(Command::Bench(a))
-}
-
 fn two_positionals(sub: &str, shape: &str, got: &[&str]) -> Result<[String; 2], CliError> {
     match got {
         [a, b] => Ok([(*a).into(), (*b).into()]),
@@ -470,11 +398,10 @@ mod tests {
             "decode one-positional",
             "inspect",
             "frobnicate x",
+            "bench",
             "",
-            "bench --jobs 0",
             "encode in out --dims 0,8,8 --eb 1e-3",
             "encode in out --dims 8,8,8 --eb nope",
-            "bench --dataset mars",
             "encode in out --dims 8,8,8 --eb 1e-3 --mode sometimes",
             "decode a b --what",
         ] {
@@ -524,12 +451,6 @@ mod tests {
             ("inspect --verbose", "unknown flag '--verbose' for inspect"),
             ("inspect a b", "inspect takes exactly one argument: <input>"),
             (
-                "bench --dataset mars",
-                "unknown --dataset 'mars' (expected one of cesm-atm, jhtdb, miranda, nyx, qmcpack, rtm)",
-            ),
-            ("bench --jobs 0", "--jobs must be at least 1"),
-            ("bench positional", "unknown argument 'positional' for bench"),
-            (
                 "decode only-one",
                 "decode takes exactly two positional arguments: <input|-> <output|-> (got 1)",
             ),
@@ -555,10 +476,10 @@ mod tests {
     #[test]
     fn telemetry_flags_split_off_for_every_subcommand() {
         let (rest, tel) = split_telemetry(&argv(
-            "bench --stats --dims 16,16,16 --stats-json=stats.json --trace trace.json",
+            "inspect --stats a.szhi --stats-json=stats.json --trace trace.json",
         ))
         .unwrap();
-        assert_eq!(rest, argv("bench --dims 16,16,16"));
+        assert_eq!(rest, argv("inspect a.szhi"));
         assert!(tel.stats && tel.wants_stats() && tel.any());
         assert_eq!(tel.stats_json.as_deref(), Some("stats.json"));
         assert_eq!(tel.trace.as_deref(), Some("trace.json"));
@@ -586,16 +507,6 @@ mod tests {
                 chunk: Some(3),
             })
         );
-    }
-
-    #[test]
-    fn bench_defaults_are_stable() {
-        let Command::Bench(a) = parse(&argv("bench")).unwrap() else {
-            panic!("expected bench")
-        };
-        assert_eq!(a.dims, Dims::d3(64, 64, 64));
-        assert_eq!(a.jobs, 1);
-        assert_eq!(a.dataset.name(), "rtm");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # szhi-cli — the command-line serving layer
 //!
-//! This crate puts the szhi compressor behind four subcommands:
+//! This crate puts the szhi compressor behind three subcommands:
 //!
 //! - `encode` streams a raw little-endian f32 field through
 //!   [`szhi_core::StreamSink`] into a trailered container, never holding
@@ -11,10 +11,7 @@
 //!   [`szhi_core::ForwardSource`];
 //! - `inspect` dumps the header, chunk table, trailer and mode/config
 //!   histograms of any container version without decoding a single
-//!   payload byte;
-//! - `bench` compresses a synthetic field, and with `--jobs N` drives N
-//!   concurrent [`szhi_core::JobService`] jobs over the shared worker
-//!   pool, checking every job's output byte-identical to a serial run.
+//!   payload byte.
 //!
 //! The command implementations live in the library (not the binary) so
 //! the integration tests and the golden-corpus generator exercise the
@@ -45,7 +42,7 @@ pub enum CliError {
     /// corrupt stream, bound violation). Exit code 1.
     Runtime(String),
     /// The reader of stdout closed the pipe before the report was fully
-    /// written (`szhi-cli bench | head -1`). Not a failure: the run ends
+    /// written (`szhi-cli inspect … | head -1`). Not a failure: the run ends
     /// quietly with exit code 0.
     StdoutClosed,
 }

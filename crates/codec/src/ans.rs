@@ -157,11 +157,10 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Reference encoder kept for differential tests and the before/after
-/// kernel benchmarks: identical output to [`encode`], but with the
-/// per-symbol hardware division and open-coded renormalisation loop (the
-/// pre-optimisation formulation).
-#[doc(hidden)]
+/// Reference encoder kept for the differential tests: identical output to
+/// [`encode`], but with the per-symbol hardware division and open-coded
+/// renormalisation loop (the pre-optimisation formulation).
+#[cfg(test)]
 pub fn encode_reference(data: &[u8]) -> Vec<u8> {
     let mut hist = [0u64; 256];
     for &b in data {

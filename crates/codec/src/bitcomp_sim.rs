@@ -11,8 +11,8 @@
 //! crate: byte-wise delta + zig-zag (exposing smoothness as small
 //! magnitudes), followed by per-block ceiling-log₂ bit packing, with a
 //! per-block escape to verbatim storage so incompressible blocks never
-//! expand by more than the per-block header. The substitution is documented
-//! in `DESIGN.md`.
+//! expand by more than the per-block header. The other stand-ins for
+//! proprietary codecs are listed on [`crate::PipelineSpec`].
 
 use crate::bitio::{decode_capacity, put_u64, BitReader, BitWriter, ByteCursor};
 use crate::CodecError;

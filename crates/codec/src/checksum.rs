@@ -102,7 +102,8 @@ pub fn update_bytewise(state: u32, bytes: &[u8]) -> u32 {
 }
 
 /// Bytewise-reference counterpart of [`crc32`], used by the differential
-/// tests and the before/after kernel benchmarks.
+/// tests.
+#[cfg(test)]
 pub fn crc32_bytewise(bytes: &[u8]) -> u32 {
     update_bytewise(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
 }

@@ -256,11 +256,10 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Reference encoder kept for differential tests and the before/after
-/// kernel benchmarks: identical output to [`encode`], but written through
-/// the byte-at-a-time [`BitWriter`] with separate code/length lookups (the
-/// pre-optimisation formulation).
-#[doc(hidden)]
+/// Reference encoder kept for the differential tests: identical output to
+/// [`encode`], but written through the byte-at-a-time [`BitWriter`] with
+/// separate code/length lookups (the pre-optimisation formulation).
+#[cfg(test)]
 pub fn encode_reference(data: &[u8]) -> Vec<u8> {
     let book = HuffmanBook::from_data(data);
     let mut out = Vec::with_capacity(data.len() / 2 + 256);

@@ -21,7 +21,7 @@
 //!   (`RRE`/`RZE`/`TCMS`/`BIT`/`DIFFMS`/`CLOG`/`TUPL`).
 //! * [`pipeline`] — stage composition and the named pipeline catalogue.
 //! * [`bitcomp_sim`] — an open-source stand-in for NVIDIA Bitcomp
-//!   (see `DESIGN.md` for the substitution rationale).
+//!   (the module doc holds the substitution rationale).
 //! * [`ans`] — a static range coder standing in for nvCOMP's ANS.
 //! * [`lz`] — an LZSS-style dictionary coder standing in for
 //!   GPULZ / nvCOMP LZ4.

@@ -343,9 +343,10 @@ impl StageSpec {
 ///
 /// The first two variants are the production pipelines of cuSZ-Hi
 /// (Figure 7); the remainder are the Figure 6 benchmark entries. Proprietary
-/// codecs are represented by the open-source stand-ins documented in
-/// `DESIGN.md` (`ANS` → rANS, `Bitcomp` → bitcomp-sim, `LZ4`/`GPULZ` → fast
-/// LZSS, `GDeflate`/`Zstd` → thorough LZSS, `Zstd` additionally entropy-coded).
+/// codecs are represented by open-source stand-ins, each argued in its own
+/// module doc ([`crate::ans`], [`crate::bitcomp_sim`], [`crate::lz`]): `ANS` →
+/// rANS, `Bitcomp` → bitcomp-sim, `LZ4`/`GPULZ` → fast LZSS, `GDeflate`/`Zstd`
+/// → thorough LZSS, `Zstd` additionally entropy-coded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PipelineSpec {
     /// `HF → RRE4 → TCMS8 → RZE1`: the CR-mode pipeline of cuSZ-Hi.

@@ -179,8 +179,8 @@
 //! runs many compress / decompress jobs concurrently over the shared
 //! worker pool, each with per-job progress reporting and cooperative
 //! cancellation that poisons the job's sink — and every job's output stays
-//! byte-identical to a serial run. The `szhi-cli` binary puts both behind
-//! `encode` / `decode` / `inspect` / `bench` subcommands.
+//! byte-identical to a serial run. The `szhi-cli` binary serves files and
+//! pipes through `encode` / `decode` / `inspect` subcommands.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -5,8 +5,8 @@
 //!
 //! All of these are compiled in unconditionally and cost one relaxed
 //! atomic load per event while telemetry is disabled (see
-//! `szhi-telemetry`); the `chunked_throughput` benchmark gates the
-//! disabled-path overhead in CI.
+//! `szhi-telemetry`); `tests/telemetry_disabled_cost.rs` gates the
+//! disabled-path overhead.
 
 // szhi-analyzer: scope(no-panic-decode: all)
 

@@ -7,8 +7,8 @@
 //! with the same dimensionality and the same *compression-relevant*
 //! character — spectral content, smoothness, interfaces, dynamic range — so
 //! that the relative behaviour of the compressors (who wins, by roughly what
-//! factor, where the crossovers fall) matches the paper. The substitution is
-//! documented in `DESIGN.md`.
+//! factor, where the crossovers fall) matches the paper. Each family's
+//! recipe is documented on its [`DatasetKind`] variant.
 //!
 //! All generators are deterministic functions of `(dims, seed)` so every
 //! experiment is reproducible, and they are parallelised over `z`-planes with
@@ -35,8 +35,8 @@ pub fn generate(kind: DatasetKind, dims: Dims, seed: u64) -> Grid<f32> {
 /// workload for per-chunk lossless-pipeline selection: anchor-aligned
 /// chunks of the smooth half prefer the CR pipeline while the noisy half's
 /// near-uniform quantization codes prefer TP. Deterministic in `dims`
-/// alone; shared by the `chunked_throughput` bench and the per-chunk
-/// tuning tests so the workload cannot silently diverge between them.
+/// alone; shared by the golden corpus and the per-chunk tuning tests so
+/// the workload cannot silently diverge between them.
 pub fn mixed_smooth_noisy(dims: Dims) -> Grid<f32> {
     Grid::from_fn(dims, |z, y, x| {
         if x < dims.nx() / 2 {

@@ -13,4 +13,4 @@ pub mod timing;
 
 pub use quality::{verify_error_bound, QualityReport};
 pub use size::{bitrate, compression_ratio, SizeReport};
-pub use timing::{throughput_gibps, Stopwatch, ThroughputReport};
+pub use timing::{throughput_gibps, Stopwatch};

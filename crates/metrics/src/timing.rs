@@ -2,29 +2,6 @@
 
 use std::time::{Duration, Instant};
 
-/// Wall-clock throughput of one compression or decompression pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThroughputReport {
-    /// Bytes of *uncompressed* data processed (the convention used in the
-    /// paper's GiB/s figures).
-    pub bytes: usize,
-    /// Elapsed wall-clock time.
-    pub elapsed: Duration,
-    /// Throughput in GiB/s.
-    pub gibps: f64,
-}
-
-impl ThroughputReport {
-    /// Builds a report for `bytes` processed in `elapsed`.
-    pub fn new(bytes: usize, elapsed: Duration) -> Self {
-        ThroughputReport {
-            bytes,
-            elapsed,
-            gibps: throughput_gibps(bytes, elapsed),
-        }
-    }
-}
-
 /// Converts a byte count and duration into GiB/s.
 pub fn throughput_gibps(bytes: usize, elapsed: Duration) -> f64 {
     let secs = elapsed.as_secs_f64();
@@ -51,12 +28,6 @@ impl Stopwatch {
     /// Elapsed time since the stopwatch was started.
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
-    }
-
-    /// Stops the watch and converts `bytes` processed into a throughput
-    /// report.
-    pub fn finish(self, bytes: usize) -> ThroughputReport {
-        ThroughputReport::new(bytes, self.elapsed())
     }
 }
 
@@ -87,8 +58,8 @@ mod tests {
     fn stopwatch_measures_something() {
         let sw = Stopwatch::start();
         std::thread::sleep(Duration::from_millis(5));
-        let rep = sw.finish(1 << 20);
-        assert!(rep.elapsed >= Duration::from_millis(4));
-        assert!(rep.gibps.is_finite());
+        let elapsed = sw.elapsed();
+        assert!(elapsed >= Duration::from_millis(4));
+        assert!(throughput_gibps(1 << 20, elapsed).is_finite());
     }
 }

@@ -1,8 +1,8 @@
 //! Zero-overhead observability for the szhi stack: named [`Counter`]s,
 //! log-bucketed [`Histogram`]s and scoped [`Span`]s, compiled in
 //! everywhere but costing **one relaxed atomic load per event** while
-//! disabled (the default). The overhead of that gate is measured by the
-//! `chunked_throughput` benchmark's telemetry section and bounded in CI.
+//! disabled (the default). The overhead of that gate is measured and
+//! bounded by `crates/core/tests/telemetry_disabled_cost.rs`.
 //!
 //! # Model
 //!
