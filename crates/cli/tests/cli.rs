@@ -424,14 +424,9 @@ fn telemetry_flags_emit_stats_json_and_trace() {
     ];
     assert_ok(&run(&base), "plain encode");
 
-    // `--threads 4` forces real pool workers even on a single-core
-    // runner (output is byte-identical at every thread count, so the
-    // comparison against the default-threads encode still holds).
     let mut instrumented = base.to_vec();
     instrumented[2] = archive.to_str().unwrap();
     instrumented.extend([
-        "--threads",
-        "4",
         "--stats",
         "--stats-json",
         stats_json.to_str().unwrap(),
@@ -452,15 +447,15 @@ fn telemetry_flags_emit_stats_json_and_trace() {
     assert!(stderr.contains("io.sink.bytes"));
     assert!(stderr.contains("encode.chunk"));
 
-    // The JSON dump carries the per-chunk stage spans, the pool counters
-    // and the tuner estimated-vs-actual histograms.
+    // The JSON dump carries the per-chunk stage spans and the tuner
+    // estimated-vs-actual histograms. (No pool counters: the CLI pushes one
+    // chunk at a time and a chunk never leaves its thread.)
     let json = std::fs::read_to_string(&stats_json).unwrap();
     for name in [
         "encode.chunk",
         "encode.predict",
         "encode.entropy",
         "encode.crc",
-        "pool.tasks",
         "tuner.estimated_bytes",
         "tuner.actual_bytes",
     ] {
@@ -468,13 +463,12 @@ fn telemetry_flags_emit_stats_json_and_trace() {
     }
 
     // The trace is Trace Event Format: an event array with complete
-    // spans, worker thread names and tuner selection instants.
+    // spans and tuner selection instants.
     let trace_text = std::fs::read_to_string(&trace).unwrap();
     assert!(trace_text.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
     assert!(trace_text.contains("\"ph\":\"X\""));
     assert!(trace_text.contains("\"name\":\"encode.chunk\""));
     assert!(trace_text.contains("\"name\":\"tuner.select\""));
-    assert!(trace_text.contains("szhi-pool-"));
 
     // Decode with telemetry picks up the decode-side spans too.
     let out = run(&[

@@ -5,7 +5,8 @@
 //!
 //! * the **monolithic** engine treats the whole grid as a one-chunk plan —
 //!   global pipeline mode, no per-chunk tuning — and frames the body with
-//!   the v1 header;
+//!   the v1 header. A chunk never leaves its thread, so this engine is
+//!   single-threaded by design; set a chunk span to use cores;
 //! * the **chunked** engine ([`compress_chunked`]) splits the grid into
 //!   independent anchor-aligned chunks ([`szhi_ndgrid::ChunkPlan`]),
 //!   encodes them in parallel and drives a [`StreamSink`] over a `Vec` with
@@ -275,6 +276,16 @@ fn reconstruct(
     outliers: Vec<szhi_predictor::Outlier>,
     payload: Vec<u8>,
 ) -> Result<Grid<f32>, SzhiError> {
+    // No writer emits such a chunk (`ChunkEncoder::new` rejects it): the
+    // permutation's destinations are `u32`.
+    if header.reorder && dims.len() > LevelOrder::MAX_POINTS {
+        return Err(SzhiError::InvalidStream(format!(
+            "a level-reordered {dims} chunk holds {} points, more than the {} a \
+             permutation covers",
+            dims.len(),
+            LevelOrder::MAX_POINTS
+        )));
+    }
     let codes = {
         let _span = crate::telemetry::DECODE_ENTROPY.enter();
         pipeline
@@ -379,6 +390,15 @@ mod tests {
                 "missing outlier records did not yield a typed error"
             );
         }
+
+        // A level-reordered chunk of more points than a permutation can
+        // index: refused from the shape, before anything is decoded.
+        let big = Dims::d3(1024, 2048, 2049);
+        assert!(header.reorder);
+        assert!(matches!(
+            reconstruct(&header, header.pipeline, &header.interp, big, vec![], vec![], vec![]),
+            Err(SzhiError::InvalidStream(msg)) if msg.contains("permutation")
+        ));
     }
 
     #[test]

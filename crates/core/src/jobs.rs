@@ -361,9 +361,11 @@ fn run_compress<W: Write>(
     sink.finish_with_stats()
 }
 
-/// The coordinator loop of a decompress job: fetch + decode chunks
-/// sequentially (reads from one seekable source are inherently serial),
-/// checking for cancellation between chunks.
+/// The coordinator loop of a decompress job: fetch + decode chunks one at
+/// a time on this job's own thread (reads from one seekable source are
+/// inherently serial, and a chunk decode never dispatches to the pool, so
+/// concurrent decompress jobs run side by side instead of queueing on the
+/// shared workers), checking for cancellation between chunks.
 fn run_decompress<R: Read + Seek>(
     mut source: StreamSource<R>,
     state: &JobState,

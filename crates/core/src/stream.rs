@@ -307,6 +307,16 @@ impl ChunkEncoder {
             for i in 0..plan.len() {
                 let d = plan.chunk_dims(i);
                 if !orders.iter().any(|(od, _)| *od == d) {
+                    // Chunk 0 is the plan's largest, so an oversized plan
+                    // fails here before any permutation is built.
+                    if d.len() > LevelOrder::MAX_POINTS {
+                        return Err(SzhiError::InvalidInput(format!(
+                            "a {d} chunk holds {} points, level reordering covers at most \
+                             {}; set a smaller chunk span",
+                            d.len(),
+                            LevelOrder::MAX_POINTS
+                        )));
+                    }
                     orders.push((d, LevelOrder::new(d, interp.anchor_stride)));
                 }
             }
@@ -1340,6 +1350,22 @@ mod tests {
         // Misaligned span.
         let cfg = stream_cfg([12, 16, 16]);
         assert!(StreamSink::new(Vec::new(), dims, &cfg).is_err());
+        // A chunk of more than u32::MAX points, which the level-order
+        // permutation cannot index: refused from the shape alone, for a
+        // sink and for the one-chunk plan monolithic `compress` builds.
+        let big = Dims::d3(1024, 2048, 2049);
+        let cfg = stream_cfg([1024, 2048, 2064]);
+        assert!(matches!(
+            StreamSink::new(Vec::new(), big, &cfg),
+            Err(SzhiError::InvalidInput(msg)) if msg.contains("level reordering")
+        ));
+        let whole = ChunkPlan::new(big, [1024, 2048, 2049]);
+        assert!(matches!(
+            ChunkEncoder::new(whole, &cfg),
+            Err(SzhiError::InvalidInput(msg)) if msg.contains("level reordering")
+        ));
+        // Without reordering no permutation is built and nothing is refused.
+        assert!(ChunkEncoder::new(whole, &cfg.with_reorder(false)).is_ok());
     }
 
     #[test]

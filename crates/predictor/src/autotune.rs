@@ -4,16 +4,15 @@
 //! running trial interpolations on a small sample of data blocks (about 0.2 %
 //! of the field) and keeping, for every level, the configuration with the
 //! smallest aggregated prediction error. The GPU implementation balances the
-//! trial workload across thread blocks by hand; here the same trials are
-//! simply distributed over the Rayon thread pool.
+//! trial workload across thread blocks by hand; here the trials of one field
+//! or chunk run in order on the calling thread (the sample is 0.2 % of the
+//! points), and chunks tune side by side on the worker pool.
 //!
 //! The trials use the original values (not reconstructed ones) as the known
 //! grid — the standard approximation also used by QoZ — which makes every
-//! (block, level, configuration) trial independent and embarrassingly
-//! parallel.
+//! (block, level, configuration) trial independent of the others.
 
 use crate::interp::{predict_point, steps, InterpConfig, LevelConfig, Scheme, Spline};
-use rayon::prelude::*;
 #[cfg(test)]
 use szhi_ndgrid::Dims;
 use szhi_ndgrid::{BlockGrid, Grid};
@@ -71,33 +70,22 @@ pub fn tune(data: &Grid<f32>, base: &InterpConfig) -> (InterpConfig, TuneResult)
     let n_samples =
         ((blocks.len() as f64 * SAMPLE_FRACTION).ceil() as usize).clamp(1, blocks.len());
     let stride = (blocks.len() / n_samples).max(1);
-    let sampled: Vec<_> = blocks.iter().step_by(stride).take(n_samples).collect();
+    let sampled = blocks.iter().step_by(stride).take(n_samples);
+    let sampled_blocks = sampled.len();
 
     let num_levels = base.num_levels();
     let cands = candidates();
 
-    // Each (block, level, candidate) trial is independent.
-    let trials: Vec<(usize, usize, f64)> = sampled
-        .par_iter()
-        .flat_map_iter(|block| {
-            let sub = data.extract(&block.region);
-            let sub_dims = block.region.dims();
-            let sub_grid = Grid::from_vec(sub_dims, sub);
-            let mut out = Vec::with_capacity(num_levels * cands.len());
-            for level in 1..=num_levels {
-                let s = 1usize << (level - 1);
-                for (ci, cand) in cands.iter().enumerate() {
-                    let err = trial_error(&sub_grid, s, cand.scheme, cand.spline);
-                    out.push((level, ci, err));
-                }
-            }
-            out
-        })
-        .collect();
-
+    // One trial per (block, level, candidate), summed in that order.
     let mut errors = vec![[0.0f64; 4]; num_levels];
-    for (level, ci, err) in trials {
-        errors[level - 1][ci] += err;
+    for block in sampled {
+        let sub_grid = Grid::from_vec(block.region.dims(), data.extract(&block.region));
+        for level in 1..=num_levels {
+            let s = 1usize << (level - 1);
+            for (ci, cand) in cands.iter().enumerate() {
+                errors[level - 1][ci] += trial_error(&sub_grid, s, cand.scheme, cand.spline);
+            }
+        }
     }
 
     let levels: Vec<LevelConfig> = errors
@@ -123,7 +111,7 @@ pub fn tune(data: &Grid<f32>, base: &InterpConfig) -> (InterpConfig, TuneResult)
         TuneResult {
             levels,
             errors,
-            sampled_blocks: sampled.len(),
+            sampled_blocks,
         },
     )
 }
@@ -134,13 +122,13 @@ fn trial_error(block: &Grid<f32>, s: usize, scheme: Scheme, spline: Spline) -> f
     let dims = block.dims();
     let span = [dims.nz().max(1), dims.ny().max(1), dims.nx().max(1)];
     let mut err = 0.0f64;
-    for step in steps(dims, s, scheme) {
+    for step in steps(s, scheme) {
         for (z, y, x) in step.targets(dims) {
             let pred = predict_point(
                 block.as_slice(),
                 dims,
                 (z, y, x),
-                &step.interp_axes,
+                step.interp_axes,
                 s,
                 spline,
                 span,

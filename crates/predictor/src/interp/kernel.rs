@@ -12,7 +12,7 @@ use szhi_ndgrid::Dims;
 /// One interpolation step: a lattice of target points (`start`, `stride` per
 /// axis) that are all predicted from points known *before* the step, plus the
 /// axes along which the prediction interpolates.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Step {
     /// `(start, stride)` of target coordinates along `z`.
     pub z: (usize, usize),
@@ -22,15 +22,15 @@ pub struct Step {
     pub x: (usize, usize),
     /// Axes to interpolate along (0 = z, 1 = y, 2 = x). Multi-axis steps
     /// average the highest-order per-axis predictions.
-    pub interp_axes: Vec<usize>,
+    pub interp_axes: &'static [usize],
 }
 
 impl Step {
-    fn new(
+    const fn new(
         z: (usize, usize),
         y: (usize, usize),
         x: (usize, usize),
-        interp_axes: Vec<usize>,
+        interp_axes: &'static [usize],
     ) -> Self {
         Step {
             z,
@@ -40,8 +40,21 @@ impl Step {
         }
     }
 
-    /// Iterates every target coordinate of the step.
-    pub fn targets(&self, dims: Dims) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+    /// The same lattice with every start and stride multiplied by `s`.
+    fn scaled(self, s: usize) -> Self {
+        let scale = |(start, stride): (usize, usize)| (start * s, stride * s);
+        Step {
+            z: scale(self.z),
+            y: scale(self.y),
+            x: scale(self.x),
+            ..self
+        }
+    }
+
+    /// Iterates every target coordinate of the step in raster order: the
+    /// one enumeration of a step's lattice (the predictor's sweep and the
+    /// auto-tuner's trials both walk it).
+    pub fn targets(&self, dims: Dims) -> impl Iterator<Item = (usize, usize, usize)> {
         let (z0, zs) = self.z;
         let (y0, ys) = self.y;
         let (x0, xs) = self.x;
@@ -53,34 +66,39 @@ impl Step {
     }
 }
 
+/// The dimension-sequence steps of the stride-1 level.
+const DIM_SEQUENCE: [Step; 3] = [
+    // 1D along x: z and y on the coarse grid, x at odd multiples of s.
+    Step::new((0, 2), (0, 2), (1, 2), &[2]),
+    // 1D along y: x already refined to the s-grid.
+    Step::new((0, 2), (1, 2), (0, 1), &[1]),
+    // 1D along z: x and y already refined.
+    Step::new((1, 2), (0, 1), (0, 1), &[0]),
+];
+
+/// The multi-dimensional steps of the stride-1 level.
+const MULTI_DIM: [Step; 7] = [
+    // Edge centres: exactly one odd coordinate → 1D interpolation.
+    Step::new((0, 2), (0, 2), (1, 2), &[2]),
+    Step::new((0, 2), (1, 2), (0, 2), &[1]),
+    Step::new((1, 2), (0, 2), (0, 2), &[0]),
+    // Face centres: exactly two odd coordinates → averaged 2D.
+    Step::new((0, 2), (1, 2), (1, 2), &[1, 2]),
+    Step::new((1, 2), (0, 2), (1, 2), &[0, 2]),
+    Step::new((1, 2), (1, 2), (0, 2), &[0, 1]),
+    // Body centres: all three odd → averaged 3D.
+    Step::new((1, 2), (1, 2), (1, 2), &[0, 1, 2]),
+];
+
 /// Enumerates the interpolation steps of one level (stride `s`) under the
 /// given scheme. Executing the steps in order guarantees every target's
 /// neighbours are already known.
-pub fn steps(dims: Dims, s: usize, scheme: Scheme) -> Vec<Step> {
-    let _ = dims;
-    let s2 = 2 * s;
-    match scheme {
-        Scheme::DimSequence => vec![
-            // 1D along x: z and y on the coarse grid, x at odd multiples of s.
-            Step::new((0, s2), (0, s2), (s, s2), vec![2]),
-            // 1D along y: x already refined to the s-grid.
-            Step::new((0, s2), (s, s2), (0, s), vec![1]),
-            // 1D along z: x and y already refined.
-            Step::new((s, s2), (0, s), (0, s), vec![0]),
-        ],
-        Scheme::MultiDim => vec![
-            // Edge centres: exactly one odd coordinate → 1D interpolation.
-            Step::new((0, s2), (0, s2), (s, s2), vec![2]),
-            Step::new((0, s2), (s, s2), (0, s2), vec![1]),
-            Step::new((s, s2), (0, s2), (0, s2), vec![0]),
-            // Face centres: exactly two odd coordinates → averaged 2D.
-            Step::new((0, s2), (s, s2), (s, s2), vec![1, 2]),
-            Step::new((s, s2), (0, s2), (s, s2), vec![0, 2]),
-            Step::new((s, s2), (s, s2), (0, s2), vec![0, 1]),
-            // Body centres: all three odd → averaged 3D.
-            Step::new((s, s2), (s, s2), (s, s2), vec![0, 1, 2]),
-        ],
-    }
+pub fn steps(s: usize, scheme: Scheme) -> impl Iterator<Item = Step> {
+    let unit: &'static [Step] = match scheme {
+        Scheme::DimSequence => &DIM_SEQUENCE,
+        Scheme::MultiDim => &MULTI_DIM,
+    };
+    unit.iter().map(move |step| step.scaled(s))
 }
 
 /// Order of a 1D prediction: higher order means more neighbours were usable.
@@ -194,27 +212,48 @@ mod tests {
     use super::*;
     use szhi_ndgrid::Grid;
 
-    fn coverage_of(dims: Dims, anchor_stride: usize, scheme: Scheme) -> Vec<u32> {
+    /// The shapes the lattice tests run over: a ragged 3-D field, one exact
+    /// block, 2-D, 1-D and a field thinner than a block along two axes.
+    fn shapes() -> [Dims; 5] {
+        [
+            Dims::d3(33, 20, 17),
+            Dims::d3(16, 16, 16),
+            Dims::d2(40, 50),
+            Dims::d1(100),
+            Dims::d3(5, 3, 70),
+        ]
+    }
+
+    /// Walks anchors, then every level's steps in sweep order, calling
+    /// `visit(step, s, coord, known)` per target with the points known
+    /// *before* the target's step, and returns how often each point was
+    /// produced (as an anchor or a target).
+    fn walk_lattice(
+        dims: Dims,
+        anchor_stride: usize,
+        scheme: Scheme,
+        mut visit: impl FnMut(&Step, usize, (usize, usize, usize), &[bool]),
+    ) -> Vec<u32> {
         let mut count = vec![0u32; dims.len()];
-        // Anchors.
-        for z in 0..dims.nz() {
-            for y in 0..dims.ny() {
-                for x in 0..dims.nx() {
-                    let anchor_z = dims.nz() == 1 || z % anchor_stride == 0;
-                    let anchor_y = dims.ny() == 1 || y % anchor_stride == 0;
-                    let anchor_x = dims.nx() == 1 || x % anchor_stride == 0;
-                    if anchor_z && anchor_y && anchor_x {
-                        count[dims.index(z, y, x)] += 1;
-                    }
-                }
+        let on_anchor_grid =
+            |c: usize, extent: usize| extent == 1 || c.is_multiple_of(anchor_stride);
+        for (idx, c) in count.iter_mut().enumerate() {
+            let (z, y, x) = dims.coords(idx);
+            if on_anchor_grid(z, dims.nz())
+                && on_anchor_grid(y, dims.ny())
+                && on_anchor_grid(x, dims.nx())
+            {
+                *c += 1;
             }
         }
         let levels = anchor_stride.trailing_zeros() as usize;
         for level in (1..=levels).rev() {
             let s = 1usize << (level - 1);
-            for step in steps(dims, s, scheme) {
-                for (z, y, x) in step.targets(dims) {
-                    count[dims.index(z, y, x)] += 1;
+            for step in steps(s, scheme) {
+                let known: Vec<bool> = count.iter().map(|&c| c > 0).collect();
+                for coord in step.targets(dims) {
+                    visit(&step, s, coord, &known);
+                    count[dims.index(coord.0, coord.1, coord.2)] += 1;
                 }
             }
         }
@@ -223,22 +262,53 @@ mod tests {
 
     #[test]
     fn every_point_is_covered_exactly_once() {
-        for dims in [
-            Dims::d3(33, 20, 17),
-            Dims::d3(16, 16, 16),
-            Dims::d2(40, 50),
-            Dims::d1(100),
-            Dims::d3(5, 3, 70),
-        ] {
+        for dims in shapes() {
             for scheme in [Scheme::DimSequence, Scheme::MultiDim] {
                 for stride in [8usize, 16] {
-                    let cov = coverage_of(dims, stride, scheme);
+                    let cov = walk_lattice(dims, stride, scheme, |_, _, _, _| {});
                     for (i, &c) in cov.iter().enumerate() {
                         assert_eq!(
                             c, 1,
                             "point {i} of {dims} covered {c} times (stride {stride}, {scheme:?})"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_step_reads_only_points_known_before_it() {
+        // The invariant that licenses the fused sweep (predict and commit a
+        // target before predicting the next one of the same step): every
+        // neighbour `predict_1d` can read — ±s and ±3s along each
+        // interpolation axis — was produced by the anchors or an earlier
+        // step, so no commit of this step can change a later prediction of
+        // it. Checked against the whole domain, which covers every block
+        // span (a tile only removes neighbours).
+        for dims in shapes() {
+            for scheme in [Scheme::DimSequence, Scheme::MultiDim] {
+                for stride in [8usize, 16] {
+                    walk_lattice(dims, stride, scheme, |step, s, coord, known| {
+                        for &axis in step.interp_axes {
+                            if dims.extent(axis) <= 1 {
+                                continue;
+                            }
+                            for offset in [-3, -1, 1, 3].map(|k| k * s as isize) {
+                                let mut n = [coord.0, coord.1, coord.2];
+                                let c = n[axis] as isize + offset;
+                                if c < 0 || c >= dims.extent(axis) as isize {
+                                    continue;
+                                }
+                                n[axis] = c as usize;
+                                assert!(
+                                    known[dims.index(n[0], n[1], n[2])],
+                                    "{dims}, stride {stride}, {scheme:?}, level stride {s}: \
+                                     target {coord:?} reads {n:?}, which is not known yet"
+                                );
+                            }
+                        }
+                    });
                 }
             }
         }

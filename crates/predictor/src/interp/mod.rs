@@ -20,6 +20,12 @@
 //! same tile, which reproduces the block-boundary behaviour (and therefore
 //! the compression-ratio differences) of the 33×9×9 cuSZ-I partition versus
 //! the 17³ cuSZ-Hi partition studied in the paper's ablation (Table 5).
+//!
+//! Both directions are one fused sweep over level → step → target on the
+//! calling thread: predict a point, quantize (or dequantize) it, store its
+//! reconstruction, move on. Nothing below a field is dispatched to the
+//! worker pool — callers that want cores split the field into chunks and
+//! run one sweep per chunk, which is how the paper parallelises (§5.1.1).
 
 mod kernel;
 
@@ -27,7 +33,6 @@ pub use kernel::{predict_point, steps, Step};
 
 use crate::error::PredictorError;
 use crate::quantize::{Outlier, Quantizer, OUTLIER_CODE, ZERO_CODE};
-use rayon::prelude::*;
 use szhi_ndgrid::{BlockGrid, Dims, Grid};
 
 /// Interpolation spline order (§5.1.2).
@@ -179,15 +184,12 @@ impl InterpOutput {
     }
 }
 
-/// Reusable working buffers for [`InterpPredictor::compress_into`]: holds
-/// the per-point reconstruction buffer and the level sweep's row/prediction
-/// staging buffers, so repeated compressions of same-shaped fields reuse the
-/// same allocations instead of growing the heap per call.
+/// Reusable working buffer for [`InterpPredictor::compress_into`]: the
+/// per-point reconstruction plane, so repeated compressions of same-shaped
+/// fields reuse one allocation instead of growing the heap per call.
 #[derive(Debug, Default)]
 pub struct CompressScratch {
     recon: Vec<f32>,
-    rows: Vec<(usize, usize)>,
-    results: Vec<(usize, f32)>,
 }
 
 /// The interpolation predictor.
@@ -195,10 +197,6 @@ pub struct CompressScratch {
 pub struct InterpPredictor {
     cfg: InterpConfig,
 }
-
-/// Number of row tasks dispatched per parallel batch; bounds the temporary
-/// prediction buffers while keeping every core busy.
-const ROWS_PER_BATCH: usize = 8192;
 
 impl InterpPredictor {
     /// Creates a predictor with the given configuration, rejecting
@@ -238,11 +236,7 @@ impl InterpPredictor {
         let quantizer = Quantizer::new(eb);
         let block_grid = BlockGrid::new(dims, self.cfg.anchor_stride);
 
-        let CompressScratch {
-            recon,
-            rows,
-            results,
-        } = scratch;
+        let recon = &mut scratch.recon;
         recon.clear();
         recon.resize(dims.len(), 0.0f32);
         let codes = &mut out.codes;
@@ -264,40 +258,17 @@ impl InterpPredictor {
         }
 
         let data_slice = data.as_slice();
-        self.walk_levels(
-            dims,
-            |step, rows, s, spline, recon_ref, results: &mut Vec<(usize, f32)>| {
-                // Phase 1 (parallel, read-only): predictions for this batch of rows.
-                Self::predict_batch(
-                    dims,
-                    step,
-                    rows,
-                    s,
-                    spline,
-                    self.cfg.block_span,
-                    recon_ref,
-                    results,
-                );
-            },
-            recon,
-            |idx, pred, recon_ref, codes_ref: &mut Vec<u8>, outliers_ref: &mut Vec<Outlier>| {
-                // Phase 2 (sequential): quantize and commit the reconstruction.
-                let (code, value) = quantizer.quantize(data_slice[idx], pred);
-                codes_ref[idx] = code;
-                if code == OUTLIER_CODE {
-                    outliers_ref.push(Outlier {
-                        index: idx as u64,
-                        value,
-                    });
-                }
-                recon_ref[idx] = value;
-                Ok(())
-            },
-            codes,
-            outliers,
-            rows,
-            results,
-        )
+        self.sweep(dims, recon, |idx, pred| {
+            let (code, value) = quantizer.quantize(data_slice[idx], pred);
+            codes[idx] = code;
+            if code == OUTLIER_CODE {
+                outliers.push(Outlier {
+                    index: idx as u64,
+                    value,
+                });
+            }
+            Ok(value)
+        })
         .expect("the compression sweep commits infallibly");
 
         out.outliers.sort_by_key(|o| o.index);
@@ -352,138 +323,53 @@ impl InterpPredictor {
         }
 
         let codes = &output.codes;
-        let mut dummy_codes: Vec<u8> = Vec::new();
-        let mut dummy_outliers: Vec<Outlier> = Vec::new();
-        let mut sweep_rows: Vec<(usize, usize)> = Vec::new();
-        let mut sweep_results: Vec<(usize, f32)> = Vec::new();
-        self.walk_levels(
-            dims,
-            |step, rows, s, spline, recon_ref, results: &mut Vec<(usize, f32)>| {
-                Self::predict_batch(
-                    dims,
-                    step,
-                    rows,
-                    s,
-                    spline,
-                    self.cfg.block_span,
-                    recon_ref,
-                    results,
-                );
-            },
-            &mut recon,
-            |idx, pred, recon_ref, _codes_ref, _outliers_ref| {
-                let code = codes[idx];
-                recon_ref[idx] = if code == OUTLIER_CODE {
-                    *outlier_map.get(&(idx as u64)).ok_or_else(|| {
-                        PredictorError::Inconsistent(format!(
-                            "point {idx} is coded as an outlier but has no outlier record"
-                        ))
-                    })?
-                } else {
-                    quantizer.reconstruct(code, pred)
-                };
-                Ok(())
-            },
-            &mut dummy_codes,
-            &mut dummy_outliers,
-            &mut sweep_rows,
-            &mut sweep_results,
-        )?;
+        self.sweep(dims, &mut recon, |idx, pred| match codes[idx] {
+            OUTLIER_CODE => outlier_map.get(&(idx as u64)).copied().ok_or_else(|| {
+                PredictorError::Inconsistent(format!(
+                    "point {idx} is coded as an outlier but has no outlier record"
+                ))
+            }),
+            code => Ok(quantizer.reconstruct(code, pred)),
+        })?;
 
         Ok(Grid::from_vec(dims, recon))
     }
 
-    /// Shared level/step traversal: for every level (coarse to fine) and every
-    /// step of the level's scheme, predictions are computed in parallel
-    /// batches and committed sequentially through `commit`. A failing commit
+    /// The one level → step → target traversal behind both directions:
+    /// every target is predicted from `recon`, `commit(index, prediction)`
+    /// turns the prediction into the point's reconstructed value (quantizing
+    /// on the way in, dequantizing or substituting the stored outlier on the
+    /// way out), and the value lands in `recon` before the next target is
+    /// predicted. Fusing the two is exact because a step's targets read only
+    /// points known before the step (the [`Step`] contract), so no commit
+    /// can change a later prediction of the same step. A failing commit
     /// (decompression over inconsistent input) aborts the sweep.
-    #[allow(clippy::too_many_arguments)]
-    fn walk_levels<P, C>(
+    fn sweep(
         &self,
         dims: Dims,
-        predict: P,
-        recon: &mut Vec<f32>,
-        mut commit: C,
-        codes: &mut Vec<u8>,
-        outliers: &mut Vec<Outlier>,
-        rows: &mut Vec<(usize, usize)>,
-        results: &mut Vec<(usize, f32)>,
-    ) -> Result<(), PredictorError>
-    where
-        P: Fn(&Step, &[(usize, usize)], usize, Spline, &[f32], &mut Vec<(usize, f32)>) + Sync,
-        C: FnMut(
-            usize,
-            f32,
-            &mut [f32],
-            &mut Vec<u8>,
-            &mut Vec<Outlier>,
-        ) -> Result<(), PredictorError>,
-    {
-        let num_levels = self.cfg.num_levels();
-        for level in (1..=num_levels).rev() {
+        recon: &mut [f32],
+        mut commit: impl FnMut(usize, f32) -> Result<f32, PredictorError>,
+    ) -> Result<(), PredictorError> {
+        for level in (1..=self.cfg.num_levels()).rev() {
             let s = 1usize << (level - 1);
             let lc = self.cfg.levels[level - 1];
-            for step in steps(dims, s, lc.scheme) {
-                // Enumerate the (z, y) rows of this step and process them in
-                // bounded batches.
-                rows.clear();
-                for z in (step.z.0..dims.nz()).step_by(step.z.1) {
-                    for y in (step.y.0..dims.ny()).step_by(step.y.1) {
-                        rows.push((z, y));
-                    }
-                }
-                for batch in rows.chunks(ROWS_PER_BATCH) {
-                    predict(&step, batch, s, lc.spline, recon, results);
-                    for &(idx, pred) in results.iter() {
-                        commit(idx, pred, recon.as_mut_slice(), codes, outliers)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Computes the predictions of every target in `step` restricted to the
-    /// `rows` batch, in parallel, into the flat `results` buffer (cleared
-    /// and refilled in place, one slot per target in row-major batch order —
-    /// exactly the order the sequential commit phase expects).
-    #[allow(clippy::too_many_arguments)]
-    fn predict_batch(
-        dims: Dims,
-        step: &Step,
-        rows: &[(usize, usize)],
-        s: usize,
-        spline: Spline,
-        block_span: [usize; 3],
-        recon: &[f32],
-        results: &mut Vec<(usize, f32)>,
-    ) {
-        results.clear();
-        let row_len = (step.x.0..dims.nx()).step_by(step.x.1.max(1)).count();
-        if row_len == 0 {
-            return;
-        }
-        results.resize(rows.len() * row_len, (0usize, 0.0f32));
-        results
-            .par_chunks_mut(row_len)
-            .enumerate()
-            .for_each(|(r, out)| {
-                let (z, y) = rows[r];
-                let mut x = step.x.0;
-                for slot in out.iter_mut() {
+            for step in steps(s, lc.scheme) {
+                for (z, y, x) in step.targets(dims) {
                     let pred = predict_point(
                         recon,
                         dims,
                         (z, y, x),
-                        &step.interp_axes,
+                        step.interp_axes,
                         s,
-                        spline,
-                        block_span,
+                        lc.spline,
+                        self.cfg.block_span,
                     );
-                    *slot = (dims.index(z, y, x), pred);
-                    x += step.x.1;
+                    let idx = dims.index(z, y, x);
+                    recon[idx] = commit(idx, pred)?;
                 }
-            });
+            }
+        }
+        Ok(())
     }
 }
 

@@ -15,7 +15,6 @@
 //! exactly the grouping Eq. 3 produces.
 
 use crate::error::PredictorError;
-use rayon::prelude::*;
 use szhi_ndgrid::Dims;
 
 /// The level-ordered permutation for a field shape and anchor stride.
@@ -58,16 +57,24 @@ fn valuation(c: usize, cap: u32) -> u32 {
 }
 
 impl LevelOrder {
+    /// The largest field a permutation can cover: destinations are stored
+    /// as `u32`. Callers holding untrusted or user-chosen shapes check
+    /// against this before calling [`LevelOrder::new`].
+    pub const MAX_POINTS: usize = u32::MAX as usize;
+
     /// Builds the permutation for `dims` with the given anchor stride (a
     /// power of two).
+    ///
+    /// # Panics
+    /// If `dims` holds more than [`MAX_POINTS`](Self::MAX_POINTS) points.
     pub fn new(dims: Dims, anchor_stride: usize) -> Self {
         assert!(anchor_stride.is_power_of_two() && anchor_stride >= 2);
+        assert!(
+            dims.len() <= Self::MAX_POINTS,
+            "a {dims} field does not fit the permutation's u32 destinations"
+        );
         let max_level = anchor_stride.trailing_zeros();
-        // Per-point level, computed in parallel over z-planes.
-        let plane = dims.ny() * dims.nx();
         let levels: Vec<u8> = (0..dims.len())
-            .into_par_iter()
-            .with_min_len(plane.max(1024))
             .map(|idx| {
                 let (z, y, x) = dims.coords(idx);
                 level_of(z, y, x, dims, max_level) as u8

@@ -54,10 +54,20 @@ fn allocated() -> usize {
     TOTAL_ALLOCATED.load(Ordering::Relaxed)
 }
 
+/// The counter and the thread-count override are process-wide, so the two
+/// tests must not overlap: each holds this lock for its whole body.
+static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+    // A poisoned lock only means the other test failed; run regardless.
+    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn warm_scratch_decomposition_performs_zero_heap_growth() {
     use szhi_predictor::{CompressScratch, InterpConfig, InterpOutput, InterpPredictor};
 
+    let _serial = one_at_a_time();
     rayon::set_num_threads(1);
     let dims = Dims::d3(32, 32, 32);
     let data = DatasetKind::Miranda.generate(dims, 7);
@@ -94,6 +104,7 @@ fn warm_scratch_decomposition_performs_zero_heap_growth() {
 fn steady_state_sink_pushes_allocate_no_field_sized_buffers() {
     use szhi::core::StreamSink;
 
+    let _serial = one_at_a_time();
     // Sequential encoding: the measurement must see one encode chain, not
     // a worker pool's interleaved allocations.
     rayon::set_num_threads(1);
