@@ -53,9 +53,9 @@ pub fn open_field(path: &Path, dims: Dims) -> Result<File, CliError> {
     Ok(file)
 }
 
-/// Streams the file once through a fixed buffer and returns its
-/// `(min, max)` with the same NaN convention as
-/// [`Grid::min_max`] (`(0, 0)` when no finite value exists).
+/// Streams the file once through a fixed buffer and returns its finite
+/// `(min, max)` with the same convention as [`Grid::min_max`] (NaN and
+/// ±Inf skipped, `(0, 0)` when no finite value exists).
 pub fn min_max(path: &Path, dims: Dims) -> Result<(f32, f32), CliError> {
     let mut file = open_field(path, dims)?;
     let mut buf = [0u8; 64 * 1024];
@@ -108,6 +108,9 @@ pub fn min_max(path: &Path, dims: Dims) -> Result<(f32, f32), CliError> {
 }
 
 fn fold(v: f32, lo: &mut f32, hi: &mut f32) {
+    if !v.is_finite() {
+        return;
+    }
     if v < *lo {
         *lo = v;
     }
@@ -263,6 +266,18 @@ mod tests {
 
         let err = open_field(&path, Dims::d3(3, 4, 6)).unwrap_err();
         assert!(matches!(&err, CliError::Runtime(m) if m.contains("needs exactly")));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn min_max_skips_non_finite_values() {
+        let path = temp_path("minmax-nonfinite");
+        let mixed = [-1.0f32, 3.5, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        std::fs::write(&path, to_bytes(&mixed)).unwrap();
+        assert_eq!(min_max(&path, Dims::d1(5)).unwrap(), (-1.0, 3.5));
+        let none = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        std::fs::write(&path, to_bytes(&none)).unwrap();
+        assert_eq!(min_max(&path, Dims::d1(3)).unwrap(), (0.0, 0.0));
         std::fs::remove_file(&path).unwrap();
     }
 }

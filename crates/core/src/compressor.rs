@@ -276,16 +276,6 @@ fn reconstruct(
     outliers: Vec<szhi_predictor::Outlier>,
     payload: Vec<u8>,
 ) -> Result<Grid<f32>, SzhiError> {
-    // No writer emits such a chunk (`ChunkEncoder::new` rejects it): the
-    // permutation's destinations are `u32`.
-    if header.reorder && dims.len() > LevelOrder::MAX_POINTS {
-        return Err(SzhiError::InvalidStream(format!(
-            "a level-reordered {dims} chunk holds {} points, more than the {} a \
-             permutation covers",
-            dims.len(),
-            LevelOrder::MAX_POINTS
-        )));
-    }
     let codes = {
         let _span = crate::telemetry::DECODE_ENTROPY.enter();
         pipeline
@@ -303,10 +293,8 @@ fn reconstruct(
     }
     let codes = if header.reorder {
         let _span = crate::telemetry::DECODE_REORDER.enter();
-        // szhi-analyzer: allow(panic-reachability) -- `LevelOrder::new` builds a permutation from locally computed dims/stride (never stream bytes) and indexes only its own level buckets; in bounds by construction
-        let order = LevelOrder::new(dims, interp.anchor_stride);
-        order
-            // szhi-analyzer: allow(panic-reachability) -- `restore` length-checks `codes` against the permutation and `dest` is a valid permutation by construction, so both index expressions are in bounds; corrupt inputs surface as its typed error (byte-flip fuzz suites cover this boundary)
+        LevelOrder::new(dims, interp.anchor_stride)
+            // szhi-analyzer: allow(panic-reachability) -- `restore` length-checks `codes` against the field size and the walk visits every raster index exactly once, so its run slices are in bounds; corrupt inputs surface as its typed error (byte-flip fuzz suites cover this boundary)
             .restore(&codes)
             .map_err(|e| SzhiError::InvalidStream(e.to_string()))?
     } else {
@@ -390,15 +378,6 @@ mod tests {
                 "missing outlier records did not yield a typed error"
             );
         }
-
-        // A level-reordered chunk of more points than a permutation can
-        // index: refused from the shape, before anything is decoded.
-        let big = Dims::d3(1024, 2048, 2049);
-        assert!(header.reorder);
-        assert!(matches!(
-            reconstruct(&header, header.pipeline, &header.interp, big, vec![], vec![], vec![]),
-            Err(SzhiError::InvalidStream(msg)) if msg.contains("permutation")
-        ));
     }
 
     #[test]

@@ -49,7 +49,7 @@ use szhi_telemetry::Snapshot;
 
 /// The coarse stage a job is in, fed by telemetry span enter/exit events
 /// on the job's threads: the `job.tune` span (configuration resolution
-/// and permutation precompute) maps to [`JobPhase::Tuning`], `job.encode`
+/// and chunk planning) maps to [`JobPhase::Tuning`], `job.encode`
 /// to [`JobPhase::Encoding`], `job.flush` to [`JobPhase::Flushing`],
 /// `job.decode` to [`JobPhase::Decoding`], and leaving the final span
 /// maps to [`JobPhase::Done`]. A job that errors or is cancelled keeps
@@ -59,8 +59,7 @@ use szhi_telemetry::Snapshot;
 pub enum JobPhase {
     /// The job exists but has not entered a phase span yet.
     Starting = 0,
-    /// Resolving configuration: header validation, chunk plan,
-    /// level-order permutation precompute.
+    /// Resolving configuration: header validation, chunk plan.
     Tuning = 1,
     /// The batched parallel encode loop (compress jobs).
     Encoding = 2,
@@ -254,10 +253,9 @@ impl JobService {
         let phase = Arc::new(AtomicU8::new(JobPhase::Starting as u8));
         let sink = {
             // Sink construction is the job's tuning step: configuration
-            // resolution, chunk planning, level-order permutation
-            // precompute. It runs here on the caller's thread (so config
-            // errors surface synchronously), with a temporary listener so
-            // the phase indicator reflects it.
+            // resolution and chunk planning. It runs here on the caller's
+            // thread (so config errors surface synchronously), with a
+            // temporary listener so the phase indicator reflects it.
             let _feed = PhaseFeed::install(Arc::clone(&phase));
             let _span = crate::telemetry::JOB_TUNE.enter();
             StreamSink::new(out, field.dims(), cfg)?

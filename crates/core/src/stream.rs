@@ -261,11 +261,6 @@ pub(crate) struct ChunkEncoder {
     /// candidates on its own blocks and is compressed with the winner
     /// (the container becomes v5 to carry the per-chunk configs).
     chunk_interp: bool,
-    /// The level-order permutation for every distinct chunk shape of the
-    /// plan (interior chunks plus the boundary remainders — at most eight
-    /// shapes), precomputed once so per-chunk encoding never rebuilds it.
-    /// Empty when reordering is disabled.
-    orders: Vec<(Dims, LevelOrder)>,
 }
 
 impl ChunkEncoder {
@@ -302,25 +297,6 @@ impl ChunkEncoder {
         let interp = cfg.interp.clone();
         let predictor = InterpPredictor::new(interp.clone())
             .map_err(|e| SzhiError::InvalidInput(e.to_string()))?;
-        let mut orders: Vec<(Dims, LevelOrder)> = Vec::new();
-        if cfg.reorder {
-            for i in 0..plan.len() {
-                let d = plan.chunk_dims(i);
-                if !orders.iter().any(|(od, _)| *od == d) {
-                    // Chunk 0 is the plan's largest, so an oversized plan
-                    // fails here before any permutation is built.
-                    if d.len() > LevelOrder::MAX_POINTS {
-                        return Err(SzhiError::InvalidInput(format!(
-                            "a {d} chunk holds {} points, level reordering covers at most \
-                             {}; set a smaller chunk span",
-                            d.len(),
-                            LevelOrder::MAX_POINTS
-                        )));
-                    }
-                    orders.push((d, LevelOrder::new(d, interp.anchor_stride)));
-                }
-            }
-        }
         Ok(ChunkEncoder {
             header: Header {
                 dims: plan.dims(),
@@ -338,7 +314,6 @@ impl ChunkEncoder {
             // configured default.
             selection: PipelineSelection::from_tuning(cfg.mode, cfg.mode_tuning.clone()),
             chunk_interp: cfg.chunk_interp_tuning,
-            orders,
         })
     }
 
@@ -445,13 +420,8 @@ impl ChunkEncoder {
         };
         let codes: &[u8] = if self.header.reorder {
             let _span = crate::telemetry::ENCODE_REORDER.enter();
-            let order = self
-                .orders
-                .iter()
-                .find(|(d, _)| *d == expected)
-                .map(|(_, o)| o)
-                .expect("every plan chunk shape has a precomputed permutation");
-            order.reorder_into(&scratch.output.codes, &mut scratch.reordered);
+            LevelOrder::new(expected, self.header.interp.anchor_stride)
+                .reorder_into(&scratch.output.codes, &mut scratch.reordered);
             &scratch.reordered
         } else {
             &scratch.output.codes
@@ -1350,22 +1320,16 @@ mod tests {
         // Misaligned span.
         let cfg = stream_cfg([12, 16, 16]);
         assert!(StreamSink::new(Vec::new(), dims, &cfg).is_err());
-        // A chunk of more than u32::MAX points, which the level-order
-        // permutation cannot index: refused from the shape alone, for a
-        // sink and for the one-chunk plan monolithic `compress` builds.
+        // Level reordering puts no limit on the chunk size: a reordered
+        // chunk of more than u32::MAX points is accepted by a sink and by
+        // the one-chunk plan monolithic `compress` builds. Dims only — the
+        // field itself is never allocated.
         let big = Dims::d3(1024, 2048, 2049);
         let cfg = stream_cfg([1024, 2048, 2064]);
-        assert!(matches!(
-            StreamSink::new(Vec::new(), big, &cfg),
-            Err(SzhiError::InvalidInput(msg)) if msg.contains("level reordering")
-        ));
+        assert!(cfg.reorder);
+        assert!(StreamSink::new(Vec::new(), big, &cfg).is_ok());
         let whole = ChunkPlan::new(big, [1024, 2048, 2049]);
-        assert!(matches!(
-            ChunkEncoder::new(whole, &cfg),
-            Err(SzhiError::InvalidInput(msg)) if msg.contains("level reordering")
-        ));
-        // Without reordering no permutation is built and nothing is refused.
-        assert!(ChunkEncoder::new(whole, &cfg.with_reorder(false)).is_ok());
+        assert!(ChunkEncoder::new(whole, &cfg).is_ok());
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub(crate) static DECODE_CRC: Span = Span::new("decode.crc");
 // --- job phase spans (coordinator threads) --------------------------------
 
 /// A compress job resolving its configuration (sink construction:
-/// header validation, plan, permutation precompute).
+/// header validation, plan).
 pub(crate) static JOB_TUNE: Span = Span::new("job.tune");
 /// A compress job's batched encode loop (parallel encode + ordered
 /// pushes).

@@ -151,12 +151,12 @@ impl<T: Copy + Default> Grid<T> {
 }
 
 impl Grid<f32> {
-    /// Minimum and maximum value of the field. Returns `(0.0, 0.0)` for an
-    /// all-NaN field.
+    /// Minimum and maximum finite value of the field (NaN and ±Inf are
+    /// skipped). Returns `(0.0, 0.0)` when no finite value exists.
     pub fn min_max(&self) -> (f32, f32) {
         let mut lo = f32::INFINITY;
         let mut hi = f32::NEG_INFINITY;
-        for &v in &self.data {
+        for &v in self.data.iter().filter(|v| v.is_finite()) {
             if v < lo {
                 lo = v;
             }
@@ -241,6 +241,14 @@ mod tests {
         let g = Grid::from_vec(Dims::d1(4), vec![-1.0f32, 3.5, 0.0, 2.0]);
         assert_eq!(g.min_max(), (-1.0, 3.5));
         assert_eq!(g.value_range(), 4.5);
+    }
+
+    #[test]
+    fn min_max_skips_non_finite_values() {
+        let mixed = vec![-1.0f32, 3.5, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        assert_eq!(Grid::from_vec(Dims::d1(5), mixed).min_max(), (-1.0, 3.5));
+        let none = vec![f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        assert_eq!(Grid::from_vec(Dims::d1(3), none).min_max(), (0.0, 0.0));
     }
 
     #[test]

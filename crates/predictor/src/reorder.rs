@@ -8,128 +8,62 @@
 //! coarsest levels (and the anchors) first. The reordered sequence is much
 //! smoother, which the byte-level reducers (RRE/RZE) exploit.
 //!
-//! This module implements the mapping as an explicit permutation: the level
-//! of a point is the largest `ℓ ≤ log2(anchor_stride)` such that `2^ℓ`
-//! divides all of its coordinates (degenerate axes are ignored), and points
-//! are ordered by descending level with raster order inside each level —
-//! exactly the grouping Eq. 3 produces.
+//! This module computes the mapping as a walk over the lattice, never as a
+//! stored table: for level `ℓ` from `log2(anchor_stride)` down to 0, with
+//! `s = 2^ℓ`, it visits the `s`-lattice in raster order. Below the anchor
+//! level, a row whose `z` and `y` are both multiples of `2s` holds only
+//! `x = s, 3s, 5s, …` (its even multiples of `s` belong to a coarser
+//! level); every other row holds every multiple of `s`. That is descending
+//! level with raster order inside each level — exactly the grouping Eq. 3
+//! produces — at no set-up cost and for any field size. Axes of extent 1
+//! need no special case: their coordinate is always 0.
 
 use crate::error::PredictorError;
 use szhi_ndgrid::Dims;
 
-/// The level-ordered permutation for a field shape and anchor stride.
-#[derive(Debug, Clone)]
+/// The level-ordered walk for a field shape and anchor stride.
+#[derive(Debug, Clone, Copy)]
 pub struct LevelOrder {
     dims: Dims,
     max_level: u32,
-    /// `dest[i]` is the position of raster index `i` in the reordered
-    /// sequence.
-    dest: Vec<u32>,
-    /// Number of points per level, from level `max_level` (anchors) down to 0.
-    level_counts: Vec<usize>,
-}
-
-/// The interpolation level of a coordinate triple: the largest `ℓ ≤ cap` such
-/// that `2^ℓ` divides every coordinate (axes of extent 1 are ignored; the
-/// coordinate 0 is divisible by everything).
-#[inline]
-pub fn level_of(z: usize, y: usize, x: usize, dims: Dims, cap: u32) -> u32 {
-    let mut level = cap;
-    if dims.nz() > 1 {
-        level = level.min(valuation(z, cap));
-    }
-    if dims.ny() > 1 {
-        level = level.min(valuation(y, cap));
-    }
-    if dims.nx() > 1 {
-        level = level.min(valuation(x, cap));
-    }
-    level
-}
-
-#[inline]
-fn valuation(c: usize, cap: u32) -> u32 {
-    if c == 0 {
-        cap
-    } else {
-        (c.trailing_zeros()).min(cap)
-    }
 }
 
 impl LevelOrder {
-    /// The largest field a permutation can cover: destinations are stored
-    /// as `u32`. Callers holding untrusted or user-chosen shapes check
-    /// against this before calling [`LevelOrder::new`].
-    pub const MAX_POINTS: usize = u32::MAX as usize;
-
-    /// Builds the permutation for `dims` with the given anchor stride (a
-    /// power of two).
-    ///
-    /// # Panics
-    /// If `dims` holds more than [`MAX_POINTS`](Self::MAX_POINTS) points.
+    /// The level order of `dims` with the given anchor stride (a power of
+    /// two, at least 2).
     pub fn new(dims: Dims, anchor_stride: usize) -> Self {
         assert!(anchor_stride.is_power_of_two() && anchor_stride >= 2);
-        assert!(
-            dims.len() <= Self::MAX_POINTS,
-            "a {dims} field does not fit the permutation's u32 destinations"
-        );
-        let max_level = anchor_stride.trailing_zeros();
-        let levels: Vec<u8> = (0..dims.len())
-            .map(|idx| {
-                let (z, y, x) = dims.coords(idx);
-                level_of(z, y, x, dims, max_level) as u8
-            })
-            .collect();
-        // Count per level (descending) and prefix offsets.
-        let mut level_counts = vec![0usize; max_level as usize + 1];
-        for &l in &levels {
-            level_counts[(max_level - l as u32) as usize] += 1;
-        }
-        let mut offsets = vec![0usize; max_level as usize + 1];
-        let mut acc = 0usize;
-        for (i, &c) in level_counts.iter().enumerate() {
-            offsets[i] = acc;
-            acc += c;
-        }
-        // Destination index per point: raster order within each level bucket.
-        let mut dest = vec![0u32; dims.len()];
-        let mut cursor = offsets;
-        for (idx, &l) in levels.iter().enumerate() {
-            let bucket = (max_level - l as u32) as usize;
-            dest[idx] = cursor[bucket] as u32;
-            cursor[bucket] += 1;
-        }
         LevelOrder {
             dims,
-            max_level,
-            dest,
-            level_counts,
+            max_level: anchor_stride.trailing_zeros(),
         }
     }
 
-    /// The field shape this permutation was built for.
-    pub fn dims(&self) -> Dims {
-        self.dims
+    /// Walks the order as row runs: `visit(start, step, count)` covers the
+    /// raster indices `start, start + step, …` (`count` of them), and the
+    /// runs arrive in reordered sequence.
+    fn walk(&self, mut visit: impl FnMut(usize, usize, usize)) {
+        let (ny, nx) = (self.dims.ny(), self.dims.nx());
+        for level in (0..=self.max_level).rev() {
+            let s = 1usize << level;
+            for z in (0..self.dims.nz()).step_by(s) {
+                for y in (0..ny).step_by(s) {
+                    // `z` and `y` are multiples of `s`; both are multiples
+                    // of `2s` exactly when neither has the `s` bit set.
+                    let (first, step) = if level < self.max_level && (z | y) & s == 0 {
+                        (s, 2 * s)
+                    } else {
+                        (0, s)
+                    };
+                    if first < nx {
+                        visit((z * ny + y) * nx + first, step, (nx - 1 - first) / step + 1);
+                    }
+                }
+            }
+        }
     }
 
-    /// Number of interpolation levels (excluding the anchor level).
-    pub fn max_level(&self) -> u32 {
-        self.max_level
-    }
-
-    /// Number of codes per level, ordered from the anchor level (index 0)
-    /// down to level 0 (finest stride).
-    pub fn level_counts(&self) -> &[usize] {
-        &self.level_counts
-    }
-
-    /// Destination position of raster index `idx` in the reordered sequence
-    /// (the paper's `I_{x,y,z}`).
-    pub fn destination(&self, idx: usize) -> usize {
-        self.dest[idx] as usize
-    }
-
-    /// Applies the permutation: `out[dest[i]] = codes[i]`.
+    /// Applies the order: the codes gathered along the walk.
     pub fn reorder(&self, codes: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
         self.reorder_into(codes, &mut out);
@@ -137,36 +71,51 @@ impl LevelOrder {
     }
 
     /// Like [`reorder`](LevelOrder::reorder), but writes into a reusable
-    /// output buffer (cleared and resized in place), so per-chunk callers
-    /// avoid one code-array-sized allocation per chunk.
+    /// output buffer (cleared first), so per-chunk callers avoid one
+    /// code-array-sized allocation per chunk.
     pub fn reorder_into(&self, codes: &[u8], out: &mut Vec<u8>) {
         assert_eq!(
             codes.len(),
-            self.dest.len(),
-            "code array does not match the permutation"
+            self.dims.len(),
+            "code array does not match the level order"
         );
         out.clear();
-        out.resize(codes.len(), 0);
-        for (i, &d) in self.dest.iter().enumerate() {
-            out[d as usize] = codes[i];
-        }
+        self.walk(|start, step, count| {
+            let run = &codes[start..=start + (count - 1) * step];
+            if step == 1 {
+                out.extend_from_slice(run);
+            } else {
+                out.extend(run.iter().step_by(step));
+            }
+        });
     }
 
-    /// Inverts the permutation: `out[i] = reordered[dest[i]]`. The input is
-    /// untrusted (it comes from a decoded stream payload), so a length
-    /// mismatch surfaces as a typed error rather than a panic.
+    /// Inverts the order: the reordered codes scattered back along the
+    /// walk. The input is untrusted (it comes from a decoded stream
+    /// payload), so a length mismatch surfaces as a typed error rather than
+    /// a panic.
     pub fn restore(&self, reordered: &[u8]) -> Result<Vec<u8>, PredictorError> {
-        if reordered.len() != self.dest.len() {
+        if reordered.len() != self.dims.len() {
             return Err(PredictorError::Inconsistent(format!(
-                "{} reordered codes for a permutation over {} points",
+                "{} reordered codes for a level order over {} points",
                 reordered.len(),
-                self.dest.len()
+                self.dims.len()
             )));
         }
         let mut out = vec![0u8; reordered.len()];
-        for (i, &d) in self.dest.iter().enumerate() {
-            out[i] = reordered[d as usize];
-        }
+        let mut rest = reordered;
+        self.walk(|start, step, count| {
+            let (src, tail) = rest.split_at(count);
+            rest = tail;
+            let run = &mut out[start..=start + (count - 1) * step];
+            if step == 1 {
+                run.copy_from_slice(src);
+            } else {
+                for (dst, &v) in run.iter_mut().step_by(step).zip(src) {
+                    *dst = v;
+                }
+            }
+        });
         Ok(out)
     }
 }
@@ -176,18 +125,78 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
 
+    /// The interpolation level of a coordinate triple: the largest `ℓ ≤ cap`
+    /// such that `2^ℓ` divides every coordinate (axes of extent 1 are
+    /// ignored; the coordinate 0 is divisible by everything).
+    fn level_of(z: usize, y: usize, x: usize, dims: Dims, cap: u32) -> u32 {
+        let mut level = cap;
+        if dims.nz() > 1 {
+            level = level.min(valuation(z, cap));
+        }
+        if dims.ny() > 1 {
+            level = level.min(valuation(y, cap));
+        }
+        if dims.nx() > 1 {
+            level = level.min(valuation(x, cap));
+        }
+        level
+    }
+
+    fn valuation(c: usize, cap: u32) -> u32 {
+        if c == 0 {
+            cap
+        } else {
+            (c.trailing_zeros()).min(cap)
+        }
+    }
+
+    /// The reference order: raster indices stable-sorted by descending
+    /// level.
+    fn reference_order(dims: Dims, anchor_stride: usize) -> Vec<usize> {
+        let cap = anchor_stride.trailing_zeros();
+        let mut order: Vec<usize> = (0..dims.len()).collect();
+        order.sort_by_key(|&i| {
+            let (z, y, x) = dims.coords(i);
+            std::cmp::Reverse(level_of(z, y, x, dims, cap))
+        });
+        order
+    }
+
+    /// The walk visits every raster index once, in the reference order;
+    /// `reorder` is the reference gather and `restore` inverts it.
     #[test]
     fn permutation_is_a_bijection() {
-        for dims in [Dims::d3(20, 17, 33), Dims::d2(50, 41), Dims::d1(100)] {
-            for stride in [8usize, 16] {
+        let shapes = [
+            Dims::d3(20, 17, 33),
+            Dims::d3(19, 23, 29),
+            Dims::d3(33, 33, 33),
+            Dims::d3(44, 64, 64),
+            Dims::d3(5, 9, 13),
+            Dims::d3(1, 40, 3),
+            Dims::d3(17, 1, 5),
+            Dims::d3(3, 1, 1),
+            Dims::d2(50, 41),
+            Dims::d1(100),
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(25);
+        for dims in shapes {
+            let codes: Vec<u8> = (0..dims.len()).map(|_| rng.gen()).collect();
+            for stride in [2usize, 4, 8, 16] {
                 let order = LevelOrder::new(dims, stride);
-                let mut seen = vec![false; dims.len()];
-                for i in 0..dims.len() {
-                    let d = order.destination(i);
-                    assert!(!seen[d], "destination {d} assigned twice");
-                    seen[d] = true;
-                }
-                assert!(seen.iter().all(|&s| s));
+                let reference = reference_order(dims, stride);
+                let mut walked = Vec::new();
+                order.walk(|start, step, count| {
+                    walked.extend((0..count).map(|k| start + k * step));
+                });
+                assert_eq!(walked, reference, "{dims} stride {stride}: walk");
+                let reordered = order.reorder(&codes);
+                let gathered: Vec<u8> = reference.iter().map(|&i| codes[i]).collect();
+                assert_eq!(reordered, gathered, "{dims} stride {stride}: reorder");
+                assert_eq!(
+                    order.restore(&reordered).unwrap(),
+                    codes,
+                    "{dims} stride {stride}: restore"
+                );
             }
         }
     }
@@ -230,7 +239,6 @@ mod tests {
         }
         // The first entries are the anchors (level 4).
         assert_eq!(reordered[0], 4);
-        assert_eq!(order.level_counts()[0], 3 * 3 * 3);
     }
 
     #[test]
@@ -243,13 +251,5 @@ mod tests {
         let d1 = Dims::d1(64);
         assert_eq!(level_of(0, 0, 48, d1, 4), 4);
         assert_eq!(level_of(0, 0, 4, d1, 4), 2);
-    }
-
-    #[test]
-    fn counts_sum_to_total() {
-        let dims = Dims::d3(40, 30, 20);
-        let order = LevelOrder::new(dims, 8);
-        assert_eq!(order.level_counts().iter().sum::<usize>(), dims.len());
-        assert_eq!(order.level_counts().len(), 4); // anchors + 3 levels
     }
 }

@@ -62,8 +62,8 @@ proptest! {
         prop_assert_eq!(decoded, data);
     }
 
-    /// The level-ordered permutation is a bijection and restore ∘ reorder is
-    /// the identity for arbitrary shapes and strides.
+    /// restore ∘ reorder along the level walk is the identity for
+    /// arbitrary shapes and strides.
     #[test]
     fn reorder_restore_roundtrip(nz in 1usize..24, ny in 1usize..24, nx in 1usize..24, stride_pow in 1u32..5) {
         let dims = Dims::d3(nz, ny, nx);
