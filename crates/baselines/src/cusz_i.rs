@@ -43,7 +43,7 @@ fn compress_interp(
         put_u64(&mut bytes, o.index);
         put_f32(&mut bytes, o.value);
     }
-    let payload = pipeline.build().encode(&out.codes);
+    let payload = pipeline.encode(&out.codes);
     put_u64(&mut bytes, payload.len() as u64);
     bytes.extend_from_slice(&payload);
     Ok(bytes)
@@ -71,7 +71,7 @@ fn decompress_interp(bytes: &[u8], name: &str) -> Result<Grid<f32>, SzhiError> {
     }
     let payload_len = cur.get_u64().map_err(SzhiError::from)? as usize;
     let payload = cur.take(payload_len).map_err(SzhiError::from)?;
-    let codes = pipeline.build().decode(payload)?;
+    let codes = pipeline.decode_bounded(payload, dims.len())?;
     if codes.len() != dims.len() {
         return Err(SzhiError::InvalidStream(format!(
             "{name}: decoded {} codes for {} points",

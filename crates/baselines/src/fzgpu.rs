@@ -6,6 +6,7 @@
 //! resulting stream is de-duplicated by zero-block elimination — the
 //! `P1 → LE2` (bit-shuffle + dictionary) pipeline of Figure 2.
 
+use crate::lorenzo::{self, LorenzoOutput, DEFAULT_RADIUS};
 use crate::stream::{
     byte_planes_to_codes, codes_to_byte_planes, read_header, read_int_outliers, write_header,
     write_int_outliers,
@@ -15,7 +16,6 @@ use szhi_codec::bitio::put_u64;
 use szhi_codec::components::{Bit, Rze};
 use szhi_core::{ErrorBound, SzhiError};
 use szhi_ndgrid::Grid;
-use szhi_predictor::lorenzo::{self, LorenzoOutput, DEFAULT_RADIUS};
 
 const MAGIC: &[u8; 4] = b"FZG1";
 

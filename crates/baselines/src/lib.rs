@@ -16,6 +16,9 @@
 //! | [`FzGpu`]  | dual-quant Lorenzo               | bit-shuffle + zero elimination |
 //! | [`CuZfp`]  | block orthogonal transform       | bit-plane truncation (fixed rate) |
 //!
+//! [`CuszL`] and [`FzGpu`] share the dual-quantization Lorenzo predictor in
+//! [`lorenzo`].
+//!
 //! All baselines implement the common [`Compressor`] trait so the experiment
 //! harness can sweep over them uniformly; the two cuSZ-Hi modes are wrapped
 //! behind the same trait as [`SzhiCr`] and [`SzhiTp`].
@@ -26,6 +29,7 @@ pub mod cusz_l;
 pub mod cuszp2;
 pub mod cuzfp;
 pub mod fzgpu;
+pub mod lorenzo;
 pub mod stream;
 
 pub use cusz_i::{CuszI, CuszIb};

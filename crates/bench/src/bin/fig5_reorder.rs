@@ -67,17 +67,8 @@ fn main() {
         ],
         vec![
             "CR-pipeline encoded size (bytes)".to_string(),
-            format!(
-                "{}",
-                szhi_codec::PipelineSpec::CR.build().encode(&flat).len()
-            ),
-            format!(
-                "{}",
-                szhi_codec::PipelineSpec::CR
-                    .build()
-                    .encode(&reordered)
-                    .len()
-            ),
+            format!("{}", szhi_codec::PipelineSpec::CR.encode(&flat).len()),
+            format!("{}", szhi_codec::PipelineSpec::CR.encode(&reordered).len()),
         ],
     ];
     print_table(

@@ -30,12 +30,13 @@ fn main() {
         eprintln!("# {kind}: {} codes from {}", codes.len(), data.dims());
         let mut rows = Vec::new();
         for spec in PipelineSpec::fig6_set() {
-            let pipeline = spec.build();
             let sw = Stopwatch::start();
-            let encoded = pipeline.encode(&codes);
+            let encoded = spec.encode(&codes);
             let enc_t = sw.elapsed();
             let sw = Stopwatch::start();
-            let decoded = pipeline.decode(&encoded).expect("pipeline must round-trip");
+            let decoded = spec
+                .decode_bounded(&encoded, codes.len())
+                .expect("pipeline must round-trip");
             let dec_t = sw.elapsed();
             assert_eq!(decoded, codes, "{spec} corrupted the codes");
             let ratio = codes.len() as f64 / encoded.len() as f64;

@@ -247,7 +247,7 @@ pub fn ablation_compressed_size(
     } else {
         out.codes
     };
-    let payload = pipeline.build().encode(&codes);
+    let payload = pipeline.encode(&codes);
     // Anchors (f32) + outliers (index u64 + value f32) + payload + header.
     out.anchors.len() * 4 + out.outliers.len() * 12 + payload.len() + 64
 }

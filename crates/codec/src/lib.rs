@@ -19,7 +19,7 @@
 //! * [`huffman`] — canonical Huffman coding over byte symbols.
 //! * [`components`] — the LC-framework-style composable stages
 //!   (`RRE`/`RZE`/`TCMS`/`BIT`/`DIFFMS`/`CLOG`/`TUPL`).
-//! * [`pipeline`] — stage composition and the named pipeline catalogue.
+//! * [`pipeline`] — the lossless stages and the named pipeline catalogue.
 //! * [`bitcomp_sim`] — an open-source stand-in for NVIDIA Bitcomp
 //!   (the module doc holds the substitution rationale).
 //! * [`ans`] — a static range coder standing in for nvCOMP's ANS.
@@ -47,4 +47,4 @@ pub mod lz;
 pub mod pipeline;
 
 pub use error::CodecError;
-pub use pipeline::{Pipeline, PipelineSpec, Stage, StageSpec};
+pub use pipeline::{PipelineSpec, Stage, StageSpec};

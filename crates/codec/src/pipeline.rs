@@ -1,285 +1,75 @@
-//! Lossless stage composition and the named pipeline catalogue.
+//! Lossless stages and the named pipeline catalogue.
 //!
-//! A [`Stage`] is one lossless bytes→bytes encoder; a [`Pipeline`] is an
-//! ordered list of stages applied left to right on encode and right to left
-//! on decode. The [`PipelineSpec`] enum names every pipeline the paper uses
+//! A [`StageSpec`] is one lossless bytes→bytes stage, and a [`PipelineSpec`]
+//! is a named, ordered list of them ([`PipelineSpec::stages`]) applied left
+//! to right on encode and right to left on decode. Both are plain `Copy`
+//! enums, so the catalogue is data: the encoder, the decoder and the
+//! `szhi-tuner` size estimator walk the same stage list, and running a
+//! pipeline boxes nothing. The catalogue names every pipeline the paper uses
 //! or benchmarks: the two cuSZ-Hi modes of Figure 7, the LC-style
 //! combinations and the third-party codecs of Figure 6.
 
 use crate::components::{Bit, Clog, DiffMs, Rre, Rze, Tcms, TuplD, TuplQ};
 use crate::{ans, bitcomp_sim, huffman, lz, CodecError};
+use std::borrow::Cow;
 
-/// One lossless encoding stage.
+/// One lossless encoding stage. [`StageSpec`] is its one implementation;
+/// the trait is the object-safe face the benchmark harness boxes.
 pub trait Stage: Send + Sync {
     /// Short name used in benchmark output (e.g. `"RRE4"`).
     fn name(&self) -> &'static str;
     /// Encodes `input` into a self-describing byte stream.
     fn encode(&self, input: &[u8]) -> Vec<u8>;
-    /// Decodes a stream produced by [`Stage::encode`].
-    fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError>;
-    /// Decodes with an output-size bound for untrusted streams. The default
-    /// checks the produced length after the fact, which is enough for the
-    /// input-bounded component transforms; stages whose decoders trust a
-    /// claimed output count (entropy coders, LZ, Bitcomp) override this to
-    /// reject the count before doing any work.
-    fn decode_limited(&self, input: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
-        let out = self.decode(input)?;
-        if out.len() > max_out {
-            return Err(CodecError::corrupt(
-                self.name(),
-                format!("decoded {} bytes, limit {max_out}", out.len()),
-            ));
-        }
-        Ok(out)
-    }
-}
-
-macro_rules! component_stage {
-    ($wrapper:ident, $inner:ty, $name:expr, $ctor:expr) => {
-        /// Stage adapter for the corresponding codec component.
-        #[derive(Debug, Clone, Copy)]
-        pub struct $wrapper($inner);
-
-        impl $wrapper {
-            /// Creates the stage.
-            pub fn new() -> Self {
-                $wrapper($ctor)
-            }
-        }
-
-        impl Default for $wrapper {
-            fn default() -> Self {
-                Self::new()
-            }
-        }
-
-        impl Stage for $wrapper {
-            fn name(&self) -> &'static str {
-                $name
-            }
-            fn encode(&self, input: &[u8]) -> Vec<u8> {
-                self.0.encode_bytes(input)
-            }
-            fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-                self.0.decode_bytes(input)
-            }
-        }
-    };
-}
-
-component_stage!(Rre1Stage, Rre, "RRE1", Rre::new(1));
-component_stage!(Rre2Stage, Rre, "RRE2", Rre::new(2));
-component_stage!(Rre4Stage, Rre, "RRE4", Rre::new(4));
-component_stage!(Rze1Stage, Rze, "RZE1", Rze::new(1));
-component_stage!(Tcms1Stage, Tcms, "TCMS1", Tcms::new(1));
-component_stage!(Tcms8Stage, Tcms, "TCMS8", Tcms::new(8));
-component_stage!(Bit1Stage, Bit, "BIT1", Bit::new(1));
-component_stage!(DiffMs1Stage, DiffMs, "DIFFMS1", DiffMs::new(1));
-component_stage!(Clog1Stage, Clog, "CLOG1", Clog::new(1));
-component_stage!(TuplQ1Stage, TuplQ, "TUPLQ1", TuplQ::new());
-component_stage!(TuplD2Stage, TuplD, "TUPLD2", TuplD::new());
-
-/// Canonical Huffman entropy coding stage (`HF` in the paper's figures).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HuffmanStage;
-
-impl Stage for HuffmanStage {
-    fn name(&self) -> &'static str {
-        "HF"
-    }
-    fn encode(&self, input: &[u8]) -> Vec<u8> {
-        huffman::encode(input)
-    }
+    /// Decodes a stream produced by [`Stage::encode`], failing with a typed
+    /// error instead of producing more than `max_out` bytes — the form for
+    /// untrusted streams.
+    fn decode_limited(&self, input: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError>;
+    /// Decodes a trusted stream produced by [`Stage::encode`].
     fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        huffman::decode(input)
-    }
-    fn decode_limited(&self, input: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
-        huffman::decode_limited(input, max_out)
+        self.decode_limited(input, usize::MAX)
     }
 }
 
-/// Static rANS entropy coding stage (stand-in for nvCOMP ANS).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnsStage;
-
-impl Stage for AnsStage {
-    fn name(&self) -> &'static str {
-        "ANS"
-    }
-    fn encode(&self, input: &[u8]) -> Vec<u8> {
-        ans::encode(input)
-    }
-    fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        ans::decode(input)
-    }
-    fn decode_limited(&self, input: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
-        ans::decode_limited(input, max_out)
-    }
-}
-
-/// Bitcomp-simulator stage (stand-in for NVIDIA Bitcomp).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BitcompStage;
-
-impl Stage for BitcompStage {
-    fn name(&self) -> &'static str {
-        "BITCOMP"
-    }
-    fn encode(&self, input: &[u8]) -> Vec<u8> {
-        bitcomp_sim::compress(input)
-    }
-    fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        bitcomp_sim::decompress(input)
-    }
-    fn decode_limited(&self, input: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
-        bitcomp_sim::decompress_limited(input, max_out)
-    }
-}
-
-/// Fast LZ stage (stand-in for GPULZ / nvCOMP LZ4).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LzFastStage;
-
-impl Stage for LzFastStage {
-    fn name(&self) -> &'static str {
-        "LZ-FAST"
-    }
-    fn encode(&self, input: &[u8]) -> Vec<u8> {
-        lz::compress(input, lz::Effort::Fast)
-    }
-    fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        lz::decompress(input)
-    }
-    fn decode_limited(&self, input: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
-        lz::decompress_limited(input, max_out)
-    }
-}
-
-/// Thorough LZ stage (stand-in for nvCOMP GDeflate / Zstd match finding).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LzThoroughStage;
-
-impl Stage for LzThoroughStage {
-    fn name(&self) -> &'static str {
-        "LZ-THOROUGH"
-    }
-    fn encode(&self, input: &[u8]) -> Vec<u8> {
-        lz::compress(input, lz::Effort::Thorough)
-    }
-    fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        lz::decompress(input)
-    }
-    fn decode_limited(&self, input: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
-        lz::decompress_limited(input, max_out)
-    }
-}
-
-/// An ordered composition of lossless stages.
-pub struct Pipeline {
-    name: String,
-    stages: Vec<Box<dyn Stage>>,
-}
-
-impl Pipeline {
-    /// Builds a pipeline from stages applied left to right on encode.
-    pub fn new(name: impl Into<String>, stages: Vec<Box<dyn Stage>>) -> Self {
-        Pipeline {
-            name: name.into(),
-            stages,
-        }
-    }
-
-    /// The pipeline's display name, e.g. `"HF-RRE4-TCMS8-RZE1"`.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of stages.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Whether the pipeline has no stages (an identity pipeline).
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
-    }
-
-    /// Applies every stage in order.
-    pub fn encode(&self, input: &[u8]) -> Vec<u8> {
-        let mut data = input.to_vec();
-        for stage in &self.stages {
-            data = stage.encode(&data);
-        }
-        data
-    }
-
-    /// Reverses every stage in reverse order.
-    pub fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let mut data = input.to_vec();
-        for stage in self.stages.iter().rev() {
-            data = stage.decode(&data)?;
-        }
-        Ok(data)
-    }
-
-    /// Decodes an **untrusted** stream whose final decoded size is known to
-    /// be `expected_len`. Every intermediate stage output is bounded by
-    /// `2 * expected_len + 4096` — generous for any stream this pipeline's
-    /// own encoder can produce (stages grow their input by at most ~9/8
-    /// plus a constant header) — so a corrupted length field inside a stage
-    /// fails with a typed error instead of decoding gigabytes.
-    pub fn decode_bounded(&self, input: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecError> {
-        let max_interm = expected_len.saturating_mul(2).saturating_add(4096);
-        let mut data = input.to_vec();
-        for stage in self.stages.iter().rev() {
-            data = stage.decode_limited(&data, max_interm)?;
-        }
-        Ok(data)
-    }
-}
-
-impl std::fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Pipeline({})", self.name)
-    }
-}
-
-/// One stage of a named pipeline, as introspectable data.
-///
-/// [`PipelineSpec::stages`] exposes every named pipeline as a list of
-/// `StageSpec`s, and [`PipelineSpec::build`] materialises the runnable
-/// [`Pipeline`] from the same list — so a cost model (such as the
-/// `szhi-tuner` size estimator) that walks `stages()` can never drift from
-/// what the encoder actually runs.
+/// One catalogued lossless stage. Every value is runnable: the symbol
+/// width is part of the variant, so there is no width a stage cannot run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StageSpec {
     /// Canonical Huffman entropy coding (`HF`).
     Huffman,
-    /// Static rANS entropy coding (`ANS`).
+    /// Static rANS entropy coding (`ANS`), the nvCOMP ANS stand-in.
     Ans,
-    /// The Bitcomp simulator (`BITCOMP`).
+    /// The Bitcomp simulator (`BITCOMP`), the NVIDIA Bitcomp stand-in.
     Bitcomp,
-    /// Fast LZSS (`LZ-FAST`).
+    /// Fast LZSS (`LZ-FAST`), the GPULZ / nvCOMP LZ4 stand-in.
     LzFast,
-    /// Thorough LZSS (`LZ-THOROUGH`).
+    /// Thorough LZSS (`LZ-THOROUGH`), the nvCOMP GDeflate / Zstd
+    /// match-finding stand-in.
     LzThorough,
-    /// Run-of-repeats elimination at the given symbol width (`RRE{w}`).
-    Rre(usize),
-    /// Run-of-zeros elimination at the given symbol width (`RZE{w}`).
-    Rze(usize),
-    /// Two's-complement → magnitude-sign transform at the given symbol
-    /// width (`TCMS{w}`).
-    Tcms(usize),
-    /// Bit shuffle at the given symbol width (`BIT{w}`).
-    Bit(usize),
-    /// Difference + magnitude-sign transform (`DIFFMS{w}`).
-    DiffMs(usize),
-    /// Conditional-logarithm transform (`CLOG{w}`).
-    Clog(usize),
+    /// Run-of-repeats elimination over 1-byte symbols (`RRE1`).
+    Rre1,
+    /// Run-of-repeats elimination over 2-byte symbols (`RRE2`).
+    Rre2,
+    /// Run-of-repeats elimination over 4-byte symbols (`RRE4`).
+    Rre4,
+    /// Run-of-zeros elimination over 1-byte symbols (`RZE1`).
+    Rze1,
+    /// Two's-complement → magnitude-sign transform over 1-byte symbols
+    /// (`TCMS1`).
+    Tcms1,
+    /// Two's-complement → magnitude-sign transform over 8-byte symbols
+    /// (`TCMS8`).
+    Tcms8,
+    /// Bit shuffle over 1-byte symbols (`BIT1`).
+    Bit1,
+    /// Difference + magnitude-sign transform over 1-byte symbols
+    /// (`DIFFMS1`).
+    DiffMs1,
+    /// Conditional-logarithm transform over 1-byte symbols (`CLOG1`).
+    Clog1,
     /// Quad-tuple interleave (`TUPLQ1`).
-    TuplQ,
+    TuplQ1,
     /// Duo-tuple de-interleave (`TUPLD2`).
-    TuplD,
+    TuplD2,
 }
 
 impl StageSpec {
@@ -293,49 +83,95 @@ impl StageSpec {
     /// Whether this stage is a pure length-preserving transform (no
     /// headers, no size change): TCMS, BIT, DIFFMS, CLOG, TUPL.
     pub fn is_transform(&self) -> bool {
+        use StageSpec::*;
         matches!(
             self,
-            StageSpec::Tcms(_)
-                | StageSpec::Bit(_)
-                | StageSpec::DiffMs(_)
-                | StageSpec::Clog(_)
-                | StageSpec::TuplQ
-                | StageSpec::TuplD
+            Tcms1 | Tcms8 | Bit1 | DiffMs1 | Clog1 | TuplQ1 | TuplD2
         )
     }
 
-    /// Materialises the runnable stage.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a symbol width no named pipeline uses (the catalogue only
-    /// instantiates RRE at widths 1/2/4, RZE/BIT/DIFFMS/CLOG at width 1 and
-    /// TCMS at widths 1/8).
+    /// The stage as a boxed [`Stage`]: a copy of itself. Kept for the
+    /// benchmark harness, which still boxes stages.
     pub fn build(&self) -> Box<dyn Stage> {
-        match *self {
-            StageSpec::Huffman => Box::new(HuffmanStage),
-            StageSpec::Ans => Box::new(AnsStage),
-            StageSpec::Bitcomp => Box::new(BitcompStage),
-            StageSpec::LzFast => Box::new(LzFastStage),
-            StageSpec::LzThorough => Box::new(LzThoroughStage),
-            StageSpec::Rre(1) => Box::new(Rre1Stage::new()),
-            StageSpec::Rre(2) => Box::new(Rre2Stage::new()),
-            StageSpec::Rre(4) => Box::new(Rre4Stage::new()),
-            StageSpec::Rze(1) => Box::new(Rze1Stage::new()),
-            StageSpec::Tcms(1) => Box::new(Tcms1Stage::new()),
-            StageSpec::Tcms(8) => Box::new(Tcms8Stage::new()),
-            StageSpec::Bit(1) => Box::new(Bit1Stage::new()),
-            StageSpec::DiffMs(1) => Box::new(DiffMs1Stage::new()),
-            StageSpec::Clog(1) => Box::new(Clog1Stage::new()),
-            StageSpec::TuplQ => Box::new(TuplQ1Stage::new()),
-            StageSpec::TuplD => Box::new(TuplD2Stage::new()),
-            StageSpec::Rre(w) | StageSpec::Rze(w) | StageSpec::Tcms(w) => {
-                panic!("no named pipeline uses this stage at width {w}")
-            }
-            StageSpec::Bit(w) | StageSpec::DiffMs(w) | StageSpec::Clog(w) => {
-                panic!("no named pipeline uses this stage at width {w}")
-            }
+        Box::new(*self)
+    }
+}
+
+impl Stage for StageSpec {
+    fn name(&self) -> &'static str {
+        use StageSpec::*;
+        match self {
+            Huffman => "HF",
+            Ans => "ANS",
+            Bitcomp => "BITCOMP",
+            LzFast => "LZ-FAST",
+            LzThorough => "LZ-THOROUGH",
+            Rre1 => "RRE1",
+            Rre2 => "RRE2",
+            Rre4 => "RRE4",
+            Rze1 => "RZE1",
+            Tcms1 => "TCMS1",
+            Tcms8 => "TCMS8",
+            Bit1 => "BIT1",
+            DiffMs1 => "DIFFMS1",
+            Clog1 => "CLOG1",
+            TuplQ1 => "TUPLQ1",
+            TuplD2 => "TUPLD2",
         }
+    }
+
+    fn encode(&self, input: &[u8]) -> Vec<u8> {
+        use StageSpec::*;
+        match self {
+            Huffman => huffman::encode(input),
+            Ans => ans::encode(input),
+            Bitcomp => bitcomp_sim::compress(input),
+            LzFast => lz::compress(input, lz::Effort::Fast),
+            LzThorough => lz::compress(input, lz::Effort::Thorough),
+            Rre1 => Rre::new(1).encode_bytes(input),
+            Rre2 => Rre::new(2).encode_bytes(input),
+            Rre4 => Rre::new(4).encode_bytes(input),
+            Rze1 => Rze::new(1).encode_bytes(input),
+            Tcms1 => Tcms::new(1).encode_bytes(input),
+            Tcms8 => Tcms::new(8).encode_bytes(input),
+            Bit1 => Bit::new(1).encode_bytes(input),
+            DiffMs1 => DiffMs::new(1).encode_bytes(input),
+            Clog1 => Clog::new(1).encode_bytes(input),
+            TuplQ1 => TuplQ::new().encode_bytes(input),
+            TuplD2 => TuplD::new().encode_bytes(input),
+        }
+    }
+
+    fn decode_limited(&self, input: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
+        use StageSpec::*;
+        let out = match self {
+            // These decoders trust a claimed output count, so they reject
+            // it against the bound before doing any work.
+            Huffman => return huffman::decode_limited(input, max_out),
+            Ans => return ans::decode_limited(input, max_out),
+            Bitcomp => return bitcomp_sim::decompress_limited(input, max_out),
+            LzFast | LzThorough => return lz::decompress_limited(input, max_out),
+            // The component transforms are bounded by their input, so
+            // checking the produced length afterwards is enough.
+            Rre1 => Rre::new(1).decode_bytes(input)?,
+            Rre2 => Rre::new(2).decode_bytes(input)?,
+            Rre4 => Rre::new(4).decode_bytes(input)?,
+            Rze1 => Rze::new(1).decode_bytes(input)?,
+            Tcms1 => Tcms::new(1).decode_bytes(input)?,
+            Tcms8 => Tcms::new(8).decode_bytes(input)?,
+            Bit1 => Bit::new(1).decode_bytes(input)?,
+            DiffMs1 => DiffMs::new(1).decode_bytes(input)?,
+            Clog1 => Clog::new(1).decode_bytes(input)?,
+            TuplQ1 => TuplQ::new().decode_bytes(input)?,
+            TuplD2 => TuplD::new().decode_bytes(input)?,
+        };
+        if out.len() > max_out {
+            return Err(CodecError::corrupt(
+                self.name(),
+                format!("decoded {} bytes, limit {max_out}", out.len()),
+            ));
+        }
+        Ok(out)
     }
 }
 
@@ -477,52 +313,31 @@ impl PipelineSpec {
 
     /// Per-invocation pipeline selection: encodes `input` with every
     /// candidate and returns the winner — the `(spec, payload)` pair with
-    /// the smallest payload. Ties break toward the earlier candidate, so
-    /// putting a preferred default first makes the choice deterministic.
+    /// the smallest payload. An empty candidate set is a typed
+    /// [`CodecError::InvalidRequest`], never a panic.
     ///
-    /// This is the primitive behind per-chunk mode selection in the chunked
-    /// stream containers: each chunk's quantization codes are offered to a
-    /// small candidate set and the stream records the chosen pipeline id per
-    /// chunk, so smooth and noisy regions of one field can use different
-    /// lossless pipelines.
+    /// **Ties break toward the earliest candidate**, so putting a preferred
+    /// default first makes the choice deterministic. Repeated candidates are
+    /// deduplicated (first occurrence wins) before any trial encoding, so a
+    /// sloppily assembled candidate list costs no duplicate encode work and
+    /// cannot perturb the tie-break.
     ///
-    /// # Panics
-    ///
-    /// Panics if `candidates` is empty. Long-running callers that cannot
-    /// afford an abort should use the fallible
-    /// [`PipelineSpec::try_encode_select`] instead.
-    ///
-    /// ```
-    /// use szhi_codec::PipelineSpec;
-    ///
-    /// let codes = vec![128u8; 4096];
-    /// let (spec, payload) = PipelineSpec::encode_select(
-    ///     &[PipelineSpec::CR, PipelineSpec::TP],
-    ///     &codes,
-    /// );
-    /// // The winner's payload decodes back to the input.
-    /// assert_eq!(spec.build().decode(&payload).unwrap(), codes);
-    /// ```
-    pub fn encode_select(candidates: &[PipelineSpec], input: &[u8]) -> (PipelineSpec, Vec<u8>) {
-        Self::try_encode_select(candidates, input)
-            .expect("encode_select requires at least one candidate pipeline")
-    }
-
-    /// Fallible sibling of [`PipelineSpec::encode_select`]: an empty
-    /// candidate set is reported as a typed [`CodecError::InvalidRequest`]
-    /// instead of a panic, so a misconfigured per-chunk mode tuner can
-    /// never abort a long-running stream.
-    ///
-    /// The selection contract is identical to `encode_select`: the winner
-    /// is the smallest payload, and **ties break toward the earliest
-    /// candidate** — putting a preferred default first makes the choice
-    /// deterministic. Repeated candidates are deduplicated (first
-    /// occurrence wins) before any trial encoding, so a sloppily assembled
-    /// candidate list costs no duplicate encode work and cannot perturb
-    /// the tie-break.
+    /// This is the trial-encode primitive behind per-chunk mode selection
+    /// in the chunked stream containers (reached through
+    /// `szhi_tuner::select_pipeline`): each chunk's quantization codes are
+    /// offered to a candidate set and the stream records the chosen
+    /// pipeline id per chunk, so smooth and noisy regions of one field can
+    /// use different lossless pipelines.
     ///
     /// ```
     /// use szhi_codec::{CodecError, PipelineSpec};
+    ///
+    /// let codes = vec![128u8; 4096];
+    /// let (spec, payload) =
+    ///     PipelineSpec::try_encode_select(&[PipelineSpec::CR, PipelineSpec::TP], &codes)
+    ///         .unwrap();
+    /// // The winner's payload decodes back to the input.
+    /// assert_eq!(spec.decode_bounded(&payload, codes.len()).unwrap(), codes);
     ///
     /// let err = PipelineSpec::try_encode_select(&[], &[1, 2, 3]).unwrap_err();
     /// assert!(matches!(err, CodecError::InvalidRequest { .. }));
@@ -540,7 +355,7 @@ impl PipelineSpec {
                 continue;
             }
             seen.push(spec);
-            let payload = spec.build().encode(input);
+            let payload = spec.encode(input);
             // Strictly smaller only: on ties the earliest candidate wins.
             if best.as_ref().is_none_or(|(_, b)| payload.len() < b.len()) {
                 best = Some((spec, payload));
@@ -551,43 +366,62 @@ impl PipelineSpec {
         })
     }
 
-    /// The ordered stage list of the pipeline, as introspectable data.
-    ///
-    /// This is the single source of truth [`PipelineSpec::build`]
-    /// materialises from, so size estimators walking the stage list (the
-    /// `szhi-tuner` cost model) can never disagree with the encoder.
-    pub fn stages(&self) -> Vec<StageSpec> {
+    /// The ordered stage list of the pipeline — the one description that
+    /// [`PipelineSpec::encode`], [`PipelineSpec::decode_bounded`] and the
+    /// `szhi-tuner` size estimator all walk, so they cannot disagree.
+    pub fn stages(&self) -> &'static [StageSpec] {
         use StageSpec::*;
         match self {
-            PipelineSpec::HfRre4Tcms8Rze1 => vec![Huffman, Rre(4), Tcms(8), Rze(1)],
-            PipelineSpec::Tcms1Bit1Rre1 => vec![Tcms(1), Bit(1), Rre(1)],
-            PipelineSpec::Hf => vec![Huffman],
-            PipelineSpec::HfRre1 => vec![Huffman, Rre(1)],
-            PipelineSpec::HfTuplq1Rre1 => vec![Huffman, TuplQ, Rre(1)],
-            PipelineSpec::HfTupld2Rre2Tuplq1Rre1 => {
-                vec![Huffman, TuplD, Rre(2), TuplQ, Rre(1)]
-            }
-            PipelineSpec::HfAns => vec![Huffman, Ans],
-            PipelineSpec::HfBitcomp => vec![Huffman, Bitcomp],
-            PipelineSpec::HfLz => vec![Huffman, LzFast],
-            PipelineSpec::Rre1 => vec![Rre(1)],
-            PipelineSpec::Rre1Rre2 => vec![Rre(1), Rre(2)],
-            PipelineSpec::Rre1Rze1Diffms1Clog1 => vec![Rre(1), Rze(1), DiffMs(1), Clog(1)],
-            PipelineSpec::Ans => vec![Ans],
-            PipelineSpec::Bitcomp => vec![Bitcomp],
-            PipelineSpec::Lz4 => vec![LzFast],
-            PipelineSpec::Gdeflate => vec![LzThorough],
-            PipelineSpec::Zstd => vec![LzThorough, Ans],
-            PipelineSpec::Ndzip => vec![DiffMs(1), Bit(1), Rze(1)],
+            PipelineSpec::HfRre4Tcms8Rze1 => &[Huffman, Rre4, Tcms8, Rze1],
+            PipelineSpec::Tcms1Bit1Rre1 => &[Tcms1, Bit1, Rre1],
+            PipelineSpec::Hf => &[Huffman],
+            PipelineSpec::HfRre1 => &[Huffman, Rre1],
+            PipelineSpec::HfTuplq1Rre1 => &[Huffman, TuplQ1, Rre1],
+            PipelineSpec::HfTupld2Rre2Tuplq1Rre1 => &[Huffman, TuplD2, Rre2, TuplQ1, Rre1],
+            PipelineSpec::HfAns => &[Huffman, Ans],
+            PipelineSpec::HfBitcomp => &[Huffman, Bitcomp],
+            PipelineSpec::HfLz => &[Huffman, LzFast],
+            PipelineSpec::Rre1 => &[Rre1],
+            PipelineSpec::Rre1Rre2 => &[Rre1, Rre2],
+            PipelineSpec::Rre1Rze1Diffms1Clog1 => &[Rre1, Rze1, DiffMs1, Clog1],
+            PipelineSpec::Ans => &[Ans],
+            PipelineSpec::Bitcomp => &[Bitcomp],
+            PipelineSpec::Lz4 => &[LzFast],
+            PipelineSpec::Gdeflate => &[LzThorough],
+            PipelineSpec::Zstd => &[LzThorough, Ans],
+            PipelineSpec::Ndzip => &[DiffMs1, Bit1, Rze1],
         }
     }
 
-    /// Materialises the pipeline.
-    pub fn build(&self) -> Pipeline {
-        Pipeline::new(
-            self.name(),
-            self.stages().iter().map(StageSpec::build).collect(),
-        )
+    /// Applies every stage in order; the first stage reads `input` itself.
+    pub fn encode(&self, input: &[u8]) -> Vec<u8> {
+        let mut data = Cow::Borrowed(input);
+        for stage in self.stages() {
+            data = Cow::Owned(stage.encode(&data));
+        }
+        data.into_owned()
+    }
+
+    /// Decodes an **untrusted** stream whose final decoded size is known to
+    /// be `expected_len`, reversing every stage in reverse order. Every
+    /// intermediate stage output is bounded by `2 * expected_len + 4096` —
+    /// generous for any stream this pipeline's own encoder can produce
+    /// (stages grow their input by at most ~9/8 plus a constant header) —
+    /// so a corrupted length field inside a stage fails with a typed error
+    /// instead of decoding gigabytes.
+    pub fn decode_bounded(&self, input: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecError> {
+        let max_interm = expected_len.saturating_mul(2).saturating_add(4096);
+        let mut data = Cow::Borrowed(input);
+        for stage in self.stages().iter().rev() {
+            data = Cow::Owned(stage.decode_limited(&data, max_interm)?);
+        }
+        Ok(data.into_owned())
+    }
+
+    /// The identity: a `PipelineSpec` runs itself. Kept for the benchmark
+    /// harness, which still calls it.
+    pub fn build(&self) -> PipelineSpec {
+        *self
     }
 }
 
@@ -623,10 +457,9 @@ mod tests {
     fn every_named_pipeline_roundtrips() {
         let data = quant_like(40_000, 73);
         for spec in PipelineSpec::all() {
-            let p = spec.build();
-            let enc = p.encode(&data);
-            let dec = p
-                .decode(&enc)
+            let enc = spec.encode(&data);
+            let dec = spec
+                .decode_bounded(&enc, data.len())
                 .unwrap_or_else(|e| panic!("{spec} failed to decode: {e}"));
             assert_eq!(dec, data, "{spec} round-trip mismatch");
         }
@@ -635,16 +468,15 @@ mod tests {
     #[test]
     fn every_named_pipeline_roundtrips_tiny_inputs() {
         for spec in PipelineSpec::all() {
-            let p = spec.build();
             for data in [
                 vec![],
                 vec![128u8],
                 vec![0u8; 7],
                 (0..64u8).collect::<Vec<_>>(),
             ] {
-                let enc = p.encode(&data);
+                let enc = spec.encode(&data);
                 assert_eq!(
-                    p.decode(&enc).unwrap(),
+                    spec.decode_bounded(&enc, data.len()).unwrap(),
                     data,
                     "{spec} on {} bytes",
                     data.len()
@@ -657,8 +489,7 @@ mod tests {
     fn production_pipelines_compress_quant_codes() {
         let data = quant_like(200_000, 79);
         for spec in [PipelineSpec::CR, PipelineSpec::TP] {
-            let p = spec.build();
-            let enc = p.encode(&data);
+            let enc = spec.encode(&data);
             let ratio = data.len() as f64 / enc.len() as f64;
             assert!(
                 ratio > 2.5,
@@ -670,8 +501,8 @@ mod tests {
     #[test]
     fn cr_mode_beats_tp_mode_on_ratio() {
         let data = quant_like(400_000, 83);
-        let cr = PipelineSpec::CR.build().encode(&data).len();
-        let tp = PipelineSpec::TP.build().encode(&data).len();
+        let cr = PipelineSpec::CR.encode(&data).len();
+        let tp = PipelineSpec::TP.encode(&data).len();
         assert!(
             cr < tp,
             "CR pipeline ({cr} bytes) must beat TP pipeline ({tp} bytes) on ratio"
@@ -693,9 +524,9 @@ mod tests {
     fn encode_select_picks_the_smallest_payload() {
         let data = quant_like(100_000, 91);
         let (spec, payload) =
-            PipelineSpec::encode_select(&[PipelineSpec::CR, PipelineSpec::TP], &data);
-        let cr = PipelineSpec::CR.build().encode(&data).len();
-        let tp = PipelineSpec::TP.build().encode(&data).len();
+            PipelineSpec::try_encode_select(&[PipelineSpec::CR, PipelineSpec::TP], &data).unwrap();
+        let cr = PipelineSpec::CR.encode(&data).len();
+        let tp = PipelineSpec::TP.encode(&data).len();
         assert_eq!(payload.len(), cr.min(tp));
         let expected = if cr <= tp {
             PipelineSpec::CR
@@ -703,68 +534,146 @@ mod tests {
             PipelineSpec::TP
         };
         assert_eq!(spec, expected);
-        assert_eq!(spec.build().decode(&payload).unwrap(), data);
+        assert_eq!(spec.decode_bounded(&payload, data.len()).unwrap(), data);
     }
 
     #[test]
     fn encode_select_breaks_ties_toward_the_first_candidate() {
         // Two copies of the same spec always tie; the first must win.
         let data = quant_like(5_000, 97);
-        let (spec, _) = PipelineSpec::encode_select(&[PipelineSpec::TP, PipelineSpec::TP], &data);
+        let (spec, _) =
+            PipelineSpec::try_encode_select(&[PipelineSpec::TP, PipelineSpec::TP], &data).unwrap();
         assert_eq!(spec, PipelineSpec::TP);
-        let (spec, payload) = PipelineSpec::encode_select(&[PipelineSpec::Hf], &data);
+        let (spec, payload) = PipelineSpec::try_encode_select(&[PipelineSpec::Hf], &data).unwrap();
         assert_eq!(spec, PipelineSpec::Hf);
-        assert_eq!(spec.build().decode(&payload).unwrap(), data);
+        assert_eq!(spec.decode_bounded(&payload, data.len()).unwrap(), data);
     }
 
     #[test]
     fn try_encode_select_rejects_an_empty_candidate_set_without_panicking() {
-        // Regression: `encode_select` used to be the only entry point and
-        // aborted on an empty slice. The fallible sibling must surface the
-        // misconfiguration as a typed error so a long-running stream writer
-        // can report it instead of dying.
+        // Regression: the panicking `encode_select` used to be the only
+        // entry point and aborted on an empty slice. Selection must surface
+        // the misconfiguration as a typed error so a long-running stream
+        // writer can report it instead of dying.
         let result = std::panic::catch_unwind(|| PipelineSpec::try_encode_select(&[], &[1, 2, 3]));
         let inner = result.expect("try_encode_select must not panic");
         assert!(matches!(
             inner,
             Err(CodecError::InvalidRequest { context, .. }) if context == "encode_select"
         ));
-        // The non-empty path agrees with the panicking wrapper.
+        // The non-empty path returns the winner's own encode.
         let data = quant_like(2_000, 11);
         let (spec, payload) =
             PipelineSpec::try_encode_select(&[PipelineSpec::CR, PipelineSpec::TP], &data).unwrap();
-        let (spec2, payload2) =
-            PipelineSpec::encode_select(&[PipelineSpec::CR, PipelineSpec::TP], &data);
-        assert_eq!(spec, spec2);
-        assert_eq!(payload, payload2);
+        assert!(spec == PipelineSpec::CR || spec == PipelineSpec::TP);
+        assert_eq!(payload, spec.encode(&data));
     }
 
     #[test]
     fn pipeline_decode_rejects_garbage() {
-        let p = PipelineSpec::CR.build();
-        assert!(p.decode(&[1, 2, 3]).is_err());
+        assert!(PipelineSpec::CR.decode_bounded(&[1, 2, 3], 1024).is_err());
     }
 
     #[test]
     fn stage_lists_match_the_built_pipelines() {
-        // `stages()` is the source of truth `build()` materialises from:
-        // every named pipeline's stage count and stage names must agree,
-        // and encoding through individually built stages must reproduce
-        // the pipeline encoder byte for byte.
+        // `stages()` is what `encode` and `decode_bounded` walk: running
+        // the stages one by one must reproduce the pipeline byte for byte
+        // in both directions.
         let data = quant_like(10_000, 41);
         for spec in PipelineSpec::all() {
             let stages = spec.stages();
-            let pipeline = spec.build();
-            assert_eq!(pipeline.len(), stages.len(), "{spec}");
             let mut manual = data.clone();
-            for stage in &stages {
-                manual = stage.build().encode(&manual);
+            for stage in stages {
+                manual = stage.encode(&manual);
             }
-            assert_eq!(manual, pipeline.encode(&data), "{spec} stage-wise encode");
+            assert_eq!(manual, spec.encode(&data), "{spec} stage-wise encode");
+            for stage in stages.iter().rev() {
+                manual = stage.decode(&manual).unwrap();
+            }
+            assert_eq!(manual, data, "{spec} stage-wise decode");
             // Classification sanity: a stage is never both an entropy coder
             // and a pure transform.
-            for stage in &stages {
+            for stage in stages {
                 assert!(!(stage.is_entropy_coder() && stage.is_transform()));
+            }
+        }
+    }
+
+    #[test]
+    fn every_stage_roundtrips_and_enforces_its_output_bound() {
+        // Every stage value is runnable: none can panic on a width, each
+        // round-trips, and each refuses to produce more than its bound.
+        let data = quant_like(20_000, 59);
+        let mut stages: Vec<StageSpec> = Vec::new();
+        for spec in PipelineSpec::all() {
+            for &stage in spec.stages() {
+                if !stages.contains(&stage) {
+                    stages.push(stage);
+                }
+            }
+        }
+        assert_eq!(stages.len(), 16, "the catalogue uses every stage");
+        for stage in stages {
+            let enc = stage.encode(&data);
+            assert_eq!(stage.decode(&enc).unwrap(), data, "{}", stage.name());
+            assert_eq!(
+                stage.build().decode(&enc).unwrap(),
+                data,
+                "{}",
+                stage.name()
+            );
+            assert!(
+                stage.decode_limited(&enc, data.len() - 1).is_err(),
+                "{} ignored its output bound",
+                stage.name()
+            );
+        }
+    }
+
+    /// Every catalogued pipeline's stage names and encoded bytes, pinned as
+    /// `(crc32, length)` over three inputs: `quant_like(40_000, 73)`, the
+    /// empty input and a 4 KiB run of 128. The golden corpus covers only CR
+    /// and TP; this table is what proves a refactor moved none of the
+    /// other pipelines' bytes. Never regenerate it to make a change pass.
+    type Pins = [(u32, usize); 3];
+    #[rustfmt::skip]
+    const PINNED: [(PipelineSpec, &[&str], Pins); 18] = [
+        (PipelineSpec::HfRre4Tcms8Rze1, &["HF", "RRE4", "TCMS8", "RZE1"], [(0xb55c236f, 9272), (0xcad047a9, 55), (0x5d66f706, 59)]),
+        (PipelineSpec::Tcms1Bit1Rre1, &["TCMS1", "BIT1", "RRE1"], [(0x7c8176d7, 15837), (0xe9ec3db1, 40), (0xf3127028, 107)]),
+        (PipelineSpec::Hf, &["HF"], [(0x5cb5f1c0, 8341), (0xc971a876, 200), (0x831bb3d7, 712)]),
+        (PipelineSpec::HfRre1, &["HF", "RRE1"], [(0xa1fe91d3, 8595), (0x75053eb9, 47), (0xa96cb304, 61)]),
+        (PipelineSpec::HfTuplq1Rre1, &["HF", "TUPLQ1", "RRE1"], [(0xa83960b4, 8576), (0x9196d1cf, 48), (0x36277ce4, 65)]),
+        (PipelineSpec::HfTupld2Rre2Tuplq1Rre1, &["HF", "TUPLD2", "RRE2", "TUPLQ1", "RRE1"], [(0x52797657, 8636), (0x4b91015e, 64), (0xa8fae04f, 75)]),
+        (PipelineSpec::HfAns, &["HF", "ANS"], [(0xf4755e2b, 8156), (0x82785a81, 524), (0xf2274809, 526)]),
+        (PipelineSpec::HfBitcomp, &["HF", "BITCOMP"], [(0x73cbf679, 8350), (0xe516b5fe, 9), (0x76e35b0e, 543)]),
+        (PipelineSpec::HfLz, &["HF", "LZ-FAST"], [(0x4d4da434, 8360), (0xeabdc375, 14), (0xbbf5e62b, 26)]),
+        (PipelineSpec::Rre1, &["RRE1"], [(0x72e8d0bf, 25074), (0xe9ec3db1, 40), (0x33a81c85, 107)]),
+        (PipelineSpec::Rre1Rre2, &["RRE1", "RRE2"], [(0x421d9e83, 21885), (0xeb1dcf58, 45), (0x3fa75bd6, 72)]),
+        (PipelineSpec::Rre1Rze1Diffms1Clog1, &["RRE1", "RZE1", "DIFFMS1", "CLOG1"], [(0x18a191ce, 24844), (0xaab233a7, 45), (0x566119c3, 66)]),
+        (PipelineSpec::Ans, &["ANS"], [(0x5823d0aa, 8059), (0x7647c33c, 520), (0x8cf726ff, 524)]),
+        (PipelineSpec::Bitcomp, &["BITCOMP"], [(0xf46f4bb1, 40010), (0x6522df69, 8), (0x7aebc988, 4105)]),
+        (PipelineSpec::Lz4, &["LZ-FAST"], [(0xe9e1ac0b, 23503), (0x6522df69, 8), (0x2935d8c8, 29)]),
+        (PipelineSpec::Gdeflate, &["LZ-THOROUGH"], [(0x2f419fe0, 16012), (0x6522df69, 8), (0x2935d8c8, 29)]),
+        (PipelineSpec::Zstd, &["LZ-THOROUGH", "ANS"], [(0x7b71de8b, 12643), (0x90880abe, 524), (0x64cbf9f8, 530)]),
+        (PipelineSpec::Ndzip, &["DIFFMS1", "BIT1", "RZE1"], [(0xc2995a47, 15283), (0xe9ec3db1, 40), (0x59056cdd, 120)]),
+    ];
+
+    #[test]
+    fn every_catalogued_pipeline_encodes_its_pinned_bytes() {
+        let specs: Vec<PipelineSpec> = PINNED.iter().map(|row| row.0).collect();
+        assert_eq!(specs, PipelineSpec::all(), "the table covers the catalogue");
+        let inputs = [quant_like(40_000, 73), Vec::new(), vec![128u8; 4096]];
+        for (spec, names, pins) in PINNED {
+            let stage_names: Vec<&str> = spec.stages().iter().map(|s| s.name()).collect();
+            assert_eq!(stage_names, names, "{spec} stage names");
+            for (input, (crc, len)) in inputs.iter().zip(pins) {
+                let encoded = spec.encode(input);
+                assert_eq!(
+                    (crate::checksum::crc32(&encoded), encoded.len()),
+                    (crc, len),
+                    "{spec} on {} input bytes",
+                    input.len()
+                );
             }
         }
     }

@@ -279,8 +279,6 @@ fn reconstruct(
     let codes = {
         let _span = crate::telemetry::DECODE_ENTROPY.enter();
         pipeline
-            // szhi-analyzer: allow(panic-reachability) -- `StageSpec::build` panics only on stage widths no named pipeline produces; stream headers decode to named `PipelineSpec`s, and decoding itself is bounded and typed (byte-flip fuzz suites `chunked_stream_byte_flips_never_panic` / `corrupted_v4_streams` cover this boundary)
-            .build()
             .decode_bounded(&payload, dims.len())
             .map_err(SzhiError::Codec)?
     };
@@ -378,6 +376,33 @@ mod tests {
                 "missing outlier records did not yield a typed error"
             );
         }
+
+        // Re-serialise with one outlier record stored twice: the duplicate
+        // pairs with no outlier code of its own.
+        assert!(!outliers.is_empty(), "the field must produce outliers");
+        let mut duplicated = outliers.clone();
+        duplicated.insert(0, duplicated[0]);
+        let duplicated = crate::format::write_stream(&header, &anchors, &duplicated, &payload);
+        assert!(
+            matches!(decompress(&duplicated), Err(SzhiError::InvalidStream(_))),
+            "a duplicated outlier record did not yield a typed error"
+        );
+
+        // Re-serialise with an extra record at a point whose code is not
+        // the outlier code (index 0 is an anchor, coded as zero error).
+        let mut misplaced = outliers.clone();
+        misplaced.insert(
+            0,
+            szhi_predictor::Outlier {
+                index: 0,
+                value: 1.0,
+            },
+        );
+        let misplaced = crate::format::write_stream(&header, &anchors, &misplaced, &payload);
+        assert!(
+            matches!(decompress(&misplaced), Err(SzhiError::InvalidStream(_))),
+            "an outlier record at a non-outlier code did not yield a typed error"
+        );
     }
 
     #[test]

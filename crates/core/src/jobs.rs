@@ -47,17 +47,16 @@ use std::sync::{Arc, Mutex, PoisonError};
 use szhi_ndgrid::Grid;
 use szhi_telemetry::Snapshot;
 
-/// The coarse stage a job is in, fed by telemetry span enter/exit events
-/// on the job's threads: the `job.tune` span (configuration resolution
-/// and chunk planning) maps to [`JobPhase::Tuning`], `job.encode`
-/// to [`JobPhase::Encoding`], `job.flush` to [`JobPhase::Flushing`],
-/// `job.decode` to [`JobPhase::Decoding`], and leaving the final span
-/// maps to [`JobPhase::Done`]. A job that errors or is cancelled keeps
-/// the phase it was last in.
+/// The coarse stage a job is in, stored by the job itself as it enters
+/// each step: [`JobPhase::Tuning`] for configuration resolution and chunk
+/// planning, then [`JobPhase::Encoding`] and [`JobPhase::Flushing`] (compress
+/// jobs) or [`JobPhase::Decoding`] (decompress jobs), and
+/// [`JobPhase::Done`] only once the job has succeeded. A job that errors or
+/// is cancelled keeps the phase it was last in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum JobPhase {
-    /// The job exists but has not entered a phase span yet.
+    /// The job exists but its coordinator has not entered a step yet.
     Starting = 0,
     /// Resolving configuration: header validation, chunk plan.
     Tuning = 1,
@@ -67,7 +66,7 @@ pub enum JobPhase {
     Flushing = 3,
     /// The sequential fetch-verify-decode loop (decompress jobs).
     Decoding = 4,
-    /// The final phase span has exited; the job result is ready.
+    /// The job succeeded; its result is ready.
     Done = 5,
 }
 
@@ -118,41 +117,23 @@ struct JobState {
     done: AtomicUsize,
     total: usize,
     cancelled: AtomicBool,
-    phase: Arc<AtomicU8>,
+    phase: AtomicU8,
     telemetry: Mutex<Option<Snapshot>>,
 }
 
-/// Installs a thread-local telemetry span listener that translates the
-/// `job.*` span enter/exit events of the current thread into [`JobPhase`]
-/// stores, and uninstalls it on drop — RAII so the listener (and the
-/// global observe flag it holds up) cannot leak past an early return or
-/// a coordinator panic.
-struct PhaseFeed;
-
-impl PhaseFeed {
-    fn install(phase: Arc<AtomicU8>) -> PhaseFeed {
-        szhi_telemetry::set_thread_span_listener(Some(Box::new(move |name, entered| {
-            let next = match (name, entered) {
-                ("job.tune", true) => Some(JobPhase::Tuning),
-                ("job.encode", true) => Some(JobPhase::Encoding),
-                ("job.flush", true) => Some(JobPhase::Flushing),
-                ("job.decode", true) => Some(JobPhase::Decoding),
-                // Leaving the final span of either job kind means the
-                // result is ready.
-                ("job.flush", false) | ("job.decode", false) => Some(JobPhase::Done),
-                _ => None,
-            };
-            if let Some(p) = next {
-                phase.store(p as u8, Ordering::Relaxed);
-            }
-        })));
-        PhaseFeed
+impl JobState {
+    fn new(total: usize, phase: JobPhase) -> JobState {
+        JobState {
+            done: AtomicUsize::new(0),
+            total,
+            cancelled: AtomicBool::new(false),
+            phase: AtomicU8::new(phase as u8),
+            telemetry: Mutex::new(None),
+        }
     }
-}
 
-impl Drop for PhaseFeed {
-    fn drop(&mut self) {
-        szhi_telemetry::set_thread_span_listener(None);
+    fn enter(&self, phase: JobPhase) {
+        self.phase.store(phase as u8, Ordering::Relaxed);
     }
 }
 
@@ -250,23 +231,15 @@ impl JobService {
         W: Write + Send + 'static,
     {
         crate::telemetry::JOBS_STARTED.bump(1);
-        let phase = Arc::new(AtomicU8::new(JobPhase::Starting as u8));
         let sink = {
             // Sink construction is the job's tuning step: configuration
             // resolution and chunk planning. It runs here on the caller's
-            // thread (so config errors surface synchronously), with a
-            // temporary listener so the phase indicator reflects it.
-            let _feed = PhaseFeed::install(Arc::clone(&phase));
+            // thread, so config errors surface synchronously and the job
+            // starts in its tuning phase.
             let _span = crate::telemetry::JOB_TUNE.enter();
             StreamSink::new(out, field.dims(), cfg)?
         };
-        let state = Arc::new(JobState {
-            done: AtomicUsize::new(0),
-            total: sink.plan().len(),
-            cancelled: AtomicBool::new(false),
-            phase,
-            telemetry: Mutex::new(None),
-        });
+        let state = Arc::new(JobState::new(sink.plan().len(), JobPhase::Tuning));
         let shared = Arc::clone(&state);
         let thread =
             std::thread::spawn(move || run_job(&shared, |state| run_compress(field, sink, state)));
@@ -283,13 +256,7 @@ impl JobService {
     {
         crate::telemetry::JOBS_STARTED.bump(1);
         let source = StreamSource::new(reader)?;
-        let state = Arc::new(JobState {
-            done: AtomicUsize::new(0),
-            total: source.chunk_count(),
-            cancelled: AtomicBool::new(false),
-            phase: Arc::new(AtomicU8::new(JobPhase::Starting as u8)),
-            telemetry: Mutex::new(None),
-        });
+        let state = Arc::new(JobState::new(source.chunk_count(), JobPhase::Starting));
         let shared = Arc::clone(&state);
         let thread =
             std::thread::spawn(move || run_job(&shared, |state| run_decompress(source, state)));
@@ -298,13 +265,12 @@ impl JobService {
 }
 
 /// Runs a job body on the coordinator thread with the shared job
-/// plumbing: the thread-local phase feed, the per-job telemetry delta,
-/// and the job lifecycle counters.
+/// plumbing: the per-job telemetry delta, the final phase and the job
+/// lifecycle counters.
 fn run_job<T, F>(state: &JobState, body: F) -> Result<T, SzhiError>
 where
     F: FnOnce(&JobState) -> Result<T, SzhiError>,
 {
-    let _feed = PhaseFeed::install(Arc::clone(&state.phase));
     let before = Snapshot::capture();
     let result = body(state);
     let delta = Snapshot::capture().delta(&before);
@@ -313,7 +279,10 @@ where
         .lock()
         .unwrap_or_else(PoisonError::into_inner) = Some(delta);
     match &result {
-        Ok(_) => crate::telemetry::JOBS_COMPLETED.bump(1),
+        Ok(_) => {
+            state.enter(JobPhase::Done);
+            crate::telemetry::JOBS_COMPLETED.bump(1);
+        }
         Err(SzhiError::Cancelled) => crate::telemetry::JOBS_CANCELLED.bump(1),
         Err(_) => crate::telemetry::JOBS_FAILED.bump(1),
     }
@@ -333,6 +302,7 @@ fn run_compress<W: Write>(
     // the shared workers and bound the cancellation latency to one batch.
     let batch = rayon::current_num_threads().max(1);
     {
+        state.enter(JobPhase::Encoding);
         let _span = crate::telemetry::JOB_ENCODE.enter();
         let mut start = 0usize;
         while start < n {
@@ -355,6 +325,7 @@ fn run_compress<W: Write>(
             start = end;
         }
     }
+    state.enter(JobPhase::Flushing);
     let _span = crate::telemetry::JOB_FLUSH.enter();
     sink.finish_with_stats()
 }
@@ -368,6 +339,7 @@ fn run_decompress<R: Read + Seek>(
     mut source: StreamSource<R>,
     state: &JobState,
 ) -> Result<Grid<f32>, SzhiError> {
+    state.enter(JobPhase::Decoding);
     let _span = crate::telemetry::JOB_DECODE.enter();
     let mut out = Grid::zeros(source.dims());
     for i in 0..source.chunk_count() {
@@ -589,6 +561,57 @@ mod tests {
         assert_eq!(job.progress().phase, JobPhase::Done);
         let restored = job.join().unwrap();
         assert_eq!(restored.dims(), field.dims());
+    }
+
+    /// A reader that blocks its first read on any thread but the one that
+    /// created it until the paired sender is released — the caller's
+    /// thread opens the stream freely, and the job's coordinator is pinned
+    /// before it can decode a chunk.
+    #[derive(Debug)]
+    struct GatedReader {
+        inner: std::io::Cursor<Vec<u8>>,
+        owner: std::thread::ThreadId,
+        gate: Option<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl Read for GatedReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if std::thread::current().id() != self.owner {
+                if let Some(gate) = self.gate.take() {
+                    let _ = gate.recv();
+                }
+            }
+            self.inner.read(buf)
+        }
+    }
+
+    impl Seek for GatedReader {
+        fn seek(&mut self, pos: std::io::SeekFrom) -> std::io::Result<u64> {
+            self.inner.seek(pos)
+        }
+    }
+
+    #[test]
+    fn a_cancelled_decompress_job_keeps_its_decoding_phase() {
+        // Regression: the phase used to be inferred from the `job.decode`
+        // span, whose guard dropped on the cancellation return and so
+        // reported Done for a job that never produced a result.
+        let field = DatasetKind::Nyx.generate(Dims::d3(32, 32, 32), 17);
+        let bytes = serial_bytes(&field, &job_cfg());
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let reader = GatedReader {
+            inner: std::io::Cursor::new(bytes),
+            owner: std::thread::current().id(),
+            gate: Some(gate),
+        };
+        let job = JobService::new().decompress(reader).unwrap();
+        job.cancel();
+        drop(release);
+        while !job.is_finished() {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(job.progress().phase, JobPhase::Decoding);
+        assert!(matches!(job.join(), Err(SzhiError::Cancelled)));
     }
 
     #[test]

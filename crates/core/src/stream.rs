@@ -26,7 +26,7 @@
 //!   [`SzhiError::ChunkChecksum`].
 
 use crate::compressor::{decompress_chunk_body, CompressionStats};
-use crate::config::{ErrorBound, ModeTuning, PipelineMode, SzhiConfig};
+use crate::config::{ErrorBound, ModeTuning, SzhiConfig};
 use crate::error::SzhiError;
 use crate::format::{
     self, locate_table, locate_table_forward, read_exact_untrusted, read_exact_vec, write_sections,
@@ -108,83 +108,6 @@ fn config_id_for(
     Ok((configs.len() - 1) as u16)
 }
 
-/// How the chunk encoder picks each chunk's lossless pipeline, resolved
-/// from [`ModeTuning`].
-#[derive(Debug)]
-enum PipelineSelection {
-    /// Trial-encode every candidate and keep the smallest payload
-    /// ([`ModeTuning::Global`] with one candidate, [`ModeTuning::PerChunk`]
-    /// with two, [`ModeTuning::Exhaustive`] with the full list).
-    Trial(Vec<PipelineSpec>),
-    /// Estimator-guided: rank the candidates with the `szhi-tuner` sampled
-    /// cost model and trial-encode only the estimated best few
-    /// ([`ModeTuning::Estimated`]).
-    Estimated(Vec<PipelineSpec>, SelectParams),
-}
-
-impl PipelineSelection {
-    /// Resolves a tuning policy into a selection strategy. The configured
-    /// default mode is always the first candidate (it wins ties, keeping
-    /// output deterministic), and repeated candidates are dropped.
-    fn from_tuning(mode: PipelineMode, tuning: ModeTuning) -> PipelineSelection {
-        let default_spec = mode.pipeline_spec();
-        let normalise = |candidates: Vec<PipelineSpec>| {
-            let mut list = vec![default_spec];
-            for c in candidates {
-                if !list.contains(&c) {
-                    list.push(c);
-                }
-            }
-            list
-        };
-        match tuning {
-            ModeTuning::Global => PipelineSelection::Trial(vec![default_spec]),
-            ModeTuning::PerChunk => {
-                let other = match mode {
-                    PipelineMode::Cr => PipelineMode::Tp,
-                    PipelineMode::Tp => PipelineMode::Cr,
-                };
-                PipelineSelection::Trial(vec![default_spec, other.pipeline_spec()])
-            }
-            ModeTuning::Exhaustive { candidates } => {
-                PipelineSelection::Trial(normalise(candidates))
-            }
-            ModeTuning::Estimated { candidates } => {
-                PipelineSelection::Estimated(normalise(candidates), SelectParams::default())
-            }
-        }
-    }
-
-    /// Selects the pipeline for one chunk's codes. Pure: the same codes
-    /// always yield the same choice.
-    fn select(&self, codes: &[u8]) -> Result<(PipelineSpec, Vec<u8>), SzhiError> {
-        match self {
-            PipelineSelection::Trial(candidates) => {
-                Ok(PipelineSpec::try_encode_select(candidates, codes)?)
-            }
-            PipelineSelection::Estimated(candidates, params) => {
-                let selection = szhi_tuner::select_pipeline(candidates, codes, params)?;
-                // Telemetry: the estimator's predicted size for the winner
-                // next to the size it actually produced. Exhaustive
-                // fallbacks (shortlist covers every candidate) carry no
-                // estimate and record nothing.
-                let actual = selection.payload.len() as u64;
-                if let Some(&(_, est)) = selection
-                    .estimates
-                    .iter()
-                    .find(|(p, _)| *p == selection.pipeline)
-                {
-                    let estimated = est.max(0.0) as u64;
-                    crate::telemetry::TUNER_ESTIMATED.observe(estimated);
-                    crate::telemetry::TUNER_ACTUAL.observe(actual);
-                    szhi_telemetry::tuner_record(estimated, actual);
-                }
-                Ok((selection.pipeline, selection.payload))
-            }
-        }
-    }
-}
-
 /// Reusable buffers for the per-chunk encode chain: the predictor's
 /// reconstruction scratch, its quantization output, the level-reordered
 /// code array. Encoding the next chunk of the same shape into a warm
@@ -248,15 +171,21 @@ pub(crate) fn checked_plan(
 
 /// The configuration-resolved chunk compressor behind every encode path —
 /// [`StreamSink`], the batch engines and the job service: the validated
-/// header, the chunk plan, the predictor instance and the
-/// pipeline-selection strategy. Encoding a chunk is a pure `&self`
-/// function, so any front end can fan encoding out across threads.
+/// header, the chunk plan, the predictor instance and the candidate
+/// pipelines every chunk's selection runs over. Encoding a chunk is a pure
+/// `&self` function, so any front end can fan encoding out across threads.
 #[derive(Debug)]
 pub(crate) struct ChunkEncoder {
     header: Header,
     plan: ChunkPlan,
     predictor: InterpPredictor,
-    selection: PipelineSelection,
+    /// The pipelines each chunk may choose from: the configured mode
+    /// first, then the [`ModeTuning`] policy's list, duplicates dropped.
+    candidates: Vec<PipelineSpec>,
+    /// How `szhi_tuner::select_pipeline` picks among `candidates`: the
+    /// trial policies refine every candidate, which is a plain
+    /// trial-encode of the list.
+    params: SelectParams,
     /// Per-chunk interpolation tuning: each chunk scores the per-level
     /// candidates on its own blocks and is compressed with the winner
     /// (the container becomes v5 to carry the per-chunk configs).
@@ -297,6 +226,26 @@ impl ChunkEncoder {
         let interp = cfg.interp.clone();
         let predictor = InterpPredictor::new(interp.clone())
             .map_err(|e| SzhiError::InvalidInput(e.to_string()))?;
+        let (policy, trial): (&[PipelineSpec], bool) = match &cfg.mode_tuning {
+            ModeTuning::Global => (&[], true),
+            ModeTuning::PerChunk => (&[PipelineSpec::CR, PipelineSpec::TP], true),
+            ModeTuning::Exhaustive { candidates } => (candidates, true),
+            ModeTuning::Estimated { candidates } => (candidates, false),
+        };
+        // The configured mode is always the first candidate: it wins ties,
+        // keeping output deterministic — the guard that lets
+        // outlier-saturated chunks, whose codes every candidate compresses
+        // equally well, fall back cleanly to the configured default.
+        let mut candidates = vec![cfg.mode.pipeline_spec()];
+        for &c in policy {
+            if !candidates.contains(&c) {
+                candidates.push(c);
+            }
+        }
+        let mut params = SelectParams::default();
+        if trial {
+            params.refine = candidates.len();
+        }
         Ok(ChunkEncoder {
             header: Header {
                 dims: plan.dims(),
@@ -307,12 +256,8 @@ impl ChunkEncoder {
             },
             plan,
             predictor,
-            // The configured mode is always the selection's first
-            // candidate: it wins ties, keeping output deterministic — the
-            // guard that lets outlier-saturated chunks, whose codes every
-            // candidate compresses equally well, fall back cleanly to the
-            // configured default.
-            selection: PipelineSelection::from_tuning(cfg.mode, cfg.mode_tuning.clone()),
+            candidates,
+            params,
             chunk_interp: cfg.chunk_interp_tuning,
         })
     }
@@ -426,15 +371,30 @@ impl ChunkEncoder {
         } else {
             &scratch.output.codes
         };
-        // The per-chunk mode tuner: offer the codes to the selection
-        // strategy (trial-encoding or the estimator-guided shortlist) and
-        // keep the smallest real payload. The fallible selector turns a
-        // misconfigured (empty) candidate set into a typed error instead
-        // of aborting a long-running stream.
-        let (pipeline, payload) = {
+        // The per-chunk mode tuner: offer the codes to the candidates
+        // (trial-encoding them all, or the estimator-guided shortlist) and
+        // keep the smallest real payload. Pure: the same codes always yield
+        // the same choice.
+        let selection = {
             let _span = crate::telemetry::ENCODE_ENTROPY.enter();
-            self.selection.select(codes)?
+            let selection = szhi_tuner::select_pipeline(&self.candidates, codes, &self.params)?;
+            // Telemetry: the estimator's predicted size for the winner next
+            // to the size it actually produced. Trial selections carry no
+            // estimate and record nothing.
+            if let Some(&(_, est)) = selection
+                .estimates
+                .iter()
+                .find(|(p, _)| *p == selection.pipeline)
+            {
+                let estimated = est.max(0.0) as u64;
+                let actual = selection.payload.len() as u64;
+                crate::telemetry::TUNER_ESTIMATED.observe(estimated);
+                crate::telemetry::TUNER_ACTUAL.observe(actual);
+                szhi_telemetry::tuner_record(estimated, actual);
+            }
+            selection
         };
+        let (pipeline, payload) = (selection.pipeline, selection.payload);
         body.clear();
         write_sections(
             body,
@@ -1254,7 +1214,7 @@ impl<R: Read> Iterator for ForwardChunks<'_, R> {
 mod tests {
     use super::*;
     use crate::compressor::{compress_chunked, decompress};
-    use crate::config::ErrorBound;
+    use crate::config::{ErrorBound, PipelineMode};
     use crate::format::legacy::recontain;
     use crate::format::{read_chunk_table, stream_version, VERSION_STREAMED};
     use szhi_datagen::DatasetKind;

@@ -258,7 +258,7 @@ impl InterpPredictor {
         }
 
         let data_slice = data.as_slice();
-        self.sweep(dims, recon, |idx, pred| {
+        self.sweep(dims, recon, |idx, pred, slot| {
             let (code, value) = quantizer.quantize(data_slice[idx], pred);
             codes[idx] = code;
             if code == OUTLIER_CODE {
@@ -267,9 +267,8 @@ impl InterpPredictor {
                     value,
                 });
             }
-            Ok(value)
-        })
-        .expect("the compression sweep commits infallibly");
+            *slot = value;
+        });
 
         out.outliers.sort_by_key(|o| o.index);
     }
@@ -279,8 +278,8 @@ impl InterpPredictor {
     ///
     /// The output is untrusted (it usually comes from a parsed stream):
     /// a code array that does not match the field shape, a wrong anchor
-    /// count, or an outlier code without a matching outlier record all
-    /// surface as [`PredictorError::Inconsistent`].
+    /// count, or outlier records that do not pair one to one with the
+    /// outlier codes all surface as [`PredictorError::Inconsistent`].
     pub fn decompress(
         &self,
         dims: Dims,
@@ -297,11 +296,6 @@ impl InterpPredictor {
         let quantizer = Quantizer::new(eb);
         let block_grid = BlockGrid::new(dims, self.cfg.anchor_stride);
 
-        let mut recon = vec![0.0f32; dims.len()];
-        // Outliers are consulted by index during the sweep.
-        let outlier_map: std::collections::HashMap<u64, f32> =
-            output.outliers.iter().map(|o| (o.index, o.value)).collect();
-
         let anchor_count = block_grid.anchor_count();
         if anchor_count != output.anchors.len() {
             return Err(PredictorError::Inconsistent(format!(
@@ -309,47 +303,64 @@ impl InterpPredictor {
                 output.anchors.len()
             )));
         }
-        for ((z, y, x), &v) in block_grid.anchor_coords_iter().zip(&output.anchors) {
-            let idx = dims.index(z, y, x);
-            // The interpolation sweep below never visits anchor positions,
-            // so their outlier-code consistency must be checked here: every
-            // point coded as an outlier needs a record, anchors included.
-            if output.codes[idx] == OUTLIER_CODE && !outlier_map.contains_key(&(idx as u64)) {
-                return Err(PredictorError::Inconsistent(format!(
-                    "anchor point {idx} is coded as an outlier but has no outlier record"
-                )));
+
+        // Outliers are scattered into place before the sweep, whose
+        // OUTLIER_CODE commit then keeps the stored value. That is exact
+        // because no prediction reads a target before its own step commits
+        // it. Strictly increasing indices, each at an OUTLIER_CODE, as many
+        // records as OUTLIER_CODEs: together a one-to-one pairing of
+        // records and outlier codes, anchors included.
+        let mut recon = vec![0.0f32; dims.len()];
+        let mut prev = None;
+        for o in &output.outliers {
+            let idx = usize::try_from(o.index).ok().filter(|&i| i < dims.len());
+            match idx {
+                // `None < Some(_)`, so the first record is always in order.
+                Some(i) if prev < Some(o.index) && output.codes[i] == OUTLIER_CODE => {
+                    recon[i] = o.value;
+                }
+                _ => {
+                    return Err(PredictorError::Inconsistent(format!(
+                        "the outlier record of point {} is out of order, outside the {dims} \
+                         field, or at a point not coded as an outlier",
+                        o.index
+                    )))
+                }
             }
-            recon[idx] = v;
+            prev = Some(o.index);
+        }
+        let outlier_codes = output.codes.iter().filter(|&&c| c == OUTLIER_CODE).count();
+        if outlier_codes != output.outliers.len() {
+            return Err(PredictorError::Inconsistent(format!(
+                "{outlier_codes} points are coded as outliers but {} outlier records are stored",
+                output.outliers.len()
+            )));
+        }
+
+        for ((z, y, x), &v) in block_grid.anchor_coords_iter().zip(&output.anchors) {
+            recon[dims.index(z, y, x)] = v;
         }
 
         let codes = &output.codes;
-        self.sweep(dims, &mut recon, |idx, pred| match codes[idx] {
-            OUTLIER_CODE => outlier_map.get(&(idx as u64)).copied().ok_or_else(|| {
-                PredictorError::Inconsistent(format!(
-                    "point {idx} is coded as an outlier but has no outlier record"
-                ))
-            }),
-            code => Ok(quantizer.reconstruct(code, pred)),
-        })?;
+        self.sweep(dims, &mut recon, |idx, pred, slot| {
+            if codes[idx] != OUTLIER_CODE {
+                *slot = quantizer.reconstruct(codes[idx], pred);
+            }
+        });
 
         Ok(Grid::from_vec(dims, recon))
     }
 
     /// The one level → step → target traversal behind both directions:
-    /// every target is predicted from `recon`, `commit(index, prediction)`
-    /// turns the prediction into the point's reconstructed value (quantizing
-    /// on the way in, dequantizing or substituting the stored outlier on the
-    /// way out), and the value lands in `recon` before the next target is
-    /// predicted. Fusing the two is exact because a step's targets read only
-    /// points known before the step (the [`Step`] contract), so no commit
-    /// can change a later prediction of the same step. A failing commit
-    /// (decompression over inconsistent input) aborts the sweep.
-    fn sweep(
-        &self,
-        dims: Dims,
-        recon: &mut [f32],
-        mut commit: impl FnMut(usize, f32) -> Result<f32, PredictorError>,
-    ) -> Result<(), PredictorError> {
+    /// every target is predicted from `recon`, and `commit(index,
+    /// prediction, slot)` stores the point's reconstructed value in its
+    /// `recon` slot (quantizing on the way in, dequantizing on the way out,
+    /// or keeping the outlier value scattered there beforehand) before the
+    /// next target is predicted. Fusing the two is exact because a step's
+    /// targets read only points known before the step (the [`Step`]
+    /// contract), so no commit can change a later prediction of the same
+    /// step.
+    fn sweep(&self, dims: Dims, recon: &mut [f32], mut commit: impl FnMut(usize, f32, &mut f32)) {
         for level in (1..=self.cfg.num_levels()).rev() {
             let s = 1usize << (level - 1);
             let lc = self.cfg.levels[level - 1];
@@ -365,11 +376,10 @@ impl InterpPredictor {
                         self.cfg.block_span,
                     );
                     let idx = dims.index(z, y, x);
-                    recon[idx] = commit(idx, pred)?;
+                    commit(idx, pred, &mut recon[idx]);
                 }
             }
         }
-        Ok(())
     }
 }
 

@@ -10,8 +10,6 @@
 //!
 //! * [`quantize`] — the error-bounded linear quantizer with one-byte codes
 //!   and an outlier side channel (§5.2.1);
-//! * [`lorenzo`] — the dual-quantization Lorenzo predictor used by the
-//!   cuSZ-L and FZ-GPU baselines;
 //! * [`interp`] — the spline-interpolation predictor: the cuSZ-I
 //!   configuration (anchor stride 8, dimension-sequence interpolation) and
 //!   the cuSZ-Hi configuration (anchor stride 16, multi-dimensional
@@ -20,12 +18,16 @@
 //!   Eq. 3);
 //! * [`autotune`] — the sampled, workload-balanced interpolation auto-tuner
 //!   (§5.1.3).
+//!
+//! The dual-quantization Lorenzo predictor of the cuSZ-L and FZ-GPU
+//! baselines lives with its only callers, in `szhi-baselines`. Nothing in
+//! this crate touches the worker pool: every predictor runs one sweep on
+//! the calling thread, and callers parallelise over chunks.
 #![forbid(unsafe_code)]
 
 pub mod autotune;
 pub mod error;
 pub mod interp;
-pub mod lorenzo;
 pub mod quantize;
 pub mod reorder;
 

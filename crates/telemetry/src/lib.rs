@@ -26,7 +26,7 @@
 //! # szhi_telemetry::set_stats_enabled(false);
 //! ```
 //!
-//! Three independent switches gate what an event does:
+//! Two independent switches gate what an event does:
 //!
 //! * **stats** ([`set_stats_enabled`]): counters accumulate and spans
 //!   record their duration into a per-span histogram.
@@ -34,12 +34,8 @@
 //!   complete event to a capped in-memory trace buffer, exported by
 //!   [`export_trace_json`] in the Trace Event Format that
 //!   `chrome://tracing` and Perfetto load directly.
-//! * **observe**: set implicitly while any thread has a span listener
-//!   installed ([`set_thread_span_listener`]); span enter/exit then
-//!   notifies the current thread's listener, which is how
-//!   `JobProgress` phase tracking is fed without enabling stats.
 //!
-//! All switches off folds every instrumentation site to the single
+//! Both switches off folds every instrumentation site to the single
 //! relaxed load of one shared flags word.
 //!
 //! Recording is thread-safe and lock-free on the hot path (atomics
@@ -69,7 +65,7 @@ pub use json::stats_json;
 pub use metrics::{bucket_bound, Counter, Histogram, BUCKETS};
 pub use render::{render_ascii_table, render_stats};
 pub use snapshot::{CounterSnapshot, HistogramSnapshot, Snapshot};
-pub use span::{set_thread_span_listener, Span, SpanGuard, SpanListener};
+pub use span::{Span, SpanGuard};
 pub use trace::{export_trace_json, trace_dropped_events, tuner_record};
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,8 +74,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub(crate) const STATS: u64 = 1;
 /// Flag bit: spans append to the trace buffer.
 pub(crate) const TRACE: u64 = 1 << 1;
-/// Flag bit: at least one thread has a span listener installed.
-pub(crate) const OBSERVE: u64 = 1 << 2;
 
 /// The one word every instrumentation site loads. All bits clear is the
 /// shipped default: every event is a single relaxed load and a branch.

@@ -1,13 +1,10 @@
 //! Scoped spans: RAII-timed regions feeding a per-span duration
-//! histogram, the trace buffer, and (for job-phase tracking) an
-//! optional per-thread enter/exit listener.
+//! histogram and the trace buffer.
 
 // szhi-analyzer: scope(no-panic-decode: all)
 
 use crate::metrics::Histogram;
-use crate::{flags, set_flag, trace, OBSERVE, STATS, TRACE};
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::{flags, trace, STATS, TRACE};
 use std::time::Instant;
 
 /// A named timed region. Declare as a `static`; every
@@ -36,19 +33,11 @@ impl Span {
     /// and returns an inert guard (no clock read, no allocation).
     #[inline]
     pub fn enter(&'static self) -> SpanGuard {
-        let f = flags();
-        if f == 0 {
-            return SpanGuard {
-                span: None,
-                start: None,
-                notified: false,
-            };
+        if flags() == 0 {
+            return SpanGuard { open: None };
         }
-        let notified = f & OBSERVE != 0 && notify(self.name, true);
         SpanGuard {
-            span: Some(self),
-            start: Some(Instant::now()),
-            notified,
+            open: Some((self, Instant::now())),
         }
     }
 
@@ -61,14 +50,12 @@ impl Span {
 /// The RAII guard returned by [`Span::enter`]; dropping it closes the
 /// span and records wherever the flags word says to.
 pub struct SpanGuard {
-    span: Option<&'static Span>,
-    start: Option<Instant>,
-    notified: bool,
+    open: Option<(&'static Span, Instant)>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let (Some(span), Some(start)) = (self.span, self.start) else {
+        let Some((span, start)) = self.open else {
             return;
         };
         let f = flags();
@@ -81,54 +68,5 @@ impl Drop for SpanGuard {
                 trace::push_complete(span.name, start, dur_ns);
             }
         }
-        if self.notified {
-            notify(span.name, false);
-        }
     }
-}
-
-/// A per-thread span listener: called with the span name and `true` on
-/// enter, `false` on exit, for every span opened **on the installing
-/// thread** while installed.
-pub type SpanListener = Box<dyn Fn(&'static str, bool)>;
-
-thread_local! {
-    static LISTENER: RefCell<Option<SpanListener>> = const { RefCell::new(None) };
-}
-
-/// How many threads currently have a listener installed; drives the
-/// shared OBSERVE bit so listener-free processes pay nothing.
-static LISTENERS: AtomicUsize = AtomicUsize::new(0);
-
-/// Installs (`Some`) or removes (`None`) the calling thread's span
-/// listener. The listener must not itself install or remove listeners.
-/// Used by the job coordinator to map its own phase spans onto the
-/// job's progress phase without enabling stats globally.
-pub fn set_thread_span_listener(listener: Option<SpanListener>) {
-    let installing = listener.is_some();
-    let had = LISTENER.with(|slot| slot.replace(listener).is_some());
-    match (had, installing) {
-        (false, true) => {
-            LISTENERS.fetch_add(1, Ordering::SeqCst);
-        }
-        (true, false) => {
-            LISTENERS.fetch_sub(1, Ordering::SeqCst);
-        }
-        _ => {}
-    }
-    set_flag(OBSERVE, LISTENERS.load(Ordering::SeqCst) > 0);
-}
-
-/// Notifies the current thread's listener, if any. Returns whether one
-/// ran (so the guard knows to send the matching exit).
-fn notify(name: &'static str, entering: bool) -> bool {
-    LISTENER.with(|slot| {
-        if let Ok(guard) = slot.try_borrow() {
-            if let Some(listener) = guard.as_ref() {
-                listener(name, entering);
-                return true;
-            }
-        }
-        false
-    })
 }

@@ -29,7 +29,7 @@
 //! byte-reproducible at any thread count.
 
 use crate::stats::CodeStats;
-use szhi_codec::{PipelineSpec, StageSpec};
+use szhi_codec::{PipelineSpec, Stage, StageSpec};
 
 /// One pipeline's estimated output size.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,7 +60,7 @@ pub struct SizeEstimate {
 pub fn estimate_size(spec: PipelineSpec, sample: &[u8], full_len: usize) -> SizeEstimate {
     // The constant skeleton: headers and tables that do not scale with the
     // input. Encoding an empty stream measures it exactly.
-    let skeleton = spec.build().encode(&[]).len() as f64;
+    let skeleton = spec.encode(&[]).len() as f64;
     if sample.is_empty() || full_len == 0 {
         return SizeEstimate {
             pipeline: spec,
@@ -76,7 +76,7 @@ pub fn estimate_size(spec: PipelineSpec, sample: &[u8], full_len: usize) -> Size
         // sample so their run/occupancy effects reach the histogram.
         let mut model = sample.to_vec();
         for stage in &stages[..k] {
-            model = stage.build().encode(&model);
+            model = stage.encode(&model);
         }
         // The histogram bound for the full stream at this stage (the
         // stream is `scale`× the sampled one with the same distribution).
@@ -97,13 +97,13 @@ pub fn estimate_size(spec: PipelineSpec, sample: &[u8], full_len: usize) -> Size
         // headers) are taken out of both sides first — they are already
         // accounted for by the unscaled skeleton term, and leaving them
         // in would multiply sample-level constants by the scale factor.
-        let entropy_out = stages[k].build().encode(&model);
-        let mut entropy_skeleton = stages[k].build().encode(&[]);
+        let entropy_out = stages[k].encode(&model);
+        let mut entropy_skeleton = stages[k].encode(&[]);
         let payload_in = (entropy_out.len() as f64 - entropy_skeleton.len() as f64).max(1.0);
         let mut tail = entropy_out;
         for stage in &stages[k + 1..] {
-            tail = stage.build().encode(&tail);
-            entropy_skeleton = stage.build().encode(&entropy_skeleton);
+            tail = stage.encode(&tail);
+            entropy_skeleton = stage.encode(&entropy_skeleton);
         }
         let payload_out = (tail.len() as f64 - entropy_skeleton.len() as f64).max(0.0);
         let post_factor = payload_out / payload_in;
@@ -116,8 +116,8 @@ pub fn estimate_size(spec: PipelineSpec, sample: &[u8], full_len: usize) -> Size
         // No entropy stage: the sampled reduction extrapolates linearly
         // once the constant skeleton is taken out of the scaled term.
         let mut model = sample.to_vec();
-        for stage in &stages {
-            model = stage.build().encode(&model);
+        for stage in stages {
+            model = stage.encode(&model);
         }
         SizeEstimate {
             pipeline: spec,
@@ -186,7 +186,7 @@ mod tests {
         let actual_best = candidates
             .iter()
             .enumerate()
-            .min_by_key(|(_, spec)| spec.build().encode(codes).len())
+            .min_by_key(|(_, spec)| spec.encode(codes).len())
             .map(|(i, _)| i)
             .unwrap();
         est.iter().position(|&(i, _)| i == actual_best).unwrap()
@@ -217,7 +217,7 @@ mod tests {
         let sample = sample_codes(&codes, 8192, 16);
         for spec in PipelineSpec::fig6_set() {
             let est = estimate_size(spec, &sample, codes.len()).bytes;
-            let actual = spec.build().encode(&codes).len() as f64;
+            let actual = spec.encode(&codes).len() as f64;
             let ratio = est / actual;
             assert!(
                 (0.5..2.0).contains(&ratio),
@@ -246,7 +246,7 @@ mod tests {
     fn empty_and_degenerate_inputs_estimate_the_skeleton() {
         for spec in PipelineSpec::fig6_set() {
             let est = estimate_size(spec, &[], 0);
-            let skeleton = spec.build().encode(&[]).len() as f64;
+            let skeleton = spec.encode(&[]).len() as f64;
             assert_eq!(est.bytes, skeleton, "{spec}");
         }
     }

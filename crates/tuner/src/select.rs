@@ -76,7 +76,7 @@ pub struct Selection {
 /// // Far fewer full encodes than the 18-candidate exhaustive sweep…
 /// assert!(sel.trial_encoded <= 4);
 /// // …and the payload is a real encode that round-trips.
-/// assert_eq!(sel.pipeline.build().decode(&sel.payload).unwrap(), codes);
+/// assert_eq!(sel.pipeline.decode_bounded(&sel.payload, codes.len()).unwrap(), codes);
 /// ```
 pub fn select_pipeline(
     candidates: &[PipelineSpec],
@@ -190,7 +190,7 @@ mod tests {
             let codes = quant_like(80_000, seed);
             let cands = PipelineSpec::fig6_set();
             let sel = select_pipeline(&cands, &codes, &SelectParams::default()).unwrap();
-            let default_len = cands[0].build().encode(&codes).len();
+            let default_len = cands[0].encode(&codes).len();
             assert!(
                 sel.payload.len() <= default_len,
                 "seed {seed}: selection ({}) worse than default ({default_len})",
