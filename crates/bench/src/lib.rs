@@ -15,7 +15,9 @@ use szhi_core::{ErrorBound, SzhiError};
 use szhi_datagen::DatasetKind;
 use szhi_metrics::{verify_error_bound, QualityReport};
 use szhi_ndgrid::{Dims, Grid};
-use szhi_predictor::{autotune, InterpConfig, InterpPredictor, LevelOrder};
+use szhi_predictor::{
+    autotune, InterpConfig, InterpOutput, InterpPredictor, LevelOrder, PredictorError,
+};
 
 /// Default seed for dataset generation; every experiment uses the same seed
 /// so results are comparable across binaries.
@@ -151,14 +153,9 @@ impl From<SzhiError> for CellError {
 
 /// Runs one (compressor, dataset, error-bound) cell: compress, decompress,
 /// verify and measure. A run with `rel_eb > 0` must keep every point within
-/// the absolute bound `rel_eb` resolves to on this field — the paper
+/// the absolute bound `rel_eb` resolves to on this field, plus an
+/// allowance for the baselines' final `f64 → f32` cast — the paper
 /// compares ratios *under the same error bound*.
-///
-/// The check carries the measurement allowance `tests/end_to_end.rs`
-/// derives for the dual-quantization baselines, which reconstruct `q·2ε`
-/// through one `f64 → f32` cast: at most `|v|·f32::EPSILON` per point,
-/// taken here at the field's largest magnitude, plus `1e-12` of `f64`
-/// arithmetic noise.
 pub fn run_cell(
     c: &dyn Compressor,
     data: &Grid<f32>,
@@ -169,19 +166,7 @@ pub fn run_cell(
     let compressed = c.compress(data, ErrorBound::Relative(rel_eb))?;
     let restored = c.decompress(&compressed)?;
     if rel_eb > 0.0 {
-        let bound = ErrorBound::Relative(rel_eb).absolute(data.value_range() as f64);
-        let (lo, hi) = data.min_max();
-        let cast_slack = lo.abs().max(hi.abs()) as f64 * f32::EPSILON as f64;
-        verify_error_bound(
-            data.as_slice(),
-            restored.as_slice(),
-            bound + cast_slack + 1e-12,
-        )
-        .map_err(|(index, error)| CellError::BoundViolated {
-            index,
-            error,
-            bound,
-        })?;
+        check_bound(data, &restored, rel_eb)?;
     }
     let q = QualityReport::compare(data, &restored);
     Ok(RunResult {
@@ -192,6 +177,30 @@ pub fn run_cell(
         bitrate: compressed.len() as f64 * 8.0 / data.len() as f64,
         psnr: q.psnr,
         max_err: q.max_abs_error,
+    })
+}
+
+/// Checks that `restored` keeps every point of `data` within the absolute
+/// bound `rel_eb` resolves to on this field.
+///
+/// The check carries the measurement allowance `tests/end_to_end.rs`
+/// derives for the dual-quantization baselines, which reconstruct `q·2ε`
+/// through one `f64 → f32` cast: at most `|v|·f32::EPSILON` per point,
+/// taken here at the field's largest magnitude, plus `1e-12` of `f64`
+/// arithmetic noise.
+fn check_bound(data: &Grid<f32>, restored: &Grid<f32>, rel_eb: f64) -> Result<(), CellError> {
+    let bound = ErrorBound::Relative(rel_eb).absolute(data.value_range() as f64);
+    let (lo, hi) = data.min_max();
+    let cast_slack = lo.abs().max(hi.abs()) as f64 * f32::EPSILON as f64;
+    verify_error_bound(
+        data.as_slice(),
+        restored.as_slice(),
+        bound + cast_slack + 1e-12,
+    )
+    .map_err(|(index, error)| CellError::BoundViolated {
+        index,
+        error,
+        bound,
     })
 }
 
@@ -225,7 +234,9 @@ pub fn quant_codes(data: &Grid<f32>, rel_eb: f64, reorder: bool) -> Vec<u8> {
 
 /// The compressed size (bytes) of one ablation configuration: interpolation
 /// config + optional reorder + lossless pipeline, accounting for anchors and
-/// outliers like the real stream format does.
+/// outliers like the real stream format does. Like [`run_cell`], a size
+/// counts only once its payload has been decoded again, restored to raster
+/// order and reconstructed within the bound.
 pub fn ablation_compressed_size(
     data: &Grid<f32>,
     rel_eb: f64,
@@ -233,23 +244,39 @@ pub fn ablation_compressed_size(
     auto_tune: bool,
     reorder: bool,
     pipeline: PipelineSpec,
-) -> usize {
+) -> Result<usize, CellError> {
+    let dims = data.dims();
     let abs_eb = ErrorBound::Relative(rel_eb).absolute(data.value_range() as f64);
     let cfg = if auto_tune {
         autotune::tune(data, interp).0
     } else {
         interp.clone()
     };
-    let predictor = InterpPredictor::new(cfg.clone()).expect("tuned configurations are valid");
+    let invalid = |e: PredictorError| SzhiError::InvalidStream(e.to_string());
+    let predictor = InterpPredictor::new(cfg.clone()).map_err(invalid)?;
     let out = predictor.compress(data, abs_eb);
-    let codes = if reorder {
-        LevelOrder::new(data.dims(), cfg.anchor_stride).reorder(&out.codes)
+    let order = LevelOrder::new(dims, cfg.anchor_stride);
+    let payload = if reorder {
+        pipeline.encode(&order.reorder(&out.codes))
     } else {
-        out.codes
+        pipeline.encode(&out.codes)
     };
-    let payload = pipeline.encode(&codes);
     // Anchors (f32) + outliers (index u64 + value f32) + payload + header.
-    out.anchors.len() * 4 + out.outliers.len() * 12 + payload.len() + 64
+    let size = out.anchors.len() * 4 + out.outliers.len() * 12 + payload.len() + 64;
+
+    let decoded = pipeline
+        .decode_bounded(&payload, dims.len())
+        .map_err(SzhiError::Codec)?;
+    let codes = if reorder {
+        order.restore(&decoded).map_err(invalid)?
+    } else {
+        decoded
+    };
+    let restored = predictor
+        .decompress(dims, abs_eb, &InterpOutput { codes, ..out })
+        .map_err(invalid)?;
+    check_bound(data, &restored, rel_eb)?;
+    Ok(size)
 }
 
 #[cfg(test)]
@@ -358,7 +385,8 @@ mod tests {
             false,
             false,
             PipelineSpec::HfBitcomp,
-        );
+        )
+        .unwrap();
         let full = ablation_compressed_size(
             &g,
             1e-2,
@@ -366,7 +394,8 @@ mod tests {
             true,
             true,
             PipelineSpec::CR,
-        );
+        )
+        .unwrap();
         assert!(
             full < base,
             "full cuSZ-Hi ({full}) must beat the cuSZ-IB ablation baseline ({base})"

@@ -10,9 +10,17 @@
 //!
 //! The trials use the original values (not reconstructed ones) as the known
 //! grid — the standard approximation also used by QoZ — which makes every
-//! (block, level, configuration) trial independent of the others.
+//! (block, level, configuration) trial independent of the others. A trial
+//! runs the predictor's own row kernel over the block, so it predicts every
+//! target exactly as compression would from the same known values; only
+//! its commit differs, summing `|prediction − value|` instead of storing.
+//!
+//! A trial whose stencils reach a non-finite value sums to NaN. Candidates
+//! are compared with `f64::total_cmp`, which ranks such a sum after every
+//! finite one, so tuning a field that holds NaN or ±Inf still picks a
+//! configuration.
 
-use crate::interp::{predict_point, steps, InterpConfig, LevelConfig, Scheme, Spline};
+use crate::interp::{steps, InterpConfig, Level, LevelConfig, Scheme, Spline};
 #[cfg(test)]
 use szhi_ndgrid::Dims;
 use szhi_ndgrid::{BlockGrid, Grid};
@@ -79,22 +87,24 @@ pub fn tune(data: &Grid<f32>, base: &InterpConfig) -> (InterpConfig, TuneResult)
     // One trial per (block, level, candidate), summed in that order.
     let mut errors = vec![[0.0f64; 4]; num_levels];
     for block in sampled {
-        let sub_grid = Grid::from_vec(block.region.dims(), data.extract(&block.region));
+        let mut sub_grid = Grid::from_vec(block.region.dims(), data.extract(&block.region));
         for level in 1..=num_levels {
             let s = 1usize << (level - 1);
             for (ci, cand) in cands.iter().enumerate() {
-                errors[level - 1][ci] += trial_error(&sub_grid, s, cand.scheme, cand.spline);
+                errors[level - 1][ci] += trial_error(&mut sub_grid, s, cand.scheme, cand.spline);
             }
         }
     }
 
+    // A NaN sum ranks last (see the module docs); `min_by` keeps the first
+    // of equal minima.
     let levels: Vec<LevelConfig> = errors
         .iter()
         .map(|errs| {
             let best = errs
                 .iter()
                 .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                .min_by(|a, b| a.1.total_cmp(b.1))
                 .map(|(i, _)| i)
                 .unwrap_or(0);
             cands[best]
@@ -117,24 +127,22 @@ pub fn tune(data: &Grid<f32>, base: &InterpConfig) -> (InterpConfig, TuneResult)
 }
 
 /// Aggregated absolute prediction error of one trial: interpolate every
-/// target of level stride `s` inside `block` from the original values.
-fn trial_error(block: &Grid<f32>, s: usize, scheme: Scheme, spline: Spline) -> f64 {
+/// target of level stride `s` inside `block` from the original values,
+/// with the predictor's row kernel confined to the block. The commit only
+/// reads its slot, so `block` keeps the original values throughout.
+fn trial_error(block: &mut Grid<f32>, s: usize, scheme: Scheme, spline: Spline) -> f64 {
     let dims = block.dims();
-    let span = [dims.nz().max(1), dims.ny().max(1), dims.nx().max(1)];
+    let level = Level {
+        dims,
+        s,
+        spline,
+        span: [dims.nz(), dims.ny(), dims.nx()],
+    };
     let mut err = 0.0f64;
     for step in steps(s, scheme) {
-        for (z, y, x) in step.targets(dims) {
-            let pred = predict_point(
-                block.as_slice(),
-                dims,
-                (z, y, x),
-                step.interp_axes,
-                s,
-                spline,
-                span,
-            );
-            err += (pred as f64 - block.get(z, y, x) as f64).abs();
-        }
+        step.sweep(&level, block.as_mut_slice(), &mut |_, pred, value| {
+            err += (pred as f64 - *value as f64).abs();
+        });
     }
     err
 }
@@ -187,6 +195,105 @@ mod tests {
         }
     }
 
+    /// `tune`'s trial errors, bit for bit, as the per-point predictor
+    /// computed them before the row kernel replaced it: a field's tuned
+    /// configuration cannot move with the kernel.
+    #[test]
+    fn trial_errors_are_pinned() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(107);
+        let noise = Grid::from_fn(Dims::d3(48, 48, 48), |_, _, _| rng.gen_range(-1.0f32..1.0));
+        let check = |g: Grid<f32>, base: InterpConfig, pinned: &[[u64; 4]]| {
+            let (_, result) = tune(&g, &base);
+            let bits: Vec<[u64; 4]> = result.errors.iter().map(|e| e.map(f64::to_bits)).collect();
+            assert_eq!(bits, pinned, "{}", g.dims());
+        };
+        check(
+            noise,
+            InterpConfig::cusz_hi(),
+            &[
+                [
+                    0x40a2e8b3cc253a00,
+                    0x40a20d6527478fa0,
+                    0x40a37a8b79264000,
+                    0x40a2e9c199c60000,
+                ],
+                [
+                    0x407549d91d692000,
+                    0x40747a0784751000,
+                    0x4075e9db78c80000,
+                    0x40758650e3b00000,
+                ],
+                [
+                    0x404e5c483b580000,
+                    0x404e5c483b580000,
+                    0x404f1a8b0b800000,
+                    0x404f1a8b0b800000,
+                ],
+                [
+                    0x402208d4c2000000,
+                    0x402208d4c2000000,
+                    0x402385b1bc000000,
+                    0x402385b1bc000000,
+                ],
+            ],
+        );
+        check(
+            smooth_field(Dims::d3(40, 40, 40)),
+            InterpConfig::cusz_i(),
+            &[
+                [
+                    0x3fd8182c00000000,
+                    0x3ff0b76300000000,
+                    0x3fe638b300000000,
+                    0x3ff6492100000000,
+                ],
+                [
+                    0x3fe5b3b180000000,
+                    0x3fe5b3b180000000,
+                    0x3febfe7100000000,
+                    0x3febfe7100000000,
+                ],
+                [
+                    0x3fe0da8280000000,
+                    0x3fe0da8280000000,
+                    0x3fe4bada80000000,
+                    0x3fe4bada80000000,
+                ],
+            ],
+        );
+        check(
+            smooth_field(Dims::d2(100, 90)),
+            InterpConfig::cusz_hi(),
+            &[
+                [
+                    0x3fac69a800000000,
+                    0x3fd2bb1c00000000,
+                    0x3fb1c3ac00000000,
+                    0x3fd1fd7a00000000,
+                ],
+                [
+                    0x3fc125a600000000,
+                    0x3fd4232700000000,
+                    0x3fc34ad800000000,
+                    0x3fd3657600000000,
+                ],
+                [
+                    0x3fd6f28b00000000,
+                    0x3fd6f28b00000000,
+                    0x3fd6348100000000,
+                    0x3fd6348100000000,
+                ],
+                [
+                    0x3fdc92da00000000,
+                    0x3fdc92da00000000,
+                    0x3fdbd37600000000,
+                    0x3fdbd37600000000,
+                ],
+            ],
+        );
+    }
+
     #[test]
     fn sample_count_tracks_fraction() {
         let g = smooth_field(Dims::d3(96, 96, 96));
@@ -199,8 +306,8 @@ mod tests {
     #[test]
     fn trial_error_is_zero_on_linear_ramps_with_linear_spline() {
         let dims = Dims::d3(17, 17, 17);
-        let g = Grid::from_fn(dims, |z, y, x| (2 * x + 3 * y + z) as f32);
-        let err = trial_error(&g, 1, Scheme::MultiDim, Spline::Linear);
+        let mut g = Grid::from_fn(dims, |z, y, x| (2 * x + 3 * y + z) as f32);
+        let err = trial_error(&mut g, 1, Scheme::MultiDim, Spline::Linear);
         assert!(
             err < 1e-2,
             "linear interpolation must reproduce a linear ramp, err {err}"

@@ -1,13 +1,35 @@
-//! Interpolation kernels: step enumeration and point prediction.
+//! Interpolation kernels: step enumeration and the row kernel.
 //!
 //! These are the building blocks shared by the predictor
-//! ([`super::InterpPredictor`]) and the auto-tuner
-//! ([`crate::autotune`]): the decomposition of one interpolation level into
-//! steps of independent target points, and the spline prediction of a single
-//! point from its already-known neighbours.
+//! ([`super::InterpPredictor`]) and the auto-tuner ([`crate::autotune`]):
+//! the decomposition of one interpolation level into steps of independent
+//! target points, and the row kernel that predicts a step's targets.
+//!
+//! A step's targets come in rows of fixed `(z, y)`. Which neighbours a
+//! target may read along z and y — the ones at ±s, and for a cubic spline
+//! also ±3s, that lie inside its confinement tile and the domain — depends
+//! only on the row, so [`Step::sweep`] classifies those two axes once per
+//! row. Along x it depends only on the target's offset inside its x tile,
+//! so a row splits into a few edge targets and interior runs in which every
+//! axis reads a fixed stencil. The kernel predicts up to [`BATCH`] targets
+//! of a row from `recon` into a stack buffer, one run at a time, and the
+//! sweep then commits them in raster order. Predicting a batch before
+//! committing any of it is exact because a step's targets read only points
+//! known before the step (`a_step_reads_only_points_known_before_it`).
+//!
+//! The arithmetic is the per-point reference's, operation for operation:
+//! cubic is `(-aa + 9a + 9b - bb) / 16`, linear `(a + b) * 0.5`, and a
+//! prediction is `0.0f32` plus the highest-order per-axis predictions in z,
+//! y, x order, divided by their count. The per-point reference, which
+//! works out the tile bounds and spline order of every neighbour of every
+//! point on its own, is kept under `#[cfg(test)]`, and the tests compare
+//! the kernel with it bit for bit.
 
 use super::{Scheme, Spline};
 use szhi_ndgrid::Dims;
+
+/// Targets predicted per batch: the size of [`Step::sweep`]'s stack buffer.
+const BATCH: usize = 64;
 
 /// One interpolation step: a lattice of target points (`start`, `stride` per
 /// axis) that are all predicted from points known *before* the step, plus the
@@ -23,6 +45,20 @@ pub struct Step {
     /// Axes to interpolate along (0 = z, 1 = y, 2 = x). Multi-axis steps
     /// average the highest-order per-axis predictions.
     pub interp_axes: &'static [usize],
+}
+
+/// What the steps of one level are swept under.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Level {
+    /// Shape of the field.
+    pub dims: Dims,
+    /// The level's stride `s`.
+    pub s: usize,
+    /// The level's spline.
+    pub spline: Spline,
+    /// Confinement tile per axis `(z, y, x)`: a target reads only
+    /// neighbours in its own span-aligned tile.
+    pub span: [usize; 3],
 }
 
 impl Step {
@@ -52,8 +88,8 @@ impl Step {
     }
 
     /// Iterates every target coordinate of the step in raster order: the
-    /// one enumeration of a step's lattice (the predictor's sweep and the
-    /// auto-tuner's trials both walk it).
+    /// enumeration the reference sweep walks.
+    #[cfg(test)]
     pub fn targets(&self, dims: Dims) -> impl Iterator<Item = (usize, usize, usize)> {
         let (z0, zs) = self.z;
         let (y0, ys) = self.y;
@@ -63,6 +99,61 @@ impl Step {
                 .step_by(ys)
                 .flat_map(move |y| (x0..dims.nx()).step_by(xs).map(move |x| (z, y, x)))
         })
+    }
+
+    /// Predicts every target of the step and passes it to `commit(index,
+    /// prediction, slot)` in raster order, `slot` being the target's entry
+    /// of `recon`. Row by row, up to [`BATCH`] targets are predicted from
+    /// `recon` before the first of them is committed.
+    pub(crate) fn sweep(
+        &self,
+        level: &Level,
+        recon: &mut [f32],
+        commit: &mut impl FnMut(usize, f32, &mut f32),
+    ) {
+        let Level {
+            dims,
+            s,
+            spline,
+            span,
+        } = *level;
+        let (x0, xs) = self.x;
+        if x0 >= dims.nx() {
+            return;
+        }
+        let targets = (dims.nx() - x0).div_ceil(xs);
+        // An axis contributes when the step interpolates along it and the
+        // field has more than one point along it.
+        let along = |axis: usize| self.interp_axes.contains(&axis) && dims.extent(axis) > 1;
+        let stencil = |axis: usize, c: usize| {
+            if along(axis) {
+                Stencil::classify(c, s, tile(c, span[axis], dims.extent(axis)), spline)
+            } else {
+                Stencil::None
+            }
+        };
+        let along_x = along(2);
+        let mut batch = [0.0f32; BATCH];
+        for z in (self.z.0..dims.nz()).step_by(self.z.1) {
+            let z_stencil = (stencil(0, z), s * dims.ny() * dims.nx());
+            for y in (self.y.0..dims.ny()).step_by(self.y.1) {
+                let row = Row {
+                    first: dims.index(z, y, x0),
+                    x: self.x,
+                    zy: [z_stencil, (stencil(1, y), s * dims.nx())],
+                    along_x,
+                };
+                for k0 in (0..targets).step_by(BATCH) {
+                    let preds = &mut batch[..BATCH.min(targets - k0)];
+                    row.predict(level, recon, k0, preds);
+                    let first = row.first + k0 * xs;
+                    for (k, &pred) in preds.iter().enumerate() {
+                        let idx = first + k * xs;
+                        commit(idx, pred, &mut recon[idx]);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -101,6 +192,14 @@ pub fn steps(s: usize, scheme: Scheme) -> impl Iterator<Item = Step> {
     unit.iter().map(move |step| step.scaled(s))
 }
 
+/// The bounds `(lo, hi)`, both inclusive, of the tile holding coordinate
+/// `c` on an axis of the given extent: tiles start at multiples of `span`
+/// and include the first point of the next tile.
+fn tile(c: usize, span: usize, extent: usize) -> (usize, usize) {
+    let lo = c / span * span;
+    (lo, (lo + span).min(extent - 1))
+}
+
 /// Order of a 1D prediction: higher order means more neighbours were usable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Order {
@@ -114,8 +213,179 @@ enum Order {
     Cubic,
 }
 
+/// The neighbours one axis of a prediction reads, at ±s and ±3s from the
+/// target along that axis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stencil {
+    /// The axis does not contribute: the step does not interpolate along
+    /// it, or neither neighbour at ±s is in the tile.
+    None,
+    /// A copy of the neighbour at −s.
+    Below,
+    /// A copy of the neighbour at +s.
+    Above,
+    /// The linear interpolation of the neighbours at ±s.
+    Linear,
+    /// The cubic interpolation of the neighbours at ±s and ±3s.
+    Cubic,
+}
+
+impl Stencil {
+    /// The stencil of a target at coordinate `c` whose tile spans
+    /// `lo..=hi` on this axis.
+    fn classify(c: usize, s: usize, (lo, hi): (usize, usize), spline: Spline) -> Self {
+        match (c >= lo + s, c + s <= hi) {
+            (true, true) if spline == Spline::Cubic && c >= lo + 3 * s && c + 3 * s <= hi => {
+                Stencil::Cubic
+            }
+            (true, true) => Stencil::Linear,
+            (true, false) => Stencil::Below,
+            (false, true) => Stencil::Above,
+            (false, false) => Stencil::None,
+        }
+    }
+
+    fn order(self) -> Order {
+        match self {
+            Stencil::None => Order::None,
+            Stencil::Below | Stencil::Above => Order::Copy,
+            Stencil::Linear => Order::Linear,
+            Stencil::Cubic => Order::Cubic,
+        }
+    }
+}
+
+/// One row of a step: the targets at a fixed `(z, y)`, whose z and y
+/// stencils are classified once.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    /// Index of the row's first target.
+    first: usize,
+    /// `(start, stride)` of the targets along x.
+    x: (usize, usize),
+    /// The z and y stencils, each with the index distance of the axis's
+    /// neighbour at `s`.
+    zy: [(Stencil, usize); 2],
+    /// Whether the prediction interpolates along x.
+    along_x: bool,
+}
+
+impl Row {
+    /// Predicts the row's targets `k0, k0 + 1, …` into `out` (at most
+    /// [`BATCH`] of them), one run of equal x stencils at a time.
+    fn predict(&self, level: &Level, recon: &[f32], k0: usize, out: &mut [f32]) {
+        let (x0, xs) = self.x;
+        let first = self.first + k0 * xs;
+        let [z, y] = self.zy;
+        if !self.along_x {
+            return Blend::new([z, y, (Stencil::None, 0)]).predict(recon, first, xs, out);
+        }
+        // Classify x target by target, stepping the tile along instead of
+        // dividing for every target.
+        let (span, nx) = (level.span[2], level.dims.nx());
+        let mut stencils = [Stencil::None; BATCH];
+        let mut x = x0 + k0 * xs;
+        let (mut lo, mut hi) = tile(x, span, nx);
+        for stencil in &mut stencils[..out.len()] {
+            if x >= lo + span {
+                (lo, hi) = tile(x, span, nx);
+            }
+            *stencil = Stencil::classify(x, level.s, (lo, hi), level.spline);
+            x += xs;
+        }
+        let mut k = 0;
+        for run in stencils[..out.len()].chunk_by(|a, b| a == b) {
+            let end = k + run.len();
+            Blend::new([z, y, (run[0], level.s)]).predict(
+                recon,
+                first + k * xs,
+                xs,
+                &mut out[k..end],
+            );
+            k = end;
+        }
+    }
+}
+
+/// The per-axis predictions a target averages: those of the highest order
+/// available, in z, y, x order (§5.1.2: a cubic prediction is never diluted
+/// by a linear one).
+#[derive(Debug, Clone, Copy)]
+struct Blend {
+    order: Order,
+    /// Index distance from the target to each averaged axis's neighbour at
+    /// +s, negated for [`Stencil::Below`].
+    terms: [isize; 3],
+    /// How many entries of `terms` are used.
+    n: usize,
+}
+
+impl Blend {
+    /// The blend of the `(stencil, index distance)` of the z, y and x axes.
+    fn new(axes: [(Stencil, usize); 3]) -> Self {
+        let order = axes
+            .iter()
+            .map(|&(stencil, _)| stencil.order())
+            .fold(Order::None, Ord::max);
+        let mut blend = Blend {
+            order,
+            terms: [0; 3],
+            n: 0,
+        };
+        if order == Order::None {
+            return blend;
+        }
+        for (stencil, d) in axes {
+            if stencil.order() == order {
+                let d = d as isize;
+                blend.terms[blend.n] = if stencil == Stencil::Below { -d } else { d };
+                blend.n += 1;
+            }
+        }
+        blend
+    }
+
+    /// Predicts the targets `first, first + step, …` into `out`.
+    fn predict(&self, r: &[f32], first: usize, step: usize, out: &mut [f32]) {
+        let terms = &self.terms[..self.n];
+        match self.order {
+            Order::None => out.fill(0.0),
+            Order::Copy => average(out, first, step, terms, |i, d| r[i.wrapping_add_signed(d)]),
+            Order::Linear => average(out, first, step, terms, |i, d| {
+                let d = d.unsigned_abs();
+                (r[i - d] + r[i + d]) * 0.5
+            }),
+            Order::Cubic => average(out, first, step, terms, |i, d| {
+                let d = d.unsigned_abs();
+                (-r[i - 3 * d] + 9.0 * r[i - d] + 9.0 * r[i + d] - r[i + 3 * d]) / 16.0
+            }),
+        }
+    }
+}
+
+/// Writes, for every target `i = first + k·step`, the mean of `term(i, d)`
+/// over `terms` into `out[k]`.
+#[inline(always)]
+fn average(
+    out: &mut [f32],
+    first: usize,
+    step: usize,
+    terms: &[isize],
+    term: impl Fn(usize, isize) -> f32,
+) {
+    for (k, pred) in out.iter_mut().enumerate() {
+        let i = first + k * step;
+        let mut sum = 0.0f32;
+        for &d in terms {
+            sum += term(i, d);
+        }
+        *pred = sum / terms.len() as f32;
+    }
+}
+
 /// Predicts the value at `coord` by interpolating along a single axis with
 /// stride `s`, confined to the block tile and the domain.
+#[cfg(test)]
 fn predict_1d(
     recon: &[f32],
     dims: Dims,
@@ -169,8 +439,10 @@ fn predict_1d(
 
 /// Predicts the value at `coord` by interpolating along `axes` with stride
 /// `s`, averaging only the predictions of the highest available order
-/// (§5.1.2: a cubic prediction is never diluted by a linear one).
-pub fn predict_point(
+/// (§5.1.2: a cubic prediction is never diluted by a linear one). The
+/// per-point reference of the row kernel.
+#[cfg(test)]
+pub(crate) fn predict_point(
     recon: &[f32],
     dims: Dims,
     coord: (usize, usize, usize),
@@ -205,6 +477,31 @@ pub fn predict_point(
         }
     }
     sum / count as f32
+}
+
+/// The per-point reference of [`Step::sweep`]: predicts each target with
+/// [`predict_point`] and commits it before predicting the next.
+#[cfg(test)]
+pub(crate) fn sweep_reference(
+    step: &Step,
+    level: &Level,
+    recon: &mut [f32],
+    commit: &mut impl FnMut(usize, f32, &mut f32),
+) {
+    let dims = level.dims;
+    for (z, y, x) in step.targets(dims) {
+        let pred = predict_point(
+            recon,
+            dims,
+            (z, y, x),
+            step.interp_axes,
+            level.s,
+            level.spline,
+            level.span,
+        );
+        let idx = dims.index(z, y, x);
+        commit(idx, pred, &mut recon[idx]);
+    }
 }
 
 #[cfg(test)]
@@ -279,13 +576,13 @@ mod tests {
 
     #[test]
     fn a_step_reads_only_points_known_before_it() {
-        // The invariant that licenses the fused sweep (predict and commit a
-        // target before predicting the next one of the same step): every
-        // neighbour `predict_1d` can read — ±s and ±3s along each
-        // interpolation axis — was produced by the anchors or an earlier
-        // step, so no commit of this step can change a later prediction of
-        // it. Checked against the whole domain, which covers every block
-        // span (a tile only removes neighbours).
+        // The invariant that licenses the row kernel (predict a batch of a
+        // step's targets, then commit them): every neighbour a prediction
+        // can read — ±s and ±3s along each interpolation axis — was
+        // produced by the anchors or an earlier step, so no commit of this
+        // step can change another prediction of it. Checked against the
+        // whole domain, which covers every block span (a tile only removes
+        // neighbours).
         for dims in shapes() {
             for scheme in [Scheme::DimSequence, Scheme::MultiDim] {
                 for stride in [8usize, 16] {

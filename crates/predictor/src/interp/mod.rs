@@ -21,15 +21,19 @@
 //! the compression-ratio differences) of the 33×9×9 cuSZ-I partition versus
 //! the 17³ cuSZ-Hi partition studied in the paper's ablation (Table 5).
 //!
-//! Both directions are one fused sweep over level → step → target on the
-//! calling thread: predict a point, quantize (or dequantize) it, store its
-//! reconstruction, move on. Nothing below a field is dispatched to the
-//! worker pool — callers that want cores split the field into chunks and
-//! run one sweep per chunk, which is how the paper parallelises (§5.1.1).
+//! Both directions, and the auto-tuner's trials, are one sweep over level →
+//! step → row on the calling thread, driven by one row kernel
+//! (`kernel.rs`): classify the row's neighbour availability once, predict
+//! a batch of its targets into a stack buffer, then commit them in raster
+//! order — quantize (or dequantize) each and store its reconstruction.
+//! Nothing below a field is dispatched to the worker pool — callers that
+//! want cores split the field into chunks and run one sweep per chunk,
+//! which is how the paper parallelises (§5.1.1).
 
 mod kernel;
 
-pub use kernel::{predict_point, steps, Step};
+pub(crate) use kernel::Level;
+pub use kernel::{steps, Step};
 
 use crate::error::PredictorError;
 use crate::quantize::{Outlier, Quantizer, OUTLIER_CODE, ZERO_CODE};
@@ -351,35 +355,35 @@ impl InterpPredictor {
         Ok(Grid::from_vec(dims, recon))
     }
 
-    /// The one level → step → target traversal behind both directions:
-    /// every target is predicted from `recon`, and `commit(index,
-    /// prediction, slot)` stores the point's reconstructed value in its
-    /// `recon` slot (quantizing on the way in, dequantizing on the way out,
-    /// or keeping the outlier value scattered there beforehand) before the
-    /// next target is predicted. Fusing the two is exact because a step's
-    /// targets read only points known before the step (the [`Step`]
-    /// contract), so no commit can change a later prediction of the same
-    /// step.
+    /// The one level → step → row traversal behind both directions: the
+    /// row kernel ([`Step`]'s sweep) predicts a batch of a row's targets
+    /// from `recon`, then `commit(index, prediction, slot)` stores each
+    /// point's reconstructed value in its `recon` slot (quantizing on the
+    /// way in, dequantizing on the way out, or keeping the outlier value
+    /// scattered there beforehand), in raster order. Predicting ahead of
+    /// the commits is exact because a step's targets read only points
+    /// known before the step (the [`Step`] contract), so no commit can
+    /// change another prediction of the same step.
     fn sweep(&self, dims: Dims, recon: &mut [f32], mut commit: impl FnMut(usize, f32, &mut f32)) {
-        for level in (1..=self.cfg.num_levels()).rev() {
-            let s = 1usize << (level - 1);
-            let lc = self.cfg.levels[level - 1];
-            for step in steps(s, lc.scheme) {
-                for (z, y, x) in step.targets(dims) {
-                    let pred = predict_point(
-                        recon,
-                        dims,
-                        (z, y, x),
-                        step.interp_axes,
-                        s,
-                        lc.spline,
-                        self.cfg.block_span,
-                    );
-                    let idx = dims.index(z, y, x);
-                    commit(idx, pred, &mut recon[idx]);
-                }
+        for (level, scheme) in self.levels(dims) {
+            for step in steps(level.s, scheme) {
+                step.sweep(&level, recon, &mut commit);
             }
         }
+    }
+
+    /// The levels from the coarsest to stride 1, each with its scheme.
+    fn levels(&self, dims: Dims) -> impl Iterator<Item = (Level, Scheme)> + '_ {
+        (1..=self.cfg.num_levels()).rev().map(move |level| {
+            let lc = self.cfg.levels[level - 1];
+            let geometry = Level {
+                dims,
+                s: 1 << (level - 1),
+                spline: lc.spline,
+                span: self.cfg.block_span,
+            };
+            (geometry, lc.scheme)
+        })
     }
 }
 
@@ -401,6 +405,87 @@ mod tests {
                 ((*a as f64) - (*b as f64)).abs() <= eb + 1e-12,
                 "bound violated at {i}: {a} vs {b} (eb {eb})"
             );
+        }
+    }
+
+    /// Runs a compression sweep, with `step_sweep` driving each step, and
+    /// returns every `(index, prediction bits)` pair `commit` receives.
+    fn commits(
+        p: &InterpPredictor,
+        data: &Grid<f32>,
+        step_sweep: impl Fn(&Step, &Level, &mut [f32], &mut dyn FnMut(usize, f32, &mut f32)),
+    ) -> Vec<(usize, u32)> {
+        let quantizer = Quantizer::new(1e-3);
+        let mut recon = data.as_slice().to_vec();
+        let mut seen = Vec::new();
+        let mut commit = |idx: usize, pred: f32, slot: &mut f32| {
+            seen.push((idx, pred.to_bits()));
+            *slot = quantizer.quantize(data.as_slice()[idx], pred).1;
+        };
+        for (level, scheme) in p.levels(data.dims()) {
+            for step in steps(level.s, scheme) {
+                step_sweep(&step, &level, &mut recon, &mut commit);
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn row_kernel_matches_the_per_point_reference() {
+        use rand::{Rng, SeedableRng};
+        let shapes = [
+            // The shapes of `reorder.rs`: ragged, exact, unit axes, 2-D, 1-D.
+            Dims::d3(20, 17, 33),
+            Dims::d3(19, 23, 29),
+            Dims::d3(33, 33, 33),
+            Dims::d3(44, 64, 64),
+            Dims::d3(5, 9, 13),
+            Dims::d3(1, 40, 3),
+            Dims::d3(17, 1, 5),
+            Dims::d3(3, 1, 1),
+            Dims::d2(50, 41),
+            Dims::d1(100),
+            // Rows longer than one batch.
+            Dims::d2(9, 333),
+        ];
+        let partitions = [
+            (16usize, [16, 16, 16]), // cuSZ-Hi
+            (8, [8, 8, 32]),         // cuSZ-I
+            (16, [16, 32, 24]),      // a span that is not a power of two
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(27);
+        for dims in shapes {
+            let random = Grid::from_fn(dims, |_, _, _| rng.gen_range(-1.0f32..1.0));
+            for data in [smooth_field(dims), random] {
+                for (anchor_stride, block_span) in partitions {
+                    // Every level takes a different (scheme, spline) pair,
+                    // and each rotation moves them one level along.
+                    for rotation in 0..4 {
+                        let levels = (0..anchor_stride.trailing_zeros() as usize)
+                            .map(|l| crate::autotune::candidates()[(l + rotation) % 4])
+                            .collect();
+                        let p = InterpPredictor::new(InterpConfig {
+                            anchor_stride,
+                            block_span,
+                            levels,
+                        })
+                        .unwrap();
+                        let kernel = commits(&p, &data, |step, level, recon, commit| {
+                            step.sweep(level, recon, &mut |i, pred, slot| commit(i, pred, slot))
+                        });
+                        let reference = commits(&p, &data, |step, level, recon, commit| {
+                            kernel::sweep_reference(step, level, recon, &mut |i, pred, slot| {
+                                commit(i, pred, slot)
+                            })
+                        });
+                        assert!(
+                            kernel == reference,
+                            "{dims}, {:?}: the row kernel's commits differ from the reference",
+                            p.config()
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -437,3 +437,34 @@ fn streams_are_rejected_by_other_decompressors() {
         }
     }
 }
+
+#[test]
+fn a_nan_survives_interpolation_tuning_exactly() {
+    // A trial whose stencil reaches the NaN sums to NaN; the tuners must
+    // still pick a configuration, and the NaN is stored as an outlier.
+    let dims = Dims::d3(32, 32, 32);
+    let mut data = DatasetKind::Miranda.generate(dims, 3);
+    data.set(1, 1, 1, f32::NAN);
+    let bound = ErrorBound::Relative(1e-3);
+    let abs_eb = bound.absolute(data.value_range() as f64);
+    let tuned_globally = SzhiConfig::new(bound);
+    let tuned_per_chunk = SzhiConfig::new(bound)
+        .with_auto_tune(false)
+        .with_chunk_span([16, 16, 16])
+        .with_chunk_interp_tuning(true);
+    for (label, cfg) in [
+        ("global auto-tune", tuned_globally),
+        ("per-chunk tuning", tuned_per_chunk),
+    ] {
+        let restored = decompress(&compress(&data, &cfg).unwrap()).unwrap();
+        assert!(restored.get(1, 1, 1).is_nan(), "{label}: the NaN is lost");
+        for (i, (a, b)) in data.as_slice().iter().zip(restored.as_slice()).enumerate() {
+            if i != dims.index(1, 1, 1) {
+                assert!(
+                    ((*a as f64) - (*b as f64)).abs() <= abs_eb + 1e-12,
+                    "{label}: bound violated at point {i}: {a} vs {b}"
+                );
+            }
+        }
+    }
+}

@@ -6,8 +6,10 @@
 //! buffers are warm, compressing another chunk of the same shape performs
 //! no heap growth in the decomposition chain at all — and a full sink push
 //! allocates only the lossless pipeline's own working set, never another
-//! field-sized buffer. Both properties are pinned down with a counting
-//! global allocator.
+//! field-sized buffer. The predictor's row kernel predicts into a stack
+//! batch, so a warm decompression allocates nothing beyond the grid it
+//! returns. All three properties are pinned down with a counting global
+//! allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,7 +56,7 @@ fn allocated() -> usize {
     TOTAL_ALLOCATED.load(Ordering::Relaxed)
 }
 
-/// The counter and the thread-count override are process-wide, so the two
+/// The counter and the thread-count override are process-wide, so the
 /// tests must not overlap: each holds this lock for its whole body.
 static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
@@ -97,6 +99,34 @@ fn warm_scratch_decomposition_performs_zero_heap_growth() {
         per_round < 4096,
         "warm-scratch decomposition allocates {per_round} B per round — a \
          scratch buffer is not being reused"
+    );
+}
+
+#[test]
+fn warm_decompression_allocates_only_the_returned_grid() {
+    use szhi_predictor::{InterpConfig, InterpPredictor};
+
+    let _serial = one_at_a_time();
+    let dims = Dims::d3(32, 32, 32);
+    let data = DatasetKind::Miranda.generate(dims, 7);
+    let predictor = InterpPredictor::new(InterpConfig::cusz_hi()).unwrap();
+    let output = predictor.compress(&data, 2e-3);
+    // Warm-up.
+    drop(predictor.decompress(dims, 2e-3, &output).unwrap());
+
+    let before = allocated();
+    let rounds = 16usize;
+    for _ in 0..rounds {
+        std::hint::black_box(predictor.decompress(dims, 2e-3, &output).unwrap());
+    }
+    let per_round = (allocated() - before) / rounds;
+
+    // The reconstruction plane is the returned grid; anything beyond it
+    // and allocator noise means the kernel stages predictions on the heap.
+    let grid = dims.nbytes_f32();
+    assert!(
+        per_round <= grid + 4096,
+        "warm decompression allocates {per_round} B per round for a {grid} B grid"
     );
 }
 
