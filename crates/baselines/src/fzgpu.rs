@@ -64,8 +64,8 @@ impl Compressor for FzGpu {
             .map(|&c| zigzag16(c as i32 - self.radius as i32))
             .collect();
         let planes = codes_to_byte_planes(&rebased);
-        let shuffled = Bit::new(1).encode_bytes(&planes);
-        let dedup = Rze::new(8).encode_bytes(&shuffled);
+        let shuffled = Bit::<1>.encode_bytes(&planes);
+        let dedup = Rze::<8>.encode_bytes(&shuffled);
 
         let mut bytes = Vec::new();
         write_header(&mut bytes, MAGIC, data.dims(), abs_eb);
@@ -82,8 +82,9 @@ impl Compressor for FzGpu {
         let outliers = read_int_outliers(&mut cur)?;
         let enc_len = cur.get_u64().map_err(SzhiError::from)? as usize;
         let encoded = cur.take(enc_len).map_err(SzhiError::from)?;
-        let shuffled = Rze::new(8).decode_bytes(encoded)?;
-        let planes = Bit::new(1).decode_bytes(&shuffled)?;
+        // Two code bytes per point: the de-duplicated planes can claim no more.
+        let shuffled = Rze::<8>.decode_bytes(encoded, dims.len().saturating_mul(2))?;
+        let planes = Bit::<1>.decode_bytes(&shuffled)?;
         let rebased = byte_planes_to_codes(&planes, dims.len())?;
         let codes: Vec<u16> = rebased
             .iter()

@@ -8,78 +8,87 @@
 //!
 //! DIFFMS is a pure transformer: length-preserving and headerless.
 
-use super::{read_symbol, symbol_count, write_symbol};
+use super::{is_word_width, map_words, word_mask};
 use crate::CodecError;
 
-/// The DIFFMS transformer at a given symbol width.
+/// The DIFFMS transformer over `W`-byte symbols (`W` = 1, 2, 4 or 8).
 #[derive(Debug, Clone, Copy)]
-pub struct DiffMs {
-    width: usize,
-}
+pub struct DiffMs<const W: usize>;
 
-impl DiffMs {
-    /// Creates a DIFFMS component for `width`-byte symbols.
-    pub fn new(width: usize) -> Self {
-        assert!(
-            matches!(width, 1 | 2 | 4 | 8),
-            "unsupported DIFFMS symbol width {width}"
-        );
-        DiffMs { width }
-    }
-
-    /// Symbol width in bytes.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
+impl<const W: usize> DiffMs<W> {
     /// Applies delta + zig-zag.
     pub fn encode_bytes(&self, input: &[u8]) -> Vec<u8> {
-        let width = self.width;
-        let bits = (width * 8) as u32;
-        let n_sym = symbol_count(input.len(), width);
-        let mut out = Vec::with_capacity(input.len());
+        const { assert!(is_word_width(W), "unsupported DIFFMS symbol width") };
         let mut prev = 0u64;
-        for i in 0..n_sym {
-            let sym = read_symbol(input, i, width);
-            let remaining = input.len() - i * width;
-            if remaining >= width {
-                let diff = sym.wrapping_sub(prev) & mask(bits);
-                let zz = zigzag(diff, bits);
-                write_symbol(&mut out, zz, width, remaining);
-                prev = sym;
-            } else {
-                // Tail bytes are passed through untouched.
-                write_symbol(&mut out, sym, width, remaining);
-            }
-        }
-        out
+        map_words::<W>(input, |v| {
+            let diff = v.wrapping_sub(prev) & word_mask::<W>();
+            prev = v;
+            let sign = (((diff as i64) << (64 - 8 * W)) >> 63) as u64;
+            ((diff << 1) ^ sign) & word_mask::<W>()
+        })
     }
 
     /// Reverses delta + zig-zag.
     pub fn decode_bytes(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let width = self.width;
-        let bits = (width * 8) as u32;
-        let n_sym = symbol_count(input.len(), width);
-        // szhi-analyzer: allow(capped-alloc) -- capacity mirrors the bytes actually held, not an untrusted claim
-        let mut out = Vec::with_capacity(input.len());
+        const { assert!(is_word_width(W), "unsupported DIFFMS symbol width") };
         let mut prev = 0u64;
-        for i in 0..n_sym {
-            let sym = read_symbol(input, i, width);
-            let remaining = input.len() - i * width;
-            if remaining >= width {
-                let diff = unzigzag(sym, bits);
-                let v = prev.wrapping_add(diff) & mask(bits);
-                write_symbol(&mut out, v, width, remaining);
-                prev = v;
-            } else {
-                write_symbol(&mut out, sym, width, remaining);
-            }
-        }
-        Ok(out)
+        Ok(map_words::<W>(input, |zz| {
+            let diff = (zz >> 1) ^ (zz & 1).wrapping_neg();
+            prev = prev.wrapping_add(diff) & word_mask::<W>();
+            prev
+        }))
     }
 }
 
-#[inline]
+/// The per-symbol form [`DiffMs::encode_bytes`] replaced, kept as the
+/// differential tests' reference.
+#[cfg(test)]
+pub(crate) fn encode_reference(input: &[u8], width: usize) -> Vec<u8> {
+    use super::{read_symbol, symbol_count, write_symbol};
+    let bits = (width * 8) as u32;
+    let n_sym = symbol_count(input.len(), width);
+    let mut out = Vec::with_capacity(input.len());
+    let mut prev = 0u64;
+    for i in 0..n_sym {
+        let sym = read_symbol(input, i, width);
+        let remaining = input.len() - i * width;
+        if remaining >= width {
+            let diff = sym.wrapping_sub(prev) & mask(bits);
+            let zz = zigzag(diff, bits);
+            write_symbol(&mut out, zz, width, remaining);
+            prev = sym;
+        } else {
+            // Tail bytes are passed through untouched.
+            write_symbol(&mut out, sym, width, remaining);
+        }
+    }
+    out
+}
+
+/// The per-symbol form [`DiffMs::decode_bytes`] replaced.
+#[cfg(test)]
+pub(crate) fn decode_reference(input: &[u8], width: usize) -> Vec<u8> {
+    use super::{read_symbol, symbol_count, write_symbol};
+    let bits = (width * 8) as u32;
+    let n_sym = symbol_count(input.len(), width);
+    let mut out = Vec::with_capacity(input.len());
+    let mut prev = 0u64;
+    for i in 0..n_sym {
+        let sym = read_symbol(input, i, width);
+        let remaining = input.len() - i * width;
+        if remaining >= width {
+            let diff = unzigzag(sym, bits);
+            let v = prev.wrapping_add(diff) & mask(bits);
+            write_symbol(&mut out, v, width, remaining);
+            prev = v;
+        } else {
+            write_symbol(&mut out, sym, width, remaining);
+        }
+    }
+    out
+}
+
+#[cfg(test)]
 fn mask(bits: u32) -> u64 {
     if bits >= 64 {
         u64::MAX
@@ -88,13 +97,13 @@ fn mask(bits: u32) -> u64 {
     }
 }
 
-#[inline]
+#[cfg(test)]
 fn zigzag(v: u64, bits: u32) -> u64 {
     let sign = ((v as i64) << (64 - bits)) >> 63;
     ((v << 1) ^ sign as u64) & mask(bits)
 }
 
-#[inline]
+#[cfg(test)]
 fn unzigzag(v: u64, bits: u32) -> u64 {
     ((v >> 1) ^ (v & 1).wrapping_neg()) & mask(bits)
 }
@@ -104,21 +113,21 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
 
-    fn roundtrip(width: usize, data: &[u8]) {
-        let d = DiffMs::new(width);
-        let enc = d.encode_bytes(data);
+    fn roundtrip<const W: usize>(data: &[u8]) {
+        let enc = DiffMs::<W>.encode_bytes(data);
         assert_eq!(enc.len(), data.len());
-        assert_eq!(d.decode_bytes(&enc).unwrap(), data);
+        assert_eq!(DiffMs::<W>.decode_bytes(&enc).unwrap(), data);
     }
 
     #[test]
     fn roundtrip_random() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        for w in [1, 2, 4, 8] {
-            for len in [0usize, 1, 7, 8, 9, 255, 4096, 4099] {
-                let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-                roundtrip(w, &data);
-            }
+        for len in [0usize, 1, 7, 8, 9, 255, 4096, 4099] {
+            let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            roundtrip::<1>(&data);
+            roundtrip::<2>(&data);
+            roundtrip::<4>(&data);
+            roundtrip::<8>(&data);
         }
     }
 
@@ -126,7 +135,7 @@ mod tests {
     fn slowly_varying_stream_becomes_small() {
         // A ramp: consecutive differences are 1 → zig-zag value 2 everywhere.
         let data: Vec<u8> = (0..200u32).map(|i| i as u8).collect();
-        let enc = DiffMs::new(1).encode_bytes(&data);
+        let enc = DiffMs::<1>.encode_bytes(&data);
         assert!(
             enc[1..].iter().all(|&b| b == 2),
             "ramp should become constant 2s"
@@ -136,7 +145,7 @@ mod tests {
     #[test]
     fn constant_stream_becomes_zeros_after_first() {
         let data = vec![200u8; 100];
-        let enc = DiffMs::new(1).encode_bytes(&data);
+        let enc = DiffMs::<1>.encode_bytes(&data);
         assert!(enc[1..].iter().all(|&b| b == 0));
     }
 
@@ -146,8 +155,8 @@ mod tests {
         for v in [1000u32, 1004, 1002, 1010] {
             data.extend_from_slice(&v.to_le_bytes());
         }
-        roundtrip(4, &data);
-        let enc = DiffMs::new(4).encode_bytes(&data);
+        roundtrip::<4>(&data);
+        let enc = DiffMs::<4>.encode_bytes(&data);
         let first = u32::from_le_bytes(enc[0..4].try_into().unwrap());
         assert_eq!(first, 2000); // zigzag(1000)
         let second = u32::from_le_bytes(enc[4..8].try_into().unwrap());

@@ -7,127 +7,34 @@
 //! a second, byte-granular repeat-elimination pass — the "recursive bitmap
 //! compression" of §5.2.3.
 
-use super::{read_symbol, symbol_count, write_symbol};
-use crate::bitio::{decode_capacity, put_u64, ByteCursor};
+use super::{elim, is_word_width};
 use crate::CodecError;
 
-/// Produces `(bitmap, kept)` for a single repeat-elimination pass: bit `i` of
-/// the bitmap (LSB-first within each byte) is 1 when symbol `i` differs from
-/// symbol `i-1` (symbol 0 is always kept).
-fn rre_pass(input: &[u8], width: usize) -> (Vec<u8>, Vec<u8>) {
-    let n_sym = symbol_count(input.len(), width);
-    let mut bitmap = vec![0u8; n_sym.div_ceil(8)];
-    let mut kept = Vec::with_capacity(input.len() / 2);
-    let mut prev: Option<u64> = None;
-    for i in 0..n_sym {
-        let sym = read_symbol(input, i, width);
-        let keep = prev != Some(sym);
-        if keep {
-            bitmap[i / 8] |= 1 << (i % 8);
-            let remaining = input.len() - i * width;
-            // Kept symbols are stored at full width; the true tail length is
-            // recovered from the original length in the header.
-            let _ = remaining;
-            for k in 0..width {
-                kept.push((sym >> (8 * k)) as u8);
-            }
-        }
-        prev = Some(sym);
-    }
-    (bitmap, kept)
-}
-
-/// Reverses a single repeat-elimination pass.
-fn rre_unpass(
-    bitmap: &[u8],
-    kept: &[u8],
-    width: usize,
-    orig_len: usize,
-) -> Result<Vec<u8>, CodecError> {
-    let n_sym = symbol_count(orig_len, width);
-    let mut out = Vec::with_capacity(decode_capacity(orig_len));
-    let mut kept_pos = 0usize;
-    let mut prev = 0u64;
-    for i in 0..n_sym {
-        let byte = *bitmap
-            .get(i / 8)
-            .ok_or_else(|| CodecError::eof("rre bitmap"))?;
-        let keep = byte >> (i % 8) & 1 == 1;
-        let sym = if keep {
-            if kept_pos + width > kept.len() {
-                return Err(CodecError::eof("rre payload"));
-            }
-            let v = read_symbol(kept, kept_pos / width, width);
-            kept_pos += width;
-            v
-        } else {
-            if i == 0 {
-                return Err(CodecError::corrupt("rre", "first symbol marked as repeat"));
-            }
-            prev
-        };
-        let remaining = orig_len - i * width;
-        write_symbol(&mut out, sym, width, remaining);
-        prev = sym;
-    }
-    Ok(out)
-}
-
-/// The RRE reducer at a given symbol width.
+/// The RRE reducer over `W`-byte symbols (`W` = 1, 2, 4 or 8). Any other
+/// width is rejected when the program is built:
+///
+/// ```compile_fail
+/// let _ = szhi_codec::components::Rre::<3>.encode_bytes(&[1, 2, 3]);
+/// ```
 #[derive(Debug, Clone, Copy)]
-pub struct Rre {
-    width: usize,
-}
+pub struct Rre<const W: usize>;
 
-impl Rre {
-    /// Creates an RRE component for `width`-byte symbols (1, 2, 4 or 8).
-    pub fn new(width: usize) -> Self {
-        assert!(
-            matches!(width, 1 | 2 | 4 | 8),
-            "unsupported RRE symbol width {width}"
-        );
-        Rre { width }
-    }
-
-    /// Symbol width in bytes.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
+impl<const W: usize> Rre<W> {
     /// Encodes `input`.
     ///
     /// Layout: `orig_len u64 | bitmap_len u64 | bm_bitmap_len u64 |
     /// bm_kept_len u64 | kept_len u64 | bm_bitmap | bm_kept | kept`.
     pub fn encode_bytes(&self, input: &[u8]) -> Vec<u8> {
-        let (bitmap, kept) = rre_pass(input, self.width);
-        // Recursive pass over the bitmap at byte granularity: long runs of
-        // kept (0xff) or dropped (0x00) symbols collapse well.
-        let (bm_bitmap, bm_kept) = rre_pass(&bitmap, 1);
-        let mut out = Vec::with_capacity(kept.len() + bm_kept.len() + 48);
-        put_u64(&mut out, input.len() as u64);
-        put_u64(&mut out, bitmap.len() as u64);
-        put_u64(&mut out, bm_bitmap.len() as u64);
-        put_u64(&mut out, bm_kept.len() as u64);
-        put_u64(&mut out, kept.len() as u64);
-        out.extend_from_slice(&bm_bitmap);
-        out.extend_from_slice(&bm_kept);
-        out.extend_from_slice(&kept);
-        out
+        const { assert!(is_word_width(W), "unsupported RRE symbol width") };
+        elim::encode::<W, false>(input)
     }
 
-    /// Decodes a stream produced by [`Rre::encode_bytes`].
-    pub fn decode_bytes(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let mut cur = ByteCursor::new(input);
-        let orig_len = cur.get_u64()? as usize;
-        let bitmap_len = cur.get_u64()? as usize;
-        let bm_bitmap_len = cur.get_u64()? as usize;
-        let bm_kept_len = cur.get_u64()? as usize;
-        let kept_len = cur.get_u64()? as usize;
-        let bm_bitmap = cur.take(bm_bitmap_len)?;
-        let bm_kept = cur.take(bm_kept_len)?;
-        let kept = cur.take(kept_len)?;
-        let bitmap = rre_unpass(bm_bitmap, bm_kept, 1, bitmap_len)?;
-        rre_unpass(&bitmap, kept, self.width, orig_len)
+    /// Decodes a stream produced by [`Rre::encode_bytes`], failing with a
+    /// typed error, before any work, when it claims more than `max_out`
+    /// bytes.
+    pub fn decode_bytes(&self, input: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
+        const { assert!(is_word_width(W), "unsupported RRE symbol width") };
+        elim::decode::<W, false>(input, max_out)
     }
 }
 
@@ -136,29 +43,33 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
 
-    fn roundtrip(width: usize, data: &[u8]) -> usize {
-        let rre = Rre::new(width);
-        let enc = rre.encode_bytes(data);
-        let dec = rre.decode_bytes(&enc).expect("decode");
-        assert_eq!(dec, data, "width {width} length {}", data.len());
+    fn roundtrip<const W: usize>(data: &[u8]) -> usize {
+        let enc = Rre::<W>.encode_bytes(data);
+        let dec = Rre::<W>.decode_bytes(&enc, data.len()).expect("decode");
+        assert_eq!(dec, data, "width {W} length {}", data.len());
         enc.len()
+    }
+
+    fn roundtrip_all_widths(data: &[u8]) {
+        roundtrip::<1>(data);
+        roundtrip::<2>(data);
+        roundtrip::<4>(data);
+        roundtrip::<8>(data);
     }
 
     #[test]
     fn empty_and_tiny_inputs() {
-        for w in [1, 2, 4, 8] {
-            roundtrip(w, &[]);
-            roundtrip(w, &[5]);
-            roundtrip(w, &[5, 5]);
-            roundtrip(w, &[1, 2, 3]);
-        }
+        roundtrip_all_widths(&[]);
+        roundtrip_all_widths(&[5]);
+        roundtrip_all_widths(&[5, 5]);
+        roundtrip_all_widths(&[1, 2, 3]);
     }
 
     #[test]
     fn long_runs_collapse() {
         let mut data = vec![7u8; 4096];
         data.extend_from_slice(&[9u8; 4096]);
-        let size = roundtrip(4, &data);
+        let size = roundtrip::<4>(&data);
         assert!(
             size < data.len() / 8,
             "runs should collapse, got {size} bytes for {}",
@@ -170,12 +81,11 @@ mod tests {
     fn incompressible_data_survives() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let data: Vec<u8> = (0..10_000).map(|_| rng.gen()).collect();
-        for w in [1, 4, 8] {
-            let size = roundtrip(w, &data);
-            // Random data cannot shrink but the overhead must stay bounded
-            // (bitmap ≈ n/8/width plus headers).
-            assert!(size <= data.len() + data.len() / (8 * w) + 128);
-        }
+        // Random data cannot shrink but the overhead must stay bounded
+        // (bitmap ≈ n/8/width plus headers).
+        assert!(roundtrip::<1>(&data) <= data.len() + data.len() / 8 + 128);
+        assert!(roundtrip::<4>(&data) <= data.len() + data.len() / 32 + 128);
+        assert!(roundtrip::<8>(&data) <= data.len() + data.len() / 64 + 128);
     }
 
     #[test]
@@ -186,8 +96,8 @@ mod tests {
         for _ in 0..1000 {
             data.extend_from_slice(&[1, 2, 3, 4]);
         }
-        let size4 = roundtrip(4, &data);
-        let size1 = roundtrip(1, &data);
+        let size4 = roundtrip::<4>(&data);
+        let size1 = roundtrip::<1>(&data);
         assert!(
             size4 < size1,
             "width-4 RRE should beat width-1 on repeated 4-byte patterns"
@@ -197,24 +107,34 @@ mod tests {
 
     #[test]
     fn non_multiple_lengths() {
-        for w in [2, 4, 8] {
-            for len in [1usize, 3, 7, 9, 17, 1001] {
-                let data: Vec<u8> = (0..len).map(|i| (i % 5) as u8).collect();
-                roundtrip(w, &data);
-            }
+        for len in [1usize, 3, 7, 9, 17, 1001] {
+            let data: Vec<u8> = (0..len).map(|i| (i % 5) as u8).collect();
+            roundtrip_all_widths(&data);
         }
     }
 
     #[test]
-    fn truncated_stream_is_detected() {
-        let rre = Rre::new(4);
-        let enc = rre.encode_bytes(&[1u8, 2, 3, 4, 5, 6, 7, 8]);
-        assert!(rre.decode_bytes(&enc[..10]).is_err());
+    #[should_panic(expected = "unsupported RRE symbol width 3")]
+    fn invalid_width_rejected() {
+        // `Rre::<3>` does not compile (see the doctest on `Rre`); the
+        // run-time-width reference the kernels are pinned to refuses it too.
+        let _ = elim::encode_reference(&[1, 2, 3], 3, false);
     }
 
     #[test]
-    #[should_panic]
-    fn invalid_width_rejected() {
-        let _ = Rre::new(3);
+    fn truncated_stream_is_detected() {
+        let enc = Rre::<4>.encode_bytes(&[1u8, 2, 3, 4, 5, 6, 7, 8]);
+        assert!(Rre::<4>.decode_bytes(&enc[..10], usize::MAX).is_err());
+    }
+
+    #[test]
+    fn claims_past_the_bound_are_rejected_before_decoding() {
+        let data = vec![7u8; 4096];
+        let enc = Rre::<4>.encode_bytes(&data);
+        assert!(Rre::<4>.decode_bytes(&enc, data.len() - 1).is_err());
+        // A bitmap length that does not fit the claimed length.
+        let mut bad = enc.clone();
+        bad[8] += 1;
+        assert!(Rre::<4>.decode_bytes(&bad, usize::MAX).is_err());
     }
 }

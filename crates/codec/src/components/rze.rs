@@ -6,108 +6,28 @@
 //! coding and the magnitude-sign transform, the stream contains substantial
 //! clusters of zero bytes which RZE removes.
 
-use super::{read_symbol, symbol_count, write_symbol};
-use crate::bitio::{decode_capacity, put_u64, ByteCursor};
+use super::{elim, is_word_width};
 use crate::CodecError;
 
-fn rze_pass(input: &[u8], width: usize) -> (Vec<u8>, Vec<u8>) {
-    let n_sym = symbol_count(input.len(), width);
-    let mut bitmap = vec![0u8; n_sym.div_ceil(8)];
-    let mut kept = Vec::with_capacity(input.len() / 2);
-    for i in 0..n_sym {
-        let sym = read_symbol(input, i, width);
-        if sym != 0 {
-            bitmap[i / 8] |= 1 << (i % 8);
-            for k in 0..width {
-                kept.push((sym >> (8 * k)) as u8);
-            }
-        }
-    }
-    (bitmap, kept)
-}
-
-fn rze_unpass(
-    bitmap: &[u8],
-    kept: &[u8],
-    width: usize,
-    orig_len: usize,
-) -> Result<Vec<u8>, CodecError> {
-    let n_sym = symbol_count(orig_len, width);
-    let mut out = Vec::with_capacity(decode_capacity(orig_len));
-    let mut kept_pos = 0usize;
-    for i in 0..n_sym {
-        let byte = *bitmap
-            .get(i / 8)
-            .ok_or_else(|| CodecError::eof("rze bitmap"))?;
-        let nonzero = byte >> (i % 8) & 1 == 1;
-        let sym = if nonzero {
-            if kept_pos + width > kept.len() {
-                return Err(CodecError::eof("rze payload"));
-            }
-            let v = read_symbol(kept, kept_pos / width, width);
-            kept_pos += width;
-            v
-        } else {
-            0
-        };
-        let remaining = orig_len - i * width;
-        write_symbol(&mut out, sym, width, remaining);
-    }
-    Ok(out)
-}
-
-/// The RZE reducer at a given symbol width.
+/// The RZE reducer over `W`-byte symbols (`W` = 1, 2, 4 or 8).
 #[derive(Debug, Clone, Copy)]
-pub struct Rze {
-    width: usize,
-}
+pub struct Rze<const W: usize>;
 
-impl Rze {
-    /// Creates an RZE component for `width`-byte symbols (1, 2, 4 or 8).
-    pub fn new(width: usize) -> Self {
-        assert!(
-            matches!(width, 1 | 2 | 4 | 8),
-            "unsupported RZE symbol width {width}"
-        );
-        Rze { width }
-    }
-
-    /// Symbol width in bytes.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
+impl<const W: usize> Rze<W> {
     /// Encodes `input`. Layout mirrors [`super::rre::Rre::encode_bytes`],
     /// with the bitmap itself compressed by a byte-granular zero-elimination
     /// pass (runs of zero symbols produce zero bitmap bytes).
     pub fn encode_bytes(&self, input: &[u8]) -> Vec<u8> {
-        let (bitmap, kept) = rze_pass(input, self.width);
-        let (bm_bitmap, bm_kept) = rze_pass(&bitmap, 1);
-        let mut out = Vec::with_capacity(kept.len() + bm_kept.len() + 48);
-        put_u64(&mut out, input.len() as u64);
-        put_u64(&mut out, bitmap.len() as u64);
-        put_u64(&mut out, bm_bitmap.len() as u64);
-        put_u64(&mut out, bm_kept.len() as u64);
-        put_u64(&mut out, kept.len() as u64);
-        out.extend_from_slice(&bm_bitmap);
-        out.extend_from_slice(&bm_kept);
-        out.extend_from_slice(&kept);
-        out
+        const { assert!(is_word_width(W), "unsupported RZE symbol width") };
+        elim::encode::<W, true>(input)
     }
 
-    /// Decodes a stream produced by [`Rze::encode_bytes`].
-    pub fn decode_bytes(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let mut cur = ByteCursor::new(input);
-        let orig_len = cur.get_u64()? as usize;
-        let bitmap_len = cur.get_u64()? as usize;
-        let bm_bitmap_len = cur.get_u64()? as usize;
-        let bm_kept_len = cur.get_u64()? as usize;
-        let kept_len = cur.get_u64()? as usize;
-        let bm_bitmap = cur.take(bm_bitmap_len)?;
-        let bm_kept = cur.take(bm_kept_len)?;
-        let kept = cur.take(kept_len)?;
-        let bitmap = rze_unpass(bm_bitmap, bm_kept, 1, bitmap_len)?;
-        rze_unpass(&bitmap, kept, self.width, orig_len)
+    /// Decodes a stream produced by [`Rze::encode_bytes`], failing with a
+    /// typed error, before any work, when it claims more than `max_out`
+    /// bytes.
+    pub fn decode_bytes(&self, input: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
+        const { assert!(is_word_width(W), "unsupported RZE symbol width") };
+        elim::decode::<W, true>(input, max_out)
     }
 }
 
@@ -116,22 +36,26 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
 
-    fn roundtrip(width: usize, data: &[u8]) -> usize {
-        let rze = Rze::new(width);
-        let enc = rze.encode_bytes(data);
-        let dec = rze.decode_bytes(&enc).expect("decode");
-        assert_eq!(dec, data, "width {width} length {}", data.len());
+    fn roundtrip<const W: usize>(data: &[u8]) -> usize {
+        let enc = Rze::<W>.encode_bytes(data);
+        let dec = Rze::<W>.decode_bytes(&enc, data.len()).expect("decode");
+        assert_eq!(dec, data, "width {W} length {}", data.len());
         enc.len()
+    }
+
+    fn roundtrip_all_widths(data: &[u8]) {
+        roundtrip::<1>(data);
+        roundtrip::<2>(data);
+        roundtrip::<4>(data);
+        roundtrip::<8>(data);
     }
 
     #[test]
     fn empty_and_tiny_inputs() {
-        for w in [1, 2, 4, 8] {
-            roundtrip(w, &[]);
-            roundtrip(w, &[0]);
-            roundtrip(w, &[9]);
-            roundtrip(w, &[0, 0, 1]);
-        }
+        roundtrip_all_widths(&[]);
+        roundtrip_all_widths(&[0]);
+        roundtrip_all_widths(&[9]);
+        roundtrip_all_widths(&[0, 0, 1]);
     }
 
     #[test]
@@ -140,7 +64,7 @@ mod tests {
         for i in (0..data.len()).step_by(997) {
             data[i] = (i % 255) as u8 + 1;
         }
-        let size = roundtrip(1, &data);
+        let size = roundtrip::<1>(&data);
         // ~100 nonzero bytes + double-compressed bitmap: far below 5 % of input.
         assert!(
             size < data.len() / 20,
@@ -152,7 +76,7 @@ mod tests {
     fn dense_data_keeps_everything() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let data: Vec<u8> = (0..10_000).map(|_| rng.gen_range(1..=255u8)).collect();
-        let size = roundtrip(1, &data);
+        let size = roundtrip::<1>(&data);
         assert!(
             size >= data.len(),
             "no zero symbols — nothing can be dropped"
@@ -162,13 +86,11 @@ mod tests {
 
     #[test]
     fn non_multiple_lengths() {
-        for w in [2, 4, 8] {
-            for len in [1usize, 3, 7, 9, 17, 1001] {
-                let data: Vec<u8> = (0..len)
-                    .map(|i| if i % 3 == 0 { 0 } else { (i % 200) as u8 })
-                    .collect();
-                roundtrip(w, &data);
-            }
+        for len in [1usize, 3, 7, 9, 17, 1001] {
+            let data: Vec<u8> = (0..len)
+                .map(|i| if i % 3 == 0 { 0 } else { (i % 200) as u8 })
+                .collect();
+            roundtrip_all_widths(&data);
         }
     }
 
@@ -176,15 +98,13 @@ mod tests {
     fn zero_symbol_detection_respects_width() {
         // [0,1] as a 2-byte symbol is nonzero even though it contains a zero byte.
         let data = vec![0u8, 1, 0, 0, 0, 1];
-        let rze = Rze::new(2);
-        let enc = rze.encode_bytes(&data);
-        assert_eq!(rze.decode_bytes(&enc).unwrap(), data);
+        let enc = Rze::<2>.encode_bytes(&data);
+        assert_eq!(Rze::<2>.decode_bytes(&enc, data.len()).unwrap(), data);
     }
 
     #[test]
     fn truncated_stream_is_detected() {
-        let rze = Rze::new(1);
-        let enc = rze.encode_bytes(&[1u8, 0, 3, 0, 5]);
-        assert!(rze.decode_bytes(&enc[..12]).is_err());
+        let enc = Rze::<1>.encode_bytes(&[1u8, 0, 3, 0, 5]);
+        assert!(Rze::<1>.decode_bytes(&enc[..12], usize::MAX).is_err());
     }
 }

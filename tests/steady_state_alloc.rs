@@ -8,8 +8,10 @@
 //! allocates only the lossless pipeline's own working set, never another
 //! field-sized buffer. The predictor's row kernel predicts into a stack
 //! batch, so a warm decompression allocates nothing beyond the grid it
-//! returns. All three properties are pinned down with a counting global
-//! allocator.
+//! returns. On the decode side, a lossless reducer checks a stream's claimed
+//! output against its bound before it expands anything, so a crafted stream
+//! costs no more memory than itself. All four properties are pinned down
+//! with a counting global allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -188,5 +190,84 @@ fn steady_state_sink_pushes_allocate_no_field_sized_buffers() {
     let recon = szhi::core::decompress(&bytes).unwrap();
     for (a, b) in data.as_slice().iter().zip(recon.as_slice()) {
         assert!(((*a as f64) - (*b as f64)).abs() <= 2e-3 + 1e-12);
+    }
+}
+
+/// A reducer stream with the given header lengths and sections.
+fn reducer_stream(orig_len: usize, bitmap_len: usize, sections: [&[u8]; 3]) -> Vec<u8> {
+    let mut s = Vec::new();
+    for len in [orig_len, bitmap_len]
+        .into_iter()
+        .chain(sections.map(<[u8]>::len))
+    {
+        s.extend_from_slice(&(len as u64).to_le_bytes());
+    }
+    sections.iter().for_each(|part| s.extend_from_slice(part));
+    s
+}
+
+#[test]
+fn crafted_reducer_streams_fail_before_expanding() {
+    use szhi::codec::{PipelineSpec, Stage, StageSpec};
+
+    let _serial = one_at_a_time();
+    // 256 KiB of second-level bitmap stand for a 2 MiB bitmap and so for
+    // 16 Mi symbols: one kept symbol, and every bitmap byte after the
+    // second a repeat (RRE) or a zero (RZE).
+    let bm_bitmap_len = 256 * 1024;
+    let mut bm_bitmap = vec![0u8; bm_bitmap_len];
+    bm_bitmap[0] = 0b11;
+    let n_sym = 64 * bm_bitmap_len;
+    let rre4 = reducer_stream(4 * n_sym, n_sym / 8, [&bm_bitmap, &[1, 0], &[1, 2, 3, 4]]);
+    // The same sections under a small claimed length: only the bitmap
+    // length gives it away.
+    let rre4_wide_bitmap = reducer_stream(4096, n_sym / 8, [&bm_bitmap, &[1, 0], &[1, 2, 3, 4]]);
+    let zeros = vec![0u8; bm_bitmap_len];
+    let rze1 = reducer_stream(n_sym, n_sym / 8, [&zeros, &[], &[]]);
+    let rre1 = reducer_stream(n_sym, n_sym / 8, [&bm_bitmap, &[1, 0], &[1]]);
+    // CLOG1: a claimed length, then blocks of width 0 (six zero bits stand
+    // for 256 zero symbols).
+    let mut clog1 = ((256 * 8 * bm_bitmap_len / 6) as u64)
+        .to_le_bytes()
+        .to_vec();
+    clog1.extend_from_slice(&zeros);
+
+    type Decode<'a> = Box<dyn Fn() -> Result<Vec<u8>, szhi::codec::CodecError> + 'a>;
+    let cases: Vec<(&str, usize, Decode)> = vec![
+        (
+            "RRE4",
+            rre4.len(),
+            Box::new(|| StageSpec::Rre4.decode_limited(&rre4, 4096)),
+        ),
+        (
+            "RRE4, wide bitmap",
+            rre4_wide_bitmap.len(),
+            Box::new(|| StageSpec::Rre4.decode_limited(&rre4_wide_bitmap, 4096)),
+        ),
+        (
+            "RZE1",
+            rze1.len(),
+            Box::new(|| StageSpec::Rze1.decode_limited(&rze1, 4096)),
+        ),
+        (
+            "CLOG1",
+            clog1.len(),
+            Box::new(|| StageSpec::Clog1.decode_limited(&clog1, 4096)),
+        ),
+        (
+            "TP pipeline over RRE1",
+            rre1.len(),
+            Box::new(|| PipelineSpec::TP.decode_bounded(&rre1, 4096)),
+        ),
+    ];
+    for (what, input_len, decode) in cases {
+        let before = allocated();
+        let result = decode();
+        let spent = allocated() - before;
+        assert!(result.is_err(), "{what}: a crafted stream decoded");
+        assert!(
+            spent < 2 * input_len + 64 * 1024,
+            "{what}: allocated {spent} B for a {input_len} B stream before failing"
+        );
     }
 }
