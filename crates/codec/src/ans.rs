@@ -9,6 +9,7 @@
 //! dictionary and bit-packing codecs.
 
 use crate::bitio::{decode_capacity, put_u16, put_u64, ByteCursor};
+use crate::histogram::byte_histogram;
 use crate::CodecError;
 
 /// Log2 of the frequency normalisation total.
@@ -114,11 +115,7 @@ fn encode_table(freqs: &[u32; 256], cum: &[u32; 257]) -> [SymEnc; 256] {
 /// `x / f` hardware division, and the cumulative base; renormalisation is
 /// unrolled to its maximum of two byte emissions.
 pub fn encode(data: &[u8]) -> Vec<u8> {
-    let mut hist = [0u64; 256];
-    for &b in data {
-        hist[b as usize] += 1;
-    }
-    let freqs = normalize(&hist);
+    let freqs = normalize(&byte_histogram(data));
     let cum = cumulative(&freqs);
 
     let mut out = Vec::with_capacity(data.len() / 2 + 512 + 16);
@@ -162,11 +159,7 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
 /// renormalisation loop (the pre-optimisation formulation).
 #[cfg(test)]
 pub fn encode_reference(data: &[u8]) -> Vec<u8> {
-    let mut hist = [0u64; 256];
-    for &b in data {
-        hist[b as usize] += 1;
-    }
-    let freqs = normalize(&hist);
+    let freqs = normalize(&byte_histogram(data));
     let cum = cumulative(&freqs);
 
     let mut out = Vec::with_capacity(data.len() / 2 + 512 + 16);

@@ -207,7 +207,7 @@ impl<'a> BitReader<'a> {
 
     /// Peeks at most `n` bits without consuming them. If fewer than `n` bits
     /// remain, the missing low bits are zero.
-    #[inline]
+    #[cfg(test)]
     pub fn peek_bits(&mut self, n: u32) -> u64 {
         debug_assert!(n <= 57);
         self.refill();
@@ -226,8 +226,8 @@ impl<'a> BitReader<'a> {
 
     /// Consumes `n` bits previously inspected with [`BitReader::peek_bits`].
     /// Consuming past the end of the buffer (into the implicit zero padding)
-    /// is permitted, which simplifies table-driven Huffman decoding.
-    #[inline]
+    /// is permitted; the reference Huffman decoder relies on it.
+    #[cfg(test)]
     pub fn consume(&mut self, n: u32) {
         if self.nbits >= n {
             self.nbits -= n;

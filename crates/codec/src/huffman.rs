@@ -11,17 +11,40 @@
 //!   reconstructed on decode), so the header overhead matches the "Huffman
 //!   tree can be a non-negligible overhead at very high CR" effect the paper
 //!   discusses for small inputs;
-//! * decoding uses a 12-bit prefix lookup table with a canonical fallback for
-//!   longer codes.
+//! * the histogram is counted in four interleaved lanes, and the payload is
+//!   written through one packed `(code, length)` table lookup per symbol;
+//! * decoding is a table kernel: each of the 2^12 entries of the decode table
+//!   holds every whole code inside one 12-bit window (up to eight symbols)
+//!   with their count and total length, so one lookup in a 64-bit window of
+//!   the payload emits up to eight symbols with one 8-byte store, and one
+//!   window load serves four lookups. A code longer than 12 bits is found by
+//!   a canonical search over a window, which holds it because lengths are
+//!   capped at [`MAX_CODE_LEN`].
+//!
+//! The stream is `n u64 | 256 × 6-bit lengths (192 bytes) | payload`; the
+//! payload is the canonical codes, MSB first, zero-padded to a byte.
+//! Decoding treats the payload as followed by zero bits, except that a code
+//! longer than 12 bits must end inside it.
 
-use crate::bitio::{decode_capacity, put_u64, BitReader, BitWriter, ByteCursor, WordWriter};
+use crate::bitio::{put_u64, BitReader, BitWriter, ByteCursor, WordWriter};
+use crate::histogram::byte_histogram;
 use crate::CodecError;
 
 /// Maximum code length in bits. 32 is far above the entropy of quantization
-/// codes but keeps the fix-up cheap and the decoder simple.
+/// codes but keeps the fix-up cheap, and every code fits in the decoder's
+/// 64-bit window at any bit offset. The decoder rejects longer lengths.
 pub const MAX_CODE_LEN: u32 = 32;
 
+/// Bits of the window the decode table is indexed by.
 const LUT_BITS: u32 = 12;
+
+/// Symbols one decode-table entry holds at most: one 8-byte store.
+const MAX_RUN: usize = 8;
+
+/// Table lookups per window load. A load holds at least 57 payload bits,
+/// and each lookup consumes at most [`LUT_BITS`] of them, so the fourth
+/// still sees `57 − 3 × 12 = 21` loaded bits.
+const LOOKUPS_PER_LOAD: usize = 4;
 
 /// Computes the Huffman code length of every symbol of `hist` (zero for
 /// symbols that never occur), limited to `MAX_CODE_LEN`.
@@ -161,18 +184,16 @@ fn limit_lengths(lengths: &mut [u32; 256]) {
 }
 
 /// Assigns canonical codes to symbols given their code lengths: shorter codes
-/// first, ties broken by symbol value.
+/// first, ties broken by symbol value. The decoder reads the same
+/// assignment from [`Canonical`].
 fn canonical_codes(lengths: &[u32; 256]) -> [u64; 256] {
+    let book = Canonical::new(lengths);
     let mut codes = [0u64; 256];
-    let mut symbols: Vec<usize> = (0..256).filter(|&s| lengths[s] > 0).collect();
-    symbols.sort_by_key(|&s| (lengths[s], s));
-    let mut code = 0u64;
-    let mut prev_len = 0u32;
-    for &s in &symbols {
-        code <<= lengths[s] - prev_len;
-        codes[s] = code;
-        code += 1;
-        prev_len = lengths[s];
+    for level in &book.levels {
+        for rank in 0..level.count {
+            let s = book.symbols[level.first_index + rank as usize];
+            codes[s as usize] = level.first_code + rank;
+        }
     }
     codes
 }
@@ -187,11 +208,7 @@ pub struct HuffmanBook {
 impl HuffmanBook {
     /// Builds the code book for `data`.
     pub fn from_data(data: &[u8]) -> Self {
-        let mut hist = [0u64; 256];
-        for &b in data {
-            hist[b as usize] += 1;
-        }
-        Self::from_histogram(&hist)
+        Self::from_histogram(&byte_histogram(data))
     }
 
     /// Builds the code book from an explicit histogram.
@@ -261,7 +278,14 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
 /// separate code/length lookups (the pre-optimisation formulation).
 #[cfg(test)]
 pub fn encode_reference(data: &[u8]) -> Vec<u8> {
-    let book = HuffmanBook::from_data(data);
+    encode_with_book(&HuffmanBook::from_data(data), data)
+}
+
+/// The stream of `data` under `book`, written as [`encode_reference`]
+/// writes it. Every symbol of `data` must have a code in `book`; tests use
+/// it to build streams under code books no histogram of theirs would give.
+#[cfg(test)]
+fn encode_with_book(book: &HuffmanBook, data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 256);
     put_u64(&mut out, data.len() as u64);
     let mut lw = BitWriter::with_capacity_bits(256 * 6);
@@ -277,14 +301,107 @@ pub fn encode_reference(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decodes a stream produced by [`encode`].
-pub fn decode(data: &[u8]) -> Result<Vec<u8>, CodecError> {
-    decode_limited(data, usize::MAX)
+/// One code length's share of a canonical code book.
+#[derive(Clone, Copy, Default)]
+struct Level {
+    /// Codes of this length.
+    count: u64,
+    /// The first (smallest) code of this length.
+    first_code: u64,
+    /// Canonical index of the symbol with that first code.
+    first_index: usize,
 }
 
-/// Like [`decode`], but rejects streams whose claimed symbol count exceeds
-/// `max_out` before any decoding work, for use on untrusted input.
-pub fn decode_limited(data: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
+/// A validated code book as the decoder reads it. Canonical codes of one
+/// length are consecutive, so a code's symbol is found from its length's
+/// [`Level`] alone.
+struct Canonical {
+    /// The occurring symbols in canonical order: by (length, symbol).
+    symbols: [u8; 256],
+    /// Indexed by code length; entry 0 is unused.
+    levels: [Level; MAX_CODE_LEN as usize + 1],
+    max_len: u32,
+}
+
+impl Canonical {
+    /// The book of `lengths`, which must all be at most [`MAX_CODE_LEN`].
+    fn new(lengths: &[u32; 256]) -> Self {
+        let mut levels = [Level::default(); MAX_CODE_LEN as usize + 1];
+        for &l in lengths.iter().filter(|&&l| l > 0) {
+            if let Some(level) = levels.get_mut(l as usize) {
+                level.count += 1;
+            }
+        }
+        let (mut code, mut index) = (0u64, 0usize);
+        for level in levels.iter_mut().skip(1) {
+            level.first_code = code;
+            level.first_index = index;
+            code = (code + level.count) << 1;
+            index += level.count as usize;
+        }
+        // Symbols ascend within each length, so placing them in symbol
+        // order at their length's next slot gives the canonical order.
+        let mut next = levels.map(|level| level.first_index);
+        let mut symbols = [0u8; 256];
+        for (s, &l) in lengths.iter().enumerate().filter(|&(_, &l)| l > 0) {
+            if let Some(slot) = next.get_mut(l as usize) {
+                if let Some(sym) = symbols.get_mut(*slot) {
+                    *sym = s as u8;
+                }
+                *slot += 1;
+            }
+        }
+        Canonical {
+            symbols,
+            levels,
+            max_len: lengths.iter().copied().max().unwrap_or(0),
+        }
+    }
+
+    /// The symbol whose code is `code`, `len` bits long, if there is one.
+    #[inline]
+    fn symbol_of(&self, len: u32, code: u64) -> Option<u8> {
+        let level = self.levels.get(len as usize)?;
+        let rank = code.wrapping_sub(level.first_code);
+        if rank < level.count {
+            self.symbols.get(level.first_index + rank as usize).copied()
+        } else {
+            None
+        }
+    }
+
+    /// The code longer than [`LUT_BITS`] that `window` starts with, as
+    /// `(symbol, length)`.
+    fn long_code(&self, window: u64) -> Option<(u8, u32)> {
+        (LUT_BITS + 1..=self.max_len)
+            .find_map(|len| Some((self.symbol_of(len, window >> (64 - len))?, len)))
+    }
+
+    /// Every code of at most [`LUT_BITS`] bits as `(symbol, length, code)`,
+    /// in canonical order.
+    fn short_codes(&self) -> impl Iterator<Item = (u8, u32, u64)> + '_ {
+        (1..=LUT_BITS).flat_map(move |len| {
+            let level = self.levels.get(len as usize).copied().unwrap_or_default();
+            (0..level.count).filter_map(move |rank| {
+                let sym = self.symbols.get(level.first_index + rank as usize)?;
+                Some((*sym, len, level.first_code + rank))
+            })
+        })
+    }
+}
+
+/// A stream whose header [`read_stream`] has checked.
+struct Stream<'a> {
+    /// Symbols to decode, at least one.
+    n: usize,
+    book: Canonical,
+    payload: &'a [u8],
+}
+
+/// Reads a stream's symbol count and code book and checks them against
+/// each other and the payload. `None` is the empty stream, whose code book
+/// is never read.
+fn read_stream(data: &[u8], max_out: usize) -> Result<Option<Stream<'_>>, CodecError> {
     let mut cur = ByteCursor::new(data);
     let n = cur.get_u64()? as usize;
     if n > max_out {
@@ -300,7 +417,7 @@ pub fn decode_limited(data: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError
         *l = lr.get_bits(6)? as u32;
     }
     if n == 0 {
-        return Ok(Vec::new());
+        return Ok(None);
     }
     if lengths.iter().all(|&l| l == 0) {
         return Err(CodecError::header(
@@ -308,10 +425,18 @@ pub fn decode_limited(data: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError
             "no symbols in code book for non-empty payload",
         ));
     }
+    // The encoder never writes a longer code, and the Kraft sum below
+    // cannot see one: `2^32 >> l` is zero for every l above 32.
+    if let Some(&l) = lengths.iter().find(|&&l| l > MAX_CODE_LEN) {
+        return Err(CodecError::header(
+            "huffman",
+            format!("code length {l} exceeds {MAX_CODE_LEN}"),
+        ));
+    }
     // Reject code books that violate the Kraft inequality: canonical code
     // assignment for an over-subscribed book overflows the codes' bit
-    // lengths, and with them the LUT index space.
-    let unit = 1u64 << 32;
+    // lengths, and with them the decode table's index space.
+    let unit = 1u64 << MAX_CODE_LEN;
     let kraft: u64 = lengths.iter().filter(|&&l| l > 0).map(|&l| unit >> l).sum();
     if kraft > unit {
         return Err(CodecError::corrupt(
@@ -319,98 +444,207 @@ pub fn decode_limited(data: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError
             "code book violates the Kraft inequality",
         ));
     }
-    // szhi-analyzer: allow(panic-reachability) -- `canonical_codes` indexes two fixed `[_; 256]` tables with symbols drawn from `0..256`, in bounds by construction; the Kraft check above already rejected malformed code books
-    let codes = canonical_codes(&lengths);
-
-    // For the canonical fallback: occurring symbols with their length and
-    // code, sorted by (length, symbol) — the canonical order.
-    let mut sorted: Vec<(u16, u32, u64)> = lengths
-        .iter()
-        .zip(codes.iter())
-        .enumerate()
-        .filter(|&(_, (&l, _))| l > 0)
-        .map(|(s, (&l, &c))| (s as u16, l, c))
-        .collect();
-    sorted.sort_by_key(|&(s, l, _)| (l, s));
-
-    // Decoding tables: a (symbol, length) LUT for codes up to LUT_BITS,
-    // canonical search above.
-    let mut lut = vec![(0u8, 0u8); 1 << LUT_BITS];
-    for &(s, len, code) in &sorted {
-        if len <= LUT_BITS {
-            let shift = LUT_BITS - len;
-            let start = (code << shift) as usize;
-            lut.get_mut(start..start + (1usize << shift))
-                .ok_or_else(|| {
-                    CodecError::corrupt("huffman", "code book overflows the decode LUT")
-                })?
-                .fill((s as u8, len as u8));
-        }
-    }
-    // Canonical tables for the slow path, one entry per code length:
-    // (symbol count, first canonical code, index of the first symbol of
-    // that length in the canonical order).
-    let max_len = lengths.iter().copied().max().unwrap_or(0);
-    let mut levels = vec![(0u64, 0u64, 0usize); (max_len + 1) as usize];
-    for &(_, len, _) in &sorted {
-        if let Some(level) = levels.get_mut(len as usize) {
-            level.0 += 1;
-        }
-    }
-    {
-        let mut code = 0u64;
-        let mut idx = 0usize;
-        for level in levels.iter_mut().skip(1) {
-            level.1 = code;
-            level.2 = idx;
-            code = (code + level.0) << 1;
-            idx += level.0 as usize;
-        }
-    }
-
     let payload = cur.take_rest();
     // Every decoded symbol consumes at least one bit, so a symbol count
-    // beyond the payload's bit count is corrupt. Without this check the
-    // decode loop would read the final byte's zero padding indefinitely.
+    // beyond the payload's bit count is corrupt. This also bounds the
+    // output the decoder allocates by eight times the payload.
     if n > payload.len() * 8 {
         return Err(CodecError::corrupt(
             "huffman",
             format!("claimed {n} symbols from a {}-byte payload", payload.len()),
         ));
     }
-    let mut br = BitReader::new(payload);
-    let mut out = Vec::with_capacity(decode_capacity(n));
-    for _ in 0..n {
-        let peek = br.peek_bits(LUT_BITS) as usize;
-        if let Some(&(sym, len)) = lut.get(peek) {
-            if len != 0 {
-                br.consume(len as u32);
-                out.push(sym);
-                continue;
-            }
+    Ok(Some(Stream {
+        n,
+        book: Canonical::new(&lengths),
+        payload,
+    }))
+}
+
+/// One decode-table entry: the whole codes a [`LUT_BITS`]-bit window starts
+/// with, up to [`MAX_RUN`] of them. `count == 0` means the window starts
+/// with a longer code, or with no code of the book.
+#[derive(Clone, Copy, Default)]
+struct Entry {
+    symbols: [u8; MAX_RUN],
+    count: u8,
+    /// Total length of the `count` codes.
+    bits: u8,
+}
+
+/// Builds the decode table of `book`: entry `w` holds every whole code
+/// window `w` starts with.
+fn decode_table(book: &Canonical) -> Result<Vec<Entry>, CodecError> {
+    let short: Vec<(u8, u32, u64)> = book.short_codes().collect();
+    // covered[r]: how many r-bit windows start with a code of at most r
+    // bits. Canonical codes of at most r bits are the smallest r-bit
+    // prefixes, so those windows are exactly 0..covered[r].
+    let mut covered = [0u64; LUT_BITS as usize + 1];
+    let mut windows = 0u64;
+    for (r, slot) in covered.iter_mut().enumerate().skip(1) {
+        windows = 2 * windows + book.levels.get(r).map_or(0, |level| level.count);
+        *slot = windows;
+    }
+    let mut table = vec![Entry::default(); 1 << LUT_BITS];
+    fill_runs(&mut table, &short, &covered, 0, Entry::default())?;
+    Ok(table)
+}
+
+/// Fills the entries of every window that starts with the codes of `run`
+/// (concatenated: `prefix`, `run.bits` long). Windows whose next code also
+/// fits are left to the longer runs; the rest get `run` itself. Every
+/// window is written once.
+fn fill_runs(
+    table: &mut [Entry],
+    short: &[(u8, u32, u64)],
+    covered: &[u64; LUT_BITS as usize + 1],
+    prefix: u64,
+    run: Entry,
+) -> Result<(), CodecError> {
+    let rest = LUT_BITS - run.bits as u32;
+    let full = run.count as usize == MAX_RUN;
+    let longer = if full {
+        0
+    } else {
+        covered.get(rest as usize).copied().unwrap_or(0)
+    };
+    let start = (prefix << rest) as usize;
+    let end = ((prefix + 1) << rest) as usize;
+    table
+        .get_mut(start + longer as usize..end)
+        .ok_or_else(|| CodecError::corrupt("huffman", "code book overflows the decode table"))?
+        .fill(run);
+    if full {
+        return Ok(());
+    }
+    for &(sym, len, code) in short.iter().take_while(|&&(_, len, _)| len <= rest) {
+        let mut next = run;
+        if let Some(slot) = next.symbols.get_mut(run.count as usize) {
+            *slot = sym;
         }
-        // Slow path: the code is longer than LUT_BITS; decode it bit by bit
-        // with the canonical tables.
+        next.count += 1;
+        next.bits += len as u8;
+        fill_runs(table, short, covered, (prefix << len) | code, next)?;
+    }
+    Ok(())
+}
+
+/// The 64 payload bits from bit `bitpos` on, MSB first; bits past the end
+/// of the payload read as zero.
+#[inline(always)]
+fn window_at(payload: &[u8], bitpos: usize) -> u64 {
+    let rest = payload.get(bitpos >> 3..).unwrap_or(&[]);
+    let bytes = match rest.first_chunk::<8>() {
+        Some(&bytes) => bytes,
+        None => {
+            let mut bytes = [0u8; 8];
+            bytes.iter_mut().zip(rest).for_each(|(d, &s)| *d = s);
+            bytes
+        }
+    };
+    u64::from_be_bytes(bytes) << (bitpos & 7)
+}
+
+/// Decodes a stream produced by [`encode`].
+pub fn decode(data: &[u8]) -> Result<Vec<u8>, CodecError> {
+    decode_limited(data, usize::MAX)
+}
+
+/// Like [`decode`], but rejects streams whose claimed symbol count exceeds
+/// `max_out` before any decoding work, for use on untrusted input.
+///
+/// Each step loads the 64-bit window at the current bit and looks its top
+/// 12 bits up in the decode table, up to four times per load: one 8-byte
+/// store writes an entry's symbols into the output's slack, and the
+/// position and the window advance by their count and length. An entry
+/// without symbols means a longer code, found by a canonical search over a
+/// freshly loaded window.
+pub fn decode_limited(data: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
+    let Some(Stream { n, book, payload }) = read_stream(data, max_out)? else {
+        return Ok(Vec::new());
+    };
+    let table = decode_table(&book)?;
+    let total_bits = payload.len() * 8;
+    // `n` is at most eight times the payload (`read_stream`); the slack
+    // takes the last entry's store whole.
+    let mut out = vec![0u8; n + MAX_RUN];
+    let (mut produced, mut bitpos) = (0usize, 0usize);
+    while produced < n {
+        let mut window = window_at(payload, bitpos);
+        let start = produced;
+        for _ in 0..LOOKUPS_PER_LOAD {
+            let entry = table
+                .get((window >> (64 - LUT_BITS)) as usize)
+                .copied()
+                .unwrap_or_default();
+            if entry.count == 0 || produced >= n {
+                break;
+            }
+            out.get_mut(produced..produced + MAX_RUN)
+                .ok_or_else(|| CodecError::corrupt("huffman", "output slack exhausted"))?
+                .copy_from_slice(&entry.symbols);
+            produced += entry.count as usize;
+            bitpos += entry.bits as usize;
+            window <<= entry.bits;
+        }
+        if produced > start {
+            continue;
+        }
+        let (sym, len) = book.long_code(window).ok_or_else(|| {
+            CodecError::corrupt("huffman", "code longer than the longest code length")
+        })?;
+        // Only a code of at most LUT_BITS bits may reach into the zero
+        // bits past the payload.
+        bitpos += len as usize;
+        if bitpos > total_bits {
+            return Err(CodecError::eof("huffman"));
+        }
+        if let Some(slot) = out.get_mut(produced) {
+            *slot = sym;
+        }
+        produced += 1;
+    }
+    out.truncate(n);
+    Ok(out)
+}
+
+/// Reference decoder kept for the differential tests: the one-symbol-per-
+/// peek loop the table kernel replaced, with its `(symbol, length)` table
+/// for codes of at most [`LUT_BITS`] bits and a bit-by-bit canonical search
+/// above. It reads the stream through the same [`read_stream`].
+#[cfg(test)]
+pub fn decode_reference(data: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let Some(Stream { n, book, payload }) = read_stream(data, usize::MAX)? else {
+        return Ok(Vec::new());
+    };
+    let mut lut = vec![(0u8, 0u32); 1 << LUT_BITS];
+    for (sym, len, code) in book.short_codes() {
+        let shift = LUT_BITS - len;
+        let start = (code << shift) as usize;
+        lut[start..start + (1 << shift)].fill((sym, len));
+    }
+    let mut br = BitReader::new(payload);
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        let (sym, len) = lut[br.peek_bits(LUT_BITS) as usize];
+        if len != 0 {
+            br.consume(len);
+            out.push(sym);
+            continue;
+        }
         let mut code = 0u64;
-        let mut l = 0u32;
+        let mut len = 0u32;
         loop {
-            l += 1;
-            if l > max_len {
+            len += 1;
+            if len > book.max_len {
                 return Err(CodecError::corrupt(
                     "huffman",
                     "code longer than the longest code length",
                 ));
             }
             code = (code << 1) | br.get_bit()? as u64;
-            let &(cnt, first_code, first_index) = levels
-                .get(l as usize)
-                .ok_or_else(|| CodecError::corrupt("huffman", "code length out of range"))?;
-            if cnt > 0 && code >= first_code && code - first_code < cnt {
-                let idx = first_index + (code - first_code) as usize;
-                let &(sym, _, _) = sorted.get(idx).ok_or_else(|| {
-                    CodecError::corrupt("huffman", "canonical index out of range")
-                })?;
-                out.push(sym as u8);
+            if let Some(sym) = book.symbol_of(len, code) {
+                out.push(sym);
                 break;
             }
         }
@@ -429,11 +663,23 @@ mod tests {
         assert_eq!(dec, data);
     }
 
+    /// A book whose Fibonacci-weighted histogram over 40 symbols needs codes
+    /// of up to 39 bits, so the encoder limits them to [`MAX_CODE_LEN`].
+    fn length_limited_book() -> HuffmanBook {
+        let mut hist = [0u64; 256];
+        let (mut a, mut b) = (1u64, 1u64);
+        for h in hist.iter_mut().take(40) {
+            *h = a;
+            (a, b) = (b, a + b);
+        }
+        HuffmanBook::from_histogram(&hist)
+    }
+
     #[test]
     fn word_encoder_matches_the_bitwriter_reference() {
         // The table-driven WordWriter hot loop must be byte-identical to
         // the byte-at-a-time reference on every input shape, including
-        // skewed histograms that produce length-limited (32-bit) codes.
+        // skewed histograms that produce long codes.
         let mut rng = rand::rngs::StdRng::seed_from_u64(2024);
         let mut skewed = Vec::new();
         for s in 0..200u32 {
@@ -446,10 +692,119 @@ mod tests {
         }
     }
 
+    /// Streams of every shape the table kernel must agree with the
+    /// reference on, as `(name, data, stream)`.
+    fn differential_streams() -> Vec<(String, Vec<u8>, Vec<u8>)> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let limited = length_limited_book();
+        assert_eq!(
+            (0..=255u8).map(|s| limited.length(s)).max(),
+            Some(MAX_CODE_LEN)
+        );
+        let mut streams = Vec::new();
+        for len in [1usize, 2, 3, 7, 13, 64, 301, 1001] {
+            let uniform: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            let skewed: Vec<u8> = (0..len)
+                .map(|_| {
+                    if rng.gen::<f64>() < 0.95 {
+                        128u8.wrapping_add(rng.gen_range(0..3u8)).wrapping_sub(1)
+                    } else {
+                        rng.gen()
+                    }
+                })
+                .collect();
+            let single = vec![200u8; len];
+            // Mostly the longest codes, some short ones between them.
+            let long: Vec<u8> = (0..len)
+                .map(|_| {
+                    if rng.gen::<f64>() < 0.7 {
+                        rng.gen_range(0..3u8)
+                    } else {
+                        rng.gen_range(0..40u8)
+                    }
+                })
+                .collect();
+            for (kind, data) in [("uniform", uniform), ("skewed", skewed), ("single", single)] {
+                let stream = encode(&data);
+                streams.push((format!("{kind} × {len}"), data, stream));
+            }
+            let stream = encode_with_book(&limited, &long);
+            streams.push((format!("32-bit × {len}"), long, stream));
+        }
+        streams
+    }
+
+    #[test]
+    fn table_kernel_matches_the_reference_on_valid_streams() {
+        for (what, data, stream) in differential_streams() {
+            assert_eq!(
+                decode_reference(&stream).unwrap(),
+                data,
+                "{what}: reference"
+            );
+            assert_eq!(decode(&stream).unwrap(), data, "{what}: kernel");
+        }
+    }
+
+    #[test]
+    fn table_kernel_fails_exactly_where_the_reference_fails() {
+        // Every truncation and every 3-mask byte flip: where the reference
+        // decodes, the kernel returns the same bytes; where it fails, the
+        // kernel fails. Both read the header through `read_stream`, whose
+        // only departure from the loop's old validation is the length cap
+        // (`code_lengths_above_the_cap_are_rejected`).
+        for (what, _, stream) in differential_streams() {
+            for cut in 0..8 + 192 {
+                assert!(
+                    decode(&stream[..cut]).is_err(),
+                    "{what}: header cut at {cut}"
+                );
+            }
+            let mut damaged: Vec<Vec<u8>> =
+                (0..stream.len()).map(|n| stream[..n].to_vec()).collect();
+            for i in 0..stream.len() {
+                for flip in [0x01u8, 0x80, 0xff] {
+                    let mut bytes = stream.clone();
+                    bytes[i] ^= flip;
+                    damaged.push(bytes);
+                }
+            }
+            for bytes in damaged {
+                match (decode_reference(&bytes), decode(&bytes)) {
+                    (Ok(want), Ok(got)) => assert_eq!(got, want, "{what}"),
+                    (Err(_), Err(_)) => {}
+                    (want, got) => panic!(
+                        "{what}: reference {:?}, kernel {:?}",
+                        want.map(|v| v.len()),
+                        got.map(|v| v.len())
+                    ),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn code_lengths_above_the_cap_are_rejected() {
+        // One symbol of length 40 over five zero bytes: the Kraft sum
+        // rounds its share to zero, so only the length cap rejects it.
+        let mut stream = Vec::new();
+        put_u64(&mut stream, 1);
+        let mut bw = BitWriter::new();
+        for s in 0..256u32 {
+            bw.put_bits(if s == 0 { 40 } else { 0 }, 6);
+        }
+        stream.extend_from_slice(&bw.finish());
+        stream.extend_from_slice(&[0; 5]);
+        assert!(matches!(
+            decode(&stream),
+            Err(CodecError::InvalidHeader { .. })
+        ));
+    }
+
     #[test]
     fn oversubscribed_code_book_is_rejected() {
         // A book claiming length 1 for three symbols violates the Kraft
-        // inequality; canonical code assignment would overflow the LUT.
+        // inequality; canonical code assignment would overflow the table.
         let mut stream = Vec::new();
         crate::bitio::put_u64(&mut stream, 8);
         let mut bw = BitWriter::new();
@@ -548,20 +903,9 @@ mod tests {
     }
 
     #[test]
-    fn truncated_stream_errors() {
-        let enc = encode(&[1u8, 2, 3, 4, 5, 6, 7, 8]);
-        assert!(decode(&enc[..enc.len() - 1]).is_err() || decode(&enc[..enc.len() - 1]).is_ok());
-        // Cutting into the header must error.
-        assert!(decode(&enc[..16]).is_err());
-    }
-
-    #[test]
     fn encoded_bits_matches_actual_payload() {
         let data: Vec<u8> = (0..10_000).map(|i| ((i * i) % 7) as u8).collect();
-        let mut hist = [0u64; 256];
-        for &b in &data {
-            hist[b as usize] += 1;
-        }
+        let hist = byte_histogram(&data);
         let book = HuffmanBook::from_histogram(&hist);
         let bits = book.encoded_bits(&hist);
         let enc = encode(&data);

@@ -42,6 +42,7 @@ pub mod checksum;
 pub mod components;
 pub mod error;
 pub mod fixedlen;
+mod histogram;
 pub mod huffman;
 pub mod lz;
 pub mod pipeline;

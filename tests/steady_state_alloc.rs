@@ -10,8 +10,10 @@
 //! batch, so a warm decompression allocates nothing beyond the grid it
 //! returns. On the decode side, a lossless reducer checks a stream's claimed
 //! output against its bound before it expands anything, so a crafted stream
-//! costs no more memory than itself. All four properties are pinned down
-//! with a counting global allocator.
+//! costs no more memory than itself, and the Huffman decoder allocates its
+//! output and one decode table, after checking the symbol count its header
+//! claims. All five properties are pinned down with a counting global
+//! allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -190,6 +192,51 @@ fn steady_state_sink_pushes_allocate_no_field_sized_buffers() {
     let recon = szhi::core::decompress(&bytes).unwrap();
     for (a, b) in data.as_slice().iter().zip(recon.as_slice()) {
         assert!(((*a as f64) - (*b as f64)).abs() <= 2e-3 + 1e-12);
+    }
+}
+
+#[test]
+fn huffman_decode_allocates_its_output_and_one_table() {
+    use szhi::codec::huffman;
+    use szhi_predictor::{InterpConfig, InterpPredictor, LevelOrder};
+
+    let _serial = one_at_a_time();
+    // The CR pipeline's first stage sees a chunk's level-ordered codes.
+    let dims = Dims::d3(64, 64, 64);
+    let data = DatasetKind::Miranda.generate(dims, 7);
+    let config = InterpConfig::cusz_hi();
+    let order = LevelOrder::new(dims, config.anchor_stride);
+    let output = InterpPredictor::new(config).unwrap().compress(&data, 2e-3);
+    let mut codes = Vec::new();
+    order.reorder_into(&output.codes, &mut codes);
+    let stream = huffman::encode(&codes);
+    let n = codes.len();
+    // Warm-up.
+    drop(huffman::decode_limited(&stream, n).unwrap());
+
+    let before = allocated();
+    let decoded = huffman::decode_limited(&stream, n).unwrap();
+    let spent = allocated() - before;
+    assert_eq!(decoded, codes);
+    assert!(
+        spent <= n + 64 * 1024,
+        "a warm decode of {n} symbols allocated {spent} B"
+    );
+
+    // Claims past the caller's bound, or past one symbol per payload bit,
+    // fail on the header alone.
+    let payload_bits = 8 * (stream.len() - 8 - 192);
+    for (claim, bound) in [(1u64 << 40, n), (payload_bits as u64 + 1, usize::MAX)] {
+        let mut crafted = stream.clone();
+        crafted[..8].copy_from_slice(&claim.to_le_bytes());
+        let before = allocated();
+        let result = huffman::decode_limited(&crafted, bound);
+        let spent = allocated() - before;
+        assert!(result.is_err(), "a claim of {claim} symbols decoded");
+        assert!(
+            spent < 4096,
+            "a claim of {claim} symbols allocated {spent} B before failing"
+        );
     }
 }
 
