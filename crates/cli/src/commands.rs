@@ -5,16 +5,22 @@
 //! region-by-region from a [`StreamSource`] (or, for `-`, a
 //! [`ForwardSource`] over stdin), so neither side ever holds a full
 //! uncompressed field unless the data itself must leave on stdout.
-//! Progress summaries go to stderr whenever stdout may carry data.
+//! Progress summaries go to stderr whenever stdout may carry data. File
+//! outputs are written under a temporary name and renamed into place on
+//! success, so a failed run leaves the output path as it found it.
 
 // szhi-analyzer: scope(no-panic-decode: all, capped-alloc: all)
 
 use crate::args::{Command, DecodeArgs, EncodeArgs, InspectArgs};
 use crate::{inspect, raw, CliError};
+use std::ffi::OsString;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
-use szhi_core::{ErrorBound, ForwardSource, StreamSink, StreamSource, SzhiConfig};
+use szhi_core::{
+    CompressionStats, ErrorBound, ForwardSource, StreamSink, StreamSource, SzhiConfig, SzhiError,
+};
+use szhi_ndgrid::{Dims, Grid, Region};
 
 fn runtime(msg: String) -> CliError {
     CliError::Runtime(msg)
@@ -68,23 +74,13 @@ fn encode(a: &EncodeArgs) -> Result<(), CliError> {
     let cfg = encode_config(a)?;
     let mut input = raw::open_field(Path::new(&a.input), a.dims)?;
     let to_stdout = a.output == "-";
-    let out: Box<dyn Write> = if to_stdout {
-        Box::new(std::io::stdout())
+    let (n_chunks, stats) = if to_stdout {
+        encode_into(std::io::stdout(), &mut input, a.dims, &cfg)?
     } else {
-        let file = File::create(&a.output)
-            .map_err(|e| runtime(format!("cannot create {}: {e}", a.output)))?;
-        Box::new(BufWriter::new(file))
+        write_file(&a.output, |file| {
+            encode_into(BufWriter::new(file), &mut input, a.dims, &cfg)
+        })?
     };
-    let mut sink = StreamSink::new(out, a.dims, &cfg)?;
-    let n_chunks = sink.plan().len();
-    while let Some(region) = sink.next_chunk_region() {
-        let chunk = raw::read_region(&mut input, a.dims, &region)?;
-        sink.push_chunk(&chunk)?;
-    }
-    let (mut out, stats) = sink.finish_with_stats()?;
-    out.flush()
-        .map_err(|e| runtime(format!("cannot flush output: {e}")))?;
-    drop(out);
     let summary = format!(
         "encoded {} ({}) -> {}: {} -> {} bytes (ratio {:.2}) in {n_chunks} chunks, abs eb {:e}",
         a.input,
@@ -103,6 +99,26 @@ fn encode(a: &EncodeArgs) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Streams the field in `input` through a [`StreamSink`] onto `out`, one
+/// chunk region at a time; returns the chunk count and the sink's stats.
+fn encode_into(
+    out: impl Write,
+    input: &mut File,
+    dims: Dims,
+    cfg: &SzhiConfig,
+) -> Result<(usize, CompressionStats), CliError> {
+    let mut sink = StreamSink::new(out, dims, cfg)?;
+    let n_chunks = sink.plan().len();
+    while let Some(region) = sink.next_chunk_region() {
+        let chunk = raw::read_region(input, dims, &region)?;
+        sink.push_chunk(&chunk)?;
+    }
+    let (mut out, stats) = sink.finish_with_stats()?;
+    out.flush()
+        .map_err(|e| runtime(format!("cannot flush output: {e}")))?;
+    Ok((n_chunks, stats))
+}
+
 fn decode(a: &DecodeArgs) -> Result<(), CliError> {
     if a.input == "-" {
         decode_pipe(a)
@@ -119,8 +135,8 @@ fn decode_file(a: &DecodeArgs) -> Result<(), CliError> {
         File::open(&a.input).map_err(|e| runtime(format!("cannot open {}: {e}", a.input)))?;
     let mut source = StreamSource::new(BufReader::new(file))?;
     let dims = source.dims();
+    let count = source.chunk_count();
     if let Some(want) = a.chunk {
-        let count = source.chunk_count();
         if want >= count {
             return Err(runtime(format!(
                 "chunk {want} is out of range: the stream has {count} chunks"
@@ -144,18 +160,13 @@ fn decode_file(a: &DecodeArgs) -> Result<(), CliError> {
         let grid = source.read_all()?;
         raw::write_all(std::io::stdout(), grid.as_slice())?;
     } else {
-        let mut out = create_sized(&a.output, dims)?;
-        for i in 0..source.chunk_count() {
-            let (region, sub) = source.read_chunk(i)?;
-            raw::write_region(&mut out, dims, &region, sub.as_slice())?;
-        }
+        write_chunks(&a.output, dims, (0..count).map(|i| source.read_chunk(i)))?;
     }
     eprintln!(
-        "decoded {} -> {}: {dims} ({} points, {} chunks)",
+        "decoded {} -> {}: {dims} ({} points, {count} chunks)",
         a.input,
         a.output,
         dims.len(),
-        source.chunk_count()
     );
     Ok(())
 }
@@ -192,11 +203,7 @@ fn decode_pipe(a: &DecodeArgs) -> Result<(), CliError> {
         let grid = source.read_all()?;
         raw::write_all(std::io::stdout(), grid.as_slice())?;
     } else {
-        let mut out = create_sized(&a.output, dims)?;
-        while let Some(chunk) = source.next_chunk() {
-            let (region, sub) = chunk?;
-            raw::write_region(&mut out, dims, &region, sub.as_slice())?;
-        }
+        write_chunks(&a.output, dims, std::iter::from_fn(|| source.next_chunk()))?;
     }
     eprintln!(
         "decoded stdin -> {}: {dims} ({} points, {count} chunks)",
@@ -206,25 +213,65 @@ fn decode_pipe(a: &DecodeArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-fn create_sized(path: &str, dims: szhi_ndgrid::Dims) -> Result<File, CliError> {
-    let out = File::options()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(path)
-        .map_err(|e| runtime(format!("cannot create {path}: {e}")))?;
-    raw::presize(&out, dims)?;
-    Ok(out)
+/// Writes decoded chunks into a pre-sized raw f32 file at `path`, one
+/// region per chunk, so memory stays bounded by one chunk.
+fn write_chunks(
+    path: &str,
+    dims: Dims,
+    chunks: impl Iterator<Item = Result<(Region, Grid<f32>), SzhiError>>,
+) -> Result<(), CliError> {
+    write_file(path, |mut out| {
+        raw::presize(&out, dims)?;
+        for chunk in chunks {
+            let (region, sub) = chunk?;
+            raw::write_region(&mut out, dims, &region, sub.as_slice())?;
+        }
+        Ok(())
+    })
 }
 
 fn write_values(output: &str, values: &[f32]) -> Result<(), CliError> {
     if output == "-" {
         raw::write_all(std::io::stdout(), values)
     } else {
-        let file =
-            File::create(output).map_err(|e| runtime(format!("cannot create {output}: {e}")))?;
-        raw::write_all(BufWriter::new(file), values)
+        write_file(output, |file| raw::write_all(file, values))
     }
+}
+
+/// Creates the file output at `path` through `write`, which gets a fresh
+/// temporary sibling in the same directory. The temporary is renamed onto
+/// `path` only once `write` succeeds and is removed when it fails, so a
+/// failed run neither leaves a partial file under the final name nor
+/// clobbers a file already there. A `path` that exists but is not a
+/// regular file (a device such as `/dev/null`, a FIFO) cannot be replaced
+/// and is written in place.
+fn write_file<T>(
+    path: &str,
+    write: impl FnOnce(File) -> Result<T, CliError>,
+) -> Result<T, CliError> {
+    let dest = Path::new(path);
+    let create =
+        |p: &Path| File::create(p).map_err(|e| runtime(format!("cannot create {path}: {e}")));
+    if std::fs::metadata(dest).is_ok_and(|m| !m.is_file()) {
+        return write(create(dest)?);
+    }
+    let Some(name) = dest.file_name() else {
+        return Err(runtime(format!("cannot create {path}: not a file name")));
+    };
+    let mut tmp_name = OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(format!(".{}.tmp", std::process::id()));
+    let tmp = dest.with_file_name(tmp_name);
+    let result = write(create(&tmp)?).and_then(|value| {
+        std::fs::rename(&tmp, dest)
+            .map(|()| value)
+            .map_err(|e| runtime(format!("cannot rename {} to {path}: {e}", tmp.display())))
+    });
+    if result.is_err() {
+        // The write's own error is the one to report.
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
 }
 
 fn inspect_cmd(a: &InspectArgs) -> Result<(), CliError> {

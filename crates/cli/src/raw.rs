@@ -1,11 +1,13 @@
 //! Raw little-endian f32 file I/O with bounded memory.
 //!
 //! `encode` and `decode` move whole scientific fields that may be larger
-//! than RAM, so every helper here works region-by-region: reads and
-//! writes touch one x-row at a time via seeks, and the `--rel` pre-scan
-//! streams the file through a fixed buffer. Values are little-endian
-//! f32, matching the flat binary layout of the SDRBench datasets the
-//! paper evaluates on.
+//! than RAM, so every helper here works through buffers of fixed size. A
+//! region read takes each z-plane of the region as one band (the
+//! contiguous file span from its first row to its last, at most 256 KiB
+//! per read); a region write goes one x-row per seek; the `--rel` pre-scan
+//! and whole-field writes stream through 64 KiB. Values are little-endian
+//! f32, matching the flat binary layout of the SDRBench datasets the paper
+//! evaluates on.
 
 // szhi-analyzer: scope(no-panic-decode: all, capped-alloc: all)
 
@@ -119,10 +121,66 @@ fn fold(v: f32, lo: &mut f32, hi: &mut f32) {
     }
 }
 
+/// The most bytes one region read holds in its band buffer. A read covers
+/// as many whole rows of a plane band as fit, and always at least one row,
+/// so memory stays bounded however wide the field is.
+const BAND_CAP: usize = 256 * 1024;
+
 /// Reads one region of a `dims`-shaped raw f32 file into a grid of the
 /// field's own rank (a region of a 2-D field is a 2-D grid, the shape a
-/// chunk plan over that field expects), one x-row per read.
+/// chunk plan over that field expects).
+///
+/// Each z-plane of the region is one band: the contiguous file span from
+/// `(z, y0, x0)` to the end of the plane's last region row. A band costs
+/// one seek and one read (more only when it exceeds 256 KiB), and the
+/// region's rows are sliced out of it at the field's x-stride.
 pub fn read_region(file: &mut File, dims: Dims, region: &Region) -> Result<Grid<f32>, CliError> {
+    let (row, stride) = (region.nx(), dims.nx());
+    let per_read = rows_per_read(row, stride);
+    let mut values = Vec::with_capacity(decode_capacity(region.len()));
+    let mut band = Vec::new();
+    for z in region.z_range() {
+        for y in region.y_range().step_by(per_read) {
+            let rows = per_read.min(region.y_range().end - y);
+            band.resize(((rows - 1) * stride + row) * 4, 0);
+            let offset = dims.index(z, y, region.x0()) as u64 * 4;
+            file.seek(SeekFrom::Start(offset))
+                .map_err(|e| runtime(format!("cannot seek input: {e}")))?;
+            file.read_exact(&mut band)
+                .map_err(|e| runtime(format!("cannot read input band: {e}")))?;
+            // Every piece but the last holds a row plus the gap to the next.
+            for piece in band.chunks(stride * 4) {
+                let bytes = piece.get(..row * 4).unwrap_or(piece);
+                values.extend(bytes.chunks_exact(4).map(le_f32));
+            }
+        }
+    }
+    Ok(Grid::from_vec(region_dims(dims, region), values))
+}
+
+/// How many rows of `row` values, `stride` values apart, one band read
+/// covers: as many as fit in [`BAND_CAP`] bytes, and at least one.
+fn rows_per_read(row: usize, stride: usize) -> usize {
+    1 + (BAND_CAP / 4).saturating_sub(row) / stride
+}
+
+/// The shape of `region` at the rank of the field it lies in.
+fn region_dims(dims: Dims, region: &Region) -> Dims {
+    match dims.rank() {
+        1 => Dims::d1(region.nx()),
+        2 => Dims::d2(region.ny(), region.nx()),
+        _ => region.dims(),
+    }
+}
+
+/// The one-row-per-read loop [`read_region`] replaced, kept as the
+/// reference its differential tests compare against.
+#[cfg(test)]
+fn read_region_reference(
+    file: &mut File,
+    dims: Dims,
+    region: &Region,
+) -> Result<Grid<f32>, CliError> {
     let mut values = Vec::with_capacity(decode_capacity(region.len()));
     let mut row = vec![0u8; region.nx() * 4];
     for z in region.z_range() {
@@ -135,12 +193,7 @@ pub fn read_region(file: &mut File, dims: Dims, region: &Region) -> Result<Grid<
             values.extend(row.chunks_exact(4).map(le_f32));
         }
     }
-    let sub_dims = match dims.rank() {
-        1 => Dims::d1(region.nx()),
-        2 => Dims::d2(region.ny(), region.nx()),
-        _ => region.dims(),
-    };
-    Ok(Grid::from_vec(sub_dims, values))
+    Ok(Grid::from_vec(region_dims(dims, region), values))
 }
 
 /// Writes one region's values (chunk-local row-major order) into a
@@ -210,10 +263,18 @@ pub fn read_field(path: &Path, dims: Dims) -> Result<Grid<f32>, CliError> {
     ))
 }
 
-/// Writes a full grid as a little-endian f32 stream.
+/// Writes a full grid as a little-endian f32 stream, 64 KiB per write, so
+/// the bytes never exist as a second field-sized buffer.
 pub fn write_all<W: Write>(mut out: W, values: &[f32]) -> Result<(), CliError> {
-    out.write_all(&to_bytes(values))
-        .map_err(|e| runtime(format!("cannot write output: {e}")))?;
+    let mut buf = [0u8; 64 * 1024];
+    for block in values.chunks(buf.len() / 4) {
+        let (bytes, _) = buf.split_at_mut(block.len() * 4);
+        for (slot, v) in bytes.chunks_exact_mut(4).zip(block) {
+            slot.copy_from_slice(&v.to_le_bytes());
+        }
+        out.write_all(bytes)
+            .map_err(|e| runtime(format!("cannot write output: {e}")))?;
+    }
     out.flush()
         .map_err(|e| runtime(format!("cannot flush output: {e}")))
 }
@@ -254,6 +315,108 @@ mod tests {
         assert_eq!(back.as_slice(), field.as_slice());
         std::fs::remove_file(&path).unwrap();
         std::fs::remove_file(&out_path).unwrap();
+    }
+
+    /// A field whose values are scattered bit patterns (NaN payloads and
+    /// subnormals among them), written to a file of its own.
+    fn bit_pattern_file(tag: &str, dims: Dims) -> (std::path::PathBuf, Grid<f32>) {
+        let values = (0..dims.len() as u32)
+            .map(|i| f32::from_bits(i.wrapping_mul(0x9e37_79b9)))
+            .collect::<Vec<_>>();
+        let path = temp_path(tag);
+        std::fs::write(&path, to_bytes(&values)).unwrap();
+        (path, Grid::from_vec(dims, values))
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn band_reader_matches_the_row_reference_on_every_chunk() {
+        let cases = [
+            ("ragged-3d", Dims::d3(21, 19, 37), [8, 8, 16]),
+            ("2d", Dims::d2(40, 70), [1, 16, 32]),
+            ("1d", Dims::d1(1000), [1, 1, 256]),
+            // A plane band of 32 rows × 32 KiB exceeds the cap: eight rows
+            // per read, four reads per plane.
+            ("wide-2d", Dims::d2(32, 8192), [1, 32, 32]),
+        ];
+        for (tag, dims, span) in cases {
+            let (path, field) = bit_pattern_file(tag, dims);
+            let mut file = open_field(&path, dims).unwrap();
+            for region in ChunkPlan::new(dims, span).iter() {
+                let band = read_region(&mut file, dims, &region).unwrap();
+                let rows = read_region_reference(&mut file, dims, &region).unwrap();
+                assert_eq!(band.dims(), rows.dims(), "{tag} {region:?}");
+                assert_eq!(band.dims().rank(), dims.rank(), "{tag} {region:?}");
+                assert_eq!(bits(band.as_slice()), bits(rows.as_slice()), "{tag}");
+                assert_eq!(
+                    bits(band.as_slice()),
+                    bits(&field.extract(&region)),
+                    "{tag}"
+                );
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_band_read_fills_the_cap_with_whole_rows() {
+        let band = |rows: usize, row: usize, stride: usize| 4 * ((rows - 1) * stride + row);
+        for (row, stride) in [
+            (256, 256),
+            (32, 8192),
+            (256, 1250),
+            (64, 65536),
+            (70_000, 70_000),
+        ] {
+            let rows = rows_per_read(row, stride);
+            assert!(rows >= 1);
+            assert!(
+                rows == 1 || band(rows, row, stride) <= BAND_CAP,
+                "{row}/{stride}"
+            );
+            assert!(band(rows + 1, row, stride) > BAND_CAP, "{row}/{stride}");
+        }
+    }
+
+    #[test]
+    fn a_field_truncated_after_open_fails_both_readers_alike() {
+        type Reader = fn(&mut File, Dims, &Region) -> Result<Grid<f32>, CliError>;
+        let dims = Dims::d2(24, 9000);
+        let plan = ChunkPlan::new(dims, [1, 16, 4096]);
+        let full = dims.nbytes_f32() as u64;
+        for cut in [0, 1, full / 2, full - 1] {
+            let (path, field) = bit_pattern_file("truncated", dims);
+            let mut file = open_field(&path, dims).unwrap();
+            File::options()
+                .write(true)
+                .open(&path)
+                .unwrap()
+                .set_len(cut)
+                .unwrap();
+            let mut failed = 0;
+            for region in plan.iter() {
+                let whole = field.extract(&region);
+                for read in [read_region as Reader, read_region_reference] {
+                    match read(&mut file, dims, &region) {
+                        Ok(sub) => assert_eq!(bits(sub.as_slice()), bits(&whole)),
+                        Err(CliError::Runtime(m)) if m.contains("cannot read input") => failed += 1,
+                        Err(e) => panic!("cut {cut}: unexpected {e:?}"),
+                    }
+                }
+            }
+            // Every chunk reaching past the cut fails in both readers.
+            let past = plan
+                .iter()
+                .filter(|r| {
+                    (((r.y_range().end - 1) * dims.nx() + r.x_range().end) * 4) as u64 > cut
+                })
+                .count();
+            assert_eq!(failed, 2 * past, "cut {cut}");
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

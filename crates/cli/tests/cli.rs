@@ -250,6 +250,114 @@ fn exit_codes_and_stderr_shape() {
     std::fs::remove_file(&garbage).unwrap();
 }
 
+/// Names in `path`'s directory that start with a dot and contain its file
+/// name: the temporary siblings a file output is written under.
+fn temp_siblings(path: &std::path::Path) -> Vec<String> {
+    let name = path.file_name().unwrap().to_str().unwrap();
+    std::fs::read_dir(path.parent().unwrap())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with('.') && n.contains(name))
+        .collect()
+}
+
+/// A rejected encode leaves the output path as it found it: absent when
+/// it was absent, byte-identical when an archive was already there. (The
+/// output used to be created, and an existing one truncated, before the
+/// chunk span was checked.)
+#[test]
+fn a_rejected_encode_leaves_the_output_path_untouched() {
+    let input = temp("reject-in.f32");
+    let archive = temp("reject.szhi");
+    std::fs::write(&input, to_bytes(field().as_slice())).unwrap();
+    let encode = || {
+        run(&[
+            "encode",
+            input.to_str().unwrap(),
+            archive.to_str().unwrap(),
+            "--dims",
+            "24,20,32",
+            "--eb",
+            "2e-3",
+            "--chunk-span",
+            "10,10,10",
+        ])
+    };
+    let out = encode();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(!archive.exists(), "a rejected encode created the output");
+
+    let previous = b"an archive from an earlier run".to_vec();
+    std::fs::write(&archive, &previous).unwrap();
+    let out = encode();
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(std::fs::read(&archive).unwrap(), previous);
+    assert_eq!(temp_siblings(&archive), Vec::<String>::new());
+
+    for p in [&input, &archive] {
+        std::fs::remove_file(p).unwrap();
+    }
+}
+
+/// A decode that fails on a corrupt chunk leaves nothing at the output
+/// path — not a full-size file whose later chunks are zeros — on both the
+/// seekable and the stdin path, and for `--chunk`.
+#[test]
+fn a_failed_decode_leaves_no_output_file() {
+    let input = temp("corrupt-in.f32");
+    let archive = temp("corrupt.szhi");
+    let output = temp("corrupt-out.f32");
+    std::fs::write(&input, to_bytes(field().as_slice())).unwrap();
+    assert_ok(
+        &run(&[
+            "encode",
+            input.to_str().unwrap(),
+            archive.to_str().unwrap(),
+            "--dims",
+            "24,20,32",
+            "--eb",
+            "2e-3",
+            "--chunk-span",
+            "16,16,16",
+        ]),
+        "encode",
+    );
+    let mut bytes = std::fs::read(&archive).unwrap();
+    let (_, table) = szhi_core::format::read_chunk_table(&bytes).unwrap();
+    let chunk5 = &table.entries[5];
+    bytes[table.data_start + chunk5.offset + chunk5.len / 2] ^= 0x5a;
+    std::fs::write(&archive, &bytes).unwrap();
+
+    let (archive_s, output_s) = (archive.to_str().unwrap(), output.to_str().unwrap());
+    let out = run(&["decode", archive_s, output_s]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(!output.exists(), "a failed decode left a file behind");
+    let out = run(&["decode", archive_s, output_s, "--chunk", "5"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        !output.exists(),
+        "a failed --chunk decode left a file behind"
+    );
+
+    let mut child = bin()
+        .args(["decode", "-", output_s])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    use std::io::Write as _;
+    child.stdin.take().unwrap().write_all(&bytes).unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(!output.exists(), "a failed stdin decode left a file behind");
+    assert_eq!(temp_siblings(&output), Vec::<String>::new());
+
+    for p in [&input, &archive] {
+        std::fs::remove_file(p).unwrap();
+    }
+}
+
 /// `encode … -` writes the archive to stdout so a shell pipeline can
 /// feed it straight into `decode -`.
 #[test]

@@ -12,8 +12,9 @@
 //! output against its bound before it expands anything, so a crafted stream
 //! costs no more memory than itself, and the Huffman decoder allocates its
 //! output and one decode table, after checking the symbol count its header
-//! claims. All five properties are pinned down with a counting global
-//! allocator.
+//! claims. The CLI writes a decoded field to a stream through a fixed
+//! buffer, never as a second field-sized byte copy. All six properties are
+//! pinned down with a counting global allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -238,6 +239,21 @@ fn huffman_decode_allocates_its_output_and_one_table() {
             "a claim of {claim} symbols allocated {spent} B before failing"
         );
     }
+}
+
+#[test]
+fn writing_a_field_to_a_stream_allocates_no_second_copy() {
+    let _serial = one_at_a_time();
+    // `szhi-cli decode … -` and `--chunk` write decoded values this way.
+    let values = vec![0.25f32; 1 << 20];
+    let before = allocated();
+    szhi_cli::raw::write_all(std::io::sink(), &values).unwrap();
+    let spent = allocated() - before;
+    assert!(
+        spent <= 64 * 1024 + 4096,
+        "writing a {} B field allocated {spent} B",
+        4 * values.len()
+    );
 }
 
 /// A reducer stream with the given header lengths and sections.
