@@ -881,7 +881,7 @@ pub fn lint_pool_invariants(ws: &Workspace, graph: &CallGraph) -> Vec<Violation>
         // Monotonicity: for each outgoing call, the levels already
         // acquired textually before it bound the callee's closure from
         // below. (Guards dropped before the call are over-approximated as
-        // held; within-fn re-ordering is the dynamic racecheck's job.)
+        // held; the order of sites within one fn is not checked.)
         for e in &graph.edges[f] {
             let held: Option<u32> = sites
                 .iter()

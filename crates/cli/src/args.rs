@@ -22,7 +22,7 @@ subcommands:
       --chunk-span Z,Y,X  chunk span (default 64,64,64)
       --mode M            global | per-chunk | exhaustive | estimated
       --tune-interp       per-chunk interpolation tuning (v5 container)
-      --threads N         worker threads for this run
+      --threads N         worker threads for this run (N >= 1)
 
   decode <input|-> <output|-> [--chunk I]
       Decompress a container back to raw little-endian f32. `-` as input
@@ -288,7 +288,12 @@ fn parse_encode(toks: &mut Tokens<'_>) -> Result<Command, CliError> {
             "--chunk-span" => chunk_span = parse_span(name, toks.value(name, inline)?)?,
             "--mode" => mode = ModeArg::parse(toks.value(name, inline)?)?,
             "--tune-interp" => tune_interp = true,
-            "--threads" => threads = Some(parse_num::<usize>(name, toks.value(name, inline)?)?),
+            "--threads" => match parse_num::<usize>(name, toks.value(name, inline)?)? {
+                // The pool reads 0 as "no override", which would quietly
+                // mean every core.
+                0 => return Err(usage("--threads expects at least one worker thread".into())),
+                n => threads = Some(n),
+            },
             _ if name.starts_with('-') && name != "-" => {
                 return Err(usage(format!("unknown flag '{name}' for encode")))
             }
@@ -437,6 +442,10 @@ mod tests {
                 "--dims expects 1-3 positive extents, got '1,2,3,4'",
             ),
             ("encode in out --dims 8,8,8 --eb nope", "--eb expects a number, got 'nope'"),
+            (
+                "encode in out --dims 8,8,8 --eb 1e-3 --threads 0",
+                "--threads expects at least one worker thread",
+            ),
             ("", "missing subcommand"),
             ("--help", "help requested"),
             ("frobnicate", "unknown subcommand 'frobnicate'"),

@@ -124,17 +124,17 @@ impl FieldSpec {
         let nx = dims.nx();
         let ny = dims.ny();
         let nz = dims.nz();
-        let mut data = vec![0.0f32; dims.len()];
         // One z-plane per parallel task: planes are large enough to amortise
         // scheduling and small enough to balance.
-        data.par_chunks_mut(ny * nx)
-            .enumerate()
-            .for_each(|(z, plane)| {
+        let planes: Vec<Vec<f32>> = (0..nz)
+            .into_par_iter()
+            .map(|z| {
                 let fz = if nz > 1 {
                     z as f32 / (nz - 1) as f32
                 } else {
                     0.0
                 };
+                let mut plane = Vec::with_capacity(ny * nx);
                 for y in 0..ny {
                     let fy = if ny > 1 {
                         y as f32 / (ny - 1) as f32
@@ -147,11 +147,13 @@ impl FieldSpec {
                         } else {
                             0.0
                         };
-                        plane[y * nx + x] = point(fz, fy, fx);
+                        plane.push(point(fz, fy, fx));
                     }
                 }
-            });
-        Grid::from_vec(dims, data)
+                plane
+            })
+            .collect();
+        Grid::from_vec(dims, planes.concat())
     }
 
     /// Builds the per-point evaluation closure for this dataset family. All
@@ -266,6 +268,47 @@ mod tests {
             assert_eq!(a.as_slice(), b.as_slice(), "{kind} not deterministic");
             let c = kind.generate(d, 4);
             assert_ne!(a.as_slice(), c.as_slice(), "{kind} ignores the seed");
+        }
+    }
+
+    /// FNV-1a-64 over the little-endian bytes of each value's bit pattern.
+    fn fnv1a64(values: &[f32]) -> u64 {
+        values
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn generated_fields_are_pinned_at_every_thread_count() {
+        struct ResetThreads;
+        impl Drop for ResetThreads {
+            fn drop(&mut self) {
+                rayon::set_num_threads(0);
+            }
+        }
+        let _reset = ResetThreads;
+        let pinned = [
+            (DatasetKind::CesmAtm, 0xf7b0_e99d_e553_22c0u64),
+            (DatasetKind::Jhtdb, 0x2ac0_fd35_9506_b3e8),
+            (DatasetKind::Miranda, 0x221d_f016_7275_7fe6),
+            (DatasetKind::Nyx, 0x6a84_0300_1183_177a),
+            (DatasetKind::Qmcpack, 0x3a5a_afe6_85de_6c53),
+            (DatasetKind::Rtm, 0xb62b_0a30_399d_75f5),
+        ];
+        for threads in [1, 4] {
+            rayon::set_num_threads(threads);
+            for (kind, want) in pinned {
+                let dims = if kind == DatasetKind::CesmAtm {
+                    Dims::d2(100, 130)
+                } else {
+                    Dims::d3(33, 20, 47)
+                };
+                let got = fnv1a64(kind.generate(dims, 42).as_slice());
+                assert_eq!(got, want, "{kind} at {threads} threads: {got:016x}");
+            }
         }
     }
 

@@ -39,20 +39,26 @@ impl QualityReport {
     pub fn compare_slices(original: &[f32], restored: &[f32], value_range: f64) -> Self {
         assert_eq!(original.len(), restored.len(), "buffer lengths differ");
         assert!(!original.is_empty(), "cannot compare empty buffers");
-        let (sum_sq, max_err) = original
-            .par_chunks(1 << 16)
-            .zip(restored.par_chunks(1 << 16))
-            .map(|(a, b)| {
+        const BLOCK: usize = 1 << 16;
+        let partials: Vec<(f64, f64)> = (0..original.len().div_ceil(BLOCK))
+            .into_par_iter()
+            .map(|b| {
+                let span = b * BLOCK..original.len().min((b + 1) * BLOCK);
                 let mut sq = 0.0f64;
                 let mut mx = 0.0f64;
-                for (x, y) in a.iter().zip(b.iter()) {
+                for (x, y) in original[span.clone()].iter().zip(&restored[span]) {
                     let d = (*x as f64) - (*y as f64);
                     sq += d * d;
                     mx = mx.max(d.abs());
                 }
                 (sq, mx)
             })
-            .reduce(|| (0.0, 0.0), |l, r| (l.0 + r.0, l.1.max(r.1)));
+            .collect();
+        // Folded in block order, so the sums do not depend on how the
+        // blocks were spread over threads.
+        let (sum_sq, max_err) = partials
+            .iter()
+            .fold((0.0f64, 0.0f64), |l, r| (l.0 + r.0, l.1.max(r.1)));
         let n = original.len() as f64;
         let mse = sum_sq / n;
         let rmse = mse.sqrt();
@@ -140,6 +146,34 @@ mod tests {
         let q_small = QualityReport::compare(&a, &small);
         let q_large = QualityReport::compare(&a, &large);
         assert!(q_small.psnr > q_large.psnr + 30.0);
+    }
+
+    #[test]
+    fn metrics_are_bit_identical_across_thread_counts() {
+        struct ResetThreads;
+        impl Drop for ResetThreads {
+            fn drop(&mut self) {
+                rayon::set_num_threads(0);
+            }
+        }
+        let _reset = ResetThreads;
+        // Five full 64 Ki blocks and a ragged tail.
+        let n = 5 * (1 << 16) + 1234;
+        let a: Vec<f32> = (0..n).map(|i| (i as f32 * 1e-3).sin() * 100.0).collect();
+        let b: Vec<f32> = a
+            .iter()
+            .enumerate()
+            .map(|(i, v)| v + ((i * 7919 % 1013) as f32 - 506.0) * 1e-4)
+            .collect();
+        let bits = |threads: usize| {
+            rayon::set_num_threads(threads);
+            let q = QualityReport::compare_slices(&a, &b, 200.0);
+            [q.mse, q.psnr, q.max_abs_error].map(f64::to_bits)
+        };
+        let one = bits(1);
+        for threads in [2, 4] {
+            assert_eq!(bits(threads), one, "metrics moved at {threads} threads");
+        }
     }
 
     #[test]

@@ -75,14 +75,14 @@ fn spans_record_across_pool_worker_threads() {
     {
         let _outer = NEST_OUTER.enter();
         use rayon::prelude::*;
-        let parts: Vec<u64> = (0..64u64)
+        let parts: Vec<usize> = (0..64usize)
             .into_par_iter()
             .map(|i| {
                 let _inner = NEST_INNER.enter();
                 i
             })
             .collect();
-        assert_eq!(parts.iter().sum::<u64>(), 63 * 64 / 2);
+        assert_eq!(parts.iter().sum::<usize>(), 63 * 64 / 2);
     }
     let delta = Snapshot::capture().delta(&before);
     let inner = delta
