@@ -1,6 +1,7 @@
-//! The conservative call graph over the function table, and the three
-//! transitive lints that walk it (L6 panic-reachability, L7 steady-state
-//! allocation-freedom, L8 pool lock-ordering).
+//! The conservative call graph over the function table, and the
+//! transitive lints that walk it: the decode walk (L6 panic-reachability
+//! with L3 capped-alloc), L7 steady-state allocation-freedom and L8 pool
+//! lock-ordering.
 //!
 //! Resolution is name-based with owner disambiguation, never type-based:
 //! a method call through an unknown receiver links to *every* non-test
@@ -10,7 +11,9 @@
 //! dropped. See `docs/ANALYSIS.md` for the exact rules and what they do
 //! and do not guarantee.
 
-use crate::lexer::{ident_before, is_ident_byte, next_nonspace, prev_nonspace, skip_angles};
+use crate::lexer::{
+    count_list_items, ident_before, is_ident_byte, next_nonspace, prev_nonspace, skip_angles,
+};
 use crate::table::{is_keyword, FnItem, Workspace};
 use crate::{is_suppressed, Lint, Violation};
 use std::collections::HashMap;
@@ -47,7 +50,7 @@ pub struct CallSite {
     pub pos: usize,
     /// 1-based line.
     pub line: usize,
-    /// Top-level comma count + 1 in the argument list (0 when empty).
+    /// Number of non-empty top-level arguments (a trailing comma adds none).
     pub args: usize,
     /// Whether the argument list contains a `|` (a probable closure, which
     /// makes the comma count unreliable — arity filtering is skipped).
@@ -214,7 +217,7 @@ fn extract_calls(ws: &Workspace, fi: usize) -> Vec<CallSite> {
             }
         }
         let qualifier = qualifier.unwrap_or_else(|| classify_qualifier(code, s));
-        let (args, has_closure) = count_args(code, k);
+        let (args, has_closure, _) = count_list_items(code, k, false);
         let Some(caller) = ws.enclosing_fn(fi, s) else {
             continue;
         };
@@ -292,42 +295,6 @@ fn classify_qualifier(code: &[u8], s: usize) -> Qualifier {
     Qualifier::Bare
 }
 
-/// Counts top-level commas of an argument list opening at `open` and
-/// reports whether a `|` (probable closure) appears at the top level.
-fn count_args(code: &[u8], open: usize) -> (usize, bool) {
-    let mut depth = 0i32;
-    let mut commas = 0usize;
-    let mut any = false;
-    let mut closure = false;
-    let mut k = open;
-    while k < code.len() {
-        let b = code[k];
-        match b {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            b':' if code.get(k + 1) == Some(&b':') && code.get(k + 2) == Some(&b'<') => {
-                // Nested turbofish: its commas are generic args, not ours.
-                k = skip_angles(code, k + 2);
-                continue;
-            }
-            b',' if depth == 1 => commas += 1,
-            b'|' if depth == 1 => closure = true,
-            _ => {
-                if depth == 1 && b != b' ' && b != b'\n' && b != b'\t' {
-                    any = true;
-                }
-            }
-        }
-        k += 1;
-    }
-    (if any { commas + 1 } else { 0 }, closure)
-}
-
 /// Resolves one call site to its candidate callees, or `None` when the
 /// site cannot be linked to any non-test fn (recorded as unresolved).
 fn resolve(
@@ -366,24 +333,20 @@ fn resolve(
             }
         }
         Qualifier::Bare => {
-            // A local `fn` defined inside the caller's own body shadows
-            // file- and workspace-level free fns.
-            let local: Vec<usize> = base
-                .iter()
-                .copied()
-                .filter(|&c| {
-                    let f = &ws.fns[c];
-                    c != site.caller
-                        && f.file == caller.file
-                        && f.body.0 > caller.body.0
-                        && f.body.1 < caller.body.1
-                })
-                .collect();
-            if local.is_empty() {
-                pick(&|f| f.owner.is_none() && !f.has_self)
-            } else {
-                local
-            }
+            // Rust looks a bare name up innermost first: a `fn` nested in
+            // the caller's own body, then a free fn of the caller's file
+            // (its module), and only then one brought in from elsewhere.
+            let inside = |f: &FnItem, outer: &FnItem| {
+                f.file == outer.file && f.body.0 > outer.body.0 && f.body.1 < outer.body.1
+            };
+            let local = pick(&|f| inside(f, caller));
+            let free = |f: &FnItem| f.owner.is_none() && !f.has_self;
+            let same_file =
+                pick(&|f| free(f) && f.file == caller.file && !ws.fns.iter().any(|g| inside(f, g)));
+            [local, same_file]
+                .into_iter()
+                .find(|c| !c.is_empty())
+                .unwrap_or_else(|| pick(&free))
         }
     };
     if candidates.is_empty() {
@@ -560,6 +523,32 @@ fn scan_sites(
     out
 }
 
+/// Keywords that can directly precede a `[` without it being an index
+/// expression (array/slice literals and patterns).
+const PRE_BRACKET_KEYWORDS: &[&str] = &[
+    "return", "break", "in", "else", "match", "if", "while", "let", "mut", "ref", "move", "for",
+    "loop", "as", "dyn", "where", "impl", "const", "static",
+];
+
+/// Heuristic: `[` is an index expression if it directly follows an
+/// identifier, `)`, `]` or `?` (rustfmt leaves no space there), and the
+/// preceding identifier is not a keyword.
+fn is_index_expr(code: &[u8], pos: usize) -> bool {
+    match pos.checked_sub(1).map(|p| code[p]) {
+        Some(b')' | b']' | b'?') => true,
+        Some(b) if is_ident_byte(b) => ident_before(code, pos)
+            .is_some_and(|(_, ident)| !PRE_BRACKET_KEYWORDS.iter().any(|k| k.as_bytes() == ident)),
+        _ => false,
+    }
+}
+
+/// Whether the parenthesised argument list opening at `open` contains
+/// `needle` (used to accept `with_capacity(decode_capacity(...))`).
+fn paren_contains(code: &[u8], open: usize, needle: &[u8]) -> bool {
+    let (_, _, close) = count_list_items(code, open, false);
+    crate::lexer::find(&code[..close], needle, open).is_some()
+}
+
 fn panic_matcher(code: &[u8], i: usize) -> Option<&'static str> {
     let at_ident = i == 0 || !is_ident_byte(code[i - 1]);
     if code[i..].starts_with(b".unwrap()") {
@@ -570,28 +559,60 @@ fn panic_matcher(code: &[u8], i: usize) -> Option<&'static str> {
         Some("`panic!` invocation")
     } else if at_ident && code[i..].starts_with(b"unreachable!") {
         Some("`unreachable!` invocation")
-    } else if code[i] == b'[' && crate::is_index_expr(code, i) {
+    } else if code[i] == b'[' && is_index_expr(code, i) {
         Some("slice/array indexing")
     } else {
         None
     }
 }
 
-fn alloc_matcher(code: &[u8], i: usize) -> Option<&'static str> {
+/// A `with_capacity`/`reserve` whose size is not routed through
+/// `decode_capacity`, the cap on what a corrupt length claim can allocate.
+fn uncapped_alloc_matcher(code: &[u8], i: usize) -> Option<&'static str> {
     let at_ident = i == 0 || !is_ident_byte(code[i - 1]);
-    if at_ident && code[i..].starts_with(b"Vec::new()") {
-        Some("`Vec::new()` allocation")
-    } else if at_ident && code[i..].starts_with(b"with_capacity(") {
-        Some("`with_capacity` allocation")
-    } else if code[i..].starts_with(b".reserve(") {
-        Some("`reserve` call")
-    } else if code[i..].starts_with(b".to_vec()") {
-        Some("`to_vec` allocation")
-    } else if code[i..].starts_with(b".collect()") || code[i..].starts_with(b".collect::<") {
-        Some("`collect` allocation")
+    if at_ident
+        && code[i..].starts_with(b"with_capacity(")
+        && !paren_contains(code, i + 13, b"decode_capacity")
+    {
+        Some("`with_capacity` not routed through `decode_capacity`")
+    } else if code[i..].starts_with(b".reserve(")
+        && !paren_contains(code, i + 8, b"decode_capacity")
+    {
+        Some("`reserve` not routed through `decode_capacity`")
     } else {
         None
     }
+}
+
+/// An allocation whose line does not name a scratch buffer (a line that
+/// does is scratch-routed and steady-state clean by construction).
+fn unrouted_alloc_matcher(code: &[u8], i: usize) -> Option<&'static str> {
+    let at_ident = i == 0 || !is_ident_byte(code[i - 1]);
+    let what = if at_ident && code[i..].starts_with(b"Vec::new()") {
+        "`Vec::new()` allocation"
+    } else if at_ident && code[i..].starts_with(b"with_capacity(") {
+        "`with_capacity` allocation"
+    } else if code[i..].starts_with(b".reserve(") {
+        "`reserve` call"
+    } else if code[i..].starts_with(b".to_vec()") {
+        "`to_vec` allocation"
+    } else if code[i..].starts_with(b".collect()") || code[i..].starts_with(b".collect::<") {
+        "`collect` allocation"
+    } else {
+        return None;
+    };
+    let start = code[..i]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |p| p + 1);
+    let end = code[i..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(code.len(), |p| i + p);
+    let line = code[start..end].to_ascii_lowercase();
+    crate::lexer::find(&line, b"scratch", 0)
+        .is_none()
+        .then_some(what)
 }
 
 fn lock_matcher(code: &[u8], i: usize) -> Option<&'static str> {
@@ -604,23 +625,14 @@ fn lock_matcher(code: &[u8], i: usize) -> Option<&'static str> {
     }
 }
 
-/// Whether the site's own line names a scratch buffer — the allocation is
-/// scratch-routed and steady-state clean by construction.
-fn line_mentions_scratch(file: &crate::table::SourceFile, line: usize) -> bool {
-    let start = file.starts.get(line - 1).copied().unwrap_or(0);
-    let end = file.starts.get(line).copied().unwrap_or(file.code.len());
-    let text = &file.code[start..end];
-    crate::lexer::find(text, b"scratch", 0).is_some()
-        || crate::lexer::find(text, b"Scratch", 0).is_some()
-}
-
 // ---------------------------------------------------------------------------
-// L6: panic-reachability
+// Roots and walks: L6 with L3 (decode), L7 (warm encode)
 // ---------------------------------------------------------------------------
 
-/// Serving crates whose entry points are L6/L7 roots.
+/// Serving crates whose entry points are L6 roots.
 fn in_serving_scope(rel: &str) -> bool {
     rel.starts_with("crates/core/src/")
+        || rel.starts_with("crates/codec/src/")
         || rel.starts_with("crates/cli/src/")
         || rel.starts_with("src/")
 }
@@ -664,14 +676,19 @@ impl RootPattern {
     }
 }
 
-/// The decode/serve entry points (L6): the `decompress*` functions, the v1
-/// parser `read_stream`, the chunk-table front `read_chunk_table` and the
+/// The decode/serve entry points (L6, and L3 on the same walk): the
+/// `decompress*`, `decode*` and `unpack*` functions, the v1 parser
+/// `read_stream`, the chunk-table front `read_chunk_table` and the
 /// `locate_table*` path behind it, every method of the two stream readers
 /// and of the reader core they share (`StreamIndex`), the one checksum
 /// step (`ChunkEntry::verify`, and `ChunkTable::verified_chunk_slice` over
-/// it), `inspect::render`, and `JobHandle::join`.
+/// it), `inspect::render`, every method of the job service and its
+/// handles, and the CLI's `run`. Only functions of the serving crates
+/// (`szhi-core`, `szhi-codec`, `szhi-cli` and the umbrella crate) count.
 pub const L6_ROOTS: &[RootPattern] = &[
     root(None, "decompress*"),
+    root(None, "decode*"),
+    root(None, "unpack*"),
     root(None, "read_stream"),
     root(None, "read_chunk_table"),
     root(None, "locate_table*"),
@@ -685,7 +702,13 @@ pub const L6_ROOTS: &[RootPattern] = &[
         name: "render",
         file: "inspect.rs",
     },
-    root(Some("JobHandle"), "join"),
+    root(Some("JobService"), "*"),
+    root(Some("JobHandle"), "*"),
+    RootPattern {
+        owner: None,
+        name: "run",
+        file: "cli/src/lib.rs",
+    },
 ];
 
 /// The warm-path roots (L7): the per-chunk encode chain
@@ -715,41 +738,68 @@ pub fn l6_roots(ws: &Workspace) -> Vec<usize> {
     roots_of(ws, L6_ROOTS, true)
 }
 
-/// L6: no path from a decode/serve entry point may reach a panic site.
-pub fn lint_panic_reachability(ws: &Workspace, graph: &CallGraph) -> Vec<Violation> {
-    let roots = l6_roots(ws);
-    let reached = bfs(ws, graph, &roots, Lint::PanicReachability);
+/// One kind of site a walk looks for in every fn it reaches.
+struct Rule {
+    lint: Lint,
+    matcher: fn(&[u8], usize) -> Option<&'static str>,
+    /// The rest of the message after the site's description.
+    advice: &'static str,
+}
+
+/// Walks from `roots` (cut by `allow(<cut>)` on a call site) and reports
+/// every unsuppressed site of each rule in the reached non-test fns, with
+/// the chain that reaches it.
+fn walk(
+    ws: &Workspace,
+    graph: &CallGraph,
+    roots: &[usize],
+    cut: Lint,
+    rules: &[Rule],
+) -> Vec<Violation> {
+    let reached = bfs(ws, graph, roots, cut);
     let mut out = Vec::new();
-    for f in 0..ws.fns.len() {
-        if !reached.contains_key(&f) || ws.fns[f].is_test {
-            continue;
-        }
+    for f in (0..ws.fns.len()).filter(|f| reached.contains_key(f) && !ws.fns[*f].is_test) {
         let file = &ws.files[ws.fns[f].file];
-        for site in scan_sites(ws, f, panic_matcher) {
-            if is_suppressed(&file.comments, site.line, Lint::PanicReachability) {
-                continue;
+        for rule in rules {
+            for site in scan_sites(ws, f, rule.matcher) {
+                if is_suppressed(&file.comments, site.line, rule.lint) {
+                    continue;
+                }
+                let mut notes = chain_notes(ws, &reached, f);
+                notes.push(format!("-> {} at {}:{}", site.what, file.rel, site.line));
+                out.push(Violation {
+                    lint: rule.lint,
+                    file: file.rel.clone(),
+                    line: site.line,
+                    message: format!("{} {}", site.what, rule.advice),
+                    notes,
+                });
             }
-            let mut notes = chain_notes(ws, &reached, f);
-            notes.push(format!("-> {} at {}:{}", site.what, file.rel, site.line));
-            out.push(Violation {
-                lint: Lint::PanicReachability,
-                file: file.rel.clone(),
-                line: site.line,
-                message: format!(
-                    "{} reachable from decode/serve entry point (chain below); \
-                     return a typed error or suppress with a reason",
-                    site.what
-                ),
-                notes,
-            });
         }
     }
     out
 }
 
-// ---------------------------------------------------------------------------
-// L7: steady-state allocation freedom
-// ---------------------------------------------------------------------------
+/// The decode walk: no path from a decode/serve entry point may reach a
+/// panic site (L6) or an allocation sized without `decode_capacity` (L3).
+/// `allow(panic-reachability)` on a call site cuts the walk for both.
+pub fn lint_decode_paths(ws: &Workspace, graph: &CallGraph) -> Vec<Violation> {
+    let rules = [
+        Rule {
+            lint: Lint::PanicReachability,
+            matcher: panic_matcher,
+            advice: "reachable from decode/serve entry point (chain below); \
+                     return a typed error or suppress with a reason",
+        },
+        Rule {
+            lint: Lint::CappedAlloc,
+            matcher: uncapped_alloc_matcher,
+            advice: "reachable from decode/serve entry point (chain below); \
+                     cap the size with `decode_capacity` or suppress with a reason",
+        },
+    ];
+    walk(ws, graph, &l6_roots(ws), Lint::PanicReachability, &rules)
+}
 
 /// The functions of `ws` matching [`L7_ROOTS`].
 pub fn l7_roots(ws: &Workspace) -> Vec<usize> {
@@ -759,36 +809,13 @@ pub fn l7_roots(ws: &Workspace) -> Vec<usize> {
 /// L7: every allocation site reachable from a warm-path root must be
 /// scratch-routed (its line names a scratch buffer) or suppressed.
 pub fn lint_steady_alloc(ws: &Workspace, graph: &CallGraph) -> Vec<Violation> {
-    let roots = l7_roots(ws);
-    let reached = bfs(ws, graph, &roots, Lint::SteadyAlloc);
-    let mut out = Vec::new();
-    for f in 0..ws.fns.len() {
-        if !reached.contains_key(&f) || ws.fns[f].is_test {
-            continue;
-        }
-        let file = &ws.files[ws.fns[f].file];
-        for site in scan_sites(ws, f, alloc_matcher) {
-            if line_mentions_scratch(file, site.line)
-                || is_suppressed(&file.comments, site.line, Lint::SteadyAlloc)
-            {
-                continue;
-            }
-            let mut notes = chain_notes(ws, &reached, f);
-            notes.push(format!("-> {} at {}:{}", site.what, file.rel, site.line));
-            out.push(Violation {
-                lint: Lint::SteadyAlloc,
-                file: file.rel.clone(),
-                line: site.line,
-                message: format!(
-                    "{} on the warm encode path (chain below); \
-                     route it through a scratch buffer or suppress with a reason",
-                    site.what
-                ),
-                notes,
-            });
-        }
-    }
-    out
+    let rule = Rule {
+        lint: Lint::SteadyAlloc,
+        matcher: unrouted_alloc_matcher,
+        advice: "on the warm encode path (chain below); \
+                 route it through a scratch buffer or suppress with a reason",
+    };
+    walk(ws, graph, &l7_roots(ws), Lint::SteadyAlloc, &[rule])
 }
 
 // ---------------------------------------------------------------------------

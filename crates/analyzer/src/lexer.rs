@@ -1,20 +1,22 @@
 //! A small byte-preserving Rust lexer plus structural helpers.
 //!
-//! [`lex`] blanks comments and string/char literals to spaces while
-//! preserving newlines, so byte offsets and line numbers in the blanked
-//! stream line up with the original text and braces/tokens can be matched
-//! without tripping over literal contents. The structural helpers
-//! (line tables, brace matching, `#[cfg(test)]` regions) operate on that
-//! blanked stream.
+//! [`lex`] blanks comments and the contents of string/char literals to
+//! spaces while preserving newlines, so byte offsets and line numbers in
+//! the blanked stream line up with the original text and braces/tokens can
+//! be matched without tripping over literal contents. A literal's quotes
+//! stay, so `f("x")` still reads as a call with one argument. The
+//! structural helpers (line tables, brace matching, `#[cfg(test)]`
+//! regions, list counting) operate on that blanked stream.
 
 use std::collections::HashMap;
 
 /// A lexed source file.
 ///
-/// `code` is the original byte stream with comments and string/char literals
-/// blanked to spaces — newlines are preserved, so byte offsets and line
-/// numbers still line up with the original text and braces/tokens can be
-/// matched without tripping over literal contents. `comments` maps 1-based
+/// `code` is the original byte stream with comments and the contents of
+/// string/char literals blanked to spaces (the quotes stay) — newlines are
+/// preserved, so byte offsets and line numbers still line up with the
+/// original text and braces/tokens can be matched without tripping over
+/// literal contents. `comments` maps 1-based
 /// line numbers to the comment text appearing on that line (used for
 /// `// SAFETY:` checks, suppression comments and `// ORDER:` levels).
 pub struct Lexed {
@@ -62,7 +64,8 @@ fn raw_string_start(bytes: &[u8], i: usize) -> Option<(usize, usize)> {
     }
 }
 
-/// Lexes `source`: blanks comments and literals, collects per-line comments.
+/// Lexes `source`: blanks comments and literal contents, collects per-line
+/// comments.
 pub fn lex(source: &str) -> Lexed {
     let bytes = source.as_bytes();
     let n = bytes.len();
@@ -122,10 +125,12 @@ pub fn lex(source: &str) -> Lexed {
             append_comment(&mut comments, line, &source[seg..i]);
         } else if !prev_ident && (b == b'r' || b == b'b') && raw_string_start(bytes, i).is_some() {
             let (hashes, quote) = raw_string_start(bytes, i).unwrap_or((0, i)); // unreachable: checked just above
-            while i <= quote {
+            while i < quote {
                 code.push(b' ');
                 i += 1;
             }
+            code.push(b'"');
+            i += 1;
             while i < n {
                 if bytes[i] == b'"' {
                     let mut k = 0usize;
@@ -133,7 +138,8 @@ pub fn lex(source: &str) -> Lexed {
                         k += 1;
                     }
                     if k == hashes {
-                        code.extend(std::iter::repeat_n(b' ', hashes + 1));
+                        code.push(b'"');
+                        code.extend(std::iter::repeat_n(b' ', hashes));
                         i += 1 + hashes;
                         break;
                     }
@@ -147,7 +153,7 @@ pub fn lex(source: &str) -> Lexed {
         } else if b == b'"' {
             // Plain (or byte) string literal; the `b` prefix, if any, was
             // already copied through as a harmless stray identifier byte.
-            code.push(b' ');
+            code.push(b'"');
             i += 1;
             while i < n {
                 match bytes[i] {
@@ -160,7 +166,7 @@ pub fn lex(source: &str) -> Lexed {
                         }
                     }
                     b'"' => {
-                        code.push(b' ');
+                        code.push(b'"');
                         i += 1;
                         break;
                     }
@@ -186,7 +192,7 @@ pub fn lex(source: &str) -> Lexed {
                 code.push(b'\'');
                 i += 1;
             } else {
-                code.push(b' ');
+                code.push(b'\'');
                 i += 1;
                 while i < n && bytes[i] != b'\'' {
                     if bytes[i] == b'\\' {
@@ -204,7 +210,7 @@ pub fn lex(source: &str) -> Lexed {
                     }
                 }
                 if i < n && bytes[i] == b'\'' {
-                    code.push(b' ');
+                    code.push(b'\'');
                     i += 1;
                 }
             }
@@ -320,6 +326,54 @@ pub(crate) fn skip_angles(code: &[u8], pos: usize) -> usize {
         k += 1;
     }
     code.len()
+}
+
+/// Counts the top-level, comma-separated, non-empty items of the list
+/// opening at the `(` at `open`, so rustfmt's trailing comma adds no item.
+/// With `generics`, commas inside a top-level `<...>` do not separate
+/// (parameter types like `HashMap<K, V>`); otherwise only turbofish lists
+/// are skipped, because a bare `<` in an argument is a comparison. Returns
+/// the count, whether a top-level `|` (a probable closure) appeared, and
+/// the position of the closing `)` (`code.len()` when unclosed).
+pub(crate) fn count_list_items(code: &[u8], open: usize, generics: bool) -> (usize, bool, usize) {
+    let mut depth = 0i32;
+    let mut angle = 0i32;
+    let mut items = 0usize;
+    let mut in_item = false;
+    let mut closure = false;
+    let mut k = open;
+    while k < code.len() {
+        let b = code[k];
+        if depth == 1 && !matches!(b, b' ' | b'\n' | b'\t' | b'\r' | b',' | b')') {
+            in_item = true;
+        }
+        match b {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            b':' if !generics
+                && code.get(k + 1) == Some(&b':')
+                && code.get(k + 2) == Some(&b'<') =>
+            {
+                k = skip_angles(code, k + 2);
+                continue;
+            }
+            b'<' if generics && depth == 1 => angle += 1,
+            b'>' if generics && depth == 1 && code[k - 1] != b'-' => angle -= 1,
+            b',' if depth == 1 && angle == 0 => {
+                items += usize::from(in_item);
+                in_item = false;
+            }
+            b'|' if depth == 1 => closure = true,
+            _ => {}
+        }
+        k += 1;
+    }
+    (items + usize::from(in_item), closure, k)
 }
 
 /// The identifier ending at `end` (exclusive), if any.

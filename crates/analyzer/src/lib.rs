@@ -1,27 +1,27 @@
 //! In-tree static analysis enforcing the workspace's safety invariants.
 //!
-//! PRs 1–5 hardened the decoder by convention: every `Vec::with_capacity`
-//! fed by an untrusted length routes through `bitio::decode_capacity`,
-//! decode paths return typed errors instead of panicking, and all `unsafe`
-//! stays inside `vendor/`. This crate machine-checks those conventions so
-//! future work cannot silently regress them. It is dependency-free (the
-//! build environment is offline): a plain `std::fs` walk plus a small Rust
-//! lexer that blanks comments and string/char literals before matching, so
-//! a lint never fires on the contents of a string or a doc comment.
+//! The decoder is hardened by convention: every `Vec::with_capacity` fed
+//! by an untrusted length routes through `bitio::decode_capacity`, decode
+//! paths return typed errors instead of panicking, and all `unsafe` stays
+//! inside `vendor/`. This crate machine-checks those conventions so future
+//! work cannot silently regress them. It is dependency-free (the build
+//! environment is offline): a plain `std::fs` walk plus a small Rust lexer
+//! that blanks comments and literal contents before matching, so a lint
+//! never fires on the contents of a string or a doc comment.
 //!
-//! Since PR 9 the per-line lints sit on top of a workspace **call-graph
-//! engine** ([`table`], [`graph`]): every `fn` item is parsed into a
-//! function table and call sites are resolved into a conservative,
-//! name-based call graph (unresolved calls are recorded, never silently
-//! dropped), which powers three transitive lints with root-cause chains.
+//! The transitive lints run on a workspace **call-graph engine**
+//! ([`table`], [`graph`]): every `fn` item is parsed into a function table
+//! and call sites are resolved into a name-based call graph (unresolved
+//! calls are recorded, never silently dropped). Decode safety is one walk
+//! of that graph from the decode/serve entry points, checking two kinds of
+//! site in every fn it reaches; findings carry their root-cause chain.
 //!
 //! # Lints
 //!
 //! | id | rule |
 //! |----|------|
 //! | `no-unsafe` (L1) | `unsafe` is forbidden outside `vendor/`; every `unsafe` inside `vendor/` must carry a `// SAFETY:` comment |
-//! | `no-panic-decode` (L2) | no `unwrap`/`expect`/`panic!`/`unreachable!`/slice indexing in library (non-test) decode paths |
-//! | `capped-alloc` (L3) | `Vec::with_capacity`/`reserve` in decode paths must route through `decode_capacity` |
+//! | `capped-alloc` (L3) | no call chain from a decode/serve entry point reaches a `Vec::with_capacity`/`reserve` whose size is not routed through `decode_capacity` |
 //! | `spec-drift` (L4) | constants in `format.rs` must be stated in `docs/FORMAT.md`; subcommands/flags/exit codes in `args.rs` must be stated in `docs/CLI.md` |
 //! | `error-coverage` (L5) | every `SzhiError` variant constructed and asserted by name; every cli usage-error message pinned by a test |
 //! | `panic-reachability` (L6) | no call chain from a decode/serve entry point reaches a panic site (reported with the full chain) |
@@ -34,26 +34,13 @@
 //! directly above, naming the lint and giving a non-empty reason:
 //!
 //! ```text
-//! // szhi-analyzer: allow(no-panic-decode) -- ids are validated at parse time
+//! // szhi-analyzer: allow(panic-reachability) -- ids are validated at parse time
 //! ```
 //!
-//! For the transitive lints (L6/L7) the same comment on a *call site*
-//! cuts every chain through that edge — place it at the boundary where
-//! the invariant is argued (e.g. a fuzz-tested subsystem entry).
-//!
-//! # Scoping
-//!
-//! L2/L3 scope is driven by file-level directives instead of a hard-coded
-//! path list (the legacy decode modules stay in scope unconditionally):
-//!
-//! ```text
-//! // szhi-analyzer: scope(<lint-id>)        — decode-named fns of this file
-//! // szhi-analyzer: scope(<lint-id>: all)   — every non-test fn of this file
-//! ```
-//!
-//! (The placeholder `<lint-id>` stands for a lint id such as
-//! `no-panic-decode`; a directive naming no real lint is inert, which is
-//! also why this very doc comment does not put the analyzer in scope.)
+//! For the transitive lints the same comment on a *call site* cuts every
+//! chain through that edge (for the decode walk, `panic-reachability` is
+//! the id that cuts) — place it at the boundary where the invariant is
+//! argued (e.g. a fuzz-tested subsystem entry).
 //!
 //! See `docs/ANALYSIS.md` for the full catalogue and the rationale per lint.
 #![forbid(unsafe_code)]
@@ -74,14 +61,13 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The project lints, in catalogue order (L1–L8).
+/// The project lints, in catalogue order (L1, L3–L8; L2 was folded into L6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Lint {
     /// L1: `unsafe` forbidden outside `vendor/`; `// SAFETY:` required inside.
     NoUnsafe,
-    /// L2: panic-free decode paths (no `unwrap`/`expect`/`panic!`/indexing).
-    NoPanicDecode,
-    /// L3: decoder allocations route through `decode_capacity`.
+    /// L3: decoder allocations route through `decode_capacity` (checked on
+    /// L6's walk).
     CappedAlloc,
     /// L4: `format.rs`/`args.rs` constants cross-checked against the docs.
     SpecDrift,
@@ -97,9 +83,8 @@ pub enum Lint {
 
 impl Lint {
     /// Every lint, in catalogue order.
-    pub const ALL: [Lint; 8] = [
+    pub const ALL: [Lint; 7] = [
         Lint::NoUnsafe,
-        Lint::NoPanicDecode,
         Lint::CappedAlloc,
         Lint::SpecDrift,
         Lint::ErrorCoverage,
@@ -112,7 +97,6 @@ impl Lint {
     pub fn id(self) -> &'static str {
         match self {
             Lint::NoUnsafe => "no-unsafe",
-            Lint::NoPanicDecode => "no-panic-decode",
             Lint::CappedAlloc => "capped-alloc",
             Lint::SpecDrift => "spec-drift",
             Lint::ErrorCoverage => "error-coverage",
@@ -162,11 +146,10 @@ impl fmt::Display for Violation {
 }
 
 // ---------------------------------------------------------------------------
-// Suppression and scope comments
+// Suppression comments
 // ---------------------------------------------------------------------------
 
 const ALLOW_MARKER: &str = "szhi-analyzer: allow(";
-const SCOPE_MARKER: &str = "szhi-analyzer: scope(";
 
 /// Whether `text` carries a well-formed suppression for `id`:
 /// `szhi-analyzer: allow(<ids>) -- <non-empty reason>`.
@@ -201,55 +184,6 @@ pub(crate) fn is_suppressed(comments: &HashMap<usize, String>, line: usize, lint
         })
 }
 
-/// File-level scope directives for the per-line lints.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct Scope {
-    /// Lints applying to decode-named fns of the file.
-    pub decode_named: Vec<Lint>,
-    /// Lints applying to every non-test fn of the file.
-    pub all_fns: Vec<Lint>,
-}
-
-impl Scope {
-    fn is_empty(&self) -> bool {
-        self.decode_named.is_empty() && self.all_fns.is_empty()
-    }
-}
-
-/// Parses every `szhi-analyzer: scope(<lint>[: all][, ...])` directive in
-/// a file's comments.
-pub fn parse_scope(comments: &HashMap<usize, String>) -> Scope {
-    let mut scope = Scope::default();
-    for text in comments.values() {
-        let mut rest = text.as_str();
-        while let Some(p) = rest.find(SCOPE_MARKER) {
-            rest = &rest[p + SCOPE_MARKER.len()..];
-            let Some(close) = rest.find(')') else {
-                break;
-            };
-            for part in rest[..close].split(',') {
-                let part = part.trim();
-                let (id, all) = match part.split_once(':') {
-                    Some((id, modifier)) => (id.trim(), modifier.trim() == "all"),
-                    None => (part, false),
-                };
-                if let Some(lint) = Lint::from_id(id) {
-                    let bucket = if all {
-                        &mut scope.all_fns
-                    } else {
-                        &mut scope.decode_named
-                    };
-                    if !bucket.contains(&lint) {
-                        bucket.push(lint);
-                    }
-                }
-            }
-            rest = &rest[close..];
-        }
-    }
-    scope
-}
-
 // ---------------------------------------------------------------------------
 // Path classification
 // ---------------------------------------------------------------------------
@@ -276,201 +210,19 @@ fn is_first_party_lib(rel: &str) -> bool {
         && (rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/")))
 }
 
-/// The always-on decode-path scope of L2/L3: `szhi-codec` and the
-/// container modules of `szhi-core`. Other files opt in via a
-/// `szhi-analyzer: scope(...)` directive.
-fn in_decode_scope(rel: &str) -> bool {
-    rel.starts_with("crates/codec/src/")
-        || rel == "crates/core/src/format.rs"
-        || rel == "crates/core/src/stream.rs"
-}
-
-/// Function-name keywords that mark a function as a decode path. Matched as
-/// substrings of the function name; encode-side names (`encode`, `compress`,
-/// `pack`, `finish`, …) deliberately match none of them.
-const DECODE_FN_KEYWORDS: &[&str] = &[
-    "decode",
-    "decompress",
-    "unpack",
-    "unpass",
-    "read",
-    "parse",
-    "validate",
-    "verif",
-    "restore",
-    "take",
-    "peek",
-    "refill",
-    "consume",
-    "fetch",
-    "resolve",
-    "get_",
-    "from_bytes",
-    "stream_version",
-    "locate",
-    "layout_of",
-    "checked_count",
-];
-
-fn is_decode_fn(name: &str) -> bool {
-    DECODE_FN_KEYWORDS.iter().any(|k| name.contains(k))
-}
-
-/// Keywords that can directly precede a `[` without it being an index
-/// expression (array/slice literals and patterns).
-const PRE_BRACKET_KEYWORDS: &[&str] = &[
-    "return", "break", "in", "else", "match", "if", "while", "let", "mut", "ref", "move", "for",
-    "loop", "as", "dyn", "where", "impl", "const", "static",
-];
-
-/// Heuristic: `[` is an index expression if it directly follows an
-/// identifier, `)`, `]` or `?` (rustfmt leaves no space there), and the
-/// preceding identifier is not a keyword.
-pub(crate) fn is_index_expr(code: &[u8], pos: usize) -> bool {
-    if pos == 0 {
-        return false;
-    }
-    let prev = code[pos - 1];
-    if prev == b')' || prev == b']' || prev == b'?' {
-        return true;
-    }
-    if !is_ident_byte(prev) {
-        return false;
-    }
-    let mut s = pos - 1;
-    while s > 0 && is_ident_byte(code[s - 1]) {
-        s -= 1;
-    }
-    let ident = String::from_utf8_lossy(&code[s..pos]);
-    !PRE_BRACKET_KEYWORDS.contains(&ident.as_ref())
-}
-
-/// Whether the parenthesised argument list opening at `open` contains
-/// `needle` (used to accept `with_capacity(decode_capacity(...))`).
-fn paren_contains(code: &[u8], open: usize, needle: &[u8]) -> bool {
-    if code.get(open) != Some(&b'(') {
-        return false;
-    }
-    let mut depth = 0usize;
-    let mut end = open;
-    for (k, &b) in code.iter().enumerate().skip(open) {
-        match b {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = k;
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    find(&code[..end], needle, open).is_some()
-}
-
 // ---------------------------------------------------------------------------
-// Per-file lints: L1 no-unsafe, L2 no-panic-decode, L3 capped-alloc
+// Per-file lint: L1 no-unsafe
 // ---------------------------------------------------------------------------
 
-/// A named function and the byte range of its body (braces inclusive).
-struct FnRegion {
-    name: String,
-    start: usize,
-    end: usize,
-}
-
-fn fn_regions(code: &[u8]) -> Vec<FnRegion> {
-    let n = code.len();
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < n {
-        if !is_ident_byte(code[i]) {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < n && is_ident_byte(code[i]) {
-            i += 1;
-        }
-        if &code[start..i] != b"fn" {
-            continue;
-        }
-        let mut j = i;
-        while j < n && (code[j] == b' ' || code[j] == b'\n') {
-            j += 1;
-        }
-        let name_start = j;
-        while j < n && is_ident_byte(code[j]) {
-            j += 1;
-        }
-        if j == name_start {
-            continue; // `fn(...)` pointer type: no name, no body to track
-        }
-        let name = String::from_utf8_lossy(&code[name_start..j]).into_owned();
-        // Scan for the body `{`, skipping `;` inside `[u8; 4]`-style types.
-        let mut depth = 0i32;
-        let mut k = j;
-        while k < n {
-            match code[k] {
-                b'(' | b'[' => depth += 1,
-                b')' | b']' => depth -= 1,
-                b'{' if depth == 0 => {
-                    if let Some(close) = match_brace(code, k) {
-                        out.push(FnRegion {
-                            name,
-                            start: k,
-                            end: close,
-                        });
-                    }
-                    break;
-                }
-                b';' if depth == 0 => break, // trait method declaration
-                _ => {}
-            }
-            k += 1;
-        }
-        i = j;
-    }
-    out
-}
-
-/// The innermost function body containing `pos`.
-fn enclosing_fn(fns: &[FnRegion], pos: usize) -> Option<&FnRegion> {
-    fns.iter()
-        .filter(|f| pos >= f.start && pos <= f.end)
-        .min_by_key(|f| f.end - f.start)
-}
-
-/// Runs the per-file lints (L1, L2, L3) over one source file. `rel` is the
-/// workspace-relative `/`-separated path, which selects the applicable
-/// scopes (vendor for L1, decode modules plus `scope(...)` directives for
-/// L2/L3).
+/// Runs the per-file lint (L1) over one source file. `rel` is the
+/// workspace-relative `/`-separated path, which tells `vendor/` (where a
+/// documented `unsafe` is allowed) from first-party code.
 pub fn lint_file(rel: &str, source: &str) -> Vec<Violation> {
     let lexed = lex(source);
     let code = &lexed.code;
     let starts = line_starts(code);
-    let tests = test_regions(code);
-    let fns = fn_regions(code);
     let vendor = is_vendor_path(rel);
-    let scope = parse_scope(&lexed.comments);
-    let legacy_decode = in_decode_scope(rel) && !is_test_path(rel);
-    let scan_decode = (legacy_decode || !scope.is_empty()) && !is_test_path(rel);
     let mut out = Vec::new();
-    let push = |out: &mut Vec<Violation>, lint: Lint, pos: usize, message: String| {
-        let line = line_of(&starts, pos);
-        if !is_suppressed(&lexed.comments, line, lint) {
-            out.push(Violation {
-                lint,
-                file: rel.to_string(),
-                line,
-                message,
-                notes: Vec::new(),
-            });
-        }
-    };
-
-    // L1: `unsafe` tokens.
     let mut i = 0usize;
     while i < code.len() {
         if !is_ident_byte(code[i]) {
@@ -484,87 +236,29 @@ pub fn lint_file(rel: &str, source: &str) -> Vec<Violation> {
         if &code[s..i] != b"unsafe" {
             continue;
         }
-        if !vendor {
-            push(
-                &mut out,
-                Lint::NoUnsafe,
-                s,
-                "`unsafe` is forbidden outside vendor/".to_string(),
-            );
+        let line = line_of(&starts, s);
+        let documented = (line.saturating_sub(3)..=line).any(|l| {
+            lexed
+                .comments
+                .get(&l)
+                .is_some_and(|t| t.contains("SAFETY:"))
+        });
+        if (vendor && documented) || is_suppressed(&lexed.comments, line, Lint::NoUnsafe) {
+            continue;
+        }
+        let message = if vendor {
+            "`unsafe` in vendor/ without a `// SAFETY:` comment"
         } else {
-            let line = line_of(&starts, s);
-            let documented = (line.saturating_sub(3)..=line).any(|l| {
-                lexed
-                    .comments
-                    .get(&l)
-                    .is_some_and(|t| t.contains("SAFETY:"))
-            });
-            if !documented {
-                push(
-                    &mut out,
-                    Lint::NoUnsafe,
-                    s,
-                    "`unsafe` in vendor/ without a `// SAFETY:` comment".to_string(),
-                );
-            }
-        }
+            "`unsafe` is forbidden outside vendor/"
+        };
+        out.push(Violation {
+            lint: Lint::NoUnsafe,
+            file: rel.to_string(),
+            line,
+            message: message.to_string(),
+            notes: Vec::new(),
+        });
     }
-
-    // L2 + L3: decode-path scans (legacy path list plus scope directives).
-    if scan_decode {
-        let mut i = 0usize;
-        while i < code.len() {
-            let at_ident = i == 0 || !is_ident_byte(code[i - 1]);
-            let hit: Option<(Lint, String)> = if code[i..].starts_with(b".unwrap()") {
-                Some((Lint::NoPanicDecode, "call to `.unwrap()`".to_string()))
-            } else if code[i..].starts_with(b".expect(") {
-                Some((Lint::NoPanicDecode, "call to `.expect(...)`".to_string()))
-            } else if at_ident && code[i..].starts_with(b"panic!") {
-                Some((Lint::NoPanicDecode, "`panic!` invocation".to_string()))
-            } else if at_ident && code[i..].starts_with(b"unreachable!") {
-                Some((Lint::NoPanicDecode, "`unreachable!` invocation".to_string()))
-            } else if code[i] == b'[' && is_index_expr(code, i) {
-                Some((
-                    Lint::NoPanicDecode,
-                    "slice/array indexing (use `.get()` and return a typed error)".to_string(),
-                ))
-            } else if at_ident
-                && code[i..].starts_with(b"with_capacity(")
-                && !paren_contains(code, i + 13, b"decode_capacity")
-            {
-                Some((
-                    Lint::CappedAlloc,
-                    "`with_capacity` not routed through `decode_capacity`".to_string(),
-                ))
-            } else if code[i..].starts_with(b".reserve(")
-                && !paren_contains(code, i + 8, b"decode_capacity")
-            {
-                Some((
-                    Lint::CappedAlloc,
-                    "`reserve` not routed through `decode_capacity`".to_string(),
-                ))
-            } else {
-                None
-            };
-            if let Some((lint, message)) = hit {
-                if !in_regions(&tests, i) {
-                    if let Some(f) = enclosing_fn(&fns, i) {
-                        let decode_scoped = (legacy_decode || scope.decode_named.contains(&lint))
-                            && is_decode_fn(&f.name);
-                        if decode_scoped {
-                            let message = format!("{message} in decode path `{}`", f.name);
-                            push(&mut out, lint, i, message);
-                        } else if scope.all_fns.contains(&lint) {
-                            let message = format!("{message} in `{}`", f.name);
-                            push(&mut out, lint, i, message);
-                        }
-                    }
-                }
-            }
-            i += 1;
-        }
-    }
-
     out
 }
 
@@ -1242,53 +936,46 @@ impl Analyzer {
         let mut files: Vec<(String, String)> = Vec::new();
         collect_rs(&self.root, &self.root, &mut files)?;
         files.sort();
+        // Every lint runs; the selection only filters what is reported.
         let mut out = Vec::new();
         for (rel, src) in &files {
-            out.extend(
-                lint_file(rel, src)
-                    .into_iter()
-                    .filter(|v| self.lints.contains(&v.lint)),
-            );
+            out.extend(lint_file(rel, src));
         }
-        if self.lints.contains(&Lint::SpecDrift) {
-            let format_rs = files
-                .iter()
-                .find(|(rel, _)| rel == "crates/core/src/format.rs");
-            let format_md = fs::read_to_string(self.root.join("docs/FORMAT.md"));
-            match (format_rs, format_md) {
-                (Some((_, src)), Ok(md)) => out.extend(lint_spec_drift(src, &md)),
-                _ => out.push(Violation {
-                    lint: Lint::SpecDrift,
-                    file: "docs/FORMAT.md".to_string(),
-                    line: 1,
-                    message: "format.rs or docs/FORMAT.md not found; cannot cross-check the spec"
-                        .to_string(),
-                    notes: Vec::new(),
-                }),
-            }
-            let args_rs = files
-                .iter()
-                .find(|(rel, _)| rel == "crates/cli/src/args.rs");
-            let cli_md = fs::read_to_string(self.root.join("docs/CLI.md"));
-            match (args_rs, cli_md) {
-                (Some((_, src)), Ok(md)) => out.extend(lint_cli_drift(src, &md)),
-                _ => out.push(Violation {
-                    lint: Lint::SpecDrift,
-                    file: "docs/CLI.md".to_string(),
-                    line: 1,
-                    message: "args.rs or docs/CLI.md not found; cannot cross-check the CLI doc"
-                        .to_string(),
-                    notes: Vec::new(),
-                }),
-            }
+        let format_rs = files
+            .iter()
+            .find(|(rel, _)| rel == "crates/core/src/format.rs");
+        let format_md = fs::read_to_string(self.root.join("docs/FORMAT.md"));
+        match (format_rs, format_md) {
+            (Some((_, src)), Ok(md)) => out.extend(lint_spec_drift(src, &md)),
+            _ => out.push(Violation {
+                lint: Lint::SpecDrift,
+                file: "docs/FORMAT.md".to_string(),
+                line: 1,
+                message: "format.rs or docs/FORMAT.md not found; cannot cross-check the spec"
+                    .to_string(),
+                notes: Vec::new(),
+            }),
         }
-        if self.lints.contains(&Lint::ErrorCoverage) {
-            out.extend(lint_error_coverage(&files));
-            out.extend(lint_usage_pins(&files));
+        let args_rs = files
+            .iter()
+            .find(|(rel, _)| rel == "crates/cli/src/args.rs");
+        let cli_md = fs::read_to_string(self.root.join("docs/CLI.md"));
+        match (args_rs, cli_md) {
+            (Some((_, src)), Ok(md)) => out.extend(lint_cli_drift(src, &md)),
+            _ => out.push(Violation {
+                lint: Lint::SpecDrift,
+                file: "docs/CLI.md".to_string(),
+                line: 1,
+                message: "args.rs or docs/CLI.md not found; cannot cross-check the CLI doc"
+                    .to_string(),
+                notes: Vec::new(),
+            }),
         }
+        out.extend(lint_error_coverage(&files));
+        out.extend(lint_usage_pins(&files));
 
-        // The call-graph lints: L6/L7 over first-party code, L8 over the
-        // vendored pool.
+        // The call-graph lints: the decode walk (L6 with L3) and L7 over
+        // first-party code, L8 over the vendored pool.
         let first_party: Vec<(String, String)> = files
             .iter()
             .filter(|(rel, _)| !is_vendor_path(rel))
@@ -1312,16 +999,11 @@ impl Analyzer {
             panic_roots: graph::l6_roots(&ws).len(),
             alloc_roots: graph::l7_roots(&ws).len(),
         };
-        if self.lints.contains(&Lint::PanicReachability) {
-            out.extend(graph::lint_panic_reachability(&ws, &cg));
-        }
-        if self.lints.contains(&Lint::SteadyAlloc) {
-            out.extend(graph::lint_steady_alloc(&ws, &cg));
-        }
-        if self.lints.contains(&Lint::PoolInvariant) {
-            out.extend(graph::lint_pool_invariants(&vws, &vcg));
-        }
+        out.extend(graph::lint_decode_paths(&ws, &cg));
+        out.extend(graph::lint_steady_alloc(&ws, &cg));
+        out.extend(graph::lint_pool_invariants(&vws, &vcg));
 
+        out.retain(|v| self.lints.contains(&v.lint));
         out.sort_by(|a, b| (&a.file, a.line, a.lint.id()).cmp(&(&b.file, b.line, b.lint.id())));
         Ok(AnalysisReport {
             metrics,

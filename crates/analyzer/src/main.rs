@@ -8,10 +8,10 @@
 //! Without flags every lint runs in report-only mode (violations are printed
 //! but the exit code stays 0). `--deny-all` makes any violation fatal (exit
 //! code 1), which is how CI invokes it. `--format json` writes the full
-//! machine-readable report to stdout. `--baseline FILE` loads a previous
-//! JSON report and counts only findings *not* in it as failures — CI fails
-//! on new findings while known ones age out. Exit code 2 signals a usage
-//! or I/O error.
+//! machine-readable report to stdout (new findings still go to stderr).
+//! `--baseline FILE` loads a previous JSON report and counts only findings
+//! *not* in it as failures — CI fails on new findings while known ones age
+//! out. Exit code 2 signals a usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -29,8 +29,9 @@ const USAGE: &str = "usage: szhi-analyzer [--root PATH] [--deny-all] [--lint ID]
   --baseline FILE  previous JSON report; findings recorded there are known
                    and do not fail --deny-all, only new findings do
 
-lints: no-unsafe, no-panic-decode, capped-alloc, spec-drift, error-coverage,
-       panic-reachability, steady-alloc, pool-invariant
+lints: no-unsafe, capped-alloc, spec-drift, error-coverage, panic-reachability,
+       steady-alloc, pool-invariant (capped-alloc and panic-reachability are
+       the two site checks of one decode walk)
 exit codes: 0 clean (or report-only), 1 new violations under --deny-all, 2 error";
 
 fn usage_error(message: &str) -> ExitCode {
@@ -115,6 +116,11 @@ fn main() -> ExitCode {
         Some(keys) => report::split_by_baseline(analysis.violations, keys),
         None => (Vec::new(), analysis.violations),
     };
+    // New findings always go to stderr with their chains, so a failing
+    // `--format json` run still shows them in the log.
+    for v in &fresh {
+        eprintln!("{v}");
+    }
     if json {
         // The JSON report carries every finding (known ones included, so a
         // report can serve as next cycle's baseline); the baseline only
@@ -124,9 +130,6 @@ fn main() -> ExitCode {
         all.sort_by(|a, b| (&a.file, a.line, a.lint.id()).cmp(&(&b.file, b.line, b.lint.id())));
         print!("{}", report::to_json(&analysis.metrics, &all));
     } else {
-        for v in &fresh {
-            eprintln!("{v}");
-        }
         for v in &known {
             eprintln!("{v} (baseline)");
         }

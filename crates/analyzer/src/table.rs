@@ -4,8 +4,8 @@
 //! ([`crate::graph`]) is resolved over.
 
 use crate::lexer::{
-    is_ident_byte, lex, line_of, line_starts, match_brace, next_nonspace, prev_nonspace,
-    skip_angles, test_regions, Lexed,
+    count_list_items, is_ident_byte, lex, line_of, line_starts, match_brace, next_nonspace,
+    prev_nonspace, skip_angles, test_regions, Lexed,
 };
 use std::collections::HashMap;
 
@@ -334,35 +334,7 @@ fn has_test_attr(file: &SourceFile, line: usize) -> bool {
 /// `(param count excluding self, has_self, position after the `)`)`.
 fn parse_params(code: &[u8], open: usize) -> (usize, bool, usize) {
     let n = code.len();
-    let mut depth = 0i32;
-    let mut angle = 0i32;
-    let mut commas = 0usize;
-    let mut any_content = false;
-    let mut k = open;
-    let mut close = n;
-    while k < n {
-        let b = code[k];
-        match b {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => {
-                depth -= 1;
-                if depth == 0 && b == b')' {
-                    close = k;
-                    break;
-                }
-            }
-            b'<' if depth == 1 => angle += 1,
-            b'>' if depth == 1 && !(k > 0 && code[k - 1] == b'-') => angle -= 1,
-            b',' if depth == 1 && angle == 0 => commas += 1,
-            _ => {
-                if depth == 1 && b != b' ' && b != b'\n' && b != b'\t' {
-                    any_content = true;
-                }
-            }
-        }
-        k += 1;
-    }
-    let mut params = if any_content { commas + 1 } else { 0 };
+    let (mut params, _, close) = count_list_items(code, open, true);
     // `self`, `&self`, `&mut self`, `&'a self`, `mut self` as first token.
     let mut has_self = false;
     let mut p = open + 1;

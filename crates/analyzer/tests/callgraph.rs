@@ -1,10 +1,11 @@
 //! Fixture tests for the call-graph engine: name resolution, conservatism
-//! (unresolved calls are recorded, never dropped), cycle termination, and
-//! the transitive lints' chain reporting in both text and JSON.
+//! (unresolved calls are recorded, never dropped), cycle termination, the
+//! decode walk's site classes (L6 panics, L3 uncapped allocations), and the
+//! transitive lints' chain reporting in both text and JSON.
 
-use szhi_analyzer::graph::{CallGraph, Qualifier};
+use szhi_analyzer::graph::{lint_decode_paths, CallGraph, Qualifier};
 use szhi_analyzer::report;
-use szhi_analyzer::Workspace;
+use szhi_analyzer::{Lint, Violation, Workspace};
 
 fn ws_of(files: &[(&str, &str)]) -> Workspace {
     let sources: Vec<(String, String)> = files
@@ -12,6 +13,12 @@ fn ws_of(files: &[(&str, &str)]) -> Workspace {
         .map(|(rel, src)| (rel.to_string(), src.to_string()))
         .collect();
     Workspace::from_sources(&sources)
+}
+
+/// The decode walk's findings over one serving-crate file.
+fn decode_findings(src: &str) -> Vec<Violation> {
+    let ws = ws_of(&[("crates/core/src/fixture.rs", src)]);
+    lint_decode_paths(&ws, &CallGraph::build(&ws))
 }
 
 #[test]
@@ -174,7 +181,7 @@ fn b_step(n: usize) -> usize {
     let graph = CallGraph::build(&ws);
     // `decompress_cycle` is an L6 root; the a↔b cycle must not hang or
     // overflow the walk, and a panic-free cycle yields no findings.
-    let violations = szhi_analyzer::graph::lint_panic_reachability(&ws, &graph);
+    let violations = lint_decode_paths(&ws, &graph);
     assert!(violations.is_empty(), "{violations:?}");
 }
 
@@ -195,7 +202,7 @@ fn helper_leaf(stream: &[u8]) -> usize {
 "#,
     )]);
     let graph = CallGraph::build(&ws);
-    let violations = szhi_analyzer::graph::lint_panic_reachability(&ws, &graph);
+    let violations = lint_decode_paths(&ws, &graph);
     assert_eq!(violations.len(), 1, "{violations:?}");
     let v = &violations[0];
     assert_eq!(v.file, "crates/core/src/fixture.rs");
@@ -245,7 +252,7 @@ fn helper_mid(stream: &[u8]) -> usize {
 "#,
     )]);
     let graph = CallGraph::build(&ws);
-    let violations = szhi_analyzer::graph::lint_panic_reachability(&ws, &graph);
+    let violations = lint_decode_paths(&ws, &graph);
     assert!(violations.is_empty(), "{violations:?}");
 }
 
@@ -286,7 +293,7 @@ pub fn decompress_entry(stream: &[u8]) -> usize {
 "#,
     )]);
     let graph = CallGraph::build(&ws);
-    let violations = szhi_analyzer::graph::lint_panic_reachability(&ws, &graph);
+    let violations = lint_decode_paths(&ws, &graph);
     assert_eq!(violations.len(), 1);
 
     // A baseline generated from this very report marks the finding known.
@@ -301,4 +308,157 @@ pub fn decompress_entry(stream: &[u8]) -> usize {
     let (known, fresh) = report::split_by_baseline(violations, &empty);
     assert!(known.is_empty());
     assert_eq!(fresh.len(), 1, "a new finding must fail the gate");
+}
+
+#[test]
+fn a_trailing_comma_in_a_signature_adds_no_parameter() {
+    let ws = ws_of(&[(
+        "crates/x/src/lib.rs",
+        r#"
+fn callee(
+    first_argument_with_a_long_name: usize,
+    second_argument_with_a_long_name: usize,
+) -> usize {
+    first_argument_with_a_long_name + second_argument_with_a_long_name
+}
+fn caller() -> usize {
+    callee(1, 2)
+}
+"#,
+    )]);
+    let callee = ws.find_fn("callee", None).unwrap();
+    assert_eq!(ws.fns[callee].params, 2);
+    let caller = ws.find_fn("caller", None).unwrap();
+    assert_eq!(CallGraph::build(&ws).callees(caller), vec![callee]);
+}
+
+#[test]
+fn a_trailing_comma_in_a_call_adds_no_argument() {
+    let ws = ws_of(&[(
+        "crates/x/src/lib.rs",
+        r#"
+fn callee(a: usize, b: usize) -> usize {
+    a + b
+}
+fn caller() -> usize {
+    callee(
+        1,
+        2,
+    )
+}
+"#,
+    )]);
+    let callee = ws.find_fn("callee", None).unwrap();
+    let caller = ws.find_fn("caller", None).unwrap();
+    assert_eq!(CallGraph::build(&ws).callees(caller), vec![callee]);
+}
+
+#[test]
+fn a_string_literal_argument_counts_as_one() {
+    let ws = ws_of(&[(
+        "crates/x/src/lib.rs",
+        r#"
+fn named(name: &str) -> usize {
+    name.len()
+}
+fn caller() -> usize {
+    named("x")
+}
+"#,
+    )]);
+    let named = ws.find_fn("named", None).unwrap();
+    let caller = ws.find_fn("caller", None).unwrap();
+    assert_eq!(CallGraph::build(&ws).callees(caller), vec![named]);
+}
+
+#[test]
+fn a_bare_call_resolves_to_its_own_file_first() {
+    let ws = ws_of(&[
+        (
+            "crates/x/src/a.rs",
+            "pub fn encode(v: usize) -> usize {\n    v\n}\n\
+             pub fn dispatch(v: usize) -> usize {\n    encode(v)\n}\n",
+        ),
+        (
+            "crates/x/src/b.rs",
+            "pub fn encode(v: usize) -> usize {\n    v + 1\n}\n",
+        ),
+    ]);
+    let dispatch = ws.find_fn("dispatch", None).unwrap();
+    let own = ws
+        .fns
+        .iter()
+        .position(|f| f.name == "encode" && ws.files[f.file].rel.ends_with("a.rs"))
+        .unwrap();
+    assert_eq!(CallGraph::build(&ws).callees(dispatch), vec![own]);
+}
+
+#[test]
+fn decode_walk_flags_every_panic_site_class() {
+    for body in [
+        "v[0]",
+        "o.unwrap()",
+        "o.expect(\"present\")",
+        "panic!(\"boom\")",
+        "unreachable!()",
+    ] {
+        let v = decode_findings(&format!(
+            "pub fn decompress_entry(v: &[u8], o: Option<u8>) -> u8 {{\n    helper(v, o)\n}}\n\
+             fn helper(v: &[u8], o: Option<u8>) -> u8 {{\n    {body}\n}}\n"
+        ));
+        assert_eq!(v.len(), 1, "{body} must fire: {v:?}");
+        assert_eq!(v[0].lint, Lint::PanicReachability);
+        assert_eq!(v[0].line, 5);
+    }
+}
+
+#[test]
+fn decode_walk_skips_unreached_fns_tests_and_unwrap_or() {
+    let src = "pub fn decompress_entry(o: Option<u8>) -> u8 {\n    o.unwrap_or(0)\n}\n\
+               pub fn encode_field(v: &[u8]) -> u8 {\n    v[0]\n}\n\
+               #[cfg(test)]\nmod tests {\n    fn decompress_helper(v: &[u8]) -> u8 {\n        v[0]\n    }\n}\n";
+    let v = decode_findings(src);
+    assert!(v.is_empty(), "{v:?}");
+}
+
+#[test]
+fn decode_roots_come_only_from_the_serving_crates() {
+    let src = "pub fn decompress_field(v: &[u8]) -> u8 {\n    v[0]\n}\n";
+    assert_eq!(decode_findings(src).len(), 1);
+    let ws = ws_of(&[("crates/datagen/src/x.rs", src)]);
+    assert!(lint_decode_paths(&ws, &CallGraph::build(&ws)).is_empty());
+}
+
+#[test]
+fn decode_walk_site_suppression_silences_one_line() {
+    let v = decode_findings(
+        "pub fn decompress_field(v: &[u8]) -> u8 {\n    \
+         // szhi-analyzer: allow(panic-reachability) -- the caller checked the length\n    \
+         let a = v[0];\n    \
+         let b = v[1];\n    \
+         a + b\n}\n",
+    );
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert_eq!(v[0].line, 4);
+}
+
+#[test]
+fn decode_walk_requires_decode_capacity() {
+    let fixture = |body: &str| {
+        decode_findings(&format!(
+            "pub fn decompress_body(n: usize) -> Vec<u8> {{\n    body_of(n)\n}}\n\
+             fn body_of(n: usize) -> Vec<u8> {{\n    {body}\n}}\n"
+        ))
+    };
+    for bad in [
+        "Vec::with_capacity(n)",
+        "let mut v = Vec::new();\n    v.reserve(n);\n    v",
+    ] {
+        let v = fixture(bad);
+        assert_eq!(v.len(), 1, "{bad} must fire: {v:?}");
+        assert_eq!(v[0].lint, Lint::CappedAlloc);
+        assert!(v[0].notes[0].contains("entry `decompress_body`"), "{v:?}");
+    }
+    let good = fixture("Vec::with_capacity(decode_capacity(n))");
+    assert!(good.is_empty(), "{good:?}");
 }

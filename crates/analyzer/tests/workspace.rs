@@ -9,7 +9,9 @@
 
 use std::path::{Path, PathBuf};
 
-use szhi_analyzer::Analyzer;
+use szhi_analyzer::graph::CallGraph;
+use szhi_analyzer::table::Workspace;
+use szhi_analyzer::{Analyzer, Lint};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -66,26 +68,8 @@ fn transitive_lints_found_their_roots() {
 #[test]
 fn every_root_pattern_matches_a_function_of_the_workspace() {
     use szhi_analyzer::graph::{L6_ROOTS, L7_ROOTS};
-    use szhi_analyzer::table::Workspace;
 
-    let root = workspace_root();
-    let mut rs_files = Vec::new();
-    collect_rs(&root, &mut rs_files);
-    // First-party sources keyed by workspace-relative path, as the
-    // analyzer's own walk hands them to the call-graph lints.
-    let sources: Vec<(String, String)> = rs_files
-        .iter()
-        .filter_map(|path| {
-            let rel = path
-                .strip_prefix(&root)
-                .ok()?
-                .to_string_lossy()
-                .into_owned();
-            Some((rel, std::fs::read_to_string(path).ok()?))
-        })
-        .filter(|(rel, _)| !rel.starts_with("vendor/"))
-        .collect();
-    let ws = Workspace::from_sources(&sources);
+    let ws = first_party_workspace();
     let dangling: Vec<String> = L6_ROOTS
         .iter()
         .chain(L7_ROOTS)
@@ -99,10 +83,47 @@ fn every_root_pattern_matches_a_function_of_the_workspace() {
     );
 }
 
+/// Calls on the decode and warm encode walks that a miscounted arity used
+/// to drop from the graph (rustfmt's trailing commas, string-literal
+/// arguments). Without them L6 never checked the predictor's decode sweep
+/// or the table readers, and L7 never saw trial selection.
+#[test]
+fn the_walks_keep_the_edges_arity_once_dropped() {
+    let ws = first_party_workspace();
+    let graph = CallGraph::build(&ws);
+    let find = |name: &str, owner: Option<&str>| {
+        ws.find_fn(name, owner)
+            .unwrap_or_else(|| panic!("no fn `{name}` in the workspace"))
+    };
+    for (caller, callee) in [
+        (("locate_table", None), ("read_leading_table", None)),
+        (("locate_table", None), ("read_trailing_table", None)),
+        (
+            ("reconstruct", None),
+            ("decompress", Some("InterpPredictor")),
+        ),
+        (
+            ("encode_into", Some("ChunkEncoder")),
+            ("select_pipeline", None),
+        ),
+        (
+            ("tune_chunk_interp", None),
+            ("tune_chunk_interp_with_report", None),
+        ),
+    ] {
+        let (from, to) = (find(caller.0, caller.1), find(callee.0, callee.1));
+        assert!(
+            graph.callees(from).contains(&to),
+            "the call graph lost the edge {caller:?} -> {callee:?}"
+        );
+    }
+}
+
 /// Every `szhi-analyzer: allow(...)` comment in the tree must carry a
-/// ` -- <reason>` tail. The analyzer already treats a reasonless allow as
-/// inert (the finding still fires), but an inert allow left in the tree is
-/// a lie to the next reader — fail loudly instead.
+/// ` -- <reason>` tail and name only real lints. The analyzer already
+/// treats a reasonless allow as inert (the finding still fires), and an
+/// allow of an unknown or retired id suppresses nothing; either left in
+/// the tree is a lie to the next reader — fail loudly instead.
 #[test]
 fn every_suppression_carries_a_reason() {
     let root = workspace_root();
@@ -125,12 +146,13 @@ fn every_suppression_carries_a_reason() {
                 continue;
             }
             seen += 1;
-            let rest = &line[p..];
-            let reasoned = rest
-                .split_once(')')
-                .and_then(|(_, tail)| tail.split_once("--"))
+            let rest = &line[p + "szhi-analyzer: allow(".len()..];
+            let (ids, tail) = rest.split_once(')').unwrap_or((rest, ""));
+            let reasoned = tail
+                .split_once("--")
                 .is_some_and(|(_, reason)| !reason.trim().is_empty());
-            if !reasoned {
+            let known = ids.split(',').all(|id| Lint::from_id(id.trim()).is_some());
+            if !reasoned || !known {
                 bad.push(format!("{}:{}: {}", path.display(), idx + 1, line.trim()));
             }
         }
@@ -141,9 +163,30 @@ fn every_suppression_carries_a_reason() {
     );
     assert!(
         bad.is_empty(),
-        "suppression(s) without a ` -- <reason>` tail:\n{}",
+        "suppression(s) without a ` -- <reason>` tail or naming no lint:\n{}",
         bad.join("\n")
     );
+}
+
+/// The first-party sources keyed by workspace-relative path, parsed as the
+/// analyzer's own walk hands them to the call-graph lints.
+fn first_party_workspace() -> Workspace {
+    let root = workspace_root();
+    let mut rs_files = Vec::new();
+    collect_rs(&root, &mut rs_files);
+    let sources: Vec<(String, String)> = rs_files
+        .iter()
+        .filter_map(|path| {
+            let rel = path
+                .strip_prefix(&root)
+                .ok()?
+                .to_string_lossy()
+                .into_owned();
+            Some((rel, std::fs::read_to_string(path).ok()?))
+        })
+        .filter(|(rel, _)| !rel.starts_with("vendor/"))
+        .collect();
+    Workspace::from_sources(&sources)
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {

@@ -4,8 +4,6 @@
 //! failure is a [`CliError::Usage`] (exit code 2) carrying a message that
 //! names the offending token, followed by the usage text on stderr.
 
-// szhi-analyzer: scope(no-panic-decode: all)
-
 use crate::CliError;
 use szhi_core::{ModeTuning, SzhiConfig};
 use szhi_ndgrid::Dims;
@@ -149,6 +147,7 @@ impl TelemetryArgs {
 /// `--trace PATH`, inline `=` values included) out of `argv` and returns
 /// the remaining tokens plus the parsed [`TelemetryArgs`].
 pub fn split_telemetry(argv: &[String]) -> Result<(Vec<String>, TelemetryArgs), CliError> {
+    // szhi-analyzer: allow(capped-alloc) -- sized by the argument list already in memory
     let mut rest: Vec<String> = Vec::with_capacity(argv.len());
     let mut tel = TelemetryArgs::default();
     let mut i = 0usize;
@@ -242,6 +241,7 @@ fn parse_dims(flag: &str, s: &str) -> Result<Dims, CliError> {
             "{flag} expects 1-3 positive extents, got '{s}'"
         )));
     }
+    // szhi-analyzer: allow(panic-reachability) -- 1-3 non-zero extents, checked just above
     Ok(Dims::from_slice(&parts))
 }
 

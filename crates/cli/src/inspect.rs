@@ -6,8 +6,6 @@
 //! reformatting this report is a compatibility break the golden suite
 //! will catch.
 
-// szhi-analyzer: scope(no-panic-decode: all)
-
 use std::fmt::Write;
 use szhi_core::format::{self, ChunkTable, Header};
 use szhi_core::{SzhiError, TRAILER_SIZE, VERSION};

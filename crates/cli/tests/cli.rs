@@ -299,6 +299,38 @@ fn a_rejected_encode_leaves_the_output_path_untouched() {
     }
 }
 
+/// A shape whose point count overflows `usize` reads as a tiny field (a
+/// 0-byte input "matches" it). The encode must still fail with an error,
+/// not abort on a huge allocation or write an archive its own reader
+/// rejects, and leave no output or temporary file behind.
+#[test]
+fn an_encode_of_a_shape_past_the_point_cap_fails_and_leaves_no_file() {
+    let input = temp("overflow-in.f32");
+    let archive = temp("overflow.szhi");
+    std::fs::write(&input, b"").unwrap();
+    for dims in ["4294967296,4294967296,1", "1099511627776,1099511627776,1"] {
+        for rel in [false, true] {
+            let mut args = vec![
+                "encode",
+                input.to_str().unwrap(),
+                archive.to_str().unwrap(),
+                "--dims",
+                dims,
+                "--eb",
+                "1e-3",
+            ];
+            if rel {
+                args.push("--rel");
+            }
+            let out = run(&args);
+            assert_eq!(out.status.code(), Some(1), "{dims} rel={rel}: {out:?}");
+            assert!(!archive.exists(), "{dims} rel={rel} wrote an archive");
+            assert_eq!(temp_siblings(&archive), Vec::<String>::new());
+        }
+    }
+    std::fs::remove_file(&input).unwrap();
+}
+
 /// A decode that fails on a corrupt chunk leaves nothing at the output
 /// path — not a full-size file whose later chunks are zeros — on both the
 /// seekable and the stdin path, and for `--chunk`.

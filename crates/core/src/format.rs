@@ -379,6 +379,7 @@ pub(crate) fn encode_table(
     configs: &[Vec<LevelConfig>],
     entries: &[TableRow],
 ) -> Vec<u8> {
+    // szhi-analyzer: allow(capped-alloc) -- writer side: sized by the table rows already in memory
     let mut out = Vec::with_capacity(
         2 + configs.iter().map(|c| 1 + 2 * c.len()).sum::<usize>()
             + entries.len() * layout.entry_size
@@ -481,6 +482,20 @@ fn read_levels(cur: &mut ByteCursor<'_>, n_levels: usize) -> Result<Vec<LevelCon
     Ok(levels)
 }
 
+/// The most points a container describes: 2^40, 4 TiB of f32. The reader
+/// rejects a larger header shape as corrupt, and every writer refuses to
+/// start one, so no writer emits an archive its own reader rejects.
+pub(crate) const MAX_POINTS: u64 = 1 << 40;
+
+/// The point count of an `nz × ny × nx` shape, or `None` when it exceeds
+/// [`MAX_POINTS`] (a product that overflows `u64` included).
+pub(crate) fn capped_points(nz: usize, ny: usize, nx: usize) -> Option<u64> {
+    (nz as u64)
+        .checked_mul(ny as u64)
+        .and_then(|p| p.checked_mul(nx as u64))
+        .filter(|&p| p <= MAX_POINTS)
+}
+
 /// Parses the shared header fields following the version byte.
 pub(crate) fn read_header_fields(cur: &mut ByteCursor<'_>) -> Result<Header, SzhiError> {
     let rank = cur.get_u8().map_err(SzhiError::from)? as usize;
@@ -489,24 +504,17 @@ pub(crate) fn read_header_fields(cur: &mut ByteCursor<'_>) -> Result<Header, Szh
     let nx = cur.get_u64().map_err(SzhiError::from)? as usize;
     // Validate the shape before handing it to the `Dims` constructors, whose
     // non-zero asserts would otherwise turn a corrupt stream into a panic.
-    // The element-count cap (2^40 points = 4 TiB of f32) rejects absurd
-    // corrupt shapes before any decompressor tries to allocate the output.
-    const MAX_POINTS: u64 = 1 << 40;
+    // The point cap rejects absurd corrupt shapes before any decompressor
+    // tries to allocate the output.
     if nz == 0 || ny == 0 || nx == 0 {
         return Err(SzhiError::InvalidStream(format!(
             "zero dimension in header: {nz}x{ny}x{nx}"
         )));
     }
-    match (nz as u64)
-        .checked_mul(ny as u64)
-        .and_then(|p| p.checked_mul(nx as u64))
-    {
-        Some(points) if points <= MAX_POINTS => {}
-        _ => {
-            return Err(SzhiError::InvalidStream(format!(
-                "implausible field size {nz}x{ny}x{nx}"
-            )))
-        }
+    if capped_points(nz, ny, nx).is_none() {
+        return Err(SzhiError::InvalidStream(format!(
+            "implausible field size {nz}x{ny}x{nx}"
+        )));
     }
     let dims = match rank {
         1 => Dims::d1(nx),
@@ -686,7 +694,7 @@ impl ChunkTable {
             Some(id) => InterpConfig {
                 anchor_stride: header.interp.anchor_stride,
                 block_span: header.interp.block_span,
-                // szhi-analyzer: allow(no-panic-decode, panic-reachability) -- config ids are validated against the dictionary at parse time
+                // szhi-analyzer: allow(panic-reachability) -- config ids are validated against the dictionary at parse time
                 levels: self.configs[id as usize].clone(),
             },
             None => header.interp.clone(),

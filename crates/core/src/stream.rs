@@ -151,6 +151,14 @@ pub(crate) fn checked_plan(
             "chunk span {span:?} has a zero axis"
         )));
     }
+    if format::capped_points(dims.nz(), dims.ny(), dims.nx()).is_none() {
+        // Checked before anything sizes itself by `dims.len()`, which
+        // wraps for such shapes.
+        return Err(SzhiError::InvalidInput(format!(
+            "a {dims} field exceeds the container's cap of {} points",
+            format::MAX_POINTS
+        )));
+    }
     let plan = ChunkPlan::new(dims, span);
     if !plan.is_aligned(interp.anchor_stride) {
         return Err(SzhiError::InvalidInput(format!(
@@ -343,6 +351,7 @@ impl ChunkEncoder {
         let levels = {
             let _span = crate::telemetry::ENCODE_PREDICT.enter();
             if self.chunk_interp {
+                // szhi-analyzer: allow(steady-alloc) -- known per-chunk cost: interpolation tuning builds its trial configs and samples per chunk; not yet scratch-routed
                 let tuned = szhi_tuner::tune_chunk_interp(chunk, &self.header.interp);
                 let predictor = InterpPredictor::new(tuned.clone())
                     .map_err(|e| SzhiError::InvalidInput(e.to_string()))?;
@@ -377,6 +386,7 @@ impl ChunkEncoder {
         // the same choice.
         let selection = {
             let _span = crate::telemetry::ENCODE_ENTROPY.enter();
+            // szhi-analyzer: allow(steady-alloc) -- known per-chunk cost: each trial encode returns a fresh payload buffer; not yet scratch-routed
             let selection = szhi_tuner::select_pipeline(&self.candidates, codes, &self.params)?;
             // Telemetry: the estimator's predicted size for the winner next
             // to the size it actually produced. Trial selections carry no
@@ -396,6 +406,7 @@ impl ChunkEncoder {
         };
         let (pipeline, payload) = (selection.pipeline, selection.payload);
         body.clear();
+        // szhi-analyzer: allow(steady-alloc) -- its one `reserve` grows the caller's reused `body` only until it fits the largest chunk
         write_sections(
             body,
             &scratch.output.anchors,
@@ -512,6 +523,7 @@ impl<W: Write> StreamSink<W> {
             out,
             enc,
             layout,
+            // szhi-analyzer: allow(capped-alloc) -- writer side: the chunk count of the caller's own plan, whose shape `checked_plan` caps at `MAX_POINTS`
             entries: Vec::with_capacity(n_chunks),
             configs: Vec::new(),
             prefix_len: prefix.len() as u64,
@@ -1290,6 +1302,22 @@ mod tests {
         assert!(StreamSink::new(Vec::new(), big, &cfg).is_ok());
         let whole = ChunkPlan::new(big, [1024, 2048, 2049]);
         assert!(ChunkEncoder::new(whole, &cfg).is_ok());
+    }
+
+    #[test]
+    fn writer_rejects_shapes_past_the_readers_point_cap() {
+        // 2^64 points overflows `Dims::len`; 2^80 overflows even `u64`.
+        let cfg = stream_cfg([16, 16, 16]);
+        for dims in [Dims::d3(1 << 32, 1 << 32, 1), Dims::d3(1 << 40, 1 << 40, 1)] {
+            assert!(matches!(
+                StreamSink::new(Vec::new(), dims, &cfg),
+                Err(SzhiError::InvalidInput(msg)) if msg.contains("points")
+            ));
+        }
+        // The cap itself is accepted: dims only, nothing is allocated.
+        let at_cap = Dims::d3(1 << 14, 1 << 14, 1 << 12);
+        assert_eq!(at_cap.len() as u64, crate::format::MAX_POINTS);
+        assert!(checked_plan(at_cap, [16, 16, 16], &cfg.interp).is_ok());
     }
 
     #[test]

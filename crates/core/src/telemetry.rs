@@ -8,8 +8,6 @@
 //! `szhi-telemetry`); `tests/telemetry_disabled_cost.rs` gates the
 //! disabled-path overhead.
 
-// szhi-analyzer: scope(no-panic-decode: all)
-
 pub(crate) use szhi_telemetry::{Counter, Histogram, Span};
 
 // --- encode stage spans (per chunk) ---------------------------------------

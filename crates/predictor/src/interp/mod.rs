@@ -320,8 +320,9 @@ impl InterpPredictor {
             let idx = usize::try_from(o.index).ok().filter(|&i| i < dims.len());
             match idx {
                 // `None < Some(_)`, so the first record is always in order.
+                // szhi-analyzer: allow(panic-reachability) -- `i < dims.len()`, the length of `recon` and, checked above, of `codes`
                 Some(i) if prev < Some(o.index) && output.codes[i] == OUTLIER_CODE => {
-                    recon[i] = o.value;
+                    recon[i] = o.value; // szhi-analyzer: allow(panic-reachability) -- the same `i`
                 }
                 _ => {
                     return Err(PredictorError::Inconsistent(format!(
@@ -342,13 +343,16 @@ impl InterpPredictor {
         }
 
         for ((z, y, x), &v) in block_grid.anchor_coords_iter().zip(&output.anchors) {
+            // szhi-analyzer: allow(panic-reachability) -- anchor coordinates lie inside `dims`, and `recon` holds `dims.len()` points
             recon[dims.index(z, y, x)] = v;
         }
 
         let codes = &output.codes;
+        // szhi-analyzer: allow(panic-reachability) -- the checks above make `recon`, `codes` and the sweep's index space all `dims.len()` long; the row kernel is pinned to its reference by differential tests
         self.sweep(dims, &mut recon, |idx, pred, slot| {
+            // szhi-analyzer: allow(panic-reachability) -- `idx < dims.len() == codes.len()`
             if codes[idx] != OUTLIER_CODE {
-                *slot = quantizer.reconstruct(codes[idx], pred);
+                *slot = quantizer.reconstruct(codes[idx], pred); // szhi-analyzer: allow(panic-reachability) -- the same `idx`
             }
         });
 

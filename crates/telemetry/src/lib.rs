@@ -52,8 +52,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-// szhi-analyzer: scope(no-panic-decode: all)
-
 mod json;
 mod metrics;
 mod render;

@@ -1,8 +1,6 @@
 //! Counters and log-bucketed histograms: `static`-friendly, atomic, and
 //! self-registering into the process-wide registry on first use.
 
-// szhi-analyzer: scope(no-panic-decode: all)
-
 use crate::{flags, STATS};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, PoisonError};

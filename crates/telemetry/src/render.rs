@@ -1,8 +1,6 @@
 //! Deterministic plain-text rendering: the generic aligned table (also
 //! reused by `szhi-cli inspect`) and the `--stats` summary built on it.
 
-// szhi-analyzer: scope(no-panic-decode: all)
-
 use crate::snapshot::Snapshot;
 
 /// Renders an aligned two-space-indented table: a header row then one

@@ -1,8 +1,6 @@
 //! Point-in-time copies of the registry: the data model behind the
 //! `--stats` table, the stats JSON dump and per-job telemetry deltas.
 
-// szhi-analyzer: scope(no-panic-decode: all)
-
 use crate::metrics::{bucket_bound, with_registry, Metric, BUCKETS};
 
 /// One counter's value at capture time.

@@ -1,8 +1,6 @@
 //! Scoped spans: RAII-timed regions feeding a per-span duration
 //! histogram and the trace buffer.
 
-// szhi-analyzer: scope(no-panic-decode: all)
-
 use crate::metrics::Histogram;
 use crate::{flags, trace, STATS, TRACE};
 use std::time::Instant;
