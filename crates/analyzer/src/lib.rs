@@ -15,6 +15,7 @@
 //! calls are recorded, never silently dropped). Decode safety is one walk
 //! of that graph from the decode/serve entry points, checking two kinds of
 //! site in every fn it reaches; findings carry their root-cause chain.
+//! [`analyze`] runs every lint over the files [`workspace_sources`] walks.
 //!
 //! # Lints
 //!
@@ -47,11 +48,9 @@
 
 pub mod graph;
 pub mod lexer;
-pub mod report;
 pub mod table;
 
 pub use lexer::{lex, Lexed};
-pub use report::Metrics;
 pub use table::Workspace;
 
 use lexer::{find, in_regions, is_ident_byte, line_of, line_starts, match_brace, test_regions};
@@ -59,7 +58,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// The project lints, in catalogue order (L1, L3–L8; L2 was folded into L6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,7 +92,7 @@ impl Lint {
         Lint::PoolInvariant,
     ];
 
-    /// The stable id used on the command line and in suppression comments.
+    /// The stable id printed in reports and named by suppression comments.
     pub fn id(self) -> &'static str {
         match self {
             Lint::NoUnsafe => "no-unsafe",
@@ -893,6 +892,25 @@ pub fn lint_usage_pins(files: &[(String, String)]) -> Vec<Violation> {
 // Driver
 // ---------------------------------------------------------------------------
 
+/// Per-run summary metrics, printed on the report's last line.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Metrics {
+    /// Source files analyzed.
+    pub files: usize,
+    /// `fn` items in the function table (vendor included).
+    pub functions: usize,
+    /// Call sites extracted from non-test code.
+    pub calls: usize,
+    /// Resolved call edges (conservative: one site may yield several).
+    pub resolved_edges: usize,
+    /// Call sites resolution recorded as unresolved (never dropped).
+    pub unresolved_calls: usize,
+    /// L6 decode/serve entry points found.
+    pub panic_roots: usize,
+    /// L7 warm-path roots found.
+    pub alloc_roots: usize,
+}
+
 /// A full analysis result: summary metrics plus the findings.
 pub struct AnalysisReport {
     /// Function-table and call-graph statistics.
@@ -901,115 +919,90 @@ pub struct AnalysisReport {
     pub violations: Vec<Violation>,
 }
 
-/// Walks a workspace root and runs the selected lints.
-pub struct Analyzer {
-    root: PathBuf,
-    lints: Vec<Lint>,
+/// Runs every lint over the sources [`workspace_sources`] collects under
+/// `root`. Violations are sorted by file, line and lint.
+pub fn analyze(root: &Path) -> io::Result<AnalysisReport> {
+    let files = workspace_sources(root)?;
+    let mut out = Vec::new();
+    for (rel, src) in &files {
+        out.extend(lint_file(rel, src));
+    }
+    let format_rs = files
+        .iter()
+        .find(|(rel, _)| rel == "crates/core/src/format.rs");
+    let format_md = fs::read_to_string(root.join("docs/FORMAT.md"));
+    match (format_rs, format_md) {
+        (Some((_, src)), Ok(md)) => out.extend(lint_spec_drift(src, &md)),
+        _ => out.push(Violation {
+            lint: Lint::SpecDrift,
+            file: "docs/FORMAT.md".to_string(),
+            line: 1,
+            message: "format.rs or docs/FORMAT.md not found; cannot cross-check the spec"
+                .to_string(),
+            notes: Vec::new(),
+        }),
+    }
+    let args_rs = files
+        .iter()
+        .find(|(rel, _)| rel == "crates/cli/src/args.rs");
+    let cli_md = fs::read_to_string(root.join("docs/CLI.md"));
+    match (args_rs, cli_md) {
+        (Some((_, src)), Ok(md)) => out.extend(lint_cli_drift(src, &md)),
+        _ => out.push(Violation {
+            lint: Lint::SpecDrift,
+            file: "docs/CLI.md".to_string(),
+            line: 1,
+            message: "args.rs or docs/CLI.md not found; cannot cross-check the CLI doc".to_string(),
+            notes: Vec::new(),
+        }),
+    }
+    out.extend(lint_error_coverage(&files));
+    out.extend(lint_usage_pins(&files));
+
+    // The call-graph lints: the decode walk (L6 with L3) and L7 over
+    // first-party code, L8 over the vendored pool.
+    let first_party: Vec<(String, String)> = files
+        .iter()
+        .filter(|(rel, _)| !is_vendor_path(rel))
+        .cloned()
+        .collect();
+    let ws = Workspace::from_sources(&first_party);
+    let cg = graph::CallGraph::build(&ws);
+    let vendor_files: Vec<(String, String)> = files
+        .iter()
+        .filter(|(rel, _)| rel.starts_with("vendor/rayon/"))
+        .cloned()
+        .collect();
+    let vws = Workspace::from_sources(&vendor_files);
+    let vcg = graph::CallGraph::build(&vws);
+    let metrics = Metrics {
+        files: files.len(),
+        functions: ws.fns.len() + vws.fns.len(),
+        calls: cg.calls + vcg.calls,
+        resolved_edges: cg.resolved_edges + vcg.resolved_edges,
+        unresolved_calls: cg.unresolved_calls + vcg.unresolved_calls,
+        panic_roots: graph::l6_roots(&ws).len(),
+        alloc_roots: graph::l7_roots(&ws).len(),
+    };
+    out.extend(graph::lint_decode_paths(&ws, &cg));
+    out.extend(graph::lint_steady_alloc(&ws, &cg));
+    out.extend(graph::lint_pool_invariants(&vws, &vcg));
+
+    out.sort_by(|a, b| (&a.file, a.line, a.lint.id()).cmp(&(&b.file, b.line, b.lint.id())));
+    Ok(AnalysisReport {
+        metrics,
+        violations: out,
+    })
 }
 
-impl Analyzer {
-    /// An analyzer running every lint.
-    pub fn new(root: impl Into<PathBuf>) -> Self {
-        Analyzer {
-            root: root.into(),
-            lints: Lint::ALL.to_vec(),
-        }
-    }
-
-    /// An analyzer restricted to `lints`.
-    pub fn with_lints(root: impl Into<PathBuf>, lints: Vec<Lint>) -> Self {
-        Analyzer {
-            root: root.into(),
-            lints,
-        }
-    }
-
-    /// Runs the lints over every `.rs` file under the root (skipping
-    /// `target/`, `.git/` and fixture directories). Violations are sorted
-    /// by file, line and lint.
-    pub fn run(&self) -> io::Result<Vec<Violation>> {
-        self.run_report().map(|r| r.violations)
-    }
-
-    /// Like [`Analyzer::run`], also returning the summary metrics.
-    pub fn run_report(&self) -> io::Result<AnalysisReport> {
-        let mut files: Vec<(String, String)> = Vec::new();
-        collect_rs(&self.root, &self.root, &mut files)?;
-        files.sort();
-        // Every lint runs; the selection only filters what is reported.
-        let mut out = Vec::new();
-        for (rel, src) in &files {
-            out.extend(lint_file(rel, src));
-        }
-        let format_rs = files
-            .iter()
-            .find(|(rel, _)| rel == "crates/core/src/format.rs");
-        let format_md = fs::read_to_string(self.root.join("docs/FORMAT.md"));
-        match (format_rs, format_md) {
-            (Some((_, src)), Ok(md)) => out.extend(lint_spec_drift(src, &md)),
-            _ => out.push(Violation {
-                lint: Lint::SpecDrift,
-                file: "docs/FORMAT.md".to_string(),
-                line: 1,
-                message: "format.rs or docs/FORMAT.md not found; cannot cross-check the spec"
-                    .to_string(),
-                notes: Vec::new(),
-            }),
-        }
-        let args_rs = files
-            .iter()
-            .find(|(rel, _)| rel == "crates/cli/src/args.rs");
-        let cli_md = fs::read_to_string(self.root.join("docs/CLI.md"));
-        match (args_rs, cli_md) {
-            (Some((_, src)), Ok(md)) => out.extend(lint_cli_drift(src, &md)),
-            _ => out.push(Violation {
-                lint: Lint::SpecDrift,
-                file: "docs/CLI.md".to_string(),
-                line: 1,
-                message: "args.rs or docs/CLI.md not found; cannot cross-check the CLI doc"
-                    .to_string(),
-                notes: Vec::new(),
-            }),
-        }
-        out.extend(lint_error_coverage(&files));
-        out.extend(lint_usage_pins(&files));
-
-        // The call-graph lints: the decode walk (L6 with L3) and L7 over
-        // first-party code, L8 over the vendored pool.
-        let first_party: Vec<(String, String)> = files
-            .iter()
-            .filter(|(rel, _)| !is_vendor_path(rel))
-            .cloned()
-            .collect();
-        let ws = Workspace::from_sources(&first_party);
-        let cg = graph::CallGraph::build(&ws);
-        let vendor_files: Vec<(String, String)> = files
-            .iter()
-            .filter(|(rel, _)| rel.starts_with("vendor/rayon/"))
-            .cloned()
-            .collect();
-        let vws = Workspace::from_sources(&vendor_files);
-        let vcg = graph::CallGraph::build(&vws);
-        let metrics = Metrics {
-            files: files.len(),
-            functions: ws.fns.len() + vws.fns.len(),
-            calls: cg.calls + vcg.calls,
-            resolved_edges: cg.resolved_edges + vcg.resolved_edges,
-            unresolved_calls: cg.unresolved_calls + vcg.unresolved_calls,
-            panic_roots: graph::l6_roots(&ws).len(),
-            alloc_roots: graph::l7_roots(&ws).len(),
-        };
-        out.extend(graph::lint_decode_paths(&ws, &cg));
-        out.extend(graph::lint_steady_alloc(&ws, &cg));
-        out.extend(graph::lint_pool_invariants(&vws, &vcg));
-
-        out.retain(|v| self.lints.contains(&v.lint));
-        out.sort_by(|a, b| (&a.file, a.line, a.lint.id()).cmp(&(&b.file, b.line, b.lint.id())));
-        Ok(AnalysisReport {
-            metrics,
-            violations: out,
-        })
-    }
+/// Every `.rs` file under `root` (skipping `target/`, `.git/`, `fixtures/`
+/// and `node_modules/`) as `(workspace-relative /-separated path, source)`,
+/// sorted by path. This is the file set every lint sees.
+pub fn workspace_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
+    let mut files = Vec::new();
+    collect_rs(root, root, &mut files)?;
+    files.sort();
+    Ok(files)
 }
 
 fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) -> io::Result<()> {

@@ -1,10 +1,9 @@
 //! Fixture tests for the call-graph engine: name resolution, conservatism
 //! (unresolved calls are recorded, never dropped), cycle termination, the
 //! decode walk's site classes (L6 panics, L3 uncapped allocations), and the
-//! transitive lints' chain reporting in both text and JSON.
+//! transitive lints' chain reporting.
 
 use szhi_analyzer::graph::{lint_decode_paths, CallGraph, Qualifier};
-use szhi_analyzer::report;
 use szhi_analyzer::{Lint, Violation, Workspace};
 
 fn ws_of(files: &[(&str, &str)]) -> Workspace {
@@ -207,34 +206,13 @@ fn helper_leaf(stream: &[u8]) -> usize {
     let v = &violations[0];
     assert_eq!(v.file, "crates/core/src/fixture.rs");
 
-    // Text: the Display form carries the whole chain, entry to panic site.
+    // The Display form carries the whole chain, entry to panic site.
     let text = v.to_string();
     assert!(text.contains("[panic-reachability]"), "{text}");
     assert!(text.contains("entry `decompress_entry`"), "{text}");
     assert!(text.contains("`helper_mid`"), "{text}");
     assert!(text.contains("`helper_leaf`"), "{text}");
     assert!(text.contains("call to `.unwrap()`"), "{text}");
-
-    // JSON: the same chain rides along in the notes array, and the report
-    // parses back with our own reader.
-    let json = report::to_json(&report::Metrics::default(), &violations);
-    let doc = report::parse_json(&json).expect("report JSON parses");
-    let viol = doc.get("violations").expect("violations member");
-    let szhi_analyzer::report::Json::Arr(items) = viol else {
-        panic!("violations is not an array")
-    };
-    assert_eq!(items.len(), 1);
-    let notes = items[0].get("notes").expect("notes member");
-    let szhi_analyzer::report::Json::Arr(notes) = notes else {
-        panic!("notes is not an array")
-    };
-    let joined: Vec<&str> = notes.iter().filter_map(|n| n.as_str()).collect();
-    assert!(joined
-        .iter()
-        .any(|n| n.contains("entry `decompress_entry`")));
-    assert!(joined.iter().any(|n| n.contains("`helper_mid`")));
-    assert!(joined.iter().any(|n| n.contains("`helper_leaf`")));
-    assert!(joined.last().is_some_and(|n| n.contains(".unwrap()")));
 }
 
 #[test]
@@ -280,34 +258,6 @@ fn fill(out: &mut Vec<u8>) {
         "{}",
         violations[0]
     );
-}
-
-#[test]
-fn baseline_passes_known_findings_and_fails_new_ones() {
-    let ws = ws_of(&[(
-        "crates/core/src/fixture.rs",
-        r#"
-pub fn decompress_entry(stream: &[u8]) -> usize {
-    stream.first().copied().unwrap() as usize
-}
-"#,
-    )]);
-    let graph = CallGraph::build(&ws);
-    let violations = lint_decode_paths(&ws, &graph);
-    assert_eq!(violations.len(), 1);
-
-    // A baseline generated from this very report marks the finding known.
-    let baseline_json = report::to_json(&report::Metrics::default(), &violations);
-    let keys = report::parse_baseline(&baseline_json).expect("baseline parses");
-    let (known, fresh) = report::split_by_baseline(violations.clone(), &keys);
-    assert_eq!(known.len(), 1);
-    assert!(fresh.is_empty(), "an old finding must not fail the gate");
-
-    // An empty baseline leaves the same finding fresh — the gate fails.
-    let empty = report::parse_baseline(r#"{"violations": []}"#).expect("empty baseline");
-    let (known, fresh) = report::split_by_baseline(violations, &empty);
-    assert!(known.is_empty());
-    assert_eq!(fresh.len(), 1, "a new finding must fail the gate");
 }
 
 #[test]

@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 
 use szhi_analyzer::graph::CallGraph;
 use szhi_analyzer::table::Workspace;
-use szhi_analyzer::{Analyzer, Lint};
+use szhi_analyzer::{analyze, workspace_sources, Lint};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -19,9 +19,7 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn workspace_has_no_violations() {
-    let report = Analyzer::new(workspace_root())
-        .run_report()
-        .expect("walking the workspace");
+    let report = analyze(&workspace_root()).expect("walking the workspace");
     assert!(
         report.violations.is_empty(),
         "szhi-analyzer found {} violation(s):\n{}",
@@ -42,9 +40,7 @@ fn workspace_has_no_violations() {
 /// check.
 #[test]
 fn transitive_lints_found_their_roots() {
-    let report = Analyzer::new(workspace_root())
-        .run_report()
-        .expect("walking the workspace");
+    let report = analyze(&workspace_root()).expect("walking the workspace");
     assert!(
         report.metrics.panic_roots > 0,
         "no panic-reachability entry points found — did the decode/serve API get renamed?"
@@ -126,16 +122,11 @@ fn the_walks_keep_the_edges_arity_once_dropped() {
 /// the tree is a lie to the next reader — fail loudly instead.
 #[test]
 fn every_suppression_carries_a_reason() {
-    let root = workspace_root();
-    let mut rs_files = Vec::new();
-    collect_rs(&root, &mut rs_files);
-    assert!(rs_files.len() > 50, "workspace walk looks broken");
+    let sources = workspace_sources(&workspace_root()).expect("walking the workspace");
+    assert!(sources.len() > 50, "workspace walk looks broken");
     let mut bad = Vec::new();
     let mut seen = 0usize;
-    for path in &rs_files {
-        let Ok(src) = std::fs::read_to_string(path) else {
-            continue;
-        };
+    for (rel, src) in &sources {
         for (idx, line) in src.lines().enumerate() {
             let Some(p) = line.find("szhi-analyzer: allow(") else {
                 continue;
@@ -153,7 +144,7 @@ fn every_suppression_carries_a_reason() {
                 .is_some_and(|(_, reason)| !reason.trim().is_empty());
             let known = ids.split(',').all(|id| Lint::from_id(id.trim()).is_some());
             if !reasoned || !known {
-                bad.push(format!("{}:{}: {}", path.display(), idx + 1, line.trim()));
+                bad.push(format!("{rel}:{}: {}", idx + 1, line.trim()));
             }
         }
     }
@@ -168,42 +159,13 @@ fn every_suppression_carries_a_reason() {
     );
 }
 
-/// The first-party sources keyed by workspace-relative path, parsed as the
-/// analyzer's own walk hands them to the call-graph lints.
+/// The first-party sources as the analyzer's own walk hands them to the
+/// call-graph lints.
 fn first_party_workspace() -> Workspace {
-    let root = workspace_root();
-    let mut rs_files = Vec::new();
-    collect_rs(&root, &mut rs_files);
-    let sources: Vec<(String, String)> = rs_files
-        .iter()
-        .filter_map(|path| {
-            let rel = path
-                .strip_prefix(&root)
-                .ok()?
-                .to_string_lossy()
-                .into_owned();
-            Some((rel, std::fs::read_to_string(path).ok()?))
-        })
+    let sources: Vec<(String, String)> = workspace_sources(&workspace_root())
+        .expect("walking the workspace")
+        .into_iter()
         .filter(|(rel, _)| !rel.starts_with("vendor/"))
         .collect();
     Workspace::from_sources(&sources)
-}
-
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy().into_owned();
-        if path.is_dir() {
-            if matches!(name.as_str(), "target" | ".git" | "node_modules") {
-                continue;
-            }
-            collect_rs(&path, out);
-        } else if name.ends_with(".rs") {
-            out.push(path);
-        }
-    }
 }

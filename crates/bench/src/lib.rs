@@ -18,6 +18,7 @@ use szhi_ndgrid::{Dims, Grid};
 use szhi_predictor::{
     autotune, InterpConfig, InterpOutput, InterpPredictor, LevelOrder, PredictorError,
 };
+use szhi_telemetry::render_ascii_table;
 
 /// Default seed for dataset generation; every experiment uses the same seed
 /// so results are comparable across binaries.
@@ -204,17 +205,10 @@ fn check_bound(data: &Grid<f32>, restored: &Grid<f32>, rel_eb: f64) -> Result<()
     })
 }
 
-/// Prints a markdown table.
+/// Prints a `## title` heading and the aligned table under it.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n## {title}\n");
-    println!("| {} |", headers.join(" | "));
-    println!(
-        "|{}|",
-        headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    );
-    for row in rows {
-        println!("| {} |", row.join(" | "));
-    }
+    print!("{}", render_ascii_table(headers, rows));
 }
 
 /// Produces the cuSZ-Hi quantization codes (the input of the lossless

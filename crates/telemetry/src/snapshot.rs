@@ -75,7 +75,6 @@ impl Snapshot {
         with_registry(|metric| match metric {
             Metric::Counter(c) => snap.counters.push(CounterSnapshot {
                 name: c.name().to_string(),
-                // szhi-analyzer: allow(panic-reachability) -- one relaxed atomic load; the name-matched Parser::value is unrelated
                 value: c.value(),
             }),
             Metric::Histogram(h) => snap.histograms.push(HistogramSnapshot {
