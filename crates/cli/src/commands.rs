@@ -5,9 +5,15 @@
 //! region-by-region from a [`StreamSource`] (or, for `-`, a
 //! [`ForwardSource`] over stdin), so neither side ever holds a full
 //! uncompressed field unless the data itself must leave on stdout.
-//! Progress summaries go to stderr whenever stdout may carry data. File
-//! outputs are written under a temporary name and renamed into place on
-//! success, so a failed run leaves the output path as it found it.
+//! A decoded field goes to a file one chunk at a time, each z-plane of a
+//! chunk in as few band writes as the row gap allows (see
+//! [`raw::write_region_bands`]), which is why the output is opened for
+//! reading as well as writing. Progress summaries go to stderr whenever
+//! stdout may carry data. File outputs are written under a temporary name
+//! and renamed into place on success, so a failed run leaves the output
+//! path as it found it. An output that is not a regular file (`-`, a
+//! device, a FIFO) cannot be sized or read back, so a whole field bound
+//! for one is decoded in full and streamed out in order.
 
 use crate::args::{Command, DecodeArgs, EncodeArgs, InspectArgs};
 use crate::{inspect, raw, CliError};
@@ -155,9 +161,8 @@ fn decode_file(a: &DecodeArgs) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    if a.output == "-" {
-        let grid = source.read_all()?;
-        raw::write_all(std::io::stdout(), grid.as_slice())?;
+    if streams_in_order(&a.output) {
+        write_values(&a.output, source.read_all()?.as_slice())?;
     } else {
         write_chunks(&a.output, dims, (0..count).map(|i| source.read_chunk(i)))?;
     }
@@ -198,9 +203,8 @@ fn decode_pipe(a: &DecodeArgs) -> Result<(), CliError> {
             }
         }
     }
-    if a.output == "-" {
-        let grid = source.read_all()?;
-        raw::write_all(std::io::stdout(), grid.as_slice())?;
+    if streams_in_order(&a.output) {
+        write_values(&a.output, source.read_all()?.as_slice())?;
     } else {
         write_chunks(&a.output, dims, std::iter::from_fn(|| source.next_chunk()))?;
     }
@@ -212,8 +216,25 @@ fn decode_pipe(a: &DecodeArgs) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Whether a whole decoded field bound for `output` must be streamed out in
+/// order rather than written chunk by chunk: `-` (stdout) and any existing
+/// path that is not a regular file (a device such as `/dev/null`, a FIFO),
+/// which can be neither sized nor read back.
+fn streams_in_order(output: &str) -> bool {
+    output == "-" || is_special(Path::new(output))
+}
+
+/// Whether `path` exists but is not a regular file.
+fn is_special(path: &Path) -> bool {
+    std::fs::metadata(path).is_ok_and(|m| !m.is_file())
+}
+
 /// Writes decoded chunks into a pre-sized raw f32 file at `path`, one
-/// region per chunk, so memory stays bounded by one chunk.
+/// region per chunk, so memory stays bounded by one chunk and one band.
+/// Each region goes out through [`raw::write_region_bands`] with one band
+/// buffer shared by all chunks; the temporary file [`write_file`] opens
+/// for reading and writing lets a band keep the bytes between the
+/// chunk's rows.
 fn write_chunks(
     path: &str,
     dims: Dims,
@@ -221,9 +242,10 @@ fn write_chunks(
 ) -> Result<(), CliError> {
     write_file(path, |mut out| {
         raw::presize(&out, dims)?;
+        let mut band = Vec::new();
         for chunk in chunks {
             let (region, sub) = chunk?;
-            raw::write_region(&mut out, dims, &region, sub.as_slice())?;
+            raw::write_region_bands(&mut out, dims, &region, sub.as_slice(), &mut band)?;
         }
         Ok(())
     })
@@ -238,21 +260,20 @@ fn write_values(output: &str, values: &[f32]) -> Result<(), CliError> {
 }
 
 /// Creates the file output at `path` through `write`, which gets a fresh
-/// temporary sibling in the same directory. The temporary is renamed onto
-/// `path` only once `write` succeeds and is removed when it fails, so a
-/// failed run neither leaves a partial file under the final name nor
-/// clobbers a file already there. A `path` that exists but is not a
-/// regular file (a device such as `/dev/null`, a FIFO) cannot be replaced
-/// and is written in place.
+/// temporary sibling in the same directory, open for reading and writing.
+/// The temporary is renamed onto `path` only once `write` succeeds and is
+/// removed when it fails, so a failed run neither leaves a partial file
+/// under the final name nor clobbers a file already there. A `path` that
+/// exists but is not a regular file (a device such as `/dev/null`, a
+/// FIFO) cannot be replaced and is opened for writing only, in place.
 fn write_file<T>(
     path: &str,
     write: impl FnOnce(File) -> Result<T, CliError>,
 ) -> Result<T, CliError> {
     let dest = Path::new(path);
-    let create =
-        |p: &Path| File::create(p).map_err(|e| runtime(format!("cannot create {path}: {e}")));
-    if std::fs::metadata(dest).is_ok_and(|m| !m.is_file()) {
-        return write(create(dest)?);
+    let cannot_create = |e| runtime(format!("cannot create {path}: {e}"));
+    if is_special(dest) {
+        return write(File::create(dest).map_err(cannot_create)?);
     }
     let Some(name) = dest.file_name() else {
         return Err(runtime(format!("cannot create {path}: not a file name")));
@@ -261,7 +282,14 @@ fn write_file<T>(
     tmp_name.push(name);
     tmp_name.push(format!(".{}.tmp", std::process::id()));
     let tmp = dest.with_file_name(tmp_name);
-    let result = write(create(&tmp)?).and_then(|value| {
+    let file = File::options()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(&tmp)
+        .map_err(cannot_create)?;
+    let result = write(file).and_then(|value| {
         std::fs::rename(&tmp, dest)
             .map(|()| value)
             .map_err(|e| runtime(format!("cannot rename {} to {path}: {e}", tmp.display())))
@@ -278,4 +306,42 @@ fn inspect_cmd(a: &InspectArgs) -> Result<(), CliError> {
         std::fs::read(&a.input).map_err(|e| runtime(format!("cannot read {}: {e}", a.input)))?;
     let report = inspect::render(&bytes)?;
     emit(format_args!("{report}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use szhi_ndgrid::ChunkPlan;
+
+    /// A temporary output cut short between two chunks (a full disk or
+    /// another process can do it) fails the next band write with an error,
+    /// and `write_file` leaves neither the output nor its temporary behind.
+    #[test]
+    fn an_output_truncated_mid_decode_fails_and_leaves_no_file() {
+        let dir = std::env::temp_dir().join(format!("szhi-cli-cut-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let output = dir.join("cut.f32");
+        let tmp = dir.join(format!(".cut.f32.{}.tmp", std::process::id()));
+        let dims = Dims::d3(6, 20, 40);
+        let field = Grid::from_fn(dims, |z, y, x| (z * 1000 + y * 40 + x) as f32);
+        let plan = ChunkPlan::new(dims, [4, 8, 16]);
+        let chunks = plan.iter().enumerate().map(|(i, region)| {
+            if i == 2 {
+                let cut = File::options().write(true).open(&tmp).unwrap();
+                cut.set_len(0).unwrap();
+            }
+            Ok((
+                region,
+                Grid::from_vec(region.dims(), field.extract(&region)),
+            ))
+        });
+        let err = write_chunks(output.to_str().unwrap(), dims, chunks).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Runtime(m) if m.contains("cannot read output band")),
+            "{err:?}"
+        );
+        assert!(!output.exists());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        std::fs::remove_dir(&dir).unwrap();
+    }
 }

@@ -390,6 +390,42 @@ fn a_failed_decode_leaves_no_output_file() {
     }
 }
 
+/// A whole-field decode onto a path that is not a regular file cannot
+/// size or read back its output, so it streams the field out in order,
+/// from a file input and from stdin alike.
+#[cfg(unix)]
+#[test]
+fn a_full_decode_to_dev_null_succeeds() {
+    let input = temp("devnull-in.f32");
+    let archive = temp("devnull.szhi");
+    std::fs::write(&input, to_bytes(field().as_slice())).unwrap();
+    let (input_s, archive_s) = (input.to_str().unwrap(), archive.to_str().unwrap());
+    assert_ok(
+        &run(&[
+            "encode",
+            input_s,
+            archive_s,
+            "--dims",
+            "24,20,32",
+            "--eb",
+            "2e-3",
+            "--chunk-span",
+            "16,16,16",
+        ]),
+        "encode",
+    );
+    assert_ok(&run(&["decode", archive_s, "/dev/null"]), "file decode");
+    let out = bin()
+        .args(["decode", "-", "/dev/null"])
+        .stdin(std::fs::File::open(&archive).unwrap())
+        .output()
+        .unwrap();
+    assert_ok(&out, "stdin decode");
+    for p in [&input, &archive] {
+        std::fs::remove_file(p).unwrap();
+    }
+}
+
 /// `encode … -` writes the archive to stdout so a shell pipeline can
 /// feed it straight into `decode -`.
 #[test]

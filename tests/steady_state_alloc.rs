@@ -13,8 +13,9 @@
 //! costs no more memory than itself, and the Huffman decoder allocates its
 //! output and one decode table, after checking the symbol count its header
 //! claims. The CLI writes a decoded field to a stream through a fixed
-//! buffer, never as a second field-sized byte copy. All six properties are
-//! pinned down with a counting global allocator.
+//! buffer, never as a second field-sized byte copy, and to a file through
+//! one band buffer reused across chunks. All seven properties are pinned
+//! down with a counting global allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -253,6 +254,48 @@ fn writing_a_field_to_a_stream_allocates_no_second_copy() {
         spent <= 64 * 1024 + 4096,
         "writing a {} B field allocated {spent} B",
         4 * values.len()
+    );
+}
+
+#[test]
+fn writing_a_field_by_bands_allocates_one_band_buffer() {
+    use szhi_ndgrid::ChunkPlan;
+
+    let _serial = one_at_a_time();
+    // `szhi-cli decode <archive> <file>` writes each chunk this way. Bands
+    // of up to 218 rows of 300 values reach 261 KiB, near the 256 KiB cap.
+    let dims = Dims::d3(4, 256, 300);
+    let field = Grid::from_fn(dims, |z, y, x| (z * 100_000 + y * 300 + x) as f32);
+    let chunks = ChunkPlan::new(dims, [2, 256, 256])
+        .iter()
+        .map(|region| {
+            let values = field.extract(&region);
+            (region, values)
+        })
+        .collect::<Vec<_>>();
+    let path = std::env::temp_dir().join(format!("szhi-alloc-bands-{}.f32", std::process::id()));
+    let mut out = std::fs::File::options()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(&path)
+        .unwrap();
+    szhi_cli::raw::presize(&out, dims).unwrap();
+    let mut band = Vec::new();
+    let before = allocated();
+    for (region, values) in &chunks {
+        szhi_cli::raw::write_region_bands(&mut out, dims, region, values, &mut band).unwrap();
+    }
+    let spent = allocated() - before;
+    drop(out);
+    let written = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert!(written == szhi_cli::raw::to_bytes(field.as_slice()));
+    assert!(
+        spent <= 256 * 1024,
+        "writing {} chunks by bands allocated {spent} B",
+        chunks.len()
     );
 }
 
