@@ -679,10 +679,11 @@ impl RootPattern {
 /// The decode/serve entry points (L6, and L3 on the same walk): the
 /// `decompress*`, `decode*` and `unpack*` functions, the v1 parser
 /// `read_stream`, the chunk-table front `read_chunk_table` and the
-/// `locate_table*` path behind it, every method of the two stream readers
-/// and of the reader core they share (`StreamIndex`), the one checksum
-/// step (`ChunkEntry::verify`, and `ChunkTable::verified_chunk_slice` over
-/// it), `inspect::render`, every method of the job service and its
+/// `locate_table*` path behind it, every method of the one chunk reader
+/// (`ChunkReader`, its `StreamSource` and `ForwardSource` constructors and
+/// its two fetches) and of its metadata view (`StreamIndex`), the one
+/// checksum step (`ChunkEntry::verify`, and `ChunkTable::verified_chunk_slice`
+/// over it), `inspect::render`, every method of the job service and its
 /// handles, and the CLI's `run`. Only functions of the serving crates
 /// (`szhi-core`, `szhi-codec`, `szhi-cli` and the umbrella crate) count.
 pub const L6_ROOTS: &[RootPattern] = &[
@@ -692,8 +693,11 @@ pub const L6_ROOTS: &[RootPattern] = &[
     root(None, "read_stream"),
     root(None, "read_chunk_table"),
     root(None, "locate_table*"),
+    root(Some("ChunkReader"), "*"),
     root(Some("StreamSource"), "*"),
     root(Some("ForwardSource"), "*"),
+    root(Some("SeekFetch"), "*"),
+    root(Some("ForwardFetch"), "*"),
     root(Some("StreamIndex"), "*"),
     root(Some("ChunkEntry"), "verify"),
     root(Some("ChunkTable"), "verified_chunk_slice"),

@@ -2,9 +2,10 @@
 //!
 //! Data flows through the bounded-memory engines: `encode` reads the
 //! raw field region-by-region into a [`StreamSink`], `decode` writes
-//! region-by-region from a [`StreamSource`] (or, for `-`, a
-//! [`ForwardSource`] over stdin), so neither side ever holds a full
-//! uncompressed field unless the data itself must leave on stdout.
+//! region-by-region from one [`ChunkReader`] — a [`StreamSource`] over a
+//! file, or for `-` a [`ForwardSource`] over stdin — so neither side ever
+//! holds a full uncompressed field unless the data itself must leave on
+//! stdout.
 //! A decoded field goes to a file one chunk at a time, each z-plane of a
 //! chunk in as few band writes as the row gap allows (see
 //! [`raw::write_region_bands`]), which is why the output is opened for
@@ -22,7 +23,8 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 use szhi_core::{
-    CompressionStats, ErrorBound, ForwardSource, StreamSink, StreamSource, SzhiConfig, SzhiError,
+    ChunkReader, CompressionStats, ErrorBound, Fetch, ForwardSource, StreamSink, StreamSource,
+    SzhiConfig, SzhiError,
 };
 use szhi_ndgrid::{Dims, Grid, Region};
 
@@ -126,20 +128,24 @@ fn encode_into(
 
 fn decode(a: &DecodeArgs) -> Result<(), CliError> {
     if a.input == "-" {
-        decode_pipe(a)
+        decode_from(a, "stdin", ForwardSource::new(std::io::stdin().lock())?)
     } else {
-        decode_file(a)
+        let file =
+            File::open(&a.input).map_err(|e| runtime(format!("cannot open {}: {e}", a.input)))?;
+        decode_from(a, &a.input, StreamSource::new(BufReader::new(file))?)
     }
 }
 
-/// Seekable decode path: random access through [`StreamSource`], with
-/// bounded memory when the output is a file (pre-sized, one region
-/// written per chunk).
-fn decode_file(a: &DecodeArgs) -> Result<(), CliError> {
-    let file =
-        File::open(&a.input).map_err(|e| runtime(format!("cannot open {}: {e}", a.input)))?;
-    let mut source = StreamSource::new(BufReader::new(file))?;
-    let dims = source.dims();
+/// The one decode path, over a seekable file or a forward-only stdin
+/// source alike: `--chunk` reads only the wanted chunk (a pipe reads on to
+/// it without decoding the chunks before it); a whole field goes to a file
+/// chunk by chunk, with bounded memory, or is streamed out in order.
+fn decode_from<F: Fetch>(
+    a: &DecodeArgs,
+    name: &str,
+    mut source: ChunkReader<F>,
+) -> Result<(), CliError> {
+    let dims = source.index().dims();
     let count = source.chunk_count();
     if let Some(want) = a.chunk {
         if want >= count {
@@ -150,8 +156,7 @@ fn decode_file(a: &DecodeArgs) -> Result<(), CliError> {
         let (region, sub) = source.read_chunk(want)?;
         write_values(&a.output, sub.as_slice())?;
         eprintln!(
-            "decoded chunk {want} of {}: region {}x{}x{} at ({}, {}, {})",
-            a.input,
+            "decoded chunk {want} of {name}: region {}x{}x{} at ({}, {}, {})",
             region.nz(),
             region.ny(),
             region.nx(),
@@ -164,54 +169,12 @@ fn decode_file(a: &DecodeArgs) -> Result<(), CliError> {
     if streams_in_order(&a.output) {
         write_values(&a.output, source.read_all()?.as_slice())?;
     } else {
-        write_chunks(&a.output, dims, (0..count).map(|i| source.read_chunk(i)))?;
+        write_chunks(&a.output, dims, source.chunks())?;
     }
     eprintln!(
-        "decoded {} -> {}: {dims} ({} points, {count} chunks)",
-        a.input,
+        "decoded {name} -> {}: {dims} ({} points, {count} chunks)",
         a.output,
         dims.len(),
-    );
-    Ok(())
-}
-
-/// Forward-only decode path for pipes: chunks stream off stdin in offset
-/// order through [`ForwardSource`]; the table and trailer of a trailered
-/// container are validated at end-of-stream.
-fn decode_pipe(a: &DecodeArgs) -> Result<(), CliError> {
-    let stdin = std::io::stdin();
-    let mut source = ForwardSource::new(stdin.lock())?;
-    let dims = source.dims();
-    let count = source.chunk_count();
-    if let Some(want) = a.chunk {
-        if want >= count {
-            return Err(runtime(format!(
-                "chunk {want} is out of range: the stream has {count} chunks"
-            )));
-        }
-        // No seeking on a pipe: decode forward and keep only the wanted
-        // chunk.
-        loop {
-            let index = source.next_index();
-            let (_region, sub) = source
-                .next_chunk()
-                .ok_or_else(|| runtime(format!("the stream ended before chunk {want}")))??;
-            if index == want {
-                write_values(&a.output, sub.as_slice())?;
-                eprintln!("decoded chunk {want} from stdin");
-                return Ok(());
-            }
-        }
-    }
-    if streams_in_order(&a.output) {
-        write_values(&a.output, source.read_all()?.as_slice())?;
-    } else {
-        write_chunks(&a.output, dims, std::iter::from_fn(|| source.next_chunk()))?;
-    }
-    eprintln!(
-        "decoded stdin -> {}: {dims} ({} points, {count} chunks)",
-        a.output,
-        dims.len()
     );
     Ok(())
 }

@@ -5,10 +5,11 @@
 //! - `encode` streams a raw little-endian f32 field through
 //!   [`szhi_core::StreamSink`] into a trailered container, never holding
 //!   the uncompressed field in memory;
-//! - `decode` reads a container back to raw f32 — seekable files go
-//!   through [`szhi_core::StreamSource`] (with `--chunk` random access),
-//!   and `-` decodes straight off a non-seekable stdin pipe through
-//!   [`szhi_core::ForwardSource`];
+//! - `decode` reads a container back to raw f32 through one
+//!   [`szhi_core::ChunkReader`] — seekable files as a
+//!   [`szhi_core::StreamSource`], and `-` straight off a non-seekable
+//!   stdin pipe as a [`szhi_core::ForwardSource`] — with `--chunk`
+//!   reading one chunk on either;
 //! - `inspect` dumps the header, chunk table, trailer and mode/config
 //!   histograms of any container version without decoding a single
 //!   payload byte.

@@ -202,6 +202,65 @@ fn decode_single_chunk_matches_random_access() {
     }
 }
 
+/// `--chunk I` off a stdin pipe reads on to chunk `I` without decoding the
+/// chunks before it, so a corrupt earlier chunk fails neither input: the
+/// pipe writes the bytes the file path writes. Covers a buffered
+/// (trailered v4) stream and an incremental (leading-table v3) one.
+#[test]
+fn a_piped_chunk_decode_skips_a_corrupt_earlier_chunk() {
+    let input = szhi_cli::golden::corpus_dir().join("field.f32");
+    let v4 = temp("skip-v4.szhi");
+    assert_ok(
+        &run(&[
+            "encode",
+            input.to_str().unwrap(),
+            v4.to_str().unwrap(),
+            "--dims",
+            "24,20,32",
+            "--eb",
+            "2e-3",
+            "--chunk-span",
+            "16,16,16",
+            "--mode",
+            "per-chunk",
+        ]),
+        "encode",
+    );
+    let v3 = szhi_cli::golden::pinned(3).unwrap();
+    let archive = temp("skip-bad.szhi");
+    let (file_out, pipe_out) = (temp("skip-file.f32"), temp("skip-pipe.f32"));
+    for (mut bytes, want) in [(std::fs::read(&v4).unwrap(), "1"), (v3, "5")] {
+        let (_, table) = szhi_core::format::read_chunk_table(&bytes).unwrap();
+        let chunk0 = &table.entries[0];
+        bytes[table.data_start + chunk0.offset + chunk0.len / 2] ^= 0x5a;
+        std::fs::write(&archive, &bytes).unwrap();
+        let archive_s = archive.to_str().unwrap();
+        assert_ok(
+            &run(&[
+                "decode",
+                archive_s,
+                file_out.to_str().unwrap(),
+                "--chunk",
+                want,
+            ]),
+            "file decode --chunk",
+        );
+        let out = bin()
+            .args(["decode", "-", pipe_out.to_str().unwrap(), "--chunk", want])
+            .stdin(std::fs::File::open(&archive).unwrap())
+            .output()
+            .unwrap();
+        assert_ok(&out, "stdin decode --chunk");
+        assert_eq!(
+            std::fs::read(&pipe_out).unwrap(),
+            std::fs::read(&file_out).unwrap()
+        );
+    }
+    for p in [&v4, &archive, &file_out, &pipe_out] {
+        std::fs::remove_file(p).unwrap();
+    }
+}
+
 /// Bad command lines exit 2 with the usage text; runtime failures exit 1
 /// with the stable error prefix.
 #[test]

@@ -110,7 +110,7 @@ use szhi_codec::bitio::{
 };
 use szhi_codec::checksum::crc32;
 use szhi_codec::PipelineSpec;
-use szhi_ndgrid::{ChunkPlan, Dims};
+use szhi_ndgrid::{ChunkPlan, Dims, Region};
 use szhi_predictor::{InterpConfig, LevelConfig, Outlier, Scheme, Spline};
 
 /// Magic bytes identifying a szhi stream.
@@ -1025,19 +1025,21 @@ pub(crate) fn read_exact_vec<R: Read>(
     Ok(buf)
 }
 
-/// Reads exactly `n` bytes from a forward-only reader **without trusting
-/// `n` for the allocation**: the buffer grows only with bytes actually
-/// present, so a corrupt length field fails as a typed error once the
-/// stream runs dry — never as an allocation blowup.
+/// Reads exactly `n` bytes from a forward-only reader into `buf`, replacing
+/// its contents, **without trusting `n` for the allocation**: the buffer
+/// grows only with bytes actually present, so a corrupt length field fails
+/// as a typed error once the stream runs dry — never as an allocation
+/// blowup.
 pub(crate) fn read_exact_untrusted<R: Read>(
     reader: &mut R,
     n: u64,
+    buf: &mut Vec<u8>,
     what: &str,
-) -> Result<Vec<u8>, SzhiError> {
-    let mut buf = Vec::new();
+) -> Result<(), SzhiError> {
+    buf.clear();
     reader
         .take(n)
-        .read_to_end(&mut buf)
+        .read_to_end(buf)
         .map_err(|e| SzhiError::Io(format!("reading {what}: {e}")))?;
     if (buf.len() as u64) != n {
         return Err(SzhiError::Io(format!(
@@ -1045,7 +1047,7 @@ pub(crate) fn read_exact_untrusted<R: Read>(
             buf.len()
         )));
     }
-    Ok(buf)
+    Ok(())
 }
 
 fn seek_to<R: Seek>(reader: &mut R, pos: SeekFrom, what: &str) -> Result<u64, SzhiError> {
@@ -1056,15 +1058,78 @@ fn seek_to<R: Seek>(reader: &mut R, pos: SeekFrom, what: &str) -> Result<u64, Sz
 
 /// Everything a reader knows about a chunked stream before touching a
 /// chunk body: the version, the header, the chunk plan and the validated
-/// chunk table. Produced only by [`locate_table`] and
-/// [`locate_table_forward`], so holding one means every check of
-/// `docs/FORMAT.md` short of the per-chunk CRC32 has passed.
+/// chunk table. Produced only by the crate's one table-locating path, so
+/// holding one means every check of `docs/FORMAT.md` short of the
+/// per-chunk CRC32 has passed. Readers hand it out read-only through
+/// [`ChunkReader::index`](crate::stream::ChunkReader::index).
 #[derive(Debug)]
-pub(crate) struct StreamIndex {
+pub struct StreamIndex {
     pub(crate) version: u8,
     pub(crate) header: Header,
     pub(crate) plan: ChunkPlan,
     pub(crate) table: ChunkTable,
+}
+
+impl StreamIndex {
+    /// The container version of the stream (2, 3, 4 or 5).
+    pub fn version(&self) -> u8 {
+        self.version
+    }
+
+    /// The parsed stream header.
+    pub fn header(&self) -> &Header {
+        &self.header
+    }
+
+    /// Shape of the full field the stream encodes.
+    pub fn dims(&self) -> Dims {
+        self.header.dims
+    }
+
+    /// Chunk span per axis `(z, y, x)`.
+    pub fn span(&self) -> [usize; 3] {
+        self.table.span
+    }
+
+    /// The chunk partition of the stream.
+    pub fn plan(&self) -> &ChunkPlan {
+        &self.plan
+    }
+
+    /// Number of chunks in the stream.
+    pub fn chunk_count(&self) -> usize {
+        self.table.entries.len()
+    }
+
+    /// The table entry of chunk `i`, or a typed error when out of range.
+    pub(crate) fn entry(&self, i: usize) -> Result<&ChunkEntry, SzhiError> {
+        self.table.entries.get(i).ok_or_else(|| {
+            SzhiError::InvalidInput(format!(
+                "chunk index {i} out of range for a stream of {} chunks",
+                self.chunk_count()
+            ))
+        })
+    }
+
+    /// The region of the original field chunk `i` covers.
+    pub fn chunk_region(&self, i: usize) -> Result<Region, SzhiError> {
+        self.entry(i)?;
+        Ok(self.plan.chunk_at(i))
+    }
+
+    /// The lossless pipeline that encoded chunk `i` (from the v3+ mode
+    /// byte; for v2 streams, the header's global pipeline).
+    pub fn chunk_pipeline(&self, i: usize) -> Result<PipelineSpec, SzhiError> {
+        self.entry(i).map(|e| e.pipeline)
+    }
+
+    /// The interpolation configuration chunk `i` was compressed with: its
+    /// config-dictionary entry for tuned (v5) streams, the header's
+    /// configuration for every other version.
+    pub fn chunk_interp(&self, i: usize) -> Result<InterpConfig, SzhiError> {
+        self.entry(i)?;
+        Ok(self.table.chunk_interp(&self.header, i))
+    }
 }
 
 /// The validated front of a chunked stream: what precedes the chunk table
@@ -1149,7 +1214,8 @@ fn read_leading_table<R: Read>(
         )));
     }
     let table_len = n_chunks * layout.entry_size as u64;
-    let table_bytes = read_exact_untrusted(reader, table_len, "the chunk table")?;
+    let mut table_bytes = Vec::new();
+    read_exact_untrusted(reader, table_len, &mut table_bytes, "the chunk table")?;
     let raw = read_raw_entries(
         &mut ByteCursor::new(&table_bytes),
         layout,

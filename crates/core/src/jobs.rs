@@ -340,16 +340,17 @@ fn run_decompress<R: Read + Seek>(
 ) -> Result<Grid<f32>, SzhiError> {
     state.enter(JobPhase::Decoding);
     let _span = crate::telemetry::JOB_DECODE.enter();
-    let mut out = Grid::zeros(source.dims());
-    for i in 0..source.chunk_count() {
-        if state.cancelled.load(Ordering::Relaxed) {
-            return Err(SzhiError::Cancelled);
-        }
-        let (region, sub) = source.read_chunk(i)?;
+    let mut out = Grid::zeros(source.index().dims());
+    let mut chunks = source.chunks();
+    while !state.cancelled.load(Ordering::Relaxed) {
+        let Some(chunk) = chunks.next() else {
+            return Ok(out);
+        };
+        let (region, sub) = chunk?;
         out.insert(&region, sub.as_slice());
         state.done.fetch_add(1, Ordering::Relaxed);
     }
-    Ok(out)
+    Err(SzhiError::Cancelled)
 }
 
 #[cfg(test)]

@@ -91,7 +91,7 @@
 //! assert_eq!(sub.len(), region.len());
 //! ```
 //!
-//! ## Streaming (one writer, two readers)
+//! ## Streaming (one writer, one reader)
 //!
 //! The batch engine needs the whole field in memory. [`StreamSink`] — the
 //! only chunked writer, which the batch engine itself drives — inverts
@@ -107,16 +107,18 @@
 //! streaming-safe: an [`ErrorBound::Absolute`] bound and whole-field
 //! auto-tuning disabled.
 //!
-//! [`StreamSource`] is the matching bounded-memory reader over any
+//! [`ChunkReader`] is the matching bounded-memory reader, with one of two
+//! fetches. [`StreamSource`] seeks: over any
 //! [`std::io::Read`]` + `[`std::io::Seek`] (and, via
-//! [`StreamSource::from_bytes`], the lazy reader of an in-memory stream):
-//! it finds the table via the trailer (verifying the table against the
-//! trailer's CRC32 before parsing a single entry) and fetches chunks with
-//! one seek and one bounded, checksum-verified read each.
-//! [`ForwardSource`] reads the same containers off a plain
-//! [`std::io::Read`]. Both, and [`decompress`], stand on one reader core:
-//! one path locates and validates the chunk table, one step verifies a
-//! fetched body's CRC32 and decodes it.
+//! [`StreamSource::from_bytes`], over an in-memory stream) it finds the
+//! table via the trailer (verifying the table against the trailer's CRC32
+//! before parsing a single entry) and fetches chunks with one seek and one
+//! bounded read each. [`ForwardSource`] reads the same containers forward,
+//! off a plain [`std::io::Read`]. Both share the metadata view
+//! ([`ChunkReader::index`]), `read_chunk`, the chunk iterator and
+//! `read_all`; they, and [`decompress`], share one path that locates and
+//! validates the chunk table and one step that verifies a fetched body's
+//! CRC32 and decodes it.
 //!
 //! ## Cost-model orchestration (the v5 tuned container)
 //!
@@ -171,11 +173,11 @@
 //! ## Serving (pipes and concurrent jobs)
 //!
 //! Two pieces turn the engine into a serving layer. [`ForwardSource`] is
-//! the forward-only counterpart of [`StreamSource`]: it decodes any
-//! chunked container over a plain [`std::io::Read`] — no `Seek` — so
-//! compressed streams decode straight off a pipe, socket or `stdin`
-//! (trailered v4/v5 streams are buffered to EOF and their table + trailer
-//! validated at end-of-stream; see `docs/FORMAT.md`). [`jobs::JobService`]
+//! the reader's forward fetch: it decodes any chunked container over a
+//! plain [`std::io::Read`] — no `Seek` — so compressed streams decode
+//! straight off a pipe, socket or `stdin` (trailered v4/v5 streams are
+//! buffered to EOF and their table + trailer validated at end-of-stream;
+//! see `docs/FORMAT.md`). [`jobs::JobService`]
 //! runs many compress / decompress jobs concurrently over the shared
 //! worker pool, each with per-job progress reporting and cooperative
 //! cancellation that poisons the job's sink — and every job's output stays
@@ -200,11 +202,10 @@ pub use compressor::{
 pub use config::{ErrorBound, ModeTuning, PipelineMode, SzhiConfig};
 pub use error::SzhiError;
 pub use format::{
-    stream_version, Header, MAGIC, TRAILER_MAGIC, TRAILER_MAGIC_V5, TRAILER_SIZE, VERSION,
-    VERSION_CHUNKED, VERSION_STREAMED, VERSION_TRAILERED, VERSION_TUNED,
+    stream_version, Header, StreamIndex, MAGIC, TRAILER_MAGIC, TRAILER_MAGIC_V5, TRAILER_SIZE,
+    VERSION, VERSION_CHUNKED, VERSION_STREAMED, VERSION_TRAILERED, VERSION_TUNED,
 };
 pub use jobs::{JobHandle, JobProgress, JobService};
 pub use stream::{
-    ChunkReceipt, EncodedChunk, ForwardChunks, ForwardSource, SourceChunks, StreamSink,
-    StreamSource,
+    ChunkReader, ChunkReceipt, EncodedChunk, Fetch, ForwardSource, StreamSink, StreamSource,
 };

@@ -16,21 +16,22 @@
 //!   sink with chunks encoded in parallel ([`StreamSink::encode_chunk`] is
 //!   a pure function), so a field pushed one chunk at a time yields the
 //!   bytes of the batch engine, at every worker-thread count.
-//! * [`StreamSource`] (seekable) and [`ForwardSource`] (forward-only) read
-//!   every chunked container (v2–v5). Both stand on one reader core: the
-//!   table is located and validated by the one path in [`crate::format`],
-//!   and every fetched body — by seek, off a pipe, or as a slice of an
-//!   in-memory stream ([`crate::decompress`]) — passes one verify-and-decode
-//!   step, which checks the chunk's CRC32 *before* any lossless decoder
-//!   touches the bytes; corruption surfaces as the typed
-//!   [`SzhiError::ChunkChecksum`].
+//! * [`ChunkReader`] is the one reader of every chunked container (v2–v5):
+//!   the table is located and validated by the one path in
+//!   [`crate::format`], its metadata is one read-only [`StreamIndex`], and
+//!   one `read_chunk` serves both of its [`Fetch`]es — seek-and-read
+//!   ([`StreamSource`]) and forward, off a pipe ([`ForwardSource`]). Every
+//!   fetched body, and every slice of an in-memory stream
+//!   ([`crate::decompress`]), passes one verify-and-decode step, which
+//!   checks the chunk's CRC32 *before* any lossless decoder touches the
+//!   bytes; corruption surfaces as the typed [`SzhiError::ChunkChecksum`].
 
 use crate::compressor::{decompress_chunk_body, CompressionStats};
 use crate::config::{ErrorBound, ModeTuning, SzhiConfig};
 use crate::error::SzhiError;
 use crate::format::{
-    self, locate_table, locate_table_forward, read_exact_untrusted, read_exact_vec, write_sections,
-    ChunkEntry, Header, Layout, StreamIndex, TableRow, VERSION_TRAILERED, VERSION_TUNED,
+    self, locate_table, locate_table_forward, read_exact_untrusted, write_sections, Header, Layout,
+    StreamIndex, TableRow, VERSION_TRAILERED, VERSION_TUNED,
 };
 use rayon::prelude::*;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -736,21 +737,10 @@ impl<W: Write> StreamSink<W> {
     }
 }
 
-/// The reader core every read path shares — [`StreamSource`],
-/// [`ForwardSource`] and the in-memory [`crate::decompress`] differ only in
-/// how they fetch a chunk's bytes.
+/// The reader core every read path shares — [`ChunkReader`] over either
+/// [`Fetch`] and the in-memory [`crate::decompress`] differ only in how
+/// they fetch a chunk's bytes.
 impl StreamIndex {
-    /// The table entry of chunk `index`, or a typed error when out of
-    /// range.
-    pub(crate) fn entry(&self, index: usize) -> Result<&ChunkEntry, SzhiError> {
-        self.table.entries.get(index).ok_or_else(|| {
-            SzhiError::InvalidInput(format!(
-                "chunk index {index} out of range for a stream of {} chunks",
-                self.table.entries.len()
-            ))
-        })
-    }
-
     /// The one verify-and-decode step: checks `body` — the fetched bytes of
     /// chunk `index` — against the chunk's CRC32, then reconstructs the
     /// sub-field with the chunk's own pipeline and interpolation
@@ -798,22 +788,140 @@ pub(crate) fn assemble(
     Ok(out)
 }
 
-/// Bounded-memory reader of chunked containers behind any
-/// [`io::Read`](std::io::Read)` + `[`io::Seek`](std::io::Seek) — a
-/// [`File`](std::fs::File), a [`Cursor`](std::io::Cursor) over bytes
-/// ([`StreamSource::from_bytes`], the lazy in-memory reader), or anything
-/// else seekable.
+mod sealed {
+    /// Closes [`super::Fetch`] to the two fetches of this module.
+    pub trait Sealed {}
+}
+
+/// How a [`ChunkReader`] gets the bytes of a chunk body: [`SeekFetch`]
+/// seeks to them, [`ForwardFetch`] reads on to them. The trait is sealed;
+/// these two are its only implementations.
+pub trait Fetch: sealed::Sealed {
+    /// Whether the fetch can go back to a chunk behind the last one it
+    /// fetched.
+    const REWINDS: bool;
+
+    /// Fetches the body of chunk `i` of `index` — in range, and not behind
+    /// the last chunk fetched unless the fetch rewinds — into the fetch's
+    /// own body buffer, reused from chunk to chunk, or borrows it from a
+    /// stream already in memory.
+    fn fetch(&mut self, index: &StreamIndex, i: usize) -> Result<&[u8], SzhiError>;
+}
+
+/// The fetch of a [`StreamSource`]: one seek and one bounded read per
+/// chunk, in any order.
+#[derive(Debug)]
+pub struct SeekFetch<R> {
+    reader: R,
+    body: Vec<u8>,
+}
+
+impl<R> sealed::Sealed for SeekFetch<R> {}
+
+impl<R: Read + Seek> Fetch for SeekFetch<R> {
+    const REWINDS: bool = true;
+
+    fn fetch(&mut self, index: &StreamIndex, i: usize) -> Result<&[u8], SzhiError> {
+        let entry = index.entry(i)?;
+        let at = (index.table.data_start + entry.offset) as u64;
+        self.reader
+            .seek(SeekFrom::Start(at))
+            .map_err(|e| SzhiError::Io(format!("seeking to chunk {i}: {e}")))?;
+        self.body.resize(entry.len, 0);
+        self.reader
+            .read_exact(&mut self.body)
+            .map_err(|e| SzhiError::Io(format!("reading a chunk body: {e}")))?;
+        crate::telemetry::SOURCE_BYTES.bump(entry.len as u64);
+        crate::telemetry::SOURCE_CHUNKS.bump(1);
+        Ok(&self.body)
+    }
+}
+
+/// The fetch of a [`ForwardSource`]. A v2/v3 stream, whose chunk table
+/// leads the data area, is read incrementally: the bytes up to a chunk's
+/// offset are discarded (chunk offsets only grow, see `docs/FORMAT.md`),
+/// then its body is read. A v4/v5 stream keeps its table and trailer
+/// **behind** the data area, so no chunk's pipeline, config or checksum is
+/// known until the stream ends: it is buffered to its end when the source
+/// opens — the unavoidable price of a trailered container on a pipe — and
+/// a body is a slice of the buffer.
+#[derive(Debug)]
+pub struct ForwardFetch<R> {
+    reader: R,
+    /// Bytes of the data area consumed so far.
+    pos: u64,
+    /// The whole stream, for a trailered container.
+    buffered: Option<Vec<u8>>,
+    body: Vec<u8>,
+}
+
+impl<R> sealed::Sealed for ForwardFetch<R> {}
+
+impl<R: Read> Fetch for ForwardFetch<R> {
+    const REWINDS: bool = false;
+
+    fn fetch(&mut self, index: &StreamIndex, i: usize) -> Result<&[u8], SzhiError> {
+        let entry = index.entry(i)?;
+        let fetched = match &self.buffered {
+            Some(bytes) => index.table.entry_slice(bytes, i)?.1,
+            None => {
+                let offset = entry.offset as u64;
+                if offset > self.pos {
+                    skip_exact(&mut self.reader, offset - self.pos)?;
+                    self.pos = offset;
+                }
+                let len = entry.len as u64;
+                read_exact_untrusted(&mut self.reader, len, &mut self.body, "a chunk body")?;
+                self.pos += len;
+                &self.body
+            }
+        };
+        crate::telemetry::FORWARD_BYTES.bump(fetched.len() as u64);
+        crate::telemetry::FORWARD_CHUNKS.bump(1);
+        Ok(fetched)
+    }
+}
+
+/// Discards exactly `n` bytes from a forward-only reader: the part of the
+/// data area in front of a chunk, which a seekable source seeks over.
+fn skip_exact<R: Read>(reader: &mut R, n: u64) -> Result<(), SzhiError> {
+    let copied = std::io::copy(&mut reader.take(n), &mut std::io::sink())
+        .map_err(|e| SzhiError::Io(format!("skipping to a chunk body: {e}")))?;
+    if copied != n {
+        return Err(SzhiError::Io(format!(
+            "skipping to a chunk body: the stream ended after {copied} of {n} bytes"
+        )));
+    }
+    Ok(())
+}
+
+/// The one reader of chunked containers (v2–v5): the validated
+/// [`StreamIndex`] of the stream plus a [`Fetch`] for chunk bodies. Every
+/// fetched body is verified against its CRC32 (v3+) *before* any lossless
+/// decoder sees it, and only one compressed body and one reconstructed
+/// sub-field are in memory at a time (a buffered v4/v5 stream on a
+/// [`ForwardSource`] also holds its compressed bytes). Monolithic (v1)
+/// streams and unknown future versions are rejected with clear typed
+/// errors when the reader opens.
+#[derive(Debug)]
+pub struct ChunkReader<F> {
+    fetch: F,
+    index: StreamIndex,
+    /// The chunk [`ChunkReader::next_chunk`] decodes next.
+    next: usize,
+}
+
+/// Bounded-memory reader over any [`io::Read`](std::io::Read)` +
+/// `[`io::Seek`](std::io::Seek) — a [`File`](std::fs::File), a
+/// [`Cursor`](std::io::Cursor) over bytes ([`StreamSource::from_bytes`],
+/// the lazy in-memory reader), or anything else seekable.
 ///
-/// Construction reads and validates only the header and the chunk table:
-/// for trailered (v4) and tuned (v5) containers the fixed-size trailer at
-/// the end of the stream locates the table (whose bytes are verified
-/// against the trailer's CRC32 before any entry is parsed); for chunked
-/// (v2) and streamed (v3) containers the table sits directly after the
-/// header. Chunk bodies are then fetched with one seek + bounded read each
-/// and verified against their CRC32 (v3+) *before* any lossless decoder
-/// sees them, without ever holding more than one compressed chunk in
-/// memory. Monolithic (v1) streams and unknown future versions are
-/// rejected with clear typed errors.
+/// Opening reads and validates only the header and the chunk table: for
+/// trailered (v4) and tuned (v5) containers the fixed-size trailer at the
+/// end of the stream locates the table (whose bytes are verified against
+/// the trailer's CRC32 before any entry is parsed); for chunked (v2) and
+/// streamed (v3) containers the table sits directly after the header.
+/// Chunks are then read in any order, one seek and one bounded read each.
 ///
 /// ```
 /// use std::io::Cursor;
@@ -834,212 +942,19 @@ pub(crate) fn assemble(
 ///     assert_eq!(sub.len(), region.len());
 /// }
 /// ```
-#[derive(Debug)]
-pub struct StreamSource<R> {
-    reader: R,
-    index: StreamIndex,
-}
+pub type StreamSource<R> = ChunkReader<SeekFetch<R>>;
 
-impl<'a> StreamSource<std::io::Cursor<&'a [u8]>> {
-    /// Convenience constructor over an in-memory stream.
-    pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, SzhiError> {
-        StreamSource::new(std::io::Cursor::new(bytes))
-    }
-}
-
-impl<R: Read + Seek> StreamSource<R> {
-    /// Opens a chunked (v2), streamed (v3), trailered (v4) or tuned (v5)
-    /// container, reading and validating the header and chunk table only.
-    pub fn new(mut reader: R) -> Result<StreamSource<R>, SzhiError> {
-        let index = locate_table(&mut reader)?;
-        Ok(StreamSource { reader, index })
-    }
-
-    /// The container version of the stream (2, 3, 4 or 5).
-    pub fn version(&self) -> u8 {
-        self.index.version
-    }
-
-    /// The parsed stream header.
-    pub fn header(&self) -> &Header {
-        &self.index.header
-    }
-
-    /// Shape of the full field the stream encodes.
-    pub fn dims(&self) -> Dims {
-        self.index.header.dims
-    }
-
-    /// Chunk span per axis `(z, y, x)`.
-    pub fn span(&self) -> [usize; 3] {
-        self.index.table.span
-    }
-
-    /// The chunk partition of the stream.
-    pub fn plan(&self) -> &ChunkPlan {
-        &self.index.plan
-    }
-
-    /// Number of chunks in the stream.
-    pub fn chunk_count(&self) -> usize {
-        self.index.table.entries.len()
-    }
-
-    /// The region of the original field chunk `index` covers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range (see
-    /// [`StreamSource::chunk_count`]).
-    pub fn chunk_region(&self, index: usize) -> Region {
-        self.index.plan.chunk_at(index)
-    }
-
-    /// The lossless pipeline that encoded chunk `index` (from the v3+
-    /// mode byte; for v2 streams, the header's global pipeline).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range (see
-    /// [`StreamSource::chunk_count`]).
-    pub fn chunk_pipeline(&self, index: usize) -> PipelineSpec {
-        // szhi-analyzer: allow(panic-reachability) -- documented `# Panics` contract for out-of-range indices; `fetch_chunk` guards every internal use with a typed range check
-        self.index.table.entries[index].pipeline
-    }
-
-    /// The interpolation configuration chunk `index` was compressed with:
-    /// its config-dictionary entry for tuned (v5) streams, the header's
-    /// configuration for every other version.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range (see
-    /// [`StreamSource::chunk_count`]).
-    pub fn chunk_interp(&self, index: usize) -> InterpConfig {
-        self.index.table.chunk_interp(&self.index.header, index)
-    }
-
-    /// Fetches the body of chunk `index`: one seek + one bounded read.
-    fn fetch_chunk(&mut self, index: usize) -> Result<Vec<u8>, SzhiError> {
-        let entry = *self.index.entry(index)?;
-        let at = (self.index.table.data_start + entry.offset) as u64;
-        self.reader
-            .seek(SeekFrom::Start(at))
-            .map_err(|e| SzhiError::Io(format!("seeking to chunk {index}: {e}")))?;
-        let body = read_exact_vec(&mut self.reader, entry.len, "a chunk body")?;
-        crate::telemetry::SOURCE_BYTES.bump(body.len() as u64);
-        crate::telemetry::SOURCE_CHUNKS.bump(1);
-        Ok(body)
-    }
-
-    /// Verifies chunk `index` against its recorded CRC32 without decoding
-    /// it. v2 streams carry no checksums, so for them this is a true no-op
-    /// returning `Ok` — no seek, no read.
-    pub fn verify_chunk(&mut self, index: usize) -> Result<(), SzhiError> {
-        let entry = *self.index.entry(index)?;
-        if entry.checksum.is_none() {
-            return Ok(());
-        }
-        entry.verify(index, &self.fetch_chunk(index)?)
-    }
-
-    /// Decodes chunk `index`: reads its body from the backing reader,
-    /// verifies the checksum, then reconstructs the sub-field it covers.
-    /// Returns the chunk's region of the original field and the
-    /// reconstructed values.
-    pub fn read_chunk(&mut self, index: usize) -> Result<(Region, Grid<f32>), SzhiError> {
-        let body = self.fetch_chunk(index)?;
-        self.index.verify_and_decode(index, &body)
-    }
-
-    /// Iterates over the decoded chunks **lazily**, in plan order: each
-    /// chunk is read, verified and decoded only when the iterator is
-    /// advanced, so one compressed body and one reconstructed sub-field
-    /// are in memory at a time.
-    pub fn chunks(&mut self) -> SourceChunks<'_, R> {
-        SourceChunks {
-            source: self,
-            next: 0,
-        }
-    }
-
-    /// Decodes every chunk sequentially and assembles the full field.
-    /// (Reads from one seekable source are inherently serial; decode the
-    /// stream via [`crate::decompress`] instead if it is already in memory
-    /// and parallel decode matters.)
-    pub fn read_all(&mut self) -> Result<Grid<f32>, SzhiError> {
-        assemble(self.dims(), self.chunks())
-    }
-
-    /// Consumes the source, returning the backing reader.
-    pub fn into_inner(self) -> R {
-        self.reader
-    }
-}
-
-/// Lazy chunk iterator over a [`StreamSource`], returned by
-/// [`StreamSource::chunks`].
-#[derive(Debug)]
-pub struct SourceChunks<'a, R> {
-    source: &'a mut StreamSource<R>,
-    next: usize,
-}
-
-impl<R: Read + Seek> Iterator for SourceChunks<'_, R> {
-    type Item = Result<(Region, Grid<f32>), SzhiError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.source.chunk_count() {
-            return None;
-        }
-        let index = self.next;
-        self.next += 1;
-        Some(self.source.read_chunk(index))
-    }
-}
-
-/// Discards exactly `n` bytes from a forward-only reader (the gap between
-/// two chunk bodies, which a seekable source would simply seek over).
-fn skip_exact<R: Read>(reader: &mut R, n: u64, what: &str) -> Result<(), SzhiError> {
-    let copied = std::io::copy(&mut reader.take(n), &mut std::io::sink())
-        .map_err(|e| SzhiError::Io(format!("skipping {what}: {e}")))?;
-    if copied != n {
-        return Err(SzhiError::Io(format!(
-            "skipping {what}: the stream ended after {copied} of {n} bytes"
-        )));
-    }
-    Ok(())
-}
-
-/// How a [`ForwardSource`] holds the part of the stream behind the table.
-#[derive(Debug)]
-enum ForwardState<R> {
-    /// v2/v3: the chunk table leads the data area, so the source is truly
-    /// incremental — it holds the live reader and the bytes of the data
-    /// area consumed so far, and decodes each body as it streams past.
-    Streaming { reader: R, pos: u64 },
-    /// v4/v5: the chunk table and trailer sit **behind** the data area, so
-    /// no chunk's pipeline, config or checksum is known until the stream
-    /// ends. The source holds the whole compressed stream — the unavoidable
-    /// price of a trailered container on a pipe (see [`StreamSource`] for
-    /// the seekable bounded-memory path).
-    Buffered { bytes: Vec<u8> },
-}
-
-/// Forward-only reader of chunked containers (v2–v5) over any
-/// [`io::Read`](std::io::Read) — **no `Seek` required** — so a compressed
-/// stream can be decoded straight off a pipe, a socket, or `stdin`.
+/// Forward-only reader over any [`io::Read`](std::io::Read) — **no
+/// `Seek` required** — so a compressed stream can be decoded straight off
+/// a pipe, a socket, or `stdin`.
 ///
-/// Chunks are decoded strictly in offset order (which for streams written
-/// by this workspace is plan order). For v2/v3 containers, whose chunk
-/// table precedes the data area, decoding is truly incremental: one
-/// compressed body and one reconstructed sub-field in memory at a time.
-/// For trailered v4/v5 containers the table and trailer live at the end of
-/// the stream, so the source buffers the remainder to EOF first and
-/// validates table + trailer at end-of-stream in the same order as the
-/// seekable reader (header → trailer geometry → table-region CRC32 →
-/// config dictionary → entries), then every chunk body is still verified
-/// against its CRC32 before any lossless decoder touches it.
+/// Chunks are read in index order, and a chunk behind the last one read is
+/// out of reach. For v2/v3 containers, whose chunk table precedes the data
+/// area, reading is truly incremental. For trailered v4/v5 containers the
+/// source buffers the remainder of the stream to EOF when it opens and
+/// validates table + trailer in the same order as the seekable reader
+/// (header → trailer geometry → table-region CRC32 → config dictionary →
+/// entries).
 ///
 /// ```
 /// use szhi_core::{compress, decompress, ErrorBound, ForwardSource, SzhiConfig};
@@ -1057,168 +972,111 @@ enum ForwardState<R> {
 /// let restored = source.read_all().unwrap();
 /// assert_eq!(restored.as_slice(), decompress(&bytes).unwrap().as_slice());
 /// ```
-#[derive(Debug)]
-pub struct ForwardSource<R> {
-    state: ForwardState<R>,
-    index: StreamIndex,
-    next: usize,
+pub type ForwardSource<R> = ChunkReader<ForwardFetch<R>>;
+
+impl<'a> StreamSource<std::io::Cursor<&'a [u8]>> {
+    /// Convenience constructor over an in-memory stream.
+    pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, SzhiError> {
+        StreamSource::new(std::io::Cursor::new(bytes))
+    }
+}
+
+impl<R: Read + Seek> StreamSource<R> {
+    /// Opens a chunked (v2), streamed (v3), trailered (v4) or tuned (v5)
+    /// container, reading and validating the header and chunk table only.
+    pub fn new(mut reader: R) -> Result<Self, SzhiError> {
+        let index = locate_table(&mut reader)?;
+        let fetch = SeekFetch {
+            reader,
+            body: Vec::new(),
+        };
+        Ok(ChunkReader::open(fetch, index))
+    }
 }
 
 impl<R: Read> ForwardSource<R> {
     /// Opens a chunked (v2), streamed (v3), trailered (v4) or tuned (v5)
-    /// container over a forward-only reader. Monolithic (v1) streams and
-    /// unknown future versions are rejected with clear typed errors.
-    ///
-    /// For v2/v3 this reads and validates the header and leading chunk
-    /// table only; for v4/v5 it consumes the reader to EOF (see the type
-    /// docs for why) and validates the trailing table before returning.
-    pub fn new(mut reader: R) -> Result<ForwardSource<R>, SzhiError> {
+    /// container over a forward-only reader. For v2/v3 this reads and
+    /// validates the header and leading chunk table only; for v4/v5 it
+    /// consumes the reader to EOF and validates the trailing table before
+    /// returning.
+    pub fn new(mut reader: R) -> Result<Self, SzhiError> {
         let (index, buffered) = locate_table_forward(&mut reader)?;
-        let state = match buffered {
-            Some(bytes) => ForwardState::Buffered { bytes },
-            None => ForwardState::Streaming { reader, pos: 0 },
+        let fetch = ForwardFetch {
+            reader,
+            pos: 0,
+            buffered,
+            body: Vec::new(),
         };
-        Ok(ForwardSource {
-            state,
+        Ok(ChunkReader::open(fetch, index))
+    }
+}
+
+impl<F: Fetch> ChunkReader<F> {
+    fn open(fetch: F, index: StreamIndex) -> Self {
+        ChunkReader {
+            fetch,
             index,
             next: 0,
-        })
+        }
     }
 
-    /// The container version of the stream (2, 3, 4 or 5).
-    pub fn version(&self) -> u8 {
-        self.index.version
-    }
-
-    /// The parsed stream header.
-    pub fn header(&self) -> &Header {
-        &self.index.header
-    }
-
-    /// Shape of the full field the stream encodes.
-    pub fn dims(&self) -> Dims {
-        self.index.header.dims
-    }
-
-    /// Chunk span per axis `(z, y, x)`.
-    pub fn span(&self) -> [usize; 3] {
-        self.index.table.span
-    }
-
-    /// The chunk partition of the stream.
-    pub fn plan(&self) -> &ChunkPlan {
-        &self.index.plan
+    /// The stream's metadata: version, header, plan and the per-chunk
+    /// region, pipeline and interpolation configuration.
+    pub fn index(&self) -> &StreamIndex {
+        &self.index
     }
 
     /// Number of chunks in the stream.
     pub fn chunk_count(&self) -> usize {
-        self.index.table.entries.len()
+        self.index.chunk_count()
     }
 
-    /// Index of the next chunk [`ForwardSource::next_chunk`] will decode.
-    pub fn next_index(&self) -> usize {
-        self.next
-    }
-
-    /// The region of the original field chunk `index` covers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range (see
-    /// [`ForwardSource::chunk_count`]).
-    pub fn chunk_region(&self, index: usize) -> Region {
-        self.index.plan.chunk_at(index)
-    }
-
-    /// The lossless pipeline that encoded chunk `index` (from the v3+ mode
-    /// byte; for v2 streams, the header's global pipeline), or a typed
-    /// error when out of range.
-    pub fn chunk_pipeline(&self, index: usize) -> Result<PipelineSpec, SzhiError> {
-        self.index.entry(index).map(|e| e.pipeline)
-    }
-
-    /// The interpolation configuration chunk `index` was compressed with:
-    /// its config-dictionary entry for tuned (v5) streams, the header's
-    /// configuration for every other version; a typed error when out of
-    /// range.
-    pub fn chunk_interp(&self, index: usize) -> Result<InterpConfig, SzhiError> {
+    /// Decodes chunk `index`: fetches its body, verifies the checksum, then
+    /// reconstructs the sub-field it covers. Returns the chunk's region of
+    /// the original field and the reconstructed values. A forward source
+    /// reads on to the chunk without decoding the ones before it, and
+    /// rejects a chunk behind the last one read with
+    /// [`SzhiError::InvalidInput`].
+    pub fn read_chunk(&mut self, index: usize) -> Result<(Region, Grid<f32>), SzhiError> {
         self.index.entry(index)?;
-        Ok(self.index.table.chunk_interp(&self.index.header, index))
-    }
-
-    /// Decodes the next chunk in offset order: its region of the original
-    /// field plus the reconstructed sub-field, or `None` once every chunk
-    /// has been decoded. The chunk's CRC32 (v3+) is verified before any
-    /// lossless decoder touches the bytes.
-    ///
-    /// A forward source cannot rewind, so an error consumes the chunk like
-    /// a success: after a checksum or decode failure the stream position
-    /// is still consistent (the body was fully consumed) and the next call
-    /// moves on to the following chunk; after an I/O failure every later
-    /// body read reports a typed I/O error of its own.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next_chunk(&mut self) -> Option<Result<(Region, Grid<f32>), SzhiError>> {
-        if self.next >= self.chunk_count() {
-            return None;
+        if index < self.next && !F::REWINDS {
+            return Err(SzhiError::InvalidInput(format!(
+                "a forward source cannot rewind: chunk {index} is behind chunk {}",
+                self.next
+            )));
         }
-        let index = self.next;
-        self.next += 1;
-        Some(self.decode_chunk(index))
-    }
-
-    /// Fetches and decodes chunk `index` (the current forward position).
-    fn decode_chunk(&mut self, index: usize) -> Result<(Region, Grid<f32>), SzhiError> {
-        let entry = *self.index.entry(index)?;
-        let streamed;
-        let body: &[u8] = match &mut self.state {
-            ForwardState::Streaming { reader, pos } => {
-                let offset = entry.offset as u64;
-                if offset > *pos {
-                    // A gap between bodies: a seekable source would seek
-                    // over it; a forward source discards it.
-                    skip_exact(reader, offset - *pos, "a gap between chunk bodies")?;
-                    *pos = offset;
-                }
-                streamed = read_exact_untrusted(reader, entry.len as u64, "a chunk body")?;
-                *pos += entry.len as u64;
-                &streamed
-            }
-            ForwardState::Buffered { bytes } => self.index.table.entry_slice(bytes, index)?.1,
-        };
-        crate::telemetry::FORWARD_BYTES.bump(body.len() as u64);
-        crate::telemetry::FORWARD_CHUNKS.bump(1);
+        self.next = index + 1;
+        let body = self.fetch.fetch(&self.index, index)?;
         self.index.verify_and_decode(index, body)
     }
 
-    /// Iterates over the remaining decoded chunks in offset order, lazily:
-    /// one compressed body and one reconstructed sub-field in memory at a
-    /// time (for v2/v3; buffered v4/v5 streams hold the compressed bytes
-    /// until the source is dropped).
-    pub fn chunks(&mut self) -> ForwardChunks<'_, R> {
-        ForwardChunks { source: self }
+    /// Decodes the chunk after the last one read (chunk 0 at first), or
+    /// returns `None` past the last chunk. An error consumes the chunk like
+    /// a success, so the next call moves on to the following chunk.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next_chunk(&mut self) -> Option<Result<(Region, Grid<f32>), SzhiError>> {
+        (self.next < self.chunk_count()).then(|| self.read_chunk(self.next))
     }
 
-    /// Decodes every remaining chunk and assembles the full field (regions
-    /// already consumed by [`ForwardSource::next_chunk`] stay zero). On a
-    /// fresh source this reconstructs the whole field, identically to
-    /// [`crate::decompress`].
+    /// Iterates over the decoded chunks **lazily**, in plan order — from
+    /// chunk 0 on a seekable source, from the next unread chunk on a
+    /// forward one: each chunk is fetched, verified and decoded only when
+    /// the iterator is advanced.
+    pub fn chunks(&mut self) -> impl Iterator<Item = Result<(Region, Grid<f32>), SzhiError>> + '_ {
+        if F::REWINDS {
+            self.next = 0;
+        }
+        std::iter::from_fn(|| self.next_chunk())
+    }
+
+    /// Decodes the chunks of [`ChunkReader::chunks`] sequentially and
+    /// assembles the full field; regions a forward source has already read
+    /// stay zero. (Reads from one source are serial; decode a stream that
+    /// is already in memory via [`crate::decompress`] when parallel decode
+    /// matters.)
     pub fn read_all(&mut self) -> Result<Grid<f32>, SzhiError> {
-        assemble(self.dims(), self.chunks())
-    }
-}
-
-/// Lazy chunk iterator over a [`ForwardSource`], returned by
-/// [`ForwardSource::chunks`].
-#[derive(Debug)]
-pub struct ForwardChunks<'a, R> {
-    source: &'a mut ForwardSource<R>,
-}
-
-impl<R: Read> Iterator for ForwardChunks<'_, R> {
-    type Item = Result<(Region, Grid<f32>), SzhiError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.source.next_chunk()
+        assemble(self.index.dims(), self.chunks())
     }
 }
 
@@ -1331,14 +1189,13 @@ mod tests {
         // The lazy in-memory reader is the seekable source over the bytes;
         // the eager parallel drain is `decompress`.
         let mut reader = StreamSource::from_bytes(&bytes).unwrap();
-        assert_eq!(reader.dims(), data.dims());
+        assert_eq!(reader.index().dims(), data.dims());
         assert_eq!(reader.chunk_count(), 3 * 3 * 2);
         let mut covered = 0usize;
         for i in 0..reader.chunk_count() {
             let (region, sub) = reader.read_chunk(i).unwrap();
-            assert_eq!(region, reader.chunk_region(i));
+            assert_eq!(region, reader.index().chunk_region(i).unwrap());
             assert_eq!(sub.len(), region.len());
-            reader.verify_chunk(i).unwrap();
             for (a, b) in data.extract(&region).iter().zip(sub.as_slice()) {
                 assert!(((*a as f64) - (*b as f64)).abs() <= 2e-3 + 1e-12);
             }
@@ -1400,7 +1257,7 @@ mod tests {
         let from_v4 = decompress(&v4).unwrap();
         assert_eq!(from_v3.as_slice(), from_v4.as_slice());
         let mut source = StreamSource::from_bytes(&v4).unwrap();
-        assert_eq!(source.version(), crate::format::VERSION_TRAILERED);
+        assert_eq!(source.index().version(), crate::format::VERSION_TRAILERED);
         assert_eq!(source.read_all().unwrap().as_slice(), from_v4.as_slice());
     }
 
@@ -1474,15 +1331,15 @@ mod tests {
         let expect = decompress(&v4).unwrap();
         for (version, bytes) in [(2u8, &v2), (3, &v3), (4, &v4)] {
             let mut source = StreamSource::from_bytes(bytes).unwrap();
-            assert_eq!(source.version(), version, "v{version}");
-            assert_eq!(source.dims(), data.dims());
-            assert_eq!(source.span(), table.span);
-            assert_eq!(source.chunk_count(), table.entries.len());
-            assert_eq!(source.header().pipeline, header.pipeline);
-            for i in 0..source.chunk_count() {
-                source.verify_chunk(i).unwrap();
-                assert_eq!(source.chunk_pipeline(i), table.entries[i].pipeline);
-                assert_eq!(source.chunk_region(i), source.plan().chunk_at(i));
+            let view = source.index();
+            assert_eq!(view.version(), version, "v{version}");
+            assert_eq!(view.dims(), data.dims());
+            assert_eq!(view.span(), table.span);
+            assert_eq!(view.chunk_count(), table.entries.len());
+            assert_eq!(view.header().pipeline, header.pipeline);
+            for i in 0..view.chunk_count() {
+                assert_eq!(view.chunk_pipeline(i).unwrap(), table.entries[i].pipeline);
+                assert_eq!(view.chunk_region(i).unwrap(), view.plan().chunk_at(i));
             }
             let mut covered = 0usize;
             for chunk in source.chunks() {
@@ -1497,7 +1354,6 @@ mod tests {
                 "v{version} source disagrees with decompress"
             );
             assert!(source.read_chunk(source.chunk_count()).is_err());
-            let _ = source.into_inner();
         }
     }
 
@@ -1612,8 +1468,8 @@ mod tests {
             // to the global default stream — no stray mode bytes, no size
             // drift.
             let reader = StreamSource::from_bytes(&tuned).unwrap();
-            let all_default =
-                (0..reader.chunk_count()).all(|i| reader.chunk_pipeline(i) == PipelineSpec::CR);
+            let all_default = (0..reader.chunk_count())
+                .all(|i| reader.index().chunk_pipeline(i).unwrap() == PipelineSpec::CR);
             if all_default {
                 assert_eq!(
                     tuned, cr,
@@ -1661,7 +1517,7 @@ mod tests {
             from_decompress.as_slice()
         );
         let mut source = StreamSource::from_bytes(&batch).unwrap();
-        assert_eq!(source.version(), VERSION_TUNED);
+        assert_eq!(source.index().version(), VERSION_TUNED);
         assert_eq!(
             source.read_all().unwrap().as_slice(),
             from_decompress.as_slice()
@@ -1673,10 +1529,13 @@ mod tests {
         // The chunk table exposes each chunk's resolved configuration, and
         // the dictionary holds every referenced config.
         for i in 0..source.chunk_count() {
-            let interp = source.chunk_interp(i);
+            let interp = source.index().chunk_interp(i).unwrap();
             interp.validate().unwrap();
-            assert_eq!(interp.anchor_stride, source.header().interp.anchor_stride);
-            assert_eq!(forward.chunk_interp(i).unwrap(), interp);
+            assert_eq!(
+                interp.anchor_stride,
+                source.index().header().interp.anchor_stride
+            );
+            assert_eq!(forward.index().chunk_interp(i).unwrap(), interp);
         }
 
         // Random access decodes each chunk with its own config.
@@ -1760,45 +1619,65 @@ mod tests {
         .unwrap();
         assert_eq!(stream_version(&v5).unwrap(), VERSION_TUNED);
 
+        let bits = |g: &Grid<f32>| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        fn rewinds(read: Result<(Region, Grid<f32>), SzhiError>) -> bool {
+            matches!(read, Err(SzhiError::InvalidInput(msg)) if msg.contains("cannot rewind"))
+        }
         for (version, bytes) in [(2u8, &v2), (3, &v3), (4, &v4), (5, &v5)] {
             let expect = decompress(bytes).unwrap();
             // A `PipeReader` is Read-only — the compiler proves no Seek is
             // used anywhere on this path.
             let mut forward = ForwardSource::new(PipeReader { bytes, pos: 0 }).unwrap();
-            assert_eq!(forward.version(), version, "v{version}");
-            assert_eq!(forward.dims(), data.dims());
-            assert_eq!(forward.span(), table.span);
-            assert_eq!(forward.plan().len(), forward.chunk_count());
             let mut seekable = StreamSource::from_bytes(bytes).unwrap();
-            assert_eq!(forward.chunk_count(), seekable.chunk_count());
-            for i in 0..forward.chunk_count() {
-                assert_eq!(
-                    forward.chunk_pipeline(i).unwrap(),
-                    seekable.chunk_pipeline(i),
-                    "v{version} chunk {i} pipeline"
-                );
-                assert_eq!(
-                    forward.chunk_interp(i).unwrap(),
-                    seekable.chunk_interp(i),
-                    "v{version} chunk {i} interp"
-                );
-                assert_eq!(forward.chunk_region(i), seekable.chunk_region(i));
+            let n = forward.chunk_count();
+            assert_eq!(n, seekable.chunk_count());
+            for view in [forward.index(), seekable.index()] {
+                assert_eq!(view.version(), version, "v{version}");
+                assert_eq!(view.dims(), data.dims());
+                assert_eq!(view.span(), table.span);
+                assert_eq!(view.plan().len(), n);
+                // Every per-chunk accessor is a typed error past the end.
+                assert!(view.chunk_region(n).is_err(), "v{version} region");
+                assert!(view.chunk_pipeline(n).is_err(), "v{version} pipeline");
+                assert!(view.chunk_interp(n).is_err(), "v{version} interp");
             }
-            assert!(forward.chunk_pipeline(forward.chunk_count()).is_err());
-            assert_eq!(forward.next_index(), 0);
+            let (fwd, seek) = (forward.index(), seekable.index());
+            for i in 0..n {
+                assert_eq!(
+                    fwd.chunk_pipeline(i).unwrap(),
+                    seek.chunk_pipeline(i).unwrap()
+                );
+                assert_eq!(fwd.chunk_interp(i).unwrap(), seek.chunk_interp(i).unwrap());
+                assert_eq!(fwd.chunk_region(i).unwrap(), seek.chunk_region(i).unwrap());
+            }
             let restored = forward.read_all().unwrap();
-            assert_eq!(forward.next_index(), forward.chunk_count());
             assert_eq!(
-                restored.as_slice(),
-                expect.as_slice(),
+                bits(&restored),
+                bits(&expect),
                 "v{version} forward source disagrees with decompress"
             );
             assert_eq!(
-                seekable.read_all().unwrap().as_slice(),
-                expect.as_slice(),
+                bits(&seekable.read_all().unwrap()),
+                bits(&expect),
                 "v{version} seekable source disagrees with decompress"
             );
             assert!(forward.next_chunk().is_none(), "the source is drained");
+            assert!(rewinds(forward.read_chunk(0)), "v{version} drained rewind");
+            assert!(forward.read_chunk(n).is_err());
+
+            // Reading ahead fetches chunk k without decoding the chunks
+            // before it and equals the seekable read; a chunk behind it is
+            // out of reach, and `next_chunk` goes on after it.
+            let k = n / 2;
+            let mut forward = ForwardSource::new(PipeReader { bytes, pos: 0 }).unwrap();
+            let (region, sub) = forward.read_chunk(k).unwrap();
+            let (want_region, want) = seekable.read_chunk(k).unwrap();
+            assert_eq!(region, want_region, "v{version} chunk {k}");
+            assert_eq!(bits(&sub), bits(&want), "v{version} chunk {k}");
+            assert!(rewinds(forward.read_chunk(k - 1)), "v{version} rewind");
+            assert!(rewinds(forward.read_chunk(k)), "v{version} re-read");
+            let (region, _) = forward.next_chunk().unwrap().unwrap();
+            assert_eq!(region, seekable.index().chunk_region(k + 1).unwrap());
 
             // And the lazy iterator sees every chunk exactly once.
             let mut forward = ForwardSource::new(&bytes[..]).unwrap();
@@ -1986,7 +1865,7 @@ mod tests {
         .unwrap();
         let mut reader = StreamSource::from_bytes(&tuned_bytes).unwrap();
         let modes: std::collections::HashSet<u8> = (0..reader.chunk_count())
-            .map(|i| reader.chunk_pipeline(i).id())
+            .map(|i| reader.index().chunk_pipeline(i).unwrap().id())
             .collect();
         assert!(modes.len() > 1, "expected a mix of per-chunk modes");
         let recon = reader.read_all().unwrap();

@@ -88,7 +88,13 @@ fn main() {
         let mut restored = Grid::zeros(dims);
         let mut modes = std::collections::BTreeSet::new();
         for i in 0..source.chunk_count() {
-            modes.insert(source.chunk_pipeline(i).name());
+            modes.insert(
+                source
+                    .index()
+                    .chunk_pipeline(i)
+                    .expect("chunk pipeline")
+                    .name(),
+            );
         }
         for chunk in source.chunks() {
             let (region, sub) = chunk.expect("chunk decode");

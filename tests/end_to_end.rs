@@ -396,7 +396,7 @@ fn per_chunk_mode_selection_improves_mixed_fields() {
     );
     let reader = StreamSource::from_bytes(&tuned).unwrap();
     let distinct: std::collections::HashSet<u8> = (0..reader.chunk_count())
-        .map(|i| reader.chunk_pipeline(i).id())
+        .map(|i| reader.index().chunk_pipeline(i).unwrap().id())
         .collect();
     assert!(distinct.len() > 1, "expected chunks to use different modes");
     let recon = decompress(&tuned).unwrap();

@@ -10,9 +10,10 @@
 //!    container framing can alter a shipped container unnoticed;
 //! 2. **historical decode compatibility** — every container version ever
 //!    shipped (v1–v5, the frozen v2 and v3 included) must keep decoding to
-//!    the pinned field within the recorded bound, through every read path
-//!    (in-memory `decompress`, seekable `StreamSource`, forward-only
-//!    `ForwardSource`);
+//!    the pinned field within the recorded bound, and every read path
+//!    (seekable `StreamSource`, forward-only `ForwardSource`, whole and
+//!    chunk by chunk) must give the value bits of in-memory `decompress`
+//!    and `decompress_chunk`;
 //! 3. **inspect stability** — the `szhi-cli inspect` rendering of each
 //!    stream is pinned text, so the metadata surface cannot drift.
 //!
@@ -81,17 +82,42 @@ fn every_historical_version_decodes_within_the_recorded_bound() {
     }
 }
 
+fn bits(values: &Grid<f32>) -> Vec<u32> {
+    values.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 #[test]
 fn chunked_versions_decode_through_every_streaming_read_path() {
     let field = pinned_field();
     for v in [2u8, 3, 4, 5] {
         let bytes = pinned(&format!("v{v}.szhi"));
-        // Seekable bounded-memory source.
+        let whole = decompress(&bytes).unwrap();
+        assert_within_bound(v, &field, &whole);
+        // Seekable bounded-memory source, and the forward-only source over
+        // a plain `Read` (no `Seek`): the same value bits as `decompress`.
         let mut source = StreamSource::from_bytes(&bytes).unwrap();
-        assert_within_bound(v, &field, &source.read_all().unwrap());
-        // Forward-only source over a plain `Read` (no `Seek`).
+        assert_eq!(
+            bits(&source.read_all().unwrap()),
+            bits(&whole),
+            "v{v} seekable"
+        );
         let mut forward = ForwardSource::new(&bytes[..]).unwrap();
-        assert_within_bound(v, &field, &forward.read_all().unwrap());
+        assert_eq!(
+            bits(&forward.read_all().unwrap()),
+            bits(&whole),
+            "v{v} forward"
+        );
+        // Chunk by chunk, both against `decompress_chunk`.
+        let mut forward = ForwardSource::new(&bytes[..]).unwrap();
+        for i in 0..source.chunk_count() {
+            let (region, want) = szhi::core::decompress_chunk(&bytes, i).unwrap();
+            for (got_region, got) in
+                [source.read_chunk(i), forward.read_chunk(i)].map(Result::unwrap)
+            {
+                assert_eq!(got_region, region, "v{v} chunk {i}");
+                assert_eq!(bits(&got), bits(&want), "v{v} chunk {i}");
+            }
+        }
     }
 }
 
