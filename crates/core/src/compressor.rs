@@ -8,14 +8,15 @@
 //!   the v1 header. A chunk never leaves its thread, so this engine is
 //!   single-threaded by design; set a chunk span to use cores;
 //! * the **chunked** engine ([`compress_chunked`]) splits the grid into
-//!   independent anchor-aligned chunks ([`szhi_ndgrid::ChunkPlan`]),
-//!   encodes them in parallel and drives a [`StreamSink`] over a `Vec` with
-//!   them in plan order, so the batch output (a v4 container; v5 with
-//!   per-chunk interpolation tuning) is byte-identical to pushing the same
-//!   chunks one at a time. Chunks decompress independently too —
-//!   [`decompress`] decodes them in parallel straight from the byte slice,
-//!   and [`decompress_chunk`] random-accesses a single chunk without
-//!   touching the rest of the stream.
+//!   independent anchor-aligned chunks ([`szhi_ndgrid::ChunkPlan`]) and
+//!   hands the whole field to a [`StreamSink`] over a `Vec`, which encodes
+//!   the chunks in parallel and writes them in plan order, so the batch
+//!   output (a v4 container; v5 with per-chunk interpolation tuning) is
+//!   byte-identical to pushing the same chunks one at a time. Chunks
+//!   decompress independently too — [`decompress`] decodes them in
+//!   parallel straight from the byte slice, and [`decompress_chunk`]
+//!   random-accesses a single chunk without touching the rest of the
+//!   stream.
 //!
 //! Chunked streams are byte-identical regardless of the worker-thread count:
 //! every chunk is a pure function of (its sub-field, the config), and the
@@ -25,7 +26,7 @@ use crate::config::{ErrorBound, ModeTuning, PipelineMode, SzhiConfig};
 use crate::error::SzhiError;
 use crate::format::{
     locate_table, read_chunk_sections, read_chunk_table, read_stream, stream_version, write_header,
-    Header, V5_ENTRY_SIZE, VERSION,
+    Header, VERSION,
 };
 use crate::stream::{assemble, checked_plan, ChunkEncoder, EncodeScratch, StreamSink};
 use rayon::prelude::*;
@@ -114,9 +115,9 @@ pub fn compress_chunked(
 /// The error bound is resolved and the interpolation configuration is
 /// auto-tuned **once, globally**, then every chunk is compressed as an
 /// independent sub-field (its own anchors, codes and outliers) in parallel
-/// and fed to a [`StreamSink`] over a `Vec` in plan order — so the output
-/// is byte-identical to pushing the same chunks through a sink one at a
-/// time. With [`ModeTuning::PerChunk`] each chunk's lossless pipeline is
+/// and written by a [`StreamSink`] over a `Vec` in plan order — so the
+/// output is byte-identical to pushing the same chunks through a sink one
+/// at a time. With [`ModeTuning::PerChunk`] each chunk's lossless pipeline is
 /// selected independently and recorded in the chunk table. The span must
 /// obey the chunk-alignment rule: a positive multiple of the anchor stride
 /// along every non-degenerate axis (spans larger than the grid are clamped
@@ -127,20 +128,10 @@ pub fn compress_chunked_with_stats(
     span: [usize; 3],
 ) -> Result<(Vec<u8>, CompressionStats), SzhiError> {
     // An invalid span must fail before auto-tuning samples the whole field.
-    let plan = checked_plan(data.dims(), span, &cfg.interp)?;
-    let cfg = resolve(data, cfg)?;
-    let enc = ChunkEncoder::new(plan, &cfg)?;
-    let encoded = enc.encode_range(data, 0..plan.len())?;
-    // Size the output from the encoded bodies plus an upper bound on the
-    // framing (prefix, trailer, and per chunk one table entry and at most
-    // one dictionary entry), so it never reallocates while the bodies are
-    // still held.
-    let bodies: usize = encoded.iter().map(|c| c.compressed_bytes()).sum();
-    let framing = 128 + plan.len() * (V5_ENTRY_SIZE + 1 + 2 * cfg.interp.levels.len());
-    let mut sink = StreamSink::from_encoder(Vec::with_capacity(bodies + framing), enc)?;
-    for chunk in encoded {
-        sink.push_encoded(chunk)?;
-    }
+    let n = checked_plan(data.dims(), span, &cfg.interp)?.len();
+    let cfg = resolve(data, cfg)?.with_chunk_span(span);
+    let mut sink = StreamSink::new(Vec::new(), data.dims(), &cfg)?;
+    sink.push_range(data, 0..n, |_| Ok(()))?;
     sink.finish_with_stats()
 }
 
@@ -361,7 +352,7 @@ mod tests {
 
         // Re-serialise with one anchor dropped.
         let (header, anchors, outliers, payload) = crate::format::read_stream(&bytes).unwrap();
-        let fewer = crate::format::write_stream(&header, &anchors[1..], &outliers, &payload);
+        let fewer = crate::format::legacy::write_v1(&header, &anchors[1..], &outliers, &payload);
         assert!(
             matches!(decompress(&fewer), Err(SzhiError::InvalidStream(_))),
             "anchor count mismatch did not yield a typed error"
@@ -370,7 +361,7 @@ mod tests {
         // Re-serialise with the outlier records dropped while their codes
         // remain. (Skip if this field produced no outliers.)
         if !outliers.is_empty() {
-            let no_records = crate::format::write_stream(&header, &anchors, &[], &payload);
+            let no_records = crate::format::legacy::write_v1(&header, &anchors, &[], &payload);
             assert!(
                 matches!(decompress(&no_records), Err(SzhiError::InvalidStream(_))),
                 "missing outlier records did not yield a typed error"
@@ -382,7 +373,7 @@ mod tests {
         assert!(!outliers.is_empty(), "the field must produce outliers");
         let mut duplicated = outliers.clone();
         duplicated.insert(0, duplicated[0]);
-        let duplicated = crate::format::write_stream(&header, &anchors, &duplicated, &payload);
+        let duplicated = crate::format::legacy::write_v1(&header, &anchors, &duplicated, &payload);
         assert!(
             matches!(decompress(&duplicated), Err(SzhiError::InvalidStream(_))),
             "a duplicated outlier record did not yield a typed error"
@@ -398,7 +389,7 @@ mod tests {
                 value: 1.0,
             },
         );
-        let misplaced = crate::format::write_stream(&header, &anchors, &misplaced, &payload);
+        let misplaced = crate::format::legacy::write_v1(&header, &anchors, &misplaced, &payload);
         assert!(
             matches!(decompress(&misplaced), Err(SzhiError::InvalidStream(_))),
             "an outlier record at a non-outlier code did not yield a typed error"

@@ -334,20 +334,6 @@ pub fn write_sections(out: &mut Vec<u8>, anchors: &[f32], outliers: &[Outlier], 
     out.extend_from_slice(payload);
 }
 
-/// Serialises the header and the anchor/outlier/payload sections into a
-/// complete monolithic (v1) stream.
-pub fn write_stream(
-    header: &Header,
-    anchors: &[f32],
-    outliers: &[Outlier],
-    payload: &[u8],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + anchors.len() * 4 + outliers.len() * 12 + payload.len());
-    write_header(&mut out, header, VERSION);
-    write_sections(&mut out, anchors, outliers, payload);
-    out
-}
-
 /// One chunk's row in a writer's table:
 /// `(offset, length, pipeline, config_id, crc32)`. The config id is 0 and
 /// unwritten unless the layout carries one.
@@ -1339,12 +1325,26 @@ pub fn read_chunk_table(bytes: &[u8]) -> Result<(Header, ChunkTable), SzhiError>
     Ok((index.header, index.table))
 }
 
-/// Builders of containers the library reads but no longer writes, for the
-/// in-crate tests that need v2/v3 bytes (or a synthetic v4/v5 stream with
-/// hand-picked table fields).
+/// Builders of hand-made containers for the in-crate tests: the v2/v3
+/// containers the library reads but no longer writes, a v1 stream of
+/// hand-picked sections, or a synthetic v4/v5 stream with hand-picked table
+/// fields.
 #[cfg(test)]
 pub(crate) mod legacy {
     use super::*;
+
+    /// A monolithic (v1) stream of the given sections.
+    pub(crate) fn write_v1(
+        header: &Header,
+        anchors: &[f32],
+        outliers: &[Outlier],
+        payload: &[u8],
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_header(&mut out, header, VERSION);
+        write_sections(&mut out, anchors, outliers, payload);
+        out
+    }
 
     /// One chunk of a synthetic container: pipeline, config id, body.
     pub(crate) type Chunk = (PipelineSpec, u16, Vec<u8>);
@@ -1408,7 +1408,7 @@ mod tests {
     //! formats. The layouts, field offsets and validation rules asserted
     //! here are specified in `docs/FORMAT.md` — keep the two in sync.
 
-    use super::legacy::{write_container, Chunk};
+    use super::legacy::{write_container, write_v1, Chunk};
     use super::*;
 
     fn sample_header() -> Header {
@@ -1436,7 +1436,7 @@ mod tests {
             },
         ];
         let payload = vec![1u8, 2, 3, 4, 5];
-        let bytes = write_stream(&header, &anchors, &outliers, &payload);
+        let bytes = write_v1(&header, &anchors, &outliers, &payload);
         let (h, a, o, p) = read_stream(&bytes).unwrap();
         assert_eq!(h, header);
         assert_eq!(a, anchors);
@@ -1447,7 +1447,7 @@ mod tests {
     #[test]
     fn bad_magic_is_rejected() {
         let header = sample_header();
-        let mut bytes = write_stream(&header, &[], &[], &[]);
+        let mut bytes = write_v1(&header, &[], &[], &[]);
         bytes[0] = b'X';
         assert!(matches!(
             read_stream(&bytes),
@@ -1458,7 +1458,7 @@ mod tests {
     #[test]
     fn unsupported_version_is_rejected() {
         let header = sample_header();
-        let mut bytes = write_stream(&header, &[], &[], &[]);
+        let mut bytes = write_v1(&header, &[], &[], &[]);
         bytes[4] = 99;
         assert!(matches!(
             read_stream(&bytes),
@@ -1469,7 +1469,7 @@ mod tests {
     #[test]
     fn truncated_stream_is_rejected() {
         let header = sample_header();
-        let bytes = write_stream(&header, &[1.0; 10], &[], &[7u8; 100]);
+        let bytes = write_v1(&header, &[1.0; 10], &[], &[7u8; 100]);
         for cut in [3usize, 20, bytes.len() - 1] {
             assert!(
                 read_stream(&bytes[..cut]).is_err(),
@@ -1487,7 +1487,7 @@ mod tests {
             reorder: false,
             interp: InterpConfig::cusz_i(),
         };
-        let bytes = write_stream(&header, &[], &[], &[]);
+        let bytes = write_v1(&header, &[], &[], &[]);
         let (h, _, _, _) = read_stream(&bytes).unwrap();
         assert_eq!(h, header);
     }
@@ -1513,7 +1513,7 @@ mod tests {
                 reorder,
                 interp: InterpConfig::cusz_hi(),
             };
-            let bytes = write_stream(&header, &[], &[], &[]);
+            let bytes = write_v1(&header, &[], &[], &[]);
             assert_eq!(&bytes[..4], &MAGIC);
             assert_eq!(bytes[4], VERSION);
             let (h, _, _, _) = read_stream(&bytes).unwrap();
@@ -1534,7 +1534,7 @@ mod tests {
             index: 3,
             value: 1.5,
         }];
-        let bytes = write_stream(&header, &anchors, &outliers, &[0xAB; 33]);
+        let bytes = write_v1(&header, &anchors, &outliers, &[0xAB; 33]);
         for cut in 0..bytes.len() {
             let result = std::panic::catch_unwind(|| read_stream(&bytes[..cut]));
             let parsed = result.unwrap_or_else(|_| panic!("read_stream panicked at cut {cut}"));
@@ -1551,7 +1551,7 @@ mod tests {
         // A flipped length field must not drive `Vec::with_capacity` into an
         // allocation abort: it has to surface as `SzhiError::InvalidStream`.
         let header = sample_header();
-        let bytes = write_stream(&header, &[1.0; 4], &[], &[9u8; 16]);
+        let bytes = write_v1(&header, &[1.0; 4], &[], &[9u8; 16]);
         // n_anchors lives right after the fixed header; find it by locating
         // the known count (4) and stamping u64::MAX over it.
         let fixed = bytes.len() - (8 + 4 * 4) - 8 - (8 + 16);
@@ -1577,7 +1577,7 @@ mod tests {
         // | nx u64 @22 | abs_eb f64 @30. Zeroed dimensions and non-finite
         // or non-positive bounds must all surface as typed errors: the
         // `Dims` constructors and the quantizer assert on them.
-        let bytes = write_stream(&sample_header(), &[], &[], &[]);
+        let bytes = write_v1(&sample_header(), &[], &[], &[]);
         for dim_offset in [6usize, 14, 22] {
             let mut corrupt = bytes.clone();
             corrupt[dim_offset..dim_offset + 8].copy_from_slice(&0u64.to_le_bytes());
@@ -1604,7 +1604,7 @@ mod tests {
     #[test]
     fn single_byte_corruption_never_panics() {
         let header = sample_header();
-        let bytes = write_stream(
+        let bytes = write_v1(
             &header,
             &[2.0; 3],
             &[Outlier {
@@ -1631,7 +1631,7 @@ mod tests {
     #[test]
     fn inconsistent_predictor_config_is_rejected() {
         let header = sample_header();
-        let mut bytes = write_stream(&header, &[], &[], &[]);
+        let mut bytes = write_v1(&header, &[], &[], &[]);
         // Corrupt the anchor stride (offset: 4 magic + 1 ver + 1 rank + 24 dims + 8 eb + 1 pid + 1 reorder = 40).
         bytes[40] = 12;
         bytes[41] = 0;
@@ -1719,7 +1719,7 @@ mod tests {
         let (header, _) = sample_v2_header();
         let v2 = sample_stream(VERSION_CHUNKED);
         assert!(matches!(read_stream(&v2), Err(SzhiError::InvalidStream(_))));
-        let v1 = write_stream(&header, &[], &[], &[]);
+        let v1 = write_v1(&header, &[], &[], &[]);
         assert!(matches!(
             read_chunk_table(&v1),
             Err(SzhiError::InvalidStream(_))
@@ -2023,7 +2023,7 @@ mod tests {
         ));
         // v1 is named monolithic, with a pointer at `decompress`, not a
         // confusing table-parse failure.
-        let v1 = write_stream(&header, &[], &[], &[]);
+        let v1 = write_v1(&header, &[], &[], &[]);
         match read_chunk_table(&v1) {
             Err(SzhiError::InvalidStream(msg)) => {
                 assert!(msg.contains("monolithic"), "unexpected message: {msg}");

@@ -5,16 +5,18 @@
 //! A *job* is one whole-archive operation — compress a field into a
 //! [`StreamSink`], or decompress a stream through a [`StreamSource`] —
 //! running on its own coordinator thread. The coordinator of a compress
-//! job fans chunk encoding out over the workspace's shared work-stealing
-//! pool in small batches (so several jobs interleave fairly on the same
-//! workers) and pushes the results to the sink in plan order, which keeps
-//! every job's output **byte-identical to a serial run**: chunk encoding
-//! is a pure function of (chunk, configuration), and the container
-//! assembles chunks in plan order regardless of who encoded them when.
+//! job hands its sink the field one small window of chunks at a time (so
+//! several jobs interleave fairly on the workspace's shared work-stealing
+//! pool); the sink encodes each window across the pool and writes it in
+//! plan order, which keeps every job's output **byte-identical to a serial
+//! run**: chunk encoding is a pure function of (chunk, configuration), and
+//! the container assembles chunks in plan order regardless of who encoded
+//! them when.
 //!
 //! Progress is observable while the job runs ([`JobHandle::progress`]),
 //! and a job can be cancelled cooperatively ([`JobHandle::cancel`]): the
-//! coordinator notices between chunks, **poisons** a compress job's sink —
+//! coordinator notices before every chunk write (a decompress job between
+//! chunk decodes), **poisons** a compress job's sink —
 //! the half-written stream has no table or trailer and must never be
 //! finalized — and returns the typed [`SzhiError::Cancelled`].
 //!
@@ -58,7 +60,7 @@ pub enum JobPhase {
     Starting = 0,
     /// Resolving configuration: header validation, chunk plan.
     Tuning = 1,
-    /// The batched parallel encode loop (compress jobs).
+    /// The windowed parallel encode (compress jobs).
     Encoding = 2,
     /// Finalizing the container: table, trailer, flush (compress jobs).
     Flushing = 3,
@@ -168,7 +170,8 @@ impl<T> JobHandle<T> {
             .clone()
     }
 
-    /// Requests cooperative cancellation. The job notices between chunks:
+    /// Requests cooperative cancellation. The job notices before its next
+    /// chunk write (or decode):
     /// a compress job poisons its sink (the partial stream must be
     /// discarded) and [`JobHandle::join`] returns
     /// [`SzhiError::Cancelled`]. Cancelling a job that already finished
@@ -287,42 +290,33 @@ where
     result
 }
 
-/// The coordinator loop of a compress job: encode chunk batches in
-/// parallel over the shared pool, push them to the sink in plan order,
-/// check for cancellation between pushes.
+/// The coordinator of a compress job: pushes the field to the sink one
+/// window of chunks at a time; before every chunk write the sink's hook
+/// records progress and checks for cancellation, which poisons the sink.
 fn run_compress<W: Write>(
     field: Grid<f32>,
     mut sink: StreamSink<W>,
     state: &JobState,
 ) -> Result<(W, CompressionStats), SzhiError> {
     let n = sink.plan().len();
-    // Small batches keep several concurrent jobs interleaving fairly on
-    // the shared workers and bound the cancellation latency to one batch.
-    let batch = rayon::current_num_threads().max(1);
+    // A window of one chunk per worker keeps several concurrent jobs
+    // interleaving fairly on the shared workers.
+    let window = rayon::current_num_threads().max(1);
     {
         state.enter(JobPhase::Encoding);
         let _span = crate::telemetry::JOB_ENCODE.enter();
-        let mut start = 0usize;
-        while start < n {
-            if state.cancelled.load(Ordering::Relaxed) {
-                sink.poison();
-                return Err(SzhiError::Cancelled);
-            }
-            let end = (start + batch).min(n);
-            // Borrows only the encoder — not the whole sink — so the
-            // backing writer never has to be `Sync`.
+        for start in (0..n).step_by(window) {
             // szhi-analyzer: allow(panic-reachability) -- trusted-encode boundary: the job encodes its caller's in-memory field over the sink's own plan, not archive bytes
-            let encoded = sink.encoder().encode_range(&field, start..end)?;
-            for chunk in encoded {
+            sink.push_range(&field, start..n.min(start + window), |i| {
+                state.done.store(i, Ordering::Relaxed);
                 if state.cancelled.load(Ordering::Relaxed) {
-                    sink.poison();
-                    return Err(SzhiError::Cancelled);
+                    Err(SzhiError::Cancelled)
+                } else {
+                    Ok(())
                 }
-                sink.push_encoded(chunk)?;
-                state.done.fetch_add(1, Ordering::Relaxed);
-            }
-            start = end;
+            })?;
         }
+        state.done.store(n, Ordering::Relaxed);
     }
     state.enter(JobPhase::Flushing);
     let _span = crate::telemetry::JOB_FLUSH.enter();
@@ -358,6 +352,7 @@ mod tests {
     use super::*;
     use crate::compressor::decompress;
     use crate::config::ErrorBound;
+    use std::sync::mpsc;
     use szhi_datagen::DatasetKind;
     use szhi_ndgrid::Dims;
 
@@ -439,25 +434,41 @@ mod tests {
         .is_complete());
     }
 
-    /// A writer that lets `ungated` writes pass, then blocks one write on
-    /// the paired channel — pinning a job at a deterministic point so a
-    /// test can cancel it mid-flight without racing.
+    /// A writer that lets its first write pass (the header, on the
+    /// caller's thread), then reports that it blocks and blocks its second
+    /// write (the coordinator's first chunk body) until the paired sender
+    /// is released or dropped — pinning a job at a deterministic point so
+    /// a test can act on it mid-flight without racing. The bytes it takes
+    /// stay readable after the job drops it.
     #[derive(Debug)]
     struct GatedWriter {
         ungated: usize,
-        gate: Option<std::sync::mpsc::Receiver<()>>,
-        bytes: Vec<u8>,
+        gate: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
+        bytes: Arc<Mutex<Vec<u8>>>,
+    }
+
+    /// A [`GatedWriter`], the receiver its block is reported on and the
+    /// sender that releases it.
+    fn gated_writer() -> (GatedWriter, mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (blocked_tx, blocked) = mpsc::channel();
+        let (release, gate) = mpsc::channel();
+        let out = GatedWriter {
+            ungated: 1,
+            gate: Some((blocked_tx, gate)),
+            bytes: Arc::default(),
+        };
+        (out, blocked, release)
     }
 
     impl Write for GatedWriter {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
             if self.ungated > 0 {
                 self.ungated -= 1;
-            } else if let Some(gate) = self.gate.take() {
-                // Block until the test releases (or drops) the sender.
+            } else if let Some((blocked, gate)) = self.gate.take() {
+                let _ = blocked.send(());
                 let _ = gate.recv();
             }
-            self.bytes.extend_from_slice(buf);
+            self.bytes.lock().unwrap().extend_from_slice(buf);
             Ok(buf.len())
         }
 
@@ -468,29 +479,35 @@ mod tests {
 
     #[test]
     fn cancellation_is_cooperative_and_poisons_the_sink() {
-        // The header write (on the caller's thread) passes ungated; the
-        // coordinator's first chunk-body write blocks on the gate. The
-        // test cancels while the job is pinned there, then releases it:
-        // the coordinator finishes that push, sees the flag before the
-        // next one, poisons the sink and reports Cancelled.
-        let field = DatasetKind::Rtm.generate(Dims::d3(32, 32, 32), 3);
-        let (release, gate) = std::sync::mpsc::channel::<()>();
-        let out = GatedWriter {
-            ungated: 1,
-            gate: Some(gate),
-            bytes: Vec::new(),
-        };
-        let service = JobService::new();
-        let job = service.compress(field, &job_cfg(), out).unwrap();
-        assert_eq!(job.progress().total, 8);
-        job.cancel();
-        assert!(job.is_cancel_requested());
-        drop(release);
-        let err = job.join().unwrap_err();
-        assert!(
-            matches!(err, SzhiError::Cancelled),
-            "expected SzhiError::Cancelled, got {err:?}"
-        );
+        // The test cancels only once the coordinator reports it is pinned
+        // inside chunk 0's body write, then releases it: the coordinator
+        // finishes that write, sees the flag before chunk 1's, poisons the
+        // sink and reports Cancelled. On the two-chunk field one window
+        // covers the whole plan at ≥ 2 threads, so only a check before
+        // every chunk write — not one between windows — stops it there.
+        for (dims, total) in [(Dims::d3(32, 32, 32), 8), (Dims::d3(16, 16, 32), 2)] {
+            let field = DatasetKind::Rtm.generate(dims, 3);
+            let (out, blocked, release) = gated_writer();
+            let bytes = Arc::clone(&out.bytes);
+            let job = JobService::new().compress(field, &job_cfg(), out).unwrap();
+            assert_eq!(job.progress().total, total);
+            blocked.recv().unwrap();
+            job.cancel();
+            assert!(job.is_cancel_requested());
+            drop(release);
+            while !job.is_finished() {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            assert_eq!(job.progress().done, 1, "{dims}: stopped after chunk 0");
+            let result = job.join().map(|(_, stats)| stats);
+            assert!(
+                matches!(result, Err(SzhiError::Cancelled)),
+                "{dims}: expected SzhiError::Cancelled, got {result:?}"
+            );
+            // The poisoned sink never wrote a table or trailer: the partial
+            // stream does not parse.
+            assert!(decompress(&bytes.lock().unwrap()).is_err(), "{dims}");
+        }
     }
 
     #[test]
@@ -498,12 +515,8 @@ mod tests {
         // Pin the coordinator on its first chunk-body write: the job is
         // provably mid-encode while we poll the phase.
         let field = DatasetKind::Miranda.generate(Dims::d3(32, 32, 32), 11);
-        let (release, gate) = std::sync::mpsc::channel::<()>();
-        let out = GatedWriter {
-            ungated: 1,
-            gate: Some(gate),
-            bytes: Vec::new(),
-        };
+        let (out, _blocked, release) = gated_writer();
+        let bytes = Arc::clone(&out.bytes);
         let service = JobService::new();
         let job = service.compress(field.clone(), &job_cfg(), out).unwrap();
         // The caller-thread tuning step already ran, so the phase starts
@@ -537,12 +550,11 @@ mod tests {
             job.telemetry().is_some(),
             "finished job has a telemetry delta"
         );
-        let (writer, _) = job.join().unwrap();
+        job.join().unwrap();
 
         // A decompress job reports Decoding on the way to Done.
-        let job = service
-            .decompress(std::io::Cursor::new(writer.bytes))
-            .unwrap();
+        let stream = bytes.lock().unwrap().clone();
+        let job = service.decompress(std::io::Cursor::new(stream)).unwrap();
         let mut saw_decoding = false;
         while !job.is_finished() {
             let phase = job.progress().phase;

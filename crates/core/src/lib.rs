@@ -206,6 +206,4 @@ pub use format::{
     VERSION, VERSION_CHUNKED, VERSION_STREAMED, VERSION_TRAILERED, VERSION_TUNED,
 };
 pub use jobs::{JobHandle, JobProgress, JobService};
-pub use stream::{
-    ChunkReader, ChunkReceipt, EncodedChunk, Fetch, ForwardSource, StreamSink, StreamSource,
-};
+pub use stream::{ChunkReader, ChunkReceipt, Fetch, ForwardSource, StreamSink, StreamSource};

@@ -12,10 +12,12 @@
 //!   interpolation configuration — writes the body to its backing
 //!   [`io::Write`](std::io::Write) at once and closes the trailered (v4) or
 //!   tuned (v5) container with the chunk table and trailer. The batch
-//!   engine [`crate::compress_chunked`] and the job service drive the same
-//!   sink with chunks encoded in parallel ([`StreamSink::encode_chunk`] is
-//!   a pure function), so a field pushed one chunk at a time yields the
-//!   bytes of the batch engine, at every worker-thread count.
+//!   engine [`crate::compress_chunked`] and the job service hand the same
+//!   sink a window of an in-memory field, which it encodes across the
+//!   worker pool and writes in plan order (each chunk is a pure function
+//!   of its sub-field and the configuration), so a field pushed one chunk
+//!   at a time yields the bytes of the batch engine, at every worker-thread
+//!   count.
 //! * [`ChunkReader`] is the one reader of every chunked container (v2–v5):
 //!   the table is located and validated by the one path in
 //!   [`crate::format`], its metadata is one read-only [`StreamIndex`], and
@@ -43,34 +45,6 @@ use szhi_predictor::{
     CompressScratch, InterpConfig, InterpOutput, InterpPredictor, LevelConfig, LevelOrder,
 };
 use szhi_tuner::SelectParams;
-
-/// One compressed chunk, produced by [`StreamSink::encode_chunk`] and
-/// consumed by [`StreamSink::push_encoded`]. Encoding is a pure function
-/// of (chunk data, sink configuration), so chunks can be encoded out of
-/// order or in parallel and pushed sequentially.
-#[derive(Debug, Clone)]
-pub struct EncodedChunk {
-    index: usize,
-    meta: ChunkMeta,
-    body: Vec<u8>,
-}
-
-impl EncodedChunk {
-    /// The chunk's index in plan order.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// The lossless pipeline chosen for this chunk.
-    pub fn pipeline(&self) -> PipelineSpec {
-        self.meta.pipeline
-    }
-
-    /// Size of the encoded chunk body in bytes.
-    pub fn compressed_bytes(&self) -> usize {
-        self.body.len()
-    }
-}
 
 /// Metadata returned by [`StreamSink::push_chunk`]: which chunk was just
 /// written, which pipeline its tuner chose, and how large it compressed.
@@ -179,10 +153,11 @@ pub(crate) fn checked_plan(
 }
 
 /// The configuration-resolved chunk compressor behind every encode path —
-/// [`StreamSink`], the batch engines and the job service: the validated
-/// header, the chunk plan, the predictor instance and the candidate
-/// pipelines every chunk's selection runs over. Encoding a chunk is a pure
-/// `&self` function, so any front end can fan encoding out across threads.
+/// [`StreamSink`] (and through it the chunked batch engine and the job
+/// service) and the monolithic engine: the validated header, the chunk
+/// plan, the predictor instance and the candidate pipelines every chunk's
+/// selection runs over. Encoding a chunk is a pure `&self` function, so
+/// the sink can fan a window's encoding out across threads.
 #[derive(Debug)]
 pub(crate) struct ChunkEncoder {
     header: Header,
@@ -276,48 +251,26 @@ impl ChunkEncoder {
         &self.header
     }
 
-    /// Compresses chunk `index` (pure in `&self`; see
-    /// [`StreamSink::encode_chunk`]). Each encode thread reuses its own
-    /// [`EncodeScratch`], so steady-state encoding allocates only the body
-    /// the caller keeps.
+    /// Compresses chunk `index` into its metadata and a fresh body — the
+    /// per-worker step of [`StreamSink::push_range`], pure in `&self`.
+    /// Each encode thread reuses its own [`EncodeScratch`], so steady-state
+    /// encoding allocates only the body the caller keeps.
     pub(crate) fn encode(
         &self,
         index: usize,
         chunk: &Grid<f32>,
-    ) -> Result<EncodedChunk, SzhiError> {
+    ) -> Result<(ChunkMeta, Vec<u8>), SzhiError> {
         thread_local! {
             static SCRATCH: std::cell::RefCell<EncodeScratch> =
                 std::cell::RefCell::new(EncodeScratch::default());
         }
         SCRATCH.with(|s| {
             let mut scratch = s.borrow_mut();
-            // szhi-analyzer: allow(steady-alloc) -- this body vector is moved into the returned `EncodedChunk` and owned by the caller, so it cannot be scratch-routed; the steady-state serving path (`StreamSink::push_chunk`) goes through `encode_into` with a reused buffer instead
+            // szhi-analyzer: allow(steady-alloc) -- this body vector is returned to and owned by the caller, which holds a window of them, so it cannot be scratch-routed; the steady-state serving path (`StreamSink::push_chunk`) goes through `encode_into` with a reused buffer instead
             let mut body = Vec::new();
             let meta = self.encode_into(index, chunk, &mut scratch, &mut body)?;
-            Ok(EncodedChunk { index, meta, body })
+            Ok((meta, body))
         })
-    }
-
-    /// The one parallel range encoder: extracts the chunks `range` of an
-    /// in-memory `field` and encodes them across the worker pool, returning
-    /// them in plan order. The batch engine passes the whole plan, the job
-    /// service one batch at a time.
-    pub(crate) fn encode_range(
-        &self,
-        field: &Grid<f32>,
-        range: Range<usize>,
-    ) -> Result<Vec<EncodedChunk>, SzhiError> {
-        // Each chunk is a pure function of (sub-field, config) and the
-        // par_iter result order is fixed, so the encoded range is identical
-        // at every thread count — and to sequential `push_chunk` calls.
-        let encoded: Vec<Result<EncodedChunk, SzhiError>> = range
-            .into_par_iter()
-            .map(|i| {
-                let sub = field.extract(&self.plan.chunk_at(i));
-                self.encode(i, &Grid::from_vec(self.plan.chunk_dims(i), sub))
-            })
-            .collect();
-        encoded.into_iter().collect()
     }
 
     /// The scratch-reusing core of [`ChunkEncoder::encode`]: compresses
@@ -502,15 +455,9 @@ impl<W: Write> StreamSink<W> {
     /// as the chunk span, and emits the header and span immediately. The
     /// configuration must be streaming-safe (see the type docs); write
     /// failures surface as [`SzhiError::Io`].
-    pub fn new(out: W, dims: Dims, cfg: &SzhiConfig) -> Result<StreamSink<W>, SzhiError> {
+    pub fn new(mut out: W, dims: Dims, cfg: &SzhiConfig) -> Result<StreamSink<W>, SzhiError> {
         let span = cfg.chunk_span.unwrap_or(SzhiConfig::DEFAULT_CHUNK_SPAN);
-        let plan = checked_plan(dims, span, &cfg.interp)?;
-        StreamSink::from_encoder(out, ChunkEncoder::new(plan, cfg)?)
-    }
-
-    /// Wraps a ready encoder (the batch engine builds it first, to encode
-    /// and size the output before any byte is written).
-    pub(crate) fn from_encoder(mut out: W, enc: ChunkEncoder) -> Result<StreamSink<W>, SzhiError> {
+        let enc = ChunkEncoder::new(checked_plan(dims, span, &cfg.interp)?, cfg)?;
         let layout = format::layout_of(if enc.chunk_interp {
             VERSION_TUNED
         } else {
@@ -582,25 +529,6 @@ impl<W: Write> StreamSink<W> {
         &self.out
     }
 
-    /// The sink's chunk encoder, detached from the backing writer so a
-    /// parallel encode loop can share it across threads without requiring
-    /// `W: Sync` (the job coordinator in [`crate::jobs`] uses this).
-    pub(crate) fn encoder(&self) -> &ChunkEncoder {
-        &self.enc
-    }
-
-    /// Compresses chunk `index` without appending it to the stream. A pure
-    /// function of `(chunk, configuration)` — callers that already hold
-    /// several chunks can encode them in parallel and feed the results to
-    /// [`StreamSink::push_encoded`] in plan order; this is exactly what the
-    /// batch engine [`crate::compress_chunked`] does.
-    ///
-    /// `chunk` must have the standalone shape of chunk `index`
-    /// ([`ChunkPlan::chunk_dims`]); any other shape is a typed error.
-    pub fn encode_chunk(&self, index: usize, chunk: &Grid<f32>) -> Result<EncodedChunk, SzhiError> {
-        self.enc.encode(index, chunk)
-    }
-
     /// Compresses the next chunk and writes its body to the backing writer
     /// immediately. Chunks must arrive in plan order with the standalone
     /// shape of their plan slot ([`StreamSink::next_chunk_region`]).
@@ -633,21 +561,49 @@ impl<W: Write> StreamSink<W> {
         pushed
     }
 
-    /// Writes a chunk previously produced by [`StreamSink::encode_chunk`]
-    /// to the backing writer. Chunks must be pushed strictly in plan order;
-    /// a gap or repeat is a typed error. After a write failure
-    /// ([`SzhiError::Io`]) the sink is poisoned — the stream position is
-    /// unknown — and every further push or finish fails.
-    pub fn push_encoded(&mut self, chunk: EncodedChunk) -> Result<(), SzhiError> {
+    /// The parallel push behind [`crate::compress_chunked`] (the whole
+    /// plan) and the job service (one window at a time): extracts the
+    /// chunks `range` of the in-memory `field` (of the sink's shape),
+    /// encodes them across the worker pool and writes them in plan order.
+    /// `range` must start at [`StreamSink::next_index`] and end inside the
+    /// plan, or nothing is encoded. `before_write(i)` runs before chunk `i`
+    /// is written; an error from it poisons the sink and is returned.
+    pub(crate) fn push_range(
+        &mut self,
+        field: &Grid<f32>,
+        range: Range<usize>,
+        mut before_write: impl FnMut(usize) -> Result<(), SzhiError>,
+    ) -> Result<(), SzhiError> {
         self.check_poisoned()?;
-        if chunk.index != self.entries.len() {
+        let n = self.enc.plan.len();
+        if range.start != self.entries.len() || range.end > n {
             return Err(SzhiError::InvalidInput(format!(
-                "chunk {} pushed out of order: the sink expects chunk {}",
-                chunk.index,
+                "chunks {range:?} do not continue the plan: the sink expects chunk {} of {n} next",
                 self.entries.len()
             )));
         }
-        self.record(chunk.meta, &chunk.body)
+        // Each chunk is a pure function of (sub-field, config) and the
+        // par_iter result order is fixed, so the written bytes are the same
+        // at every thread count — and as sequential `push_chunk` calls.
+        // The fan-out borrows only the encoder, so `W` need not be `Sync`.
+        let enc = &self.enc;
+        let encoded: Vec<Result<(ChunkMeta, Vec<u8>), SzhiError>> = range
+            .clone()
+            .into_par_iter()
+            .map(|i| {
+                let sub = field.extract(&enc.plan.chunk_at(i));
+                enc.encode(i, &Grid::from_vec(enc.plan.chunk_dims(i), sub))
+            })
+            .collect();
+        for (i, chunk) in range.zip(encoded) {
+            let (meta, body) = chunk?;
+            if let Err(e) = before_write(i) {
+                self.poisoned = true;
+                return Err(e);
+            }
+            self.record(meta, &body)?;
+        }
+        Ok(())
     }
 
     /// The record step both pushes share: interns the chunk's configuration
@@ -1275,16 +1231,17 @@ mod tests {
             Err(SzhiError::InvalidInput(msg)) if msg.contains("shape")
         ));
 
-        // Out-of-order push of a pre-encoded chunk.
-        let region = sink.plan().chunk_at(3);
-        let sub = Grid::from_vec(region.dims(), data.extract(&region));
-        let encoded = sink.encode_chunk(3, &sub).unwrap();
-        assert_eq!(encoded.index(), 3);
-        assert!(encoded.compressed_bytes() > 0);
-        assert!(matches!(
-            sink.push_encoded(encoded),
-            Err(SzhiError::InvalidInput(msg)) if msg.contains("out of order")
-        ));
+        // A parallel push must continue the plan and stay inside it; a
+        // rejected range writes nothing.
+        let written = sink.bytes_written();
+        for range in [3..5, 1..2, 0..9] {
+            assert!(matches!(
+                sink.push_range(&data, range, |_| Ok(())),
+                Err(SzhiError::InvalidInput(msg)) if msg.contains("expects chunk 0 of 8")
+            ));
+        }
+        assert_eq!(sink.bytes_written(), written);
+        assert_eq!(sink.next_index(), 0);
 
         // Finishing early.
         let region = sink.plan().chunk_at(0);
@@ -1310,6 +1267,42 @@ mod tests {
         assert!(matches!(sink.push_chunk(&sub), Err(SzhiError::Io(_))));
         assert!(matches!(
             sink.push_chunk(&sub),
+            Err(SzhiError::InvalidInput(msg)) if msg.contains("poisoned")
+        ));
+        assert!(matches!(
+            sink.finish(),
+            Err(SzhiError::InvalidInput(msg)) if msg.contains("poisoned")
+        ));
+
+        // A hook error stops the parallel push before that chunk's write
+        // and poisons the sink.
+        let mut sink = StreamSink::new(Vec::new(), data.dims(), &cfg).unwrap();
+        let refuse_second = |i| match i {
+            1 => Err(SzhiError::Cancelled),
+            _ => Ok(()),
+        };
+        assert!(matches!(
+            sink.push_range(&data, 0..4, refuse_second),
+            Err(SzhiError::Cancelled)
+        ));
+        assert!(sink.is_poisoned());
+        assert_eq!(sink.next_index(), 1);
+        assert!(matches!(
+            sink.finish(),
+            Err(SzhiError::InvalidInput(msg)) if msg.contains("poisoned")
+        ));
+
+        // A write failing mid-window (the header and chunk 0 pass) is
+        // typed Io and poisons the sink.
+        let mut sink = StreamSink::new(FailAfter(2), data.dims(), &cfg).unwrap();
+        assert!(matches!(
+            sink.push_range(&data, 0..4, |_| Ok(())),
+            Err(SzhiError::Io(_))
+        ));
+        assert!(sink.is_poisoned());
+        assert_eq!(sink.next_index(), 1);
+        assert!(matches!(
+            sink.push_range(&data, 1..2, |_| Ok(())),
             Err(SzhiError::InvalidInput(msg)) if msg.contains("poisoned")
         ));
         assert!(matches!(

@@ -366,15 +366,18 @@ proptest! {
     fn concurrent_jobs_are_byte_identical_to_serial(
         (data, rel_eb) in field_strategy(),
         n_jobs in 2usize..5,
-        per_chunk in any::<bool>(),
+        tuning in 0usize..3,
     ) {
         let span = [16, 16, 16];
         let abs_eb = ErrorBound::Relative(rel_eb).absolute(data.value_range() as f64);
-        let tuning = if per_chunk { ModeTuning::PerChunk } else { ModeTuning::Global };
+        // The third choice writes a tuned (v5) container, whose config
+        // dictionary is interned in write order.
+        let mode_tuning = [ModeTuning::Global, ModeTuning::PerChunk, ModeTuning::estimated()];
         let cfg = SzhiConfig::new(ErrorBound::Absolute(abs_eb))
             .with_auto_tune(false)
             .with_chunk_span(span)
-            .with_mode_tuning(tuning);
+            .with_mode_tuning(mode_tuning[tuning].clone())
+            .with_chunk_interp_tuning(tuning == 2);
 
         // Each job gets its own deterministic variant of the field.
         let fields: Vec<Grid<f32>> = (0..n_jobs)
