@@ -626,7 +626,7 @@ fn lock_matcher(code: &[u8], i: usize) -> Option<&'static str> {
 }
 
 // ---------------------------------------------------------------------------
-// Roots and walks: L6 with L3 (decode), L7 (warm encode)
+// Roots and walks: L6 with L3 (decode), L7 (warm encode and decode)
 // ---------------------------------------------------------------------------
 
 /// Serving crates whose entry points are L6 roots.
@@ -717,12 +717,15 @@ pub const L6_ROOTS: &[RootPattern] = &[
 
 /// The warm-path roots (L7): the per-chunk encode chain
 /// (`ChunkEncoder::encode` and `encode_into`), the predictor's
-/// `compress_into`, and `StreamSink::push_chunk`.
+/// `compress_into`, `StreamSink::push_chunk`, and the scratch forms of the
+/// per-chunk decode, `decompress_into` and `restore_into`.
 pub const L7_ROOTS: &[RootPattern] = &[
     root(Some("ChunkEncoder"), "encode"),
     root(Some("ChunkEncoder"), "encode_into"),
     root(None, "compress_into"),
     root(Some("StreamSink"), "push_chunk"),
+    root(None, "decompress_into"),
+    root(None, "restore_into"),
 ];
 
 fn roots_of(ws: &Workspace, patterns: &[RootPattern], serving_only: bool) -> Vec<usize> {
@@ -816,7 +819,7 @@ pub fn lint_steady_alloc(ws: &Workspace, graph: &CallGraph) -> Vec<Violation> {
     let rule = Rule {
         lint: Lint::SteadyAlloc,
         matcher: unrouted_alloc_matcher,
-        advice: "on the warm encode path (chain below); \
+        advice: "on the warm encode or decode path (chain below); \
                  route it through a scratch buffer or suppress with a reason",
     };
     walk(ws, graph, &l7_roots(ws), Lint::SteadyAlloc, &[rule])

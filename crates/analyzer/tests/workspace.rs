@@ -35,9 +35,9 @@ fn workspace_has_no_violations() {
 
 /// The decode/serve entry points and warm-path roots must exist in the
 /// tree: together with `workspace_has_no_violations` this asserts the
-/// entry points are transitively panic-free (L6) and the warm encode path
-/// is statically allocation-free (L7) — not that the lints had nothing to
-/// check.
+/// entry points are transitively panic-free (L6) and the warm encode and
+/// decode paths are statically allocation-free (L7) — not that the lints
+/// had nothing to check.
 #[test]
 fn transitive_lints_found_their_roots() {
     let report = analyze(&workspace_root()).expect("walking the workspace");
@@ -79,7 +79,7 @@ fn every_root_pattern_matches_a_function_of_the_workspace() {
     );
 }
 
-/// Calls on the decode and warm encode walks that a miscounted arity used
+/// Calls on the decode and warm-path walks that a miscounted arity used
 /// to drop from the graph (rustfmt's trailing commas, string-literal
 /// arguments). Without them L6 never checked the predictor's decode sweep
 /// or the table readers, and L7 never saw trial selection.
@@ -96,7 +96,7 @@ fn the_walks_keep_the_edges_arity_once_dropped() {
         (("locate_table", None), ("read_trailing_table", None)),
         (
             ("reconstruct", None),
-            ("decompress", Some("InterpPredictor")),
+            ("decompress_into", Some("InterpPredictor")),
         ),
         (
             ("encode_into", Some("ChunkEncoder")),

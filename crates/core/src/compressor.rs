@@ -14,9 +14,9 @@
 //!   output (a v4 container; v5 with per-chunk interpolation tuning) is
 //!   byte-identical to pushing the same chunks one at a time. Chunks
 //!   decompress independently too — [`decompress`] decodes them in
-//!   parallel straight from the byte slice, and [`decompress_chunk`]
-//!   random-accesses a single chunk without touching the rest of the
-//!   stream.
+//!   parallel straight from the byte slice into the output, and
+//!   [`decompress_chunk`] random-accesses a single chunk without touching
+//!   the rest of the stream.
 //!
 //! Chunked streams are byte-identical regardless of the worker-thread count:
 //! every chunk is a pure function of (its sub-field, the config), and the
@@ -28,9 +28,10 @@ use crate::format::{
     locate_table, read_chunk_sections, read_chunk_table, read_stream, stream_version, write_header,
     Header, VERSION,
 };
-use crate::stream::{assemble, checked_plan, ChunkEncoder, EncodeScratch, StreamSink};
+use crate::stream::{checked_plan, ChunkEncoder, DecodeScratch, EncodeScratch, StreamSink};
 use rayon::prelude::*;
 use std::io::Cursor;
+use std::sync::{Mutex, PoisonError};
 use szhi_codec::PipelineSpec;
 use szhi_ndgrid::{ChunkPlan, Dims, Grid, Region};
 use szhi_predictor::autotune;
@@ -176,16 +177,25 @@ fn resolve(data: &Grid<f32>, cfg: &SzhiConfig) -> Result<SzhiConfig, SzhiError> 
 /// containers decompress their chunks in parallel, with v3+ chunks verified
 /// against their checksums first and v5 chunks decoded with their own
 /// per-chunk predictor configuration).
+///
+/// A chunked stream decodes into the output: each worker reconstructs a
+/// chunk into its own reused scratch and copies it into the field, so the
+/// decode holds the field plus one chunk per worker. A corrupt stream
+/// reports its lowest-index failing chunk, at every thread count.
 pub fn decompress(bytes: &[u8]) -> Result<Grid<f32>, SzhiError> {
     if stream_version(bytes)? == VERSION {
         return decompress_monolithic(bytes);
     }
     let index = locate_table(&mut Cursor::new(bytes))?;
-    let chunks: Vec<Result<(Region, Grid<f32>), SzhiError>> = (0..index.table.entries.len())
+    // Allocated only once the header and the table are validated. A chunk's
+    // insert, one copy under the lock, is far shorter than its decode.
+    let out = Mutex::new(Grid::zeros(index.dims()));
+    let decoded: Vec<Result<(), SzhiError>> = (0..index.chunk_count())
         .into_par_iter()
-        .map(|i| index.decode_slice(bytes, i))
+        .map(|i| index.decode_slice_into(bytes, i, &out))
         .collect();
-    assemble(index.header.dims, chunks)
+    decoded.into_iter().collect::<Result<(), _>>()?;
+    Ok(out.into_inner().unwrap_or_else(PoisonError::into_inner))
 }
 
 /// Randomly accesses one chunk of a chunked (v2), streamed (v3),
@@ -220,28 +230,32 @@ pub fn chunk_count(bytes: &[u8]) -> Result<usize, SzhiError> {
 }
 
 /// Decodes and reconstructs one chunk body (also the whole field of a v1
-/// stream, which is a single chunk in this sense) with the pipeline and
-/// interpolation configuration that encoded it — for v3+ streams the
-/// chunk's own table entry, which may differ from the header's global
-/// pipeline, and for v5 streams the chunk's dictionary config, which may
-/// differ from the header's interpolation levels.
+/// stream, which is a single chunk in this sense) into `scratch.recon`,
+/// with the pipeline and interpolation configuration that encoded it — for
+/// v3+ streams the chunk's own table entry, which may differ from the
+/// header's global pipeline, and for v5 streams the chunk's dictionary
+/// config, which may differ from the header's interpolation levels.
 pub(crate) fn decompress_chunk_body(
     header: &Header,
     pipeline: PipelineSpec,
     interp: &InterpConfig,
     chunk_dims: Dims,
     body: &[u8],
-) -> Result<Grid<f32>, SzhiError> {
+    scratch: &mut DecodeScratch,
+) -> Result<(), SzhiError> {
     let _span = crate::telemetry::DECODE_CHUNK.enter();
     let (anchors, outliers, payload) = read_chunk_sections(body)?;
     reconstruct(
-        header, pipeline, interp, chunk_dims, anchors, outliers, payload,
+        header, pipeline, interp, chunk_dims, anchors, outliers, payload, scratch,
     )
 }
 
 fn decompress_monolithic(bytes: &[u8]) -> Result<Grid<f32>, SzhiError> {
     let (header, anchors, outliers, payload) = read_stream(bytes)?;
     let interp = header.interp.clone();
+    // A local scratch: its planes are field-sized here, and the
+    // reconstruction becomes the returned grid.
+    let mut scratch = DecodeScratch::default();
     reconstruct(
         &header,
         header.pipeline,
@@ -250,11 +264,14 @@ fn decompress_monolithic(bytes: &[u8]) -> Result<Grid<f32>, SzhiError> {
         anchors,
         outliers,
         payload,
-    )
+        &mut scratch,
+    )?;
+    Ok(Grid::from_vec(header.dims, scratch.recon))
 }
 
-/// The shared decode-restore-reconstruct tail of both engines. The
-/// predictor owns the consistency checks (anchor count, outlier
+/// The shared decode-restore-reconstruct tail of both engines: restores
+/// the codes into `scratch.codes` and reconstructs into `scratch.recon`.
+/// The predictor owns the consistency checks (anchor count, outlier
 /// completeness): a parseable-but-inconsistent stream surfaces as its typed
 /// error, mapped to [`SzhiError::InvalidStream`].
 #[allow(clippy::too_many_arguments)]
@@ -266,7 +283,8 @@ fn reconstruct(
     anchors: Vec<f32>,
     outliers: Vec<szhi_predictor::Outlier>,
     payload: Vec<u8>,
-) -> Result<Grid<f32>, SzhiError> {
+    scratch: &mut DecodeScratch,
+) -> Result<(), SzhiError> {
     let codes = {
         let _span = crate::telemetry::DECODE_ENTROPY.enter();
         pipeline
@@ -280,25 +298,26 @@ fn reconstruct(
             dims.len()
         )));
     }
-    let codes = if header.reorder {
-        let _span = crate::telemetry::DECODE_REORDER.enter();
-        LevelOrder::new(dims, interp.anchor_stride)
-            // szhi-analyzer: allow(panic-reachability) -- `restore` length-checks `codes` against the field size and the walk visits every raster index exactly once, so its run slices are in bounds; corrupt inputs surface as its typed error (byte-flip fuzz suites cover this boundary)
-            .restore(&codes)
-            .map_err(|e| SzhiError::InvalidStream(e.to_string()))?
-    } else {
-        codes
-    };
-    let output = InterpOutput {
+    let mut output = InterpOutput {
         anchors,
         codes,
         outliers,
     };
+    if header.reorder {
+        let _span = crate::telemetry::DECODE_REORDER.enter();
+        LevelOrder::new(dims, interp.anchor_stride)
+            // szhi-analyzer: allow(panic-reachability) -- `restore_into` length-checks `codes` against the field size and the walk visits every raster index exactly once, so its run slices are in bounds; corrupt inputs surface as its typed error (byte-flip fuzz suites cover this boundary)
+            .restore_into(&output.codes, &mut scratch.codes)
+            .map_err(|e| SzhiError::InvalidStream(e.to_string()))?;
+        // The restored plane goes to the predictor; the scratch keeps the
+        // decoded one's buffer for the next chunk.
+        std::mem::swap(&mut output.codes, &mut scratch.codes);
+    }
     let _span = crate::telemetry::DECODE_PREDICT.enter();
     let predictor = InterpPredictor::new(interp.clone())
         .map_err(|e| SzhiError::InvalidStream(e.to_string()))?;
     predictor
-        .decompress(dims, header.abs_eb, &output)
+        .decompress_into(dims, header.abs_eb, &output, &mut scratch.recon)
         .map_err(|e| SzhiError::InvalidStream(e.to_string()))
 }
 
@@ -714,6 +733,30 @@ mod tests {
             decompress(&corrupt),
             Err(SzhiError::TrailerCorrupt(_))
         ));
+
+        // Two corrupt chunks: every decode reports the first in plan order,
+        // whichever worker fails first.
+        let mut corrupt = bytes.clone();
+        for i in [2usize, 5] {
+            let entry = &t4.entries[i];
+            corrupt[data_start + entry.offset + entry.len / 2] ^= 0x80;
+        }
+        for threads in [1usize, 2, 4] {
+            rayon::set_num_threads(threads);
+            let result = decompress(&corrupt);
+            rayon::set_num_threads(0);
+            assert!(
+                matches!(result, Err(SzhiError::ChunkChecksum { index: 2, .. })),
+                "at {threads} threads: {result:?}"
+            );
+        }
+        let read = crate::StreamSource::from_bytes(&corrupt)
+            .unwrap()
+            .read_all();
+        assert!(
+            matches!(read, Err(SzhiError::ChunkChecksum { index: 2, .. })),
+            "read_all: {read:?}"
+        );
 
         // The full 3-mask byte-flip fuzz through `decompress`: typed errors
         // only, never a panic, mirroring the v2/v3 suites.

@@ -15,8 +15,8 @@
 //!
 //! Progress is observable while the job runs ([`JobHandle::progress`]),
 //! and a job can be cancelled cooperatively ([`JobHandle::cancel`]): the
-//! coordinator notices before every chunk write (a decompress job between
-//! chunk decodes), **poisons** a compress job's sink —
+//! coordinator notices before every chunk write (a decompress job before
+//! every chunk insert), **poisons** a compress job's sink —
 //! the half-written stream has no table or trailer and must never be
 //! finalized — and returns the typed [`SzhiError::Cancelled`].
 //!
@@ -323,11 +323,12 @@ fn run_compress<W: Write>(
     sink.finish_with_stats()
 }
 
-/// The coordinator loop of a decompress job: fetch + decode chunks one at
-/// a time on this job's own thread (reads from one seekable source are
-/// inherently serial, and a chunk decode never dispatches to the pool, so
-/// concurrent decompress jobs run side by side instead of queueing on the
-/// shared workers), checking for cancellation between chunks.
+/// The coordinator of a decompress job: drains the source into the output
+/// one chunk at a time on this job's own thread (reads from one seekable
+/// source are inherently serial, and a chunk decode never dispatches to the
+/// pool, so concurrent decompress jobs run side by side instead of queueing
+/// on the shared workers); before every chunk insert the drain's hook
+/// records progress and checks for cancellation.
 fn run_decompress<R: Read + Seek>(
     mut source: StreamSource<R>,
     state: &JobState,
@@ -335,16 +336,16 @@ fn run_decompress<R: Read + Seek>(
     state.enter(JobPhase::Decoding);
     let _span = crate::telemetry::JOB_DECODE.enter();
     let mut out = Grid::zeros(source.index().dims());
-    let mut chunks = source.chunks();
-    while !state.cancelled.load(Ordering::Relaxed) {
-        let Some(chunk) = chunks.next() else {
-            return Ok(out);
-        };
-        let (region, sub) = chunk?;
-        out.insert(&region, sub.as_slice());
-        state.done.fetch_add(1, Ordering::Relaxed);
-    }
-    Err(SzhiError::Cancelled)
+    source.drain_into(&mut out, |i| {
+        state.done.store(i, Ordering::Relaxed);
+        if state.cancelled.load(Ordering::Relaxed) {
+            Err(SzhiError::Cancelled)
+        } else {
+            Ok(())
+        }
+    })?;
+    state.done.store(source.chunk_count(), Ordering::Relaxed);
+    Ok(out)
 }
 
 #[cfg(test)]

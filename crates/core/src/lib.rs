@@ -84,7 +84,7 @@
 //! });
 //! let cfg = SzhiConfig::new(ErrorBound::Relative(1e-3)).with_chunk_span([32, 32, 32]);
 //! let bytes = compress(&field, &cfg).unwrap();
-//! // Whole-field decompression fans out over chunks...
+//! // Whole-field decompression fans out over chunks, into the output...
 //! assert_eq!(decompress(&bytes).unwrap().dims(), field.dims());
 //! // ...or reconstruct a single chunk by random access.
 //! let (region, sub) = decompress_chunk(&bytes, 0).unwrap();
@@ -118,7 +118,12 @@
 //! ([`ChunkReader::index`]), `read_chunk`, the chunk iterator and
 //! `read_all`; they, and [`decompress`], share one path that locates and
 //! validates the chunk table and one step that verifies a fetched body's
-//! CRC32 and decodes it.
+//! CRC32 and decodes it into a reused chunk scratch. Whole-field decodes
+//! copy each chunk straight into the output: [`decompress`] through one
+//! scratch per pool worker, `read_all` and the job service's decompress
+//! through one serial drain, so a decode holds the field plus one chunk per
+//! worker. `read_chunk`, the chunk iterator and [`decompress_chunk`]
+//! return an owned chunk and keep no scratch.
 //!
 //! ## Cost-model orchestration (the v5 tuned container)
 //!

@@ -27,6 +27,10 @@
 //!   ([`crate::decompress`]), passes one verify-and-decode step, which
 //!   checks the chunk's CRC32 *before* any lossless decoder touches the
 //!   bytes; corruption surfaces as the typed [`SzhiError::ChunkChecksum`].
+//!   The step reconstructs into a reused `DecodeScratch`, from which the
+//!   whole-field decodes copy each chunk straight into the output: one
+//!   scratch per pool worker in [`crate::decompress`], one per drain in
+//!   [`ChunkReader::read_all`] and the job service.
 
 use crate::compressor::{decompress_chunk_body, CompressionStats};
 use crate::config::{ErrorBound, ModeTuning, SzhiConfig};
@@ -38,6 +42,7 @@ use crate::format::{
 use rayon::prelude::*;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 use szhi_codec::checksum::crc32;
 use szhi_codec::PipelineSpec;
 use szhi_ndgrid::{ChunkPlan, Dims, Grid, Region};
@@ -92,6 +97,16 @@ pub(crate) struct EncodeScratch {
     compress: CompressScratch,
     output: InterpOutput,
     reordered: Vec<u8>,
+}
+
+/// Reusable buffers for the per-chunk decode chain, the mirror of
+/// [`EncodeScratch`]: the restored code plane and the predictor's
+/// reconstruction. A chunk decode leaves the chunk's values in `recon`, to
+/// be copied into the output or moved into an owned grid.
+#[derive(Debug, Default)]
+pub(crate) struct DecodeScratch {
+    pub(crate) codes: Vec<u8>,
+    pub(crate) recon: Vec<f32>,
 }
 
 /// Everything [`ChunkEncoder::encode_into`] produces besides the body it
@@ -697,26 +712,44 @@ impl<W: Write> StreamSink<W> {
 /// [`Fetch`] and the in-memory [`crate::decompress`] differ only in how
 /// they fetch a chunk's bytes.
 impl StreamIndex {
-    /// The one verify-and-decode step: checks `body` — the fetched bytes of
+    /// The one per-chunk decode step: checks `body` — the fetched bytes of
     /// chunk `index` — against the chunk's CRC32, then reconstructs the
-    /// sub-field with the chunk's own pipeline and interpolation
-    /// configuration. Returns the chunk's region of the original field and
-    /// the reconstructed values.
-    pub(crate) fn verify_and_decode(
+    /// sub-field into `scratch.recon` with the chunk's own pipeline and
+    /// interpolation configuration. Returns the chunk's region of the
+    /// original field.
+    pub(crate) fn decode_into(
         &self,
         index: usize,
         body: &[u8],
-    ) -> Result<(Region, Grid<f32>), SzhiError> {
+        scratch: &mut DecodeScratch,
+    ) -> Result<Region, SzhiError> {
         let entry = self.entry(index)?;
         entry.verify(index, body)?;
-        let grid = decompress_chunk_body(
+        decompress_chunk_body(
             &self.header,
             entry.pipeline,
             &self.table.chunk_interp(&self.header, index),
             self.plan.chunk_dims(index),
             body,
+            scratch,
         )?;
-        Ok((self.plan.chunk_at(index), grid))
+        Ok(self.plan.chunk_at(index))
+    }
+
+    /// [`StreamIndex::decode_into`] into a scratch of its own, whose
+    /// reconstruction becomes the returned grid: the random-access form,
+    /// which keeps no buffer once it returns.
+    pub(crate) fn verify_and_decode(
+        &self,
+        index: usize,
+        body: &[u8],
+    ) -> Result<(Region, Grid<f32>), SzhiError> {
+        let mut scratch = DecodeScratch::default();
+        let region = self.decode_into(index, body, &mut scratch)?;
+        Ok((
+            region,
+            Grid::from_vec(self.plan.chunk_dims(index), scratch.recon),
+        ))
     }
 
     /// Fetches chunk `index` as a slice of the in-memory stream `bytes` and
@@ -729,19 +762,31 @@ impl StreamIndex {
         self.entry(index)?;
         self.verify_and_decode(index, self.table.entry_slice(bytes, index)?.1)
     }
-}
 
-/// Assembles decoded chunks into the full field of shape `dims`.
-pub(crate) fn assemble(
-    dims: Dims,
-    chunks: impl IntoIterator<Item = Result<(Region, Grid<f32>), SzhiError>>,
-) -> Result<Grid<f32>, SzhiError> {
-    let mut out = Grid::zeros(dims);
-    for chunk in chunks {
-        let (region, sub) = chunk?;
-        out.insert(&region, sub.as_slice());
+    /// The per-worker step of [`crate::decompress`]: decodes chunk `index`
+    /// of the in-memory stream `bytes` through the calling thread's own
+    /// retained [`DecodeScratch`] and copies it into `out`, a field of the
+    /// stream's shape, under the lock.
+    pub(crate) fn decode_slice_into(
+        &self,
+        bytes: &[u8],
+        index: usize,
+        out: &Mutex<Grid<f32>>,
+    ) -> Result<(), SzhiError> {
+        thread_local! {
+            static SCRATCH: std::cell::RefCell<DecodeScratch> =
+                std::cell::RefCell::new(DecodeScratch::default());
+        }
+        SCRATCH.with(|s| {
+            let scratch = &mut *s.borrow_mut();
+            let region =
+                self.decode_into(index, self.table.entry_slice(bytes, index)?.1, scratch)?;
+            out.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert(&region, &scratch.recon);
+            Ok(())
+        })
     }
-    Ok(out)
 }
 
 mod sealed {
@@ -1026,13 +1071,44 @@ impl<F: Fetch> ChunkReader<F> {
         std::iter::from_fn(|| self.next_chunk())
     }
 
-    /// Decodes the chunks of [`ChunkReader::chunks`] sequentially and
-    /// assembles the full field; regions a forward source has already read
-    /// stay zero. (Reads from one source are serial; decode a stream that
-    /// is already in memory via [`crate::decompress`] when parallel decode
-    /// matters.)
+    /// Decodes the chunks of [`ChunkReader::chunks`] sequentially, each
+    /// straight into the full field through one reused chunk scratch, so
+    /// the read holds the field plus one chunk; regions a forward source
+    /// has already read stay zero. (Reads from one source are serial;
+    /// decode a stream that is already in memory via [`crate::decompress`]
+    /// when parallel decode matters.)
     pub fn read_all(&mut self) -> Result<Grid<f32>, SzhiError> {
-        assemble(self.index.dims(), self.chunks())
+        let mut out = Grid::zeros(self.index.dims());
+        self.drain_into(&mut out, |_| Ok(()))?;
+        Ok(out)
+    }
+
+    /// The one serial drain, behind [`ChunkReader::read_all`] and the job
+    /// service's decompress: fetches and decodes the chunks of
+    /// [`ChunkReader::chunks`] in plan order through one [`DecodeScratch`]
+    /// and inserts each into `out`, a field of the stream's shape.
+    /// `before_insert(i)` runs after chunk `i` is decoded and before it is
+    /// inserted; an error from it, or from a chunk, ends the drain.
+    pub(crate) fn drain_into(
+        &mut self,
+        out: &mut Grid<f32>,
+        mut before_insert: impl FnMut(usize) -> Result<(), SzhiError>,
+    ) -> Result<(), SzhiError> {
+        if F::REWINDS {
+            self.next = 0;
+        }
+        let mut scratch = DecodeScratch::default();
+        while self.next < self.chunk_count() {
+            let i = self.next;
+            // A failed chunk is consumed like a decoded one, as in
+            // `read_chunk`.
+            self.next = i + 1;
+            let body = self.fetch.fetch(&self.index, i)?;
+            let region = self.index.decode_into(i, body, &mut scratch)?;
+            before_insert(i)?;
+            out.insert(&region, &scratch.recon);
+        }
+        Ok(())
     }
 }
 

@@ -290,6 +290,24 @@ impl InterpPredictor {
         eb: f64,
         output: &InterpOutput,
     ) -> Result<Grid<f32>, PredictorError> {
+        let mut recon = Vec::new();
+        self.decompress_into(dims, eb, output, &mut recon)?;
+        Ok(Grid::from_vec(dims, recon))
+    }
+
+    /// Like [`decompress`](InterpPredictor::decompress), but reconstructs
+    /// into the caller's buffer: `recon` is cleared and refilled with the
+    /// `dims.len()` values in raster order, so a caller decoding a stream of
+    /// chunks reuses one reconstruction plane instead of allocating one per
+    /// chunk. Nothing of the buffer's previous contents survives; on an
+    /// error its contents are unspecified.
+    pub fn decompress_into(
+        &self,
+        dims: Dims,
+        eb: f64,
+        output: &InterpOutput,
+        recon: &mut Vec<f32>,
+    ) -> Result<(), PredictorError> {
         if output.codes.len() != dims.len() {
             return Err(PredictorError::Inconsistent(format!(
                 "{} quantization codes for a {dims} field of {} points",
@@ -314,7 +332,7 @@ impl InterpPredictor {
         // it. Strictly increasing indices, each at an OUTLIER_CODE, as many
         // records as OUTLIER_CODEs: together a one-to-one pairing of
         // records and outlier codes, anchors included.
-        let mut recon = vec![0.0f32; dims.len()];
+        crate::zeroed(recon, dims.len());
         let mut prev = None;
         for o in &output.outliers {
             let idx = usize::try_from(o.index).ok().filter(|&i| i < dims.len());
@@ -349,14 +367,13 @@ impl InterpPredictor {
 
         let codes = &output.codes;
         // szhi-analyzer: allow(panic-reachability) -- the checks above make `recon`, `codes` and the sweep's index space all `dims.len()` long; the row kernel is pinned to its reference by differential tests
-        self.sweep(dims, &mut recon, |idx, pred, slot| {
+        self.sweep(dims, recon, |idx, pred, slot| {
             // szhi-analyzer: allow(panic-reachability) -- `idx < dims.len() == codes.len()`
             if codes[idx] != OUTLIER_CODE {
                 *slot = quantizer.reconstruct(codes[idx], pred); // szhi-analyzer: allow(panic-reachability) -- the same `idx`
             }
         });
-
-        Ok(Grid::from_vec(dims, recon))
+        Ok(())
     }
 
     /// The one level → step → row traversal behind both directions: the
@@ -540,6 +557,37 @@ mod tests {
             let out = p.compress(&g, 1e-3);
             let recon = p.decompress(dims, 1e-3, &out).unwrap();
             check_bound(&g, &recon, 1e-3);
+        }
+    }
+
+    /// One reconstruction buffer, reused dirty from chunk to chunk and
+    /// shrinking, must give each chunk exactly what a fresh `decompress`
+    /// gives: no value of an earlier, larger chunk may survive.
+    #[test]
+    fn decompress_into_a_dirty_buffer_matches_decompress() {
+        let p = InterpPredictor::new(InterpConfig::cusz_hi()).unwrap();
+        let mut recon = vec![f32::NAN; 64 * 64 * 64 + 7];
+        for dims in [Dims::d3(64, 64, 64), Dims::d3(44, 64, 64), Dims::d2(60, 90)] {
+            // Spikes every 97 points force outlier records into the output.
+            let g = smooth_field(dims);
+            let spiky = Grid::from_vec(
+                dims,
+                (g.as_slice().iter().enumerate())
+                    .map(|(i, &v)| if i % 97 == 5 { v + 1e4 } else { v })
+                    .collect(),
+            );
+            let out = p.compress(&spiky, 1e-3);
+            assert!(!out.outliers.is_empty(), "{dims}: no outliers");
+            let fresh = p.decompress(dims, 1e-3, &out).unwrap();
+            p.decompress_into(dims, 1e-3, &out, &mut recon).unwrap();
+            assert_eq!(recon.len(), dims.len(), "{dims}");
+            assert!(
+                recon
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .eq(fresh.as_slice().iter().map(|v| v.to_bits())),
+                "{dims}: a reused buffer reconstructs differently"
+            );
         }
     }
 

@@ -37,3 +37,17 @@ pub use interp::{
 };
 pub use quantize::{Outlier, Quantizer, OUTLIER_CODE, ZERO_CODE};
 pub use reorder::LevelOrder;
+
+/// Makes `buf` hold `n` zeros. A buffer with the room is cleared in place;
+/// one without gets fresh zeroed memory, which neither copies the old
+/// contents nor writes zeros over pages the allocator already hands out
+/// zeroed, so the allocating `decompress` and `restore` pay one
+/// `vec![0; n]` each.
+pub(crate) fn zeroed<T: Copy + Default>(buf: &mut Vec<T>, n: usize) {
+    if buf.capacity() < n {
+        *buf = vec![T::default(); n];
+    } else {
+        buf.clear();
+        buf.resize(n, T::default());
+    }
+}

@@ -95,6 +95,16 @@ impl LevelOrder {
     /// payload), so a length mismatch surfaces as a typed error rather than
     /// a panic.
     pub fn restore(&self, reordered: &[u8]) -> Result<Vec<u8>, PredictorError> {
+        let mut out = Vec::new();
+        self.restore_into(reordered, &mut out)?;
+        Ok(out)
+    }
+
+    /// Like [`restore`](LevelOrder::restore), but writes into a reusable
+    /// output buffer (cleared first), the mirror of
+    /// [`reorder_into`](LevelOrder::reorder_into): per-chunk decoders keep
+    /// one code plane instead of allocating one per chunk.
+    pub fn restore_into(&self, reordered: &[u8], out: &mut Vec<u8>) -> Result<(), PredictorError> {
         if reordered.len() != self.dims.len() {
             return Err(PredictorError::Inconsistent(format!(
                 "{} reordered codes for a level order over {} points",
@@ -102,7 +112,7 @@ impl LevelOrder {
                 self.dims.len()
             )));
         }
-        let mut out = vec![0u8; reordered.len()];
+        crate::zeroed(out, reordered.len());
         let mut rest = reordered;
         self.walk(|start, step, count| {
             let (src, tail) = rest.split_at(count);
@@ -116,7 +126,7 @@ impl LevelOrder {
                 }
             }
         });
-        Ok(out)
+        Ok(())
     }
 }
 

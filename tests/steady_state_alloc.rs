@@ -1,4 +1,4 @@
-//! Steady-state allocation behaviour of the chunk encode chain.
+//! Steady-state allocation behaviour of the chunk encode and decode chains.
 //!
 //! The encode hot path threads reusable scratch buffers (the predictor's
 //! reconstruction plane, its quantization output, the level-reordered code
@@ -8,13 +8,16 @@
 //! allocates only the lossless pipeline's own working set, never another
 //! field-sized buffer. The predictor's row kernel predicts into a stack
 //! batch, so a warm decompression allocates nothing beyond the grid it
-//! returns. On the decode side, a lossless reducer checks a stream's claimed
-//! output against its bound before it expands anything, so a crafted stream
-//! costs no more memory than itself, and the Huffman decoder allocates its
-//! output and one decode table, after checking the symbol count its header
-//! claims. The CLI writes a decoded field to a stream through a fixed
+//! returns, and its `_into` form, with the code plane restored into a
+//! reused buffer too, nothing at all. A whole-field `decompress` writes
+//! each chunk into the output as it is decoded, so its peak is the output
+//! plus a few chunks per worker. A lossless reducer checks a stream's
+//! claimed output against its bound before it expands anything, so a
+//! crafted stream costs no more memory than itself, and the Huffman
+//! decoder allocates its output and one decode table, after checking the
+//! symbol count its header claims. The CLI writes a decoded field to a stream through a fixed
 //! buffer, never as a second field-sized byte copy, and to a file through
-//! one band buffer reused across chunks. All seven properties are pinned
+//! one band buffer reused across chunks. Each property is pinned
 //! down with a counting global allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -22,20 +25,45 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use szhi::prelude::*;
 
-/// Counts cumulative allocated bytes on top of the system allocator.
+/// Counts cumulative allocated bytes, live bytes and the live peak on top
+/// of the system allocator.
 struct CountingAlloc;
 
 static TOTAL_ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Cumulative bytes allocated by this thread alone: the test harness's
+    /// own threads allocate while a test measures.
+    static THREAD_ALLOCATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Adds `bytes` to the cumulative counts, global and this thread's.
+fn count_allocated(bytes: usize) {
+    TOTAL_ALLOCATED.fetch_add(bytes, Ordering::Relaxed);
+    // `try_with`: a thread's last frees and allocations can outlive its
+    // locals.
+    let _ = THREAD_ALLOCATED.try_with(|c| c.set(c.get() + bytes));
+}
+
+/// Adds `bytes` to the live count and raises the peak to match.
+fn grow_live(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
 
 // SAFETY: delegates every operation to `System` unchanged; the added
-// bookkeeping is a relaxed atomic add with no further allocator reentry.
+// bookkeeping is relaxed atomic arithmetic and a const-initialised
+// thread-local cell, with no further allocator reentry.
 // szhi-analyzer: allow(no-unsafe) -- a GlobalAlloc impl is unsafe by trait contract
 unsafe impl GlobalAlloc for CountingAlloc {
     // szhi-analyzer: allow(no-unsafe) -- signature mandated by GlobalAlloc
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
-            TOTAL_ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
+            count_allocated(layout.size());
+            grow_live(layout.size());
         }
         ptr
     }
@@ -43,13 +71,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // szhi-analyzer: allow(no-unsafe) -- signature mandated by GlobalAlloc
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
     }
 
     // szhi-analyzer: allow(no-unsafe) -- signature mandated by GlobalAlloc
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let new_ptr = System.realloc(ptr, layout, new_size);
         if !new_ptr.is_null() {
-            TOTAL_ALLOCATED.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
+            let old_size = layout.size();
+            count_allocated(new_size.saturating_sub(old_size));
+            if new_size >= old_size {
+                grow_live(new_size - old_size);
+            } else {
+                LIVE.fetch_sub(old_size - new_size, Ordering::Relaxed);
+            }
         }
         new_ptr
     }
@@ -60,6 +95,21 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocated() -> usize {
     TOTAL_ALLOCATED.load(Ordering::Relaxed)
+}
+
+fn allocated_by_this_thread() -> usize {
+    THREAD_ALLOCATED.with(std::cell::Cell::get)
+}
+
+/// Restarts the peak at the live bytes of this moment and returns them.
+fn reset_peak() -> usize {
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
+    live
+}
+
+fn peak() -> usize {
+    PEAK.load(Ordering::Relaxed)
 }
 
 /// The counter and the thread-count override are process-wide, so the
@@ -110,7 +160,7 @@ fn warm_scratch_decomposition_performs_zero_heap_growth() {
 
 #[test]
 fn warm_decompression_allocates_only_the_returned_grid() {
-    use szhi_predictor::{InterpConfig, InterpPredictor};
+    use szhi_predictor::{InterpConfig, InterpOutput, InterpPredictor, LevelOrder};
 
     let _serial = one_at_a_time();
     let dims = Dims::d3(32, 32, 32);
@@ -134,6 +184,75 @@ fn warm_decompression_allocates_only_the_returned_grid() {
         per_round <= grid + 4096,
         "warm decompression allocates {per_round} B per round for a {grid} B grid"
     );
+
+    // The `_into` forms restore and reconstruct into the caller's planes,
+    // so a warm round allocates nothing of its own.
+    let order = LevelOrder::new(dims, InterpConfig::cusz_hi().anchor_stride);
+    let reordered = order.reorder(&output.codes);
+    let mut restored = InterpOutput {
+        anchors: output.anchors.clone(),
+        codes: Vec::new(),
+        outliers: output.outliers.clone(),
+    };
+    let mut recon = Vec::new();
+    order.restore_into(&reordered, &mut restored.codes).unwrap();
+    predictor
+        .decompress_into(dims, 2e-3, &restored, &mut recon)
+        .unwrap();
+
+    let before = allocated();
+    for _ in 0..rounds {
+        order.restore_into(&reordered, &mut restored.codes).unwrap();
+        predictor
+            .decompress_into(dims, 2e-3, &restored, &mut recon)
+            .unwrap();
+    }
+    let per_round = (allocated() - before) / rounds;
+    assert!(
+        per_round < 4096,
+        "a warm restore_into + decompress_into round allocates {per_round} B"
+    );
+    let fresh = predictor.decompress(dims, 2e-3, &output).unwrap();
+    assert!(recon
+        .iter()
+        .map(|v| v.to_bits())
+        .eq(fresh.as_slice().iter().map(|v| v.to_bits())));
+}
+
+#[test]
+fn decompress_holds_the_output_plus_one_chunk_per_worker() {
+    let _serial = one_at_a_time();
+    let dims = Dims::d3(128, 128, 64); // 32 chunks of 32³
+    let span = [32usize, 32, 32];
+    let data = DatasetKind::Miranda.generate(dims, 11);
+    let cfg = SzhiConfig::new(ErrorBound::Absolute(2e-3))
+        .with_auto_tune(false)
+        .with_chunk_span(span);
+    let bytes = szhi::core::compress(&data, &cfg).unwrap();
+    assert!(szhi::core::chunk_count(&bytes).unwrap() >= 32);
+    let output = dims.nbytes_f32();
+    let chunk = Dims::d3(span[0], span[1], span[2]).nbytes_f32();
+
+    for threads in [1usize, 2] {
+        rayon::set_num_threads(threads);
+        let start = reset_peak();
+        let recon = szhi::core::decompress(&bytes).unwrap();
+        let above = peak() - start;
+        rayon::set_num_threads(0);
+        for (a, b) in data.as_slice().iter().zip(recon.as_slice()) {
+            assert!(((*a as f64) - (*b as f64)).abs() <= 2e-3 + 1e-12);
+        }
+        drop(recon);
+        // The output, and per worker one chunk's transient planes (codes,
+        // reconstruction, lossless stage buffers); holding every decoded
+        // chunk as well as the output is about twice the output.
+        let budget = output + threads * 4 * chunk + 256 * 1024;
+        assert!(
+            above <= budget,
+            "at {threads} threads decompress peaked {above} B above its start \
+             for a {output} B output (budget {budget} B)"
+        );
+    }
 }
 
 #[test]
@@ -283,11 +402,14 @@ fn writing_a_field_by_bands_allocates_one_band_buffer() {
         .unwrap();
     szhi_cli::raw::presize(&out, dims).unwrap();
     let mut band = Vec::new();
-    let before = allocated();
+    // The band alone is 261,600 B of the 262,144 B budget, so only this
+    // thread's allocations count: the harness's threads allocate up to
+    // ~1.5 KiB meanwhile.
+    let before = allocated_by_this_thread();
     for (region, values) in &chunks {
         szhi_cli::raw::write_region_bands(&mut out, dims, region, values, &mut band).unwrap();
     }
-    let spent = allocated() - before;
+    let spent = allocated_by_this_thread() - before;
     drop(out);
     let written = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
