@@ -717,13 +717,16 @@ pub const L6_ROOTS: &[RootPattern] = &[
 
 /// The warm-path roots (L7): the per-chunk encode chain
 /// (`ChunkEncoder::encode` and `encode_into`), the predictor's
-/// `compress_into`, `StreamSink::push_chunk`, and the scratch forms of the
-/// per-chunk decode, `decompress_into` and `restore_into`.
+/// `compress_into` and `compress_in_place`, `StreamSink::push_chunk` and
+/// `push_chunk_with`, and the scratch forms of the per-chunk decode,
+/// `decompress_into` and `restore_into`.
 pub const L7_ROOTS: &[RootPattern] = &[
     root(Some("ChunkEncoder"), "encode"),
     root(Some("ChunkEncoder"), "encode_into"),
     root(None, "compress_into"),
+    root(None, "compress_in_place"),
     root(Some("StreamSink"), "push_chunk"),
+    root(Some("StreamSink"), "push_chunk_with"),
     root(None, "decompress_into"),
     root(None, "restore_into"),
 ];

@@ -1,7 +1,8 @@
 //! The three subcommand implementations.
 //!
 //! Data flows through the bounded-memory engines: `encode` reads the
-//! raw field region-by-region into a [`StreamSink`], `decode` writes
+//! raw field region-by-region into a [`StreamSink`]'s own value plane,
+//! where each chunk is compressed in place, `decode` writes
 //! region-by-region from one [`ChunkReader`] — a [`StreamSource`] over a
 //! file, or for `-` a [`ForwardSource`] over stdin — so neither side ever
 //! holds a full uncompressed field unless the data itself must leave on
@@ -106,7 +107,8 @@ fn encode(a: &EncodeArgs) -> Result<(), CliError> {
 }
 
 /// Streams the field in `input` through a [`StreamSink`] onto `out`, one
-/// chunk region at a time; returns the chunk count and the sink's stats.
+/// chunk region at a time, each read straight into the sink's value plane
+/// through one band buffer; returns the chunk count and the sink's stats.
 fn encode_into(
     out: impl Write,
     input: &mut File,
@@ -115,10 +117,12 @@ fn encode_into(
 ) -> Result<(usize, CompressionStats), CliError> {
     let mut sink = StreamSink::new(out, dims, cfg)?;
     let n_chunks = sink.plan().len();
-    while let Some(region) = sink.next_chunk_region() {
-        let chunk = raw::read_region(input, dims, &region)?;
+    let mut band = Vec::new();
+    while !sink.is_complete() {
         // szhi-analyzer: allow(panic-reachability) -- trusted-encode boundary: the sink encodes a chunk this process read and sized from its own plan, not archive bytes
-        sink.push_chunk(&chunk)?;
+        sink.push_chunk_with(|region, plane| {
+            raw::read_region_into(input, dims, region, &mut band, plane)
+        })?;
     }
     let (mut out, stats) = sink.finish_with_stats()?;
     out.flush()

@@ -137,15 +137,36 @@ const BAND_CAP: usize = 256 * 1024;
 /// field's own rank (a region of a 2-D field is a 2-D grid, the shape a
 /// chunk plan over that field expects).
 ///
+/// The region is read as [`read_region_into`] reads it, through a band
+/// buffer of its own.
+pub fn read_region(file: &mut File, dims: Dims, region: &Region) -> Result<Grid<f32>, CliError> {
+    let mut values = Vec::with_capacity(decode_capacity(region.len()));
+    read_region_into(file, dims, region, &mut Vec::new(), &mut values)?;
+    Ok(Grid::from_vec(region_dims(dims, region), values))
+}
+
+/// Reads one region of a `dims`-shaped raw f32 file into `values`, which is
+/// cleared and refilled with the region's points in row-major order:
+/// `szhi-cli encode` reads each chunk straight into the sink's value plane
+/// this way.
+///
 /// Each z-plane of the region is one band: the contiguous file span from
 /// `(z, y0, x0)` to the end of the plane's last region row. A band costs
 /// one seek and one read (more only when it exceeds 256 KiB), and the
-/// region's rows are sliced out of it at the field's x-stride.
-pub fn read_region(file: &mut File, dims: Dims, region: &Region) -> Result<Grid<f32>, CliError> {
+/// region's rows are sliced out of it at the field's x-stride. `band` is
+/// the caller's buffer, reused across calls; it grows once to the largest
+/// band and never past the cap (or one row, when a row is wider).
+pub fn read_region_into(
+    file: &mut File,
+    dims: Dims,
+    region: &Region,
+    band: &mut Vec<u8>,
+    values: &mut Vec<f32>,
+) -> Result<(), CliError> {
     let (row, stride) = (region.nx(), dims.nx());
     let per_read = rows_per_read(row, stride);
-    let mut values = Vec::with_capacity(decode_capacity(region.len()));
-    let mut band = Vec::new();
+    values.clear();
+    values.reserve_exact(decode_capacity(region.len()));
     for z in region.z_range() {
         for y in region.y_range().step_by(per_read) {
             let rows = per_read.min(region.y_range().end - y);
@@ -153,7 +174,7 @@ pub fn read_region(file: &mut File, dims: Dims, region: &Region) -> Result<Grid<
             let offset = dims.index(z, y, region.x0()) as u64 * 4;
             file.seek(SeekFrom::Start(offset))
                 .map_err(|e| runtime(format!("cannot seek input: {e}")))?;
-            file.read_exact(&mut band)
+            file.read_exact(band)
                 .map_err(|e| runtime(format!("cannot read input band: {e}")))?;
             // Every piece but the last holds a row plus the gap to the next.
             for piece in band.chunks(stride * 4) {
@@ -162,7 +183,7 @@ pub fn read_region(file: &mut File, dims: Dims, region: &Region) -> Result<Grid<
             }
         }
     }
-    Ok(Grid::from_vec(region_dims(dims, region), values))
+    Ok(())
 }
 
 /// How many rows of `row` values, `stride` values apart, one band read
@@ -433,6 +454,9 @@ mod tests {
             // per read, four reads per plane.
             ("wide-2d", Dims::d2(32, 8192), [1, 32, 32]),
         ];
+        // One band buffer and one value buffer across every chunk of every
+        // case, as `szhi-cli encode` keeps them; the values start dirty.
+        let (mut band_buf, mut values) = (Vec::new(), vec![f32::NAN; 5000]);
         for (tag, dims, span) in cases {
             let (path, field) = bit_pattern_file(tag, dims);
             let mut file = open_field(&path, dims).unwrap();
@@ -447,6 +471,9 @@ mod tests {
                     bits(&field.extract(&region)),
                     "{tag}"
                 );
+                read_region_into(&mut file, dims, &region, &mut band_buf, &mut values).unwrap();
+                assert_eq!(bits(&values), bits(rows.as_slice()), "{tag} {region:?}");
+                assert!(band_buf.len() <= BAND_CAP.max(span[2] * 4), "{tag}");
             }
             std::fs::remove_file(&path).unwrap();
         }

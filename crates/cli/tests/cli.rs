@@ -608,6 +608,51 @@ fn two_d_fields_roundtrip_through_files_chunks_and_pipes() {
     }
 }
 
+/// A ragged 3-D field, read region by region into the sink's value plane,
+/// encodes to exactly the batch engine's archive under the configuration
+/// the CLI resolves (`commands::encode_config`): with per-chunk pipeline
+/// selection, with per-chunk interpolation tuning (v5), and under a
+/// relative bound.
+#[test]
+fn a_ragged_cli_encode_equals_the_batch_archive() {
+    use szhi_cli::args::{parse, Command as Parsed};
+
+    let input = temp("ragged-in.f32");
+    let archive = temp("ragged.szhi");
+    let f = szhi_datagen::DatasetKind::Rtm.generate(Dims::d3(37, 29, 45), 5);
+    std::fs::write(&input, to_bytes(f.as_slice())).unwrap();
+    let (input_s, archive_s) = (input.to_str().unwrap(), archive.to_str().unwrap());
+    for options in [
+        &["--mode", "per-chunk"][..],
+        &["--mode", "estimated", "--tune-interp"],
+        &["--rel"],
+    ] {
+        let mut args = vec![
+            "encode",
+            input_s,
+            archive_s,
+            "--dims",
+            "37,29,45",
+            "--eb",
+            "1e-3",
+            "--chunk-span",
+            "16,16,32",
+        ];
+        args.extend_from_slice(options);
+        assert_ok(&run(&args), "ragged encode");
+        let argv: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let Ok(Parsed::Encode(a)) = parse(&argv) else {
+            panic!("{args:?} does not parse as an encode")
+        };
+        let cfg = szhi_cli::commands::encode_config(&a).unwrap();
+        let expect = szhi_core::compress_chunked(&f, &cfg, a.chunk_span).unwrap();
+        assert!(std::fs::read(&archive).unwrap() == expect, "{options:?}");
+    }
+    for p in [&input, &archive] {
+        std::fs::remove_file(p).unwrap();
+    }
+}
+
 /// A reader that closes stdout early (`szhi-cli inspect … | head -1`) ends
 /// the run quietly with exit code 0 — it used to panic inside `println!`
 /// (exit 101, a backtrace on stderr).

@@ -82,9 +82,13 @@ pub fn compress_with_stats(
     let whole = ChunkPlan::new(dims, [dims.nz(), dims.ny(), dims.nx()]);
     let enc = ChunkEncoder::new(whole, &cfg)?;
     // A local scratch, not the encode threads' retained one: its buffers
-    // are field-sized here and must not outlive the call.
+    // are field-sized here and must not outlive the encode.
     let mut body = Vec::new();
-    let meta = enc.encode_into(0, data, &mut EncodeScratch::default(), &mut body)?;
+    let meta = {
+        let mut scratch = EncodeScratch::default();
+        scratch.plane.extend_from_slice(data.as_slice());
+        enc.encode_into(0, &mut scratch, &mut body)?
+    };
     let mut bytes = Vec::with_capacity(64 + body.len());
     write_header(&mut bytes, enc.header(), VERSION);
     bytes.extend_from_slice(&body);

@@ -46,9 +46,7 @@ use std::sync::{Mutex, PoisonError};
 use szhi_codec::checksum::crc32;
 use szhi_codec::PipelineSpec;
 use szhi_ndgrid::{ChunkPlan, Dims, Grid, Region};
-use szhi_predictor::{
-    CompressScratch, InterpConfig, InterpOutput, InterpPredictor, LevelConfig, LevelOrder,
-};
+use szhi_predictor::{InterpConfig, InterpOutput, InterpPredictor, LevelConfig, LevelOrder};
 use szhi_tuner::SelectParams;
 
 /// Metadata returned by [`StreamSink::push_chunk`]: which chunk was just
@@ -88,13 +86,14 @@ fn config_id_for(
     Ok((configs.len() - 1) as u16)
 }
 
-/// Reusable buffers for the per-chunk encode chain: the predictor's
-/// reconstruction scratch, its quantization output, the level-reordered
-/// code array. Encoding the next chunk of the same shape into a warm
-/// scratch touches no new heap beyond the payload the caller keeps.
+/// Reusable buffers for the per-chunk encode chain: the chunk's value
+/// plane, which the caller fills and the predictor compresses in place,
+/// its quantization output, the level-reordered code array. Encoding the
+/// next chunk of the same shape into a warm scratch touches no new heap
+/// beyond the payload the caller keeps.
 #[derive(Debug, Default)]
 pub(crate) struct EncodeScratch {
-    compress: CompressScratch,
+    pub(crate) plane: Vec<f32>,
     output: InterpOutput,
     reordered: Vec<u8>,
 }
@@ -266,14 +265,40 @@ impl ChunkEncoder {
         &self.header
     }
 
+    /// Compresses a chunk's values in place into `output` and returns the
+    /// per-level configuration it was compressed with when per-chunk
+    /// tuning chose one. Tuning scores the per-level candidates on the
+    /// chunk's own blocks, so it reads the values before the sweep
+    /// overwrites them; it is a pure function of the chunk, so the tuned
+    /// stream stays deterministic.
+    fn compress_values(
+        &self,
+        values: &mut Grid<f32>,
+        output: &mut InterpOutput,
+    ) -> Result<Option<Vec<LevelConfig>>, SzhiError> {
+        if !self.chunk_interp {
+            self.predictor
+                .compress_in_place(values, self.header.abs_eb, output);
+            return Ok(None);
+        }
+        // szhi-analyzer: allow(steady-alloc) -- known per-chunk cost: interpolation tuning builds its trial configs and samples per chunk; not yet scratch-routed
+        let tuned = szhi_tuner::tune_chunk_interp(values, &self.header.interp);
+        let predictor = InterpPredictor::new(tuned.clone())
+            .map_err(|e| SzhiError::InvalidInput(e.to_string()))?;
+        predictor.compress_in_place(values, self.header.abs_eb, output);
+        Ok(Some(tuned.levels))
+    }
+
     /// Compresses chunk `index` into its metadata and a fresh body — the
     /// per-worker step of [`StreamSink::push_range`], pure in `&self`.
-    /// Each encode thread reuses its own [`EncodeScratch`], so steady-state
-    /// encoding allocates only the body the caller keeps.
+    /// `fill` puts the chunk's values into the thread's own value plane,
+    /// where they are compressed in place. Each encode thread reuses its
+    /// own [`EncodeScratch`], so steady-state encoding allocates only the
+    /// body the caller keeps.
     pub(crate) fn encode(
         &self,
         index: usize,
-        chunk: &Grid<f32>,
+        fill: impl FnOnce(&mut Vec<f32>),
     ) -> Result<(ChunkMeta, Vec<u8>), SzhiError> {
         thread_local! {
             static SCRATCH: std::cell::RefCell<EncodeScratch> =
@@ -281,22 +306,25 @@ impl ChunkEncoder {
         }
         SCRATCH.with(|s| {
             let mut scratch = s.borrow_mut();
-            // szhi-analyzer: allow(steady-alloc) -- this body vector is returned to and owned by the caller, which holds a window of them, so it cannot be scratch-routed; the steady-state serving path (`StreamSink::push_chunk`) goes through `encode_into` with a reused buffer instead
+            fill(&mut scratch.plane);
+            // szhi-analyzer: allow(steady-alloc) -- this body vector is returned to and owned by the caller, which holds a window of them, so it cannot be scratch-routed; the steady-state serving path (`StreamSink::push_chunk_with`) goes through `encode_into` with a reused buffer instead
             let mut body = Vec::new();
-            let meta = self.encode_into(index, chunk, &mut scratch, &mut body)?;
+            let meta = self.encode_into(index, &mut scratch, &mut body)?;
             Ok((meta, body))
         })
     }
 
-    /// The scratch-reusing core of [`ChunkEncoder::encode`]: compresses
-    /// chunk `index` through the caller's buffers and leaves the framed
-    /// chunk body in `body` (cleared first). [`StreamSink`] feeds its own
-    /// scratch and body buffer through here so pushing a chunk performs no
-    /// steady-state heap growth beyond the lossless payload itself.
+    /// The one per-chunk encode step, behind [`ChunkEncoder::encode`] and
+    /// every push: compresses chunk `index`, whose values the caller has
+    /// put in `scratch.plane` (in row-major order), through the caller's
+    /// buffers, and leaves the framed chunk body in `body` (cleared first).
+    /// The predictor overwrites the plane with the chunk's reconstruction.
+    /// [`StreamSink`] feeds its own scratch and body buffer through here so
+    /// pushing a chunk performs no steady-state heap growth beyond the
+    /// lossless payload itself.
     pub(crate) fn encode_into(
         &self,
         index: usize,
-        chunk: &Grid<f32>,
         scratch: &mut EncodeScratch,
         body: &mut Vec<u8>,
     ) -> Result<ChunkMeta, SzhiError> {
@@ -307,40 +335,21 @@ impl ChunkEncoder {
             )));
         }
         let expected = self.plan.chunk_dims(index);
-        if chunk.dims() != expected {
+        if scratch.plane.len() != expected.len() {
             return Err(SzhiError::InvalidInput(format!(
-                "chunk {index} has shape {}, the plan expects {expected}",
-                chunk.dims()
+                "chunk {index} holds {} values, but its {expected} region of the plan has {} points",
+                scratch.plane.len(),
+                expected.len()
             )));
         }
         let _chunk_span = crate::telemetry::ENCODE_CHUNK.enter();
-        // Per-chunk interpolation tuning: score the per-level candidates
-        // on this chunk's own blocks and compress with the winner (a pure
-        // function of the chunk, so the tuned stream stays deterministic).
+        let mut values = Grid::from_vec(expected, std::mem::take(&mut scratch.plane));
         let levels = {
             let _span = crate::telemetry::ENCODE_PREDICT.enter();
-            if self.chunk_interp {
-                // szhi-analyzer: allow(steady-alloc) -- known per-chunk cost: interpolation tuning builds its trial configs and samples per chunk; not yet scratch-routed
-                let tuned = szhi_tuner::tune_chunk_interp(chunk, &self.header.interp);
-                let predictor = InterpPredictor::new(tuned.clone())
-                    .map_err(|e| SzhiError::InvalidInput(e.to_string()))?;
-                predictor.compress_into(
-                    chunk,
-                    self.header.abs_eb,
-                    &mut scratch.compress,
-                    &mut scratch.output,
-                );
-                Some(tuned.levels)
-            } else {
-                self.predictor.compress_into(
-                    chunk,
-                    self.header.abs_eb,
-                    &mut scratch.compress,
-                    &mut scratch.output,
-                );
-                None
-            }
+            self.compress_values(&mut values, &mut scratch.output)
         };
+        scratch.plane = values.into_vec();
+        let levels = levels?;
         let codes: &[u8] = if self.header.reorder {
             let _span = crate::telemetry::ENCODE_REORDER.enter();
             LevelOrder::new(expected, self.header.interp.anchor_stride)
@@ -548,22 +557,57 @@ impl<W: Write> StreamSink<W> {
     /// immediately. Chunks must arrive in plan order with the standalone
     /// shape of their plan slot ([`StreamSink::next_chunk_region`]).
     ///
+    /// The chunk is copied into the sink's own value plane and compressed
+    /// there ([`StreamSink::push_chunk_with`]); a producer that can write
+    /// the values straight into that plane saves the copy and its buffer.
+    pub fn push_chunk(&mut self, chunk: &Grid<f32>) -> Result<ChunkReceipt, SzhiError> {
+        let index = self.next_index();
+        if index < self.enc.plan.len() && chunk.dims() != self.enc.plan.chunk_dims(index) {
+            return Err(SzhiError::InvalidInput(format!(
+                "chunk {index} has shape {}, the plan expects {}",
+                chunk.dims(),
+                self.enc.plan.chunk_dims(index)
+            )));
+        }
+        self.push_chunk_with(|_, plane| {
+            plane.clear();
+            plane.extend_from_slice(chunk.as_slice());
+            Ok(())
+        })
+    }
+
+    /// Compresses the next chunk of the plan from values `fill` writes
+    /// into the sink's own value plane, and writes its body to the backing
+    /// writer immediately. `fill(region, plane)` gets the chunk's region of
+    /// the field ([`StreamSink::next_chunk_region`]) and must leave exactly
+    /// its `region.len()` values in `plane`, in row-major order, replacing
+    /// whatever the plane held; the sink compresses them in place, so a
+    /// push holds one value plane, not a chunk of the caller's as well. An
+    /// error from `fill` is returned as it is and leaves the sink as it
+    /// was; a plane of the wrong length is a typed
+    /// [`SzhiError::InvalidInput`].
+    ///
     /// This path reuses the sink's own encode scratch, so after the first
     /// chunk of each shape a push performs no heap growth beyond the
     /// lossless payload itself.
-    pub fn push_chunk(&mut self, chunk: &Grid<f32>) -> Result<ChunkReceipt, SzhiError> {
+    pub fn push_chunk_with<E: From<SzhiError>>(
+        &mut self,
+        fill: impl FnOnce(&Region, &mut Vec<f32>) -> Result<(), E>,
+    ) -> Result<ChunkReceipt, E> {
         self.check_poisoned()?;
-        if self.is_complete() {
+        let Some(region) = self.next_chunk_region() else {
             return Err(SzhiError::InvalidInput(format!(
                 "all {} chunks have already been pushed",
                 self.enc.plan.len()
-            )));
-        }
+            ))
+            .into());
+        };
+        fill(&region, &mut self.scratch.plane)?;
         let index = self.entries.len();
         let mut body = std::mem::take(&mut self.body_buf);
         let pushed = self
             .enc
-            .encode_into(index, chunk, &mut self.scratch, &mut body)
+            .encode_into(index, &mut self.scratch, &mut body)
             .and_then(|meta| {
                 let receipt = ChunkReceipt {
                     index,
@@ -573,13 +617,14 @@ impl<W: Write> StreamSink<W> {
                 self.record(meta, &body).map(|()| receipt)
             });
         self.body_buf = body;
-        pushed
+        pushed.map_err(E::from)
     }
 
     /// The parallel push behind [`crate::compress_chunked`] (the whole
-    /// plan) and the job service (one window at a time): extracts the
-    /// chunks `range` of the in-memory `field` (of the sink's shape),
-    /// encodes them across the worker pool and writes them in plan order.
+    /// plan) and the job service (one window at a time): extracts each of
+    /// the chunks `range` of the in-memory `field` (of the sink's shape)
+    /// into its worker's value plane, encodes them across the worker pool
+    /// and writes them in plan order.
     /// `range` must start at [`StreamSink::next_index`] and end inside the
     /// plan, or nothing is encoded. `before_write(i)` runs before chunk `i`
     /// is written; an error from it poisons the sink and is returned.
@@ -605,10 +650,7 @@ impl<W: Write> StreamSink<W> {
         let encoded: Vec<Result<(ChunkMeta, Vec<u8>), SzhiError>> = range
             .clone()
             .into_par_iter()
-            .map(|i| {
-                let sub = field.extract(&enc.plan.chunk_at(i));
-                enc.encode(i, &Grid::from_vec(enc.plan.chunk_dims(i), sub))
-            })
+            .map(|i| enc.encode(i, |plane| field.extract_into(&enc.plan.chunk_at(i), plane)))
             .collect();
         for (i, chunk) in range.zip(encoded) {
             let (meta, body) = chunk?;
@@ -1162,6 +1204,42 @@ mod tests {
             receipts.iter().map(|r| r.index).collect::<Vec<_>>(),
             (0..receipts.len()).collect::<Vec<_>>()
         );
+    }
+
+    /// The read-fed push: `fill` writes each chunk into the sink's value
+    /// plane, and tuned chunks read it before the sweep overwrites it. A
+    /// plane of the wrong length is a typed error and a fill error comes
+    /// back as it is; neither writes nor poisons anything, and the stream
+    /// the pushes finish is the batch engine's, byte for byte.
+    #[test]
+    fn a_filled_plane_push_checks_its_length_and_matches_the_batch_engine() {
+        let data = DatasetKind::Miranda.generate(Dims::d3(48, 40, 36), 21);
+        let cfg = stream_cfg([16, 16, 16]).with_chunk_interp_tuning(true);
+        let batch = compress_chunked(&data, &cfg, [16, 16, 16]).unwrap();
+        let mut sink = StreamSink::new(Vec::new(), data.dims(), &cfg).unwrap();
+        let written = sink.bytes_written();
+        assert!(matches!(
+            sink.push_chunk_with(|region, plane| {
+                data.extract_into(region, plane);
+                plane.pop();
+                Ok::<_, SzhiError>(())
+            }),
+            Err(SzhiError::InvalidInput(msg)) if msg.contains("4095 values")
+        ));
+        assert!(matches!(
+            sink.push_chunk_with(|_, _| Err(SzhiError::Cancelled)),
+            Err(SzhiError::Cancelled)
+        ));
+        assert_eq!((sink.bytes_written(), sink.next_index()), (written, 0));
+        assert!(!sink.is_poisoned());
+        while !sink.is_complete() {
+            sink.push_chunk_with(|region, plane| {
+                data.extract_into(region, plane);
+                Ok::<_, SzhiError>(())
+            })
+            .unwrap();
+        }
+        assert_eq!(sink.finish().unwrap(), batch);
     }
 
     #[test]

@@ -18,7 +18,8 @@ pub(crate) use szhi_telemetry::{Counter, Histogram, Span};
 /// [`ChunkEncoder::encode_into`]: crate::stream::ChunkEncoder
 pub(crate) static ENCODE_CHUNK: Span = Span::new("encode.chunk");
 /// The predictor pass of one chunk: interpolation prediction and
-/// quantization run fused in `compress_into`, so one span covers both.
+/// quantization run fused in `compress_in_place` (after per-chunk
+/// interpolation tuning, where it is on), so one span covers them.
 pub(crate) static ENCODE_PREDICT: Span = Span::new("encode.predict");
 /// The level-order reordering of one chunk's quantization codes.
 pub(crate) static ENCODE_REORDER: Span = Span::new("encode.reorder");

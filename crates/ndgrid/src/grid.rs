@@ -95,14 +95,23 @@ impl<T: Copy + Default> Grid<T> {
     /// Copies the values inside `region` into a new dense buffer, ordered
     /// row-major within the region.
     pub fn extract(&self, region: &Region) -> Vec<T> {
-        let mut out = Vec::with_capacity(region.len());
+        let mut out = Vec::new();
+        self.extract_into(region, &mut out);
+        out
+    }
+
+    /// Like [`Grid::extract`], but into the caller's buffer: `out` is
+    /// cleared and refilled, so a caller extracting a stream of regions
+    /// reuses one allocation (grown to the largest region, no further).
+    pub fn extract_into(&self, region: &Region, out: &mut Vec<T>) {
+        out.clear();
+        out.reserve_exact(region.len());
         for z in region.z_range() {
             for y in region.y_range() {
                 let row = self.dims.index(z, y, region.x0());
                 out.extend_from_slice(&self.data[row..row + region.nx()]);
             }
         }
-        out
     }
 
     /// Writes a dense row-major buffer back into `region`. Inverse of

@@ -26,6 +26,8 @@
 //! (`kernel.rs`): classify the row's neighbour availability once, predict
 //! a batch of its targets into a stack buffer, then commit them in raster
 //! order — quantize (or dequantize) each and store its reconstruction.
+//! Compression runs in the value plane itself: a commit quantizes the
+//! original value in its slot and overwrites it with the reconstruction.
 //! Nothing below a field is dispatched to the worker pool — callers that
 //! want cores split the field into chunks and run one sweep per chunk,
 //! which is how the paper parallelises (§5.1.1).
@@ -189,11 +191,12 @@ impl InterpOutput {
 }
 
 /// Reusable working buffer for [`InterpPredictor::compress_into`]: the
-/// per-point reconstruction plane, so repeated compressions of same-shaped
-/// fields reuse one allocation instead of growing the heap per call.
+/// value plane the borrowed field is copied into and compressed in place,
+/// so repeated compressions of same-shaped fields reuse one allocation
+/// instead of growing the heap per call.
 #[derive(Debug, Default)]
 pub struct CompressScratch {
-    recon: Vec<f32>,
+    plane: Vec<f32>,
 }
 
 /// The interpolation predictor.
@@ -225,10 +228,11 @@ impl InterpPredictor {
     }
 
     /// Like [`compress`](InterpPredictor::compress), but reuses the caller's
-    /// buffers: the output vectors in `out` and the reconstruction buffer in
-    /// `scratch` are cleared and refilled in place, so a caller encoding a
-    /// stream of same-shaped chunks performs no steady-state heap growth in
-    /// the predictor stage.
+    /// buffers: `data` is copied into the value plane in `scratch` and
+    /// compressed there by [`compress_in_place`](InterpPredictor::compress_in_place),
+    /// and the output vectors in `out` are cleared and refilled in place,
+    /// so a caller encoding a stream of same-shaped chunks performs no
+    /// steady-state heap growth in the predictor stage.
     pub fn compress_into(
         &self,
         data: &Grid<f32>,
@@ -236,34 +240,48 @@ impl InterpPredictor {
         scratch: &mut CompressScratch,
         out: &mut InterpOutput,
     ) {
-        let dims = data.dims();
+        scratch.plane.clear();
+        scratch.plane.extend_from_slice(data.as_slice());
+        let mut values = Grid::from_vec(data.dims(), std::mem::take(&mut scratch.plane));
+        self.compress_in_place(&mut values, eb, out);
+        scratch.plane = values.into_vec();
+    }
+
+    /// The one compression sweep: decomposes `values` under the absolute
+    /// error bound `eb` into `out` (its vectors cleared and refilled in
+    /// place), overwriting each value with its reconstruction as the sweep
+    /// commits it. Anchors are read from the plane and keep their values.
+    /// A commit reads its point's original value from its own slot before
+    /// it overwrites it, and every prediction reads only points committed
+    /// before its step (the [`Step`] contract), so the input needs no
+    /// second plane. On return `values` holds the field a decompression
+    /// of `out` reconstructs.
+    pub fn compress_in_place(&self, values: &mut Grid<f32>, eb: f64, out: &mut InterpOutput) {
+        let dims = values.dims();
         let quantizer = Quantizer::new(eb);
         let block_grid = BlockGrid::new(dims, self.cfg.anchor_stride);
+        let plane = values.as_mut_slice();
 
-        let recon = &mut scratch.recon;
-        recon.clear();
-        recon.resize(dims.len(), 0.0f32);
         let codes = &mut out.codes;
         codes.clear();
         codes.resize(dims.len(), ZERO_CODE);
         let outliers = &mut out.outliers;
         outliers.clear();
 
-        // Anchors are stored losslessly and seed the reconstruction.
+        // Anchors are stored losslessly and seed the reconstruction as they
+        // stand in the plane.
         let anchors = &mut out.anchors;
         anchors.clear();
         // szhi-analyzer: allow(steady-alloc) -- reserve on the caller-reused output buffer is a no-op once its capacity is retained after the first chunk; runtime-verified by tests/steady_state_alloc.rs
         anchors.reserve(block_grid.anchor_count());
-        for (z, y, x) in block_grid.anchor_coords_iter() {
-            let idx = dims.index(z, y, x);
-            let v = data.as_slice()[idx];
-            anchors.push(v);
-            recon[idx] = v;
-        }
+        anchors.extend(
+            block_grid
+                .anchor_coords_iter()
+                .map(|(z, y, x)| plane[dims.index(z, y, x)]),
+        );
 
-        let data_slice = data.as_slice();
-        self.sweep(dims, recon, |idx, pred, slot| {
-            let (code, value) = quantizer.quantize(data_slice[idx], pred);
+        self.sweep(dims, plane, |idx, pred, slot| {
+            let (code, value) = quantizer.quantize(*slot, pred);
             codes[idx] = code;
             if code == OUTLIER_CODE {
                 outliers.push(Outlier {
@@ -379,12 +397,13 @@ impl InterpPredictor {
     /// The one level → step → row traversal behind both directions: the
     /// row kernel ([`Step`]'s sweep) predicts a batch of a row's targets
     /// from `recon`, then `commit(index, prediction, slot)` stores each
-    /// point's reconstructed value in its `recon` slot (quantizing on the
-    /// way in, dequantizing on the way out, or keeping the outlier value
-    /// scattered there beforehand), in raster order. Predicting ahead of
-    /// the commits is exact because a step's targets read only points
-    /// known before the step (the [`Step`] contract), so no commit can
-    /// change another prediction of the same step.
+    /// point's reconstructed value in its `recon` slot (quantizing the
+    /// original value the slot holds on the way in, dequantizing on the
+    /// way out, or keeping the outlier value scattered there beforehand),
+    /// in raster order. Predicting ahead of the commits is exact because a
+    /// step's targets read only points known before the step (the [`Step`]
+    /// contract), so no commit can change another prediction of the same
+    /// step.
     fn sweep(&self, dims: Dims, recon: &mut [f32], mut commit: impl FnMut(usize, f32, &mut f32)) {
         for (level, scheme) in self.levels(dims) {
             for step in steps(level.s, scheme) {
@@ -451,11 +470,10 @@ mod tests {
         seen
     }
 
-    #[test]
-    fn row_kernel_matches_the_per_point_reference() {
-        use rand::{Rng, SeedableRng};
-        let shapes = [
-            // The shapes of `reorder.rs`: ragged, exact, unit axes, 2-D, 1-D.
+    /// The shapes of `reorder.rs` (ragged, exact, unit axes, 2-D, 1-D),
+    /// and rows longer than one batch.
+    fn shapes() -> [Dims; 11] {
+        [
             Dims::d3(20, 17, 33),
             Dims::d3(19, 23, 29),
             Dims::d3(33, 33, 33),
@@ -466,44 +484,150 @@ mod tests {
             Dims::d3(3, 1, 1),
             Dims::d2(50, 41),
             Dims::d1(100),
-            // Rows longer than one batch.
             Dims::d2(9, 333),
-        ];
+        ]
+    }
+
+    /// cuSZ-Hi's and cuSZ-I's partitions, and a span that is not a power of
+    /// two, each with every rotation of the four (scheme, spline) pairs over
+    /// its levels — the per-level configurations per-chunk tuning picks.
+    fn predictors() -> Vec<InterpPredictor> {
         let partitions = [
             (16usize, [16, 16, 16]), // cuSZ-Hi
             (8, [8, 8, 32]),         // cuSZ-I
             (16, [16, 32, 24]),      // a span that is not a power of two
         ];
+        let mut out = Vec::new();
+        for (anchor_stride, block_span) in partitions {
+            // Every level takes a different (scheme, spline) pair, and each
+            // rotation moves them one level along.
+            for rotation in 0..4 {
+                let levels = (0..anchor_stride.trailing_zeros() as usize)
+                    .map(|l| crate::autotune::candidates()[(l + rotation) % 4])
+                    .collect();
+                out.push(
+                    InterpPredictor::new(InterpConfig {
+                        anchor_stride,
+                        block_span,
+                        levels,
+                    })
+                    .unwrap(),
+                );
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn row_kernel_matches_the_per_point_reference() {
+        use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(27);
-        for dims in shapes {
+        for dims in shapes() {
             let random = Grid::from_fn(dims, |_, _, _| rng.gen_range(-1.0f32..1.0));
             for data in [smooth_field(dims), random] {
-                for (anchor_stride, block_span) in partitions {
-                    // Every level takes a different (scheme, spline) pair,
-                    // and each rotation moves them one level along.
-                    for rotation in 0..4 {
-                        let levels = (0..anchor_stride.trailing_zeros() as usize)
-                            .map(|l| crate::autotune::candidates()[(l + rotation) % 4])
-                            .collect();
-                        let p = InterpPredictor::new(InterpConfig {
-                            anchor_stride,
-                            block_span,
-                            levels,
+                for p in predictors() {
+                    let kernel = commits(&p, &data, |step, level, recon, commit| {
+                        step.sweep(level, recon, &mut |i, pred, slot| commit(i, pred, slot))
+                    });
+                    let reference = commits(&p, &data, |step, level, recon, commit| {
+                        kernel::sweep_reference(step, level, recon, &mut |i, pred, slot| {
+                            commit(i, pred, slot)
                         })
-                        .unwrap();
-                        let kernel = commits(&p, &data, |step, level, recon, commit| {
-                            step.sweep(level, recon, &mut |i, pred, slot| commit(i, pred, slot))
-                        });
-                        let reference = commits(&p, &data, |step, level, recon, commit| {
-                            kernel::sweep_reference(step, level, recon, &mut |i, pred, slot| {
-                                commit(i, pred, slot)
-                            })
-                        });
-                        assert!(
-                            kernel == reference,
-                            "{dims}, {:?}: the row kernel's commits differ from the reference",
-                            p.config()
-                        );
+                    });
+                    assert!(
+                        kernel == reference,
+                        "{dims}, {:?}: the row kernel's commits differ from the reference",
+                        p.config()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The borrowed compression sweep `compress_in_place` replaced, kept as
+    /// its reference: the input stays untouched and the reconstruction goes
+    /// to a zero-filled plane of its own, which it returns with the output.
+    fn compress_reference(
+        p: &InterpPredictor,
+        data: &Grid<f32>,
+        eb: f64,
+    ) -> (InterpOutput, Vec<f32>) {
+        let dims = data.dims();
+        let quantizer = Quantizer::new(eb);
+        let block_grid = BlockGrid::new(dims, p.cfg.anchor_stride);
+        let mut recon = vec![0.0f32; dims.len()];
+        let mut out = InterpOutput {
+            codes: vec![ZERO_CODE; dims.len()],
+            ..InterpOutput::default()
+        };
+        for (z, y, x) in block_grid.anchor_coords_iter() {
+            let idx = dims.index(z, y, x);
+            out.anchors.push(data.as_slice()[idx]);
+            recon[idx] = data.as_slice()[idx];
+        }
+        let (codes, outliers) = (&mut out.codes, &mut out.outliers);
+        p.sweep(dims, &mut recon, |idx, pred, slot| {
+            let (code, value) = quantizer.quantize(data.as_slice()[idx], pred);
+            codes[idx] = code;
+            if code == OUTLIER_CODE {
+                outliers.push(Outlier {
+                    index: idx as u64,
+                    value,
+                });
+            }
+            *slot = value;
+        });
+        out.outliers.sort_by_key(|o| o.index);
+        (out, recon)
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn outlier_bits(out: &InterpOutput) -> Vec<(u64, u32)> {
+        (out.outliers.iter())
+            .map(|o| (o.index, o.value.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn in_place_compression_matches_the_borrowed_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(44);
+        let mut out = InterpOutput::default();
+        for dims in shapes() {
+            let smooth = smooth_field(dims);
+            let random = Grid::from_fn(dims, |_, _, _| rng.gen_range(-1.0f32..1.0));
+            // NaN, ±Inf and spikes among smooth values make outliers; values
+            // near 3e7, where f32 steps are 2, fail the quantizer's f32
+            // verify at any bound below 1.
+            let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e4, 3.0e7];
+            let non_finite = Grid::from_vec(
+                dims,
+                (smooth.as_slice().iter().enumerate())
+                    .map(|(i, &v)| match i % 23 {
+                        3 | 11 => special[(i / 23) % special.len()],
+                        _ => v,
+                    })
+                    .collect(),
+            );
+            let huge = Grid::from_fn(dims, |z, y, x| 3.0e7 + (z * 7 + y * 3 + x) as f32);
+            for data in [smooth, random, non_finite, huge] {
+                for p in predictors() {
+                    for eb in [1e-1, 1e-3] {
+                        let (expect, recon) = compress_reference(&p, &data, eb);
+                        let mut values = data.clone();
+                        p.compress_in_place(&mut values, eb, &mut out);
+                        let what = format!("{dims}, eb {eb}, {:?}", p.config());
+                        assert_eq!(out.codes, expect.codes, "{what}: codes");
+                        assert_eq!(bits(&out.anchors), bits(&expect.anchors), "{what}");
+                        assert_eq!(outlier_bits(&out), outlier_bits(&expect), "{what}");
+                        assert_eq!(bits(values.as_slice()), bits(&recon), "{what}: plane");
+                        // `compress_into` copies the field into the same sweep.
+                        let into = p.compress(&data, eb);
+                        assert_eq!(into.codes, expect.codes, "{what}: compress_into");
+                        assert_eq!(outlier_bits(&into), outlier_bits(&expect), "{what}");
                     }
                 }
             }

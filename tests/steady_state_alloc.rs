@@ -1,12 +1,13 @@
 //! Steady-state allocation behaviour of the chunk encode and decode chains.
 //!
-//! The encode hot path threads reusable scratch buffers (the predictor's
-//! reconstruction plane, its quantization output, the level-reordered code
-//! array, the framed body) through every per-chunk stage, so once those
-//! buffers are warm, compressing another chunk of the same shape performs
-//! no heap growth in the decomposition chain at all — and a full sink push
-//! allocates only the lossless pipeline's own working set, never another
-//! field-sized buffer. The predictor's row kernel predicts into a stack
+//! The encode hot path threads reusable scratch buffers (the chunk's value
+//! plane, which the predictor compresses in place, its quantization output,
+//! the level-reordered code array, the framed body) through every per-chunk
+//! stage, so once those buffers are warm, compressing another chunk of the
+//! same shape performs no heap growth in the decomposition chain at all —
+//! and a full sink push allocates only the lossless pipeline's own working
+//! set, never another field-sized buffer. A streaming push holds one value
+//! plane, and the parallel encode one per worker. The predictor's row kernel predicts into a stack
 //! batch, so a warm decompression allocates nothing beyond the grid it
 //! returns, and its `_into` form, with the code plane restored into a
 //! reused buffer too, nothing at all. A whole-field `decompress` writes
@@ -313,6 +314,103 @@ fn steady_state_sink_pushes_allocate_no_field_sized_buffers() {
     let recon = szhi::core::decompress(&bytes).unwrap();
     for (a, b) in data.as_slice().iter().zip(recon.as_slice()) {
         assert!(((*a as f64) - (*b as f64)).abs() <= 2e-3 + 1e-12);
+    }
+}
+
+/// `cli-file`'s field kind and bound (1e-3 of the value range) over three
+/// 64³ chunks, and the sizes of a chunk's f32 value plane and code plane.
+fn rtm_chunks() -> (Grid<f32>, SzhiConfig, usize, usize) {
+    let dims = Dims::d3(192, 64, 64);
+    let data = DatasetKind::Rtm.generate(dims, 11);
+    let cfg = SzhiConfig::new(ErrorBound::Absolute(1e-3 * data.value_range() as f64))
+        .with_auto_tune(false)
+        .with_chunk_span([64, 64, 64]);
+    let points = 64 * 64 * 64;
+    (data, cfg, 4 * points, points)
+}
+
+#[test]
+fn a_warm_streaming_push_holds_one_value_plane() {
+    use szhi::core::{StreamSink, SzhiError};
+
+    let _serial = one_at_a_time();
+    rayon::set_num_threads(1);
+    let (data, cfg, plane, code_plane) = rtm_chunks();
+    let dims = data.dims();
+    // Each push's peak counts from before the sink exists, so it covers
+    // what the sink holds as well as what the push allocates. Returns
+    // (peak above that start, body bytes) per push.
+    let push_all = |caller_holds_the_chunk: bool| {
+        let mut peaks = Vec::with_capacity(3);
+        let out: Vec<u8> = Vec::with_capacity(dims.nbytes_f32());
+        let start = LIVE.load(Ordering::Relaxed);
+        let mut sink = StreamSink::new(out, dims, &cfg).unwrap();
+        while !sink.is_complete() {
+            reset_peak();
+            let receipt = if caller_holds_the_chunk {
+                let region = sink.next_chunk_region().unwrap();
+                let chunk = Grid::from_vec(region.dims(), data.extract(&region));
+                sink.push_chunk(&chunk)
+            } else {
+                sink.push_chunk_with(|region, plane| {
+                    data.extract_into(region, plane);
+                    Ok::<_, SzhiError>(())
+                })
+            };
+            peaks.push((peak() - start, receipt.unwrap().compressed_bytes));
+        }
+        peaks
+    };
+    let in_plane = push_all(false);
+    let caller_held = push_all(true);
+    rayon::set_num_threads(0);
+
+    // The sink holds one value plane, the chunk's code plane and its
+    // level-ordered copy, and a body buffer as large as the largest body so
+    // far; while a push writes, the chosen payload the body is framed from
+    // is live too. The rest is the lossless stages' own buffers.
+    let mut largest = 0;
+    for (i, (&(above, body), &(held, _))) in in_plane.iter().zip(&caller_held).enumerate() {
+        largest = body.max(largest);
+        let budget = plane + 2 * code_plane + 2 * largest + 256 * 1024;
+        if i == 0 {
+            continue; // the first push sizes the sink's buffers
+        }
+        assert!(
+            above <= budget,
+            "warm push {i} peaked {above} B above the sink's start (budget {budget} B)"
+        );
+        // A caller that reads each chunk into a grid of its own, as the CLI
+        // once did, holds a second plane, and the budget notices it.
+        assert!(
+            held > budget,
+            "warm push {i} of a caller-held chunk peaked only {held} B (budget {budget} B)"
+        );
+    }
+}
+
+#[test]
+fn a_warm_chunked_encode_holds_one_value_plane_per_worker() {
+    let _serial = one_at_a_time();
+    let (data, cfg, plane, code_plane) = rtm_chunks();
+    for threads in [1usize, 2] {
+        rayon::set_num_threads(threads);
+        // Warm-up: sizes the workers' encode scratch.
+        drop(szhi::core::compress_chunked(&data, &cfg, [64, 64, 64]).unwrap());
+        let start = reset_peak();
+        let bytes = szhi::core::compress_chunked(&data, &cfg, [64, 64, 64]).unwrap();
+        let above = peak() - start;
+        rayon::set_num_threads(0);
+        // Per worker one chunk's value plane and code planes (a worker the
+        // warm-up left idle sizes its scratch here), the archive, and the
+        // lossless stages' buffers.
+        let budget = threads * (plane + 2 * code_plane) + bytes.len() + 256 * 1024;
+        assert!(
+            above <= budget,
+            "at {threads} threads compress_chunked peaked {above} B above its start \
+             (budget {budget} B, archive {} B)",
+            bytes.len()
+        );
     }
 }
 
