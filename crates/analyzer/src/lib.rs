@@ -26,7 +26,7 @@
 //! | `spec-drift` (L4) | constants in `format.rs` must be stated in `docs/FORMAT.md`; subcommands/flags/exit codes in `args.rs` must be stated in `docs/CLI.md` |
 //! | `error-coverage` (L5) | every `SzhiError` variant constructed and asserted by name; every cli usage-error message pinned by a test |
 //! | `panic-reachability` (L6) | no call chain from a decode/serve entry point reaches a panic site (reported with the full chain) |
-//! | `steady-alloc` (L7) | no call chain from a warm-path encode root reaches an allocation that is not scratch-routed |
+//! | `steady-alloc` (L7) | no call chain from a warm-path encode or decode root reaches an unsuppressed allocation |
 //! | `pool-invariant` (L8) | every `lock()`/`wait` in `vendor/rayon` carries an `// ORDER:` level, monotonically non-decreasing along call chains |
 //!
 //! # Suppression

@@ -235,7 +235,7 @@ fn helper_mid(stream: &[u8]) -> usize {
 }
 
 #[test]
-fn warm_path_allocations_are_flagged_and_scratch_routes_accepted() {
+fn warm_path_allocations_are_flagged_even_when_named_scratch() {
     let ws = ws_of(&[(
         "crates/core/src/warm.rs",
         r#"
@@ -252,12 +252,34 @@ fn fill(out: &mut Vec<u8>) {
     )]);
     let graph = CallGraph::build(&ws);
     let violations = szhi_analyzer::graph::lint_steady_alloc(&ws, &graph);
+    // A fresh buffer is fresh whatever it is called.
+    let found: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
+    assert_eq!(found.len(), 2, "{found:?}");
+    assert!(found[0].contains("`Vec::new()`"), "{}", found[0]);
+    assert!(found[1].contains("`with_capacity`"), "{}", found[1]);
+}
+
+#[test]
+fn a_push_that_replaces_its_scratch_plane_is_flagged() {
+    let ws = ws_of(&[(
+        "crates/core/src/stream.rs",
+        r#"
+pub struct StreamSink {
+    scratch: EncodeScratch,
+}
+impl StreamSink {
+    pub fn push_chunk_with(&mut self) {
+        self.scratch.plane = Vec::new();
+    }
+}
+"#,
+    )]);
+    let graph = CallGraph::build(&ws);
+    let violations = szhi_analyzer::graph::lint_steady_alloc(&ws, &graph);
     assert_eq!(violations.len(), 1, "{violations:?}");
-    assert!(
-        violations[0].to_string().contains("`Vec::new()`"),
-        "{}",
-        violations[0]
-    );
+    let found = violations[0].to_string();
+    assert!(found.contains("`Vec::new()`"), "{found}");
+    assert!(found.contains("StreamSink::push_chunk_with"), "{found}");
 }
 
 #[test]

@@ -653,6 +653,70 @@ fn a_ragged_cli_encode_equals_the_batch_archive() {
     }
 }
 
+/// A field in 64³ chunks, one of them ragged, whose stride-1 levels
+/// spread their planes over the pool: `--threads 1`, 2 and 4 write the same
+/// archive, and decodes under `SZHI_NUM_THREADS` 1 and 4 write the same
+/// field.
+#[test]
+fn large_chunks_encode_and_decode_alike_at_every_thread_count() {
+    let input = temp("threads-in.f32");
+    let f = szhi_datagen::DatasetKind::Rtm.generate(Dims::d3(108, 64, 64), 9);
+    std::fs::write(&input, to_bytes(f.as_slice())).unwrap();
+    let input_s = input.to_str().unwrap();
+    let mut archives = Vec::new();
+    for threads in ["1", "2", "4"] {
+        let archive = temp(&format!("threads-{threads}.szhi"));
+        let args = [
+            "encode",
+            input_s,
+            archive.to_str().unwrap(),
+            "--dims",
+            "108,64,64",
+            "--eb",
+            "1e-3",
+            "--rel",
+            "--chunk-span",
+            "64,64,64",
+            "--threads",
+            threads,
+        ];
+        assert_ok(&run(&args), "encode");
+        archives.push(std::fs::read(&archive).unwrap());
+        std::fs::remove_file(archive).unwrap();
+    }
+    assert!(
+        archives[1] == archives[0],
+        "--threads 2 wrote another archive"
+    );
+    assert!(
+        archives[2] == archives[0],
+        "--threads 4 wrote another archive"
+    );
+    let archive = temp("threads.szhi");
+    std::fs::write(&archive, &archives[0]).unwrap();
+    let mut decoded = Vec::new();
+    for threads in ["1", "4"] {
+        let out = temp(&format!("threads-{threads}.f32"));
+        let status = bin()
+            .args(["decode", archive.to_str().unwrap(), out.to_str().unwrap()])
+            .env("SZHI_NUM_THREADS", threads)
+            .output()
+            .expect("cannot run szhi-cli");
+        assert_ok(&status, "decode");
+        decoded.push(std::fs::read(&out).unwrap());
+        std::fs::remove_file(out).unwrap();
+    }
+    assert!(
+        decoded[1] == decoded[0],
+        "decodes differ between 1 and 4 threads"
+    );
+    let expect = decompress(&archives[0]).unwrap();
+    assert!(decoded[0] == to_bytes(expect.as_slice()));
+    for p in [&input, &archive] {
+        std::fs::remove_file(p).unwrap();
+    }
+}
+
 /// A reader that closes stdout early (`szhi-cli inspect … | head -1`) ends
 /// the run quietly with exit code 0 — it used to panic inside `println!`
 /// (exit 101, a backtrace on stderr).

@@ -60,20 +60,99 @@ fn read_len(cur: &mut ByteCursor<'_>, nibble: usize) -> Result<usize, CodecError
     Ok(len)
 }
 
+/// An empty match-table slot.
+const EMPTY: u32 = u32::MAX;
+
+/// Every this many positions past the table base the base moves up; see
+/// [`MatchTables::rebase`].
+const REBASE_EVERY: usize = 1 << 31;
+
+/// The match finder's tables, holding positions as `u32` offsets from a
+/// base: `head` the newest position of each hash, `chain` the previous
+/// position with the same hash, in a ring of `MAX_OFFSET + 1` slots
+/// indexed by the absolute position. A chain slot is read only for a
+/// candidate within `MAX_OFFSET` of the current position, and every later
+/// position that maps to the same slot lies more than `MAX_OFFSET` past
+/// that candidate, so no slot is read after it has been overwritten.
+struct MatchTables {
+    head: Vec<u32>,
+    chain: Vec<u32>,
+    /// The absolute position of offset 0.
+    base: usize,
+    /// How far past `base` a position may lie before the tables rebase.
+    rebase_every: usize,
+}
+
+impl MatchTables {
+    fn new(len: usize, rebase_every: usize) -> Self {
+        MatchTables {
+            head: vec![EMPTY; 1 << HASH_BITS],
+            // Positions below `len` index the ring directly.
+            chain: vec![EMPTY; len.min(MAX_OFFSET + 1)],
+            base: 0,
+            rebase_every,
+        }
+    }
+
+    /// The absolute position an entry holds, if any.
+    fn position(&self, entry: u32) -> Option<usize> {
+        (entry != EMPTY).then(|| self.base + entry as usize)
+    }
+
+    fn head(&self, h: usize) -> Option<usize> {
+        self.position(self.head[h])
+    }
+
+    fn next(&self, candidate: usize) -> Option<usize> {
+        self.position(self.chain[candidate & MAX_OFFSET])
+    }
+
+    /// Makes `pos` the newest position of hash `h`.
+    fn link(&mut self, h: usize, pos: usize) {
+        self.rebase(pos);
+        self.chain[pos & MAX_OFFSET] = self.head[h];
+        self.head[h] = (pos - self.base) as u32;
+    }
+
+    /// Keeps every offset below `u32::MAX`, however long the input: once
+    /// `pos` lies `rebase_every` past the base, the base moves up to
+    /// `MAX_OFFSET + 1` before `pos`. Entries below the new base are
+    /// farther than `MAX_OFFSET` from `pos` and every later position, where
+    /// the search stops anyway, so they become empty.
+    fn rebase(&mut self, pos: usize) {
+        if pos - self.base < self.rebase_every {
+            return;
+        }
+        let shift = (pos - MAX_OFFSET - 1 - self.base) as u32;
+        for entry in self.head.iter_mut().chain(self.chain.iter_mut()) {
+            *entry = match entry.checked_sub(shift) {
+                Some(kept) if *entry != EMPTY => kept,
+                _ => EMPTY,
+            };
+        }
+        self.base += shift as usize;
+    }
+}
+
 /// Compresses `input`.
 ///
 /// Layout: `orig_len u64 | LZ4-style sequences` (token byte with
 /// literal/match length nibbles, literals, little-endian 16-bit offset,
 /// length extension bytes; the final sequence carries literals only).
 pub fn compress(input: &[u8], effort: Effort) -> Vec<u8> {
+    compress_with(input, effort, REBASE_EVERY)
+}
+
+/// [`compress`] with the tables rebased every `rebase_every` positions
+/// (more than `MAX_OFFSET + 1`), so the tests can rebase on short inputs.
+fn compress_with(input: &[u8], effort: Effort, rebase_every: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
     put_u64(&mut out, input.len() as u64);
     if input.is_empty() {
         return out;
     }
 
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut chain = vec![usize::MAX; input.len()];
+    let mut tables = MatchTables::new(input.len(), rebase_every);
     let max_probes = effort.max_probes();
 
     let mut pos = 0usize;
@@ -83,9 +162,9 @@ pub fn compress(input: &[u8], effort: Effort) -> Vec<u8> {
         // Find the best match among up to `max_probes` chained candidates.
         let mut best_len = 0usize;
         let mut best_offset = 0usize;
-        let mut candidate = head[h];
+        let mut next = tables.head(h);
         let mut probes = 0usize;
-        while candidate != usize::MAX && probes < max_probes {
+        while let Some(candidate) = next.filter(|_| probes < max_probes) {
             let offset = pos - candidate;
             if offset > MAX_OFFSET {
                 break;
@@ -99,53 +178,56 @@ pub fn compress(input: &[u8], effort: Effort) -> Vec<u8> {
                 best_len = len;
                 best_offset = offset;
             }
-            candidate = chain[candidate];
+            next = tables.next(candidate);
             probes += 1;
         }
 
         if best_len >= MIN_MATCH {
-            // Emit the pending literals and the match.
-            let literals = &input[literal_start..pos];
-            let lit_nibble = literals.len().min(15);
-            let match_nibble = (best_len - MIN_MATCH).min(15);
-            out.push(((lit_nibble as u8) << 4) | match_nibble as u8);
-            if lit_nibble == 15 {
-                write_len(&mut out, literals.len() - 15);
-            }
-            out.extend_from_slice(literals);
-            out.extend_from_slice(&(best_offset as u16).to_le_bytes());
-            if match_nibble == 15 {
-                write_len(&mut out, best_len - MIN_MATCH - 15);
-            }
+            emit_match(&mut out, &input[literal_start..pos], best_offset, best_len);
             // Insert the covered positions into the hash chains (sparsely for
             // speed) and advance.
             let end = pos + best_len;
             let step = if best_len > 64 { 8 } else { 1 };
             let mut p = pos;
             while p < end && p + MIN_MATCH <= input.len() {
-                let hh = hash4(input, p);
-                chain[p] = head[hh];
-                head[hh] = p;
+                tables.link(hash4(input, p), p);
                 p += step;
             }
             pos = end;
             literal_start = pos;
         } else {
-            chain[pos] = head[h];
-            head[h] = pos;
+            tables.link(h, pos);
             pos += 1;
         }
     }
+    emit_literals(&mut out, &input[literal_start..]);
+    out
+}
 
-    // Final literal-only sequence.
-    let literals = &input[literal_start..];
+/// Writes one sequence: the pending `literals` and a match of `len` bytes
+/// at `offset`.
+fn emit_match(out: &mut Vec<u8>, literals: &[u8], offset: usize, len: usize) {
+    let lit_nibble = literals.len().min(15);
+    let match_nibble = (len - MIN_MATCH).min(15);
+    out.push(((lit_nibble as u8) << 4) | match_nibble as u8);
+    if lit_nibble == 15 {
+        write_len(out, literals.len() - 15);
+    }
+    out.extend_from_slice(literals);
+    out.extend_from_slice(&(offset as u16).to_le_bytes());
+    if match_nibble == 15 {
+        write_len(out, len - MIN_MATCH - 15);
+    }
+}
+
+/// Writes the final, literal-only sequence.
+fn emit_literals(out: &mut Vec<u8>, literals: &[u8]) {
     let lit_nibble = literals.len().min(15);
     out.push((lit_nibble as u8) << 4);
     if lit_nibble == 15 {
-        write_len(&mut out, literals.len() - 15);
+        write_len(out, literals.len() - 15);
     }
     out.extend_from_slice(literals);
-    out
 }
 
 /// Decompresses a stream produced by [`compress`].
@@ -207,6 +289,163 @@ pub fn decompress_limited(input: &[u8], max_out: usize) -> Result<Vec<u8>, Codec
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
+
+    /// The coder before its tables were sized to the window, kept as the
+    /// reference: a `usize` head per hash and a chain entry per input byte.
+    fn compress_reference(input: &[u8], effort: Effort) -> Vec<u8> {
+        let mut out = Vec::with_capacity(input.len() / 2 + 16);
+        put_u64(&mut out, input.len() as u64);
+        if input.is_empty() {
+            return out;
+        }
+
+        let mut head = vec![usize::MAX; 1 << HASH_BITS];
+        let mut chain = vec![usize::MAX; input.len()];
+        let max_probes = effort.max_probes();
+
+        let mut pos = 0usize;
+        let mut literal_start = 0usize;
+        while pos + MIN_MATCH <= input.len() {
+            let h = hash4(input, pos);
+            // Find the best match among up to `max_probes` chained candidates.
+            let mut best_len = 0usize;
+            let mut best_offset = 0usize;
+            let mut candidate = head[h];
+            let mut probes = 0usize;
+            while candidate != usize::MAX && probes < max_probes {
+                let offset = pos - candidate;
+                if offset > MAX_OFFSET {
+                    break;
+                }
+                let limit = input.len() - pos;
+                let mut len = 0usize;
+                while len < limit && input[candidate + len] == input[pos + len] {
+                    len += 1;
+                }
+                if len >= MIN_MATCH && len > best_len {
+                    best_len = len;
+                    best_offset = offset;
+                }
+                candidate = chain[candidate];
+                probes += 1;
+            }
+
+            if best_len >= MIN_MATCH {
+                // Emit the pending literals and the match.
+                let literals = &input[literal_start..pos];
+                let lit_nibble = literals.len().min(15);
+                let match_nibble = (best_len - MIN_MATCH).min(15);
+                out.push(((lit_nibble as u8) << 4) | match_nibble as u8);
+                if lit_nibble == 15 {
+                    write_len(&mut out, literals.len() - 15);
+                }
+                out.extend_from_slice(literals);
+                out.extend_from_slice(&(best_offset as u16).to_le_bytes());
+                if match_nibble == 15 {
+                    write_len(&mut out, best_len - MIN_MATCH - 15);
+                }
+                // Insert the covered positions into the hash chains (sparsely for
+                // speed) and advance.
+                let end = pos + best_len;
+                let step = if best_len > 64 { 8 } else { 1 };
+                let mut p = pos;
+                while p < end && p + MIN_MATCH <= input.len() {
+                    let hh = hash4(input, p);
+                    chain[p] = head[hh];
+                    head[hh] = p;
+                    p += step;
+                }
+                pos = end;
+                literal_start = pos;
+            } else {
+                chain[pos] = head[h];
+                head[h] = pos;
+                pos += 1;
+            }
+        }
+
+        // Final literal-only sequence.
+        let literals = &input[literal_start..];
+        let lit_nibble = literals.len().min(15);
+        out.push((lit_nibble as u8) << 4);
+        if lit_nibble == 15 {
+            write_len(&mut out, literals.len() - 15);
+        }
+        out.extend_from_slice(literals);
+        out
+    }
+
+    /// Inputs past one ring of positions: random bytes, run-heavy and
+    /// zero-heavy data, and a block repeated at offsets 65,535 (the farthest
+    /// a match may reach) and 65,536 (one past it).
+    fn ring_inputs() -> Vec<Vec<u8>> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(45);
+        let random: Vec<u8> = (0..200_000).map(|_| rng.gen()).collect();
+        let mut runs = Vec::new();
+        while runs.len() < 300_000 {
+            let (byte, len) = (rng.gen_range(0..4u8), rng.gen_range(1..300usize));
+            runs.extend(std::iter::repeat_n(byte, len));
+        }
+        let zeros: Vec<u8> = (0..250_000)
+            .map(|_| {
+                if rng.gen_range(0..50) == 0 {
+                    rng.gen()
+                } else {
+                    0
+                }
+            })
+            .collect();
+        let block: Vec<u8> = (0..64).map(|_| rng.gen()).collect();
+        let mut far = Vec::new();
+        for gap in [MAX_OFFSET, MAX_OFFSET + 1] {
+            let noise: Vec<u8> = (0..gap - block.len()).map(|_| rng.gen()).collect();
+            far.extend_from_slice(&block);
+            far.extend_from_slice(&noise);
+            far.extend_from_slice(&block);
+            far.extend((0..1000).map(|_| rng.gen::<u8>()));
+        }
+        vec![random, runs, zeros, far]
+    }
+
+    /// The match offsets of a stream, in order.
+    fn match_offsets(stream: &[u8]) -> Vec<usize> {
+        let mut cur = ByteCursor::new(stream);
+        let orig_len = cur.get_u64().unwrap() as usize;
+        let (mut produced, mut offsets) = (0, Vec::new());
+        while produced < orig_len {
+            let token = cur.get_u8().unwrap();
+            let literals = read_len(&mut cur, (token >> 4) as usize).unwrap();
+            cur.take(literals).unwrap();
+            produced += literals;
+            if produced < orig_len {
+                offsets.push(cur.get_u16().unwrap() as usize);
+                produced += read_len(&mut cur, (token & 0x0f) as usize).unwrap() + MIN_MATCH;
+            }
+        }
+        offsets
+    }
+
+    #[test]
+    fn window_sized_tables_match_the_reference() {
+        let inputs = ring_inputs();
+        // The far-match input holds a match at the largest offset, and the
+        // chained search finds it.
+        let far = inputs.last().unwrap();
+        assert!(match_offsets(&compress(far, Effort::Thorough)).contains(&MAX_OFFSET));
+        for (n, input) in inputs.iter().enumerate() {
+            for effort in [Effort::Fast, Effort::Thorough] {
+                let expect = compress_reference(input, effort);
+                assert!(compress(input, effort) == expect, "input {n}, {effort:?}");
+                // Rebasing every ~70 K or ~131 K positions instead of every
+                // 2^31 changes nothing either.
+                for every in [70_001, 2 * MAX_OFFSET + 3] {
+                    let rebased = compress_with(input, effort, every);
+                    assert!(rebased == expect, "input {n}, {effort:?}, rebase {every}");
+                }
+                assert_eq!(decompress(&expect).unwrap(), *input);
+            }
+        }
+    }
 
     fn roundtrip(data: &[u8], effort: Effort) -> usize {
         let enc = compress(data, effort);

@@ -325,8 +325,9 @@ fn run_compress<W: Write>(
 
 /// The coordinator of a decompress job: drains the source into the output
 /// one chunk at a time on this job's own thread (reads from one seekable
-/// source are inherently serial, and a chunk decode never dispatches to the
-/// pool, so concurrent decompress jobs run side by side instead of queueing
+/// source are inherently serial, and only a chunk's large levels, those of
+/// a 64³ chunk, dispatch their planes to the pool, so concurrent
+/// decompress jobs of smaller chunks run side by side instead of queueing
 /// on the shared workers); before every chunk insert the drain's hook
 /// records progress and checks for cancellation.
 fn run_decompress<R: Read + Seek>(

@@ -1,14 +1,17 @@
-//! Chunks are the only unit of parallelism.
+//! One level of parallelism: chunks, then the planes of a chunk's large
+//! levels when the caller is not already a pool part.
 //!
-//! Anything that handles *one* chunk — pushing it to a sink, reading it
-//! back, random access, and the monolithic engine (one chunk by
-//! definition) — runs wholly on the calling thread: the `pool.tasks`
-//! counter does not move, even with four threads configured and the call
-//! coming from a thread that is not a pool worker (where the pool would
-//! accept a dispatch). Only a driver that holds several chunks at once
-//! (`compress_chunked`, `decompress`, the job service) feeds the pool. And
-//! since a chunk is a pure function of its sub-field and the configuration,
-//! the bytes are those of a 1-thread run either way.
+//! A driver that holds several chunks at once (`compress_chunked`,
+//! `decompress`, the job service) spreads them over the pool, and each
+//! chunk's sweep then stays on its worker. Anything that handles *one*
+//! small chunk — pushing it to a sink, reading it back, random access, and
+//! the monolithic engine on a small field — runs wholly on the calling
+//! thread: the `pool.tasks` counter does not move, even with four threads
+//! configured and the call coming from a thread that is not a pool worker
+//! (where the pool would accept a dispatch). A 64³ chunk pushed or read
+//! from such a thread spreads the planes of its stride-1 level over the
+//! pool. And since a chunk is a pure function of its sub-field and the
+//! configuration, the bytes are those of a 1-thread run either way.
 //!
 //! The thread count and the telemetry switch are process-global, so this
 //! file holds a single test.
@@ -100,6 +103,26 @@ fn only_multi_chunk_drivers_dispatch_to_the_pool() {
         let (_, tasks) = pool_tasks(|| decompress(&batch).unwrap());
         assert!(tasks > 0, "decompress must spread chunks over the pool");
     }
+
+    // One 64³ chunk and a ragged one: their stride-1 levels fan out.
+    let large = DatasetKind::Miranda.generate(Dims::d3(108, 64, 64), 42);
+    let large_cfg = plain.clone().with_chunk_span([64, 64, 64]);
+    rayon::set_num_threads(1);
+    let large_serial = push_all(&large, &large_cfg);
+    rayon::set_num_threads(4);
+    let (bytes, tasks) = pool_tasks(|| push_all(&large, &large_cfg));
+    assert!(tasks > 0, "a 64³ push must spread its planes over the pool");
+    assert_eq!(
+        bytes, large_serial,
+        "pushed 64³ bytes moved with the thread count"
+    );
+    let (_, tasks) = pool_tasks(|| {
+        let mut source = StreamSource::new(Cursor::new(&bytes)).unwrap();
+        let (_, sub) = source.read_chunk(1).unwrap();
+        let (_, sub_ra) = decompress_chunk(&bytes, 1).unwrap();
+        assert_eq!(sub.as_slice(), sub_ra.as_slice());
+    });
+    assert!(tasks > 0, "a 64³ read must spread its planes over the pool");
 
     let ((bytes, restored), tasks) = pool_tasks(|| {
         let bytes = compress(&field, &mono).unwrap();

@@ -5,17 +5,21 @@
 //! the decomposition of one interpolation level into steps of independent
 //! target points, and the row kernel that predicts a step's targets.
 //!
-//! A step's targets come in rows of fixed `(z, y)`. Which neighbours a
-//! target may read along z and y — the ones at ±s, and for a cubic spline
-//! also ±3s, that lie inside its confinement tile and the domain — depends
-//! only on the row, so [`Step::sweep`] classifies those two axes once per
-//! row. Along x it depends only on the target's offset inside its x tile,
-//! so a row splits into a few edge targets and interior runs in which every
-//! axis reads a fixed stencil. The kernel predicts up to [`BATCH`] targets
-//! of a row from `recon` into a stack buffer, one run at a time, and the
-//! sweep then commits them in raster order. Predicting a batch before
-//! committing any of it is exact because a step's targets read only points
-//! known before the step (`a_step_reads_only_points_known_before_it`).
+//! The kernel works on one z-plane at a time ([`Step::sweep_plane`]): it
+//! writes the target plane and reads the planes at ±s and ±3s beside it
+//! through a [`Planes`] view, so a caller can hand planes that do not read
+//! one another to different threads. A step's targets on a plane come in
+//! rows of fixed `y`. Which neighbours a target may read along z and y —
+//! the ones at ±s, and for a cubic spline also ±3s, that lie inside its
+//! confinement tile and the domain — depends only on the plane and the
+//! row, so those two axes are classified once per row. Along x it depends
+//! only on the target's offset inside its x tile, so a row splits into a
+//! few edge targets and interior runs in which every axis reads a fixed
+//! stencil. The kernel predicts up to [`BATCH`] targets of a row into a
+//! stack buffer, one run at a time, and then commits them in raster order.
+//! Predicting a batch before committing any of it is exact because a
+//! step's targets read only points known before the step
+//! (`a_step_reads_only_points_known_before_it`).
 //!
 //! The arithmetic is the per-point reference's, operation for operation:
 //! cubic is `(-aa + 9a + 9b - bb) / 16`, linear `(a + b) * 0.5`, and a
@@ -28,7 +32,7 @@
 use super::{Scheme, Spline};
 use szhi_ndgrid::Dims;
 
-/// Targets predicted per batch: the size of [`Step::sweep`]'s stack buffer.
+/// Targets predicted per batch: the size of [`Step::sweep_plane`]'s stack buffer.
 const BATCH: usize = 64;
 
 /// One interpolation step: a lattice of target points (`start`, `stride` per
@@ -101,14 +105,44 @@ impl Step {
         })
     }
 
+    /// How many targets the step has in a field of shape `dims`.
+    pub(crate) fn count(&self, dims: Dims) -> usize {
+        let along = |(start, stride): (usize, usize), extent: usize| {
+            extent.saturating_sub(start).div_ceil(stride)
+        };
+        along(self.z, dims.nz()) * along(self.y, dims.ny()) * along(self.x, dims.nx())
+    }
+
     /// Predicts every target of the step and passes it to `commit(index,
     /// prediction, slot)` in raster order, `slot` being the target's entry
-    /// of `recon`. Row by row, up to [`BATCH`] targets are predicted from
-    /// `recon` before the first of them is committed.
+    /// of `recon`: the step's planes one after another, each through
+    /// [`Step::sweep_plane`]. This is the serial step order, which the
+    /// tuner's trials sum their errors in.
     pub(crate) fn sweep(
         &self,
         level: &Level,
         recon: &mut [f32],
+        commit: &mut impl FnMut(usize, f32, &mut f32),
+    ) {
+        let plane = level.dims.ny() * level.dims.nx();
+        for z in (self.z.0..level.dims.nz()).step_by(self.z.1) {
+            let mut planes = Planes::split(recon, plane, z, level.s);
+            self.sweep_plane(level, z, &mut planes, &mut |i, pred, slot| {
+                commit(z * plane + i, pred, slot)
+            });
+        }
+    }
+
+    /// Predicts the step's targets on plane `z`, which must lie on the
+    /// step's z lattice, and passes each to `commit(index in the plane,
+    /// prediction, slot)` in raster order, `slot` being the target's entry
+    /// of `planes.own`. Row by row, up to [`BATCH`] targets are predicted
+    /// before the first of them is committed.
+    pub(crate) fn sweep_plane(
+        &self,
+        level: &Level,
+        z: usize,
+        planes: &mut Planes<'_>,
         commit: &mut impl FnMut(usize, f32, &mut f32),
     ) {
         let Level {
@@ -133,27 +167,73 @@ impl Step {
             }
         };
         let along_x = along(2);
+        let z_stencil = stencil(0, z);
         let mut batch = [0.0f32; BATCH];
-        for z in (self.z.0..dims.nz()).step_by(self.z.1) {
-            let z_stencil = (stencil(0, z), s * dims.ny() * dims.nx());
-            for y in (self.y.0..dims.ny()).step_by(self.y.1) {
-                let row = Row {
-                    first: dims.index(z, y, x0),
-                    x: self.x,
-                    zy: [z_stencil, (stencil(1, y), s * dims.nx())],
-                    along_x,
-                };
-                for k0 in (0..targets).step_by(BATCH) {
-                    let preds = &mut batch[..BATCH.min(targets - k0)];
-                    row.predict(level, recon, k0, preds);
-                    let first = row.first + k0 * xs;
-                    for (k, &pred) in preds.iter().enumerate() {
-                        let idx = first + k * xs;
-                        commit(idx, pred, &mut recon[idx]);
-                    }
+        for y in (self.y.0..dims.ny()).step_by(self.y.1) {
+            let row = Row {
+                first: y * dims.nx() + x0,
+                x: self.x,
+                z: z_stencil,
+                y: (stencil(1, y), s * dims.nx()),
+                along_x,
+            };
+            for k0 in (0..targets).step_by(BATCH) {
+                let preds = &mut batch[..BATCH.min(targets - k0)];
+                row.predict(level, planes, k0, preds);
+                let first = row.first + k0 * xs;
+                for (k, &pred) in preds.iter().enumerate() {
+                    let idx = first + k * xs;
+                    commit(idx, pred, &mut planes.own[idx]);
                 }
             }
         }
+    }
+}
+
+/// The value planes one z-plane's targets touch: their own plane, which
+/// the sweep commits into, and the planes at z − 3s, z − s, z + s and
+/// z + 3s, which it only reads (empty where the field has none).
+pub(crate) struct Planes<'a> {
+    /// The target plane.
+    pub own: &'a mut [f32],
+    /// The planes at z − 3s, z − s, z + s and z + 3s.
+    pub z: [&'a [f32]; 4],
+}
+
+impl<'a> Planes<'a> {
+    /// The view of plane `z` whose neighbour planes `plane(z')` returns
+    /// (`None` where there is none).
+    pub(crate) fn new(
+        own: &'a mut [f32],
+        z: usize,
+        s: usize,
+        plane: impl Fn(usize) -> Option<&'a [f32]>,
+    ) -> Self {
+        let at = |zz: Option<usize>| zz.and_then(&plane).unwrap_or(&[]);
+        Planes {
+            own,
+            z: [
+                at(z.checked_sub(3 * s)),
+                at(z.checked_sub(s)),
+                at(Some(z + s)),
+                at(Some(z + 3 * s)),
+            ],
+        }
+    }
+
+    /// The view of plane `z` of `recon`, whose planes are `len` values
+    /// long, split off with `split_at_mut`.
+    pub(crate) fn split(recon: &'a mut [f32], len: usize, z: usize, s: usize) -> Self {
+        let (below, rest) = recon.split_at_mut(z * len);
+        let (own, above) = rest.split_at_mut(len);
+        let (below, above): (&'a [f32], &'a [f32]) = (below, above);
+        Planes::new(own, z, s, |zz| {
+            if zz < z {
+                below.get(zz * len..(zz + 1) * len)
+            } else {
+                above.get((zz - z - 1) * len..(zz - z) * len)
+            }
+        })
     }
 }
 
@@ -184,7 +264,7 @@ const MULTI_DIM: [Step; 7] = [
 /// Enumerates the interpolation steps of one level (stride `s`) under the
 /// given scheme. Executing the steps in order guarantees every target's
 /// neighbours are already known.
-pub fn steps(s: usize, scheme: Scheme) -> impl Iterator<Item = Step> {
+pub fn steps(s: usize, scheme: Scheme) -> impl Iterator<Item = Step> + Clone {
     let unit: &'static [Step] = match scheme {
         Scheme::DimSequence => &DIM_SEQUENCE,
         Scheme::MultiDim => &MULTI_DIM,
@@ -259,13 +339,14 @@ impl Stencil {
 /// stencils are classified once.
 #[derive(Debug, Clone, Copy)]
 struct Row {
-    /// Index of the row's first target.
+    /// Index of the row's first target in its plane.
     first: usize,
     /// `(start, stride)` of the targets along x.
     x: (usize, usize),
-    /// The z and y stencils, each with the index distance of the axis's
-    /// neighbour at `s`.
-    zy: [(Stencil, usize); 2],
+    /// The z stencil, which reads the neighbour planes.
+    z: Stencil,
+    /// The y stencil, with the index distance of the neighbour at `s`.
+    y: (Stencil, usize),
     /// Whether the prediction interpolates along x.
     along_x: bool,
 }
@@ -273,12 +354,12 @@ struct Row {
 impl Row {
     /// Predicts the row's targets `k0, k0 + 1, …` into `out` (at most
     /// [`BATCH`] of them), one run of equal x stencils at a time.
-    fn predict(&self, level: &Level, recon: &[f32], k0: usize, out: &mut [f32]) {
+    fn predict(&self, level: &Level, planes: &Planes<'_>, k0: usize, out: &mut [f32]) {
         let (x0, xs) = self.x;
         let first = self.first + k0 * xs;
-        let [z, y] = self.zy;
+        let (z, y) = (self.z, self.y);
         if !self.along_x {
-            return Blend::new([z, y, (Stencil::None, 0)]).predict(recon, first, xs, out);
+            return Blend::new(z, [y, (Stencil::None, 0)]).predict(planes, first, xs, out);
         }
         // Classify x target by target, stepping the tile along instead of
         // dividing for every target.
@@ -296,8 +377,8 @@ impl Row {
         let mut k = 0;
         for run in stencils[..out.len()].chunk_by(|a, b| a == b) {
             let end = k + run.len();
-            Blend::new([z, y, (run[0], level.s)]).predict(
-                recon,
+            Blend::new(z, [y, (run[0], level.s)]).predict(
+                planes,
                 first + k * xs,
                 xs,
                 &mut out[k..end],
@@ -313,29 +394,36 @@ impl Row {
 #[derive(Debug, Clone, Copy)]
 struct Blend {
     order: Order,
-    /// Index distance from the target to each averaged axis's neighbour at
-    /// +s, negated for [`Stencil::Below`].
-    terms: [isize; 3],
+    /// The z stencil when the z axis is averaged, else [`Stencil::None`].
+    z: Stencil,
+    /// Index distance in the plane from the target to each averaged y or x
+    /// neighbour at +s, negated for [`Stencil::Below`].
+    terms: [isize; 2],
     /// How many entries of `terms` are used.
     n: usize,
 }
 
 impl Blend {
-    /// The blend of the `(stencil, index distance)` of the z, y and x axes.
-    fn new(axes: [(Stencil, usize); 3]) -> Self {
-        let order = axes
+    /// The blend of the z stencil and the `(stencil, index distance)` of
+    /// the y and x axes.
+    fn new(z: Stencil, yx: [(Stencil, usize); 2]) -> Self {
+        let order = yx
             .iter()
             .map(|&(stencil, _)| stencil.order())
-            .fold(Order::None, Ord::max);
+            .fold(z.order(), Ord::max);
         let mut blend = Blend {
             order,
-            terms: [0; 3],
+            z: Stencil::None,
+            terms: [0; 2],
             n: 0,
         };
         if order == Order::None {
             return blend;
         }
-        for (stencil, d) in axes {
+        if z.order() == order {
+            blend.z = z;
+        }
+        for (stencil, d) in yx {
             if stencil.order() == order {
                 let d = d as isize;
                 blend.terms[blend.n] = if stencil == Stencil::Below { -d } else { d };
@@ -345,41 +433,65 @@ impl Blend {
         blend
     }
 
-    /// Predicts the targets `first, first + step, …` into `out`.
-    fn predict(&self, r: &[f32], first: usize, step: usize, out: &mut [f32]) {
+    /// Predicts the targets `first, first + step, …` of the plane into
+    /// `out`.
+    fn predict(&self, planes: &Planes<'_>, first: usize, step: usize, out: &mut [f32]) {
         let terms = &self.terms[..self.n];
+        let (r, [z3, z1, z_1, z_3]) = (&*planes.own, planes.z);
+        let along_z = self.z != Stencil::None;
         match self.order {
             Order::None => out.fill(0.0),
-            Order::Copy => average(out, first, step, terms, |i, d| r[i.wrapping_add_signed(d)]),
-            Order::Linear => average(out, first, step, terms, |i, d| {
-                let d = d.unsigned_abs();
-                (r[i - d] + r[i + d]) * 0.5
-            }),
-            Order::Cubic => average(out, first, step, terms, |i, d| {
-                let d = d.unsigned_abs();
-                (-r[i - 3 * d] + 9.0 * r[i - d] + 9.0 * r[i + d] - r[i + 3 * d]) / 16.0
-            }),
+            Order::Copy => {
+                let near = if self.z == Stencil::Below { z1 } else { z_1 };
+                let z = along_z.then_some(|i: usize| near[i]);
+                average(out, first, step, z, terms, |i, d| {
+                    r[i.wrapping_add_signed(d)]
+                })
+            }
+            Order::Linear => {
+                let z = along_z.then_some(|i: usize| (z1[i] + z_1[i]) * 0.5);
+                average(out, first, step, z, terms, |i, d| {
+                    let d = d.unsigned_abs();
+                    (r[i - d] + r[i + d]) * 0.5
+                })
+            }
+            Order::Cubic => {
+                let z = along_z
+                    .then_some(|i: usize| (-z3[i] + 9.0 * z1[i] + 9.0 * z_1[i] - z_3[i]) / 16.0);
+                average(out, first, step, z, terms, |i, d| {
+                    let d = d.unsigned_abs();
+                    (-r[i - 3 * d] + 9.0 * r[i - d] + 9.0 * r[i + d] - r[i + 3 * d]) / 16.0
+                })
+            }
         }
     }
 }
 
-/// Writes, for every target `i = first + k·step`, the mean of `term(i, d)`
-/// over `terms` into `out[k]`.
+/// Writes, for every target `i = first + k·step`, the mean of the z term
+/// `z(i)`, when the z axis is averaged, and of `term(i, d)` over `terms`
+/// into `out[k]`, summed in that order from `0.0`.
 #[inline(always)]
 fn average(
     out: &mut [f32],
     first: usize,
     step: usize,
+    z: Option<impl Fn(usize) -> f32>,
     terms: &[isize],
     term: impl Fn(usize, isize) -> f32,
 ) {
+    let count = (terms.len() + usize::from(z.is_some())) as f32;
+    let in_plane = |sum: f32, i: usize| terms.iter().fold(sum, |sum, &d| sum + term(i, d));
+    match z {
+        Some(z) => mean(out, first, step, count, |i| in_plane(0.0 + z(i), i)),
+        None => mean(out, first, step, count, |i| in_plane(0.0, i)),
+    }
+}
+
+/// Writes `sum(first + k·step) / count` into every `out[k]`.
+#[inline(always)]
+fn mean(out: &mut [f32], first: usize, step: usize, count: f32, sum: impl Fn(usize) -> f32) {
     for (k, pred) in out.iter_mut().enumerate() {
-        let i = first + k * step;
-        let mut sum = 0.0f32;
-        for &d in terms {
-            sum += term(i, d);
-        }
-        *pred = sum / terms.len() as f32;
+        *pred = sum(first + k * step) / count;
     }
 }
 

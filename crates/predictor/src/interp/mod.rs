@@ -21,25 +21,60 @@
 //! the compression-ratio differences) of the 33×9×9 cuSZ-I partition versus
 //! the 17³ cuSZ-Hi partition studied in the paper's ablation (Table 5).
 //!
-//! Both directions, and the auto-tuner's trials, are one sweep over level →
-//! step → row on the calling thread, driven by one row kernel
-//! (`kernel.rs`): classify the row's neighbour availability once, predict
-//! a batch of its targets into a stack buffer, then commit them in raster
-//! order — quantize (or dequantize) each and store its reconstruction.
-//! Compression runs in the value plane itself: a commit quantizes the
-//! original value in its slot and overwrites it with the reconstruction.
-//! Nothing below a field is dispatched to the worker pool — callers that
-//! want cores split the field into chunks and run one sweep per chunk,
-//! which is how the paper parallelises (§5.1.1).
+//! Both directions are one sweep over level → phase → z-plane → step →
+//! row, driven by one row kernel (`kernel.rs`): classify the row's
+//! neighbour availability once, predict a batch of its targets into a
+//! stack buffer, then commit them in raster order — quantize (or
+//! dequantize) each and store its reconstruction. Compression runs in the
+//! value plane itself: a commit quantizes the original value in its slot
+//! and overwrites it with the reconstruction.
+//!
+//! A level runs in two phases over the z-planes of its stride `s`, as the
+//! paper predicts all targets of a level step at once (§5.1): phase A
+//! holds the steps whose targets lie on the planes at even multiples of
+//! `s` (multi-dimensional edge-x, edge-y and face-yx; dimension-sequence
+//! x and y), phase B the steps on the planes at odd multiples (edge-z,
+//! face-zx, face-zy and body; dimension-sequence z). A phase-A target
+//! reads only its own plane. A phase-B target reads its own plane and the
+//! planes at ±s and ±3s, which are even multiples that phase A has
+//! finished and phase B never writes. So within a phase the planes are
+//! independent, and the commit order is per plane: every step of the
+//! phase on one plane, then the next plane. Every prediction still sees
+//! exactly the values the serial step order gives it. A large phase
+//! spreads its planes over the worker pool when the caller is not already
+//! running a pool part ([`FAN_OUT_TARGETS`]); callers that hold several
+//! chunks split the field into chunks and run one sweep per chunk, which is
+//! how the paper parallelises across thread blocks (§5.1.1).
 
 mod kernel;
 
 pub(crate) use kernel::Level;
+use kernel::Planes;
 pub use kernel::{steps, Step};
 
 use crate::error::PredictorError;
 use crate::quantize::{Outlier, Quantizer, OUTLIER_CODE, ZERO_CODE};
+use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use szhi_ndgrid::{BlockGrid, Dims, Grid};
+
+/// The targets a phase must have before its planes are spread over the
+/// worker pool. A 64³ chunk's stride-1 level has 98,304 in phase A and
+/// 131,072 in phase B, seven eighths of the chunk between them, and each
+/// phase takes a few milliseconds, far more than a pool dispatch; a 32³
+/// chunk's phases (12,288 and 16,384 targets) stay on the calling thread.
+const FAN_OUT_TARGETS: usize = 65_536;
+
+/// Whether a phase of `targets` targets on `planes` z-planes spreads its
+/// planes over the pool: it is large, the pool has more than one thread,
+/// and the caller is not already running a pool part.
+fn fans_out(planes: usize, targets: usize) -> bool {
+    planes > 1
+        && targets >= FAN_OUT_TARGETS
+        && rayon::current_num_threads() > 1
+        && rayon::current_thread_index().is_none()
+}
 
 /// Interpolation spline order (§5.1.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -199,6 +234,57 @@ pub struct CompressScratch {
     plane: Vec<f32>,
 }
 
+/// The code array a sweep hands out beside the value planes, one z-plane
+/// at a time: written by a compression, read by a reconstruction.
+trait CodePlanes {
+    /// What a commit gets of its plane's codes, behind a `&mut`.
+    type Plane: ?Sized;
+    /// One plane of codes as the sweep holds it.
+    type Item<'b>: Send
+    where
+        Self: 'b;
+    /// The planes of `len` codes each, in z order.
+    fn planes(&mut self, len: usize) -> impl Iterator<Item = Self::Item<'_>>;
+    /// The commit's view of a plane.
+    fn plane<'a, 'b>(item: &'a mut Self::Item<'b>) -> &'a mut Self::Plane
+    where
+        Self: 'b;
+}
+
+impl CodePlanes for &mut [u8] {
+    type Plane = [u8];
+    type Item<'b>
+        = &'b mut [u8]
+    where
+        Self: 'b;
+    fn planes(&mut self, len: usize) -> impl Iterator<Item = &mut [u8]> {
+        self.chunks_mut(len)
+    }
+    fn plane<'a, 'b>(item: &'a mut &'b mut [u8]) -> &'a mut [u8]
+    where
+        Self: 'b,
+    {
+        item
+    }
+}
+
+impl<'c> CodePlanes for &'c [u8] {
+    type Plane = &'c [u8];
+    type Item<'b>
+        = &'c [u8]
+    where
+        Self: 'b;
+    fn planes(&mut self, len: usize) -> impl Iterator<Item = &'c [u8]> {
+        self.chunks(len)
+    }
+    fn plane<'a, 'b>(item: &'a mut &'c [u8]) -> &'a mut &'c [u8]
+    where
+        Self: 'b,
+    {
+        item
+    }
+}
+
 /// The interpolation predictor.
 #[derive(Debug, Clone)]
 pub struct InterpPredictor {
@@ -265,8 +351,6 @@ impl InterpPredictor {
         let codes = &mut out.codes;
         codes.clear();
         codes.resize(dims.len(), ZERO_CODE);
-        let outliers = &mut out.outliers;
-        outliers.clear();
 
         // Anchors are stored losslessly and seed the reconstruction as they
         // stand in the plane.
@@ -280,19 +364,28 @@ impl InterpPredictor {
                 .map(|(z, y, x)| plane[dims.index(z, y, x)]),
         );
 
-        self.sweep(dims, plane, |idx, pred, slot| {
+        self.sweep(dims, plane, codes.as_mut_slice(), |i, pred, slot, codes| {
             let (code, value) = quantizer.quantize(*slot, pred);
-            codes[idx] = code;
-            if code == OUTLIER_CODE {
-                outliers.push(Outlier {
-                    index: idx as u64,
-                    value,
-                });
-            }
+            codes[i] = code;
             *slot = value;
         });
 
-        out.outliers.sort_by_key(|o| o.index);
+        // An outlier's slot keeps its exact value, and no later commit
+        // touches it, so the records are read off the finished planes in
+        // index order.
+        let outliers = &mut out.outliers;
+        outliers.clear();
+        const BLOCK: usize = 64;
+        for (b, block) in codes.chunks(BLOCK).enumerate() {
+            if block.contains(&OUTLIER_CODE) {
+                let first = b * BLOCK;
+                let at = (block.iter().enumerate()).filter(|&(_, &c)| c == OUTLIER_CODE);
+                outliers.extend(at.map(|(k, _)| Outlier {
+                    index: (first + k) as u64,
+                    value: plane[first + k],
+                }));
+            }
+        }
     }
 
     /// Reconstructs the field from an [`InterpOutput`] under the same
@@ -383,31 +476,104 @@ impl InterpPredictor {
             recon[dims.index(z, y, x)] = v;
         }
 
-        let codes = &output.codes;
         // szhi-analyzer: allow(panic-reachability) -- the checks above make `recon`, `codes` and the sweep's index space all `dims.len()` long; the row kernel is pinned to its reference by differential tests
-        self.sweep(dims, recon, |idx, pred, slot| {
-            // szhi-analyzer: allow(panic-reachability) -- `idx < dims.len() == codes.len()`
-            if codes[idx] != OUTLIER_CODE {
-                *slot = quantizer.reconstruct(codes[idx], pred); // szhi-analyzer: allow(panic-reachability) -- the same `idx`
-            }
-        });
+        self.sweep(
+            dims,
+            recon,
+            output.codes.as_slice(),
+            |i, pred, slot, codes| {
+                // szhi-analyzer: allow(panic-reachability) -- `i` indexes the target's plane, and the code plane is as long as the value plane
+                if codes[i] != OUTLIER_CODE {
+                    *slot = quantizer.reconstruct(codes[i], pred); // szhi-analyzer: allow(panic-reachability) -- the same `i`
+                }
+            },
+        );
         Ok(())
     }
 
-    /// The one level → step → row traversal behind both directions: the
-    /// row kernel ([`Step`]'s sweep) predicts a batch of a row's targets
-    /// from `recon`, then `commit(index, prediction, slot)` stores each
+    /// The one traversal behind both directions: level by level, phase A
+    /// and then phase B (see the module docs), each phase plane by plane,
+    /// each plane step by step through the row kernel, which predicts a
+    /// batch of a row's targets from the plane and its neighbours. Then
+    /// `commit(index in the plane, prediction, slot, codes)` stores each
     /// point's reconstructed value in its `recon` slot (quantizing the
-    /// original value the slot holds on the way in, dequantizing on the
-    /// way out, or keeping the outlier value scattered there beforehand),
-    /// in raster order. Predicting ahead of the commits is exact because a
+    /// original value the slot holds on the way in, dequantizing on the way
+    /// out, or keeping the outlier value scattered there beforehand), in
+    /// raster order within the plane; `codes` is the plane's part of the
+    /// code array. Predicting ahead of the commits is exact because a
     /// step's targets read only points known before the step (the [`Step`]
     /// contract), so no commit can change another prediction of the same
     /// step.
-    fn sweep(&self, dims: Dims, recon: &mut [f32], mut commit: impl FnMut(usize, f32, &mut f32)) {
+    ///
+    /// A phase runs its planes on the calling thread, with views split off
+    /// by `split_at_mut`, unless it has at least [`FAN_OUT_TARGETS`] targets
+    /// on two or more planes, the pool has more than one thread, and the
+    /// caller is not itself running a pool part (a chunk of a parallel
+    /// drive). Then each plane goes to the pool behind a lock of its own,
+    /// one part per thread claiming planes in turn, and the planes it reads
+    /// are shared. Either way every commit sees the same values, so the
+    /// output does not depend on the thread count.
+    fn sweep<C: CodePlanes>(
+        &self,
+        dims: Dims,
+        recon: &mut [f32],
+        mut codes: C,
+        commit: impl Fn(usize, f32, &mut f32, &mut C::Plane) + Sync,
+    ) {
+        let len = dims.ny() * dims.nx();
         for (level, scheme) in self.levels(dims) {
-            for step in steps(level.s, scheme) {
-                step.sweep(&level, recon, &mut commit);
+            let s = level.s;
+            for z0 in [0, s] {
+                let phase = steps(s, scheme).filter(move |step| step.z.0 == z0);
+                let planes = dims.nz().saturating_sub(z0).div_ceil(2 * s);
+                let targets: usize = phase.clone().map(|step| step.count(dims)).sum();
+                let fan_out = fans_out(planes, targets);
+                let run = |z: usize, view: &mut Planes<'_>, codes: &mut C::Plane| {
+                    for step in phase.clone() {
+                        step.sweep_plane(&level, z, view, &mut |i, pred, slot| {
+                            commit(i, pred, slot, codes)
+                        });
+                    }
+                };
+                if !fan_out {
+                    let code_planes = codes.planes(len).enumerate().skip(z0).step_by(2 * s);
+                    for (z, mut code_plane) in code_planes {
+                        let codes = C::plane(&mut code_plane);
+                        run(z, &mut Planes::split(recon, len, z, s), codes);
+                    }
+                    continue;
+                }
+                // szhi-analyzer: allow(steady-alloc) -- one entry per z-plane, only when a large phase fans out: never at one thread or inside a pool part
+                let mut shared: Vec<&[f32]> = Vec::with_capacity(dims.nz());
+                // szhi-analyzer: allow(steady-alloc) -- one lock per target plane, under the same condition
+                let mut tasks = Vec::with_capacity(planes);
+                let all = recon.chunks_mut(len).zip(codes.planes(len)).enumerate();
+                for (z, (values, code_plane)) in all {
+                    if z >= z0 && (z - z0) % (2 * s) == 0 {
+                        shared.push(&[]);
+                        tasks.push(Mutex::new(Some((z, values, code_plane))));
+                    } else {
+                        shared.push(values);
+                    }
+                }
+                // One part per thread, each claiming the next unswept plane
+                // until none is left: a thread that starts late, or is
+                // descheduled, leaves its planes to the others. The counter
+                // only hands out indices (`Relaxed`); a plane's data passes
+                // through its lock.
+                let next = AtomicUsize::new(0);
+                let parts = rayon::current_num_threads().min(planes);
+                (0..parts).into_par_iter().for_each(|_| {
+                    while let Some(task) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        // Each lock is taken once, by the part that claimed
+                        // its plane; a panic there is rethrown by the pool.
+                        let taken = task.lock().unwrap_or_else(PoisonError::into_inner).take();
+                        if let Some((z, own, mut code_plane)) = taken {
+                            let mut view = Planes::new(own, z, s, |zz| shared.get(zz).copied());
+                            run(z, &mut view, C::plane(&mut code_plane));
+                        }
+                    }
+                });
             }
         }
     }
@@ -544,9 +710,13 @@ mod tests {
         }
     }
 
-    /// The borrowed compression sweep `compress_in_place` replaced, kept as
-    /// its reference: the input stays untouched and the reconstruction goes
-    /// to a zero-filled plane of its own, which it returns with the output.
+    /// The serial, borrowed compression the phased in-place sweep
+    /// replaced, kept as its reference: level by level, step by step in
+    /// order, each target predicted by the per-point reference
+    /// ([`kernel::sweep_reference`]) from a zero-filled reconstruction plane
+    /// of its own, the input untouched, and each outlier record pushed as
+    /// the sweep meets it and sorted at the end. Returns the output and the
+    /// reconstruction.
     fn compress_reference(
         p: &InterpPredictor,
         data: &Grid<f32>,
@@ -566,7 +736,7 @@ mod tests {
             recon[idx] = data.as_slice()[idx];
         }
         let (codes, outliers) = (&mut out.codes, &mut out.outliers);
-        p.sweep(dims, &mut recon, |idx, pred, slot| {
+        let mut commit = |idx: usize, pred: f32, slot: &mut f32| {
             let (code, value) = quantizer.quantize(data.as_slice()[idx], pred);
             codes[idx] = code;
             if code == OUTLIER_CODE {
@@ -576,7 +746,12 @@ mod tests {
                 });
             }
             *slot = value;
-        });
+        };
+        for (level, scheme) in p.levels(dims) {
+            for step in steps(level.s, scheme) {
+                kernel::sweep_reference(&step, &level, &mut recon, &mut commit);
+            }
+        }
         out.outliers.sort_by_key(|o| o.index);
         (out, recon)
     }
@@ -632,6 +807,119 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Holds the process-wide thread-count override for a test and clears
+    /// it on drop, also when the test fails.
+    fn threads(n: usize) -> impl Drop {
+        static OVERRIDE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        struct Reset(Option<std::sync::MutexGuard<'static, ()>>);
+        impl Drop for Reset {
+            fn drop(&mut self) {
+                rayon::set_num_threads(0);
+                self.0.take();
+            }
+        }
+        let guard = OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner);
+        rayon::set_num_threads(n);
+        Reset(Some(guard))
+    }
+
+    /// Spikes every 97 points among smooth values: outlier records.
+    fn spiky_field(dims: Dims) -> Grid<f32> {
+        let g = smooth_field(dims);
+        Grid::from_vec(
+            dims,
+            (g.as_slice().iter().enumerate())
+                .map(|(i, &v)| if i % 97 == 5 { v + 1e4 } else { v })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn phased_sweep_matches_the_per_point_reference_at_every_thread_count() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(45);
+        // `shapes()` holds 44×64×64; a 64³ chunk fans out both phases of
+        // its stride-1 level.
+        let mut all = shapes().to_vec();
+        all.push(Dims::d3(64, 64, 64));
+        let fields: Vec<Grid<f32>> = (all.iter())
+            .flat_map(|&dims| {
+                let random = Grid::from_fn(dims, |_, _, _| rng.gen_range(-1.0f32..1.0));
+                [spiky_field(dims), random]
+            })
+            .collect();
+        let expected: Vec<Vec<(InterpOutput, Vec<f32>)>> = (fields.iter())
+            .map(|data| {
+                (predictors().iter())
+                    .map(|p| compress_reference(p, data, 1e-3))
+                    .collect()
+            })
+            .collect();
+        let mut out = InterpOutput::default();
+        let mut recon = Vec::new();
+        for n in [1, 2, 4] {
+            let _threads = threads(n);
+            for (data, expected) in fields.iter().zip(&expected) {
+                let dims = data.dims();
+                for (p, (expect, plane)) in predictors().iter().zip(expected) {
+                    let what = format!("{n} threads, {dims}, {:?}", p.config());
+                    let mut values = data.clone();
+                    p.compress_in_place(&mut values, 1e-3, &mut out);
+                    assert_eq!(out.codes, expect.codes, "{what}: codes");
+                    assert_eq!(bits(&out.anchors), bits(&expect.anchors), "{what}");
+                    assert_eq!(outlier_bits(&out), outlier_bits(expect), "{what}");
+                    assert_eq!(bits(values.as_slice()), bits(plane), "{what}: plane");
+                    p.decompress_into(dims, 1e-3, &out, &mut recon).unwrap();
+                    assert_eq!(bits(&recon), bits(plane), "{what}: reconstruction");
+                }
+            }
+        }
+    }
+
+    /// Whether any commit of a compression sweep of `dims` ran in a pool
+    /// part: a sweep that fans out commits every plane of its large phases
+    /// in one, whichever thread claims it.
+    fn sweep_fans_out(p: &InterpPredictor, dims: Dims) -> bool {
+        let in_part = std::sync::atomic::AtomicBool::new(false);
+        let mut recon = smooth_field(dims).into_vec();
+        let mut codes = vec![ZERO_CODE; dims.len()];
+        p.sweep(dims, &mut recon, codes.as_mut_slice(), |_, _, _, _| {
+            if rayon::current_thread_index().is_some() {
+                in_part.store(true, Ordering::Relaxed);
+            }
+        });
+        in_part.into_inner()
+    }
+
+    #[test]
+    fn only_large_phases_of_an_outer_drive_fan_out() {
+        let p = InterpPredictor::new(InterpConfig::cusz_hi()).unwrap();
+        let (large, ragged) = (Dims::d3(64, 64, 64), Dims::d3(44, 64, 64));
+        // A 64³ chunk's stride-1 phases; 32³'s (and a 64³ chunk's stride-2
+        // ones); the monolithic 48×40×36 field of
+        // `one_level_of_parallelism.rs`, whose phase B has 34,560.
+        let (a, b) = (98_304, 131_072);
+        let small = [(16, 12_288), (16, 16_384), (24, 34_560)];
+        {
+            let _threads = threads(1);
+            assert!(!sweep_fans_out(&p, large), "one thread configured");
+            assert!(!fans_out(32, b));
+        }
+        let _threads = threads(2);
+        assert!(sweep_fans_out(&p, large), "a 64³ chunk's level 1");
+        assert!(sweep_fans_out(&p, ragged), "a ragged 44×64×64 chunk");
+        assert!(fans_out(32, a) && fans_out(32, b) && fans_out(22, 67_584));
+        assert!(!sweep_fans_out(&p, Dims::d3(32, 32, 32)), "32³");
+        assert!(small
+            .iter()
+            .all(|&(planes, targets)| !fans_out(planes, targets)));
+        assert!(!sweep_fans_out(&p, Dims::d2(1024, 1024)), "2-D");
+        assert!(!fans_out(1, 1 << 20), "one plane");
+        // Inside a pool part (a chunk of a parallel drive) nothing fans out.
+        let nested: Vec<bool> = (0..2).into_par_iter().map(|_| fans_out(32, b)).collect();
+        assert_eq!(nested, [false, false], "a sweep inside a pool part");
     }
 
     #[test]
@@ -692,15 +980,7 @@ mod tests {
         let p = InterpPredictor::new(InterpConfig::cusz_hi()).unwrap();
         let mut recon = vec![f32::NAN; 64 * 64 * 64 + 7];
         for dims in [Dims::d3(64, 64, 64), Dims::d3(44, 64, 64), Dims::d2(60, 90)] {
-            // Spikes every 97 points force outlier records into the output.
-            let g = smooth_field(dims);
-            let spiky = Grid::from_vec(
-                dims,
-                (g.as_slice().iter().enumerate())
-                    .map(|(i, &v)| if i % 97 == 5 { v + 1e4 } else { v })
-                    .collect(),
-            );
-            let out = p.compress(&spiky, 1e-3);
+            let out = p.compress(&spiky_field(dims), 1e-3);
             assert!(!out.outliers.is_empty(), "{dims}: no outliers");
             let fresh = p.decompress(dims, 1e-3, &out).unwrap();
             p.decompress_into(dims, 1e-3, &out, &mut recon).unwrap();

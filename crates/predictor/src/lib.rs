@@ -20,9 +20,10 @@
 //!   (§5.1.3).
 //!
 //! The dual-quantization Lorenzo predictor of the cuSZ-L and FZ-GPU
-//! baselines lives with its only callers, in `szhi-baselines`. Nothing in
-//! this crate touches the worker pool: every predictor runs one sweep on
-//! the calling thread, and callers parallelise over chunks.
+//! baselines lives with its only callers, in `szhi-baselines`. Callers
+//! parallelise over chunks; below a chunk, only the interpolation sweep's
+//! large phases spread their z-planes over the worker pool, and only when
+//! the caller is not itself running a pool part.
 #![forbid(unsafe_code)]
 
 pub mod autotune;

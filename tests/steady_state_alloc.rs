@@ -329,12 +329,19 @@ fn rtm_chunks() -> (Grid<f32>, SzhiConfig, usize, usize) {
     (data, cfg, 4 * points, points)
 }
 
+/// Runs `op` with the thread count set to `threads`, and clears it after.
+fn with_threads<T>(threads: usize, op: impl FnOnce() -> T) -> T {
+    rayon::set_num_threads(threads);
+    let out = op();
+    rayon::set_num_threads(0);
+    out
+}
+
 #[test]
 fn a_warm_streaming_push_holds_one_value_plane() {
     use szhi::core::{StreamSink, SzhiError};
 
     let _serial = one_at_a_time();
-    rayon::set_num_threads(1);
     let (data, cfg, plane, code_plane) = rtm_chunks();
     let dims = data.dims();
     // Each push's peak counts from before the sink exists, so it covers
@@ -361,31 +368,70 @@ fn a_warm_streaming_push_holds_one_value_plane() {
         }
         peaks
     };
-    let in_plane = push_all(false);
-    let caller_held = push_all(true);
-    rayon::set_num_threads(0);
+    // At two threads the chunk's large levels spread their planes over the
+    // pool, which must cost no second plane: the budget is the same.
+    for threads in [1usize, 2] {
+        let in_plane = with_threads(threads, || push_all(false));
+        let caller_held = with_threads(threads, || push_all(true));
 
-    // The sink holds one value plane, the chunk's code plane and its
-    // level-ordered copy, and a body buffer as large as the largest body so
-    // far; while a push writes, the chosen payload the body is framed from
-    // is live too. The rest is the lossless stages' own buffers.
-    let mut largest = 0;
-    for (i, (&(above, body), &(held, _))) in in_plane.iter().zip(&caller_held).enumerate() {
-        largest = body.max(largest);
-        let budget = plane + 2 * code_plane + 2 * largest + 256 * 1024;
-        if i == 0 {
-            continue; // the first push sizes the sink's buffers
+        // The sink holds one value plane, the chunk's code plane and its
+        // level-ordered copy, and a body buffer as large as the largest body
+        // so far; while a push writes, the chosen payload the body is framed
+        // from is live too. The rest is the lossless stages' own buffers.
+        let mut largest = 0;
+        for (i, (&(above, body), &(held, _))) in in_plane.iter().zip(&caller_held).enumerate() {
+            largest = body.max(largest);
+            let budget = plane + 2 * code_plane + 2 * largest + 256 * 1024;
+            if i == 0 {
+                continue; // the first push sizes the sink's buffers
+            }
+            assert!(
+                above <= budget,
+                "at {threads} threads warm push {i} peaked {above} B above the sink's start \
+                 (budget {budget} B)"
+            );
+            // A caller that reads each chunk into a grid of its own, as the
+            // CLI once did, holds a second plane, and the budget notices it.
+            assert!(
+                held > budget,
+                "at {threads} threads warm push {i} of a caller-held chunk peaked only \
+                 {held} B (budget {budget} B)"
+            );
         }
-        assert!(
-            above <= budget,
-            "warm push {i} peaked {above} B above the sink's start (budget {budget} B)"
-        );
-        // A caller that reads each chunk into a grid of its own, as the CLI
-        // once did, holds a second plane, and the budget notices it.
-        assert!(
-            held > budget,
-            "warm push {i} of a caller-held chunk peaked only {held} B (budget {budget} B)"
-        );
+    }
+}
+
+#[test]
+fn a_chunk_read_holds_its_grid_and_one_chunk_of_scratch() {
+    use szhi::core::StreamSource;
+
+    let _serial = one_at_a_time();
+    let (data, cfg, plane, code_plane) = rtm_chunks();
+    let bytes = with_threads(1, || {
+        szhi::core::compress_chunked(&data, &cfg, [64, 64, 64]).unwrap()
+    });
+    let mut source = StreamSource::from_bytes(&bytes).unwrap();
+    // Warm-up, at both thread counts: the pool's workers and every
+    // first-use buffer exist before anything is measured.
+    for threads in [1usize, 2] {
+        with_threads(threads, || drop(source.read_chunk(0).unwrap()));
+    }
+    for threads in [1usize, 2] {
+        for i in 0..source.chunk_count() {
+            let start = reset_peak();
+            let (_, grid) = with_threads(threads, || source.read_chunk(i).unwrap());
+            let above = peak() - start;
+            drop(grid);
+            // The returned grid, the body (bounded by the archive), the
+            // decoded and the restored code planes, and the lossless stages'
+            // buffers: at two threads the chunk's large levels run on the
+            // pool with no further plane.
+            let budget = plane + 2 * code_plane + 2 * bytes.len() + 256 * 1024;
+            assert!(
+                above <= budget,
+                "at {threads} threads reading chunk {i} peaked {above} B (budget {budget} B)"
+            );
+        }
     }
 }
 
