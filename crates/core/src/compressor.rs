@@ -196,6 +196,7 @@ pub fn decompress(bytes: &[u8]) -> Result<Grid<f32>, SzhiError> {
     let out = Mutex::new(Grid::zeros(index.dims()));
     let decoded: Vec<Result<(), SzhiError>> = (0..index.chunk_count())
         .into_par_iter()
+        .with_max_len(1)
         .map(|i| index.decode_slice_into(bytes, i, &out))
         .collect();
     decoded.into_iter().collect::<Result<(), _>>()?;

@@ -6,9 +6,9 @@
 //! [`StreamSink`], or decompress a stream through a [`StreamSource`] —
 //! running on its own coordinator thread. The coordinator of a compress
 //! job hands its sink the field one small window of chunks at a time (so
-//! several jobs interleave fairly on the workspace's shared work-stealing
-//! pool); the sink encodes each window across the pool and writes it in
-//! plan order, which keeps every job's output **byte-identical to a serial
+//! several jobs interleave fairly on the workspace's shared worker pool);
+//! the sink encodes each window across the pool and writes it in plan
+//! order, which keeps every job's output **byte-identical to a serial
 //! run**: chunk encoding is a pure function of (chunk, configuration), and
 //! the container assembles chunks in plan order regardless of who encoded
 //! them when.

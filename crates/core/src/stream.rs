@@ -650,6 +650,7 @@ impl<W: Write> StreamSink<W> {
         let encoded: Vec<Result<(ChunkMeta, Vec<u8>), SzhiError>> = range
             .clone()
             .into_par_iter()
+            .with_max_len(1)
             .map(|i| enc.encode(i, |plane| field.extract_into(&enc.plan.chunk_at(i), plane)))
             .collect();
         for (i, chunk) in range.zip(encoded) {

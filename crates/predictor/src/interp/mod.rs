@@ -42,7 +42,7 @@
 //! phase on one plane, then the next plane. Every prediction still sees
 //! exactly the values the serial step order gives it. A large phase
 //! spreads its planes over the worker pool when the caller is not already
-//! running a pool part ([`FAN_OUT_TARGETS`]); callers that hold several
+//! running a pool part (`FAN_OUT_TARGETS`); callers that hold several
 //! chunks split the field into chunks and run one sweep per chunk, which is
 //! how the paper parallelises across thread blocks (§5.1.1).
 
@@ -55,7 +55,6 @@ pub use kernel::{steps, Step};
 use crate::error::PredictorError;
 use crate::quantize::{Outlier, Quantizer, OUTLIER_CODE, ZERO_CODE};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use szhi_ndgrid::{BlockGrid, Dims, Grid};
 
@@ -509,9 +508,9 @@ impl InterpPredictor {
     /// by `split_at_mut`, unless it has at least [`FAN_OUT_TARGETS`] targets
     /// on two or more planes, the pool has more than one thread, and the
     /// caller is not itself running a pool part (a chunk of a parallel
-    /// drive). Then each plane goes to the pool behind a lock of its own,
-    /// one part per thread claiming planes in turn, and the planes it reads
-    /// are shared. Either way every commit sees the same values, so the
+    /// drive). Then each plane is one pool part behind a lock of its own,
+    /// the pool's threads claim the planes in turn, and the planes they
+    /// read are shared. Either way every commit sees the same values, so the
     /// output does not depend on the thread count.
     fn sweep<C: CodePlanes>(
         &self,
@@ -551,28 +550,20 @@ impl InterpPredictor {
                 for (z, (values, code_plane)) in all {
                     if z >= z0 && (z - z0) % (2 * s) == 0 {
                         shared.push(&[]);
-                        tasks.push(Mutex::new(Some((z, values, code_plane))));
+                        tasks.push(Mutex::new((z, values, code_plane)));
                     } else {
                         shared.push(values);
                     }
                 }
-                // One part per thread, each claiming the next unswept plane
-                // until none is left: a thread that starts late, or is
-                // descheduled, leaves its planes to the others. The counter
-                // only hands out indices (`Relaxed`); a plane's data passes
-                // through its lock.
-                let next = AtomicUsize::new(0);
-                let parts = rayon::current_num_threads().min(planes);
-                (0..parts).into_par_iter().for_each(|_| {
-                    while let Some(task) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        // Each lock is taken once, by the part that claimed
-                        // its plane; a panic there is rethrown by the pool.
-                        let taken = task.lock().unwrap_or_else(PoisonError::into_inner).take();
-                        if let Some((z, own, mut code_plane)) = taken {
-                            let mut view = Planes::new(own, z, s, |zz| shared.get(zz).copied());
-                            run(z, &mut view, C::plane(&mut code_plane));
-                        }
-                    }
+                // One plane per part: a thread that starts late, or is
+                // descheduled, leaves its planes to the others. Each lock is
+                // taken once, by the thread that claimed its plane; a panic
+                // there is rethrown by the pool.
+                tasks.par_iter().with_max_len(1).for_each(|task| {
+                    let mut task = task.lock().unwrap_or_else(PoisonError::into_inner);
+                    let (z, own, code_plane) = &mut *task;
+                    let mut view = Planes::new(own, *z, s, |zz| shared.get(zz).copied());
+                    run(*z, &mut view, C::plane(code_plane));
                 });
             }
         }
@@ -887,7 +878,7 @@ mod tests {
         let mut codes = vec![ZERO_CODE; dims.len()];
         p.sweep(dims, &mut recon, codes.as_mut_slice(), |_, _, _, _| {
             if rayon::current_thread_index().is_some() {
-                in_part.store(true, Ordering::Relaxed);
+                in_part.store(true, std::sync::atomic::Ordering::Relaxed);
             }
         });
         in_part.into_inner()

@@ -43,7 +43,7 @@
 //! and the trace buffer mutex once per span exit while tracing.
 //!
 //! Event names are dotted lowercase paths, `<subsystem>.<what>`
-//! (`pool.steals`, `encode.entropy`, `tuner.select`); the full
+//! (`pool.tasks`, `encode.entropy`, `tuner.select`); the full
 //! catalogue lives in `docs/OBSERVABILITY.md`.
 //!
 //! Telemetry never feeds back into compression: enabling every switch

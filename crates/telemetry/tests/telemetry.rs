@@ -75,10 +75,23 @@ fn spans_record_across_pool_worker_threads() {
     {
         let _outer = NEST_OUTER.enter();
         use rayon::prelude::*;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::{Duration, Instant};
+        // Parts are claimed, so the calling thread may run all of them
+        // before a worker wakes: each part waits (until a shared 10 s
+        // deadline) for a pool worker to have run a part too.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let worker_ran = AtomicBool::new(false);
         let parts: Vec<usize> = (0..64usize)
             .into_par_iter()
             .map(|i| {
                 let _inner = NEST_INNER.enter();
+                if rayon::current_thread_index() > Some(0) {
+                    worker_ran.store(true, Ordering::SeqCst);
+                }
+                while !worker_ran.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
                 i
             })
             .collect();
@@ -102,8 +115,8 @@ fn spans_record_across_pool_worker_threads() {
         trace.contains("szhi-pool-"),
         "worker threads recorded events under their own names"
     );
-    // The pool splits the 64 items into one range part per executor
-    // (4 here), so at least two parts were counted and timed.
+    // The pool splits the 64 items into 4 parts per thread (16 here), so
+    // at least two parts were counted and timed.
     assert!(
         delta.counter("pool.tasks").unwrap_or(0) >= 2,
         "the pool counted the parts it executed"
@@ -127,7 +140,7 @@ fn stats_table_rendering_is_pinned() {
                 value: 4096,
             },
             CounterSnapshot {
-                name: "pool.steals".into(),
+                name: "pool.tasks".into(),
                 value: 3,
             },
         ],
@@ -143,7 +156,7 @@ fn stats_table_rendering_is_pinned() {
                 \ncounters:\n\
                 \x20 counter        total\n\
                 \x20 io.sink.bytes   4096\n\
-                \x20 pool.steals        3\n\
+                \x20 pool.tasks         3\n\
                 \nspans and histograms:\n\
                 \x20 name          unit  count   sum  mean   p50   p99\n\
                 \x20 encode.chunk    ns      2  3000  1500  2047  2047\n";
