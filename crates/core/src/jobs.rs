@@ -44,6 +44,7 @@ use crate::stream::{StreamSink, StreamSource};
 use std::io::{Read, Seek, Write};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+use szhi_codec::bitio::decode_capacity;
 use szhi_ndgrid::Grid;
 use szhi_telemetry::Snapshot;
 
@@ -257,10 +258,18 @@ impl JobService {
     {
         crate::telemetry::JOBS_STARTED.bump(1);
         let source = StreamSource::new(reader)?;
+        // The output buffer is allocated here and filled by the job. A
+        // large block allocated on the short-lived coordinator would land
+        // in that thread's malloc arena, which can keep it resident after
+        // the caller frees it; which arena a coordinator gets depends on
+        // thread timing, and so would the process's resident peak. The cap
+        // bounds what a corrupt header can reserve before the job runs.
+        let out = Vec::with_capacity(decode_capacity(source.index().dims().len()));
         let state = Arc::new(JobState::new(source.chunk_count(), JobPhase::Starting));
         let shared = Arc::clone(&state);
-        let thread =
-            std::thread::spawn(move || run_job(&shared, |state| run_decompress(source, state)));
+        let thread = std::thread::spawn(move || {
+            run_job(&shared, |state| run_decompress(source, out, state))
+        });
         Ok(JobHandle { state, thread })
     }
 }
@@ -323,7 +332,8 @@ fn run_compress<W: Write>(
     sink.finish_with_stats()
 }
 
-/// The coordinator of a decompress job: drains the source into the output
+/// The coordinator of a decompress job: fills `out`, the buffer the
+/// submitting thread allocated, with zeros, then drains the source into it
 /// one chunk at a time on this job's own thread (reads from one seekable
 /// source are inherently serial, and only a chunk's large levels, those of
 /// a 64³ chunk, dispatch their planes to the pool, so concurrent
@@ -332,11 +342,14 @@ fn run_compress<W: Write>(
 /// records progress and checks for cancellation.
 fn run_decompress<R: Read + Seek>(
     mut source: StreamSource<R>,
+    mut out: Vec<f32>,
     state: &JobState,
 ) -> Result<Grid<f32>, SzhiError> {
     state.enter(JobPhase::Decoding);
     let _span = crate::telemetry::JOB_DECODE.enter();
-    let mut out = Grid::zeros(source.index().dims());
+    let dims = source.index().dims();
+    out.resize(dims.len(), 0.0);
+    let mut out = Grid::from_vec(dims, out);
     source.drain_into(&mut out, |i| {
         state.done.store(i, Ordering::Relaxed);
         if state.cancelled.load(Ordering::Relaxed) {
