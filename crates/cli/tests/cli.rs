@@ -802,6 +802,7 @@ fn telemetry_flags_emit_stats_json_and_trace() {
         "encode.crc",
         "tuner.estimated_bytes",
         "tuner.actual_bytes",
+        "tuner.trials",
     ] {
         assert!(json.contains(name), "stats JSON is missing {name}");
     }

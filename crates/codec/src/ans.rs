@@ -115,7 +115,12 @@ fn encode_table(freqs: &[u32; 256], cum: &[u32; 257]) -> [SymEnc; 256] {
 /// `x / f` hardware division, and the cumulative base; renormalisation is
 /// unrolled to its maximum of two byte emissions.
 pub fn encode(data: &[u8]) -> Vec<u8> {
-    let freqs = normalize(&byte_histogram(data));
+    encode_counted(data, &byte_histogram(data))
+}
+
+/// [`encode`] of `data` whose byte histogram the caller already counted.
+pub(crate) fn encode_counted(data: &[u8], hist: &[u64; 256]) -> Vec<u8> {
+    let freqs = normalize(hist);
     let cum = cumulative(&freqs);
 
     let mut out = Vec::with_capacity(data.len() / 2 + 512 + 16);
@@ -152,6 +157,38 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
     emitted.reverse();
     out.extend_from_slice(&emitted);
     out
+}
+
+/// A proven lower bound on the length of [`encode`]'s output for any input
+/// whose byte histogram is `hist`, from the histogram alone.
+///
+/// Encoding symbol `s` takes the state `x` to `⌊x/f⌋·4096 + (x mod f) +
+/// cum`, where `f` is the symbol's normalised frequency, and the state
+/// before it is at least `2^11·f`; so each step multiplies the state by
+/// more than `(4096/f)(1 − 2^-11)`. Each emitted byte divides a state of
+/// at least `2^19` by at most `256/(1 − 2^-11)`. The state starts at
+/// `2^23` and ends below `2^31`, so with `S = Σ c_s·log2(4096/f_s)` bits,
+/// `n` symbols and `ε = −log2(1 − 2^-11)`, the emitted bytes number more
+/// than `(S − n·ε − 8)/(8 + ε)`. The header (count, frequency table and
+/// final state) is added exactly.
+pub fn encoded_len_floor(hist: &[u64; 256]) -> usize {
+    const HEADER: usize = 8 + 2 * 256;
+    let n: u64 = hist.iter().sum();
+    if n == 0 {
+        return HEADER;
+    }
+    let freqs = normalize(hist);
+    let bits: f64 = hist
+        .iter()
+        .zip(freqs)
+        .filter(|&(&c, _)| c > 0)
+        .map(|(&c, f)| c as f64 * (SCALE as f64 / f as f64).log2())
+        .sum();
+    let slack = -(1.0 - (-11f64).exp2()).log2();
+    let emitted = (bits - n as f64 * slack - 8.0) / (8.0 + slack);
+    // The floor of the bound, not its ceiling, leaves a byte for the
+    // rounding of the sum above.
+    HEADER + 4 + emitted.max(0.0).floor() as usize
 }
 
 /// Reference encoder kept for the differential tests: identical output to

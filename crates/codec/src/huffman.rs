@@ -247,6 +247,18 @@ impl HuffmanBook {
     }
 }
 
+/// Bytes of a stream ahead of its payload: the symbol count and the 256
+/// packed 6-bit code lengths.
+const HEADER_BYTES: usize = 8 + 192;
+
+/// The exact length of [`encode`]'s output for any input whose byte
+/// histogram is `hist`: the header plus the payload's code bits, padded to
+/// a byte. The trial engine sizes a Huffman stage with it before running it.
+pub fn encoded_len(hist: &[u64; 256]) -> usize {
+    let bits = HuffmanBook::from_histogram(hist).encoded_bits(hist);
+    HEADER_BYTES + bits.div_ceil(8) as usize
+}
+
 /// Encodes `data` with a canonical Huffman code built from its histogram.
 ///
 /// Output layout: `[n_symbols: u64][256 packed 6-bit lengths][payload bits]`.
@@ -254,7 +266,12 @@ impl HuffmanBook {
 /// `(code, len)` lookup and one [`WordWriter::put`] shift-or per symbol,
 /// flushing 32 output bits at a time.
 pub fn encode(data: &[u8]) -> Vec<u8> {
-    let book = HuffmanBook::from_data(data);
+    encode_counted(data, &byte_histogram(data))
+}
+
+/// [`encode`] of `data` whose byte histogram the caller already counted.
+pub(crate) fn encode_counted(data: &[u8], hist: &[u64; 256]) -> Vec<u8> {
+    let book = HuffmanBook::from_histogram(hist);
     let mut out = Vec::with_capacity(data.len() / 2 + 256);
     put_u64(&mut out, data.len() as u64);
     // Pack the 256 code lengths, 6 bits each (MAX_CODE_LEN ≤ 63).

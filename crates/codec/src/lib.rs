@@ -46,6 +46,7 @@ mod histogram;
 pub mod huffman;
 pub mod lz;
 pub mod pipeline;
+pub mod trial;
 
 pub use error::CodecError;
 pub use pipeline::{PipelineSpec, Stage, StageSpec};

@@ -164,19 +164,22 @@ fn compress_with(input: &[u8], effort: Effort, rebase_every: usize) -> Vec<u8> {
         let mut best_offset = 0usize;
         let mut next = tables.head(h);
         let mut probes = 0usize;
+        let limit = input.len() - pos;
         while let Some(candidate) = next.filter(|_| probes < max_probes) {
             let offset = pos - candidate;
             if offset > MAX_OFFSET {
                 break;
             }
-            let limit = input.len() - pos;
-            let mut len = 0usize;
-            while len < limit && input[candidate + len] == input[pos + len] {
-                len += 1;
-            }
-            if len >= MIN_MATCH && len > best_len {
-                best_len = len;
-                best_offset = offset;
+            // Only a candidate that agrees at `best_len` can beat the best
+            // match, so one byte rejects the rest.
+            if best_len == 0
+                || (best_len < limit && input[candidate + best_len] == input[pos + best_len])
+            {
+                let len = common_prefix(&input[candidate..], &input[pos..]);
+                if len >= MIN_MATCH && len > best_len {
+                    best_len = len;
+                    best_offset = offset;
+                }
             }
             next = tables.next(candidate);
             probes += 1;
@@ -202,6 +205,24 @@ fn compress_with(input: &[u8], effort: Effort, rebase_every: usize) -> Vec<u8> {
     }
     emit_literals(&mut out, &input[literal_start..]);
     out
+}
+
+/// The length of the common prefix of `a` and `b`, compared eight bytes at
+/// a time.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut len = 0;
+    while let (Some(x), Some(y)) = (a[len..].first_chunk::<8>(), b[len..].first_chunk::<8>()) {
+        let diff = u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y);
+        if diff != 0 {
+            return len + diff.trailing_zeros() as usize / 8;
+        }
+        len += 8;
+    }
+    len + a[len..]
+        .iter()
+        .zip(&b[len..])
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 /// Writes one sequence: the pending `literals` and a match of `len` bytes

@@ -283,7 +283,7 @@ impl PipelineSpec {
         PipelineSpec::all().into_iter().find(|p| p.id() == id)
     }
 
-    /// Every named pipeline.
+    /// Every named pipeline, in [`PipelineSpec::id`] order.
     pub fn all() -> Vec<PipelineSpec> {
         vec![
             PipelineSpec::HfRre4Tcms8Rze1,
@@ -312,16 +312,23 @@ impl PipelineSpec {
         Self::all()
     }
 
-    /// Per-invocation pipeline selection: encodes `input` with every
-    /// candidate and returns the winner — the `(spec, payload)` pair with
-    /// the smallest payload. An empty candidate set is a typed
-    /// [`CodecError::InvalidRequest`], never a panic.
+    /// Per-invocation pipeline selection: returns the candidate whose
+    /// encode of `input` is smallest, with that payload. An empty candidate
+    /// set is a typed [`CodecError::InvalidRequest`], never a panic.
     ///
     /// **Ties break toward the earliest candidate**, so putting a preferred
     /// default first makes the choice deterministic. Repeated candidates are
-    /// deduplicated (first occurrence wins) before any trial encoding, so a
-    /// sloppily assembled candidate list costs no duplicate encode work and
-    /// cannot perturb the tie-break.
+    /// deduplicated (first occurrence wins), so a sloppily assembled
+    /// candidate list costs no duplicate work and cannot perturb the
+    /// tie-break.
+    ///
+    /// The trials run on the stage-level engine, [`crate::trial::select`]:
+    /// a stage prefix that several candidates share runs once, candidates
+    /// without an LZ stage run first, and a candidate whose last stage is
+    /// Huffman or rANS stops before that stage when the histogram of its
+    /// input proves it cannot win. Every candidate's trial *starts*; not
+    /// every one *completes*. The result is the one encoding every
+    /// candidate in full would pick.
     ///
     /// This is the trial-encode primitive behind per-chunk mode selection
     /// in the chunked stream containers (reached through
@@ -347,24 +354,8 @@ impl PipelineSpec {
         candidates: &[PipelineSpec],
         input: &[u8],
     ) -> Result<(PipelineSpec, Vec<u8>), CodecError> {
-        let mut seen: Vec<PipelineSpec> = Vec::with_capacity(candidates.len());
-        let mut best: Option<(PipelineSpec, Vec<u8>)> = None;
-        for &spec in candidates {
-            // Deduplicate before encoding: a repeated candidate can only
-            // ever tie with its first occurrence, which already won.
-            if seen.contains(&spec) {
-                continue;
-            }
-            seen.push(spec);
-            let payload = spec.encode(input);
-            // Strictly smaller only: on ties the earliest candidate wins.
-            if best.as_ref().is_none_or(|(_, b)| payload.len() < b.len()) {
-                best = Some((spec, payload));
-            }
-        }
-        best.ok_or_else(|| {
-            CodecError::request("encode_select", "empty candidate pipeline set".to_string())
-        })
+        let outcome = crate::trial::select(candidates, input)?;
+        Ok((outcome.pipeline, outcome.payload))
     }
 
     /// The ordered stage list of the pipeline — the one description that
@@ -516,6 +507,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for spec in &all {
             assert!(seen.insert(spec.id()), "duplicate id for {spec}");
+            assert_eq!(all[spec.id() as usize], *spec, "{spec} is out of id order");
             assert_eq!(PipelineSpec::from_id(spec.id()), Some(*spec));
         }
         assert_eq!(PipelineSpec::from_id(200), None);

@@ -66,12 +66,18 @@ impl PipelineMode {
 /// The per-chunk policies differ in candidate breadth and in how they pay
 /// for the choice:
 ///
-/// | policy | candidates | encodes per chunk | quality |
+/// | policy | candidates | trials started per chunk | quality |
 /// |---|---|---|---|
 /// | [`Global`](ModeTuning::Global) | 1 (the configured mode) | 1 | baseline |
 /// | [`PerChunk`](ModeTuning::PerChunk) | CR + TP | 2 | best of the two production modes |
 /// | [`Exhaustive`](ModeTuning::Exhaustive) | any list | `candidates + 1` | true per-chunk optimum over the list |
-/// | [`Estimated`](ModeTuning::Estimated) | any list | ≤ 5 | within a few % of `Exhaustive` at a fraction of the cost |
+/// | [`Estimated`](ModeTuning::Estimated) | any list | ≤ 4 | within a few % of `Exhaustive` at a fraction of the cost |
+///
+/// Every policy's trials run on the codec's stage-level trial engine
+/// (`szhi_codec::trial`): a stage prefix several candidates share runs
+/// once, and a trial whose final Huffman or rANS stage provably cannot win
+/// ends before it. So a started trial is not always a full encode, and the
+/// choice is the one full encodes would make.
 ///
 /// In every policy the configured [`SzhiConfig::mode`] is implicitly the
 /// first candidate, so ties break toward it and the output is
@@ -91,10 +97,13 @@ pub enum ModeTuning {
     /// paper's synergistic design points at. Costs one extra encode per
     /// chunk at compression time; decompression is unaffected.
     PerChunk,
-    /// Trial-encode every candidate pipeline on every chunk and keep the
-    /// smallest payload. This finds the true per-chunk optimum over the
-    /// candidate list, but its tuning cost scales linearly with the list —
-    /// over [`PipelineSpec::fig6_set`] that is 18 full encodes per chunk.
+    /// Trial every candidate pipeline on every chunk and keep the smallest
+    /// payload. This finds the true per-chunk optimum over the candidate
+    /// list, but its tuning cost scales with the list — over
+    /// [`PipelineSpec::fig6_set`] that is 18 trials started per chunk.
+    /// Shared stage prefixes run once and floors end some trials before
+    /// their final entropy stage, but every trial without a final entropy
+    /// stage still runs in full.
     /// [`SzhiConfig::mode`] is prepended as the tie-winning first
     /// candidate. Prefer [`ModeTuning::Estimated`] unless the exact
     /// optimum is worth the wall-time (it is the ground truth the
@@ -107,13 +116,13 @@ pub enum ModeTuning {
     /// Estimate every candidate's output size from a deterministic sample
     /// of the chunk's codes using the `szhi-tuner` stage-aware cost models
     /// (code histogram → Huffman/ANS entropy bound, zero-run density →
-    /// RRE/RZE gain, byte-range occupancy → TCMS/BIT viability), then
-    /// trial-encode only the estimated best few (plus the configured
-    /// default). The chosen payload is always a real encode and never
-    /// worse than [`SzhiConfig::mode`]'s; across the
+    /// RRE/RZE gain, byte-range occupancy → TCMS/BIT viability), in one
+    /// pass over the sample, then trial only the estimated best few (plus
+    /// the configured default). The chosen payload is always a real encode
+    /// and never worse than [`SzhiConfig::mode`]'s; across the
     /// [`PipelineSpec::fig6_set`] candidate list it lands within a few
-    /// percent of [`ModeTuning::Exhaustive`] while running ~4× fewer full
-    /// encodes.
+    /// percent of [`ModeTuning::Exhaustive`] while starting at most 4 of
+    /// the 18 trials.
     Estimated {
         /// The candidate pipelines (deduplicated; the configured mode is
         /// implicitly first).

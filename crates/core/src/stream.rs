@@ -366,6 +366,8 @@ impl ChunkEncoder {
             let _span = crate::telemetry::ENCODE_ENTROPY.enter();
             // szhi-analyzer: allow(steady-alloc) -- known per-chunk cost: each trial encode returns a fresh payload buffer; not yet scratch-routed
             let selection = szhi_tuner::select_pipeline(&self.candidates, codes, &self.params)?;
+            crate::telemetry::TUNER_TRIALS.bump(selection.trial_encoded as u64);
+            crate::telemetry::TUNER_TRIALS_CUT.bump(selection.trials_cut as u64);
             // Telemetry: the estimator's predicted size for the winner next
             // to the size it actually produced. Trial selections carry no
             // estimate and record nothing.

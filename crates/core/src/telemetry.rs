@@ -82,6 +82,16 @@ pub(crate) static JOBS_CANCELLED: Counter = Counter::new("jobs.cancelled");
 /// Jobs that ended with an error other than cancellation.
 pub(crate) static JOBS_FAILED: Counter = Counter::new("jobs.failed");
 
+// --- tuner trials ----------------------------------------------------------
+
+/// Candidate pipelines whose trial started, summed over every chunk's
+/// selection (every policy, `Global`'s single candidate included).
+pub(crate) static TUNER_TRIALS: Counter = Counter::new("tuner.trials");
+/// Trials that a floor ended before their final entropy stage, because the
+/// histogram of that stage's input proved it could not beat the best
+/// payload so far.
+pub(crate) static TUNER_TRIALS_CUT: Counter = Counter::new("tuner.trials_cut");
+
 // --- tuner estimated-vs-actual ---------------------------------------------
 
 /// The estimator's predicted compressed size for each chunk's winning

@@ -29,6 +29,8 @@
 //! byte-reproducible at any thread count.
 
 use crate::stats::CodeStats;
+use std::sync::OnceLock;
+use szhi_codec::trial::PrefixOutputs;
 use szhi_codec::{PipelineSpec, Stage, StageSpec};
 
 /// One pipeline's estimated output size.
@@ -58,8 +60,169 @@ pub struct SizeEstimate {
 /// assert!(est.bytes < 20_000.0);
 /// ```
 pub fn estimate_size(spec: PipelineSpec, sample: &[u8], full_len: usize) -> SizeEstimate {
-    // The constant skeleton: headers and tables that do not scale with the
-    // input. Encoding an empty stream measures it exactly.
+    estimate_sizes(&[spec], sample, full_len)[0]
+}
+
+/// [`estimate_size`] of every spec in `specs`, in one pass over the
+/// sample: a stage prefix that several specs start with runs on the sample
+/// once, each stage output feeding an entropy stage is summarised by
+/// [`CodeStats`] once, and each spec's constant skeleton is measured once
+/// per process. Every estimate is bit for bit the one [`estimate_size`]
+/// gives for its spec alone.
+pub fn estimate_sizes(specs: &[PipelineSpec], sample: &[u8], full_len: usize) -> Vec<SizeEstimate> {
+    let mut outputs = PrefixOutputs::new(sample);
+    let mut models: Vec<(&'static [StageSpec], CodeStats)> = Vec::new();
+    let mut estimates = Vec::with_capacity(specs.len());
+    // The full stream is `scale`× the sampled one.
+    let scale =
+        (!sample.is_empty() && full_len != 0).then(|| full_len as f64 / sample.len() as f64);
+    for (i, &spec) in specs.iter().enumerate() {
+        let wanted = |prefix: &[StageSpec]| {
+            specs[i + 1..]
+                .iter()
+                .any(|later| later.stages().starts_with(prefix))
+        };
+        estimates.push(estimate_one(
+            spec,
+            &mut outputs,
+            &mut models,
+            &wanted,
+            scale,
+        ));
+        outputs.release(wanted);
+    }
+    estimates
+}
+
+/// One spec's estimate, reading stage outputs on the sample from `outputs`
+/// and the statistics of each entropy stage's input from `models`; `scale`
+/// is `None` for an empty sample or stream, which estimate the skeleton.
+fn estimate_one(
+    spec: PipelineSpec,
+    outputs: &mut PrefixOutputs<'_>,
+    models: &mut Vec<(&'static [StageSpec], CodeStats)>,
+    wanted: &dyn Fn(&[StageSpec]) -> bool,
+    scale: Option<f64>,
+) -> SizeEstimate {
+    let skeleton = Skeleton::of(spec);
+    let Some(scale) = scale else {
+        return SizeEstimate {
+            pipeline: spec,
+            bytes: skeleton.whole,
+            entropy_bounded: false,
+        };
+    };
+    let stages = spec.stages();
+
+    if let Some(k) = stages.iter().position(StageSpec::is_entropy_coder) {
+        // Component stages ahead of the entropy coder run on the sample so
+        // their run/occupancy effects reach the histogram.
+        let model = &stages[..k];
+        let m = match models.iter().position(|(prefix, _)| *prefix == model) {
+            Some(m) => m,
+            None => {
+                let stats = CodeStats::from_codes(outputs.run(model, wanted));
+                models.push((model, stats));
+                models.len() - 1
+            }
+        };
+        let stats = &models[m].1;
+        // The histogram bound for the full stream at this stage (the
+        // stream is `scale`× the sampled one with the same distribution).
+        // ANS approaches the Shannon entropy; Huffman is a prefix code
+        // that cannot spend less than one bit per symbol, so its bound is
+        // the exact cost of the canonical code built from the histogram.
+        let bound = match stages[k] {
+            StageSpec::Huffman => {
+                let book = szhi_codec::huffman::HuffmanBook::from_histogram(&stats.histogram);
+                book.encoded_bits(&stats.histogram) as f64 / 8.0 * scale
+            }
+            _ => stats.entropy_bound_bytes(stats.n as f64 * scale),
+        };
+        // Stages behind the entropy coder act on near-incompressible
+        // bytes; measure their net *payload* factor once on the sample.
+        // Constant parts (the entropy coder's table, the post stages'
+        // headers) are taken out of both sides first — they are already
+        // accounted for by the unscaled skeleton term, and leaving them
+        // in would multiply sample-level constants by the scale factor.
+        let entropy_out = outputs.run(&stages[..=k], wanted).len() as f64;
+        let payload_in = (entropy_out - skeleton.entropy).max(1.0);
+        let tail = outputs.run(stages, wanted).len() as f64;
+        let payload_out = (tail - skeleton.tail).max(0.0);
+        let post_factor = payload_out / payload_in;
+        SizeEstimate {
+            pipeline: spec,
+            bytes: bound * post_factor + skeleton.whole,
+            entropy_bounded: true,
+        }
+    } else {
+        // No entropy stage: the sampled reduction extrapolates linearly
+        // once the constant skeleton is taken out of the scaled term.
+        let model = outputs.run(stages, wanted).len() as f64;
+        SizeEstimate {
+            pipeline: spec,
+            bytes: (model - skeleton.whole).max(0.0) * scale + skeleton.whole,
+            entropy_bounded: false,
+        }
+    }
+}
+
+/// A spec's constant output parts: headers and tables that do not scale
+/// with the input. Encoding an empty stream measures them exactly, once
+/// per process.
+#[derive(Debug, Clone, Copy)]
+struct Skeleton {
+    /// The whole pipeline's output on an empty stream.
+    whole: f64,
+    /// Its first entropy stage's output on an empty stream (0 without one).
+    entropy: f64,
+    /// That output run through the stages behind the entropy stage.
+    tail: f64,
+}
+
+impl Skeleton {
+    fn of(spec: PipelineSpec) -> Skeleton {
+        static TABLE: OnceLock<Vec<Skeleton>> = OnceLock::new();
+        let table = TABLE.get_or_init(|| {
+            PipelineSpec::all()
+                .into_iter()
+                .map(Skeleton::measure)
+                .collect()
+        });
+        table[spec.id() as usize]
+    }
+
+    fn measure(spec: PipelineSpec) -> Skeleton {
+        let stages = spec.stages();
+        let (entropy, tail) = match stages.iter().position(StageSpec::is_entropy_coder) {
+            Some(k) => {
+                let mut out = stages[k].encode(&[]);
+                let entropy = out.len() as f64;
+                for stage in &stages[k + 1..] {
+                    out = stage.encode(&out);
+                }
+                (entropy, out.len() as f64)
+            }
+            None => (0.0, 0.0),
+        };
+        Skeleton {
+            whole: spec.encode(&[]).len() as f64,
+            entropy,
+            tail,
+        }
+    }
+}
+
+/// [`estimate_size`] as it was before [`estimate_sizes`] shared work
+/// across specs, kept as the reference the estimates must match bit for
+/// bit: every stage run on a fresh copy of the sample, the statistics and
+/// the skeleton measured per call.
+#[cfg(test)]
+pub(crate) fn estimate_size_reference(
+    spec: PipelineSpec,
+    sample: &[u8],
+    full_len: usize,
+) -> SizeEstimate {
     let skeleton = spec.encode(&[]).len() as f64;
     if sample.is_empty() || full_len == 0 {
         return SizeEstimate {
@@ -70,19 +233,11 @@ pub fn estimate_size(spec: PipelineSpec, sample: &[u8], full_len: usize) -> Size
     }
     let scale = full_len as f64 / sample.len() as f64;
     let stages = spec.stages();
-
     if let Some(k) = stages.iter().position(StageSpec::is_entropy_coder) {
-        // Component stages ahead of the entropy coder: apply them to the
-        // sample so their run/occupancy effects reach the histogram.
         let mut model = sample.to_vec();
         for stage in &stages[..k] {
             model = stage.encode(&model);
         }
-        // The histogram bound for the full stream at this stage (the
-        // stream is `scale`× the sampled one with the same distribution).
-        // ANS approaches the Shannon entropy; Huffman is a prefix code
-        // that cannot spend less than one bit per symbol, so its bound is
-        // the exact cost of the canonical code built from the histogram.
         let stats = CodeStats::from_codes(&model);
         let bound = match stages[k] {
             StageSpec::Huffman => {
@@ -91,12 +246,6 @@ pub fn estimate_size(spec: PipelineSpec, sample: &[u8], full_len: usize) -> Size
             }
             _ => stats.entropy_bound_bytes(model.len() as f64 * scale),
         };
-        // Stages behind the entropy coder act on near-incompressible
-        // bytes; measure their net *payload* factor once on the sample.
-        // Constant parts (the entropy coder's table, the post stages'
-        // headers) are taken out of both sides first — they are already
-        // accounted for by the unscaled skeleton term, and leaving them
-        // in would multiply sample-level constants by the scale factor.
         let entropy_out = stages[k].encode(&model);
         let mut entropy_skeleton = stages[k].encode(&[]);
         let payload_in = (entropy_out.len() as f64 - entropy_skeleton.len() as f64).max(1.0);
@@ -113,8 +262,6 @@ pub fn estimate_size(spec: PipelineSpec, sample: &[u8], full_len: usize) -> Size
             entropy_bounded: true,
         }
     } else {
-        // No entropy stage: the sampled reduction extrapolates linearly
-        // once the constant skeleton is taken out of the scaled term.
         let mut model = sample.to_vec();
         for stage in stages {
             model = stage.encode(&model);
@@ -248,6 +395,41 @@ mod tests {
             let est = estimate_size(spec, &[], 0);
             let skeleton = spec.encode(&[]).len() as f64;
             assert_eq!(est.bytes, skeleton, "{spec}");
+        }
+    }
+
+    #[test]
+    fn one_pass_estimates_are_bit_identical_to_the_reference() {
+        let all = PipelineSpec::fig6_set();
+        let mut shuffled: Vec<PipelineSpec> = all.iter().rev().copied().collect();
+        shuffled.extend([PipelineSpec::Hf, PipelineSpec::Zstd, PipelineSpec::CR]);
+        shuffled.swap(2, 11);
+        for (label, codes) in [
+            ("quant-like", quant_like(120_000, 7)),
+            ("uniform", uniform(120_000, 11)),
+            ("runs", runs(120_000)),
+            ("zero-heavy", zero_heavy(120_000, 13)),
+            ("short", quant_like(3_000, 17)),
+        ] {
+            let sample = sample_codes(&codes, 8192, 16);
+            for (len, sample) in [(codes.len(), &sample[..]), (0, &sample[..]), (5, &[][..])] {
+                for specs in [&all, &shuffled] {
+                    let batch = estimate_sizes(specs, sample, len);
+                    for (&spec, est) in specs.iter().zip(&batch) {
+                        let want = estimate_size_reference(spec, sample, len);
+                        let alone = estimate_size(spec, sample, len);
+                        for got in [est, &alone] {
+                            assert_eq!(got.pipeline, want.pipeline, "{label}");
+                            assert_eq!(
+                                got.bytes.to_bits(),
+                                want.bytes.to_bits(),
+                                "{label}: {spec}"
+                            );
+                            assert_eq!(got.entropy_bounded, want.entropy_bounded, "{label}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -18,11 +18,14 @@
 //!    sample itself — their zero-run and occupancy effects propagate
 //!    exactly — while entropy-coder stages (Huffman/ANS) are closed with
 //!    the histogram → entropy bound, which needs no encode at all;
+//!    [`estimate::estimate_sizes`] estimates a whole candidate list in one
+//!    pass over the sample, running each shared stage prefix once;
 //! 4. [`select::select_pipeline`] ranks the full candidate list by
-//!    estimated size and trial-encodes only a short refinement list (the
-//!    estimated top few plus the configured default), so the chosen
-//!    payload is always a *real* encode and never worse than the default
-//!    mode — at a fraction of the exhaustive trial-encode cost.
+//!    estimated size and trials only a short refinement list (the
+//!    estimated top few plus the configured default) on the codec's
+//!    stage-level trial engine, so the chosen payload is always a *real*
+//!    encode and never worse than the default mode — at a fraction of the
+//!    exhaustive trial-encode cost.
 //!
 //! The same per-chunk philosophy applies to the lossy side:
 //! [`interp::tune_chunk_interp`] scores the standard per-level
@@ -31,8 +34,9 @@
 //! predictor configuration (carried by the v5 container's config
 //! dictionary in `szhi-core`).
 //!
-//! Everything in this crate is a pure function of its inputs — no RNG, no
-//! global state — so orchestration decisions are byte-reproducible at any
+//! Everything in this crate is a pure function of its inputs — no RNG,
+//! and no global state but a table of each pipeline's constant output
+//! sizes — so orchestration decisions are byte-reproducible at any
 //! worker-thread count.
 
 #![deny(missing_docs)]
@@ -44,7 +48,7 @@ pub mod sample;
 pub mod select;
 pub mod stats;
 
-pub use estimate::{estimate_size, SizeEstimate};
+pub use estimate::{estimate_size, estimate_sizes, SizeEstimate};
 pub use interp::{tune_chunk_interp, tune_chunk_interp_with_report};
 pub use sample::sample_codes;
 pub use select::{select_pipeline, SelectParams, Selection};

@@ -2,16 +2,23 @@
 //!
 //! [`select_pipeline`] is the orchestration primitive `szhi-core`'s
 //! `ModeTuning::Estimated` runs per chunk: rank every candidate by the
-//! sampled cost model, then trial-encode only a short refinement list and
-//! keep the genuinely smallest payload. The chosen payload is therefore
-//! always a *real* encode — the estimator only decides which few encodes
-//! are worth running — and because the configured default (the first
-//! candidate) is always refined, the selection can never be worse than
-//! the default mode.
+//! sampled cost model, then trial a short refinement list on the chunk's
+//! codes and keep the genuinely smallest payload. The chosen payload is
+//! therefore always a *real* encode — the estimator only decides which few
+//! trials are worth running — and because the configured default (the
+//! first candidate) is always refined, the selection can never be worse
+//! than the default mode.
+//!
+//! The estimates come from one pass over the sample
+//! ([`estimate_sizes`]), and the trials from the stage-level engine
+//! [`szhi_codec::trial::select`]: every refined candidate's trial *starts*,
+//! stage prefixes the candidates share run once, and a trial whose final
+//! Huffman or rANS stage provably cannot win ends before that stage, so
+//! fewer trials *complete* than start.
 
-use crate::estimate::estimate_size;
+use crate::estimate::estimate_sizes;
 use crate::sample::{sample_codes, DEFAULT_SEGMENTS};
-use szhi_codec::{CodecError, PipelineSpec};
+use szhi_codec::{trial, CodecError, PipelineSpec};
 
 /// Tunable knobs of the estimator-guided selection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,11 +27,11 @@ pub struct SelectParams {
     pub sample_budget: usize,
     /// Number of contiguous segments the sample is assembled from.
     pub segments: usize,
-    /// How many of the best-estimated candidates are trial-encoded in
-    /// full. The first candidate (the configured default) is always
-    /// refined in addition, so the real encode count per chunk is at most
-    /// `refine + 1` — against `candidates.len()` for exhaustive
-    /// trial-encoding.
+    /// How many of the best-estimated candidates are trialled. The first
+    /// candidate (the configured default) is always trialled in addition,
+    /// so at most `refine + 1` trials start per chunk — against
+    /// `candidates.len()` for exhaustive trialling — and at most that many
+    /// complete: a trial a floor cuts ends before its last stage.
     pub refine: usize,
 }
 
@@ -48,14 +55,16 @@ pub struct Selection {
     /// Every candidate's estimated size, in the order the candidates were
     /// given (after deduplication).
     pub estimates: Vec<(PipelineSpec, f64)>,
-    /// How many candidates were trial-encoded in full.
+    /// How many candidates' trials started.
     pub trial_encoded: usize,
+    /// How many of those trials a floor ended before their last stage.
+    pub trials_cut: usize,
 }
 
 /// Selects the lossless pipeline for `codes` from `candidates` using the
-/// sampled cost model, trial-encoding only the estimated best few (plus
-/// the first candidate, the caller's default). Ties among trial-encoded
-/// payloads break toward the earlier candidate, exactly like
+/// sampled cost model, trialling only the estimated best few (plus the
+/// first candidate, the caller's default). Ties among trialled payloads
+/// break toward the earlier candidate, exactly like
 /// [`PipelineSpec::try_encode_select`] — so with the default first, the
 /// choice is deterministic and never worse than the default mode.
 ///
@@ -73,7 +82,7 @@ pub struct Selection {
 ///     &SelectParams::default(),
 /// )
 /// .unwrap();
-/// // Far fewer full encodes than the 18-candidate exhaustive sweep…
+/// // Far fewer trials than the 18-candidate exhaustive sweep…
 /// assert!(sel.trial_encoded <= 4);
 /// // …and the payload is a real encode that round-trips.
 /// assert_eq!(sel.pipeline.decode_bounded(&sel.payload, codes.len()).unwrap(), codes);
@@ -97,46 +106,37 @@ pub fn select_pipeline(
         ));
     }
     let refine = params.refine.max(1);
-    if cands.len() <= refine + 1 {
-        // Estimation cannot save an encode: trial the whole (small) set.
-        let (pipeline, payload) = PipelineSpec::try_encode_select(&cands, codes)?;
-        let trial_encoded = cands.len();
-        return Ok(Selection {
-            pipeline,
-            payload,
-            estimates: Vec::new(),
-            trial_encoded,
-        });
-    }
-
-    let sample = sample_codes(codes, params.sample_budget, params.segments);
-    let estimates: Vec<(PipelineSpec, f64)> = cands
-        .iter()
-        .map(|&spec| (spec, estimate_size(spec, &sample, codes.len()).bytes))
-        .collect();
-
-    // Rank by estimate; `total_cmp` plus the candidate index keeps the
-    // order fully deterministic even on exactly equal estimates.
-    let mut ranked: Vec<usize> = (0..cands.len()).collect();
-    ranked.sort_by(|&a, &b| estimates[a].1.total_cmp(&estimates[b].1).then(a.cmp(&b)));
-
-    // The refinement list: the estimated top `refine`, plus the default
-    // (candidate 0) as a floor. Re-sorted into candidate order so the
-    // first-wins tie-break of `try_encode_select` still prefers the
-    // default over an equally sized challenger.
-    let mut shortlist: Vec<usize> = ranked[..refine].to_vec();
-    if !shortlist.contains(&0) {
-        shortlist.push(0);
-    }
-    shortlist.sort_unstable();
-    let shortlist: Vec<PipelineSpec> = shortlist.into_iter().map(|i| cands[i]).collect();
-    let trial_encoded = shortlist.len();
-    let (pipeline, payload) = PipelineSpec::try_encode_select(&shortlist, codes)?;
+    let (shortlist, estimates) = if cands.len() <= refine + 1 {
+        // Estimation cannot save a trial: trial the whole (small) set.
+        (cands, Vec::new())
+    } else {
+        let sample = sample_codes(codes, params.sample_budget, params.segments);
+        let estimates: Vec<(PipelineSpec, f64)> = estimate_sizes(&cands, &sample, codes.len())
+            .into_iter()
+            .map(|est| (est.pipeline, est.bytes))
+            .collect();
+        // Rank by estimate; `total_cmp` plus the candidate index keeps the
+        // order fully deterministic even on exactly equal estimates.
+        let mut ranked: Vec<usize> = (0..cands.len()).collect();
+        ranked.sort_by(|&a, &b| estimates[a].1.total_cmp(&estimates[b].1).then(a.cmp(&b)));
+        // The refinement list: the estimated top `refine`, plus the default
+        // (candidate 0) as a floor. Re-sorted into candidate order so the
+        // earliest-wins tie-break still prefers the default over an equally
+        // sized challenger.
+        let mut shortlist: Vec<usize> = ranked[..refine].to_vec();
+        if !shortlist.contains(&0) {
+            shortlist.push(0);
+        }
+        shortlist.sort_unstable();
+        (shortlist.into_iter().map(|i| cands[i]).collect(), estimates)
+    };
+    let outcome = trial::select(&shortlist, codes)?;
     Ok(Selection {
-        pipeline,
-        payload,
+        pipeline: outcome.pipeline,
+        payload: outcome.payload,
         estimates,
-        trial_encoded,
+        trial_encoded: outcome.started,
+        trials_cut: outcome.cut,
     })
 }
 
@@ -158,6 +158,123 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// [`select_pipeline`] before the one-pass estimates and the trial
+    /// engine, kept as the reference: each estimate from
+    /// `estimate_size_reference`, and every shortlisted candidate encoded
+    /// in full, in list order, the strictly smaller payload kept.
+    fn select_pipeline_reference(
+        candidates: &[PipelineSpec],
+        codes: &[u8],
+        params: &SelectParams,
+    ) -> (PipelineSpec, Vec<u8>, Vec<(PipelineSpec, f64)>, usize) {
+        let mut cands: Vec<PipelineSpec> = Vec::new();
+        for &c in candidates {
+            if !cands.contains(&c) {
+                cands.push(c);
+            }
+        }
+        let refine = params.refine.max(1);
+        let (shortlist, estimates) = if cands.len() <= refine + 1 {
+            (cands, Vec::new())
+        } else {
+            let sample = sample_codes(codes, params.sample_budget, params.segments);
+            let estimates: Vec<(PipelineSpec, f64)> = cands
+                .iter()
+                .map(|&spec| {
+                    let est = crate::estimate::estimate_size_reference(spec, &sample, codes.len());
+                    (spec, est.bytes)
+                })
+                .collect();
+            let mut ranked: Vec<usize> = (0..cands.len()).collect();
+            ranked.sort_by(|&a, &b| estimates[a].1.total_cmp(&estimates[b].1).then(a.cmp(&b)));
+            let mut shortlist: Vec<usize> = ranked[..refine].to_vec();
+            if !shortlist.contains(&0) {
+                shortlist.push(0);
+            }
+            shortlist.sort_unstable();
+            (shortlist.into_iter().map(|i| cands[i]).collect(), estimates)
+        };
+        let mut best: Option<(PipelineSpec, Vec<u8>)> = None;
+        for &spec in &shortlist {
+            let payload = spec.encode(codes);
+            if best.as_ref().is_none_or(|(_, b)| payload.len() < b.len()) {
+                best = Some((spec, payload));
+            }
+        }
+        let (pipeline, payload) = best.unwrap();
+        (pipeline, payload, estimates, shortlist.len())
+    }
+
+    #[test]
+    fn selection_matches_the_reference_bit_for_bit() {
+        let all = PipelineSpec::fig6_set();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(71);
+        let mut lists = vec![all.clone(), all.iter().rev().copied().collect()];
+        let mut with_dups = all.clone();
+        with_dups.extend_from_slice(&all[3..9]);
+        with_dups.swap(0, 5);
+        lists.push(with_dups);
+        for _ in 0..6 {
+            let mut list: Vec<PipelineSpec> =
+                all.iter().copied().filter(|_| rng.gen::<bool>()).collect();
+            list.push(all[rng.gen_range(0..all.len())]);
+            for i in (1..list.len()).rev() {
+                list.swap(i, rng.gen_range(0..=i));
+            }
+            lists.push(list);
+        }
+        let streams = [
+            ("quant-like", quant_like(60_000, 61)),
+            ("zero-heavy", {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(67);
+                (0..60_000usize)
+                    .map(|_| {
+                        if rng.gen::<f64>() < 0.97 {
+                            0u8
+                        } else {
+                            rng.gen()
+                        }
+                    })
+                    .collect()
+            }),
+            (
+                "runs",
+                (0..60_000usize).map(|i| (i / 64 % 5) as u8 * 51).collect(),
+            ),
+            (
+                "uniform",
+                (0..40_000usize).map(|_| rng.gen::<u8>()).collect(),
+            ),
+        ];
+        let params = [
+            SelectParams::default(),
+            SelectParams {
+                refine: 1,
+                ..SelectParams::default()
+            },
+            SelectParams {
+                refine: 18,
+                ..SelectParams::default()
+            },
+        ];
+        for (label, codes) in &streams {
+            for list in &lists {
+                for params in &params {
+                    let sel = select_pipeline(list, codes, params).unwrap();
+                    let (pipeline, payload, estimates, trials) =
+                        select_pipeline_reference(list, codes, params);
+                    assert_eq!(sel.pipeline, pipeline, "{label}: {list:?}");
+                    assert!(sel.payload == payload, "{label}: {list:?}");
+                    assert_eq!(sel.trial_encoded, trials, "{label}: {list:?}");
+                    let bits = |e: &[(PipelineSpec, f64)]| -> Vec<(PipelineSpec, u64)> {
+                        e.iter().map(|&(p, b)| (p, b.to_bits())).collect()
+                    };
+                    assert_eq!(bits(&sel.estimates), bits(&estimates), "{label}");
+                }
+            }
+        }
     }
 
     #[test]
