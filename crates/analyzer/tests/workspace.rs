@@ -95,7 +95,7 @@ fn the_walks_keep_the_edges_arity_once_dropped() {
         (("locate_table", None), ("read_leading_table", None)),
         (("locate_table", None), ("read_trailing_table", None)),
         (
-            ("reconstruct", None),
+            ("decode_into", Some("StreamIndex")),
             ("decompress_into", Some("InterpPredictor")),
         ),
         (

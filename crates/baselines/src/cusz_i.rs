@@ -9,11 +9,12 @@
 
 use crate::stream::{read_header, write_header};
 use crate::Compressor;
-use szhi_codec::bitio::{put_f32, put_u64, put_u8};
+use szhi_codec::bitio::put_u8;
 use szhi_codec::PipelineSpec;
+use szhi_core::format::{read_chunk_sections, write_sections};
 use szhi_core::{ErrorBound, SzhiError};
 use szhi_ndgrid::Grid;
-use szhi_predictor::{InterpConfig, InterpOutput, InterpPredictor, Outlier};
+use szhi_predictor::{InterpConfig, InterpOutput, InterpPredictor};
 
 const MAGIC: &[u8; 4] = b"CZI1";
 
@@ -34,18 +35,8 @@ fn compress_interp(
     let mut bytes = Vec::new();
     write_header(&mut bytes, MAGIC, data.dims(), abs_eb);
     put_u8(&mut bytes, use_bitcomp_flag);
-    put_u64(&mut bytes, out.anchors.len() as u64);
-    for &a in &out.anchors {
-        put_f32(&mut bytes, a);
-    }
-    put_u64(&mut bytes, out.outliers.len() as u64);
-    for o in &out.outliers {
-        put_u64(&mut bytes, o.index);
-        put_f32(&mut bytes, o.value);
-    }
     let payload = pipeline.encode(&out.codes);
-    put_u64(&mut bytes, payload.len() as u64);
-    bytes.extend_from_slice(&payload);
+    write_sections(&mut bytes, &out.anchors, &out.outliers, &payload);
     Ok(bytes)
 }
 
@@ -57,20 +48,7 @@ fn decompress_interp(bytes: &[u8], name: &str) -> Result<Grid<f32>, SzhiError> {
     } else {
         PipelineSpec::Hf
     };
-    let n_anchors = cur.get_u64().map_err(SzhiError::from)? as usize;
-    let mut anchors = Vec::with_capacity(n_anchors);
-    for _ in 0..n_anchors {
-        anchors.push(cur.get_f32().map_err(SzhiError::from)?);
-    }
-    let n_outliers = cur.get_u64().map_err(SzhiError::from)? as usize;
-    let mut outliers = Vec::with_capacity(n_outliers);
-    for _ in 0..n_outliers {
-        let index = cur.get_u64().map_err(SzhiError::from)?;
-        let value = cur.get_f32().map_err(SzhiError::from)?;
-        outliers.push(Outlier { index, value });
-    }
-    let payload_len = cur.get_u64().map_err(SzhiError::from)? as usize;
-    let payload = cur.take(payload_len).map_err(SzhiError::from)?;
+    let (anchors, outliers, payload) = read_chunk_sections(cur.take_rest())?;
     let codes = pipeline.decode_bounded(payload, dims.len())?;
     if codes.len() != dims.len() {
         return Err(SzhiError::InvalidStream(format!(

@@ -17,7 +17,7 @@
 use crate::stream::{read_header, write_header};
 use crate::Compressor;
 use rayon::prelude::*;
-use szhi_codec::bitio::{put_u64, BitReader, BitWriter};
+use szhi_codec::bitio::{put_u64, BitReader, WordWriter};
 use szhi_core::{ErrorBound, SzhiError};
 use szhi_ndgrid::{Dims, Grid};
 
@@ -232,19 +232,19 @@ fn transform(block: &mut [i64], forward: bool) {
 }
 
 /// Encodes one block into exactly `budget_bits` bits.
-fn encode_block(values: &[f32], budget_bits: usize, bw: &mut BitWriter) {
+fn encode_block(values: &[f32], budget_bits: usize, bw: &mut WordWriter) {
     let n = values.len();
     let start_bits = bw.bit_len();
     // Common exponent of the block.
     let max_abs = values.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
     if max_abs == 0.0 || !max_abs.is_finite() {
         // All-zero (or non-finite-free) block: a single flag, then padding.
-        bw.put_bits(0, 9);
+        bw.put(0, 9);
         pad_to(bw, start_bits + budget_bits);
         return;
     }
     let emax = max_abs.log2().floor() as i32;
-    bw.put_bits((emax + 256) as u64 + 1, 9); // +1 so 0 means "empty block"
+    bw.put((emax + 256) as u32 + 1, 9); // +1 so 0 means "empty block"
     let scale = 2f64.powi(PRECISION - 1 - emax);
     let mut q: Vec<i64> = values
         .iter()
@@ -254,23 +254,23 @@ fn encode_block(values: &[f32], budget_bits: usize, bw: &mut BitWriter) {
     let zz: Vec<u64> = q.iter().map(|&v| int_to_negabinary(v)).collect();
     // Highest occupied bit plane.
     let top = zz.iter().fold(0u32, |m, &v| m.max(64 - v.leading_zeros()));
-    bw.put_bits(top as u64, 6);
+    bw.put(top, 6);
     let mut remaining = budget_bits.saturating_sub(bw.bit_len() - start_bits);
     let mut plane = top;
     while plane > 0 && remaining >= n {
         plane -= 1;
         for &v in &zz {
-            bw.put_bit((v >> plane) & 1 == 1);
+            bw.put(((v >> plane) & 1) as u32, 1);
         }
         remaining -= n;
     }
     pad_to(bw, start_bits + budget_bits);
 }
 
-fn pad_to(bw: &mut BitWriter, target_bits: usize) {
+fn pad_to(bw: &mut WordWriter, target_bits: usize) {
     while bw.bit_len() < target_bits {
         let chunk = (target_bits - bw.bit_len()).min(32) as u32;
-        bw.put_bits(0, chunk);
+        bw.put(0, chunk);
     }
 }
 
@@ -339,7 +339,7 @@ impl Compressor for CuZfp {
             .into_par_iter()
             .map(|b| {
                 let values = lattice.gather(data.as_slice(), b);
-                let mut bw = BitWriter::with_capacity_bits(budget_bits + 16);
+                let mut bw = WordWriter::with_capacity_bits(budget_bits + 16);
                 encode_block(&values, budget_bits, &mut bw);
                 bw.finish()
             })
@@ -349,14 +349,14 @@ impl Compressor for CuZfp {
         write_header(&mut bytes, MAGIC, dims, 0.0);
         put_u64(&mut bytes, budget_bits as u64);
         // Re-pack the per-block byte chunks into one contiguous bit stream.
-        let mut bw = BitWriter::with_capacity_bits(budget_bits * lattice.len());
+        let mut bw = WordWriter::with_capacity_bits(budget_bits * lattice.len());
         for chunk in &chunks {
             let mut br = BitReader::new(chunk);
             let mut remaining = budget_bits;
             while remaining > 0 {
                 let take = remaining.min(32) as u32;
                 let v = br.get_bits(take).map_err(SzhiError::from)?;
-                bw.put_bits(v, take);
+                bw.put(v as u32, take);
                 remaining -= take as usize;
             }
         }

@@ -132,4 +132,22 @@ mod tests {
         assert_eq!(names.len(), 7);
         assert!(set.iter().all(|c| c.supports_error_bound()));
     }
+
+    #[test]
+    fn counts_past_the_stream_end_are_typed_errors() {
+        // A count read from the stream, far above the bytes present, must
+        // fail before it sizes an allocation: cuSZ-I's anchor count sits
+        // behind the 37-byte header and the flag byte, cuSZ-L's outlier
+        // count behind the header and the radius.
+        let g = DatasetKind::Nyx.generate(Dims::d3(16, 16, 16), 1);
+        for (c, at) in [(&CuszI as &dyn Compressor, 38), (&CuszL::default(), 45)] {
+            let mut bytes = c.compress(&g, ErrorBound::Relative(1e-2)).unwrap();
+            bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+            assert!(
+                matches!(c.decompress(&bytes), Err(SzhiError::InvalidStream(_))),
+                "{}: a count past the stream end was not a typed error",
+                c.name()
+            );
+        }
+    }
 }

@@ -82,10 +82,20 @@ pub fn write_int_outliers(out: &mut Vec<u8>, outliers: &[(u64, i64)]) {
     }
 }
 
-/// Inverse of [`write_int_outliers`].
+/// Inverse of [`write_int_outliers`]. The count is checked against the
+/// bytes left before anything is allocated, so a corrupt count is a typed
+/// error, not an allocation abort.
 pub fn read_int_outliers(cur: &mut ByteCursor<'_>) -> Result<Vec<(u64, i64)>, SzhiError> {
-    let n = cur.get_u64().map_err(SzhiError::from)? as usize;
-    let mut out = Vec::with_capacity(n);
+    let n = cur.get_u64().map_err(SzhiError::from)?;
+    if n.checked_mul(16)
+        .is_none_or(|bytes| bytes > cur.remaining() as u64)
+    {
+        return Err(SzhiError::InvalidStream(format!(
+            "outlier count {n} exceeds the {} bytes left in the stream",
+            cur.remaining()
+        )));
+    }
+    let mut out = Vec::with_capacity(n as usize);
     for _ in 0..n {
         let idx = cur.get_u64().map_err(SzhiError::from)?;
         let v = cur.get_u64().map_err(SzhiError::from)? as i64;

@@ -14,7 +14,7 @@
 //! expand by more than the per-block header. The other stand-ins for
 //! proprietary codecs are listed on [`crate::PipelineSpec`].
 
-use crate::bitio::{decode_capacity, put_u64, BitReader, BitWriter, ByteCursor};
+use crate::bitio::{decode_capacity, put_u64, BitReader, ByteCursor, WordWriter};
 use crate::CodecError;
 
 /// Bytes per packing block.
@@ -28,7 +28,7 @@ const BLOCK: usize = 4096;
 pub fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
     put_u64(&mut out, input.len() as u64);
-    let mut bw = BitWriter::with_capacity_bits(input.len() * 8 / 2);
+    let mut ww = WordWriter::with_capacity_bits(input.len() * 8 / 2);
     let mut prev_last = 0u8;
     for block in input.chunks(BLOCK) {
         // Delta + zig-zag within the block (seeded by the previous block's
@@ -47,21 +47,21 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
         let bits = if max == 0 { 0 } else { 8 - max.leading_zeros() };
         // A packed block costs 5 + bits·len bits; verbatim costs 1 + 8·len.
         if (bits as usize) < 8 {
-            bw.put_bit(false);
-            bw.put_bits(bits as u64, 4);
+            ww.put(0, 1);
+            ww.put(bits, 4);
             if bits > 0 {
                 for &zz in &deltas {
-                    bw.put_bits(zz as u64, bits);
+                    ww.put(zz as u32, bits);
                 }
             }
         } else {
-            bw.put_bit(true);
+            ww.put(1, 1);
             for &b in block {
-                bw.put_bits(b as u64, 8);
+                ww.put(b as u32, 8);
             }
         }
     }
-    out.extend_from_slice(&bw.finish());
+    out.extend_from_slice(&ww.finish());
     out
 }
 

@@ -2,13 +2,15 @@
 //!
 //! The Huffman coder, the fixed-length packers and several LC-style
 //! components all need to emit values that are not byte aligned. The
-//! [`BitWriter`]/[`BitReader`] pair implements MSB-first bit streams backed by
-//! a `Vec<u8>`, and the `put_*`/`get_*` helpers implement the little-endian
-//! integer fields used by every header in the workspace.
+//! [`WordWriter`]/[`BitReader`] pair implements MSB-first bit streams backed
+//! by a `Vec<u8>`, and the `put_*`/`get_*` helpers implement the
+//! little-endian integer fields used by every header in the workspace.
 
 use crate::CodecError;
 
-/// MSB-first bit stream writer.
+/// MSB-first bit stream writer, one byte at a time: the reference the
+/// differential tests hold [`WordWriter`] and the encoders built on it to.
+#[cfg(test)]
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     buf: Vec<u8>,
@@ -17,6 +19,7 @@ pub struct BitWriter {
     acc: u64,
 }
 
+#[cfg(test)]
 impl BitWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
@@ -78,13 +81,13 @@ impl BitWriter {
     }
 }
 
-/// MSB-first bit writer specialised for hot encode loops: bits accumulate
-/// in a `u64` word and are flushed to the output 32 bits at a time, so the
-/// per-symbol cost is one shift-or plus a single branch instead of
-/// [`BitWriter`]'s byte-at-a-time drain loop. Fields are limited to 32 bits
-/// per call (enough for every entropy-coder code in this workspace); the
-/// emitted byte stream is bit-for-bit identical to writing the same fields
-/// through [`BitWriter::put_bits`].
+/// The MSB-first bit writer: bits accumulate in a `u64` word and are
+/// flushed to the output 32 bits at a time, so the per-field cost is one
+/// shift-or plus a single branch instead of a byte-at-a-time drain loop.
+/// Fields are limited to 32 bits per call (enough for every field written
+/// in this workspace); the emitted byte stream is bit-for-bit identical to
+/// writing the same fields one byte at a time (the test-only `BitWriter`
+/// reference).
 #[derive(Debug, Default, Clone)]
 pub struct WordWriter {
     buf: Vec<u8>,

@@ -7,7 +7,7 @@
 //! works on `u32` values (the baselines' quantization codes are re-biased
 //! into unsigned space first).
 
-use crate::bitio::{decode_capacity, put_u32, put_u64, BitReader, BitWriter, ByteCursor};
+use crate::bitio::{decode_capacity, put_u32, put_u64, BitReader, ByteCursor, WordWriter};
 use crate::CodecError;
 
 /// Packs `values` in blocks of `block_len` values: each block stores a 6-bit
@@ -19,7 +19,7 @@ pub fn pack_u32(values: &[u32], block_len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() / 2 + 16);
     put_u64(&mut out, values.len() as u64);
     put_u32(&mut out, block_len as u32);
-    let mut bw = BitWriter::with_capacity_bits(values.len() * 8);
+    let mut ww = WordWriter::with_capacity_bits(values.len() * 8);
     for block in values.chunks(block_len) {
         let max = block.iter().copied().max().unwrap_or(0);
         let bits = if max == 0 {
@@ -27,14 +27,14 @@ pub fn pack_u32(values: &[u32], block_len: usize) -> Vec<u8> {
         } else {
             32 - max.leading_zeros()
         };
-        bw.put_bits(bits as u64, 6);
+        ww.put(bits, 6);
         if bits > 0 {
             for &v in block {
-                bw.put_bits(v as u64, bits);
+                ww.put(v, bits);
             }
         }
     }
-    out.extend_from_slice(&bw.finish());
+    out.extend_from_slice(&ww.finish());
     out
 }
 

@@ -26,7 +26,9 @@
 //! Decoding treats the payload as followed by zero bits, except that a code
 //! longer than 12 bits must end inside it.
 
-use crate::bitio::{put_u64, BitReader, BitWriter, ByteCursor, WordWriter};
+#[cfg(test)]
+use crate::bitio::BitWriter;
+use crate::bitio::{put_u64, BitReader, ByteCursor, WordWriter};
 use crate::histogram::byte_histogram;
 use crate::CodecError;
 
@@ -275,9 +277,9 @@ pub(crate) fn encode_counted(data: &[u8], hist: &[u64; 256]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 256);
     put_u64(&mut out, data.len() as u64);
     // Pack the 256 code lengths, 6 bits each (MAX_CODE_LEN ≤ 63).
-    let mut lw = BitWriter::with_capacity_bits(256 * 6);
+    let mut lw = WordWriter::with_capacity_bits(256 * 6);
     for s in 0..256 {
-        lw.put_bits(book.lengths[s] as u64, 6);
+        lw.put(book.lengths[s], 6);
     }
     out.extend_from_slice(&lw.finish());
     let table = book.packed_table();

@@ -1,12 +1,16 @@
 //! The end-to-end cuSZ-Hi compression and decompression pipelines.
 //!
 //! Both batch engines run the one per-chunk encode chain of
-//! [`crate::stream`] (predict → reorder → lossless stages → frame):
+//! [`crate::stream`] (predict → reorder → lossless stages → frame), and
+//! [`decompress`] reads every container back through its one chunk-decode
+//! step (lossless stages → restore → reconstruct):
 //!
 //! * the **monolithic** engine treats the whole grid as a one-chunk plan —
 //!   global pipeline mode, no per-chunk tuning — and frames the body with
-//!   the v1 header. A chunk never leaves its thread, so this engine is
-//!   single-threaded by design; set a chunk span to use cores;
+//!   the v1 header; [`decompress`] reads it as a one-chunk index. The chunk
+//!   never leaves the calling thread, so only the planes of its large
+//!   interpolation levels spread over the pool; set a chunk span to use
+//!   cores for the rest;
 //! * the **chunked** engine ([`compress_chunked`]) splits the grid into
 //!   independent anchor-aligned chunks ([`szhi_ndgrid::ChunkPlan`]) and
 //!   hands the whole field to a [`StreamSink`] over a `Vec`, which encodes
@@ -25,17 +29,15 @@
 use crate::config::{ErrorBound, ModeTuning, PipelineMode, SzhiConfig};
 use crate::error::SzhiError;
 use crate::format::{
-    locate_table, read_chunk_sections, read_chunk_table, read_stream, stream_version, write_header,
-    Header, VERSION,
+    locate_table, monolithic_index, read_chunk_table, stream_version, write_header, StreamIndex,
+    VERSION,
 };
-use crate::stream::{checked_plan, ChunkEncoder, DecodeScratch, EncodeScratch, StreamSink};
+use crate::stream::{checked_plan, ChunkEncoder, EncodeScratch, StreamSink};
 use rayon::prelude::*;
 use std::io::Cursor;
 use std::sync::{Mutex, PoisonError};
-use szhi_codec::PipelineSpec;
-use szhi_ndgrid::{ChunkPlan, Dims, Grid, Region};
+use szhi_ndgrid::{ChunkPlan, Grid, Region};
 use szhi_predictor::autotune;
-use szhi_predictor::{InterpConfig, InterpOutput, InterpPredictor, LevelOrder};
 
 /// Statistics of one compression run, returned by [`compress_with_stats`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -182,15 +184,24 @@ fn resolve(data: &Grid<f32>, cfg: &SzhiConfig) -> Result<SzhiConfig, SzhiError> 
 /// against their checksums first and v5 chunks decoded with their own
 /// per-chunk predictor configuration).
 ///
-/// A chunked stream decodes into the output: each worker reconstructs a
-/// chunk into its own reused scratch and copies it into the field, so the
-/// decode holds the field plus one chunk per worker. A corrupt stream
-/// reports its lowest-index failing chunk, at every thread count.
+/// Every stream decodes through the one chunk-decode step; a v1 stream is
+/// a single chunk covering the whole field. A one-chunk stream decodes on
+/// the calling thread, so the planes of its large levels spread over the
+/// pool. A multi-chunk stream decodes into the output: each worker
+/// reconstructs a chunk into its own reused scratch and copies it into the
+/// field, so the decode holds the field plus one chunk per worker. A
+/// corrupt stream reports its lowest-index failing chunk, at every thread
+/// count.
 pub fn decompress(bytes: &[u8]) -> Result<Grid<f32>, SzhiError> {
-    if stream_version(bytes)? == VERSION {
-        return decompress_monolithic(bytes);
+    let index = if stream_version(bytes)? == VERSION {
+        monolithic_index(bytes)?
+    } else {
+        locate_table(&mut Cursor::new(bytes))?
+    };
+    if index.chunk_count() == 1 {
+        let body = index.table.entry_slice(bytes, 0)?.1;
+        return StreamIndex::decode(&index, 0, body).map(|(_, field)| field);
     }
-    let index = locate_table(&mut Cursor::new(bytes))?;
     // Allocated only once the header and the table are validated. A chunk's
     // insert, one copy under the lock, is far shorter than its decode.
     let out = Mutex::new(Grid::zeros(index.dims()));
@@ -224,7 +235,9 @@ pub fn decompress(bytes: &[u8]) -> Result<Grid<f32>, SzhiError> {
 /// assert_eq!(region.z0(), 32); // the second chunk along z
 /// ```
 pub fn decompress_chunk(bytes: &[u8], index: usize) -> Result<(Region, Grid<f32>), SzhiError> {
-    locate_table(&mut Cursor::new(bytes))?.decode_slice(bytes, index)
+    let stream = locate_table(&mut Cursor::new(bytes))?;
+    stream.entry(index)?;
+    StreamIndex::decode(&stream, index, stream.table.entry_slice(bytes, index)?.1)
 }
 
 /// Number of chunks of any chunk-bearing container (v2 chunked, v3
@@ -232,98 +245,6 @@ pub fn decompress_chunk(bytes: &[u8], index: usize) -> Result<(Region, Grid<f32>
 pub fn chunk_count(bytes: &[u8]) -> Result<usize, SzhiError> {
     let (_, table) = read_chunk_table(bytes)?;
     Ok(table.entries.len())
-}
-
-/// Decodes and reconstructs one chunk body (also the whole field of a v1
-/// stream, which is a single chunk in this sense) into `scratch.recon`,
-/// with the pipeline and interpolation configuration that encoded it — for
-/// v3+ streams the chunk's own table entry, which may differ from the
-/// header's global pipeline, and for v5 streams the chunk's dictionary
-/// config, which may differ from the header's interpolation levels.
-pub(crate) fn decompress_chunk_body(
-    header: &Header,
-    pipeline: PipelineSpec,
-    interp: &InterpConfig,
-    chunk_dims: Dims,
-    body: &[u8],
-    scratch: &mut DecodeScratch,
-) -> Result<(), SzhiError> {
-    let _span = crate::telemetry::DECODE_CHUNK.enter();
-    let (anchors, outliers, payload) = read_chunk_sections(body)?;
-    reconstruct(
-        header, pipeline, interp, chunk_dims, anchors, outliers, payload, scratch,
-    )
-}
-
-fn decompress_monolithic(bytes: &[u8]) -> Result<Grid<f32>, SzhiError> {
-    let (header, anchors, outliers, payload) = read_stream(bytes)?;
-    let interp = header.interp.clone();
-    // A local scratch: its planes are field-sized here, and the
-    // reconstruction becomes the returned grid.
-    let mut scratch = DecodeScratch::default();
-    reconstruct(
-        &header,
-        header.pipeline,
-        &interp,
-        header.dims,
-        anchors,
-        outliers,
-        payload,
-        &mut scratch,
-    )?;
-    Ok(Grid::from_vec(header.dims, scratch.recon))
-}
-
-/// The shared decode-restore-reconstruct tail of both engines: restores
-/// the codes into `scratch.codes` and reconstructs into `scratch.recon`.
-/// The predictor owns the consistency checks (anchor count, outlier
-/// completeness): a parseable-but-inconsistent stream surfaces as its typed
-/// error, mapped to [`SzhiError::InvalidStream`].
-#[allow(clippy::too_many_arguments)]
-fn reconstruct(
-    header: &Header,
-    pipeline: PipelineSpec,
-    interp: &InterpConfig,
-    dims: Dims,
-    anchors: Vec<f32>,
-    outliers: Vec<szhi_predictor::Outlier>,
-    payload: Vec<u8>,
-    scratch: &mut DecodeScratch,
-) -> Result<(), SzhiError> {
-    let codes = {
-        let _span = crate::telemetry::DECODE_ENTROPY.enter();
-        pipeline
-            .decode_bounded(&payload, dims.len())
-            .map_err(SzhiError::Codec)?
-    };
-    if codes.len() != dims.len() {
-        return Err(SzhiError::InvalidStream(format!(
-            "decoded {} quantization codes for a field of {} points",
-            codes.len(),
-            dims.len()
-        )));
-    }
-    let mut output = InterpOutput {
-        anchors,
-        codes,
-        outliers,
-    };
-    if header.reorder {
-        let _span = crate::telemetry::DECODE_REORDER.enter();
-        LevelOrder::new(dims, interp.anchor_stride)
-            // szhi-analyzer: allow(panic-reachability) -- `restore_into` length-checks `codes` against the field size and the walk visits every raster index exactly once, so its run slices are in bounds; corrupt inputs surface as its typed error (byte-flip fuzz suites cover this boundary)
-            .restore_into(&output.codes, &mut scratch.codes)
-            .map_err(|e| SzhiError::InvalidStream(e.to_string()))?;
-        // The restored plane goes to the predictor; the scratch keeps the
-        // decoded one's buffer for the next chunk.
-        std::mem::swap(&mut output.codes, &mut scratch.codes);
-    }
-    let _span = crate::telemetry::DECODE_PREDICT.enter();
-    let predictor = InterpPredictor::new(interp.clone())
-        .map_err(|e| SzhiError::InvalidStream(e.to_string()))?;
-    predictor
-        .decompress_into(dims, header.abs_eb, &output, &mut scratch.recon)
-        .map_err(|e| SzhiError::InvalidStream(e.to_string()))
 }
 
 /// Convenience: the mode name the paper uses for a configuration
@@ -376,7 +297,7 @@ mod tests {
 
         // Re-serialise with one anchor dropped.
         let (header, anchors, outliers, payload) = crate::format::read_stream(&bytes).unwrap();
-        let fewer = crate::format::legacy::write_v1(&header, &anchors[1..], &outliers, &payload);
+        let fewer = crate::format::legacy::write_v1(&header, &anchors[1..], &outliers, payload);
         assert!(
             matches!(decompress(&fewer), Err(SzhiError::InvalidStream(_))),
             "anchor count mismatch did not yield a typed error"
@@ -385,7 +306,7 @@ mod tests {
         // Re-serialise with the outlier records dropped while their codes
         // remain. (Skip if this field produced no outliers.)
         if !outliers.is_empty() {
-            let no_records = crate::format::legacy::write_v1(&header, &anchors, &[], &payload);
+            let no_records = crate::format::legacy::write_v1(&header, &anchors, &[], payload);
             assert!(
                 matches!(decompress(&no_records), Err(SzhiError::InvalidStream(_))),
                 "missing outlier records did not yield a typed error"
@@ -397,7 +318,7 @@ mod tests {
         assert!(!outliers.is_empty(), "the field must produce outliers");
         let mut duplicated = outliers.clone();
         duplicated.insert(0, duplicated[0]);
-        let duplicated = crate::format::legacy::write_v1(&header, &anchors, &duplicated, &payload);
+        let duplicated = crate::format::legacy::write_v1(&header, &anchors, &duplicated, payload);
         assert!(
             matches!(decompress(&duplicated), Err(SzhiError::InvalidStream(_))),
             "a duplicated outlier record did not yield a typed error"
@@ -413,7 +334,7 @@ mod tests {
                 value: 1.0,
             },
         );
-        let misplaced = crate::format::legacy::write_v1(&header, &anchors, &misplaced, &payload);
+        let misplaced = crate::format::legacy::write_v1(&header, &anchors, &misplaced, payload);
         assert!(
             matches!(decompress(&misplaced), Err(SzhiError::InvalidStream(_))),
             "an outlier record at a non-outlier code did not yield a typed error"

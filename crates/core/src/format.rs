@@ -410,11 +410,13 @@ fn checked_count(
     }
 }
 
-/// The sections of a parsed stream: header, anchors, outliers, payload.
-pub type StreamSections = (Header, Vec<f32>, Vec<Outlier>, Vec<u8>);
+/// The sections of a parsed stream: header, anchors, outliers, and the
+/// payload borrowed from the stream.
+pub type StreamSections<'a> = (Header, Vec<f32>, Vec<Outlier>, &'a [u8]);
 
-/// One section body: anchors, outliers, pipeline payload.
-pub type SectionBody = (Vec<f32>, Vec<Outlier>, Vec<u8>);
+/// One section body: anchors, outliers, and the pipeline payload borrowed
+/// from the body.
+pub type SectionBody<'a> = (Vec<f32>, Vec<Outlier>, &'a [u8]);
 
 /// Checks the magic and consumes the version byte.
 pub(crate) fn read_magic_version(cur: &mut ByteCursor<'_>) -> Result<u8, SzhiError> {
@@ -443,8 +445,17 @@ pub fn stream_version(bytes: &[u8]) -> Result<u8, SzhiError> {
     }
 }
 
-/// Parses a monolithic (v1) stream back into its header and sections.
-pub fn read_stream(bytes: &[u8]) -> Result<StreamSections, SzhiError> {
+/// Parses a monolithic (v1) stream back into its header and sections. The
+/// stream must end at its payload, as a chunk body must.
+pub fn read_stream(bytes: &[u8]) -> Result<StreamSections<'_>, SzhiError> {
+    let (header, body) = read_v1_header(bytes)?;
+    let (anchors, outliers, payload) = read_chunk_sections(body)?;
+    Ok((header, anchors, outliers, payload))
+}
+
+/// Parses the header of a monolithic (v1) stream, returning it with the
+/// section body behind it.
+fn read_v1_header(bytes: &[u8]) -> Result<(Header, &[u8]), SzhiError> {
     let mut cur = ByteCursor::new(bytes);
     let version = read_magic_version(&mut cur)?;
     if version != VERSION {
@@ -453,8 +464,7 @@ pub fn read_stream(bytes: &[u8]) -> Result<StreamSections, SzhiError> {
         )));
     }
     let header = read_header_fields(&mut cur)?;
-    let (anchors, outliers, payload) = read_sections(&mut cur)?;
-    Ok((header, anchors, outliers, payload))
+    Ok((header, cur.take_rest()))
 }
 
 /// Parses a per-level (scheme, spline) list of `n_levels` entries.
@@ -559,42 +569,36 @@ pub(crate) fn read_header_fields(cur: &mut ByteCursor<'_>) -> Result<Header, Szh
     })
 }
 
-/// Parses one anchor/outlier/payload section body (the v1 stream body; also
-/// the per-chunk body of every chunked container). Every untrusted count is
-/// validated against the bytes actually present before allocating: a
-/// corrupted count must produce a typed error, not an allocation abort or
-/// OOM.
-fn read_sections(cur: &mut ByteCursor<'_>) -> Result<SectionBody, SzhiError> {
-    let n_anchors = checked_count(cur, 4, "anchors")?;
+/// Parses one anchor/outlier/payload section body: the v1 stream body and
+/// the per-chunk body of every chunked container. The slice must contain
+/// exactly one section body (the chunk table's length field, or the end of
+/// a v1 stream, delimits it), so trailing bytes are rejected. Every
+/// untrusted count is validated against the bytes actually present before
+/// allocating: a corrupted count must produce a typed error, not an
+/// allocation abort or OOM. The payload is borrowed from `chunk`.
+pub fn read_chunk_sections(chunk: &[u8]) -> Result<SectionBody<'_>, SzhiError> {
+    let mut cur = ByteCursor::new(chunk);
+    let n_anchors = checked_count(&mut cur, 4, "anchors")?;
     let mut anchors = Vec::with_capacity(decode_capacity(n_anchors));
     for _ in 0..n_anchors {
         anchors.push(cur.get_f32().map_err(SzhiError::from)?);
     }
-    let n_outliers = checked_count(cur, 12, "outliers")?;
+    let n_outliers = checked_count(&mut cur, 12, "outliers")?;
     let mut outliers = Vec::with_capacity(decode_capacity(n_outliers));
     for _ in 0..n_outliers {
         let index = cur.get_u64().map_err(SzhiError::from)?;
         let value = cur.get_f32().map_err(SzhiError::from)?;
         outliers.push(Outlier { index, value });
     }
-    let payload_len = checked_count(cur, 1, "payload")?;
-    let payload = cur.take(payload_len).map_err(SzhiError::from)?.to_vec();
-    Ok((anchors, outliers, payload))
-}
-
-/// Parses one chunk body. The slice must contain exactly one section body
-/// (the chunk table's length field delimits it), so trailing bytes are
-/// rejected.
-pub fn read_chunk_sections(chunk: &[u8]) -> Result<SectionBody, SzhiError> {
-    let mut cur = ByteCursor::new(chunk);
-    let sections = read_sections(&mut cur)?;
+    let payload_len = checked_count(&mut cur, 1, "payload")?;
+    let payload = cur.take(payload_len).map_err(SzhiError::from)?;
     if cur.remaining() != 0 {
         return Err(SzhiError::InvalidStream(format!(
-            "{} trailing bytes after a chunk body",
+            "{} trailing bytes after a section body",
             cur.remaining()
         )));
     }
-    Ok(sections)
+    Ok((anchors, outliers, payload))
 }
 
 /// One entry of a parsed chunk table: the chunk's extent in the data area
@@ -1291,6 +1295,36 @@ pub(crate) fn locate_table<R: Read + Seek>(reader: &mut R) -> Result<StreamIndex
         Some(magic) => read_trailing_table(reader, &prefix, magic, stream_len)?,
     };
     Ok(prefix.into_index(table))
+}
+
+/// The one-chunk index of a monolithic (v1) stream, so that it decodes
+/// through the chunk-decode step of every other container: a whole-field
+/// plan and one entry, spanning the rest of the stream, with the header's
+/// pipeline and no checksum. Only [`crate::decompress`] builds one; every
+/// chunk-table reader keeps rejecting v1.
+pub(crate) fn monolithic_index(bytes: &[u8]) -> Result<StreamIndex, SzhiError> {
+    let (header, body) = read_v1_header(bytes)?;
+    let dims = header.dims;
+    let plan = ChunkPlan::new(dims, [dims.nz(), dims.ny(), dims.nx()]);
+    let entry = ChunkEntry {
+        offset: 0,
+        len: body.len(),
+        pipeline: header.pipeline,
+        config: None,
+        checksum: None,
+    };
+    let table = ChunkTable {
+        span: plan.span(),
+        entries: vec![entry],
+        data_start: bytes.len() - body.len(),
+        configs: Vec::new(),
+    };
+    Ok(StreamIndex {
+        version: VERSION,
+        header,
+        plan,
+        table,
+    })
 }
 
 /// [`locate_table`] for a forward-only reader. A leading table is validated
@@ -2459,6 +2493,23 @@ mod tests {
         body.push(0xAB);
         assert!(matches!(
             read_chunk_sections(&body),
+            Err(SzhiError::InvalidStream(msg)) if msg.contains("trailing")
+        ));
+
+        // A v1 stream's body is a section body too: it must end at the
+        // payload, through the parser and the decoder alike.
+        let field = szhi_ndgrid::Grid::from_fn(Dims::d3(8, 8, 8), |z, y, x| (x + y * z) as f32);
+        let cfg = crate::SzhiConfig::new(crate::ErrorBound::Absolute(1e-2));
+        let mut v1 = crate::compress(&field, &cfg).unwrap();
+        assert!(read_stream(&v1).is_ok());
+        assert!(crate::decompress(&v1).is_ok());
+        v1.push(0xAB);
+        assert!(matches!(
+            read_stream(&v1),
+            Err(SzhiError::InvalidStream(msg)) if msg.contains("trailing")
+        ));
+        assert!(matches!(
+            crate::decompress(&v1),
             Err(SzhiError::InvalidStream(msg)) if msg.contains("trailing")
         ));
     }

@@ -24,15 +24,18 @@
 //!   one `read_chunk` serves both of its [`Fetch`]es — seek-and-read
 //!   ([`StreamSource`]) and forward, off a pipe ([`ForwardSource`]). Every
 //!   fetched body, and every slice of an in-memory stream
-//!   ([`crate::decompress`]), passes one verify-and-decode step, which
-//!   checks the chunk's CRC32 *before* any lossless decoder touches the
-//!   bytes; corruption surfaces as the typed [`SzhiError::ChunkChecksum`].
-//!   The step reconstructs into a reused `DecodeScratch`, from which the
-//!   whole-field decodes copy each chunk straight into the output: one
-//!   scratch per pool worker in [`crate::decompress`], one per drain in
-//!   [`ChunkReader::read_all`] and the job service.
+//!   ([`crate::decompress`], whose v1 streams are one-chunk indexes),
+//!   passes one chunk-decode step, `StreamIndex::decode_into`. It checks
+//!   the chunk's CRC32 *before* any lossless decoder touches the bytes
+//!   (corruption surfaces as the typed [`SzhiError::ChunkChecksum`]), then
+//!   parses the sections with the payload borrowed from the body, decodes
+//!   the payload, restores the level order and reconstructs into a reused
+//!   `DecodeScratch`, from which the whole-field decodes copy each chunk
+//!   straight into the output: one scratch per pool worker in
+//!   [`crate::decompress`], one per drain in [`ChunkReader::read_all`] and
+//!   the job service.
 
-use crate::compressor::{decompress_chunk_body, CompressionStats};
+use crate::compressor::CompressionStats;
 use crate::config::{ErrorBound, ModeTuning, SzhiConfig};
 use crate::error::SzhiError;
 use crate::format::{
@@ -758,10 +761,14 @@ impl<W: Write> StreamSink<W> {
 /// they fetch a chunk's bytes.
 impl StreamIndex {
     /// The one per-chunk decode step: checks `body` — the fetched bytes of
-    /// chunk `index` — against the chunk's CRC32, then reconstructs the
-    /// sub-field into `scratch.recon` with the chunk's own pipeline and
-    /// interpolation configuration. Returns the chunk's region of the
-    /// original field.
+    /// chunk `index` — against the chunk's CRC32, then parses its sections
+    /// with the payload borrowed from `body`, decodes the payload with the
+    /// chunk's own pipeline, restores the level order and reconstructs the
+    /// sub-field into `scratch.recon` with the chunk's own interpolation
+    /// configuration. Returns the chunk's region of the original field. The
+    /// predictor owns the consistency checks (anchor count, outlier
+    /// completeness): a parseable-but-inconsistent body surfaces as its
+    /// typed error, mapped to [`SzhiError::InvalidStream`].
     pub(crate) fn decode_into(
         &self,
         index: usize,
@@ -770,21 +777,55 @@ impl StreamIndex {
     ) -> Result<Region, SzhiError> {
         let entry = self.entry(index)?;
         entry.verify(index, body)?;
-        decompress_chunk_body(
-            &self.header,
-            entry.pipeline,
-            &self.table.chunk_interp(&self.header, index),
-            self.plan.chunk_dims(index),
-            body,
-            scratch,
-        )?;
+        let _span = crate::telemetry::DECODE_CHUNK.enter();
+        let (anchors, outliers, payload) = format::read_chunk_sections(body)?;
+        let dims = self.plan.chunk_dims(index);
+        let codes = {
+            let _span = crate::telemetry::DECODE_ENTROPY.enter();
+            entry
+                .pipeline
+                .decode_bounded(payload, dims.len())
+                .map_err(SzhiError::Codec)?
+        };
+        if codes.len() != dims.len() {
+            return Err(SzhiError::InvalidStream(format!(
+                "decoded {} quantization codes for a field of {} points",
+                codes.len(),
+                dims.len()
+            )));
+        }
+        let mut output = InterpOutput {
+            anchors,
+            codes,
+            outliers,
+        };
+        let interp = self.table.chunk_interp(&self.header, index);
+        if self.header.reorder {
+            let _span = crate::telemetry::DECODE_REORDER.enter();
+            LevelOrder::new(dims, interp.anchor_stride)
+                // szhi-analyzer: allow(panic-reachability) -- `restore_into` length-checks `codes` against the field size and the walk visits every raster index exactly once, so its run slices are in bounds; corrupt inputs surface as its typed error (byte-flip fuzz suites cover this boundary)
+                .restore_into(&output.codes, &mut scratch.codes)
+                .map_err(|e| SzhiError::InvalidStream(e.to_string()))?;
+            // The restored plane goes to the predictor; the scratch keeps the
+            // decoded one's buffer for the next chunk.
+            std::mem::swap(&mut output.codes, &mut scratch.codes);
+        }
+        let _span = crate::telemetry::DECODE_PREDICT.enter();
+        InterpPredictor::new(interp)
+            .map_err(|e| SzhiError::InvalidStream(e.to_string()))?
+            .decompress_into(dims, self.header.abs_eb, &output, &mut scratch.recon)
+            .map_err(|e| SzhiError::InvalidStream(e.to_string()))?;
         Ok(self.plan.chunk_at(index))
     }
 
     /// [`StreamIndex::decode_into`] into a scratch of its own, whose
-    /// reconstruction becomes the returned grid: the random-access form,
-    /// which keeps no buffer once it returns.
-    pub(crate) fn verify_and_decode(
+    /// reconstruction becomes the returned grid: the form of random access
+    /// and of a one-chunk [`crate::decompress`], which keeps no buffer once
+    /// it returns and runs on the calling thread. Callers name it by path
+    /// (`StreamIndex::decode(&index, ..)`): `szhi-analyzer` links a method
+    /// call on an untyped receiver to every method of its name and arity,
+    /// and many types have a two-argument `decode`.
+    pub(crate) fn decode(
         &self,
         index: usize,
         body: &[u8],
@@ -795,17 +836,6 @@ impl StreamIndex {
             region,
             Grid::from_vec(self.plan.chunk_dims(index), scratch.recon),
         ))
-    }
-
-    /// Fetches chunk `index` as a slice of the in-memory stream `bytes` and
-    /// decodes it.
-    pub(crate) fn decode_slice(
-        &self,
-        bytes: &[u8],
-        index: usize,
-    ) -> Result<(Region, Grid<f32>), SzhiError> {
-        self.entry(index)?;
-        self.verify_and_decode(index, self.table.entry_slice(bytes, index)?.1)
     }
 
     /// The per-worker step of [`crate::decompress`]: decodes chunk `index`
@@ -1094,7 +1124,7 @@ impl<F: Fetch> ChunkReader<F> {
         }
         self.next = index + 1;
         let body = self.fetch.fetch(&self.index, index)?;
-        self.index.verify_and_decode(index, body)
+        StreamIndex::decode(&self.index, index, body)
     }
 
     /// Decodes the chunk after the last one read (chunk 0 at first), or

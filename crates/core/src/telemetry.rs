@@ -30,8 +30,9 @@ pub(crate) static ENCODE_CRC: Span = Span::new("encode.crc");
 
 // --- decode stage spans (per chunk) ---------------------------------------
 
-/// One whole chunk body through `decompress_chunk_body` (sections,
-/// entropy decode, restore, prediction).
+/// One whole chunk body through `StreamIndex::decode_into`, after its CRC
+/// check (sections, entropy decode, restore, prediction); a v1 stream is
+/// one chunk.
 pub(crate) static DECODE_CHUNK: Span = Span::new("decode.chunk");
 /// The bounded entropy decode of one chunk's payload.
 pub(crate) static DECODE_ENTROPY: Span = Span::new("decode.entropy");

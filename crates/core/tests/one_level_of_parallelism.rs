@@ -9,8 +9,9 @@
 //! thread: the `pool.tasks` counter does not move, even with four threads
 //! configured and the call coming from a thread that is not a pool worker
 //! (where the pool would accept a dispatch). A 64³ chunk pushed or read
-//! from such a thread spreads the planes of its stride-1 level over the
-//! pool. And since a chunk is a pure function of its sub-field and the
+//! from such a thread, and a 64³ monolithic field decoded by `decompress`
+//! (one chunk, decoded on the calling thread), spreads the planes of its
+//! stride-1 level over the pool. And since a chunk is a pure function of its sub-field and the
 //! configuration, the bytes are those of a 1-thread run either way.
 //!
 //! The thread count and the telemetry switch are process-global, so this
@@ -138,6 +139,24 @@ fn only_multi_chunk_drivers_dispatch_to_the_pool() {
         "monolithic bytes moved with the thread count"
     );
     assert_eq!(restored.dims(), field.dims());
+
+    let bits = |g: &Grid<f32>| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let cube = DatasetKind::Miranda.generate(Dims::d3(64, 64, 64), 42);
+    let cube_cfg = SzhiConfig::new(ErrorBound::Absolute(2e-3)).with_auto_tune(false);
+    rayon::set_num_threads(1);
+    let v1 = compress(&cube, &cube_cfg).unwrap();
+    let serial = decompress(&v1).unwrap();
+    rayon::set_num_threads(2);
+    let (restored, tasks) = pool_tasks(|| decompress(&v1).unwrap());
+    assert!(
+        tasks > 0,
+        "a 64³ v1 decode must spread its planes over the pool"
+    );
+    assert_eq!(
+        bits(&restored),
+        bits(&serial),
+        "the v1 decode moved with the thread count"
+    );
 
     szhi_telemetry::set_stats_enabled(false);
     rayon::set_num_threads(0);
