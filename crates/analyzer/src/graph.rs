@@ -673,8 +673,7 @@ impl RootPattern {
 /// `locate_table*` path behind it, every method of the one chunk reader
 /// (`ChunkReader`, its `StreamSource` and `ForwardSource` constructors and
 /// its two fetches) and of its metadata view (`StreamIndex`), the one
-/// checksum step (`ChunkEntry::verify`, and `ChunkTable::verified_chunk_slice`
-/// over it), `inspect::render`, every method of the job service and its
+/// checksum step (`ChunkEntry::verify`), `inspect::render`, every method of the job service and its
 /// handles, and the CLI's `run`. Only functions of the serving crates
 /// (`szhi-core`, `szhi-codec`, `szhi-cli` and the umbrella crate) count.
 pub const L6_ROOTS: &[RootPattern] = &[
@@ -691,7 +690,6 @@ pub const L6_ROOTS: &[RootPattern] = &[
     root(Some("ForwardFetch"), "*"),
     root(Some("StreamIndex"), "*"),
     root(Some("ChunkEntry"), "verify"),
-    root(Some("ChunkTable"), "verified_chunk_slice"),
     RootPattern {
         owner: None,
         name: "render",
@@ -735,7 +733,7 @@ fn roots_of(ws: &Workspace, patterns: &[RootPattern], serving_only: bool) -> Vec
 }
 
 /// The functions of `ws` matching [`L6_ROOTS`] inside the serving crates.
-pub fn l6_roots(ws: &Workspace) -> Vec<usize> {
+pub(crate) fn l6_roots(ws: &Workspace) -> Vec<usize> {
     roots_of(ws, L6_ROOTS, true)
 }
 
@@ -803,7 +801,7 @@ pub fn lint_decode_paths(ws: &Workspace, graph: &CallGraph) -> Vec<Violation> {
 }
 
 /// The functions of `ws` matching [`L7_ROOTS`].
-pub fn l7_roots(ws: &Workspace) -> Vec<usize> {
+pub(crate) fn l7_roots(ws: &Workspace) -> Vec<usize> {
     roots_of(ws, L7_ROOTS, false)
 }
 
@@ -880,7 +878,7 @@ fn min_reachable_level(
 /// must carry an `// ORDER: <n>` level, and levels must be monotonically
 /// non-decreasing along call chains: a call made after acquiring level
 /// `M` must not reach a site at a level below `M`.
-pub fn lint_pool_invariants(ws: &Workspace, graph: &CallGraph) -> Vec<Violation> {
+pub(crate) fn lint_pool_invariants(ws: &Workspace, graph: &CallGraph) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut memo: HashMap<usize, Option<(u32, String)>> = HashMap::new();
     for (f, item) in ws.fns.iter().enumerate() {

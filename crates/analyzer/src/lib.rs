@@ -1,10 +1,11 @@
 //! In-tree static analysis enforcing the workspace's safety invariants.
 //!
 //! The decoder is hardened by convention: every `Vec::with_capacity` fed
-//! by an untrusted length routes through `bitio::decode_capacity`, decode
-//! paths return typed errors instead of panicking, and all `unsafe` stays
-//! inside `vendor/`. This crate machine-checks those conventions so future
-//! work cannot silently regress them. It is dependency-free (the build
+//! by an untrusted length routes through `bitio::decode_capacity`, and
+//! decode paths return typed errors instead of panicking. This crate
+//! machine-checks those conventions so future work cannot silently regress
+//! them; the rule that all `unsafe` stays inside `vendor/` is rustc's and
+//! clippy's, set in the manifests. It is dependency-free (the build
 //! environment is offline): a plain `std::fs` walk plus a small Rust lexer
 //! that blanks comments and literal contents before matching, so a lint
 //! never fires on the contents of a string or a doc comment.
@@ -21,7 +22,6 @@
 //!
 //! | id | rule |
 //! |----|------|
-//! | `no-unsafe` (L1) | `unsafe` is forbidden outside `vendor/`; every `unsafe` inside `vendor/` must carry a `// SAFETY:` comment |
 //! | `capped-alloc` (L3) | no call chain from a decode/serve entry point reaches a `Vec::with_capacity`/`reserve` whose size is not routed through `decode_capacity` |
 //! | `spec-drift` (L4) | constants in `format.rs` must be stated in `docs/FORMAT.md`; subcommands/flags/exit codes in `args.rs` must be stated in `docs/CLI.md` |
 //! | `error-coverage` (L5) | every `SzhiError` variant constructed and asserted by name; every cli usage-error message pinned by a test |
@@ -47,7 +47,7 @@
 #![forbid(unsafe_code)]
 
 pub mod graph;
-pub mod lexer;
+mod lexer;
 pub mod table;
 
 pub use lexer::{lex, Lexed};
@@ -60,11 +60,11 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-/// The project lints, in catalogue order (L1, L3–L8; L2 was folded into L6).
+/// The project lints, in catalogue order (L3–L8; L2 was folded into L6,
+/// and L1's `unsafe` rule is rustc's `unsafe_code` and clippy's
+/// `undocumented_unsafe_blocks`, set in the manifests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Lint {
-    /// L1: `unsafe` forbidden outside `vendor/`; `// SAFETY:` required inside.
-    NoUnsafe,
     /// L3: decoder allocations route through `decode_capacity` (checked on
     /// L6's walk).
     CappedAlloc,
@@ -82,8 +82,7 @@ pub enum Lint {
 
 impl Lint {
     /// Every lint, in catalogue order.
-    pub const ALL: [Lint; 7] = [
-        Lint::NoUnsafe,
+    pub(crate) const ALL: [Lint; 6] = [
         Lint::CappedAlloc,
         Lint::SpecDrift,
         Lint::ErrorCoverage,
@@ -93,9 +92,8 @@ impl Lint {
     ];
 
     /// The stable id printed in reports and named by suppression comments.
-    pub fn id(self) -> &'static str {
+    pub(crate) fn id(self) -> &'static str {
         match self {
-            Lint::NoUnsafe => "no-unsafe",
             Lint::CappedAlloc => "capped-alloc",
             Lint::SpecDrift => "spec-drift",
             Lint::ErrorCoverage => "error-coverage",
@@ -105,7 +103,7 @@ impl Lint {
         }
     }
 
-    /// Inverse of [`Lint::id`].
+    /// Inverse of `Lint::id`.
     pub fn from_id(id: &str) -> Option<Lint> {
         Lint::ALL.into_iter().find(|l| l.id() == id)
     }
@@ -207,58 +205,6 @@ fn is_first_party_lib(rel: &str) -> bool {
     !is_vendor_path(rel)
         && !is_nonlib_path(rel)
         && (rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/")))
-}
-
-// ---------------------------------------------------------------------------
-// Per-file lint: L1 no-unsafe
-// ---------------------------------------------------------------------------
-
-/// Runs the per-file lint (L1) over one source file. `rel` is the
-/// workspace-relative `/`-separated path, which tells `vendor/` (where a
-/// documented `unsafe` is allowed) from first-party code.
-pub fn lint_file(rel: &str, source: &str) -> Vec<Violation> {
-    let lexed = lex(source);
-    let code = &lexed.code;
-    let starts = line_starts(code);
-    let vendor = is_vendor_path(rel);
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < code.len() {
-        if !is_ident_byte(code[i]) {
-            i += 1;
-            continue;
-        }
-        let s = i;
-        while i < code.len() && is_ident_byte(code[i]) {
-            i += 1;
-        }
-        if &code[s..i] != b"unsafe" {
-            continue;
-        }
-        let line = line_of(&starts, s);
-        let documented = (line.saturating_sub(3)..=line).any(|l| {
-            lexed
-                .comments
-                .get(&l)
-                .is_some_and(|t| t.contains("SAFETY:"))
-        });
-        if (vendor && documented) || is_suppressed(&lexed.comments, line, Lint::NoUnsafe) {
-            continue;
-        }
-        let message = if vendor {
-            "`unsafe` in vendor/ without a `// SAFETY:` comment"
-        } else {
-            "`unsafe` is forbidden outside vendor/"
-        };
-        out.push(Violation {
-            lint: Lint::NoUnsafe,
-            file: rel.to_string(),
-            line,
-            message: message.to_string(),
-            notes: Vec::new(),
-        });
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -427,7 +373,7 @@ fn contains_flag(md: &str, flag: &str) -> bool {
 /// against `docs/CLI.md`: every dispatched subcommand, every `"--flag"`
 /// literal and every exit code on the `exit codes:` usage line must be
 /// stated in the doc (same word-boundary rules as the FORMAT.md pass).
-pub fn lint_cli_drift(args_rs: &str, cli_md: &str) -> Vec<Violation> {
+pub(crate) fn lint_cli_drift(args_rs: &str, cli_md: &str) -> Vec<Violation> {
     const ARGS_RS: &str = "crates/cli/src/args.rs";
     let comments = lex(args_rs).comments;
     let mut out = Vec::new();
@@ -796,7 +742,7 @@ fn longest_literal_segment(s: &str) -> String {
 /// workspace (the args.rs test table asserting exit code 2 and the
 /// message text). Messages too short to pin robustly (< 8 chars of
 /// literal text) are skipped.
-pub fn lint_usage_pins(files: &[(String, String)]) -> Vec<Violation> {
+pub(crate) fn lint_usage_pins(files: &[(String, String)]) -> Vec<Violation> {
     const ARGS_RS: &str = "crates/cli/src/args.rs";
     let Some((_, args_src)) = files.iter().find(|(rel, _)| rel == ARGS_RS) else {
         return Vec::new(); // no cli crate in this tree: nothing to pin
@@ -924,9 +870,6 @@ pub struct AnalysisReport {
 pub fn analyze(root: &Path) -> io::Result<AnalysisReport> {
     let files = workspace_sources(root)?;
     let mut out = Vec::new();
-    for (rel, src) in &files {
-        out.extend(lint_file(rel, src));
-    }
     let format_rs = files
         .iter()
         .find(|(rel, _)| rel == "crates/core/src/format.rs");

@@ -20,7 +20,7 @@ const USAGE: &str = "usage: szhi-analyzer [--root PATH] [--deny-all]
   --root PATH  workspace root to analyze (default: current directory)
   --deny-all   exit 1 on any violation (CI mode); default report-only
 
-lints: no-unsafe, capped-alloc, spec-drift, error-coverage, panic-reachability,
+lints: capped-alloc, spec-drift, error-coverage, panic-reachability,
        steady-alloc, pool-invariant (capped-alloc and panic-reachability are
        the two site checks of one decode walk)
 exit codes: 0 clean (or report-only), 1 violations under --deny-all, 2 error";

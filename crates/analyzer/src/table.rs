@@ -27,7 +27,7 @@ pub struct SourceFile {
 
 impl SourceFile {
     /// 1-based line of a byte position.
-    pub fn line(&self, pos: usize) -> usize {
+    pub(crate) fn line(&self, pos: usize) -> usize {
         line_of(&self.starts, pos)
     }
 }
@@ -61,7 +61,7 @@ pub struct FnItem {
 
 impl FnItem {
     /// `Owner::name` or the bare name, for display.
-    pub fn qualified(&self) -> String {
+    pub(crate) fn qualified(&self) -> String {
         match &self.owner {
             Some(o) => format!("{o}::{}", self.name),
             None => self.name.clone(),
@@ -111,7 +111,7 @@ impl Workspace {
     }
 
     /// The innermost function whose body contains `pos` in file `file`.
-    pub fn enclosing_fn(&self, file: usize, pos: usize) -> Option<usize> {
+    pub(crate) fn enclosing_fn(&self, file: usize, pos: usize) -> Option<usize> {
         self.fns
             .iter()
             .enumerate()

@@ -20,33 +20,30 @@ fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("szhi-analyzer-cli-{}-{tag}", std::process::id()))
 }
 
-/// A root whose only source is a `src/lib.rs` holding an `unsafe` block.
-fn unsafe_root(tag: &str) -> PathBuf {
+/// A root whose only source is a `src/lib.rs`: with no `docs/FORMAT.md`
+/// to cross-check, `spec-drift` reports it.
+fn bare_root(tag: &str) -> PathBuf {
     let root = temp_path(tag);
     std::fs::create_dir_all(root.join("src")).expect("creating the temp root");
-    std::fs::write(
-        root.join("src/lib.rs"),
-        "pub fn poke(p: *mut u8) {\n    unsafe { *p = 1 };\n}\n",
-    )
-    .expect("writing the temp source");
+    std::fs::write(root.join("src/lib.rs"), "pub fn poke() {}\n").expect("writing the temp source");
     root
 }
 
 #[test]
 fn deny_all_fails_on_a_finding_and_names_its_lint() {
-    let root = unsafe_root("deny");
+    let root = bare_root("deny");
     let out = run(&["--root", root.to_str().unwrap(), "--deny-all"]);
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
-    assert!(stderr(&out).contains("[no-unsafe]"), "{}", stderr(&out));
+    assert!(stderr(&out).contains("[spec-drift]"), "{}", stderr(&out));
     let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
 fn without_deny_all_a_finding_is_only_reported() {
-    let root = unsafe_root("report");
+    let root = bare_root("report");
     let out = run(&["--root", root.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    assert!(stderr(&out).contains("[no-unsafe]"), "{}", stderr(&out));
+    assert!(stderr(&out).contains("[spec-drift]"), "{}", stderr(&out));
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -64,7 +61,7 @@ fn removed_flags_are_unknown_arguments() {
     for args in [
         ["--format", "json"],
         ["--baseline", "f"],
-        ["--lint", "no-unsafe"],
+        ["--lint", "spec-drift"],
     ] {
         let out = run(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));

@@ -7,7 +7,7 @@
 //! fixtures can never make the analyzer trip over its own test suite. The
 //! decode walk's fixtures (L6 with L3) live in `callgraph.rs`.
 
-use szhi_analyzer::{lex, lint_error_coverage, lint_file, lint_spec_drift, Lint};
+use szhi_analyzer::{lex, lint_error_coverage, lint_spec_drift, Lint};
 
 // ---------------------------------------------------------------------------
 // Lexer
@@ -41,42 +41,6 @@ fn lexer_preserves_byte_offsets_and_newlines() {
         lexed.code.iter().filter(|&&b| b == b'\n').count(),
         src.bytes().filter(|&b| b == b'\n').count()
     );
-}
-
-// ---------------------------------------------------------------------------
-// L1: no-unsafe
-// ---------------------------------------------------------------------------
-
-#[test]
-fn l1_flags_unsafe_in_first_party_code() {
-    let src = "pub fn grow(p: *mut u8) {\n    unsafe { *p = 1 };\n}\n";
-    let v = lint_file("crates/core/src/x.rs", src);
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].lint, Lint::NoUnsafe);
-    assert_eq!(v[0].line, 2);
-}
-
-#[test]
-fn l1_requires_safety_comment_in_vendor() {
-    let bad = "unsafe impl<T: Send> Send for SharedMut<T> {}\n";
-    let v = lint_file("vendor/rayon/src/lib.rs", bad);
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].lint, Lint::NoUnsafe);
-
-    let good = "// SAFETY: drive ranges are disjoint across threads.\n\
-                unsafe impl<T: Send> Send for SharedMut<T> {}\n";
-    assert!(lint_file("vendor/rayon/src/lib.rs", good).is_empty());
-}
-
-#[test]
-fn l1_suppression_requires_a_reason() {
-    let with_reason = "// szhi-analyzer: allow(no-unsafe) -- vetted FFI experiment\n\
-                       pub fn f(p: *mut u8) { unsafe { *p = 1 }; }\n";
-    assert!(lint_file("crates/core/src/x.rs", with_reason).is_empty());
-
-    let without_reason = "// szhi-analyzer: allow(no-unsafe)\n\
-                          pub fn f(p: *mut u8) { unsafe { *p = 1 }; }\n";
-    assert_eq!(lint_file("crates/core/src/x.rs", without_reason).len(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -124,6 +88,18 @@ fn l4_suppression_on_the_const_line() {
     let rs = "// szhi-analyzer: allow(spec-drift) -- legacy magic intentionally undocumented\n\
               pub(crate) const OLD_MAGIC: [u8; 4] = *b\"OLD!\";\n";
     assert!(lint_spec_drift(rs, "no mention of it").is_empty());
+}
+
+#[test]
+fn suppression_requires_a_reason() {
+    let with_reason = "// szhi-analyzer: allow(spec-drift) -- legacy magic intentionally undocumented\n\
+                       pub(crate) const OLD_MAGIC: [u8; 4] = *b\"OLD!\";\n";
+    assert!(lint_spec_drift(with_reason, "no mention of it").is_empty());
+
+    // Without its reason the same comment suppresses nothing.
+    let without_reason = "// szhi-analyzer: allow(spec-drift)\n\
+                          pub(crate) const OLD_MAGIC: [u8; 4] = *b\"OLD!\";\n";
+    assert_eq!(lint_spec_drift(without_reason, "no mention of it").len(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -189,11 +165,11 @@ fn l5_suppression_on_the_variant_line() {
 
 #[test]
 fn violations_render_as_file_line_lint() {
-    let src = "pub fn grow(p: *mut u8) {\n    unsafe { *p = 1 };\n}\n";
-    let v = &lint_file("crates/core/src/x.rs", src)[0];
+    let md = "The stream opens with \"SZHI\", a v1 body, and a trailer of 16 bytes.";
+    let v = &lint_spec_drift(FORMAT_RS_FIXTURE, md)[0];
     let rendered = v.to_string();
     assert!(
-        rendered.starts_with("crates/core/src/x.rs:2: [no-unsafe]"),
+        rendered.starts_with("crates/core/src/format.rs:3: [spec-drift]"),
         "got: {rendered}"
     );
 }

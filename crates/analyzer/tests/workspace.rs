@@ -57,6 +57,84 @@ fn transitive_lints_found_their_roots() {
     );
 }
 
+/// The manifest's sections: each `[name]` header with the trimmed,
+/// non-empty lines below it.
+fn manifest_sections(toml: &str) -> Vec<(String, Vec<String>)> {
+    let mut sections: Vec<(String, Vec<String>)> = vec![(String::new(), Vec::new())];
+    for line in toml.lines().map(str::trim) {
+        if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            sections.push((name.to_string(), Vec::new()));
+        } else if !line.is_empty() && !line.starts_with('#') {
+            sections.last_mut().unwrap().1.push(line.to_string());
+        }
+    }
+    sections
+}
+
+fn section_has(toml: &str, section: &str, line: &str) -> bool {
+    manifest_sections(toml)
+        .iter()
+        .any(|(name, lines)| name == section && lines.iter().any(|l| l == line))
+}
+
+/// The unsafe rule lives in the manifests, and a crate that leaves out its
+/// `[lints]` table drops out of it without a warning. So every member and
+/// the root package must opt into the workspace lints, which must deny
+/// `unsafe_code`; `vendor/rayon`, which needs `unsafe`, must instead deny
+/// clippy's `undocumented_unsafe_blocks`.
+#[test]
+fn every_manifest_opts_into_the_unsafe_rule() {
+    let root = workspace_root();
+    let read = |dir: &str| {
+        std::fs::read_to_string(root.join(dir).join("Cargo.toml"))
+            .unwrap_or_else(|e| panic!("reading {dir}/Cargo.toml: {e}"))
+    };
+    let workspace = read(".");
+    assert!(
+        section_has(
+            &workspace,
+            "workspace.lints.rust",
+            r#"unsafe_code = "deny""#
+        ),
+        "the root Cargo.toml must deny unsafe_code in [workspace.lints.rust]"
+    );
+    let members: Vec<String> = manifest_sections(&workspace)
+        .into_iter()
+        .find(|(name, _)| name == "workspace")
+        .expect("a [workspace] table")
+        .1
+        .into_iter()
+        .skip_while(|l| !l.starts_with("members"))
+        .skip(1)
+        .take_while(|l| l != "]")
+        .map(|l| l.trim_matches(|c| c == '"' || c == ',').to_string())
+        .collect();
+    assert!(
+        members.len() >= 15,
+        "members list looks misparsed: {members:?}"
+    );
+    let mut missing = Vec::new();
+    for dir in std::iter::once(".".to_string()).chain(members) {
+        let toml = read(&dir);
+        let ok = if dir == "vendor/rayon" {
+            section_has(
+                &toml,
+                "lints.clippy",
+                r#"undocumented_unsafe_blocks = "deny""#,
+            )
+        } else {
+            section_has(&toml, "lints", "workspace = true")
+        };
+        if !ok {
+            missing.push(dir);
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "manifests outside the unsafe rule: {missing:?}"
+    );
+}
+
 /// The L6/L7 roots are matched by function and owner name, so renaming a
 /// reader type or an encode entry point would silently drop its
 /// panic-reachability or steady-alloc coverage. Every root pattern must
@@ -102,10 +180,7 @@ fn the_walks_keep_the_edges_arity_once_dropped() {
             ("encode_into", Some("ChunkEncoder")),
             ("select_pipeline", None),
         ),
-        (
-            ("tune_chunk_interp", None),
-            ("tune_chunk_interp_with_report", None),
-        ),
+        (("tune_chunk_interp", None), ("tune", None)),
     ] {
         let (from, to) = (find(caller.0, caller.1), find(callee.0, callee.1));
         assert!(

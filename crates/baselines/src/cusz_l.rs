@@ -19,27 +19,9 @@ use szhi_ndgrid::Grid;
 
 const MAGIC: &[u8; 4] = b"CZL1";
 
-/// The cuSZ-L baseline compressor.
-#[derive(Debug, Clone, Copy)]
-pub struct CuszL {
-    radius: u32,
-}
-
-impl Default for CuszL {
-    fn default() -> Self {
-        CuszL {
-            radius: DEFAULT_RADIUS,
-        }
-    }
-}
-
-impl CuszL {
-    /// Creates the compressor with a custom quantization radius.
-    pub fn with_radius(radius: u32) -> Self {
-        assert!(radius >= 2);
-        CuszL { radius }
-    }
-}
+/// The cuSZ-L baseline compressor, at cuSZ's default code radius.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CuszL;
 
 impl Compressor for CuszL {
     fn name(&self) -> &'static str {
@@ -51,10 +33,10 @@ impl Compressor for CuszL {
             return Err(SzhiError::InvalidInput("empty field".into()));
         }
         let abs_eb = eb.absolute(data.value_range() as f64);
-        let out = lorenzo::compress(data, abs_eb, self.radius);
+        let out = lorenzo::compress(data, abs_eb, DEFAULT_RADIUS);
         let mut bytes = Vec::new();
         write_header(&mut bytes, MAGIC, data.dims(), abs_eb);
-        put_u64(&mut bytes, self.radius as u64);
+        put_u64(&mut bytes, DEFAULT_RADIUS as u64);
         write_int_outliers(&mut bytes, &out.outliers);
         let planes = codes_to_byte_planes(&out.codes);
         let encoded = huffman::encode(&planes);
@@ -76,7 +58,7 @@ impl Compressor for CuszL {
             outliers,
             radius,
         };
-        Ok(lorenzo::decompress(&output, dims, abs_eb))
+        lorenzo::decompress(&output, dims, abs_eb)
     }
 }
 
@@ -98,7 +80,7 @@ mod tests {
 
     #[test]
     fn roundtrip_within_bound() {
-        let c = CuszL::default();
+        let c = CuszL;
         for kind in [DatasetKind::Miranda, DatasetKind::CesmAtm] {
             let dims = if kind == DatasetKind::CesmAtm {
                 Dims::d2(60, 80)
@@ -116,7 +98,7 @@ mod tests {
     #[test]
     fn compresses_smooth_data() {
         let g = DatasetKind::Miranda.generate(Dims::d3(48, 48, 48), 7);
-        let c = CuszL::default();
+        let c = CuszL;
         let bytes = c.compress(&g, ErrorBound::Relative(1e-2)).unwrap();
         let ratio = g.dims().nbytes_f32() as f64 / bytes.len() as f64;
         assert!(ratio > 3.0, "cuSZ-L ratio only {ratio:.2}");
@@ -124,7 +106,7 @@ mod tests {
 
     #[test]
     fn rejects_foreign_streams() {
-        let c = CuszL::default();
+        let c = CuszL;
         assert!(c.decompress(b"garbage").is_err());
         let g = DatasetKind::Nyx.generate(Dims::d3(16, 16, 16), 1);
         let bytes = c.compress(&g, ErrorBound::Relative(1e-2)).unwrap();

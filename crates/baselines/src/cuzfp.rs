@@ -49,11 +49,6 @@ impl CuZfp {
         );
         CuZfp { rate }
     }
-
-    /// The configured rate in bits per value.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
 }
 
 /// Exactly invertible Haar-style lifting on a group of four integers.

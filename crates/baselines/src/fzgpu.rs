@@ -29,19 +29,9 @@ fn unzigzag16(v: u16) -> i32 {
     ((v >> 1) as i32) ^ -((v & 1) as i32)
 }
 
-/// The FZ-GPU baseline compressor.
-#[derive(Debug, Clone, Copy)]
-pub struct FzGpu {
-    radius: u32,
-}
-
-impl Default for FzGpu {
-    fn default() -> Self {
-        FzGpu {
-            radius: DEFAULT_RADIUS,
-        }
-    }
-}
+/// The FZ-GPU baseline compressor, at cuSZ's default code radius.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FzGpu;
 
 impl Compressor for FzGpu {
     fn name(&self) -> &'static str {
@@ -53,7 +43,7 @@ impl Compressor for FzGpu {
             return Err(SzhiError::InvalidInput("empty field".into()));
         }
         let abs_eb = eb.absolute(data.value_range() as f64);
-        let out = lorenzo::compress(data, abs_eb, self.radius);
+        let out = lorenzo::compress(data, abs_eb, DEFAULT_RADIUS);
         // Re-bias the codes with a zig-zag map so "no error" becomes 0 and
         // small ± errors become small magnitudes: the high byte plane and the
         // upper bit planes of the low bytes are then almost entirely zero and
@@ -61,7 +51,7 @@ impl Compressor for FzGpu {
         let rebased: Vec<u16> = out
             .codes
             .iter()
-            .map(|&c| zigzag16(c as i32 - self.radius as i32))
+            .map(|&c| zigzag16(c as i32 - DEFAULT_RADIUS as i32))
             .collect();
         let planes = codes_to_byte_planes(&rebased);
         let shuffled = Bit::<1>.encode_bytes(&planes);
@@ -69,7 +59,7 @@ impl Compressor for FzGpu {
 
         let mut bytes = Vec::new();
         write_header(&mut bytes, MAGIC, data.dims(), abs_eb);
-        put_u64(&mut bytes, self.radius as u64);
+        put_u64(&mut bytes, DEFAULT_RADIUS as u64);
         write_int_outliers(&mut bytes, &out.outliers);
         put_u64(&mut bytes, dedup.len() as u64);
         bytes.extend_from_slice(&dedup);
@@ -95,7 +85,7 @@ impl Compressor for FzGpu {
             outliers,
             radius,
         };
-        Ok(lorenzo::decompress(&output, dims, abs_eb))
+        lorenzo::decompress(&output, dims, abs_eb)
     }
 }
 
@@ -117,7 +107,7 @@ mod tests {
 
     #[test]
     fn roundtrip_within_bound() {
-        let c = FzGpu::default();
+        let c = FzGpu;
         for kind in [DatasetKind::Miranda, DatasetKind::Qmcpack] {
             let g = kind.generate(Dims::d3(30, 34, 38), 3);
             let rel = 1e-3;
@@ -130,15 +120,13 @@ mod tests {
     #[test]
     fn smooth_data_compresses() {
         let g = DatasetKind::Rtm.generate(Dims::d3(48, 48, 30), 2);
-        let bytes = FzGpu::default()
-            .compress(&g, ErrorBound::Relative(1e-2))
-            .unwrap();
+        let bytes = FzGpu.compress(&g, ErrorBound::Relative(1e-2)).unwrap();
         let ratio = g.dims().nbytes_f32() as f64 / bytes.len() as f64;
         assert!(ratio > 3.0, "FZ-GPU ratio only {ratio:.2}");
     }
 
     #[test]
     fn rejects_garbage() {
-        assert!(FzGpu::default().decompress(b"xx").is_err());
+        assert!(FzGpu.decompress(b"xx").is_err());
     }
 }

@@ -17,20 +17,20 @@
 //! | [`CuZfp`]  | block orthogonal transform       | bit-plane truncation (fixed rate) |
 //!
 //! [`CuszL`] and [`FzGpu`] share the dual-quantization Lorenzo predictor in
-//! [`lorenzo`].
+//! `lorenzo`.
 //!
 //! All baselines implement the common [`Compressor`] trait so the experiment
 //! harness can sweep over them uniformly; the two cuSZ-Hi modes are wrapped
 //! behind the same trait as [`SzhiCr`] and [`SzhiTp`].
 #![forbid(unsafe_code)]
 
-pub mod cusz_i;
-pub mod cusz_l;
-pub mod cuszp2;
-pub mod cuzfp;
-pub mod fzgpu;
-pub mod lorenzo;
-pub mod stream;
+mod cusz_i;
+mod cusz_l;
+mod cuszp2;
+mod cuzfp;
+mod fzgpu;
+mod lorenzo;
+mod stream;
 
 pub use cusz_i::{CuszI, CuszIb};
 pub use cusz_l::CuszL;
@@ -100,11 +100,11 @@ pub fn table4_compressors() -> Vec<Box<dyn Compressor>> {
     vec![
         Box::new(SzhiCr),
         Box::new(SzhiTp),
-        Box::new(CuszL::default()),
+        Box::new(CuszL),
         Box::new(CuszI),
         Box::new(CuszIb),
         Box::new(Cuszp2),
-        Box::new(FzGpu::default()),
+        Box::new(FzGpu),
     ]
 }
 
@@ -140,7 +140,7 @@ mod tests {
         // behind the 37-byte header and the flag byte, cuSZ-L's outlier
         // count behind the header and the radius.
         let g = DatasetKind::Nyx.generate(Dims::d3(16, 16, 16), 1);
-        for (c, at) in [(&CuszI as &dyn Compressor, 38), (&CuszL::default(), 45)] {
+        for (c, at) in [(&CuszI as &dyn Compressor, 38), (&CuszL, 45)] {
             let mut bytes = c.compress(&g, ErrorBound::Relative(1e-2)).unwrap();
             bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
             assert!(
@@ -149,5 +149,46 @@ mod tests {
                 c.name()
             );
         }
+    }
+
+    #[test]
+    fn inconsistent_outlier_records_are_typed_errors() {
+        // cuSZ-L and FZ-GPU streams: the common header (37 bytes), the
+        // radius, then the outlier count and its 16-byte records.
+        const COUNT_AT: usize = 45;
+        let g = DatasetKind::Nyx.generate(Dims::d3(16, 16, 16), 1);
+        for c in [&CuszL as &dyn Compressor, &FzGpu] {
+            let bytes = c.compress(&g, ErrorBound::Relative(1e-4)).unwrap();
+            let n = u64::from_le_bytes(bytes[COUNT_AT..COUNT_AT + 8].try_into().unwrap()) as usize;
+            assert!(n >= 2, "{}: {n} outliers", c.name());
+            let records = COUNT_AT + 8..COUNT_AT + 8 + 16 * n;
+
+            let mut cut = bytes[..COUNT_AT].to_vec();
+            cut.extend_from_slice(&0u64.to_le_bytes());
+            cut.extend_from_slice(&bytes[records.end..]);
+            let mut swapped = bytes.clone();
+            for k in records.start..records.start + 16 {
+                swapped.swap(k, k + 16);
+            }
+
+            for (what, stream) in [("cut", cut), ("swapped", swapped)] {
+                assert!(
+                    matches!(c.decompress(&stream), Err(SzhiError::InvalidStream(_))),
+                    "{}: {what} records",
+                    c.name()
+                );
+            }
+        }
+        let mut out = lorenzo::compress(&g, 1e-4, lorenzo::DEFAULT_RADIUS);
+        out.outliers.push((u64::MAX, 0));
+        assert!(matches!(
+            lorenzo::decompress(&out, g.dims(), 1e-4),
+            Err(SzhiError::InvalidStream(_))
+        ));
+        out.codes.pop();
+        assert!(matches!(
+            lorenzo::decompress(&out, g.dims(), 1e-4),
+            Err(SzhiError::InvalidStream(_))
+        ));
     }
 }

@@ -9,31 +9,21 @@
 //! lossy decomposition used by the cuSZ-L and FZ-GPU baselines.
 
 use rayon::prelude::*;
+use szhi_core::SzhiError;
 use szhi_ndgrid::{Dims, Grid};
 
 /// Default quantization-code radius (matching cuSZ's 1024-bin default).
-pub const DEFAULT_RADIUS: u32 = 512;
+pub(crate) const DEFAULT_RADIUS: u32 = 512;
 
 /// Output of the Lorenzo lossy decomposition.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LorenzoOutput {
+pub(crate) struct LorenzoOutput {
     /// One code per point, centred at the radius; code 0 marks an outlier.
     pub codes: Vec<u16>,
     /// Pre-quantized integer values of the outlier points, in raster order.
     pub outliers: Vec<(u64, i64)>,
     /// The code-space radius used.
     pub radius: u32,
-}
-
-impl LorenzoOutput {
-    /// Fraction of points stored as outliers.
-    pub fn outlier_fraction(&self) -> f64 {
-        if self.codes.is_empty() {
-            0.0
-        } else {
-            self.outliers.len() as f64 / self.codes.len() as f64
-        }
-    }
 }
 
 #[inline]
@@ -106,37 +96,50 @@ pub fn compress(data: &Grid<f32>, eb: f64, radius: u32) -> LorenzoOutput {
     }
 }
 
-/// Reconstructs the field from a [`LorenzoOutput`].
-pub fn decompress(out: &LorenzoOutput, dims: Dims, eb: f64) -> Grid<f32> {
-    assert_eq!(
-        out.codes.len(),
-        dims.len(),
-        "code array does not match the field shape"
-    );
+/// Reconstructs the field from a [`LorenzoOutput`]. A code count that is
+/// not the shape's point count, or outlier records that are missing, out of
+/// raster order or surplus, is [`SzhiError::InvalidStream`].
+pub(crate) fn decompress(out: &LorenzoOutput, dims: Dims, eb: f64) -> Result<Grid<f32>, SzhiError> {
+    if out.codes.len() != dims.len() {
+        return Err(SzhiError::InvalidStream(format!(
+            "{} Lorenzo codes for a field of {} points",
+            out.codes.len(),
+            dims.len()
+        )));
+    }
     let two_eb = 2.0 * eb;
     let radius = out.radius as i64;
     let mut q = vec![0i64; dims.len()];
-    let mut outlier_iter = out.outliers.iter().peekable();
+    let mut outlier_iter = out.outliers.iter();
     // The prediction of point i only uses neighbours with smaller raster
     // index, so a sequential raster sweep reconstructs the exact integers.
     for idx in 0..dims.len() {
         let (z, y, x) = dims.coords(idx);
         let code = out.codes[idx];
         if code == 0 {
-            let (oidx, value) = **outlier_iter.peek().expect("missing outlier record");
-            assert_eq!(oidx as usize, idx, "outlier record out of order");
-            outlier_iter.next();
-            q[idx] = value;
+            match outlier_iter.next() {
+                Some(&(oidx, value)) if oidx == idx as u64 => q[idx] = value,
+                _ => {
+                    return Err(SzhiError::InvalidStream(format!(
+                        "outlier record for point {idx} missing or out of order"
+                    )))
+                }
+            }
         } else {
             let pred = lorenzo_pred(&q, dims, z, y, x);
             q[idx] = pred + code as i64 - radius;
         }
     }
+    if outlier_iter.next().is_some() {
+        return Err(SzhiError::InvalidStream(
+            "more outlier records than outlier codes".into(),
+        ));
+    }
     let values: Vec<f32> = q
         .par_iter()
         .map(|&qi| (qi as f64 * two_eb) as f32)
         .collect();
-    Grid::from_vec(dims, values)
+    Ok(Grid::from_vec(dims, values))
 }
 
 #[cfg(test)]
@@ -168,7 +171,7 @@ mod tests {
         let g = smooth_field(Dims::d3(20, 24, 28));
         for eb in [1e-1, 1e-2, 1e-3] {
             let out = compress(&g, eb, DEFAULT_RADIUS);
-            let recon = decompress(&out, g.dims(), eb);
+            let recon = decompress(&out, g.dims(), eb).unwrap();
             check_bound(&g, &recon, eb);
         }
     }
@@ -177,21 +180,21 @@ mod tests {
     fn roundtrip_2d_and_1d() {
         let g2 = smooth_field(Dims::d2(50, 60));
         let out = compress(&g2, 1e-3, DEFAULT_RADIUS);
-        check_bound(&g2, &decompress(&out, g2.dims(), 1e-3), 1e-3);
+        check_bound(&g2, &decompress(&out, g2.dims(), 1e-3).unwrap(), 1e-3);
 
         let g1 = smooth_field(Dims::d1(500));
         let out = compress(&g1, 1e-3, DEFAULT_RADIUS);
-        check_bound(&g1, &decompress(&out, g1.dims(), 1e-3), 1e-3);
+        check_bound(&g1, &decompress(&out, g1.dims(), 1e-3).unwrap(), 1e-3);
     }
 
     #[test]
     fn smooth_fields_have_few_outliers_and_concentrated_codes() {
         let g = smooth_field(Dims::d3(32, 32, 32));
         let out = compress(&g, 1e-2, DEFAULT_RADIUS);
+        let outlier_fraction = out.outliers.len() as f64 / out.codes.len() as f64;
         assert!(
-            out.outlier_fraction() < 0.01,
-            "outlier fraction {}",
-            out.outlier_fraction()
+            outlier_fraction < 0.01,
+            "outlier fraction {outlier_fraction}"
         );
         let near_center = out
             .codes
@@ -214,7 +217,7 @@ mod tests {
         let g = Grid::from_fn(dims, |_, _, _| rng.gen_range(-1000.0f32..1000.0));
         let eb = 1e-4;
         let out = compress(&g, eb, DEFAULT_RADIUS);
-        let recon = decompress(&out, dims, eb);
+        let recon = decompress(&out, dims, eb).unwrap();
         check_bound(&g, &recon, eb);
     }
 
@@ -240,7 +243,7 @@ mod tests {
         let g = Grid::from_fn(dims, |z, y, x| 1.0e9 * (1.0 + 0.1 * (z + y + x) as f32));
         let eb = 1.0e6;
         let out = compress(&g, eb, DEFAULT_RADIUS);
-        let recon = decompress(&out, dims, eb);
+        let recon = decompress(&out, dims, eb).unwrap();
         check_bound(&g, &recon, eb);
     }
 }

@@ -9,7 +9,7 @@ use szhi_core::SzhiError;
 use szhi_ndgrid::Dims;
 
 /// Writes the common baseline header.
-pub fn write_header(out: &mut Vec<u8>, magic: &[u8; 4], dims: Dims, abs_eb: f64) {
+pub(crate) fn write_header(out: &mut Vec<u8>, magic: &[u8; 4], dims: Dims, abs_eb: f64) {
     out.extend_from_slice(magic);
     put_u8(out, dims.rank() as u8);
     put_u64(out, dims.nz() as u64);
@@ -19,7 +19,7 @@ pub fn write_header(out: &mut Vec<u8>, magic: &[u8; 4], dims: Dims, abs_eb: f64)
 }
 
 /// Reads the common baseline header, checking the magic bytes.
-pub fn read_header<'a>(
+pub(crate) fn read_header<'a>(
     bytes: &'a [u8],
     magic: &[u8; 4],
     name: &str,
@@ -51,7 +51,7 @@ pub fn read_header<'a>(
 
 /// Serialises a `u16` code array as two byte planes (all low bytes, then all
 /// high bytes) so byte-oriented entropy coders see two homogeneous streams.
-pub fn codes_to_byte_planes(codes: &[u16]) -> Vec<u8> {
+pub(crate) fn codes_to_byte_planes(codes: &[u16]) -> Vec<u8> {
     let mut out = Vec::with_capacity(codes.len() * 2);
     out.extend(codes.iter().map(|&c| (c & 0xff) as u8));
     out.extend(codes.iter().map(|&c| (c >> 8) as u8));
@@ -59,7 +59,7 @@ pub fn codes_to_byte_planes(codes: &[u16]) -> Vec<u8> {
 }
 
 /// Inverse of [`codes_to_byte_planes`].
-pub fn byte_planes_to_codes(bytes: &[u8], n: usize) -> Result<Vec<u16>, SzhiError> {
+pub(crate) fn byte_planes_to_codes(bytes: &[u8], n: usize) -> Result<Vec<u16>, SzhiError> {
     if bytes.len() != 2 * n {
         return Err(SzhiError::InvalidStream(format!(
             "expected {} code bytes, got {}",
@@ -74,7 +74,7 @@ pub fn byte_planes_to_codes(bytes: &[u8], n: usize) -> Result<Vec<u16>, SzhiErro
 
 /// Serialises an outlier list `(index, i64 value)` used by the
 /// integer-domain predictors.
-pub fn write_int_outliers(out: &mut Vec<u8>, outliers: &[(u64, i64)]) {
+pub(crate) fn write_int_outliers(out: &mut Vec<u8>, outliers: &[(u64, i64)]) {
     put_u64(out, outliers.len() as u64);
     for &(idx, v) in outliers {
         put_u64(out, idx);
@@ -85,7 +85,7 @@ pub fn write_int_outliers(out: &mut Vec<u8>, outliers: &[(u64, i64)]) {
 /// Inverse of [`write_int_outliers`]. The count is checked against the
 /// bytes left before anything is allocated, so a corrupt count is a typed
 /// error, not an allocation abort.
-pub fn read_int_outliers(cur: &mut ByteCursor<'_>) -> Result<Vec<(u64, i64)>, SzhiError> {
+pub(crate) fn read_int_outliers(cur: &mut ByteCursor<'_>) -> Result<Vec<(u64, i64)>, SzhiError> {
     let n = cur.get_u64().map_err(SzhiError::from)?;
     if n.checked_mul(16)
         .is_none_or(|bytes| bytes > cur.remaining() as u64)

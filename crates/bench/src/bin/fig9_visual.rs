@@ -87,7 +87,7 @@ fn main() {
             Box::new(SzhiCr),
             Box::new(SzhiTp),
             Box::new(CuszIb),
-            Box::new(CuszL::default()),
+            Box::new(CuszL),
         ];
         let mut rows = Vec::new();
         for c in &compressors {

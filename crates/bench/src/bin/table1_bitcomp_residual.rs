@@ -23,10 +23,10 @@ fn main() {
     let compressors: Vec<Box<dyn Compressor>> = vec![
         Box::new(SzhiCr),
         Box::new(SzhiTp),
-        Box::new(CuszL::default()),
+        Box::new(CuszL),
         Box::new(CuszI),
         Box::new(Cuszp2),
-        Box::new(FzGpu::default()),
+        Box::new(FzGpu),
     ];
 
     let mut rows = Vec::new();

@@ -22,7 +22,7 @@ use szhi_telemetry::render_ascii_table;
 
 /// Default seed for dataset generation; every experiment uses the same seed
 /// so results are comparable across binaries.
-pub const SEED: u64 = 42;
+pub(crate) const SEED: u64 = 42;
 
 /// The error bounds used by the paper's fixed-error-bound experiments.
 pub const PAPER_EBS: [f64; 3] = [1e-2, 1e-3, 1e-4];
@@ -31,7 +31,7 @@ pub const PAPER_EBS: [f64; 3] = [1e-2, 1e-3, 1e-4];
 /// name): nothing, or `--scale <f>` with a finite, positive `f`. A scale of
 /// 1.0 (the default) uses the laptop-sized default dimensions; larger
 /// scales approach the paper's dataset sizes.
-pub fn parse_scale(args: &[String]) -> Result<f64, String> {
+pub(crate) fn parse_scale(args: &[String]) -> Result<f64, String> {
     match args {
         [] => Ok(1.0),
         [flag, value] if flag == "--scale" => match value.parse::<f64>() {
@@ -59,7 +59,7 @@ pub fn scale_from_args() -> f64 {
 
 /// Scales a dataset's default dimensions by `scale` along every axis (keeping
 /// the aspect ratio), clamped to at least 32 points per non-degenerate axis.
-pub fn scaled_dims(kind: DatasetKind, scale: f64) -> Dims {
+pub(crate) fn scaled_dims(kind: DatasetKind, scale: f64) -> Dims {
     let base = kind.default_dims();
     let s = |extent: usize| -> usize {
         if extent == 1 {
@@ -86,11 +86,11 @@ pub fn error_bounded_compressors() -> Vec<Box<dyn Compressor>> {
     vec![
         Box::new(SzhiCr),
         Box::new(SzhiTp),
-        Box::new(CuszL::default()),
+        Box::new(CuszL),
         Box::new(CuszI),
         Box::new(CuszIb),
         Box::new(Cuszp2),
-        Box::new(FzGpu::default()),
+        Box::new(FzGpu),
     ]
 }
 

@@ -9,7 +9,7 @@ use szhi_core::{ModeTuning, SzhiConfig};
 use szhi_ndgrid::Dims;
 
 /// The usage text printed after every usage error and by `--help`.
-pub const USAGE: &str = "usage: szhi-cli <subcommand> [options]
+pub(crate) const USAGE: &str = "usage: szhi-cli <subcommand> [options]
 
 subcommands:
   encode <input> <output|-> --dims Z,Y,X --eb F [options]
@@ -53,7 +53,7 @@ pub enum ModeArg {
 
 impl ModeArg {
     /// The [`ModeTuning`] policy this flag value selects.
-    pub fn tuning(&self) -> ModeTuning {
+    pub(crate) fn tuning(&self) -> ModeTuning {
         match self {
             ModeArg::Global => ModeTuning::Global,
             ModeArg::PerChunk => ModeTuning::PerChunk,
@@ -120,7 +120,7 @@ pub struct InspectArgs {
 /// flags are accepted anywhere on the line, for every subcommand, and
 /// stripped before subcommand parsing (see [`split_telemetry`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TelemetryArgs {
+pub(crate) struct TelemetryArgs {
     /// `--stats`: print a summary table to stderr after the run.
     pub stats: bool,
     /// `--stats-json PATH`: write every counter and histogram to `PATH`
@@ -133,12 +133,12 @@ pub struct TelemetryArgs {
 
 impl TelemetryArgs {
     /// Whether stats collection must be enabled for this run.
-    pub fn wants_stats(&self) -> bool {
+    pub(crate) fn wants_stats(&self) -> bool {
         self.stats || self.stats_json.is_some()
     }
 
     /// Whether any telemetry output was requested at all.
-    pub fn any(&self) -> bool {
+    pub(crate) fn any(&self) -> bool {
         self.wants_stats() || self.trace.is_some()
     }
 }
@@ -146,7 +146,7 @@ impl TelemetryArgs {
 /// Strips the global telemetry flags (`--stats`, `--stats-json PATH`,
 /// `--trace PATH`, inline `=` values included) out of `argv` and returns
 /// the remaining tokens plus the parsed [`TelemetryArgs`].
-pub fn split_telemetry(argv: &[String]) -> Result<(Vec<String>, TelemetryArgs), CliError> {
+pub(crate) fn split_telemetry(argv: &[String]) -> Result<(Vec<String>, TelemetryArgs), CliError> {
     // szhi-analyzer: allow(capped-alloc) -- sized by the argument list already in memory
     let mut rest: Vec<String> = Vec::with_capacity(argv.len());
     let mut tel = TelemetryArgs::default();

@@ -49,7 +49,7 @@ fn emit(text: std::fmt::Arguments<'_>) -> Result<(), CliError> {
 }
 
 /// Runs one parsed command to completion.
-pub fn dispatch(cmd: &Command) -> Result<(), CliError> {
+pub(crate) fn dispatch(cmd: &Command) -> Result<(), CliError> {
     match cmd {
         Command::Encode(a) => encode(a),
         Command::Decode(a) => decode(a),

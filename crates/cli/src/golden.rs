@@ -24,7 +24,7 @@ pub const GOLDEN_ABS_EB: f64 = 2e-3;
 /// Chunk span of the chunked golden streams: 16³ turns the golden field
 /// into a 2×2×2 plan whose low-x chunks are smooth and high-x chunks
 /// noisy, so per-chunk tuning exercises both production pipelines.
-pub const GOLDEN_SPAN: [usize; 3] = [16, 16, 16];
+pub(crate) const GOLDEN_SPAN: [usize; 3] = [16, 16, 16];
 
 /// Shape of the golden field.
 pub fn golden_dims() -> Dims {

@@ -48,7 +48,7 @@ pub enum CliError {
 
 impl CliError {
     /// The process exit code this error maps to.
-    pub fn exit_code(&self) -> i32 {
+    pub(crate) fn exit_code(&self) -> i32 {
         match self {
             CliError::Usage(_) => 2,
             CliError::Runtime(_) => 1,
@@ -57,7 +57,7 @@ impl CliError {
     }
 
     /// The error message (without the `szhi-cli: error:` prefix).
-    pub fn message(&self) -> &str {
+    pub(crate) fn message(&self) -> &str {
         match self {
             CliError::Usage(msg) | CliError::Runtime(msg) => msg,
             CliError::StdoutClosed => "stdout was closed by its reader",

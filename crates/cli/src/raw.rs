@@ -137,7 +137,7 @@ const BAND_CAP: usize = 256 * 1024;
 /// field's own rank (a region of a 2-D field is a 2-D grid, the shape a
 /// chunk plan over that field expects).
 ///
-/// The region is read as [`read_region_into`] reads it, through a band
+/// The region is read as `read_region_into` reads it, through a band
 /// buffer of its own.
 pub fn read_region(file: &mut File, dims: Dims, region: &Region) -> Result<Grid<f32>, CliError> {
     let mut values = Vec::with_capacity(decode_capacity(region.len()));
@@ -156,7 +156,7 @@ pub fn read_region(file: &mut File, dims: Dims, region: &Region) -> Result<Grid<
 /// region's rows are sliced out of it at the field's x-stride. `band` is
 /// the caller's buffer, reused across calls; it grows once to the largest
 /// band and never past the cap (or one row, when a row is wider).
-pub fn read_region_into(
+pub(crate) fn read_region_into(
     file: &mut File,
     dims: Dims,
     region: &Region,

@@ -114,7 +114,7 @@ fn encode_table(freqs: &[u32; 256], cum: &[u32; 257]) -> [SymEnc; 256] {
 /// supplies the renormalisation threshold, an exact reciprocal replacing the
 /// `x / f` hardware division, and the cumulative base; renormalisation is
 /// unrolled to its maximum of two byte emissions.
-pub fn encode(data: &[u8]) -> Vec<u8> {
+pub(crate) fn encode(data: &[u8]) -> Vec<u8> {
     encode_counted(data, &byte_histogram(data))
 }
 
@@ -171,7 +171,7 @@ pub(crate) fn encode_counted(data: &[u8], hist: &[u64; 256]) -> Vec<u8> {
 /// `n` symbols and `ε = −log2(1 − 2^-11)`, the emitted bytes number more
 /// than `(S − n·ε − 8)/(8 + ε)`. The header (count, frequency table and
 /// final state) is added exactly.
-pub fn encoded_len_floor(hist: &[u64; 256]) -> usize {
+pub(crate) fn encoded_len_floor(hist: &[u64; 256]) -> usize {
     const HEADER: usize = 8 + 2 * 256;
     let n: u64 = hist.iter().sum();
     if n == 0 {
@@ -225,17 +225,12 @@ pub fn encode_reference(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decodes a stream produced by [`encode`].
-pub fn decode(data: &[u8]) -> Result<Vec<u8>, CodecError> {
-    decode_limited(data, usize::MAX)
-}
-
-/// Like [`decode`], but rejects streams whose claimed symbol count exceeds
-/// `max_out` before any decoding work. Unlike Huffman there is no sound
-/// input-derived bound on the symbol count — a degenerate single-symbol
-/// frequency table emits symbols without consuming bits — so untrusted
-/// callers must supply the bound.
-pub fn decode_limited(data: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
+/// Decodes a stream produced by [`encode`], rejecting streams whose claimed
+/// symbol count exceeds `max_out` before any decoding work. Unlike Huffman
+/// there is no sound input-derived bound on the symbol count — a degenerate
+/// single-symbol frequency table emits symbols without consuming bits — so
+/// untrusted callers must supply the bound.
+pub(crate) fn decode_limited(data: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
     let mut cur = ByteCursor::new(data);
     let n = cur.get_u64()? as usize;
     if n > max_out {
@@ -300,7 +295,7 @@ mod tests {
 
     fn roundtrip(data: &[u8]) -> usize {
         let enc = encode(data);
-        assert_eq!(decode(&enc).unwrap(), data);
+        assert_eq!(decode_limited(&enc, usize::MAX).unwrap(), data);
         enc.len()
     }
 
@@ -389,13 +384,16 @@ mod tests {
         let enc = encode(&[1u8, 2, 3, 4, 5, 6, 7, 8]);
         let mut bad = enc.clone();
         bad[8] ^= 0xff; // clobber a frequency entry
-        assert!(decode(&bad).is_err() || decode(&bad).unwrap() != vec![1u8, 2, 3, 4, 5, 6, 7, 8]);
+        assert!(
+            decode_limited(&bad, usize::MAX).is_err()
+                || decode_limited(&bad, usize::MAX).unwrap() != vec![1u8, 2, 3, 4, 5, 6, 7, 8]
+        );
     }
 
     #[test]
     fn truncation_is_detected() {
         let data: Vec<u8> = (0..10_000).map(|i| (i * 31 % 256) as u8).collect();
         let enc = encode(&data);
-        assert!(decode(&enc[..enc.len() - 4]).is_err());
+        assert!(decode_limited(&enc[..enc.len() - 4], usize::MAX).is_err());
     }
 }

@@ -65,14 +65,10 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompresses a stream produced by [`compress`].
-pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CodecError> {
-    decompress_limited(input, usize::MAX)
-}
-
-/// Like [`decompress`], but rejects streams whose claimed output length
-/// exceeds `max_out` before any decoding work, for use on untrusted input.
-pub fn decompress_limited(input: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
+/// Decompresses a stream produced by [`compress`], rejecting streams whose
+/// claimed output length exceeds `max_out` before any decoding work, for
+/// use on untrusted input.
+pub(crate) fn decompress_limited(input: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
     let mut cur = ByteCursor::new(input);
     let orig_len = cur.get_u64()? as usize;
     if orig_len > max_out {
@@ -140,7 +136,7 @@ mod tests {
 
     fn roundtrip(data: &[u8]) -> usize {
         let enc = compress(data);
-        assert_eq!(decompress(&enc).unwrap(), data);
+        assert_eq!(decompress_limited(&enc, usize::MAX).unwrap(), data);
         enc.len()
     }
 
@@ -193,6 +189,6 @@ mod tests {
     fn truncation_is_detected() {
         let data: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
         let enc = compress(&data);
-        assert!(decompress(&enc[..enc.len() / 2]).is_err());
+        assert!(decompress_limited(&enc[..enc.len() / 2], usize::MAX).is_err());
     }
 }

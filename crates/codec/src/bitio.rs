@@ -163,11 +163,6 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    /// Total number of bits available in the underlying buffer.
-    pub fn total_bits(&self) -> usize {
-        self.buf.len() * 8
-    }
-
     /// Number of bits consumed so far.
     pub fn bits_consumed(&self) -> usize {
         self.pos * 8 - self.nbits as usize
@@ -285,11 +280,6 @@ impl<'a> ByteCursor<'a> {
         ByteCursor { buf, pos: 0 }
     }
 
-    /// Current read offset.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     /// Bytes remaining after the cursor.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -310,7 +300,7 @@ impl<'a> ByteCursor<'a> {
     }
 
     /// Returns the next `N` bytes as a fixed-size array and advances.
-    pub fn take_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+    pub(crate) fn take_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
         self.take(N)?
             .first_chunk::<N>()
             .copied()

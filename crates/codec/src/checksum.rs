@@ -8,7 +8,7 @@
 //! tables built at compile time, so the per-byte cost is one table lookup
 //! and the loop-carried dependency is a single XOR tree per eight bytes —
 //! fast enough to be invisible next to the entropy coders, and a fixed
-//! 4-byte cost per chunk. [`update_bytewise`] keeps the classic one-table
+//! 4-byte cost per chunk. `update_bytewise` keeps the classic one-table
 //! byte-at-a-time formulation as the reference the fast path is verified
 //! against (and handles the unaligned tail).
 //!
@@ -71,7 +71,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 ///
 /// Slice-by-8: eight bytes are consumed per iteration via a `u64` read; the
 /// sub-8-byte tail goes through the bytewise reference path.
-pub fn update(state: u32, bytes: &[u8]) -> u32 {
+pub(crate) fn update(state: u32, bytes: &[u8]) -> u32 {
     let mut crc = state;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
@@ -93,7 +93,7 @@ pub fn update(state: u32, bytes: &[u8]) -> u32 {
 /// The byte-at-a-time reference formulation: one table lookup per input
 /// byte. This is the path the slice-by-8 kernel is property-tested against,
 /// and the tail handler for inputs that are not a multiple of eight bytes.
-pub fn update_bytewise(state: u32, bytes: &[u8]) -> u32 {
+pub(crate) fn update_bytewise(state: u32, bytes: &[u8]) -> u32 {
     let mut crc = state;
     for &b in bytes {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];

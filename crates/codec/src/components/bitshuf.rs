@@ -15,7 +15,7 @@ use super::is_word_width;
 use crate::CodecError;
 
 /// Number of symbols per transposed block.
-pub const BLOCK_SYMBOLS: usize = 64;
+pub(crate) const BLOCK_SYMBOLS: usize = 64;
 
 /// The bit-shuffle transformer over `W`-byte symbols (`W` = 1, 2, 4 or 8).
 ///

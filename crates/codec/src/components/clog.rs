@@ -11,18 +11,18 @@ use crate::bitio::{put_u64, BitReader, ByteCursor, WordWriter};
 use crate::CodecError;
 
 /// Symbols per fixed-length block.
-pub const BLOCK_SYMBOLS: usize = 256;
+pub(crate) const BLOCK_SYMBOLS: usize = 256;
 
 /// The CLOG reducer over `W`-byte symbols (`W` = 1, 2 or 4).
 #[derive(Debug, Clone, Copy)]
-pub struct Clog<const W: usize>;
+pub(crate) struct Clog<const W: usize>;
 
 impl<const W: usize> Clog<W> {
     /// Encodes `input`.
     ///
     /// Layout: `orig_len u64 | bit stream`, where the bit stream is a
     /// sequence of blocks `[6-bit width | width × count bits]`.
-    pub fn encode_bytes(&self, input: &[u8]) -> Vec<u8> {
+    pub(crate) fn encode_bytes(&self, input: &[u8]) -> Vec<u8> {
         const { assert!(matches!(W, 1 | 2 | 4), "unsupported CLOG symbol width") };
         let (symbols, tail) = input.as_chunks::<W>();
         let mut out = Vec::with_capacity(input.len() / 2 + 16);
@@ -48,7 +48,7 @@ impl<const W: usize> Clog<W> {
     /// Decodes a stream produced by [`Clog::encode_bytes`], failing with a
     /// typed error, before any work, when it claims more than `max_out`
     /// bytes or more blocks than its bit stream can hold.
-    pub fn decode_bytes(&self, input: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
+    pub(crate) fn decode_bytes(&self, input: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
         const { assert!(matches!(W, 1 | 2 | 4), "unsupported CLOG symbol width") };
         let mut cur = ByteCursor::new(input);
         let orig_len = cur.get_u64()? as usize;

@@ -13,11 +13,11 @@ use crate::CodecError;
 
 /// The DIFFMS transformer over `W`-byte symbols (`W` = 1, 2, 4 or 8).
 #[derive(Debug, Clone, Copy)]
-pub struct DiffMs<const W: usize>;
+pub(crate) struct DiffMs<const W: usize>;
 
 impl<const W: usize> DiffMs<W> {
     /// Applies delta + zig-zag.
-    pub fn encode_bytes(&self, input: &[u8]) -> Vec<u8> {
+    pub(crate) fn encode_bytes(&self, input: &[u8]) -> Vec<u8> {
         const { assert!(is_word_width(W), "unsupported DIFFMS symbol width") };
         let mut prev = 0u64;
         map_words::<W>(input, |v| {
@@ -29,7 +29,7 @@ impl<const W: usize> DiffMs<W> {
     }
 
     /// Reverses delta + zig-zag.
-    pub fn decode_bytes(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
+    pub(crate) fn decode_bytes(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
         const { assert!(is_word_width(W), "unsupported DIFFMS symbol width") };
         let mut prev = 0u64;
         Ok(map_words::<W>(input, |zz| {

@@ -35,22 +35,22 @@
 //! kept under `#[cfg(test)]` as each component's `*_reference`, and the
 //! differential tests below pin every kernel to them byte for byte.
 
-pub mod bitshuf;
-pub mod clog;
-pub mod diffms;
+pub(crate) mod bitshuf;
+pub(crate) mod clog;
+pub(crate) mod diffms;
 mod elim;
-pub mod rre;
-pub mod rze;
-pub mod tcms;
-pub mod tupl;
+pub(crate) mod rre;
+pub(crate) mod rze;
+pub(crate) mod tcms;
+pub(crate) mod tupl;
 
 pub use bitshuf::Bit;
-pub use clog::Clog;
-pub use diffms::DiffMs;
+pub(crate) use clog::Clog;
+pub(crate) use diffms::DiffMs;
 pub use rre::Rre;
 pub use rze::Rze;
-pub use tcms::Tcms;
-pub use tupl::{TuplD, TuplQ};
+pub(crate) use tcms::Tcms;
+pub(crate) use tupl::{TuplD, TuplQ};
 
 /// Splits a byte stream into `n_sym` symbols of `width` bytes, zero-padding
 /// the final symbol if the input length is not a multiple of the width.

@@ -32,7 +32,7 @@ impl<const W: usize> Rre<W> {
     /// Decodes a stream produced by [`Rre::encode_bytes`], failing with a
     /// typed error, before any work, when it claims more than `max_out`
     /// bytes.
-    pub fn decode_bytes(&self, input: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
+    pub(crate) fn decode_bytes(&self, input: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
         const { assert!(is_word_width(W), "unsupported RRE symbol width") };
         elim::decode::<W, false>(input, max_out)
     }

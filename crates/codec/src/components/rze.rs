@@ -14,7 +14,7 @@ use crate::CodecError;
 pub struct Rze<const W: usize>;
 
 impl<const W: usize> Rze<W> {
-    /// Encodes `input`. Layout mirrors [`super::rre::Rre::encode_bytes`],
+    /// Encodes `input`. Layout mirrors `super::rre::Rre::encode_bytes`,
     /// with the bitmap itself compressed by a byte-granular zero-elimination
     /// pass (runs of zero symbols produce zero bitmap bytes).
     pub fn encode_bytes(&self, input: &[u8]) -> Vec<u8> {

@@ -13,11 +13,11 @@ use crate::CodecError;
 
 /// The TCMS transformer over `W`-byte symbols (`W` = 1, 2, 4 or 8).
 #[derive(Debug, Clone, Copy)]
-pub struct Tcms<const W: usize>;
+pub(crate) struct Tcms<const W: usize>;
 
 impl<const W: usize> Tcms<W> {
     /// Applies the forward transform.
-    pub fn encode_bytes(&self, input: &[u8]) -> Vec<u8> {
+    pub(crate) fn encode_bytes(&self, input: &[u8]) -> Vec<u8> {
         const { assert!(is_word_width(W), "unsupported TCMS symbol width") };
         map_words::<W>(input, |v| {
             let sign = (((v as i64) << (64 - 8 * W)) >> 63) as u64;
@@ -26,7 +26,7 @@ impl<const W: usize> Tcms<W> {
     }
 
     /// Applies the inverse transform.
-    pub fn decode_bytes(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
+    pub(crate) fn decode_bytes(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
         const { assert!(is_word_width(W), "unsupported TCMS symbol width") };
         Ok(map_words::<W>(input, |v| {
             ((v >> 1) ^ (v & 1).wrapping_neg()) & word_mask::<W>()

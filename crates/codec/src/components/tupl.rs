@@ -19,16 +19,16 @@ use crate::CodecError;
 
 /// Quad lane split of single-byte symbols.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TuplQ;
+pub(crate) struct TuplQ;
 
 impl TuplQ {
     /// Creates the quad-split component.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TuplQ
     }
 
     /// Splits `input` into four lanes (`i % 4`), concatenated in lane order.
-    pub fn encode_bytes(&self, input: &[u8]) -> Vec<u8> {
+    pub(crate) fn encode_bytes(&self, input: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(input.len() + 8);
         put_u64(&mut out, input.len() as u64);
         for lane in 0..4 {
@@ -38,7 +38,7 @@ impl TuplQ {
     }
 
     /// Reverses the quad split.
-    pub fn decode_bytes(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
+    pub(crate) fn decode_bytes(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
         let mut cur = ByteCursor::new(input);
         let orig_len = cur.get_u64()? as usize;
         let body = cur.take_rest();
@@ -66,17 +66,17 @@ impl TuplQ {
 
 /// Dual byte-lane split of 2-byte symbols.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TuplD;
+pub(crate) struct TuplD;
 
 impl TuplD {
     /// Creates the dual-split component.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TuplD
     }
 
     /// Splits `input` into a low-byte lane and a high-byte lane; a trailing
     /// odd byte is appended after the lanes.
-    pub fn encode_bytes(&self, input: &[u8]) -> Vec<u8> {
+    pub(crate) fn encode_bytes(&self, input: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(input.len() + 8);
         put_u64(&mut out, input.len() as u64);
         out.extend(input.iter().step_by(2));
@@ -85,7 +85,7 @@ impl TuplD {
     }
 
     /// Reverses the dual split.
-    pub fn decode_bytes(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
+    pub(crate) fn decode_bytes(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
         let mut cur = ByteCursor::new(input);
         let orig_len = cur.get_u64()? as usize;
         let body = cur.take_rest();

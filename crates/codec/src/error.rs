@@ -40,7 +40,7 @@ impl CodecError {
     }
 
     /// Shorthand for an [`CodecError::InvalidHeader`].
-    pub fn header(context: &'static str, detail: impl Into<String>) -> Self {
+    pub(crate) fn header(context: &'static str, detail: impl Into<String>) -> Self {
         CodecError::InvalidHeader {
             context,
             detail: detail.into(),
@@ -48,7 +48,7 @@ impl CodecError {
     }
 
     /// Shorthand for a [`CodecError::Corrupt`].
-    pub fn corrupt(context: &'static str, detail: impl Into<String>) -> Self {
+    pub(crate) fn corrupt(context: &'static str, detail: impl Into<String>) -> Self {
         CodecError::Corrupt {
             context,
             detail: detail.into(),

@@ -5,7 +5,7 @@
 //! canonical, length-limited Huffman coder over `u8` symbols:
 //!
 //! * code lengths come from a standard two-queue Huffman construction over
-//!   the symbol histogram, then are limited to [`MAX_CODE_LEN`] bits with a
+//!   the symbol histogram, then are limited to `MAX_CODE_LEN` bits with a
 //!   Kraft-sum fix-up (the approach used by zlib);
 //! * only the 256 code lengths are stored in the header (canonical codes are
 //!   reconstructed on decode), so the header overhead matches the "Huffman
@@ -19,7 +19,7 @@
 //!   the payload emits up to eight symbols with one 8-byte store, and one
 //!   window load serves four lookups. A code longer than 12 bits is found by
 //!   a canonical search over a window, which holds it because lengths are
-//!   capped at [`MAX_CODE_LEN`].
+//!   capped at `MAX_CODE_LEN`.
 //!
 //! The stream is `n u64 | 256 × 6-bit lengths (192 bytes) | payload`; the
 //! payload is the canonical codes, MSB first, zero-padded to a byte.
@@ -35,7 +35,7 @@ use crate::CodecError;
 /// Maximum code length in bits. 32 is far above the entropy of quantization
 /// codes but keeps the fix-up cheap, and every code fits in the decoder's
 /// 64-bit window at any bit offset. The decoder rejects longer lengths.
-pub const MAX_CODE_LEN: u32 = 32;
+pub(crate) const MAX_CODE_LEN: u32 = 32;
 
 /// Bits of the window the decode table is indexed by.
 const LUT_BITS: u32 = 12;
@@ -208,27 +208,11 @@ pub struct HuffmanBook {
 }
 
 impl HuffmanBook {
-    /// Builds the code book for `data`.
-    pub fn from_data(data: &[u8]) -> Self {
-        Self::from_histogram(&byte_histogram(data))
-    }
-
     /// Builds the code book from an explicit histogram.
     pub fn from_histogram(hist: &[u64; 256]) -> Self {
         let lengths = code_lengths(hist);
         let codes = canonical_codes(&lengths);
         HuffmanBook { lengths, codes }
-    }
-
-    /// The code length (bits) of `symbol`, zero when the symbol is absent.
-    pub fn length(&self, symbol: u8) -> u32 {
-        self.lengths[symbol as usize]
-    }
-
-    /// The canonical code of `symbol` (valid in its low
-    /// [`length`](HuffmanBook::length) bits).
-    pub fn code(&self, symbol: u8) -> u64 {
-        self.codes[symbol as usize]
     }
 
     /// The total encoded size in bits of data with histogram `hist`.
@@ -256,7 +240,7 @@ const HEADER_BYTES: usize = 8 + 192;
 /// The exact length of [`encode`]'s output for any input whose byte
 /// histogram is `hist`: the header plus the payload's code bits, padded to
 /// a byte. The trial engine sizes a Huffman stage with it before running it.
-pub fn encoded_len(hist: &[u64; 256]) -> usize {
+pub(crate) fn encoded_len(hist: &[u64; 256]) -> usize {
     let bits = HuffmanBook::from_histogram(hist).encoded_bits(hist);
     HEADER_BYTES + bits.div_ceil(8) as usize
 }
@@ -297,7 +281,7 @@ pub(crate) fn encode_counted(data: &[u8], hist: &[u64; 256]) -> Vec<u8> {
 /// separate code/length lookups (the pre-optimisation formulation).
 #[cfg(test)]
 pub fn encode_reference(data: &[u8]) -> Vec<u8> {
-    encode_with_book(&HuffmanBook::from_data(data), data)
+    encode_with_book(&HuffmanBook::from_histogram(&byte_histogram(data)), data)
 }
 
 /// The stream of `data` under `book`, written as [`encode_reference`]
@@ -716,10 +700,7 @@ mod tests {
     fn differential_streams() -> Vec<(String, Vec<u8>, Vec<u8>)> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(29);
         let limited = length_limited_book();
-        assert_eq!(
-            (0..=255u8).map(|s| limited.length(s)).max(),
-            Some(MAX_CODE_LEN)
-        );
+        assert_eq!(limited.lengths.iter().copied().max(), Some(MAX_CODE_LEN));
         let mut streams = Vec::new();
         for len in [1usize, 2, 3, 7, 13, 64, 301, 1001] {
             let uniform: Vec<u8> = (0..len).map(|_| rng.gen()).collect();

@@ -19,11 +19,11 @@
 //! * [`huffman`] — canonical Huffman coding over byte symbols.
 //! * [`components`] — the LC-framework-style composable stages
 //!   (`RRE`/`RZE`/`TCMS`/`BIT`/`DIFFMS`/`CLOG`/`TUPL`).
-//! * [`pipeline`] — the lossless stages and the named pipeline catalogue.
+//! * `pipeline` — the lossless stages and the named pipeline catalogue.
 //! * [`bitcomp_sim`] — an open-source stand-in for NVIDIA Bitcomp
 //!   (the module doc holds the substitution rationale).
-//! * [`ans`] — a static range coder standing in for nvCOMP's ANS.
-//! * [`lz`] — an LZSS-style dictionary coder standing in for
+//! * `ans` — a static range coder standing in for nvCOMP's ANS.
+//! * `lz` — an LZSS-style dictionary coder standing in for
 //!   GPULZ / nvCOMP LZ4.
 //! * [`fixedlen`] — per-block fixed-length bit packing (used by the cuSZp2
 //!   and FZ-GPU baselines).
@@ -35,17 +35,17 @@
 //! property tests.
 #![forbid(unsafe_code)]
 
-pub mod ans;
+mod ans;
 pub mod bitcomp_sim;
 pub mod bitio;
 pub mod checksum;
 pub mod components;
-pub mod error;
+mod error;
 pub mod fixedlen;
 mod histogram;
 pub mod huffman;
-pub mod lz;
-pub mod pipeline;
+mod lz;
+mod pipeline;
 pub mod trial;
 
 pub use error::CodecError;

@@ -16,7 +16,7 @@ const HASH_BITS: u32 = 16;
 
 /// Search effort of the match finder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Effort {
+pub(crate) enum Effort {
     /// One probe per position (fast, lower ratio).
     Fast,
     /// Up to 32 chained probes per position (slower, higher ratio).
@@ -251,14 +251,10 @@ fn emit_literals(out: &mut Vec<u8>, literals: &[u8]) {
     out.extend_from_slice(literals);
 }
 
-/// Decompresses a stream produced by [`compress`].
-pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CodecError> {
-    decompress_limited(input, usize::MAX)
-}
-
-/// Like [`decompress`], but rejects streams whose claimed output length
-/// exceeds `max_out` before any decoding work, for use on untrusted input.
-pub fn decompress_limited(input: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
+/// Decompresses a stream produced by [`compress`], rejecting streams whose
+/// claimed output length exceeds `max_out` before any decoding work, for
+/// use on untrusted input.
+pub(crate) fn decompress_limited(input: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
     let mut cur = ByteCursor::new(input);
     let orig_len = cur.get_u64()? as usize;
     if orig_len > max_out {
@@ -463,7 +459,7 @@ mod tests {
                     let rebased = compress_with(input, effort, every);
                     assert!(rebased == expect, "input {n}, {effort:?}, rebase {every}");
                 }
-                assert_eq!(decompress(&expect).unwrap(), *input);
+                assert_eq!(decompress_limited(&expect, usize::MAX).unwrap(), *input);
             }
         }
     }
@@ -471,7 +467,7 @@ mod tests {
     fn roundtrip(data: &[u8], effort: Effort) -> usize {
         let enc = compress(data, effort);
         assert_eq!(
-            decompress(&enc).unwrap(),
+            decompress_limited(&enc, usize::MAX).unwrap(),
             data,
             "effort {effort:?} len {}",
             data.len()
@@ -553,6 +549,6 @@ mod tests {
             Effort::Fast,
         );
         // Truncating usually produces an EOF or invalid-offset error.
-        assert!(decompress(&enc[..enc.len() - 2]).is_err());
+        assert!(decompress_limited(&enc[..enc.len() - 2], usize::MAX).is_err());
     }
 }

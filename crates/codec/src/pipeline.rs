@@ -80,16 +80,6 @@ impl StageSpec {
         matches!(self, StageSpec::Huffman | StageSpec::Ans)
     }
 
-    /// Whether this stage is a pure length-preserving transform (no
-    /// headers, no size change): TCMS, BIT, DIFFMS, CLOG, TUPL.
-    pub fn is_transform(&self) -> bool {
-        use StageSpec::*;
-        matches!(
-            self,
-            Tcms1 | Tcms8 | Bit1 | DiffMs1 | Clog1 | TuplQ1 | TuplD2
-        )
-    }
-
     /// The stage as a boxed [`Stage`]: a copy of itself. Kept for the
     /// benchmark harness, which still boxes stages.
     pub fn build(&self) -> Box<dyn Stage> {
@@ -181,7 +171,7 @@ impl Stage for StageSpec {
 /// The first two variants are the production pipelines of cuSZ-Hi
 /// (Figure 7); the remainder are the Figure 6 benchmark entries. Proprietary
 /// codecs are represented by open-source stand-ins, each argued in its own
-/// module doc ([`crate::ans`], [`crate::bitcomp_sim`], [`crate::lz`]): `ANS` →
+/// module doc (`crate::ans`, [`crate::bitcomp_sim`], `crate::lz`): `ANS` →
 /// rANS, `Bitcomp` → bitcomp-sim, `LZ4`/`GPULZ` → fast LZSS, `GDeflate`/`Zstd`
 /// → thorough LZSS, `Zstd` additionally entropy-coded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -584,11 +574,6 @@ mod tests {
                 manual = stage.decode(&manual).unwrap();
             }
             assert_eq!(manual, data, "{spec} stage-wise decode");
-            // Classification sanity: a stage is never both an entropy coder
-            // and a pure transform.
-            for stage in stages {
-                assert!(!(stage.is_entropy_coder() && stage.is_transform()));
-            }
         }
     }
 

@@ -16,8 +16,8 @@
 //!   only lets the cheap candidates set the bar the floors are held to.
 //! * **Floors before a final entropy stage.** Before a candidate's last
 //!   stage, when that stage is Huffman or rANS, the histogram of its input
-//!   sizes its output from below ([`huffman::encoded_len`] exactly,
-//!   [`ans::encoded_len_floor`] as a proven bound). When the floor cannot
+//!   sizes its output from below (`huffman::encoded_len` exactly,
+//!   `ans::encoded_len_floor` as a proven bound). When the floor cannot
 //!   beat the best payload so far, the trial ends there: it is *started*
 //!   but not *completed*.
 

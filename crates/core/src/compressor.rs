@@ -26,7 +26,7 @@
 //! every chunk is a pure function of (its sub-field, the config), and the
 //! container assembles them in chunk order.
 
-use crate::config::{ErrorBound, ModeTuning, PipelineMode, SzhiConfig};
+use crate::config::{ErrorBound, ModeTuning, SzhiConfig};
 use crate::error::SzhiError;
 use crate::format::{
     locate_table, monolithic_index, read_chunk_table, stream_version, write_header, StreamIndex,
@@ -39,7 +39,8 @@ use std::sync::{Mutex, PoisonError};
 use szhi_ndgrid::{ChunkPlan, Grid, Region};
 use szhi_predictor::autotune;
 
-/// Statistics of one compression run, returned by [`compress_with_stats`].
+/// Statistics of one compression run, returned by
+/// [`StreamSink::finish_with_stats`](crate::StreamSink::finish_with_stats).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressionStats {
     /// Uncompressed input size in bytes.
@@ -66,7 +67,7 @@ pub fn compress(data: &Grid<f32>, cfg: &SzhiConfig) -> Result<Vec<u8>, SzhiError
 }
 
 /// Compresses `data` under `cfg`, returning the stream and its statistics.
-pub fn compress_with_stats(
+pub(crate) fn compress_with_stats(
     data: &Grid<f32>,
     cfg: &SzhiConfig,
 ) -> Result<(Vec<u8>, CompressionStats), SzhiError> {
@@ -129,7 +130,7 @@ pub fn compress_chunked(
 /// obey the chunk-alignment rule: a positive multiple of the anchor stride
 /// along every non-degenerate axis (spans larger than the grid are clamped
 /// to one whole-field chunk).
-pub fn compress_chunked_with_stats(
+pub(crate) fn compress_chunked_with_stats(
     data: &Grid<f32>,
     cfg: &SzhiConfig,
     span: [usize; 3],
@@ -247,9 +248,10 @@ pub fn chunk_count(bytes: &[u8]) -> Result<usize, SzhiError> {
     Ok(table.entries.len())
 }
 
-/// Convenience: the mode name the paper uses for a configuration
-/// (`cuSZ-Hi-CR` / `cuSZ-Hi-TP`).
-pub fn mode_label(mode: PipelineMode) -> String {
+/// The mode name the paper uses for a configuration (`cuSZ-Hi-CR` /
+/// `cuSZ-Hi-TP`).
+#[cfg(test)]
+fn mode_label(mode: crate::PipelineMode) -> String {
     format!("cuSZ-Hi-{}", mode.name())
 }
 
@@ -424,13 +426,30 @@ mod tests {
 
     #[test]
     fn disabling_reorder_and_autotune_still_roundtrips() {
+        // Writers always reorder, but the format carries the flag: a v1
+        // stream whose CR codes are in raster order decodes too.
         let g = DatasetKind::Qmcpack.generate(Dims::d3(30, 35, 35), 9);
-        let cfg = SzhiConfig::new(ErrorBound::Relative(1e-3))
-            .with_reorder(false)
-            .with_auto_tune(false);
-        let (bytes, stats) = compress_with_stats(&g, &cfg).unwrap();
-        let recon = decompress(&bytes).unwrap();
-        check_bound(&g, &recon, stats.abs_eb);
+        let abs_eb = ErrorBound::Relative(1e-3).absolute(g.value_range() as f64);
+        let interp = szhi_predictor::InterpConfig::cusz_hi();
+        let out = szhi_predictor::InterpPredictor::new(interp.clone())
+            .unwrap()
+            .compress(&g, abs_eb);
+        let header = crate::format::Header {
+            dims: g.dims(),
+            abs_eb,
+            pipeline: szhi_codec::PipelineSpec::CR,
+            reorder: false,
+            interp,
+        };
+        let payload = header.pipeline.encode(&out.codes);
+        let bytes = crate::format::legacy::write_v1(&header, &out.anchors, &out.outliers, &payload);
+        check_bound(&g, &decompress(&bytes).unwrap(), abs_eb);
+    }
+
+    #[test]
+    fn mode_labels_match_paper() {
+        assert_eq!(mode_label(PipelineMode::Cr), "cuSZ-Hi-CR");
+        assert_eq!(mode_label(PipelineMode::Tp), "cuSZ-Hi-TP");
     }
 
     #[test]
@@ -462,12 +481,6 @@ mod tests {
                 "cut at {cut} not detected"
             );
         }
-    }
-
-    #[test]
-    fn mode_labels_match_paper() {
-        assert_eq!(mode_label(PipelineMode::Cr), "cuSZ-Hi-CR");
-        assert_eq!(mode_label(PipelineMode::Tp), "cuSZ-Hi-TP");
     }
 
     // -----------------------------------------------------------------

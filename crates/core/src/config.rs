@@ -44,7 +44,7 @@ pub enum PipelineMode {
 
 impl PipelineMode {
     /// The lossless pipeline implementing this mode.
-    pub fn pipeline_spec(&self) -> PipelineSpec {
+    pub(crate) fn pipeline_spec(&self) -> PipelineSpec {
         match self {
             PipelineMode::Cr => PipelineSpec::CR,
             PipelineMode::Tp => PipelineSpec::TP,
@@ -158,9 +158,6 @@ pub struct SzhiConfig {
     /// Whether to auto-tune the per-level interpolation configuration on a
     /// 0.2 % sample of the input (§5.1.3). Enabled by default.
     pub auto_tune: bool,
-    /// Whether to apply the level-ordered code reordering (§5.1.4). Enabled
-    /// by default; the ablation harness switches it off.
-    pub reorder: bool,
     /// The interpolation predictor configuration (anchor stride, tile span,
     /// per-level scheme/spline defaults). Defaults to
     /// [`InterpConfig::cusz_hi`].
@@ -190,14 +187,13 @@ pub struct SzhiConfig {
 }
 
 impl SzhiConfig {
-    /// A default cuSZ-Hi configuration (CR mode, auto-tuning and reordering
-    /// enabled) for the given error bound.
+    /// A default cuSZ-Hi configuration (CR mode, auto-tuning enabled) for
+    /// the given error bound.
     pub fn new(error_bound: ErrorBound) -> Self {
         SzhiConfig {
             error_bound,
             mode: PipelineMode::Cr,
             auto_tune: true,
-            reorder: true,
             interp: InterpConfig::cusz_hi(),
             chunk_span: None,
             mode_tuning: ModeTuning::Global,
@@ -214,12 +210,6 @@ impl SzhiConfig {
     /// Enables or disables interpolation auto-tuning.
     pub fn with_auto_tune(mut self, enabled: bool) -> Self {
         self.auto_tune = enabled;
-        self
-    }
-
-    /// Enables or disables the level-ordered code reordering.
-    pub fn with_reorder(mut self, enabled: bool) -> Self {
-        self.reorder = enabled;
         self
     }
 
@@ -272,11 +262,9 @@ mod tests {
     fn builder_sets_fields() {
         let cfg = SzhiConfig::new(ErrorBound::Absolute(1.0))
             .with_mode(PipelineMode::Tp)
-            .with_auto_tune(false)
-            .with_reorder(false);
+            .with_auto_tune(false);
         assert_eq!(cfg.mode, PipelineMode::Tp);
         assert!(!cfg.auto_tune);
-        assert!(!cfg.reorder);
         assert_eq!(cfg.interp.anchor_stride, 16);
     }
 

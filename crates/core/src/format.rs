@@ -110,7 +110,7 @@ use szhi_codec::bitio::{
 };
 use szhi_codec::checksum::crc32;
 use szhi_codec::PipelineSpec;
-use szhi_ndgrid::{ChunkPlan, Dims, Region};
+use szhi_ndgrid::{ChunkPlan, Dims};
 use szhi_predictor::{InterpConfig, LevelConfig, Outlier, Scheme, Spline};
 
 /// Magic bytes identifying a szhi stream.
@@ -118,16 +118,16 @@ pub const MAGIC: [u8; 4] = *b"SZHI";
 /// Stream format version of the monolithic (single-chunk) container.
 pub const VERSION: u8 = 1;
 /// Stream format version of the chunked container.
-pub const VERSION_CHUNKED: u8 = 2;
+pub(crate) const VERSION_CHUNKED: u8 = 2;
 /// Stream format version of the streamed container (chunked layout with a
 /// per-chunk pipeline-mode byte and CRC32 checksum in every chunk-table
 /// entry).
-pub const VERSION_STREAMED: u8 = 3;
+pub(crate) const VERSION_STREAMED: u8 = 3;
 /// Stream format version of the trailered container (v3 chunk-table entries
 /// moved *behind* the data area, located via a fixed-size trailer at the
 /// end of the stream, so a writer can emit chunk bodies as they are
 /// produced with O(one chunk + table) memory).
-pub const VERSION_TRAILERED: u8 = 4;
+pub(crate) const VERSION_TRAILERED: u8 = 4;
 /// Stream format version of the tuned container: the trailered (v4) layout
 /// whose tail additionally carries a **predictor-config dictionary**, and
 /// whose 23-byte chunk-table entries each name the dictionary entry their
@@ -137,10 +137,10 @@ pub const VERSION_TUNED: u8 = 5;
 
 /// Magic bytes closing a trailered (v4) stream — the last four bytes of
 /// the container.
-pub const TRAILER_MAGIC: [u8; 4] = *b"SZT4";
+pub(crate) const TRAILER_MAGIC: [u8; 4] = *b"SZT4";
 /// Magic bytes closing a tuned (v5) stream — the last four bytes of the
 /// container.
-pub const TRAILER_MAGIC_V5: [u8; 4] = *b"SZT5";
+pub(crate) const TRAILER_MAGIC_V5: [u8; 4] = *b"SZT5";
 /// Size in bytes of the fixed v4/v5 trailer
 /// (`table_offset u64, n_chunks u64, table_crc32 u32, magic 4×u8`).
 pub const TRAILER_SIZE: usize = 24;
@@ -412,11 +412,11 @@ fn checked_count(
 
 /// The sections of a parsed stream: header, anchors, outliers, and the
 /// payload borrowed from the stream.
-pub type StreamSections<'a> = (Header, Vec<f32>, Vec<Outlier>, &'a [u8]);
+pub(crate) type StreamSections<'a> = (Header, Vec<f32>, Vec<Outlier>, &'a [u8]);
 
 /// One section body: anchors, outliers, and the pipeline payload borrowed
 /// from the body.
-pub type SectionBody<'a> = (Vec<f32>, Vec<Outlier>, &'a [u8]);
+pub(crate) type SectionBody<'a> = (Vec<f32>, Vec<Outlier>, &'a [u8]);
 
 /// Checks the magic and consumes the version byte.
 pub(crate) fn read_magic_version(cur: &mut ByteCursor<'_>) -> Result<u8, SzhiError> {
@@ -692,8 +692,8 @@ impl ChunkTable {
     }
 
     /// The byte slice of chunk `i` within `bytes` (the full stream),
-    /// **without** checksum verification. Prefer
-    /// [`ChunkTable::verified_chunk_slice`] for untrusted streams.
+    /// **without** checksum verification: the caller has verified it, or
+    /// trusts the stream.
     pub fn chunk_slice<'a>(&self, bytes: &'a [u8], i: usize) -> &'a [u8] {
         let e = &self.entries[i];
         &bytes[self.data_start + e.offset..self.data_start + e.offset + e.len]
@@ -705,7 +705,8 @@ impl ChunkTable {
     /// [`SzhiError::ChunkChecksum`] *before* any lossless decoder sees the
     /// bytes. For v2 streams (no checksums) this is [`Self::chunk_slice`]
     /// with typed errors instead of panics.
-    pub fn verified_chunk_slice<'a>(
+    #[cfg(test)]
+    pub(crate) fn verified_chunk_slice<'a>(
         &self,
         bytes: &'a [u8],
         i: usize,
@@ -1047,43 +1048,22 @@ fn seek_to<R: Seek>(reader: &mut R, pos: SeekFrom, what: &str) -> Result<u64, Sz
 }
 
 /// Everything a reader knows about a chunked stream before touching a
-/// chunk body: the version, the header, the chunk plan and the validated
-/// chunk table. Produced only by the crate's one table-locating path, so
-/// holding one means every check of `docs/FORMAT.md` short of the
-/// per-chunk CRC32 has passed. Readers hand it out read-only through
+/// chunk body: the header, the chunk plan and the validated chunk table.
+/// Produced only by the crate's one table-locating path, so holding one
+/// means every check of `docs/FORMAT.md` short of the per-chunk CRC32 has
+/// passed. Readers hand it out read-only through
 /// [`ChunkReader::index`](crate::stream::ChunkReader::index).
 #[derive(Debug)]
 pub struct StreamIndex {
-    pub(crate) version: u8,
     pub(crate) header: Header,
     pub(crate) plan: ChunkPlan,
     pub(crate) table: ChunkTable,
 }
 
 impl StreamIndex {
-    /// The container version of the stream (2, 3, 4 or 5).
-    pub fn version(&self) -> u8 {
-        self.version
-    }
-
-    /// The parsed stream header.
-    pub fn header(&self) -> &Header {
-        &self.header
-    }
-
     /// Shape of the full field the stream encodes.
     pub fn dims(&self) -> Dims {
         self.header.dims
-    }
-
-    /// Chunk span per axis `(z, y, x)`.
-    pub fn span(&self) -> [usize; 3] {
-        self.table.span
-    }
-
-    /// The chunk partition of the stream.
-    pub fn plan(&self) -> &ChunkPlan {
-        &self.plan
     }
 
     /// Number of chunks in the stream.
@@ -1102,23 +1082,25 @@ impl StreamIndex {
     }
 
     /// The region of the original field chunk `i` covers.
-    pub fn chunk_region(&self, i: usize) -> Result<Region, SzhiError> {
+    #[cfg(test)]
+    pub(crate) fn chunk_region(&self, i: usize) -> Result<szhi_ndgrid::Region, SzhiError> {
         self.entry(i)?;
         Ok(self.plan.chunk_at(i))
+    }
+
+    /// The interpolation configuration chunk `i` was compressed with: its
+    /// config-dictionary entry for tuned (v5) streams, the header's
+    /// configuration for every other version.
+    #[cfg(test)]
+    pub(crate) fn chunk_interp(&self, i: usize) -> Result<InterpConfig, SzhiError> {
+        self.entry(i)?;
+        Ok(self.table.chunk_interp(&self.header, i))
     }
 
     /// The lossless pipeline that encoded chunk `i` (from the v3+ mode
     /// byte; for v2 streams, the header's global pipeline).
     pub fn chunk_pipeline(&self, i: usize) -> Result<PipelineSpec, SzhiError> {
         self.entry(i).map(|e| e.pipeline)
-    }
-
-    /// The interpolation configuration chunk `i` was compressed with: its
-    /// config-dictionary entry for tuned (v5) streams, the header's
-    /// configuration for every other version.
-    pub fn chunk_interp(&self, i: usize) -> Result<InterpConfig, SzhiError> {
-        self.entry(i)?;
-        Ok(self.table.chunk_interp(&self.header, i))
     }
 }
 
@@ -1274,7 +1256,6 @@ fn read_trailing_table<R: Read + Seek>(
 impl Prefix {
     fn into_index(self, table: ChunkTable) -> StreamIndex {
         StreamIndex {
-            version: self.layout.version,
             header: self.header,
             plan: self.plan,
             table,
@@ -1320,7 +1301,6 @@ pub(crate) fn monolithic_index(bytes: &[u8]) -> Result<StreamIndex, SzhiError> {
         configs: Vec::new(),
     };
     Ok(StreamIndex {
-        version: VERSION,
         header,
         plan,
         table,

@@ -96,22 +96,6 @@ pub struct JobProgress {
     pub phase: JobPhase,
 }
 
-impl JobProgress {
-    /// Completed fraction in `[0, 1]` (`1.0` for an empty job).
-    pub fn fraction(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            self.done as f64 / self.total as f64
-        }
-    }
-
-    /// Whether every chunk has been processed.
-    pub fn is_complete(&self) -> bool {
-        self.done >= self.total
-    }
-}
-
 /// The state a job's coordinator thread and its [`JobHandle`] share.
 #[derive(Debug)]
 struct JobState {
@@ -179,11 +163,6 @@ impl<T> JobHandle<T> {
     /// has no effect.
     pub fn cancel(&self) {
         self.state.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancel_requested(&self) -> bool {
-        self.state.cancelled.load(Ordering::Relaxed)
     }
 
     /// Whether the job's coordinator thread has finished (successfully or
@@ -434,19 +413,6 @@ mod tests {
         assert_eq!(total, 8);
         let (_, stats) = job.join().unwrap();
         assert!(stats.compressed_bytes > 0);
-        let done = JobProgress {
-            done: total,
-            total,
-            phase: JobPhase::Done,
-        };
-        assert!(done.is_complete());
-        assert!((done.fraction() - 1.0).abs() < f64::EPSILON);
-        assert!((JobProgress {
-            done: 0,
-            total: 0,
-            phase: JobPhase::Done
-        })
-        .is_complete());
     }
 
     /// A writer that lets its first write pass (the header, on the
@@ -508,7 +474,6 @@ mod tests {
             assert_eq!(job.progress().total, total);
             blocked.recv().unwrap();
             job.cancel();
-            assert!(job.is_cancel_requested());
             drop(release);
             while !job.is_finished() {
                 std::thread::sleep(std::time::Duration::from_millis(1));
@@ -552,14 +517,15 @@ mod tests {
             assert!(spins < 20_000, "job never reached the encode phase");
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        assert!(!job.progress().is_complete());
+        let gated = job.progress();
+        assert!(gated.done < gated.total);
         drop(release);
         while !job.is_finished() {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         let end = job.progress();
         assert_eq!(end.phase, JobPhase::Done);
-        assert!(end.is_complete());
+        assert_eq!(end.done, end.total);
         // The per-job telemetry delta exists once the job is done.
         assert!(
             job.telemetry().is_some(),

@@ -192,23 +192,24 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod compressor;
-pub mod config;
-pub mod error;
+mod compressor;
+mod config;
+mod error;
 pub mod format;
 pub mod jobs;
-pub mod stream;
-pub(crate) mod telemetry;
+mod stream;
+mod telemetry;
 
 pub use compressor::{
-    chunk_count, compress, compress_chunked, compress_chunked_with_stats, compress_with_stats,
-    decompress, decompress_chunk, CompressionStats,
+    chunk_count, compress, compress_chunked, decompress, decompress_chunk, CompressionStats,
 };
 pub use config::{ErrorBound, ModeTuning, PipelineMode, SzhiConfig};
 pub use error::SzhiError;
 pub use format::{
-    stream_version, Header, StreamIndex, MAGIC, TRAILER_MAGIC, TRAILER_MAGIC_V5, TRAILER_SIZE,
-    VERSION, VERSION_CHUNKED, VERSION_STREAMED, VERSION_TRAILERED, VERSION_TUNED,
+    stream_version, Header, StreamIndex, MAGIC, TRAILER_SIZE, VERSION, VERSION_TUNED,
 };
 pub use jobs::{JobHandle, JobProgress, JobService};
-pub use stream::{ChunkReader, ChunkReceipt, Fetch, ForwardSource, StreamSink, StreamSource};
+pub use stream::{
+    ChunkReader, ChunkReceipt, Fetch, ForwardFetch, ForwardSource, SeekFetch, StreamSink,
+    StreamSource,
+};

@@ -59,7 +59,7 @@ pub struct ChunkReceipt {
     /// The chunk's index in plan order.
     pub index: usize,
     /// The lossless pipeline chosen for the chunk.
-    pub pipeline: PipelineSpec,
+    pub(crate) pipeline: PipelineSpec,
     /// Size of the encoded chunk body in bytes.
     pub compressed_bytes: usize,
 }
@@ -252,7 +252,7 @@ impl ChunkEncoder {
                 dims: plan.dims(),
                 abs_eb,
                 pipeline: cfg.mode.pipeline_spec(),
-                reorder: cfg.reorder,
+                reorder: true,
                 interp,
             },
             plan,
@@ -353,14 +353,12 @@ impl ChunkEncoder {
         };
         scratch.plane = values.into_vec();
         let levels = levels?;
-        let codes: &[u8] = if self.header.reorder {
+        {
             let _span = crate::telemetry::ENCODE_REORDER.enter();
             LevelOrder::new(expected, self.header.interp.anchor_stride)
                 .reorder_into(&scratch.output.codes, &mut scratch.reordered);
-            &scratch.reordered
-        } else {
-            &scratch.output.codes
-        };
+        }
+        let codes: &[u8] = &scratch.reordered;
         // The per-chunk mode tuner: offer the codes to the candidates
         // (trial-encoding them all, or the estimator-guided shortlist) and
         // keep the smallest real payload. Pure: the same codes always yield
@@ -520,16 +518,6 @@ impl<W: Write> StreamSink<W> {
         &self.enc.plan
     }
 
-    /// Shape of the full field being written.
-    pub fn dims(&self) -> Dims {
-        self.enc.header.dims
-    }
-
-    /// The absolute error bound every chunk is compressed under.
-    pub fn abs_eb(&self) -> f64 {
-        self.enc.header.abs_eb
-    }
-
     /// Index of the next chunk [`StreamSink::push_chunk`] expects.
     pub fn next_index(&self) -> usize {
         self.entries.len()
@@ -549,13 +537,9 @@ impl<W: Write> StreamSink<W> {
 
     /// Total bytes handed to the backing writer so far (header + chunk
     /// bodies; the table and trailer are added by [`StreamSink::finish`]).
-    pub fn bytes_written(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn bytes_written(&self) -> u64 {
         self.prefix_len + self.data_written
-    }
-
-    /// A reference to the backing writer.
-    pub fn get_ref(&self) -> &W {
-        &self.out
     }
 
     /// Compresses the next chunk and writes its body to the backing writer
@@ -742,16 +726,16 @@ impl<W: Write> StreamSink<W> {
     }
 
     /// Poisons the sink explicitly: every further push or finish fails with
-    /// a typed error, exactly as after a write failure. A cancelled job
-    /// calls this so its half-written stream — which has no chunk table or
-    /// trailer — can never be finalized into something that parses.
-    pub fn poison(&mut self) {
+    /// a typed error, exactly as after a write failure or a cancelled job's
+    /// refused write.
+    #[cfg(test)]
+    pub(crate) fn poison(&mut self) {
         self.poisoned = true;
     }
 
-    /// Whether the sink has been poisoned, by a write failure or by
-    /// [`StreamSink::poison`].
-    pub fn is_poisoned(&self) -> bool {
+    /// Whether the sink has been poisoned.
+    #[cfg(test)]
+    pub(crate) fn is_poisoned(&self) -> bool {
         self.poisoned
     }
 }
@@ -1131,7 +1115,7 @@ impl<F: Fetch> ChunkReader<F> {
     /// returns `None` past the last chunk. An error consumes the chunk like
     /// a success, so the next call moves on to the following chunk.
     #[allow(clippy::should_implement_trait)]
-    pub fn next_chunk(&mut self) -> Option<Result<(Region, Grid<f32>), SzhiError>> {
+    pub(crate) fn next_chunk(&mut self) -> Option<Result<(Region, Grid<f32>), SzhiError>> {
         (self.next < self.chunk_count()).then(|| self.read_chunk(self.next))
     }
 
@@ -1299,7 +1283,6 @@ mod tests {
         // field itself is never allocated.
         let big = Dims::d3(1024, 2048, 2049);
         let cfg = stream_cfg([1024, 2048, 2064]);
-        assert!(cfg.reorder);
         assert!(StreamSink::new(Vec::new(), big, &cfg).is_ok());
         let whole = ChunkPlan::new(big, [1024, 2048, 2049]);
         assert!(ChunkEncoder::new(whole, &cfg).is_ok());
@@ -1376,8 +1359,8 @@ mod tests {
         let cfg = stream_cfg([16, 16, 16]);
         let mut sink = StreamSink::new(Vec::new(), data.dims(), &cfg).unwrap();
         assert_eq!(sink.next_index(), 0);
-        assert_eq!(sink.dims(), data.dims());
-        assert!(sink.abs_eb() > 0.0);
+        assert_eq!(sink.enc.header.dims, data.dims());
+        assert!(sink.enc.header.abs_eb > 0.0);
         push_all(&mut sink, &data);
         assert!(sink.is_complete());
         let (v4, stats) = sink.finish_with_stats().unwrap();
@@ -1400,7 +1383,10 @@ mod tests {
         let from_v4 = decompress(&v4).unwrap();
         assert_eq!(from_v3.as_slice(), from_v4.as_slice());
         let mut source = StreamSource::from_bytes(&v4).unwrap();
-        assert_eq!(source.index().version(), crate::format::VERSION_TRAILERED);
+        assert_eq!(
+            stream_version(&v4).unwrap(),
+            crate::format::VERSION_TRAILERED
+        );
         assert_eq!(source.read_all().unwrap().as_slice(), from_v4.as_slice());
     }
 
@@ -1512,14 +1498,14 @@ mod tests {
         for (version, bytes) in [(2u8, &v2), (3, &v3), (4, &v4)] {
             let mut source = StreamSource::from_bytes(bytes).unwrap();
             let view = source.index();
-            assert_eq!(view.version(), version, "v{version}");
+            assert_eq!(stream_version(bytes).unwrap(), version, "v{version}");
             assert_eq!(view.dims(), data.dims());
-            assert_eq!(view.span(), table.span);
+            assert_eq!(view.table.span, table.span);
             assert_eq!(view.chunk_count(), table.entries.len());
-            assert_eq!(view.header().pipeline, header.pipeline);
+            assert_eq!(view.header.pipeline, header.pipeline);
             for i in 0..view.chunk_count() {
                 assert_eq!(view.chunk_pipeline(i).unwrap(), table.entries[i].pipeline);
-                assert_eq!(view.chunk_region(i).unwrap(), view.plan().chunk_at(i));
+                assert_eq!(view.chunk_region(i).unwrap(), view.plan.chunk_at(i));
             }
             let mut covered = 0usize;
             for chunk in source.chunks() {
@@ -1697,7 +1683,7 @@ mod tests {
             from_decompress.as_slice()
         );
         let mut source = StreamSource::from_bytes(&batch).unwrap();
-        assert_eq!(source.index().version(), VERSION_TUNED);
+        assert_eq!(stream_version(&batch).unwrap(), VERSION_TUNED);
         assert_eq!(
             source.read_all().unwrap().as_slice(),
             from_decompress.as_slice()
@@ -1713,7 +1699,7 @@ mod tests {
             interp.validate().unwrap();
             assert_eq!(
                 interp.anchor_stride,
-                source.index().header().interp.anchor_stride
+                source.index().header.interp.anchor_stride
             );
             assert_eq!(forward.index().chunk_interp(i).unwrap(), interp);
         }
@@ -1812,10 +1798,9 @@ mod tests {
             let n = forward.chunk_count();
             assert_eq!(n, seekable.chunk_count());
             for view in [forward.index(), seekable.index()] {
-                assert_eq!(view.version(), version, "v{version}");
                 assert_eq!(view.dims(), data.dims());
-                assert_eq!(view.span(), table.span);
-                assert_eq!(view.plan().len(), n);
+                assert_eq!(view.table.span, table.span);
+                assert_eq!(view.plan.len(), n);
                 // Every per-chunk accessor is a typed error past the end.
                 assert!(view.chunk_region(n).is_err(), "v{version} region");
                 assert!(view.chunk_pipeline(n).is_err(), "v{version} pipeline");

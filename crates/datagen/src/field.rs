@@ -2,9 +2,8 @@
 //!
 //! Each [`DatasetKind`] variant corresponds to one of the six SDRBench
 //! datasets the paper evaluates on (Table 3) and produces synthetic fields of
-//! matched dimensionality and character. The paper-sized shapes are available
-//! from [`DatasetKind::paper_dims`]; the experiment harness defaults to the
-//! laptop-scale [`DatasetKind::default_dims`] and scales up on request.
+//! matched dimensionality and character. The experiment harness defaults to
+//! the laptop-scale [`DatasetKind::default_dims`] and scales up on request.
 
 use crate::noise::ValueNoise;
 use rayon::prelude::*;
@@ -49,7 +48,8 @@ impl DatasetKind {
     }
 
     /// Parses a dataset name as printed by [`DatasetKind::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
+    #[cfg(test)]
+    fn from_name(name: &str) -> Option<Self> {
         match name.to_ascii_lowercase().as_str() {
             "cesm-atm" | "cesm" => Some(DatasetKind::CesmAtm),
             "jhtdb" => Some(DatasetKind::Jhtdb),
@@ -63,7 +63,8 @@ impl DatasetKind {
 
     /// The field dimensions used by the paper (Table 3). The QMCPack 4D file
     /// is represented by its 3D spatial grid (one orbital).
-    pub fn paper_dims(&self) -> Dims {
+    #[cfg(test)]
+    fn paper_dims(&self) -> Dims {
         match self {
             DatasetKind::CesmAtm => Dims::d2(1800, 3600),
             DatasetKind::Jhtdb => Dims::d3(512, 512, 512),
@@ -107,7 +108,7 @@ impl std::fmt::Display for DatasetKind {
 
 /// A fully specified synthetic field (dataset family, shape, seed).
 #[derive(Debug, Clone, Copy)]
-pub struct FieldSpec {
+pub(crate) struct FieldSpec {
     /// Dataset family to imitate.
     pub kind: DatasetKind,
     /// Output shape.
@@ -118,7 +119,7 @@ pub struct FieldSpec {
 
 impl FieldSpec {
     /// Generates the field described by this spec.
-    pub fn generate(&self) -> Grid<f32> {
+    pub(crate) fn generate(&self) -> Grid<f32> {
         let dims = self.dims;
         let point = self.point_fn();
         let nx = dims.nx();

@@ -16,19 +16,12 @@
 //! input per run.
 #![forbid(unsafe_code)]
 
-pub mod field;
-pub mod noise;
+mod field;
+mod noise;
 
-pub use field::{DatasetKind, FieldSpec};
-pub use noise::ValueNoise;
+pub use field::DatasetKind;
 
 use szhi_ndgrid::{Dims, Grid};
-
-/// Convenience wrapper: generate the dataset `kind` at shape `dims` with the
-/// given RNG `seed`.
-pub fn generate(kind: DatasetKind, dims: Dims, seed: u64) -> Grid<f32> {
-    kind.generate(dims, seed)
-}
 
 /// A field whose low-`x` half is a smooth trigonometric ramp and whose
 /// high-`x` half is deterministic full-range hash noise — the canonical

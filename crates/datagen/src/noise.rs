@@ -74,7 +74,7 @@ impl Lattice {
 /// yields rougher fields (turbulence-like); smaller yields very smooth fields
 /// (climate-like).
 #[derive(Debug, Clone)]
-pub struct ValueNoise {
+pub(crate) struct ValueNoise {
     octaves: Vec<(Lattice, f32, f32)>,
     norm: f32,
 }
@@ -86,7 +86,13 @@ impl ValueNoise {
     /// * `octaves` — number of octaves (≥ 1).
     /// * `persistence` — amplitude decay per octave, in `(0, 1]`.
     /// * `three_d` — whether the lattice varies along `z`.
-    pub fn new(seed: u64, base: usize, octaves: usize, persistence: f32, three_d: bool) -> Self {
+    pub(crate) fn new(
+        seed: u64,
+        base: usize,
+        octaves: usize,
+        persistence: f32,
+        three_d: bool,
+    ) -> Self {
         assert!(base >= 1 && octaves >= 1);
         assert!(persistence > 0.0 && persistence <= 1.0);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -109,7 +115,7 @@ impl ValueNoise {
 
     /// Samples the noise at normalised coordinates in `[0, 1]³`, returning a
     /// value roughly in `[-1, 1]`.
-    pub fn sample(&self, z: f32, y: f32, x: f32) -> f32 {
+    pub(crate) fn sample(&self, z: f32, y: f32, x: f32) -> f32 {
         let mut acc = 0.0f32;
         for (lattice, amp, res) in &self.octaves {
             let lz = if lattice.nz == 1 { 0.0 } else { z * res };

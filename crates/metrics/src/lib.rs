@@ -2,15 +2,12 @@
 //!
 //! This crate is the workspace's stand-in for the Z-checker tooling the
 //! paper's evaluation relies on: it computes the distortion metrics (PSNR,
-//! NRMSE, maximum point-wise error), the size metrics (compression ratio,
-//! bit rate) and the speed metrics (GiB/s throughput) that every table and
+//! NRMSE, maximum point-wise error) and the speed metrics (GiB/s throughput) that every table and
 //! figure of the paper reports.
 #![forbid(unsafe_code)]
 
-pub mod quality;
-pub mod size;
-pub mod timing;
+mod quality;
+mod timing;
 
 pub use quality::{verify_error_bound, QualityReport};
-pub use size::{bitrate, compression_ratio, SizeReport};
 pub use timing::{throughput_gibps, Stopwatch};

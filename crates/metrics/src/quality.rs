@@ -36,7 +36,7 @@ impl QualityReport {
 
     /// Computes distortion metrics between two raw buffers given the value
     /// range of the original data.
-    pub fn compare_slices(original: &[f32], restored: &[f32], value_range: f64) -> Self {
+    pub(crate) fn compare_slices(original: &[f32], restored: &[f32], value_range: f64) -> Self {
         assert_eq!(original.len(), restored.len(), "buffer lengths differ");
         assert!(!original.is_empty(), "cannot compare empty buffers");
         const BLOCK: usize = 1 << 16;

@@ -56,21 +56,6 @@ impl BlockGrid {
         }
     }
 
-    /// Anchor stride of the tiling.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Shape of the underlying field.
-    pub fn dims(&self) -> Dims {
-        self.dims
-    }
-
-    /// Number of blocks along each axis `(nbz, nby, nbx)`.
-    pub fn block_counts(&self) -> (usize, usize, usize) {
-        (self.nbz, self.nby, self.nbx)
-    }
-
     /// Total number of blocks.
     pub fn len(&self) -> usize {
         self.nbz * self.nby * self.nbx
@@ -82,7 +67,7 @@ impl BlockGrid {
     }
 
     /// The block with lattice coordinates `(bz, by, bx)`.
-    pub fn block(&self, bz: usize, by: usize, bx: usize) -> Block {
+    pub(crate) fn block(&self, bz: usize, by: usize, bx: usize) -> Block {
         assert!(
             bz < self.nbz && by < self.nby && bx < self.nbx,
             "block coordinate out of range"
@@ -112,7 +97,7 @@ impl BlockGrid {
     }
 
     /// The block with flat index `i` (row-major over the block lattice).
-    pub fn block_at(&self, i: usize) -> Block {
+    pub(crate) fn block_at(&self, i: usize) -> Block {
         let bx = i % self.nbx;
         let rest = i / self.nbx;
         let by = rest % self.nby;
@@ -121,7 +106,7 @@ impl BlockGrid {
     }
 
     /// Iterates over every block in row-major lattice order.
-    pub fn iter(&self) -> impl Iterator<Item = Block> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Block> + '_ {
         (0..self.len()).map(move |i| self.block_at(i))
     }
 
@@ -133,15 +118,9 @@ impl BlockGrid {
 
     /// The coordinates of the anchor points of the field (every point whose
     /// coordinates are all multiples of the stride), in row-major order.
-    /// Anchors are stored losslessly by the interpolation compressors.
-    pub fn anchor_coords(&self) -> Vec<(usize, usize, usize)> {
-        self.anchor_coords_iter().collect()
-    }
-
-    /// Allocation-free counterpart of [`BlockGrid::anchor_coords`]: yields
-    /// the same coordinates in the same row-major order without building the
-    /// vector, so the warm encode path can seed anchors with no per-chunk
-    /// heap traffic. (A degenerate axis of extent 1 yields the single
+    /// Anchors are stored losslessly by the interpolation compressors. The
+    /// iterator builds no vector, so the warm encode path can seed anchors
+    /// with no per-chunk heap traffic. (A degenerate axis of extent 1 yields the single
     /// coordinate 0, exactly as `(0..1).step_by(stride)` does, so no special
     /// case is needed.)
     pub fn anchor_coords_iter(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
@@ -174,11 +153,11 @@ mod tests {
     #[test]
     fn block_counts_cover_field() {
         let bg = BlockGrid::new(Dims::d3(33, 33, 33), 16);
-        assert_eq!(bg.block_counts(), (2, 2, 2));
+        assert_eq!(bg.len(), 8);
         let bg = BlockGrid::new(Dims::d3(32, 32, 32), 16);
-        assert_eq!(bg.block_counts(), (2, 2, 2));
+        assert_eq!(bg.len(), 8);
         let bg = BlockGrid::new(Dims::d3(17, 17, 17), 16);
-        assert_eq!(bg.block_counts(), (1, 1, 1));
+        assert_eq!(bg.len(), 1);
     }
 
     #[test]
@@ -248,7 +227,7 @@ mod tests {
     #[test]
     fn two_d_fields_keep_unit_z() {
         let bg = BlockGrid::new(Dims::d2(40, 40), 16);
-        assert_eq!(bg.block_counts(), (1, 3, 3));
+        assert_eq!(bg.len(), 9);
         let b = bg.block(0, 2, 2);
         assert_eq!(b.region.nz(), 1);
         assert_eq!(b.region.ny(), 8);
@@ -260,7 +239,7 @@ mod tests {
             for stride in [8, 16] {
                 let bg = BlockGrid::new(dims, stride);
                 assert_eq!(
-                    bg.anchor_coords().len(),
+                    bg.anchor_coords_iter().count(),
                     bg.anchor_count(),
                     "dims {dims} stride {stride}"
                 );
@@ -271,7 +250,7 @@ mod tests {
     #[test]
     fn anchors_lie_on_stride_multiples() {
         let bg = BlockGrid::new(Dims::d3(33, 33, 33), 16);
-        for (z, y, x) in bg.anchor_coords() {
+        for (z, y, x) in bg.anchor_coords_iter() {
             assert_eq!(z % 16, 0);
             assert_eq!(y % 16, 0);
             assert_eq!(x % 16, 0);

@@ -65,11 +65,6 @@ impl ChunkPlan {
         self.span
     }
 
-    /// Number of chunks along each axis `(ncz, ncy, ncx)`.
-    pub fn counts(&self) -> (usize, usize, usize) {
-        (self.ncz, self.ncy, self.ncx)
-    }
-
     /// Total number of chunks.
     pub fn len(&self) -> usize {
         self.ncz * self.ncy * self.ncx
@@ -94,7 +89,7 @@ impl ChunkPlan {
 
     /// The chunk with lattice coordinates `(cz, cy, cx)`: a clamped,
     /// non-overlapping region of the parent grid.
-    pub fn chunk(&self, cz: usize, cy: usize, cx: usize) -> Region {
+    pub(crate) fn chunk(&self, cz: usize, cy: usize, cx: usize) -> Region {
         assert!(
             cz < self.ncz && cy < self.ncy && cx < self.ncx,
             "chunk coordinate out of range"
@@ -136,7 +131,8 @@ impl ChunkPlan {
     /// The lattice coordinates `(cz, cy, cx)` of the chunk with flat
     /// index `i` (the inverse of the row-major linearisation used by
     /// [`ChunkPlan::chunk_at`]).
-    pub fn chunk_coords(&self, i: usize) -> (usize, usize, usize) {
+    #[cfg(test)]
+    fn chunk_coords(&self, i: usize) -> (usize, usize, usize) {
         assert!(i < self.len(), "chunk index out of range");
         let cx = i % self.ncx;
         let rest = i / self.ncx;
@@ -148,12 +144,11 @@ impl ChunkPlan {
         (0..self.len()).map(move |i| self.chunk_at(i))
     }
 
-    /// Incremental chunk-index iteration: yields `(index, region, dims)`
-    /// for every chunk in row-major lattice order — the order a streaming
-    /// writer must push chunks in. `dims` is the chunk viewed as a
-    /// standalone field ([`ChunkPlan::chunk_dims`]), so a producer can
-    /// allocate or slice each chunk's buffer without re-deriving shapes.
-    pub fn iter_indexed(&self) -> impl Iterator<Item = (usize, Region, Dims)> + '_ {
+    /// Chunk-index iteration: yields `(index, region, dims)` for every
+    /// chunk in row-major lattice order, `dims` being the chunk viewed as
+    /// a standalone field ([`ChunkPlan::chunk_dims`]).
+    #[cfg(test)]
+    fn iter_indexed(&self) -> impl Iterator<Item = (usize, Region, Dims)> + '_ {
         (0..self.len()).map(move |i| (i, self.chunk_at(i), self.chunk_dims(i)))
     }
 }
@@ -201,7 +196,7 @@ mod tests {
     fn degenerate_axes_are_normalised() {
         let plan = ChunkPlan::new(Dims::d2(64, 64), [32, 32, 32]);
         assert_eq!(plan.span(), [1, 32, 32]);
-        assert_eq!(plan.counts(), (1, 2, 2));
+        assert_eq!((plan.ncz, plan.ncy, plan.ncx), (1, 2, 2));
         assert!(plan.is_aligned(16));
     }
 
@@ -227,9 +222,9 @@ mod tests {
     fn chunk_at_roundtrips_lattice_coords() {
         let plan = ChunkPlan::new(Dims::d3(48, 40, 33), [16, 16, 16]);
         let mut i = 0;
-        for cz in 0..plan.counts().0 {
-            for cy in 0..plan.counts().1 {
-                for cx in 0..plan.counts().2 {
+        for cz in 0..plan.ncz {
+            for cy in 0..plan.ncy {
+                for cx in 0..plan.ncx {
                     assert_eq!(plan.chunk_at(i), plan.chunk(cz, cy, cx));
                     i += 1;
                 }

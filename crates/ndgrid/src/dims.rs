@@ -116,11 +116,6 @@ impl Dims {
         (z, y, x)
     }
 
-    /// Extents as `(nz, ny, nx)`.
-    pub fn as_tuple(&self) -> (usize, usize, usize) {
-        (self.nz, self.ny, self.nx)
-    }
-
     /// Extents ordered slowest-to-fastest, with the length equal to the rank.
     pub fn to_vec(&self) -> Vec<usize> {
         match self.rank {
@@ -158,7 +153,7 @@ mod tests {
     #[test]
     fn d1_has_unit_leading_axes() {
         let d = Dims::d1(100);
-        assert_eq!(d.as_tuple(), (1, 1, 100));
+        assert_eq!((d.nz(), d.ny(), d.nx()), (1, 1, 100));
         assert_eq!(d.rank(), 1);
         assert_eq!(d.len(), 100);
     }

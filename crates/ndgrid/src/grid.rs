@@ -136,27 +136,6 @@ impl<T: Copy + Default> Grid<T> {
         let start = self.dims.index(z, 0, 0);
         self.data[start..start + self.dims.ny() * self.dims.nx()].to_vec()
     }
-
-    /// Extracts the 2D slice at fixed `y` (an `nz × nx` buffer).
-    pub fn plane_y(&self, y: usize) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.dims.nz() * self.dims.nx());
-        for z in 0..self.dims.nz() {
-            let row = self.dims.index(z, y, 0);
-            out.extend_from_slice(&self.data[row..row + self.dims.nx()]);
-        }
-        out
-    }
-
-    /// Extracts the 2D slice at fixed `x` (an `nz × ny` buffer).
-    pub fn plane_x(&self, x: usize) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.dims.nz() * self.dims.ny());
-        for z in 0..self.dims.nz() {
-            for y in 0..self.dims.ny() {
-                out.push(self.data[self.dims.index(z, y, x)]);
-            }
-        }
-        out
-    }
 }
 
 impl Grid<f32> {
@@ -235,8 +214,6 @@ mod tests {
     fn planes_have_expected_sizes() {
         let g = iota(Dims::d3(3, 4, 5));
         assert_eq!(g.plane_z(1).len(), 20);
-        assert_eq!(g.plane_y(2).len(), 15);
-        assert_eq!(g.plane_x(0).len(), 12);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!   linearisation helpers (`x` is always the fastest-varying axis, matching
 //!   the row-major `z × y × x` layout the cuSZ family uses).
 //! * [`Grid`] — an owned, contiguous scalar field over a [`Dims`].
-//! * [`blocks`] — the thread-block-style tiling used by the interpolation
+//! * `blocks` — the thread-block-style tiling used by the interpolation
 //!   predictors: overlapping cubic tiles whose faces lie on the anchor grid.
-//! * [`chunks`] — the non-overlapping, anchor-aligned chunk partition used
+//! * `chunks` — the non-overlapping, anchor-aligned chunk partition used
 //!   by the chunk-parallel compression engine (one independent sub-field
 //!   per chunk).
 //! * [`Region`] — a rectangular sub-region of a grid (origin + extent).
@@ -23,11 +23,11 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod blocks;
-pub mod chunks;
-pub mod dims;
-pub mod grid;
-pub mod region;
+mod blocks;
+mod chunks;
+mod dims;
+mod grid;
+mod region;
 
 pub use blocks::{Block, BlockGrid};
 pub use chunks::ChunkPlan;

@@ -17,7 +17,7 @@ pub struct Region {
 
 impl Region {
     /// Creates a region with the given origin and extents.
-    pub fn new(z0: usize, y0: usize, x0: usize, nz: usize, ny: usize, nx: usize) -> Self {
+    pub(crate) fn new(z0: usize, y0: usize, x0: usize, nz: usize, ny: usize, nx: usize) -> Self {
         assert!(
             nz > 0 && ny > 0 && nx > 0,
             "region extents must be non-zero"
@@ -33,7 +33,8 @@ impl Region {
     }
 
     /// The region covering an entire field.
-    pub fn full(dims: Dims) -> Self {
+    #[cfg(test)]
+    pub(crate) fn full(dims: Dims) -> Self {
         Region::new(0, 0, 0, dims.nz(), dims.ny(), dims.nx())
     }
 
@@ -98,13 +99,15 @@ impl Region {
     }
 
     /// Whether the region contains the point `(z, y, x)` of the parent grid.
-    pub fn contains(&self, z: usize, y: usize, x: usize) -> bool {
+    #[cfg(test)]
+    fn contains(&self, z: usize, y: usize, x: usize) -> bool {
         self.z_range().contains(&z) && self.y_range().contains(&y) && self.x_range().contains(&x)
     }
 
     /// Clamps the region so it fits inside `dims`. Panics if the origin lies
     /// outside the field.
-    pub fn clamped(&self, dims: Dims) -> Region {
+    #[cfg(test)]
+    fn clamped(&self, dims: Dims) -> Region {
         assert!(
             self.z0 < dims.nz() && self.y0 < dims.ny() && self.x0 < dims.nx(),
             "region origin outside the field"

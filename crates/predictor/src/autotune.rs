@@ -26,10 +26,10 @@ use szhi_ndgrid::Dims;
 use szhi_ndgrid::{BlockGrid, Grid};
 
 /// Fraction of the field sampled for the trials (the paper's 0.2 %).
-pub const SAMPLE_FRACTION: f64 = 0.002;
+pub(crate) const SAMPLE_FRACTION: f64 = 0.002;
 
 /// The candidate (scheme, spline) pairs evaluated per level.
-pub fn candidates() -> [LevelConfig; 4] {
+pub(crate) fn candidates() -> [LevelConfig; 4] {
     [
         LevelConfig {
             scheme: Scheme::MultiDim,

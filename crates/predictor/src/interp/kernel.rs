@@ -39,7 +39,7 @@ const BATCH: usize = 64;
 /// axis) that are all predicted from points known *before* the step, plus the
 /// axes along which the prediction interpolates.
 #[derive(Debug, Clone, Copy)]
-pub struct Step {
+pub(crate) struct Step {
     /// `(start, stride)` of target coordinates along `z`.
     pub z: (usize, usize),
     /// `(start, stride)` of target coordinates along `y`.
@@ -264,7 +264,7 @@ const MULTI_DIM: [Step; 7] = [
 /// Enumerates the interpolation steps of one level (stride `s`) under the
 /// given scheme. Executing the steps in order guarantees every target's
 /// neighbours are already known.
-pub fn steps(s: usize, scheme: Scheme) -> impl Iterator<Item = Step> + Clone {
+pub(crate) fn steps(s: usize, scheme: Scheme) -> impl Iterator<Item = Step> + Clone {
     let unit: &'static [Step] = match scheme {
         Scheme::DimSequence => &DIM_SEQUENCE,
         Scheme::MultiDim => &MULTI_DIM,

@@ -48,9 +48,9 @@
 
 mod kernel;
 
+pub(crate) use kernel::steps;
 pub(crate) use kernel::Level;
 use kernel::Planes;
-pub use kernel::{steps, Step};
 
 use crate::error::PredictorError;
 use crate::quantize::{Outlier, Quantizer, OUTLIER_CODE, ZERO_CODE};
@@ -170,7 +170,7 @@ impl InterpConfig {
     }
 
     /// Number of interpolation levels (`log2(anchor_stride)`).
-    pub fn num_levels(&self) -> usize {
+    pub(crate) fn num_levels(&self) -> usize {
         self.anchor_stride.trailing_zeros() as usize
     }
 
@@ -206,7 +206,7 @@ pub struct InterpOutput {
     /// Losslessly stored anchor values, in row-major anchor-lattice order.
     pub anchors: Vec<f32>,
     /// One quantization code per point (same layout as the field); anchors
-    /// carry [`ZERO_CODE`], outliers carry [`OUTLIER_CODE`].
+    /// carry `ZERO_CODE`, outliers carry `OUTLIER_CODE`.
     pub codes: Vec<u8>,
     /// Points whose prediction error exceeded the one-byte code range,
     /// stored exactly, ordered by index.
@@ -215,7 +215,8 @@ pub struct InterpOutput {
 
 impl InterpOutput {
     /// Fraction of points stored as outliers.
-    pub fn outlier_fraction(&self) -> f64 {
+    #[cfg(test)]
+    fn outlier_fraction(&self) -> f64 {
         if self.codes.is_empty() {
             0.0
         } else {
@@ -298,11 +299,6 @@ impl InterpPredictor {
         Ok(InterpPredictor { cfg })
     }
 
-    /// The predictor's configuration.
-    pub fn config(&self) -> &InterpConfig {
-        &self.cfg
-    }
-
     /// Runs the lossy decomposition of `data` under the absolute error bound
     /// `eb`, returning anchors, quantization codes and outliers.
     pub fn compress(&self, data: &Grid<f32>, eb: f64) -> InterpOutput {
@@ -338,7 +334,7 @@ impl InterpPredictor {
     /// commits it. Anchors are read from the plane and keep their values.
     /// A commit reads its point's original value from its own slot before
     /// it overwrites it, and every prediction reads only points committed
-    /// before its step (the [`Step`] contract), so the input needs no
+    /// before its step (the `Step` contract), so the input needs no
     /// second plane. On return `values` holds the field a decompression
     /// of `out` reconstructs.
     pub fn compress_in_place(&self, values: &mut Grid<f32>, eb: f64, out: &mut InterpOutput) {
@@ -586,6 +582,7 @@ impl InterpPredictor {
 
 #[cfg(test)]
 mod tests {
+    use super::kernel::Step;
     use super::*;
     use szhi_ndgrid::Dims;
 
@@ -694,7 +691,7 @@ mod tests {
                     assert!(
                         kernel == reference,
                         "{dims}, {:?}: the row kernel's commits differ from the reference",
-                        p.config()
+                        &p.cfg
                     );
                 }
             }
@@ -785,7 +782,7 @@ mod tests {
                         let (expect, recon) = compress_reference(&p, &data, eb);
                         let mut values = data.clone();
                         p.compress_in_place(&mut values, eb, &mut out);
-                        let what = format!("{dims}, eb {eb}, {:?}", p.config());
+                        let what = format!("{dims}, eb {eb}, {:?}", &p.cfg);
                         assert_eq!(out.codes, expect.codes, "{what}: codes");
                         assert_eq!(bits(&out.anchors), bits(&expect.anchors), "{what}");
                         assert_eq!(outlier_bits(&out), outlier_bits(&expect), "{what}");
@@ -855,7 +852,7 @@ mod tests {
             for (data, expected) in fields.iter().zip(&expected) {
                 let dims = data.dims();
                 for (p, (expect, plane)) in predictors().iter().zip(expected) {
-                    let what = format!("{n} threads, {dims}, {:?}", p.config());
+                    let what = format!("{n} threads, {dims}, {:?}", &p.cfg);
                     let mut values = data.clone();
                     p.compress_in_place(&mut values, 1e-3, &mut out);
                     assert_eq!(out.codes, expect.codes, "{what}: codes");

@@ -8,13 +8,13 @@
 //! encoder* shrinks that integer array. This crate implements the first
 //! phase for every compressor in the workspace:
 //!
-//! * [`quantize`] — the error-bounded linear quantizer with one-byte codes
+//! * `quantize` — the error-bounded linear quantizer with one-byte codes
 //!   and an outlier side channel (§5.2.1);
-//! * [`interp`] — the spline-interpolation predictor: the cuSZ-I
+//! * `interp` — the spline-interpolation predictor: the cuSZ-I
 //!   configuration (anchor stride 8, dimension-sequence interpolation) and
 //!   the cuSZ-Hi configuration (anchor stride 16, multi-dimensional
 //!   interpolation, §5.1.1–§5.1.2);
-//! * [`reorder`] — the level-ordered quantization-code mapping (§5.1.4,
+//! * `reorder` — the level-ordered quantization-code mapping (§5.1.4,
 //!   Eq. 3);
 //! * [`autotune`] — the sampled, workload-balanced interpolation auto-tuner
 //!   (§5.1.3).
@@ -27,16 +27,16 @@
 #![forbid(unsafe_code)]
 
 pub mod autotune;
-pub mod error;
-pub mod interp;
-pub mod quantize;
-pub mod reorder;
+mod error;
+mod interp;
+mod quantize;
+mod reorder;
 
 pub use error::PredictorError;
 pub use interp::{
     CompressScratch, InterpConfig, InterpOutput, InterpPredictor, LevelConfig, Scheme, Spline,
 };
-pub use quantize::{Outlier, Quantizer, OUTLIER_CODE, ZERO_CODE};
+pub use quantize::Outlier;
 pub use reorder::LevelOrder;
 
 /// Makes `buf` hold `n` zeros. A buffer with the room is cleared in place;

@@ -7,11 +7,11 @@
 
 /// The code value reserved for outliers (points whose exact value is stored
 /// in the side channel).
-pub const OUTLIER_CODE: u8 = 0;
+pub(crate) const OUTLIER_CODE: u8 = 0;
 
 /// The code value meaning "prediction error quantized to zero" — the centre
 /// of the code space.
-pub const ZERO_CODE: u8 = 128;
+pub(crate) const ZERO_CODE: u8 = 128;
 
 /// One losslessly stored point: its linear index in the field and its exact
 /// value.
@@ -31,7 +31,7 @@ pub struct Outlier {
 /// whenever the code fits in `1..=255` — otherwise the point is an outlier
 /// and its value is kept exactly.
 #[derive(Debug, Clone, Copy)]
-pub struct Quantizer {
+pub(crate) struct Quantizer {
     eb: f64,
     two_eb: f64,
 }
@@ -39,7 +39,7 @@ pub struct Quantizer {
 impl Quantizer {
     /// Creates a quantizer for the absolute error bound `eb` (must be
     /// positive and finite).
-    pub fn new(eb: f64) -> Self {
+    pub(crate) fn new(eb: f64) -> Self {
         assert!(
             eb.is_finite() && eb > 0.0,
             "error bound must be positive and finite, got {eb}"
@@ -50,18 +50,13 @@ impl Quantizer {
         }
     }
 
-    /// The absolute error bound.
-    pub fn error_bound(&self) -> f64 {
-        self.eb
-    }
-
     /// Quantizes `value` against `pred`.
     ///
     /// Returns `(code, reconstructed)`. When `code` is [`OUTLIER_CODE`] the
     /// reconstructed value equals `value` exactly and the caller must record
     /// the outlier.
     #[inline]
-    pub fn quantize(&self, value: f32, pred: f32) -> (u8, f32) {
+    pub(crate) fn quantize(&self, value: f32, pred: f32) -> (u8, f32) {
         let diff = value as f64 - pred as f64;
         let q = (diff / self.two_eb).round();
         if q.abs() <= 127.0 {
@@ -78,14 +73,15 @@ impl Quantizer {
 
     /// Reconstructs a value from a non-outlier `code` and the prediction.
     #[inline]
-    pub fn reconstruct(&self, code: u8, pred: f32) -> f32 {
+    pub(crate) fn reconstruct(&self, code: u8, pred: f32) -> f32 {
         debug_assert_ne!(code, OUTLIER_CODE, "outlier codes carry no offset");
         (pred as f64 + (code as i32 - ZERO_CODE as i32) as f64 * self.two_eb) as f32
     }
 
     /// Converts a value-range-relative error bound into the absolute bound
     /// used by the compressors (the paper's `eb · (max − min)` convention).
-    pub fn absolute_from_relative(rel_eb: f64, value_range: f64) -> f64 {
+    #[cfg(test)]
+    fn absolute_from_relative(rel_eb: f64, value_range: f64) -> f64 {
         let abs = rel_eb * value_range;
         if abs > 0.0 {
             abs
@@ -118,7 +114,7 @@ mod tests {
             let value = pred + rng.gen_range(-2.0f32..2.0);
             let (code, recon) = q.quantize(value, pred);
             assert!(
-                (recon as f64 - value as f64).abs() <= q.error_bound() + 1e-12,
+                (recon as f64 - value as f64).abs() <= 1e-2 + 1e-12,
                 "bound violated: value {value} recon {recon}"
             );
             if code != OUTLIER_CODE {

@@ -64,7 +64,7 @@ pub use metrics::{bucket_bound, Counter, Histogram, BUCKETS};
 pub use render::{render_ascii_table, render_stats};
 pub use snapshot::{CounterSnapshot, HistogramSnapshot, Snapshot};
 pub use span::{Span, SpanGuard};
-pub use trace::{export_trace_json, trace_dropped_events, tuner_record};
+pub use trace::{export_trace_json, tuner_record};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

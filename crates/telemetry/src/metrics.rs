@@ -88,12 +88,12 @@ impl Counter {
     }
 
     /// The counter's name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         self.name
     }
 
     /// The current total.
-    pub fn value(&self) -> u64 {
+    pub(crate) fn value(&self) -> u64 {
         self.value.load(Relaxed)
     }
 }
@@ -149,22 +149,22 @@ impl Histogram {
     }
 
     /// The histogram's name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         self.name
     }
 
     /// The histogram's unit label.
-    pub fn unit(&self) -> &'static str {
+    pub(crate) fn unit(&self) -> &'static str {
         self.unit
     }
 
     /// Number of recorded events.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Relaxed)
     }
 
     /// Exact sum of all recorded values (wrapping at `u64::MAX`).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.load(Relaxed)
     }
 

@@ -30,14 +30,14 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// The exact mean of recorded values (0 when empty).
-    pub fn mean(&self) -> u64 {
+    pub(crate) fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
     /// A bucket-resolution percentile estimate: the inclusive upper
     /// bound of the bucket the rank `ceil(p × count)` lands in. `p`
     /// is clamped into `[0, 1]`; an empty histogram reports 0.
-    pub fn percentile(&self, p: f64) -> u64 {
+    pub(crate) fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -158,11 +158,6 @@ impl Snapshot {
     /// The histogram named `name`, if captured.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.iter().find(|h| h.name == name)
-    }
-
-    /// Whether nothing was captured.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
     }
 }
 

@@ -22,11 +22,6 @@ impl Span {
         }
     }
 
-    /// The span's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Opens the span. With every switch off this is one relaxed load
     /// and returns an inert guard (no clock read, no allocation).
     #[inline]
@@ -37,11 +32,6 @@ impl Span {
         SpanGuard {
             open: Some((self, Instant::now())),
         }
-    }
-
-    /// The span's duration histogram (for snapshot assertions).
-    pub fn durations(&self) -> &Histogram {
-        &self.dur
     }
 }
 

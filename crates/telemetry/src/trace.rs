@@ -5,7 +5,7 @@
 use crate::json::escape_json;
 use crate::metrics::{with_registry, Metric};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -30,7 +30,6 @@ struct TraceEvent {
 }
 
 static EVENTS: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
-static DROPPED: AtomicU64 = AtomicU64::new(0);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// Trace thread ids: small integers handed out on a thread's first
@@ -73,12 +72,9 @@ fn current_tid() -> u32 {
 
 fn push(event: TraceEvent) {
     let mut events = EVENTS.lock().unwrap_or_else(PoisonError::into_inner);
-    if events.len() >= EVENT_CAP {
-        drop(events);
-        DROPPED.fetch_add(1, Relaxed);
-        return;
+    if events.len() < EVENT_CAP {
+        events.push(event);
     }
-    events.push(event);
 }
 
 fn since_epoch_ns(at: Instant) -> u64 {
@@ -113,11 +109,6 @@ pub fn tuner_record(estimated: u64, actual: u64) {
     });
 }
 
-/// How many events the cap discarded since the last [`crate::reset`].
-pub fn trace_dropped_events() -> u64 {
-    DROPPED.load(Relaxed)
-}
-
 /// Empties the buffer (see [`crate::reset`]). Thread ids and the epoch
 /// survive, so traces across a reset stay on one timeline.
 pub(crate) fn clear_events() {
@@ -125,7 +116,6 @@ pub(crate) fn clear_events() {
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .clear();
-    DROPPED.store(0, Relaxed);
 }
 
 fn us(ns: u64) -> String {

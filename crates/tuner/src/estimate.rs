@@ -1,6 +1,6 @@
 //! Stage-aware pipeline output-size estimation.
 //!
-//! [`estimate_size`] predicts a candidate pipeline's encoded size for a
+//! [`estimate_sizes`] predicts candidate pipelines' encoded sizes for a
 //! full code stream while touching only a small deterministic sample of
 //! it. It walks the pipeline's [`StageSpec`] list and models each stage by
 //! what the stage actually *is*:
@@ -8,10 +8,9 @@
 //! * **Component stages** (RRE/RZE repeat- and zero-run eliminators, the
 //!   TCMS/BIT/DIFFMS/CLOG/TUPL transforms, Bitcomp, LZ) are applied to
 //!   the sample itself. These stages are cheap and local, so the sampled
-//!   stream's zero-run density and byte-range occupancy — the features
-//!   [`CodeStats`] summarises — propagate through them exactly as they
-//!   would through the full stream, and their reduction measured on the
-//!   sample extrapolates linearly.
+//!   stream's zero runs and byte-range occupancy propagate through them
+//!   exactly as they would through the full stream, and their reduction
+//!   measured on the sample extrapolates linearly.
 //! * **Entropy coders** (Huffman/ANS) are closed with the **histogram →
 //!   entropy bound**: the payload of a full stream with the sampled
 //!   distribution is `n · H / 8` bytes, no encode needed. Stages *behind*
@@ -35,7 +34,7 @@ use szhi_codec::{PipelineSpec, Stage, StageSpec};
 
 /// One pipeline's estimated output size.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SizeEstimate {
+pub(crate) struct SizeEstimate {
     /// The candidate pipeline.
     pub pipeline: PipelineSpec,
     /// Estimated encoded size of the full stream, in bytes.
@@ -46,30 +45,18 @@ pub struct SizeEstimate {
     pub entropy_bounded: bool,
 }
 
-/// Estimates the encoded size of a `full_len`-byte stream under `spec`,
-/// from a deterministic `sample` of it (see [`crate::sample_codes`]).
-///
-/// ```
-/// use szhi_codec::PipelineSpec;
-///
-/// // A heavily repetitive stream: the CR-style entropy pipelines estimate
-/// // far below the raw size.
-/// let codes = vec![128u8; 200_000];
-/// let sample = szhi_tuner::sample_codes(&codes, 4096, 16);
-/// let est = szhi_tuner::estimate_size(PipelineSpec::CR, &sample, codes.len());
-/// assert!(est.bytes < 20_000.0);
-/// ```
-pub fn estimate_size(spec: PipelineSpec, sample: &[u8], full_len: usize) -> SizeEstimate {
-    estimate_sizes(&[spec], sample, full_len)[0]
-}
-
-/// [`estimate_size`] of every spec in `specs`, in one pass over the
-/// sample: a stage prefix that several specs start with runs on the sample
-/// once, each stage output feeding an entropy stage is summarised by
-/// [`CodeStats`] once, and each spec's constant skeleton is measured once
-/// per process. Every estimate is bit for bit the one [`estimate_size`]
-/// gives for its spec alone.
-pub fn estimate_sizes(specs: &[PipelineSpec], sample: &[u8], full_len: usize) -> Vec<SizeEstimate> {
+/// Estimates the encoded size of a `full_len`-byte stream under each spec
+/// in `specs`, from a deterministic `sample` of it (see
+/// [`crate::sample_codes`]), in one pass over the sample: a stage prefix
+/// that several specs start with runs on the sample once, each stage
+/// output feeding an entropy stage is summarised by [`CodeStats`] once,
+/// and each spec's constant skeleton is measured once per process. Every
+/// estimate is bit for bit the one the spec gets when estimated alone.
+pub(crate) fn estimate_sizes(
+    specs: &[PipelineSpec],
+    sample: &[u8],
+    full_len: usize,
+) -> Vec<SizeEstimate> {
     let mut outputs = PrefixOutputs::new(sample);
     let mut models: Vec<(&'static [StageSpec], CodeStats)> = Vec::new();
     let mut estimates = Vec::with_capacity(specs.len());
@@ -213,7 +200,7 @@ impl Skeleton {
     }
 }
 
-/// [`estimate_size`] as it was before [`estimate_sizes`] shared work
+/// One spec's estimate as it was before [`estimate_sizes`] shared work
 /// across specs, kept as the reference the estimates must match bit for
 /// bit: every stage run on a fresh copy of the sample, the statistics and
 /// the skeleton measured per call.
@@ -324,10 +311,10 @@ mod tests {
     fn rank_of_true_best(codes: &[u8]) -> usize {
         let candidates = PipelineSpec::fig6_set();
         let sample = sample_codes(codes, 8192, 16);
-        let mut est: Vec<(usize, f64)> = candidates
+        let mut est: Vec<(usize, f64)> = estimate_sizes(&candidates, &sample, codes.len())
             .iter()
+            .map(|e| e.bytes)
             .enumerate()
-            .map(|(i, &spec)| (i, estimate_size(spec, &sample, codes.len()).bytes))
             .collect();
         est.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         let actual_best = candidates
@@ -363,7 +350,7 @@ mod tests {
         let codes = quant_like(150_000, 23);
         let sample = sample_codes(&codes, 8192, 16);
         for spec in PipelineSpec::fig6_set() {
-            let est = estimate_size(spec, &sample, codes.len()).bytes;
+            let est = estimate_sizes(&[spec], &sample, codes.len())[0].bytes;
             let actual = spec.encode(&codes).len() as f64;
             let ratio = est / actual;
             assert!(
@@ -379,7 +366,7 @@ mod tests {
         // must sit near n/8, far below the raw size.
         let codes: Vec<u8> = (0..131_072usize).map(|i| (i % 2) as u8 * 9).collect();
         let sample = sample_codes(&codes, 8192, 16);
-        let est = estimate_size(PipelineSpec::Hf, &sample, codes.len());
+        let est = estimate_sizes(&[PipelineSpec::Hf], &sample, codes.len())[0];
         assert!(est.entropy_bounded);
         let bound = codes.len() as f64 / 8.0;
         assert!(
@@ -392,7 +379,7 @@ mod tests {
     #[test]
     fn empty_and_degenerate_inputs_estimate_the_skeleton() {
         for spec in PipelineSpec::fig6_set() {
-            let est = estimate_size(spec, &[], 0);
+            let est = estimate_sizes(&[spec], &[], 0)[0];
             let skeleton = spec.encode(&[]).len() as f64;
             assert_eq!(est.bytes, skeleton, "{spec}");
         }
@@ -417,7 +404,7 @@ mod tests {
                     let batch = estimate_sizes(specs, sample, len);
                     for (&spec, est) in specs.iter().zip(&batch) {
                         let want = estimate_size_reference(spec, sample, len);
-                        let alone = estimate_size(spec, sample, len);
+                        let alone = estimate_sizes(&[spec], sample, len)[0];
                         for got in [est, &alone] {
                             assert_eq!(got.pipeline, want.pipeline, "{label}");
                             assert_eq!(
@@ -438,8 +425,8 @@ mod tests {
         let codes = quant_like(100_000, 31);
         let sample = sample_codes(&codes, 8192, 16);
         for spec in PipelineSpec::fig6_set() {
-            let a = estimate_size(spec, &sample, codes.len());
-            let b = estimate_size(spec, &sample, codes.len());
+            let a = estimate_sizes(&[spec], &sample, codes.len())[0];
+            let b = estimate_sizes(&[spec], &sample, codes.len())[0];
             assert_eq!(a.bytes.to_bits(), b.bytes.to_bits(), "{spec}");
         }
     }

@@ -13,7 +13,7 @@
 //! configurations are byte-reproducible at any worker-thread count.
 
 use szhi_ndgrid::Grid;
-use szhi_predictor::autotune::{self, TuneResult};
+use szhi_predictor::autotune;
 use szhi_predictor::InterpConfig;
 
 /// Scores the per-level interpolation candidates on a sampled subset of
@@ -35,16 +35,7 @@ use szhi_predictor::InterpConfig;
 /// tuned.validate().unwrap();
 /// ```
 pub fn tune_chunk_interp(chunk: &Grid<f32>, base: &InterpConfig) -> InterpConfig {
-    tune_chunk_interp_with_report(chunk, base).0
-}
-
-/// Like [`tune_chunk_interp`], additionally returning the per-level trial
-/// errors and sampled block count (for benchmarking and diagnostics).
-pub fn tune_chunk_interp_with_report(
-    chunk: &Grid<f32>,
-    base: &InterpConfig,
-) -> (InterpConfig, TuneResult) {
-    autotune::tune(chunk, base)
+    autotune::tune(chunk, base).0
 }
 
 #[cfg(test)]
@@ -81,8 +72,8 @@ mod tests {
             ((h & 0xFFFF) as f32 / 65_535.0) - 0.5
         });
         let base = InterpConfig::cusz_hi();
-        let (cfg_s, rep_s) = tune_chunk_interp_with_report(&smooth, &base);
-        let (cfg_n, rep_n) = tune_chunk_interp_with_report(&noisy, &base);
+        let (cfg_s, rep_s) = autotune::tune(&smooth, &base);
+        let (cfg_n, rep_n) = autotune::tune(&noisy, &base);
         cfg_s.validate().unwrap();
         cfg_n.validate().unwrap();
         assert!(rep_s.sampled_blocks >= 1 && rep_n.sampled_blocks >= 1);

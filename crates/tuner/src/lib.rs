@@ -10,16 +10,16 @@
 //! 1. [`sample::sample_codes`] draws a **deterministic** subset of a
 //!    chunk's quantization codes (evenly spaced contiguous segments, so
 //!    run structure survives);
-//! 2. [`stats::CodeStats`] summarises the sample (code histogram, Shannon
-//!    entropy, zero density, repeat-run density, byte-range occupancy);
-//! 3. [`estimate::estimate_size`] walks a candidate pipeline's
+//! 2. `CodeStats` summarises the sample (code histogram, Shannon
+//!    entropy);
+//! 3. `estimate_sizes` walks each candidate pipeline's
 //!    [`StageSpec`](szhi_codec::StageSpec) list with **stage-aware
 //!    models**: component stages (RRE/RZE/TCMS/BIT/…) are applied to the
 //!    sample itself — their zero-run and occupancy effects propagate
 //!    exactly — while entropy-coder stages (Huffman/ANS) are closed with
-//!    the histogram → entropy bound, which needs no encode at all;
-//!    [`estimate::estimate_sizes`] estimates a whole candidate list in one
-//!    pass over the sample, running each shared stage prefix once;
+//!    the histogram → entropy bound, which needs no encode at all; it
+//!    estimates a whole candidate list in one pass over the sample,
+//!    running each shared stage prefix once;
 //! 4. [`select::select_pipeline`] ranks the full candidate list by
 //!    estimated size and trials only a short refinement list (the
 //!    estimated top few plus the configured default) on the codec's
@@ -29,7 +29,7 @@
 //!
 //! The same per-chunk philosophy applies to the lossy side:
 //! [`interp::tune_chunk_interp`] scores the standard per-level
-//! interpolation candidates ([`szhi_predictor::autotune::candidates`]) on
+//! interpolation candidates (`szhi_predictor::autotune::candidates`) on
 //! a sampled subset of the chunk's blocks, giving every chunk its own
 //! predictor configuration (carried by the v5 container's config
 //! dictionary in `szhi-core`).
@@ -42,14 +42,12 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod estimate;
-pub mod interp;
-pub mod sample;
-pub mod select;
-pub mod stats;
+mod estimate;
+mod interp;
+mod sample;
+mod select;
+mod stats;
 
-pub use estimate::{estimate_size, estimate_sizes, SizeEstimate};
-pub use interp::{tune_chunk_interp, tune_chunk_interp_with_report};
+pub use interp::tune_chunk_interp;
 pub use sample::sample_codes;
 pub use select::{select_pipeline, SelectParams, Selection};
-pub use stats::CodeStats;

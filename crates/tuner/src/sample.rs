@@ -12,7 +12,7 @@
 //!   strided gather (which would shred every run).
 
 /// Number of contiguous segments a sample is assembled from.
-pub const DEFAULT_SEGMENTS: usize = 16;
+pub(crate) const DEFAULT_SEGMENTS: usize = 16;
 
 /// Draws a deterministic sample of at most `budget` bytes from `codes`:
 /// `segments` contiguous, equally long segments whose starts are spread

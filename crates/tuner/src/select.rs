@@ -20,13 +20,13 @@ use crate::estimate::estimate_sizes;
 use crate::sample::{sample_codes, DEFAULT_SEGMENTS};
 use szhi_codec::{trial, CodecError, PipelineSpec};
 
+/// Maximum sampled bytes per chunk (the cost-model input), drawn as
+/// [`DEFAULT_SEGMENTS`] contiguous segments.
+const SAMPLE_BUDGET: usize = 8192;
+
 /// Tunable knobs of the estimator-guided selection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelectParams {
-    /// Maximum sampled bytes per chunk (the cost-model input).
-    pub sample_budget: usize,
-    /// Number of contiguous segments the sample is assembled from.
-    pub segments: usize,
     /// How many of the best-estimated candidates are trialled. The first
     /// candidate (the configured default) is always trialled in addition,
     /// so at most `refine + 1` trials start per chunk — against
@@ -37,11 +37,7 @@ pub struct SelectParams {
 
 impl Default for SelectParams {
     fn default() -> Self {
-        SelectParams {
-            sample_budget: 8192,
-            segments: DEFAULT_SEGMENTS,
-            refine: 3,
-        }
+        SelectParams { refine: 3 }
     }
 }
 
@@ -110,7 +106,7 @@ pub fn select_pipeline(
         // Estimation cannot save a trial: trial the whole (small) set.
         (cands, Vec::new())
     } else {
-        let sample = sample_codes(codes, params.sample_budget, params.segments);
+        let sample = sample_codes(codes, SAMPLE_BUDGET, DEFAULT_SEGMENTS);
         let estimates: Vec<(PipelineSpec, f64)> = estimate_sizes(&cands, &sample, codes.len())
             .into_iter()
             .map(|est| (est.pipeline, est.bytes))
@@ -179,7 +175,7 @@ mod tests {
         let (shortlist, estimates) = if cands.len() <= refine + 1 {
             (cands, Vec::new())
         } else {
-            let sample = sample_codes(codes, params.sample_budget, params.segments);
+            let sample = sample_codes(codes, SAMPLE_BUDGET, DEFAULT_SEGMENTS);
             let estimates: Vec<(PipelineSpec, f64)> = cands
                 .iter()
                 .map(|&spec| {
@@ -250,14 +246,8 @@ mod tests {
         ];
         let params = [
             SelectParams::default(),
-            SelectParams {
-                refine: 1,
-                ..SelectParams::default()
-            },
-            SelectParams {
-                refine: 18,
-                ..SelectParams::default()
-            },
+            SelectParams { refine: 1 },
+            SelectParams { refine: 18 },
         ];
         for (label, codes) in &streams {
             for list in &lists {

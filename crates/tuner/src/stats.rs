@@ -2,14 +2,11 @@
 
 /// Summary statistics of a (sampled) byte stream, computed in one pass.
 ///
-/// These are exactly the features the stage models in
-/// [`estimate`](crate::estimate) key on: the code **histogram** drives the
-/// Huffman/ANS entropy bound, the **zero** and **repeat** densities drive
-/// the RZE/RRE gain models, and the **byte-range occupancy** (how many bit
-/// positions the stream actually exercises) is what makes the TCMS/BIT
-/// transform-plus-reduce pipelines viable.
+/// The code **histogram** and its entropy drive the Huffman/ANS entropy
+/// bound that the stage models in [`estimate`](crate::estimate) close an
+/// entropy-coded pipeline with.
 #[derive(Debug, Clone)]
-pub struct CodeStats {
+pub(crate) struct CodeStats {
     /// Number of bytes summarised.
     pub n: usize,
     /// Byte-value histogram.
@@ -17,44 +14,20 @@ pub struct CodeStats {
     /// Shannon entropy of the histogram in bits per byte (0 for an empty
     /// stream).
     pub entropy_bits: f64,
-    /// Number of distinct byte values present.
-    pub distinct: usize,
-    /// Fraction of bytes equal to zero (the RZE target).
-    pub zero_fraction: f64,
-    /// Fraction of positions `i > 0` with `b[i] == b[i-1]` (the RRE
-    /// target).
-    pub repeat_fraction: f64,
-    /// Number of bit positions (0–8) that vary anywhere in the stream:
-    /// `popcount(OR of all bytes XOR AND of all bytes)`. Low occupancy
-    /// means most bit planes are constant — the regime where a bit shuffle
-    /// followed by run elimination collapses the stream.
-    pub occupied_bits: u32,
 }
 
 impl CodeStats {
     /// Computes the statistics of `bytes` in a single pass.
-    pub fn from_codes(bytes: &[u8]) -> CodeStats {
+    pub(crate) fn from_codes(bytes: &[u8]) -> CodeStats {
         let mut histogram = [0u64; 256];
-        let mut repeats = 0usize;
-        let mut or_acc = 0u8;
-        let mut and_acc = 0xFFu8;
-        let mut prev: Option<u8> = None;
         for &b in bytes {
             histogram[b as usize] += 1;
-            or_acc |= b;
-            and_acc &= b;
-            if prev == Some(b) {
-                repeats += 1;
-            }
-            prev = Some(b);
         }
         let n = bytes.len();
         let mut entropy_bits = 0.0f64;
-        let mut distinct = 0usize;
         if n > 0 {
             for &count in &histogram {
                 if count > 0 {
-                    distinct += 1;
                     let p = count as f64 / n as f64;
                     entropy_bits -= p * p.log2();
                 }
@@ -64,29 +37,13 @@ impl CodeStats {
             n,
             histogram,
             entropy_bits,
-            distinct,
-            zero_fraction: if n == 0 {
-                0.0
-            } else {
-                histogram[0] as f64 / n as f64
-            },
-            repeat_fraction: if n < 2 {
-                0.0
-            } else {
-                repeats as f64 / (n - 1) as f64
-            },
-            occupied_bits: if n == 0 {
-                0
-            } else {
-                (or_acc ^ and_acc).count_ones()
-            },
         }
     }
 
     /// The histogram → entropy lower bound on any entropy coder's payload
     /// for a stream of `scaled_n` bytes with this distribution, in bytes
     /// (table/header overhead excluded).
-    pub fn entropy_bound_bytes(&self, scaled_n: f64) -> f64 {
+    pub(crate) fn entropy_bound_bytes(&self, scaled_n: f64) -> f64 {
         scaled_n * self.entropy_bits / 8.0
     }
 }
@@ -99,11 +56,9 @@ mod tests {
     fn constant_stream_has_zero_entropy_and_full_repeats() {
         let s = CodeStats::from_codes(&[42u8; 1000]);
         assert_eq!(s.n, 1000);
-        assert_eq!(s.distinct, 1);
         assert_eq!(s.entropy_bits, 0.0);
-        assert_eq!(s.repeat_fraction, 1.0);
-        assert_eq!(s.zero_fraction, 0.0);
-        assert_eq!(s.occupied_bits, 0);
+        // Every byte repeats the first: one symbol holds the histogram.
+        assert_eq!(s.histogram[42], 1000);
     }
 
     #[test]
@@ -111,9 +66,6 @@ mod tests {
         let bytes: Vec<u8> = (0..25_600usize).map(|i| (i % 256) as u8).collect();
         let s = CodeStats::from_codes(&bytes);
         assert!((s.entropy_bits - 8.0).abs() < 1e-9);
-        assert_eq!(s.distinct, 256);
-        assert_eq!(s.occupied_bits, 8);
-        assert_eq!(s.zero_fraction, 100.0 / 25_600.0);
     }
 
     #[test]
@@ -121,8 +73,6 @@ mod tests {
         let bytes: Vec<u8> = (0..4096usize).map(|i| (i % 2) as u8 * 128).collect();
         let s = CodeStats::from_codes(&bytes);
         assert!((s.entropy_bits - 1.0).abs() < 1e-9);
-        assert_eq!(s.occupied_bits, 1, "only bit 7 varies");
-        assert_eq!(s.repeat_fraction, 0.0, "strict alternation never repeats");
         assert!((s.entropy_bound_bytes(4096.0) - 512.0).abs() < 1e-6);
     }
 
@@ -131,7 +81,5 @@ mod tests {
         let s = CodeStats::from_codes(&[]);
         assert_eq!(s.n, 0);
         assert_eq!(s.entropy_bits, 0.0);
-        assert_eq!(s.distinct, 0);
-        assert_eq!(s.occupied_bits, 0);
     }
 }

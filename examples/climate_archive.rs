@@ -24,11 +24,8 @@ fn main() {
         snapshot_bytes / 1024
     );
 
-    let compressors: Vec<Box<dyn Compressor>> = vec![
-        Box::new(SzhiCr),
-        Box::new(SzhiTp),
-        Box::new(CuszL::default()),
-    ];
+    let compressors: Vec<Box<dyn Compressor>> =
+        vec![Box::new(SzhiCr), Box::new(SzhiTp), Box::new(CuszL)];
 
     println!(
         "{:<12} {:>10} {:>12} {:>12} {:>10}",

@@ -251,18 +251,19 @@ fn streaming_writer_matches_the_batch_engine_at_every_thread_count() {
 }
 
 /// An `io::Write` wrapper around a `File` that tracks delivery: the total
-/// bytes received and the largest single `write` call. Every byte the sink
-/// hands over goes straight to disk, so `total` is also the file length.
+/// bytes received (shared, so a test can read it while the sink owns the
+/// writer) and the largest single `write` call. Every byte the sink hands
+/// over goes straight to disk, so `total` is also the file length.
 struct PeakTrackingFile {
     file: std::fs::File,
-    total: u64,
+    total: std::rc::Rc<std::cell::Cell<u64>>,
     max_write: usize,
 }
 
 impl std::io::Write for PeakTrackingFile {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         self.file.write_all(buf)?;
-        self.total += buf.len() as u64;
+        self.total.set(self.total.get() + buf.len() as u64);
         self.max_write = self.max_write.max(buf.len());
         Ok(buf.len())
     }
@@ -288,14 +289,17 @@ fn stream_sink_to_a_file_roundtrips_bit_identically_with_bounded_buffering() {
         .with_mode_tuning(ModeTuning::PerChunk);
 
     let path = std::env::temp_dir().join(format!("szhi_sink_test_{}.szhi", std::process::id()));
+    let total = std::rc::Rc::default();
     let out = PeakTrackingFile {
         file: std::fs::File::create(&path).unwrap(),
-        total: 0,
+        total: std::rc::Rc::clone(&total),
         max_write: 0,
     };
     let mut sink = StreamSink::new(out, data.dims(), &cfg).unwrap();
     let n_chunks = sink.plan().len();
     let mut max_encoded = 0usize;
+    // The header goes out when the sink is made; then every chunk body.
+    let mut expected = total.get();
     while let Some(region) = sink.next_chunk_region() {
         let dims = sink.plan().chunk_dims(sink.next_index());
         let chunk = Grid::from_vec(dims, data.extract(&region));
@@ -303,14 +307,15 @@ fn stream_sink_to_a_file_roundtrips_bit_identically_with_bounded_buffering() {
         max_encoded = max_encoded.max(receipt.compressed_bytes);
         // Every chunk body reaches the backing file the moment it is
         // pushed: the sink retains no body bytes at all.
+        expected += receipt.compressed_bytes as u64;
         assert_eq!(
-            sink.get_ref().total,
-            sink.bytes_written(),
+            total.get(),
+            expected,
             "the sink buffered a chunk body instead of writing it through"
         );
     }
     let (out, stats) = sink.finish_with_stats().unwrap();
-    assert_eq!(out.total, stats.compressed_bytes as u64);
+    assert_eq!(total.get(), stats.compressed_bytes as u64);
     // The largest single hand-over is one encoded chunk body or the final
     // table-plus-trailer tail — the sink's memory high-water, O(chunk +
     // table), never O(stream).
