@@ -92,7 +92,8 @@ fn l4_suppression_on_the_const_line() {
 
 #[test]
 fn suppression_requires_a_reason() {
-    let with_reason = "// szhi-analyzer: allow(spec-drift) -- legacy magic intentionally undocumented\n\
+    let with_reason =
+        "// szhi-analyzer: allow(spec-drift) -- legacy magic intentionally undocumented\n\
                        pub(crate) const OLD_MAGIC: [u8; 4] = *b\"OLD!\";\n";
     assert!(lint_spec_drift(with_reason, "no mention of it").is_empty());
 

@@ -76,10 +76,17 @@ impl Compressor for FzGpu {
         let shuffled = Rze::<8>.decode_bytes(encoded, dims.len().saturating_mul(2))?;
         let planes = Bit::<1>.decode_bytes(&shuffled)?;
         let rebased = byte_planes_to_codes(&planes, dims.len())?;
-        let codes: Vec<u16> = rebased
+        let codes = rebased
             .iter()
-            .map(|&c| (unzigzag16(c) + radius as i32) as u16)
-            .collect();
+            .map(|&c| {
+                unzigzag16(c)
+                    .checked_add_unsigned(radius)
+                    .and_then(|code| u16::try_from(code).ok())
+                    .ok_or_else(|| {
+                        SzhiError::InvalidStream(format!("FZ-GPU code {c} at radius {radius}"))
+                    })
+            })
+            .collect::<Result<Vec<u16>, _>>()?;
         let output = LorenzoOutput {
             codes,
             outliers,

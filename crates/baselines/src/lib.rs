@@ -191,4 +191,26 @@ mod tests {
             Err(SzhiError::InvalidStream(_))
         ));
     }
+
+    #[test]
+    fn values_past_i64_are_typed_errors() {
+        // A cuSZ-L outlier record holding `i64::MAX` overflows the next
+        // point's prediction, and an FZ-GPU radius of `0x7fff_ffff`
+        // overflows the code it re-centres; both fields sit right behind
+        // the 37-byte header (radius, then outlier count and records).
+        const RADIUS_AT: usize = 37;
+        const FIRST_VALUE_AT: usize = RADIUS_AT + 8 + 8 + 8;
+        let g = DatasetKind::Nyx.generate(Dims::d3(16, 16, 16), 1);
+        let mut cusz_l = CuszL.compress(&g, ErrorBound::Relative(1e-4)).unwrap();
+        cusz_l[FIRST_VALUE_AT..FIRST_VALUE_AT + 8].copy_from_slice(&i64::MAX.to_le_bytes());
+        let mut fz_gpu = FzGpu.compress(&g, ErrorBound::Relative(1e-4)).unwrap();
+        fz_gpu[RADIUS_AT..RADIUS_AT + 8].copy_from_slice(&0x7fff_ffffu64.to_le_bytes());
+        for (c, stream) in [(&CuszL as &dyn Compressor, cusz_l), (&FzGpu, fz_gpu)] {
+            assert!(
+                matches!(c.decompress(&stream), Err(SzhiError::InvalidStream(_))),
+                "{}",
+                c.name()
+            );
+        }
+    }
 }

@@ -31,8 +31,11 @@ fn prequant(v: f32, two_eb: f64) -> i64 {
     (v as f64 / two_eb).round() as i64
 }
 
+/// The Lorenzo prediction of point `(z, y, x)` from `q`, or `None` when
+/// the neighbour sum leaves `i64` (only on values no finite field at a
+/// sane bound produces, such as a crafted outlier record).
 #[inline]
-fn lorenzo_pred(q: &[i64], dims: Dims, z: usize, y: usize, x: usize) -> i64 {
+fn lorenzo_pred(q: &[i64], dims: Dims, z: usize, y: usize, x: usize) -> Option<i64> {
     let at = |z: isize, y: isize, x: isize| -> i64 {
         if z < 0 || y < 0 || x < 0 {
             0
@@ -42,15 +45,17 @@ fn lorenzo_pred(q: &[i64], dims: Dims, z: usize, y: usize, x: usize) -> i64 {
     };
     let (zi, yi, xi) = (z as isize, y as isize, x as isize);
     match dims.rank() {
-        1 => at(zi, yi, xi - 1),
-        2 => at(zi, yi - 1, xi) + at(zi, yi, xi - 1) - at(zi, yi - 1, xi - 1),
-        _ => {
-            at(zi - 1, yi, xi) + at(zi, yi - 1, xi) + at(zi, yi, xi - 1)
-                - at(zi - 1, yi - 1, xi)
-                - at(zi - 1, yi, xi - 1)
-                - at(zi, yi - 1, xi - 1)
-                + at(zi - 1, yi - 1, xi - 1)
-        }
+        1 => Some(at(zi, yi, xi - 1)),
+        2 => at(zi, yi - 1, xi)
+            .checked_add(at(zi, yi, xi - 1))?
+            .checked_sub(at(zi, yi - 1, xi - 1)),
+        _ => at(zi - 1, yi, xi)
+            .checked_add(at(zi, yi - 1, xi))?
+            .checked_add(at(zi, yi, xi - 1))?
+            .checked_sub(at(zi - 1, yi - 1, xi))?
+            .checked_sub(at(zi - 1, yi, xi - 1))?
+            .checked_sub(at(zi, yi - 1, xi - 1))?
+            .checked_add(at(zi - 1, yi - 1, xi - 1)),
     }
 }
 
@@ -73,14 +78,12 @@ pub fn compress(data: &Grid<f32>, eb: f64, radius: u32) -> LorenzoOutput {
         .into_par_iter()
         .map(|idx| {
             let (z, y, x) = dims.coords(idx);
-            let pred = lorenzo_pred(&q, dims, z, y, x);
-            let delta = q[idx] - pred;
-            let code = delta + radius as i64;
-            if code >= 1 && code <= max_code {
-                code as u16
-            } else {
-                0
-            }
+            // A prediction or difference past `i64` makes an outlier too.
+            lorenzo_pred(&q, dims, z, y, x)
+                .and_then(|pred| q[idx].checked_sub(pred))
+                .and_then(|delta| delta.checked_add(radius as i64))
+                .filter(|code| (1..=max_code).contains(code))
+                .map_or(0, |code| code as u16)
         })
         .collect();
     let outliers: Vec<(u64, i64)> = codes
@@ -97,8 +100,9 @@ pub fn compress(data: &Grid<f32>, eb: f64, radius: u32) -> LorenzoOutput {
 }
 
 /// Reconstructs the field from a [`LorenzoOutput`]. A code count that is
-/// not the shape's point count, or outlier records that are missing, out of
-/// raster order or surplus, is [`SzhiError::InvalidStream`].
+/// not the shape's point count, outlier records that are missing, out of
+/// raster order or surplus, or a value past `i64` is
+/// [`SzhiError::InvalidStream`].
 pub(crate) fn decompress(out: &LorenzoOutput, dims: Dims, eb: f64) -> Result<Grid<f32>, SzhiError> {
     if out.codes.len() != dims.len() {
         return Err(SzhiError::InvalidStream(format!(
@@ -126,8 +130,11 @@ pub(crate) fn decompress(out: &LorenzoOutput, dims: Dims, eb: f64) -> Result<Gri
                 }
             }
         } else {
-            let pred = lorenzo_pred(&q, dims, z, y, x);
-            q[idx] = pred + code as i64 - radius;
+            q[idx] = lorenzo_pred(&q, dims, z, y, x)
+                .and_then(|pred| pred.checked_add(code as i64 - radius))
+                .ok_or_else(|| {
+                    SzhiError::InvalidStream(format!("Lorenzo value at point {idx} overflows"))
+                })?;
         }
     }
     if outlier_iter.next().is_some() {

@@ -99,11 +99,10 @@ pub fn min_max(path: &Path, dims: Dims) -> Result<(f32, f32), CliError> {
             fold(f32::from_le_bytes(pending), &mut lo, &mut hi);
             // pending_len is reset by the tail-handling below.
         }
-        let mut chunks = rest.chunks_exact(4);
-        for chunk in &mut chunks {
-            fold(le_f32(chunk), &mut lo, &mut hi);
-        }
-        let tail = chunks.remainder();
+        let (values, tail) = rest.as_chunks::<4>();
+        let (block_lo, block_hi) = block_min_max(values);
+        fold(block_lo, &mut lo, &mut hi);
+        fold(block_hi, &mut lo, &mut hi);
         for (slot, &b) in pending.iter_mut().zip(tail) {
             *slot = b;
         }
@@ -126,6 +125,60 @@ fn fold(v: f32, lo: &mut f32, hi: &mut f32) {
     if v > *hi {
         *hi = v;
     }
+}
+
+/// Values per step of [`block_min_max`]'s lane fold.
+const LANES: usize = 8;
+
+/// The finite `(min, max)` of little-endian f32 `values`, `(INFINITY,
+/// NEG_INFINITY)` when none is finite, with the bits [`fold`] would give:
+/// among values that compare equal, the first in file order.
+///
+/// Fixed lanes fold every `LANES`-th value with `v < lo` and `v > hi`,
+/// which pass over NaN by themselves and compile to packed min and max.
+/// Only −Inf can then reach `lo` and +Inf `hi`; a block where one does is
+/// folded again one value at a time. Only ±0 compare equal with different
+/// bits, so a zero result is replaced by the block's first zero.
+fn block_min_max(values: &[[u8; 4]]) -> (f32, f32) {
+    let mut lane_lo = [f32::INFINITY; LANES];
+    let mut lane_hi = [f32::NEG_INFINITY; LANES];
+    let (groups, rest) = values.as_chunks::<LANES>();
+    for group in groups {
+        for ((lo, hi), bytes) in lane_lo.iter_mut().zip(&mut lane_hi).zip(group) {
+            let v = f32::from_le_bytes(*bytes);
+            *lo = if v < *lo { v } else { *lo };
+            *hi = if v > *hi { v } else { *hi };
+        }
+    }
+    let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+    if lane_lo.contains(&f32::NEG_INFINITY) || lane_hi.contains(&f32::INFINITY) {
+        for bytes in values {
+            fold(f32::from_le_bytes(*bytes), &mut lo, &mut hi);
+        }
+        return (lo, hi);
+    }
+    for (&l, &h) in lane_lo.iter().zip(&lane_hi) {
+        fold(l, &mut lo, &mut hi);
+        fold(h, &mut lo, &mut hi);
+    }
+    for bytes in rest {
+        fold(f32::from_le_bytes(*bytes), &mut lo, &mut hi);
+    }
+    if lo == 0.0 || hi == 0.0 {
+        let first_zero = values
+            .iter()
+            .map(|bytes| f32::from_le_bytes(*bytes))
+            .find(|&v| v == 0.0);
+        if let Some(zero) = first_zero {
+            if lo == 0.0 {
+                lo = zero;
+            }
+            if hi == 0.0 {
+                hi = zero;
+            }
+        }
+    }
+    (lo, hi)
 }
 
 /// The most bytes one region read or band write holds in its band buffer.
@@ -674,6 +727,104 @@ mod tests {
 
         let err = open_field(&path, Dims::d3(3, 4, 6)).unwrap_err();
         assert!(matches!(&err, CliError::Runtime(m) if m.contains("needs exactly")));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn lane_fold_matches_the_scalar_fold_bit_for_bit() {
+        // Values of every kind at lane, group and 64 KiB read boundaries:
+        // `(lo, hi)`, their bits (only ±0 can differ while comparing
+        // equal) and the `--rel` bound derived from them must all be the
+        // scalar fold's, `Grid::min_max`.
+        let n = 3 * 16_384 + 13;
+        let spots = [
+            0,
+            1,
+            7,
+            8,
+            9,
+            16_383,
+            16_384,
+            16_385,
+            32_767,
+            32_768,
+            n - 13,
+            n - 1,
+        ];
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+        let mut fields: Vec<Vec<f32>> = Vec::new();
+        for (k, &special) in specials.iter().enumerate() {
+            let mut field: Vec<f32> = (0..n).map(|i| ((i * 7 + k) % 101) as f32 - 50.0).collect();
+            for &at in &spots {
+                field[at] = special;
+            }
+            fields.push(field);
+        }
+        // Unique extremes in the lanes of an earlier −Inf and +Inf.
+        let mut extremes: Vec<f32> = (0..n).map(|i| (i % 50) as f32).collect();
+        (extremes[0], extremes[8], extremes[1], extremes[9]) =
+            (f32::NEG_INFINITY, -100.0, f32::INFINITY, 100.0);
+        fields.push(extremes);
+        for first in [0.0f32, -0.0] {
+            // Zero extremes whose first zero is not in lane 0: a signed
+            // zero in lane 0 of every group, the other sign first.
+            let sign = |i: usize| {
+                if i.is_multiple_of(LANES) {
+                    -first
+                } else {
+                    first
+                }
+            };
+            fields.push(
+                (0..n)
+                    .map(|i| {
+                        if i.is_multiple_of(7) {
+                            sign(i)
+                        } else {
+                            (i % 7) as f32
+                        }
+                    })
+                    .collect(),
+            );
+            fields.push(
+                (0..n)
+                    .map(|i| {
+                        if i.is_multiple_of(7) {
+                            sign(i)
+                        } else {
+                            -((i % 7) as f32)
+                        }
+                    })
+                    .collect(),
+            );
+            // Finite values that are all zeros, between NaNs.
+            let mut zeros = vec![f32::NAN; n];
+            for at in [5, 8, 16, 16_389, 16_392] {
+                zeros[at] = sign(at);
+            }
+            fields.push(zeros);
+        }
+        // No finite value.
+        fields.push(vec![f32::NAN; n]);
+        fields.push(vec![f32::INFINITY, f32::NEG_INFINITY, f32::NAN]);
+        let path = temp_path("minmax-lanes");
+        for (k, field) in fields.iter().enumerate() {
+            std::fs::write(&path, to_bytes(field)).unwrap();
+            let dims = Dims::d1(field.len());
+            let (lo, hi) = min_max(&path, dims).unwrap();
+            let (want_lo, want_hi) = Grid::from_vec(dims, field.clone()).min_max();
+            assert_eq!(
+                (lo.to_bits(), hi.to_bits()),
+                (want_lo.to_bits(), want_hi.to_bits()),
+                "field {k}"
+            );
+            let rel = |lo: f32, hi: f32| {
+                szhi_core::ErrorBound::Relative(1e-3)
+                    .absolute((hi - lo) as f64)
+                    .to_bits()
+            };
+            assert_eq!(rel(lo, hi), rel(want_lo, want_hi), "field {k}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

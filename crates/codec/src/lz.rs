@@ -33,9 +33,8 @@ impl Effort {
 }
 
 #[inline]
-fn hash4(data: &[u8], pos: usize) -> usize {
-    let v = u32::from_le_bytes([data[pos], data[pos + 1], data[pos + 2], data[pos + 3]]);
-    (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+fn hash4(word: [u8; 4]) -> usize {
+    (u32::from_le_bytes(word).wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
 fn write_len(out: &mut Vec<u8>, mut extra: usize) {
@@ -60,62 +59,54 @@ fn read_len(cur: &mut ByteCursor<'_>, nibble: usize) -> Result<usize, CodecError
     Ok(len)
 }
 
-/// An empty match-table slot.
-const EMPTY: u32 = u32::MAX;
-
 /// Every this many positions past the table base the base moves up; see
 /// [`MatchTables::rebase`].
 const REBASE_EVERY: usize = 1 << 31;
 
-/// The match finder's tables, holding positions as `u32` offsets from a
-/// base: `head` the newest position of each hash, `chain` the previous
-/// position with the same hash, in a ring of `MAX_OFFSET + 1` slots
-/// indexed by the absolute position. A chain slot is read only for a
-/// candidate within `MAX_OFFSET` of the current position, and every later
-/// position that maps to the same slot lies more than `MAX_OFFSET` past
-/// that candidate, so no slot is read after it has been overwritten.
+/// The match finder's tables. An entry holds a position as its offset
+/// from a base plus one, and 0 marks an empty slot: `head` holds the
+/// newest position of each hash, `chain` the previous position with the
+/// same hash, in a ring of `MAX_OFFSET + 1` slots indexed by the absolute
+/// position. A chain slot is read only for a candidate within `MAX_OFFSET`
+/// of the current position, and every later position that maps to the
+/// same slot lies more than `MAX_OFFSET` past that candidate, so no slot
+/// is read after it has been overwritten.
 struct MatchTables {
-    head: Vec<u32>,
-    chain: Vec<u32>,
-    /// The absolute position of offset 0.
+    head: Box<[u32; 1 << HASH_BITS]>,
+    chain: Box<[u32; MAX_OFFSET + 1]>,
+    /// The absolute position of entry 1.
     base: usize,
     /// How far past `base` a position may lie before the tables rebase.
     rebase_every: usize,
 }
 
+/// A zeroed table of `N` entries, all empty.
+fn empty_table<const N: usize>() -> Box<[u32; N]> {
+    match vec![0u32; N].into_boxed_slice().try_into() {
+        Ok(table) => table,
+        Err(_) => unreachable!("a vector of N entries converts to [u32; N]"),
+    }
+}
+
 impl MatchTables {
-    fn new(len: usize, rebase_every: usize) -> Self {
+    fn new(rebase_every: usize) -> Self {
         MatchTables {
-            head: vec![EMPTY; 1 << HASH_BITS],
-            // Positions below `len` index the ring directly.
-            chain: vec![EMPTY; len.min(MAX_OFFSET + 1)],
+            head: empty_table(),
+            chain: empty_table(),
             base: 0,
             rebase_every,
         }
-    }
-
-    /// The absolute position an entry holds, if any.
-    fn position(&self, entry: u32) -> Option<usize> {
-        (entry != EMPTY).then(|| self.base + entry as usize)
-    }
-
-    fn head(&self, h: usize) -> Option<usize> {
-        self.position(self.head[h])
-    }
-
-    fn next(&self, candidate: usize) -> Option<usize> {
-        self.position(self.chain[candidate & MAX_OFFSET])
     }
 
     /// Makes `pos` the newest position of hash `h`.
     fn link(&mut self, h: usize, pos: usize) {
         self.rebase(pos);
         self.chain[pos & MAX_OFFSET] = self.head[h];
-        self.head[h] = (pos - self.base) as u32;
+        self.head[h] = (pos - self.base + 1) as u32;
     }
 
-    /// Keeps every offset below `u32::MAX`, however long the input: once
-    /// `pos` lies `rebase_every` past the base, the base moves up to
+    /// Keeps every entry at most `rebase_every`, however long the input:
+    /// once `pos` lies `rebase_every` past the base, the base moves up to
     /// `MAX_OFFSET + 1` before `pos`. Entries below the new base are
     /// farther than `MAX_OFFSET` from `pos` and every later position, where
     /// the search stops anyway, so they become empty.
@@ -125,10 +116,7 @@ impl MatchTables {
         }
         let shift = (pos - MAX_OFFSET - 1 - self.base) as u32;
         for entry in self.head.iter_mut().chain(self.chain.iter_mut()) {
-            *entry = match entry.checked_sub(shift) {
-                Some(kept) if *entry != EMPTY => kept,
-                _ => EMPTY,
-            };
+            *entry = entry.saturating_sub(shift);
         }
         self.base += shift as usize;
     }
@@ -140,49 +128,74 @@ impl MatchTables {
 /// literal/match length nibbles, literals, little-endian 16-bit offset,
 /// length extension bytes; the final sequence carries literals only).
 pub fn compress(input: &[u8], effort: Effort) -> Vec<u8> {
-    compress_with(input, effort, REBASE_EVERY)
+    compress_rebasing(input, effort, REBASE_EVERY)
 }
 
 /// [`compress`] with the tables rebased every `rebase_every` positions
 /// (more than `MAX_OFFSET + 1`), so the tests can rebase on short inputs.
-fn compress_with(input: &[u8], effort: Effort, rebase_every: usize) -> Vec<u8> {
+///
+/// The parse is greedy: at each position the chain of earlier positions
+/// with the same hash is walked newest first, for at most
+/// `effort.max_probes()` candidates and no farther back than `MAX_OFFSET`,
+/// and only a strictly longer match replaces the best one. A candidate
+/// must agree at the best length to beat it, so that one byte rejects
+/// most of them; while there is no best match, its first four bytes.
+fn compress_rebasing(input: &[u8], effort: Effort, rebase_every: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
     put_u64(&mut out, input.len() as u64);
     if input.is_empty() {
         return out;
     }
 
-    let mut tables = MatchTables::new(input.len(), rebase_every);
+    let mut tables = MatchTables::new(rebase_every);
     let max_probes = effort.max_probes();
 
     let mut pos = 0usize;
     let mut literal_start = 0usize;
-    while pos + MIN_MATCH <= input.len() {
-        let h = hash4(input, pos);
-        // Find the best match among up to `max_probes` chained candidates.
+    // The next position's hash and head entry, read before this
+    // position's walk so that the table read overlaps it; `None` once a
+    // match or a rebase has rewritten the tables.
+    let mut ahead: Option<(usize, u32)> = None;
+    while let Some(&word) = input[pos..].first_chunk::<4>() {
+        let (h, head) = ahead.unwrap_or_else(|| {
+            let h = hash4(word);
+            (h, tables.head[h])
+        });
+        ahead = input[pos + 1..].first_chunk::<4>().map(|&next| {
+            let h = hash4(next);
+            (h, tables.head[h])
+        });
+        let here = &input[pos..];
         let mut best_len = 0usize;
         let mut best_offset = 0usize;
-        let mut next = tables.head(h);
-        let mut probes = 0usize;
-        let limit = input.len() - pos;
-        while let Some(candidate) = next.filter(|_| probes < max_probes) {
-            let offset = pos - candidate;
-            if offset > MAX_OFFSET {
-                break;
-            }
-            // Only a candidate that agrees at `best_len` can beat the best
-            // match, so one byte rejects the rest.
-            if best_len == 0
-                || (best_len < limit && input[candidate + best_len] == input[pos + best_len])
-            {
-                let len = common_prefix(&input[candidate..], &input[pos..]);
-                if len >= MIN_MATCH && len > best_len {
+        // Entries are offsets from the base plus one; `pos` would be
+        // `entry_of_pos`, and an entry below `oldest` (an empty slot
+        // among them) lies outside the window.
+        let entry_of_pos = pos - tables.base + 1;
+        let oldest = entry_of_pos.saturating_sub(MAX_OFFSET).max(1);
+        let mut entry = head as usize;
+        let mut probes = max_probes;
+        while entry >= oldest {
+            let candidate = tables.base + entry - 1;
+            let there = &input[candidate..];
+            if best_len == 0 {
+                if there.first_chunk::<4>() == Some(&word) {
+                    best_len = MIN_MATCH + common_prefix(&there[MIN_MATCH..], &here[MIN_MATCH..]);
+                    best_offset = entry_of_pos - entry;
+                }
+            } else if there[best_len] == here[best_len] {
+                let len = common_prefix(there, here);
+                if len > best_len {
                     best_len = len;
-                    best_offset = offset;
+                    best_offset = entry_of_pos - entry;
                 }
             }
-            next = tables.next(candidate);
-            probes += 1;
+            probes -= 1;
+            // A match to the end of the input cannot be beaten.
+            if probes == 0 || best_len == here.len() {
+                break;
+            }
+            entry = tables.chain[candidate & MAX_OFFSET] as usize;
         }
 
         if best_len >= MIN_MATCH {
@@ -192,15 +205,29 @@ fn compress_with(input: &[u8], effort: Effort, rebase_every: usize) -> Vec<u8> {
             let end = pos + best_len;
             let step = if best_len > 64 { 8 } else { 1 };
             let mut p = pos;
-            while p < end && p + MIN_MATCH <= input.len() {
-                tables.link(hash4(input, p), p);
+            while p < end {
+                let Some(&word) = input[p..].first_chunk::<4>() else {
+                    break;
+                };
+                tables.link(hash4(word), p);
                 p += step;
             }
             pos = end;
             literal_start = pos;
+            ahead = None;
         } else {
+            let base = tables.base;
             tables.link(h, pos);
             pos += 1;
+            if tables.base != base {
+                ahead = None;
+            } else if let Some((next, head)) = &mut ahead {
+                // A next position with this one's hash starts its walk at
+                // the position just linked.
+                if *next == h {
+                    *head = tables.head[h];
+                }
+            }
         }
     }
     emit_literals(&mut out, &input[literal_start..]);
@@ -211,7 +238,7 @@ fn compress_with(input: &[u8], effort: Effort, rebase_every: usize) -> Vec<u8> {
 /// a time.
 fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     let mut len = 0;
-    while let (Some(x), Some(y)) = (a[len..].first_chunk::<8>(), b[len..].first_chunk::<8>()) {
+    for (x, y) in a.as_chunks::<8>().0.iter().zip(b.as_chunks::<8>().0) {
         let diff = u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y);
         if diff != 0 {
             return len + diff.trailing_zeros() as usize / 8;
@@ -323,7 +350,7 @@ mod tests {
         let mut pos = 0usize;
         let mut literal_start = 0usize;
         while pos + MIN_MATCH <= input.len() {
-            let h = hash4(input, pos);
+            let h = hash4([input[pos], input[pos + 1], input[pos + 2], input[pos + 3]]);
             // Find the best match among up to `max_probes` chained candidates.
             let mut best_len = 0usize;
             let mut best_offset = 0usize;
@@ -367,7 +394,7 @@ mod tests {
                 let step = if best_len > 64 { 8 } else { 1 };
                 let mut p = pos;
                 while p < end && p + MIN_MATCH <= input.len() {
-                    let hh = hash4(input, p);
+                    let hh = hash4([input[p], input[p + 1], input[p + 2], input[p + 3]]);
                     chain[p] = head[hh];
                     head[hh] = p;
                     p += step;
@@ -392,9 +419,9 @@ mod tests {
         out
     }
 
-    /// Inputs past one ring of positions: random bytes, run-heavy and
-    /// zero-heavy data, and a block repeated at offsets 65,535 (the farthest
-    /// a match may reach) and 65,536 (one past it).
+    /// Inputs past one ring of positions: random bytes, run-heavy,
+    /// zero-heavy and banded data, and a block repeated at offsets 65,535
+    /// (the farthest a match may reach) and 65,536 (one past it).
     fn ring_inputs() -> Vec<Vec<u8>> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(45);
         let random: Vec<u8> = (0..200_000).map(|_| rng.gen()).collect();
@@ -412,6 +439,11 @@ mod tests {
                 }
             })
             .collect();
+        // Quantization-code-like bytes in a narrow band whose centre moves
+        // every 4 KiB: short, frequent matches and long hash chains.
+        let banded: Vec<u8> = (0..280_000usize)
+            .map(|i| (100 + (i >> 12) % 40) as u8 + rng.gen_range(0..4u8))
+            .collect();
         let block: Vec<u8> = (0..64).map(|_| rng.gen()).collect();
         let mut far = Vec::new();
         for gap in [MAX_OFFSET, MAX_OFFSET + 1] {
@@ -421,7 +453,22 @@ mod tests {
             far.extend_from_slice(&block);
             far.extend((0..1000).map(|_| rng.gen::<u8>()));
         }
-        vec![random, runs, zeros, far]
+        vec![random, runs, zeros, banded, far]
+    }
+
+    /// The kernel against the reference at both efforts, rebasing every
+    /// 2^31 positions and every `rebase_every`, and the reference's stream
+    /// decoded back.
+    fn assert_kernel_matches(input: &[u8], what: &str, rebase_every: &[usize]) {
+        for effort in [Effort::Fast, Effort::Thorough] {
+            let expect = compress_reference(input, effort);
+            assert!(compress(input, effort) == expect, "{what}, {effort:?}");
+            for &every in rebase_every {
+                let rebased = compress_rebasing(input, effort, every);
+                assert!(rebased == expect, "{what}, {effort:?}, rebase {every}");
+            }
+            assert_eq!(decompress_limited(&expect, usize::MAX).unwrap(), *input);
+        }
     }
 
     /// The match offsets of a stream, in order.
@@ -450,17 +497,51 @@ mod tests {
         let far = inputs.last().unwrap();
         assert!(match_offsets(&compress(far, Effort::Thorough)).contains(&MAX_OFFSET));
         for (n, input) in inputs.iter().enumerate() {
-            for effort in [Effort::Fast, Effort::Thorough] {
-                let expect = compress_reference(input, effort);
-                assert!(compress(input, effort) == expect, "input {n}, {effort:?}");
-                // Rebasing every ~70 K or ~131 K positions instead of every
-                // 2^31 changes nothing either.
-                for every in [70_001, 2 * MAX_OFFSET + 3] {
-                    let rebased = compress_with(input, effort, every);
-                    assert!(rebased == expect, "input {n}, {effort:?}, rebase {every}");
-                }
-                assert_eq!(decompress_limited(&expect, usize::MAX).unwrap(), *input);
+            // Rebasing every ~70 K or ~131 K positions instead of every
+            // 2^31 changes nothing either.
+            assert_kernel_matches(input, &format!("input {n}"), &[70_001, 2 * MAX_OFFSET + 3]);
+        }
+        // Short inputs, at and around the four-byte minimum match.
+        for input in [
+            &[][..],
+            &[1],
+            &[1, 2, 3],
+            &[9; 4],
+            &[9; 5],
+            &[1, 2, 3, 1, 2, 3, 1, 2],
+        ] {
+            assert_kernel_matches(input, &format!("{input:?}"), &[]);
+        }
+    }
+
+    /// Multi-MiB inputs that rebase the tables many times over: long
+    /// repeats both inside and beyond the window, run-heavy and banded
+    /// data. Run with `--ignored`.
+    #[test]
+    #[ignore = "long differential suite; CI runs it on release code"]
+    fn window_sized_tables_match_the_reference_across_rebases() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(50);
+        let mut repeats = Vec::new();
+        while repeats.len() < 3 << 20 {
+            if repeats.len() > 1 << 16 && rng.gen_range(0..3) == 0 {
+                let len = rng.gen_range(4..3_000usize);
+                let back = rng.gen_range(len..repeats.len().min(200_000));
+                let start = repeats.len() - back;
+                repeats.extend_from_within(start..start + len);
+            } else {
+                repeats.extend((0..rng.gen_range(1..2_000)).map(|_| rng.gen::<u8>() & 0x3f));
             }
+        }
+        let mut runs = Vec::new();
+        while runs.len() < 3 << 20 {
+            let (byte, len) = (rng.gen_range(0..3u8), rng.gen_range(1..5_000usize));
+            runs.extend(std::iter::repeat_n(byte, len));
+        }
+        let banded: Vec<u8> = (0..3usize << 20)
+            .map(|i| (100 + (i >> 14) % 40) as u8 + rng.gen_range(0..6u8))
+            .collect();
+        for (what, input) in [("repeats", repeats), ("runs", runs), ("banded", banded)] {
+            assert_kernel_matches(&input, what, &[70_001, 1 << 20]);
         }
     }
 

@@ -663,6 +663,49 @@ mod tests {
         }
     }
 
+    /// About 300 KiB that crosses the 64 KiB LZ window several times:
+    /// quantization-like blocks, a repeat of the first block 100,000 bytes
+    /// back (out of the window), a repeat 60,000 bytes back (in it, one
+    /// match far longer than 64 bytes) and a run of one code.
+    fn window_crossing_input() -> Vec<u8> {
+        let far = quant_like(100_000, 83);
+        let near = quant_like(60_000, 89);
+        let mut data = far.clone();
+        data.extend_from_slice(&far[..70_000]);
+        data.extend_from_slice(&near);
+        data.extend_from_slice(&near[..40_000]);
+        data.extend(std::iter::repeat_n(128u8, 30_000));
+        data
+    }
+
+    /// The pipelines with an LZ or rANS stage, pinned as `(crc32, length)`
+    /// on [`window_crossing_input`], whose matches wrap the match finder's
+    /// position ring. Taken from the coder before its kernels were
+    /// rewritten; never regenerate it to make a change pass.
+    #[rustfmt::skip]
+    const PINNED_WINDOW: [(PipelineSpec, (u32, usize)); 6] = [
+        (PipelineSpec::Lz4, (0x3073c929, 134736)),
+        (PipelineSpec::Gdeflate, (0x0c27eefa, 88679)),
+        (PipelineSpec::Zstd, (0x826c78d6, 68932)),
+        (PipelineSpec::HfLz, (0x70ccc05d, 55386)),
+        (PipelineSpec::Ans, (0x7bda6298, 54733)),
+        (PipelineSpec::HfAns, (0xcabbf757, 53071)),
+    ];
+
+    #[test]
+    fn window_crossing_pipelines_encode_their_pinned_bytes() {
+        let input = window_crossing_input();
+        assert_eq!(input.len(), 300_000);
+        for (spec, pin) in PINNED_WINDOW {
+            let encoded = spec.encode(&input);
+            assert_eq!(
+                (crate::checksum::crc32(&encoded), encoded.len()),
+                pin,
+                "{spec}"
+            );
+        }
+    }
+
     #[test]
     fn try_encode_select_dedups_repeated_candidates() {
         // Regression (PR 5): repeated candidates must neither be
