@@ -671,11 +671,12 @@ impl RootPattern {
 /// `decompress*`, `decode*` and `unpack*` functions, the v1 parser
 /// `read_stream`, the chunk-table front `read_chunk_table` and the
 /// `locate_table*` path behind it, every method of the one chunk reader
-/// (`ChunkReader`, its `StreamSource` and `ForwardSource` constructors and
-/// its two fetches) and of its metadata view (`StreamIndex`), the one
-/// checksum step (`ChunkEntry::verify`), `inspect::render`, every method of the job service and its
-/// handles, and the CLI's `run`. Only functions of the serving crates
-/// (`szhi-core`, `szhi-codec`, `szhi-cli` and the umbrella crate) count.
+/// (`ChunkReader` with its private fetch, and its `StreamSource` and
+/// `ForwardSource` constructors) and of its metadata view (`StreamIndex`),
+/// the one checksum step (`ChunkEntry::verify`), `inspect::render`, every
+/// method of the job service and its handles, and the CLI's `run`. Only
+/// functions of the serving crates (`szhi-core`, `szhi-codec`, `szhi-cli`
+/// and the umbrella crate) count.
 pub const L6_ROOTS: &[RootPattern] = &[
     root(None, "decompress*"),
     root(None, "decode*"),
@@ -686,8 +687,6 @@ pub const L6_ROOTS: &[RootPattern] = &[
     root(Some("ChunkReader"), "*"),
     root(Some("StreamSource"), "*"),
     root(Some("ForwardSource"), "*"),
-    root(Some("SeekFetch"), "*"),
-    root(Some("ForwardFetch"), "*"),
     root(Some("StreamIndex"), "*"),
     root(Some("ChunkEntry"), "verify"),
     RootPattern {

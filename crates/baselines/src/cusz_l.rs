@@ -33,7 +33,7 @@ impl Compressor for CuszL {
             return Err(SzhiError::InvalidInput("empty field".into()));
         }
         let abs_eb = eb.absolute(data.value_range() as f64);
-        let out = lorenzo::compress(data, abs_eb, DEFAULT_RADIUS);
+        let out = lorenzo::compress(data, abs_eb, DEFAULT_RADIUS)?;
         let mut bytes = Vec::new();
         write_header(&mut bytes, MAGIC, data.dims(), abs_eb);
         put_u64(&mut bytes, DEFAULT_RADIUS as u64);

@@ -43,7 +43,7 @@ impl Compressor for FzGpu {
             return Err(SzhiError::InvalidInput("empty field".into()));
         }
         let abs_eb = eb.absolute(data.value_range() as f64);
-        let out = lorenzo::compress(data, abs_eb, DEFAULT_RADIUS);
+        let out = lorenzo::compress(data, abs_eb, DEFAULT_RADIUS)?;
         // Re-bias the codes with a zig-zag map so "no error" becomes 0 and
         // small ± errors become small magnitudes: the high byte plane and the
         // upper bit planes of the low bytes are then almost entirely zero and

@@ -179,7 +179,7 @@ mod tests {
                 );
             }
         }
-        let mut out = lorenzo::compress(&g, 1e-4, lorenzo::DEFAULT_RADIUS);
+        let mut out = lorenzo::compress(&g, 1e-4, lorenzo::DEFAULT_RADIUS).unwrap();
         out.outliers.push((u64::MAX, 0));
         assert!(matches!(
             lorenzo::decompress(&out, g.dims(), 1e-4),
@@ -190,6 +190,48 @@ mod tests {
             lorenzo::decompress(&out, g.dims(), 1e-4),
             Err(SzhiError::InvalidStream(_))
         ));
+    }
+
+    #[test]
+    fn values_that_cannot_be_prequantized_are_typed_errors() {
+        // `round(v / 2eb)` past the i64 range would saturate, and NaN would
+        // cast to 0: either decodes far outside the bound. A field with
+        // 3e30 at every 97th point, one with a NaN point and one with
+        // infinite points are rejected at compress time, naming the first
+        // such point.
+        let g = DatasetKind::Nyx.generate(Dims::d3(16, 16, 16), 1);
+        let with = |f: &dyn Fn(usize, f32) -> f32| {
+            let values = g.as_slice().iter().enumerate().map(|(i, &v)| f(i, v));
+            Grid::from_vec(g.dims(), values.collect())
+        };
+        let fields = [
+            (
+                with(&|i, v| if i % 97 == 0 { 3e30 } else { v }),
+                "(0, 0, 0)",
+            ),
+            (
+                with(&|i, v| if i == 1000 { f32::NAN } else { v }),
+                "(3, 14, 8)",
+            ),
+            (
+                with(&|i, v| match i {
+                    300 => f32::INFINITY,
+                    301 => f32::NEG_INFINITY,
+                    _ => v,
+                }),
+                "(1, 2, 12)",
+            ),
+        ];
+        for (field, point) in &fields {
+            for c in [&CuszL as &dyn Compressor, &FzGpu] {
+                let result = c.compress(field, ErrorBound::Absolute(1e-3));
+                assert!(
+                    matches!(&result, Err(SzhiError::InvalidInput(msg)) if msg.contains(point)),
+                    "{}: {result:?}",
+                    c.name()
+                );
+            }
+        }
     }
 
     #[test]

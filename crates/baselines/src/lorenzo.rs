@@ -26,9 +26,14 @@ pub(crate) struct LorenzoOutput {
     pub radius: u32,
 }
 
+/// `round(v / 2ε)`, or `None` when it is not finite or rounds outside
+/// `i64`, where the cast would saturate (or turn NaN into 0) and break the
+/// bound.
 #[inline]
-fn prequant(v: f32, two_eb: f64) -> i64 {
-    (v as f64 / two_eb).round() as i64
+fn prequant(v: f32, two_eb: f64) -> Option<i64> {
+    const LIMIT: f64 = 9_223_372_036_854_775_808.0; // 2^63
+    let q = (v as f64 / two_eb).round();
+    (-LIMIT..LIMIT).contains(&q).then_some(q as i64)
 }
 
 /// The Lorenzo prediction of point `(z, y, x)` from `q`, or `None` when
@@ -60,17 +65,26 @@ fn lorenzo_pred(q: &[i64], dims: Dims, z: usize, y: usize, x: usize) -> Option<i
 }
 
 /// Compresses `data` into Lorenzo quantization codes for the absolute error
-/// bound `eb`.
-pub fn compress(data: &Grid<f32>, eb: f64, radius: u32) -> LorenzoOutput {
+/// bound `eb`. A value whose `v / 2ε` is not finite or rounds outside `i64`
+/// cannot be pre-quantized and is [`SzhiError::InvalidInput`].
+pub fn compress(data: &Grid<f32>, eb: f64, radius: u32) -> Result<LorenzoOutput, SzhiError> {
     assert!(eb > 0.0 && radius >= 2);
     let dims = data.dims();
     let two_eb = 2.0 * eb;
     // Phase 1: pre-quantization (parallel).
-    let q: Vec<i64> = data
-        .as_slice()
-        .par_iter()
-        .map(|&v| prequant(v, two_eb))
-        .collect();
+    let values = data.as_slice();
+    let q: Vec<i64> = (0..values.len())
+        .into_par_iter()
+        .map(|idx| prequant(values[idx], two_eb).ok_or(idx))
+        .collect::<Result<_, usize>>()
+        .map_err(|idx| {
+            let (z, y, x) = dims.coords(idx);
+            SzhiError::InvalidInput(format!(
+                "value {} at point ({z}, {y}, {x}) cannot be pre-quantized at absolute bound \
+                 {eb:e}: v / 2eb is not finite or lies outside the i64 range",
+                values[idx]
+            ))
+        })?;
     // Phase 2: Lorenzo differences in the integer domain. The prediction uses
     // the exact pre-quantized neighbours, so every point is independent.
     let max_code = (2 * radius - 1) as i64;
@@ -92,11 +106,11 @@ pub fn compress(data: &Grid<f32>, eb: f64, radius: u32) -> LorenzoOutput {
         .filter(|(_, &c)| c == 0)
         .map(|(idx, _)| (idx as u64, q[idx]))
         .collect();
-    LorenzoOutput {
+    Ok(LorenzoOutput {
         codes,
         outliers,
         radius,
-    }
+    })
 }
 
 /// Reconstructs the field from a [`LorenzoOutput`]. A code count that is
@@ -177,7 +191,7 @@ mod tests {
     fn roundtrip_3d_within_bound() {
         let g = smooth_field(Dims::d3(20, 24, 28));
         for eb in [1e-1, 1e-2, 1e-3] {
-            let out = compress(&g, eb, DEFAULT_RADIUS);
+            let out = compress(&g, eb, DEFAULT_RADIUS).unwrap();
             let recon = decompress(&out, g.dims(), eb).unwrap();
             check_bound(&g, &recon, eb);
         }
@@ -186,18 +200,18 @@ mod tests {
     #[test]
     fn roundtrip_2d_and_1d() {
         let g2 = smooth_field(Dims::d2(50, 60));
-        let out = compress(&g2, 1e-3, DEFAULT_RADIUS);
+        let out = compress(&g2, 1e-3, DEFAULT_RADIUS).unwrap();
         check_bound(&g2, &decompress(&out, g2.dims(), 1e-3).unwrap(), 1e-3);
 
         let g1 = smooth_field(Dims::d1(500));
-        let out = compress(&g1, 1e-3, DEFAULT_RADIUS);
+        let out = compress(&g1, 1e-3, DEFAULT_RADIUS).unwrap();
         check_bound(&g1, &decompress(&out, g1.dims(), 1e-3).unwrap(), 1e-3);
     }
 
     #[test]
     fn smooth_fields_have_few_outliers_and_concentrated_codes() {
         let g = smooth_field(Dims::d3(32, 32, 32));
-        let out = compress(&g, 1e-2, DEFAULT_RADIUS);
+        let out = compress(&g, 1e-2, DEFAULT_RADIUS).unwrap();
         let outlier_fraction = out.outliers.len() as f64 / out.codes.len() as f64;
         assert!(
             outlier_fraction < 0.01,
@@ -223,7 +237,7 @@ mod tests {
         let dims = Dims::d3(16, 16, 16);
         let g = Grid::from_fn(dims, |_, _, _| rng.gen_range(-1000.0f32..1000.0));
         let eb = 1e-4;
-        let out = compress(&g, eb, DEFAULT_RADIUS);
+        let out = compress(&g, eb, DEFAULT_RADIUS).unwrap();
         let recon = decompress(&out, dims, eb).unwrap();
         check_bound(&g, &recon, eb);
     }
@@ -232,7 +246,7 @@ mod tests {
     fn constant_field_produces_center_codes_only() {
         let dims = Dims::d3(8, 8, 8);
         let g = Grid::from_vec(dims, vec![3.75f32; dims.len()]);
-        let out = compress(&g, 1e-3, DEFAULT_RADIUS);
+        let out = compress(&g, 1e-3, DEFAULT_RADIUS).unwrap();
         // Only the very first point (predicted from nothing) can exceed the
         // code range; every other Lorenzo difference is exactly zero.
         assert!(out.outliers.len() <= 1);
@@ -249,7 +263,7 @@ mod tests {
         let dims = Dims::d3(8, 8, 8);
         let g = Grid::from_fn(dims, |z, y, x| 1.0e9 * (1.0 + 0.1 * (z + y + x) as f32));
         let eb = 1.0e6;
-        let out = compress(&g, eb, DEFAULT_RADIUS);
+        let out = compress(&g, eb, DEFAULT_RADIUS).unwrap();
         let recon = decompress(&out, dims, eb).unwrap();
         check_bound(&g, &recon, eb);
     }

@@ -24,7 +24,7 @@ subcommands:
 
   decode <input|-> <output|-> [--chunk I]
       Decompress a container back to raw little-endian f32. `-` as input
-      reads a non-seekable pipe (stdin) through the forward-only source;
+      reads a non-seekable pipe (stdin) to its end, then decodes it;
       --chunk I extracts one chunk (chunk-local row-major order).
 
   inspect <input>
@@ -101,7 +101,7 @@ pub struct EncodeArgs {
 /// Parsed `decode` arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeArgs {
-    /// Container path, or `-` for stdin (forward-only).
+    /// Container path, or `-` for stdin (read to its end, then decoded).
     pub input: String,
     /// Raw f32 output path, or `-` for stdout.
     pub output: String,

@@ -4,9 +4,9 @@
 //! raw field region-by-region into a [`StreamSink`]'s own value plane,
 //! where each chunk is compressed in place, `decode` writes
 //! region-by-region from one [`ChunkReader`] — a [`StreamSource`] over a
-//! file, or for `-` a [`ForwardSource`] over stdin — so neither side ever
-//! holds a full uncompressed field unless the data itself must leave on
-//! stdout.
+//! file, or for `-` over stdin read to its end by [`ForwardSource`] — so
+//! neither side ever holds a full uncompressed field unless the data itself
+//! must leave on stdout (a pipe holds the compressed stream).
 //! A decoded field goes to a file one chunk at a time, each z-plane of a
 //! chunk in as few band writes as the row gap allows (see
 //! [`raw::write_region_bands`]), which is why the output is opened for
@@ -21,11 +21,11 @@ use crate::args::{Command, DecodeArgs, EncodeArgs, InspectArgs};
 use crate::{inspect, raw, CliError};
 use std::ffi::OsString;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, Write};
 use std::path::Path;
 use szhi_core::{
-    ChunkReader, CompressionStats, ErrorBound, Fetch, ForwardSource, StreamSink, StreamSource,
-    SzhiConfig, SzhiError,
+    ChunkReader, CompressionStats, ErrorBound, ForwardSource, StreamSink, StreamSource, SzhiConfig,
+    SzhiError,
 };
 use szhi_ndgrid::{Dims, Grid, Region};
 
@@ -140,14 +140,13 @@ fn decode(a: &DecodeArgs) -> Result<(), CliError> {
     }
 }
 
-/// The one decode path, over a seekable file or a forward-only stdin
-/// source alike: `--chunk` reads only the wanted chunk (a pipe reads on to
-/// it without decoding the chunks before it); a whole field goes to a file
-/// chunk by chunk, with bounded memory, or is streamed out in order.
-fn decode_from<F: Fetch>(
+/// The one decode path, over a seekable file or stdin read to its end
+/// alike: `--chunk` decodes only the wanted chunk; a whole field goes to a
+/// file chunk by chunk, with bounded memory, or is streamed out in order.
+fn decode_from<R: Read + Seek>(
     a: &DecodeArgs,
     name: &str,
-    mut source: ChunkReader<F>,
+    mut source: ChunkReader<R>,
 ) -> Result<(), CliError> {
     let dims = source.index().dims();
     let count = source.chunk_count();

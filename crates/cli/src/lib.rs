@@ -7,9 +7,9 @@
 //!   the uncompressed field in memory;
 //! - `decode` reads a container back to raw f32 through one
 //!   [`szhi_core::ChunkReader`] — seekable files as a
-//!   [`szhi_core::StreamSource`], and `-` straight off a non-seekable
-//!   stdin pipe as a [`szhi_core::ForwardSource`] — with `--chunk`
-//!   reading one chunk on either;
+//!   [`szhi_core::StreamSource`], and `-` off a non-seekable stdin pipe,
+//!   which [`szhi_core::ForwardSource`] reads to its end and then reads
+//!   like a file — with `--chunk` decoding one chunk on either;
 //! - `inspect` dumps the header, chunk table, trailer and mode/config
 //!   histograms of any container version without decoding a single
 //!   payload byte.

@@ -101,8 +101,8 @@ fn encode_inspect_decode_roundtrip_on_files() {
     }
 }
 
-/// `decode - out` reads the archive from a non-seekable stdin pipe
-/// through the forward-only source.
+/// `decode - out` reads the archive from a non-seekable stdin pipe to its
+/// end, then decodes it like a file.
 #[test]
 fn decode_reads_from_a_stdin_pipe() {
     let input = temp("pipe-in.f32");
@@ -202,10 +202,10 @@ fn decode_single_chunk_matches_random_access() {
     }
 }
 
-/// `--chunk I` off a stdin pipe reads on to chunk `I` without decoding the
-/// chunks before it, so a corrupt earlier chunk fails neither input: the
-/// pipe writes the bytes the file path writes. Covers a buffered
-/// (trailered v4) stream and an incremental (leading-table v3) one.
+/// `--chunk I` off a stdin pipe decodes chunk `I` and no chunk before it,
+/// so a corrupt earlier chunk fails neither input: the pipe writes the
+/// bytes the file path writes. Covers a trailered (v4) stream and a
+/// leading-table (v3) one.
 #[test]
 fn a_piped_chunk_decode_skips_a_corrupt_earlier_chunk() {
     let input = szhi_cli::golden::corpus_dir().join("field.f32");

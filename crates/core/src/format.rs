@@ -1016,31 +1016,6 @@ pub(crate) fn read_exact_vec<R: Read>(
     Ok(buf)
 }
 
-/// Reads exactly `n` bytes from a forward-only reader into `buf`, replacing
-/// its contents, **without trusting `n` for the allocation**: the buffer
-/// grows only with bytes actually present, so a corrupt length field fails
-/// as a typed error once the stream runs dry — never as an allocation
-/// blowup.
-pub(crate) fn read_exact_untrusted<R: Read>(
-    reader: &mut R,
-    n: u64,
-    buf: &mut Vec<u8>,
-    what: &str,
-) -> Result<(), SzhiError> {
-    buf.clear();
-    reader
-        .take(n)
-        .read_to_end(buf)
-        .map_err(|e| SzhiError::Io(format!("reading {what}: {e}")))?;
-    if (buf.len() as u64) != n {
-        return Err(SzhiError::Io(format!(
-            "reading {what}: the stream ended after {} of {n} bytes",
-            buf.len()
-        )));
-    }
-    Ok(())
-}
-
 fn seek_to<R: Seek>(reader: &mut R, pos: SeekFrom, what: &str) -> Result<u64, SzhiError> {
     reader
         .seek(pos)
@@ -1110,8 +1085,8 @@ struct Prefix {
     layout: &'static Layout,
     header: Header,
     plan: ChunkPlan,
-    /// The prefix as read, so a forward reader that must buffer the rest of
-    /// the stream can put it back in front.
+    /// The prefix as read, so a forward reader can buffer the rest of the
+    /// stream behind it.
     bytes: Vec<u8>,
 }
 
@@ -1144,17 +1119,12 @@ fn read_prefix<R: Read>(reader: &mut R) -> Result<Prefix, SzhiError> {
 
 /// Reads and validates the chunk table of a leading-table (v2/v3) stream
 /// from a reader positioned directly behind the prefix, leaving it at the
-/// start of the data area. With `stream_len` known (a seekable stream) the
-/// count is checked against the bytes present before the plan, and extents
-/// against the true data area. Without it (a forward-only stream, whose
-/// data area ends at EOF) the count is checked against the plan before the
-/// table is buffered, and extents against the maximal area — a chunk that
-/// claims bytes past the true end surfaces as a typed I/O error when its
-/// body is read.
+/// start of the data area. The count is checked against the bytes present
+/// before the plan, and extents against the true data area.
 fn read_leading_table<R: Read>(
     reader: &mut R,
     prefix: &Prefix,
-    stream_len: Option<u64>,
+    stream_len: u64,
 ) -> Result<ChunkTable, SzhiError> {
     let Prefix {
         layout,
@@ -1165,16 +1135,13 @@ fn read_leading_table<R: Read>(
     let table_at = prefix.bytes.len() as u64;
     let count = read_exact_vec(reader, 8, "the chunk count")?;
     let n_chunks = ByteCursor::new(&count).get_u64().map_err(SzhiError::from)?;
-    if let Some(len) = stream_len {
-        let remaining = len.saturating_sub(table_at + 8);
-        match n_chunks.checked_mul(layout.entry_size as u64) {
-            Some(bytes) if bytes <= remaining => {}
-            _ => {
-                return Err(SzhiError::InvalidStream(format!(
-                    "chunk table count {n_chunks} exceeds the {remaining} bytes left in the \
-                     stream"
-                )))
-            }
+    let remaining = stream_len.saturating_sub(table_at + 8);
+    match n_chunks.checked_mul(layout.entry_size as u64) {
+        Some(bytes) if bytes <= remaining => {}
+        _ => {
+            return Err(SzhiError::InvalidStream(format!(
+                "chunk table count {n_chunks} exceeds the {remaining} bytes left in the stream"
+            )))
         }
     }
     if n_chunks != plan.len() as u64 {
@@ -1185,9 +1152,8 @@ fn read_leading_table<R: Read>(
             plan.len()
         )));
     }
-    let table_len = n_chunks * layout.entry_size as u64;
-    let mut table_bytes = Vec::new();
-    read_exact_untrusted(reader, table_len, &mut table_bytes, "the chunk table")?;
+    let table_len = n_chunks as usize * layout.entry_size;
+    let table_bytes = read_exact_vec(reader, table_len, "the chunk table")?;
     let raw = read_raw_entries(
         &mut ByteCursor::new(&table_bytes),
         layout,
@@ -1195,11 +1161,10 @@ fn read_leading_table<R: Read>(
         header.pipeline,
         0,
     )?;
-    let data_start = table_at + 8 + table_len;
-    let data_len = stream_len.map_or(u64::MAX, |len| len - data_start);
+    let data_start = table_at + 8 + table_len as u64;
     Ok(ChunkTable {
         span: plan.span(),
-        entries: validate_extents(raw, data_len)?,
+        entries: validate_extents(raw, stream_len - data_start)?,
         data_start: data_start as usize,
         configs: Vec::new(),
     })
@@ -1272,7 +1237,7 @@ pub(crate) fn locate_table<R: Read + Seek>(reader: &mut R) -> Result<StreamIndex
     seek_to(reader, SeekFrom::Start(0), "the stream start")?;
     let prefix = read_prefix(reader)?;
     let table = match prefix.layout.trailer_magic {
-        None => read_leading_table(reader, &prefix, Some(stream_len))?,
+        None => read_leading_table(reader, &prefix, stream_len)?,
         Some(magic) => read_trailing_table(reader, &prefix, magic, stream_len)?,
     };
     Ok(prefix.into_index(table))
@@ -1307,26 +1272,16 @@ pub(crate) fn monolithic_index(bytes: &[u8]) -> Result<StreamIndex, SzhiError> {
     })
 }
 
-/// [`locate_table`] for a forward-only reader. A leading table is validated
-/// in stream order and the reader is left at the start of the data area
-/// (`None` is returned). A trailing table cannot be reached without the
-/// end of the stream, so the rest of the stream is buffered behind the
-/// prefix, the seekable path runs over the buffer — validation is deferred,
-/// never weakened — and the buffered stream is returned.
-pub(crate) fn locate_table_forward<R: Read>(
-    reader: &mut R,
-) -> Result<(StreamIndex, Option<Vec<u8>>), SzhiError> {
-    let mut prefix = read_prefix(reader)?;
-    if prefix.layout.trailer_magic.is_none() {
-        let table = read_leading_table(reader, &prefix, None)?;
-        return Ok((prefix.into_index(table), None));
-    }
-    let mut bytes = std::mem::take(&mut prefix.bytes);
+/// Reads a forward-only stream to its end for [`locate_table`]: the header
+/// prefix is validated as it arrives, so a stream that is not a chunked
+/// container fails after its first bytes, not at end-of-stream; the rest
+/// is then buffered behind it, to be validated in the seekable order.
+pub(crate) fn read_stream_to_end<R: Read>(reader: &mut R) -> Result<Vec<u8>, SzhiError> {
+    let mut bytes = read_prefix(reader)?.bytes;
     reader
         .read_to_end(&mut bytes)
-        .map_err(|e| SzhiError::Io(format!("reading a trailered stream to its end: {e}")))?;
-    let index = locate_table(&mut std::io::Cursor::new(bytes.as_slice()))?;
-    Ok((index, Some(bytes)))
+        .map_err(|e| SzhiError::Io(format!("reading the stream to its end: {e}")))?;
+    Ok(bytes)
 }
 
 /// Parses the header and chunk table of any chunk-bearing container

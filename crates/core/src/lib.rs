@@ -107,16 +107,16 @@
 //! streaming-safe: an [`ErrorBound::Absolute`] bound and whole-field
 //! auto-tuning disabled.
 //!
-//! [`ChunkReader`] is the matching bounded-memory reader, with one of two
-//! fetches. [`StreamSource`] seeks: over any
-//! [`std::io::Read`]` + `[`std::io::Seek`] (and, via
-//! [`StreamSource::from_bytes`], over an in-memory stream) it finds the
+//! [`ChunkReader`] is the matching bounded-memory reader. As a
+//! [`StreamSource`] over any [`std::io::Read`]` + `[`std::io::Seek`] (and,
+//! via [`StreamSource::from_bytes`], over an in-memory stream) it finds the
 //! table via the trailer (verifying the table against the trailer's CRC32
-//! before parsing a single entry) and fetches chunks with one seek and one
-//! bounded read each. [`ForwardSource`] reads the same containers forward,
-//! off a plain [`std::io::Read`]. Both share the metadata view
+//! before parsing a single entry) and fetches chunks in any order with one
+//! seek and one bounded read each. [`ForwardSource::new`] opens the same
+//! reader off a plain [`std::io::Read`]: it reads the stream to its end and
+//! reads the bytes like a file. Every source has the metadata view
 //! ([`ChunkReader::index`]), `read_chunk`, the chunk iterator and
-//! `read_all`; they, and [`decompress`], share one path that locates and
+//! `read_all`; it and [`decompress`] share one path that locates and
 //! validates the chunk table and one step that verifies a fetched body's
 //! CRC32 and decodes it into a reused chunk scratch. Whole-field decodes
 //! copy each chunk straight into the output: [`decompress`] through one
@@ -177,12 +177,14 @@
 //!
 //! ## Serving (pipes and concurrent jobs)
 //!
-//! Two pieces turn the engine into a serving layer. [`ForwardSource`] is
-//! the reader's forward fetch: it decodes any chunked container over a
-//! plain [`std::io::Read`] — no `Seek` — so compressed streams decode
-//! straight off a pipe, socket or `stdin` (trailered v4/v5 streams are
-//! buffered to EOF and their table + trailer validated at end-of-stream;
-//! see `docs/FORMAT.md`). [`jobs::JobService`]
+//! Two pieces turn the engine into a serving layer. [`ForwardSource`]
+//! decodes any chunked container over a plain [`std::io::Read`] — no
+//! `Seek` — so compressed streams decode straight off a pipe, socket or
+//! `stdin`. One rule covers every version: the header prefix is validated
+//! as it arrives, the rest of the stream is read to its end, and the bytes
+//! are read like a file, so a pipe holds the compressed stream and the
+//! seekable source is the bounded one (see `docs/FORMAT.md`).
+//! [`jobs::JobService`]
 //! runs many compress / decompress jobs concurrently over the shared
 //! worker pool, each with per-job progress reporting and cooperative
 //! cancellation that poisons the job's sink — and every job's output stays
@@ -209,7 +211,4 @@ pub use format::{
     stream_version, Header, StreamIndex, MAGIC, TRAILER_SIZE, VERSION, VERSION_TUNED,
 };
 pub use jobs::{JobHandle, JobProgress, JobService};
-pub use stream::{
-    ChunkReader, ChunkReceipt, Fetch, ForwardFetch, ForwardSource, SeekFetch, StreamSink,
-    StreamSource,
-};
+pub use stream::{ChunkReader, ChunkReceipt, ForwardSource, StreamSink, StreamSource};

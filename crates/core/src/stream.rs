@@ -21,9 +21,10 @@
 //! * [`ChunkReader`] is the one reader of every chunked container (v2–v5):
 //!   the table is located and validated by the one path in
 //!   [`crate::format`], its metadata is one read-only [`StreamIndex`], and
-//!   one `read_chunk` serves both of its [`Fetch`]es — seek-and-read
-//!   ([`StreamSource`]) and forward, off a pipe ([`ForwardSource`]). Every
-//!   fetched body, and every slice of an in-memory stream
+//!   each chunk body is fetched with one seek and one bounded read from any
+//!   `Read + Seek` ([`StreamSource`]). A pipe has one rule: it is read to
+//!   its end and then read like a file ([`ForwardSource`]). Every fetched
+//!   body, and every slice of an in-memory stream
 //!   ([`crate::decompress`], whose v1 streams are one-chunk indexes),
 //!   passes one chunk-decode step, `StreamIndex::decode_into`. It checks
 //!   the chunk's CRC32 *before* any lossless decoder touches the bytes
@@ -39,8 +40,8 @@ use crate::compressor::CompressionStats;
 use crate::config::{ErrorBound, ModeTuning, SzhiConfig};
 use crate::error::SzhiError;
 use crate::format::{
-    self, locate_table, locate_table_forward, read_exact_untrusted, write_sections, Header, Layout,
-    StreamIndex, TableRow, VERSION_TRAILERED, VERSION_TUNED,
+    self, locate_table, read_stream_to_end, write_sections, Header, Layout, StreamIndex, TableRow,
+    VERSION_TRAILERED, VERSION_TUNED,
 };
 use rayon::prelude::*;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -740,9 +741,9 @@ impl<W: Write> StreamSink<W> {
     }
 }
 
-/// The reader core every read path shares — [`ChunkReader`] over either
-/// [`Fetch`] and the in-memory [`crate::decompress`] differ only in how
-/// they fetch a chunk's bytes.
+/// The reader core every read path shares — [`ChunkReader`] and the
+/// in-memory [`crate::decompress`] differ only in how they fetch a chunk's
+/// bytes.
 impl StreamIndex {
     /// The one per-chunk decode step: checks `body` — the fetched bytes of
     /// chunk `index` — against the chunk's CRC32, then parses its sections
@@ -848,127 +849,20 @@ impl StreamIndex {
     }
 }
 
-mod sealed {
-    /// Closes [`super::Fetch`] to the two fetches of this module.
-    pub trait Sealed {}
-}
-
-/// How a [`ChunkReader`] gets the bytes of a chunk body: [`SeekFetch`]
-/// seeks to them, [`ForwardFetch`] reads on to them. The trait is sealed;
-/// these two are its only implementations.
-pub trait Fetch: sealed::Sealed {
-    /// Whether the fetch can go back to a chunk behind the last one it
-    /// fetched.
-    const REWINDS: bool;
-
-    /// Fetches the body of chunk `i` of `index` — in range, and not behind
-    /// the last chunk fetched unless the fetch rewinds — into the fetch's
-    /// own body buffer, reused from chunk to chunk, or borrows it from a
-    /// stream already in memory.
-    fn fetch(&mut self, index: &StreamIndex, i: usize) -> Result<&[u8], SzhiError>;
-}
-
-/// The fetch of a [`StreamSource`]: one seek and one bounded read per
-/// chunk, in any order.
-#[derive(Debug)]
-pub struct SeekFetch<R> {
-    reader: R,
-    body: Vec<u8>,
-}
-
-impl<R> sealed::Sealed for SeekFetch<R> {}
-
-impl<R: Read + Seek> Fetch for SeekFetch<R> {
-    const REWINDS: bool = true;
-
-    fn fetch(&mut self, index: &StreamIndex, i: usize) -> Result<&[u8], SzhiError> {
-        let entry = index.entry(i)?;
-        let at = (index.table.data_start + entry.offset) as u64;
-        self.reader
-            .seek(SeekFrom::Start(at))
-            .map_err(|e| SzhiError::Io(format!("seeking to chunk {i}: {e}")))?;
-        self.body.resize(entry.len, 0);
-        self.reader
-            .read_exact(&mut self.body)
-            .map_err(|e| SzhiError::Io(format!("reading a chunk body: {e}")))?;
-        crate::telemetry::SOURCE_BYTES.bump(entry.len as u64);
-        crate::telemetry::SOURCE_CHUNKS.bump(1);
-        Ok(&self.body)
-    }
-}
-
-/// The fetch of a [`ForwardSource`]. A v2/v3 stream, whose chunk table
-/// leads the data area, is read incrementally: the bytes up to a chunk's
-/// offset are discarded (chunk offsets only grow, see `docs/FORMAT.md`),
-/// then its body is read. A v4/v5 stream keeps its table and trailer
-/// **behind** the data area, so no chunk's pipeline, config or checksum is
-/// known until the stream ends: it is buffered to its end when the source
-/// opens — the unavoidable price of a trailered container on a pipe — and
-/// a body is a slice of the buffer.
-#[derive(Debug)]
-pub struct ForwardFetch<R> {
-    reader: R,
-    /// Bytes of the data area consumed so far.
-    pos: u64,
-    /// The whole stream, for a trailered container.
-    buffered: Option<Vec<u8>>,
-    body: Vec<u8>,
-}
-
-impl<R> sealed::Sealed for ForwardFetch<R> {}
-
-impl<R: Read> Fetch for ForwardFetch<R> {
-    const REWINDS: bool = false;
-
-    fn fetch(&mut self, index: &StreamIndex, i: usize) -> Result<&[u8], SzhiError> {
-        let entry = index.entry(i)?;
-        let fetched = match &self.buffered {
-            Some(bytes) => index.table.entry_slice(bytes, i)?.1,
-            None => {
-                let offset = entry.offset as u64;
-                if offset > self.pos {
-                    skip_exact(&mut self.reader, offset - self.pos)?;
-                    self.pos = offset;
-                }
-                let len = entry.len as u64;
-                read_exact_untrusted(&mut self.reader, len, &mut self.body, "a chunk body")?;
-                self.pos += len;
-                &self.body
-            }
-        };
-        crate::telemetry::FORWARD_BYTES.bump(fetched.len() as u64);
-        crate::telemetry::FORWARD_CHUNKS.bump(1);
-        Ok(fetched)
-    }
-}
-
-/// Discards exactly `n` bytes from a forward-only reader: the part of the
-/// data area in front of a chunk, which a seekable source seeks over.
-fn skip_exact<R: Read>(reader: &mut R, n: u64) -> Result<(), SzhiError> {
-    let copied = std::io::copy(&mut reader.take(n), &mut std::io::sink())
-        .map_err(|e| SzhiError::Io(format!("skipping to a chunk body: {e}")))?;
-    if copied != n {
-        return Err(SzhiError::Io(format!(
-            "skipping to a chunk body: the stream ended after {copied} of {n} bytes"
-        )));
-    }
-    Ok(())
-}
-
 /// The one reader of chunked containers (v2–v5): the validated
-/// [`StreamIndex`] of the stream plus a [`Fetch`] for chunk bodies. Every
-/// fetched body is verified against its CRC32 (v3+) *before* any lossless
-/// decoder sees it, and only one compressed body and one reconstructed
-/// sub-field are in memory at a time (a buffered v4/v5 stream on a
-/// [`ForwardSource`] also holds its compressed bytes). Monolithic (v1)
-/// streams and unknown future versions are rejected with clear typed
-/// errors when the reader opens.
+/// [`StreamIndex`] of the stream, the reader its chunk bodies are fetched
+/// from — one seek and one bounded read each, in any order — and one body
+/// buffer reused from chunk to chunk. Every fetched body is verified
+/// against its CRC32 (v3+) *before* any lossless decoder sees it, and only
+/// one compressed body and one reconstructed sub-field are in memory at a
+/// time (a [`ForwardSource`] also holds the compressed stream it read off
+/// its pipe). Monolithic (v1) streams and unknown future versions are
+/// rejected with clear typed errors when the reader opens.
 #[derive(Debug)]
-pub struct ChunkReader<F> {
-    fetch: F,
+pub struct ChunkReader<R> {
+    reader: R,
     index: StreamIndex,
-    /// The chunk [`ChunkReader::next_chunk`] decodes next.
-    next: usize,
+    body: Vec<u8>,
 }
 
 /// Bounded-memory reader over any [`io::Read`](std::io::Read)` +
@@ -1002,19 +896,18 @@ pub struct ChunkReader<F> {
 ///     assert_eq!(sub.len(), region.len());
 /// }
 /// ```
-pub type StreamSource<R> = ChunkReader<SeekFetch<R>>;
+pub type StreamSource<R> = ChunkReader<R>;
 
-/// Forward-only reader over any [`io::Read`](std::io::Read) — **no
-/// `Seek` required** — so a compressed stream can be decoded straight off
-/// a pipe, a socket, or `stdin`.
+/// A compressed stream read off a plain [`io::Read`](std::io::Read) to its
+/// end — **no `Seek` required** — so it can be decoded straight off a
+/// pipe, a socket, or `stdin`: [`ForwardSource::new`] opens a
+/// [`StreamSource`] over the bytes.
 ///
-/// Chunks are read in index order, and a chunk behind the last one read is
-/// out of reach. For v2/v3 containers, whose chunk table precedes the data
-/// area, reading is truly incremental. For trailered v4/v5 containers the
-/// source buffers the remainder of the stream to EOF when it opens and
-/// validates table + trailer in the same order as the seekable reader
-/// (header → trailer geometry → table-region CRC32 → config dictionary →
-/// entries).
+/// The header prefix is validated as soon as it arrives, so a stream that
+/// is not szhi fails after its first bytes; the rest of the stream is then
+/// read to its end and opened like a file, with every check of the
+/// seekable reader (see `docs/FORMAT.md`). The source holds the compressed
+/// stream and reads its chunks in any order.
 ///
 /// ```
 /// use szhi_core::{compress, decompress, ErrorBound, ForwardSource, SzhiConfig};
@@ -1032,7 +925,26 @@ pub type StreamSource<R> = ChunkReader<SeekFetch<R>>;
 /// let restored = source.read_all().unwrap();
 /// assert_eq!(restored.as_slice(), decompress(&bytes).unwrap().as_slice());
 /// ```
-pub type ForwardSource<R> = ChunkReader<ForwardFetch<R>>;
+#[derive(Debug)]
+pub struct ForwardSource(Vec<u8>);
+
+impl AsRef<[u8]> for ForwardSource {
+    fn as_ref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl ForwardSource {
+    /// Reads a chunked (v2), streamed (v3), trailered (v4) or tuned (v5)
+    /// container off `reader` to its end and opens a [`StreamSource`] over
+    /// the bytes.
+    pub fn new(
+        mut reader: impl Read,
+    ) -> Result<StreamSource<std::io::Cursor<ForwardSource>>, SzhiError> {
+        let bytes = ForwardSource(read_stream_to_end(&mut reader)?);
+        StreamSource::new(std::io::Cursor::new(bytes))
+    }
+}
 
 impl<'a> StreamSource<std::io::Cursor<&'a [u8]>> {
     /// Convenience constructor over an in-memory stream.
@@ -1046,41 +958,15 @@ impl<R: Read + Seek> StreamSource<R> {
     /// container, reading and validating the header and chunk table only.
     pub fn new(mut reader: R) -> Result<Self, SzhiError> {
         let index = locate_table(&mut reader)?;
-        let fetch = SeekFetch {
+        Ok(ChunkReader {
             reader,
-            body: Vec::new(),
-        };
-        Ok(ChunkReader::open(fetch, index))
-    }
-}
-
-impl<R: Read> ForwardSource<R> {
-    /// Opens a chunked (v2), streamed (v3), trailered (v4) or tuned (v5)
-    /// container over a forward-only reader. For v2/v3 this reads and
-    /// validates the header and leading chunk table only; for v4/v5 it
-    /// consumes the reader to EOF and validates the trailing table before
-    /// returning.
-    pub fn new(mut reader: R) -> Result<Self, SzhiError> {
-        let (index, buffered) = locate_table_forward(&mut reader)?;
-        let fetch = ForwardFetch {
-            reader,
-            pos: 0,
-            buffered,
-            body: Vec::new(),
-        };
-        Ok(ChunkReader::open(fetch, index))
-    }
-}
-
-impl<F: Fetch> ChunkReader<F> {
-    fn open(fetch: F, index: StreamIndex) -> Self {
-        ChunkReader {
-            fetch,
             index,
-            next: 0,
-        }
+            body: Vec::new(),
+        })
     }
+}
 
+impl<R: Read + Seek> ChunkReader<R> {
     /// The stream's metadata: version, header, plan and the per-chunk
     /// region, pipeline and interpolation configuration.
     pub fn index(&self) -> &StreamIndex {
@@ -1092,50 +978,46 @@ impl<F: Fetch> ChunkReader<F> {
         self.index.chunk_count()
     }
 
+    /// Reads the body of chunk `i` into the reused body buffer: one seek
+    /// and one read of the entry's length, which was checked against the
+    /// stream length when the table was located.
+    fn fetch(&mut self, i: usize) -> Result<(), SzhiError> {
+        let entry = self.index.entry(i)?;
+        let at = (self.index.table.data_start + entry.offset) as u64;
+        self.reader
+            .seek(SeekFrom::Start(at))
+            .map_err(|e| SzhiError::Io(format!("seeking to chunk {i}: {e}")))?;
+        self.body.resize(entry.len, 0);
+        self.reader
+            .read_exact(&mut self.body)
+            .map_err(|e| SzhiError::Io(format!("reading a chunk body: {e}")))?;
+        crate::telemetry::SOURCE_BYTES.bump(entry.len as u64);
+        crate::telemetry::SOURCE_CHUNKS.bump(1);
+        Ok(())
+    }
+
     /// Decodes chunk `index`: fetches its body, verifies the checksum, then
     /// reconstructs the sub-field it covers. Returns the chunk's region of
-    /// the original field and the reconstructed values. A forward source
-    /// reads on to the chunk without decoding the ones before it, and
-    /// rejects a chunk behind the last one read with
-    /// [`SzhiError::InvalidInput`].
+    /// the original field and the reconstructed values; no other chunk is
+    /// decoded.
     pub fn read_chunk(&mut self, index: usize) -> Result<(Region, Grid<f32>), SzhiError> {
-        self.index.entry(index)?;
-        if index < self.next && !F::REWINDS {
-            return Err(SzhiError::InvalidInput(format!(
-                "a forward source cannot rewind: chunk {index} is behind chunk {}",
-                self.next
-            )));
-        }
-        self.next = index + 1;
-        let body = self.fetch.fetch(&self.index, index)?;
-        StreamIndex::decode(&self.index, index, body)
+        self.fetch(index)?;
+        StreamIndex::decode(&self.index, index, &self.body)
     }
 
-    /// Decodes the chunk after the last one read (chunk 0 at first), or
-    /// returns `None` past the last chunk. An error consumes the chunk like
-    /// a success, so the next call moves on to the following chunk.
-    #[allow(clippy::should_implement_trait)]
-    pub(crate) fn next_chunk(&mut self) -> Option<Result<(Region, Grid<f32>), SzhiError>> {
-        (self.next < self.chunk_count()).then(|| self.read_chunk(self.next))
-    }
-
-    /// Iterates over the decoded chunks **lazily**, in plan order — from
-    /// chunk 0 on a seekable source, from the next unread chunk on a
-    /// forward one: each chunk is fetched, verified and decoded only when
-    /// the iterator is advanced.
+    /// Iterates over the decoded chunks **lazily**, in plan order: each
+    /// chunk is fetched, verified and decoded only when the iterator is
+    /// advanced. A chunk that fails yields its error, and the iterator goes
+    /// on to the next chunk.
     pub fn chunks(&mut self) -> impl Iterator<Item = Result<(Region, Grid<f32>), SzhiError>> + '_ {
-        if F::REWINDS {
-            self.next = 0;
-        }
-        std::iter::from_fn(|| self.next_chunk())
+        (0..self.chunk_count()).map(|i| self.read_chunk(i))
     }
 
-    /// Decodes the chunks of [`ChunkReader::chunks`] sequentially, each
-    /// straight into the full field through one reused chunk scratch, so
-    /// the read holds the field plus one chunk; regions a forward source
-    /// has already read stay zero. (Reads from one source are serial;
-    /// decode a stream that is already in memory via [`crate::decompress`]
-    /// when parallel decode matters.)
+    /// Decodes every chunk sequentially, each straight into the full field
+    /// through one reused chunk scratch, so the read holds the field plus
+    /// one chunk. (Reads from one source are serial; decode a stream that
+    /// is already in memory via [`crate::decompress`] when parallel decode
+    /// matters.)
     pub fn read_all(&mut self) -> Result<Grid<f32>, SzhiError> {
         let mut out = Grid::zeros(self.index.dims());
         self.drain_into(&mut out, |_| Ok(()))?;
@@ -1143,27 +1025,20 @@ impl<F: Fetch> ChunkReader<F> {
     }
 
     /// The one serial drain, behind [`ChunkReader::read_all`] and the job
-    /// service's decompress: fetches and decodes the chunks of
-    /// [`ChunkReader::chunks`] in plan order through one [`DecodeScratch`]
-    /// and inserts each into `out`, a field of the stream's shape.
-    /// `before_insert(i)` runs after chunk `i` is decoded and before it is
-    /// inserted; an error from it, or from a chunk, ends the drain.
+    /// service's decompress: fetches and decodes chunks `0..n` in plan
+    /// order through one [`DecodeScratch`] and inserts each into `out`, a
+    /// field of the stream's shape. `before_insert(i)` runs after chunk `i`
+    /// is decoded and before it is inserted; an error from it, or from a
+    /// chunk, ends the drain.
     pub(crate) fn drain_into(
         &mut self,
         out: &mut Grid<f32>,
         mut before_insert: impl FnMut(usize) -> Result<(), SzhiError>,
     ) -> Result<(), SzhiError> {
-        if F::REWINDS {
-            self.next = 0;
-        }
         let mut scratch = DecodeScratch::default();
-        while self.next < self.chunk_count() {
-            let i = self.next;
-            // A failed chunk is consumed like a decoded one, as in
-            // `read_chunk`.
-            self.next = i + 1;
-            let body = self.fetch.fetch(&self.index, i)?;
-            let region = self.index.decode_into(i, body, &mut scratch)?;
+        for i in 0..self.chunk_count() {
+            self.fetch(i)?;
+            let region = self.index.decode_into(i, &self.body, &mut scratch)?;
             before_insert(i)?;
             out.insert(&region, &scratch.recon);
         }
@@ -1786,9 +1661,6 @@ mod tests {
         assert_eq!(stream_version(&v5).unwrap(), VERSION_TUNED);
 
         let bits = |g: &Grid<f32>| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        fn rewinds(read: Result<(Region, Grid<f32>), SzhiError>) -> bool {
-            matches!(read, Err(SzhiError::InvalidInput(msg)) if msg.contains("cannot rewind"))
-        }
         for (version, bytes) in [(2u8, &v2), (3, &v3), (4, &v4), (5, &v5)] {
             let expect = decompress(bytes).unwrap();
             // A `PipeReader` is Read-only — the compiler proves no Seek is
@@ -1826,23 +1698,19 @@ mod tests {
                 bits(&expect),
                 "v{version} seekable source disagrees with decompress"
             );
-            assert!(forward.next_chunk().is_none(), "the source is drained");
-            assert!(rewinds(forward.read_chunk(0)), "v{version} drained rewind");
             assert!(forward.read_chunk(n).is_err());
 
-            // Reading ahead fetches chunk k without decoding the chunks
-            // before it and equals the seekable read; a chunk behind it is
-            // out of reach, and `next_chunk` goes on after it.
+            // A piped source reads its chunks in any order, like a file:
+            // ahead to chunk k, back to chunk k - 1, and chunk k again,
+            // each equal to the seekable read.
             let k = n / 2;
             let mut forward = ForwardSource::new(PipeReader { bytes, pos: 0 }).unwrap();
-            let (region, sub) = forward.read_chunk(k).unwrap();
-            let (want_region, want) = seekable.read_chunk(k).unwrap();
-            assert_eq!(region, want_region, "v{version} chunk {k}");
-            assert_eq!(bits(&sub), bits(&want), "v{version} chunk {k}");
-            assert!(rewinds(forward.read_chunk(k - 1)), "v{version} rewind");
-            assert!(rewinds(forward.read_chunk(k)), "v{version} re-read");
-            let (region, _) = forward.next_chunk().unwrap().unwrap();
-            assert_eq!(region, seekable.index().chunk_region(k + 1).unwrap());
+            for i in [k, k - 1, k] {
+                let (region, sub) = forward.read_chunk(i).unwrap();
+                let (want_region, want) = seekable.read_chunk(i).unwrap();
+                assert_eq!(region, want_region, "v{version} chunk {i}");
+                assert_eq!(bits(&sub), bits(&want), "v{version} chunk {i}");
+            }
 
             // And the lazy iterator sees every chunk exactly once.
             let mut forward = ForwardSource::new(&bytes[..]).unwrap();
@@ -1874,8 +1742,8 @@ mod tests {
     #[test]
     fn forward_source_skips_gaps_between_chunk_bodies() {
         // The format tolerates unused bytes between chunk bodies (extents
-        // must only be non-overlapping and non-decreasing). A seekable
-        // source seeks over them; the forward source must discard them.
+        // must only be non-overlapping and non-decreasing). Every source
+        // seeks over them, a piped one in the bytes it read to the end.
         let data = DatasetKind::Nyx.generate(Dims::d3(32, 32, 32), 5);
         let v4 = compress_chunked(&data, &stream_cfg([16, 16, 16]), [16, 16, 16]).unwrap();
         let v3 = recontain(&v4, VERSION_STREAMED);
@@ -1947,6 +1815,28 @@ mod tests {
                     "forward source panicked at truncation {cut}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_piped_stream_fails_on_its_header_at_once_and_on_a_cut_data_area_when_it_opens() {
+        // A stream that is not szhi fails on its first bytes: an endless
+        // one would never reach the end it is otherwise read to.
+        assert!(matches!(
+            ForwardSource::new(std::io::repeat(0x42)),
+            Err(SzhiError::InvalidStream(_))
+        ));
+        // A leading-table stream cut inside its data area is rejected when
+        // the source opens, by the extent check against the true length.
+        let data = DatasetKind::Nyx.generate(Dims::d3(32, 32, 32), 5);
+        let v4 = compress_chunked(&data, &stream_cfg([16, 16, 16]), [16, 16, 16]).unwrap();
+        let v3 = recontain(&v4, VERSION_STREAMED);
+        let (_, table) = read_chunk_table(&v3).unwrap();
+        for cut in [table.data_start + 1, v3.len() - 1] {
+            assert!(matches!(
+                ForwardSource::new(&v3[..cut]),
+                Err(SzhiError::InvalidStream(msg)) if msg.contains("data area")
+            ));
         }
     }
 

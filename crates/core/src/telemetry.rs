@@ -62,14 +62,11 @@ pub(crate) static JOB_DECODE: Span = Span::new("job.decode");
 pub(crate) static SINK_BYTES: Counter = Counter::new("io.sink.bytes");
 /// Chunks written by [`StreamSink`](crate::StreamSink).
 pub(crate) static SINK_CHUNKS: Counter = Counter::new("io.sink.chunks");
-/// Chunk-body bytes fetched by [`StreamSource`](crate::StreamSource).
+/// Chunk-body bytes fetched by [`ChunkReader`](crate::ChunkReader), off a
+/// file or a piped stream alike.
 pub(crate) static SOURCE_BYTES: Counter = Counter::new("io.source.bytes");
-/// Chunk bodies fetched by [`StreamSource`](crate::StreamSource).
+/// Chunk bodies fetched by [`ChunkReader`](crate::ChunkReader).
 pub(crate) static SOURCE_CHUNKS: Counter = Counter::new("io.source.chunks");
-/// Chunk-body bytes consumed by [`ForwardSource`](crate::ForwardSource).
-pub(crate) static FORWARD_BYTES: Counter = Counter::new("io.forward.bytes");
-/// Chunk bodies decoded by [`ForwardSource`](crate::ForwardSource).
-pub(crate) static FORWARD_CHUNKS: Counter = Counter::new("io.forward.chunks");
 
 // --- job lifecycle counters ------------------------------------------------
 
